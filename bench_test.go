@@ -1,9 +1,8 @@
 // Package quark holds the repository-level benchmark harness: one
 // testing.B benchmark per table/figure of the paper's evaluation
-// (Section 6 and Appendix G), plus ablations for the design choices called
-// out in DESIGN.md. Benchmarks run at a reduced scale by default so
-// `go test -bench=.` completes quickly; cmd/benchrunner regenerates the
-// figures at paper scale.
+// (Section 6 and Appendix G), plus ablations for its design choices.
+// Benchmarks run at a reduced scale by default so `go test -bench=.`
+// completes quickly; cmd/benchrunner regenerates the figures at paper scale.
 package quark
 
 import (
@@ -394,7 +393,7 @@ func BenchmarkAblationMaterialized(b *testing.B) {
 }
 
 // TestTable2ParameterGrid smoke-tests every Table 2 parameter value at
-// reduced scale (experiment E7 in DESIGN.md).
+// reduced scale.
 func TestTable2ParameterGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid smoke test skipped in -short mode")

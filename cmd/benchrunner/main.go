@@ -843,6 +843,7 @@ func figSqlite() {
 func main() {
 	flag.Parse()
 	stop := startObs()
+	stopProfiles := startProfiles()
 	fmt.Printf("quark benchrunner: scale=%.2f updates/point=%d\n", *scaleFlag, *updatesFlag)
 	switch *figFlag {
 	case "17":
@@ -886,6 +887,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figFlag)
 		os.Exit(2)
 	}
+	stopProfiles()
 	writeBenchDocs()
 	runGate()
 	stop()

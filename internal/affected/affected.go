@@ -497,6 +497,10 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 		}
 		an.Root = xqgm.NewSelect(root, pred)
 	}
+	// The graph is final: plan it once, here, rather than on every Eval.
+	if err := xqgm.Prepare(an.Root); err != nil {
+		return nil, err
+	}
 	return an, nil
 }
 

@@ -102,6 +102,23 @@ func (c *Compiler) CompileView(name, src string) (*ViewDef, error) {
 		return nil, fmt.Errorf("compile: view %q: %w", name, err)
 	}
 	xqgm.DeriveKeys(root)
+	// The view graph is final here: prepare the document root (EvalView)
+	// and every element producer (a MATERIALIZED group evaluates its own)
+	// once, so evaluations never have to plan it.
+	roots := []*xqgm.Operator{root}
+	var producers func(n *NavNode)
+	producers = func(n *NavNode) {
+		if n.Op != nil {
+			roots = append(roots, n.Op)
+		}
+		for _, c := range n.Children {
+			producers(c)
+		}
+	}
+	producers(nav)
+	if err := xqgm.Prepare(roots...); err != nil {
+		return nil, fmt.Errorf("compile: view %q: %w", name, err)
+	}
 	v := &ViewDef{Name: name, Source: src, Root: root, Nav: nav}
 	c.views[name] = v
 	return v, nil

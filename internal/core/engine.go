@@ -1400,6 +1400,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		// and runs each member's plan separately — the paper's per-trigger
 		// translation as a per-group property rather than a grouping one.
 		plans := make([]*installedPlan, 0, len(g.order))
+		roots := make([]*xqgm.Operator, 0, len(g.order))
 		for _, name := range g.order {
 			ti := g.members[name]
 			var root *xqgm.Operator = an.Root
@@ -1418,8 +1419,11 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 			plan.args[ti.Spec.Name] = args
 			plan.sqlText = RenderSQL(root)
 			plans = append(plans, plan)
+			roots = append(roots, root)
 		}
-		return plans, nil
+		// Prepared together, the members' plans share the nodes of the one
+		// affected-node graph below their Selects.
+		return plans, xqgm.Prepare(roots...)
 	}
 
 	// GROUPED / GROUPED-AGG: constants table + shared plan.
@@ -1434,6 +1438,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 	gp := grouping.BuildGroupedPlan(gg, an.Root)
 	plan.root = gp.Root
 	plan.trigIDsCol = gp.TrigIDsCol
+	roots := []*xqgm.Operator{gp.Root}
 	if anPlain != nil {
 		bp := grouping.BuildGroupedPlan(gg, anPlain.Root)
 		if bp.TrigIDsCol != gp.TrigIDsCol {
@@ -1442,6 +1447,10 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		plan.batchRoot = bp.Root
 		plan.batchAN = anPlain
 		plan.batchSQL = RenderSQL(bp.Root)
+		roots = append(roots, bp.Root)
+	}
+	if err := xqgm.Prepare(roots...); err != nil {
+		return nil, err
 	}
 	for _, name := range g.order {
 		ti := g.members[name]
@@ -1588,16 +1597,32 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 		return nil
 	}
 	// Sorted activation (the ORDER BY of Figure 16): by TrigIDs then by
-	// the affected key.
-	sort.SliceStable(rows, func(i, j int) bool {
-		if plan.trigIDsCol >= 0 {
-			a, b := rows[i][plan.trigIDsCol].AsString(), rows[j][plan.trigIDsCol].AsString()
-			if a != b {
-				return a < b
+	// the affected key. A row's key serialises its OLD and NEW nodes, so it
+	// is built once per row, not once per comparison.
+	if len(rows) > 1 {
+		type keyed struct {
+			ids, key string
+			row      xqgm.Tuple
+		}
+		ks := make([]keyed, len(rows))
+		for i, row := range rows {
+			ks[i] = keyed{key: xdm.TupleKey(row), row: row}
+			if plan.trigIDsCol >= 0 {
+				ks[i].ids = row[plan.trigIDsCol].AsString()
 			}
 		}
-		return xdm.TupleKey(rows[i]) < xdm.TupleKey(rows[j])
-	})
+		sort.SliceStable(ks, func(i, j int) bool {
+			if ks[i].ids != ks[j].ids {
+				return ks[i].ids < ks[j].ids
+			}
+			return ks[i].key < ks[j].key
+		})
+		rows = make([]xqgm.Tuple, len(ks))
+		for i := range ks {
+			rows[i] = ks[i].row
+		}
+	}
+	var env xqgm.Env
 	for _, row := range rows {
 		var ids []string
 		if plan.trigIDsCol >= 0 {
@@ -1619,15 +1644,17 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 				}
 				seen[k] = true
 			}
-			argExprs := plan.args[id]
-			args := make([]xdm.Value, len(argExprs))
-			env := &xqgm.Env{In: [2][]xdm.Value{row, nil}}
-			for i, ae := range argExprs {
-				v, err := ae.Eval(env)
-				if err != nil {
-					return err
+			var args []xdm.Value
+			if argExprs := plan.args[id]; len(argExprs) > 0 {
+				args = make([]xdm.Value, len(argExprs))
+				env.In[0] = row
+				for i, ae := range argExprs {
+					v, err := ae.Eval(&env)
+					if err != nil {
+						return err
+					}
+					args[i] = v
 				}
-				args[i] = v
 			}
 			g.stats.activations.Add(1)
 			if err := e.stageOrDeliver(ctx, ti.Spec.ActionFn, Invocation{

@@ -68,30 +68,10 @@ func callScalar(name string, vals []xdm.Value) (xdm.Value, error) {
 		return xdm.NodeVal(xdm.Attr(vals[0].AsString(), vals[1].Lexical())), nil
 	case "xml_element":
 		n := xdm.Elem(vals[0].AsString())
-		for _, v := range vals[1:] {
-			appendContentShim(n, v)
-		}
+		n.AppendContent(vals[1:]...) // the evaluator's own content assembly
 		return xdm.NodeVal(n), nil
 	default:
 		return xdm.Null, fmt.Errorf("sqlshim: unknown function %s", name)
-	}
-}
-
-// appendContentShim mirrors xqgm's element-content assembly: nulls vanish,
-// nodes are deep-copied (attribute nodes route to Attrs via AppendChild),
-// sequences splice recursively, scalars become text nodes of their lexical
-// form.
-func appendContentShim(n *xdm.Node, v xdm.Value) {
-	switch v.Kind() {
-	case xdm.KindNull:
-	case xdm.KindNode:
-		n.AppendChild(v.AsNode().Copy())
-	case xdm.KindSeq:
-		for _, e := range v.AsSeq() {
-			appendContentShim(n, e)
-		}
-	default:
-		n.AppendChild(xdm.TextNd(v.Lexical()))
 	}
 }
 

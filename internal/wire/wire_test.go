@@ -23,7 +23,7 @@ func sampleRecords() []*Record {
 			Seq:     42,
 			Trigger: "client007",
 			Event:   reldb.EvUpdate,
-			Old:     node.Copy(),
+			Old:     node, // OLD and NEW share subtrees, as the evaluator's do
 			New:     node,
 			Args: []xdm.Value{
 				xdm.Null,

@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,6 +21,13 @@ const (
 // Node is an XML node. Elements have a Name, Attrs, and Children; attribute
 // and text nodes carry their string content in Text. Nodes form trees; the
 // model is ordered (document order = slice order).
+//
+// A node is immutable once the code that constructed it hands it out:
+// AppendChild/AppendContent are for the constructor that still owns the
+// element. Everything downstream relies on this — element content is shared
+// between parents rather than copied (an OLD_NODE and a NEW_NODE, or two
+// operators' outputs, may point into the same subtrees), and nodes cross
+// goroutines through the dispatcher without synchronisation.
 type Node struct {
 	Kind     NodeKind
 	Name     string  // element/attribute name; empty for text nodes
@@ -65,6 +73,49 @@ func (n *Node) AppendChild(c *Node) *Node {
 		n.Attrs = append(n.Attrs, c)
 	} else {
 		n.Children = append(n.Children, c)
+	}
+	return n
+}
+
+// AppendContent appends vs to the element under construction the way an XML
+// element constructor does: Null adds nothing, a node is shared (not
+// copied; attribute nodes route to Attrs), a sequence is spliced item by
+// item, and any other value becomes a text node of its lexical form. It is
+// the one definition of element-content assembly, used by the evaluator's
+// constructor and by the SQL shim's xml_element alike. Passing all of an
+// element's content in one call sizes Children once.
+func (n *Node) AppendContent(vs ...Value) {
+	if extra := contentLen(vs); extra > cap(n.Children)-len(n.Children) {
+		n.Children = slices.Grow(n.Children, extra)
+	}
+	n.appendValues(vs)
+}
+
+func (n *Node) appendValues(vs []Value) {
+	for _, v := range vs {
+		switch v.kind {
+		case KindNull:
+		case KindNode:
+			n.AppendChild(v.node)
+		case KindSeq:
+			n.appendValues(*v.seq)
+		default:
+			n.AppendChild(TextNd(v.Lexical()))
+		}
+	}
+}
+
+// contentLen counts the nodes appendValues will add for vs.
+func contentLen(vs []Value) int {
+	n := 0
+	for _, v := range vs {
+		switch v.kind {
+		case KindNull:
+		case KindSeq:
+			n += contentLen(*v.seq)
+		default:
+			n++
+		}
 	}
 	return n
 }
@@ -130,27 +181,6 @@ func (n *Node) writeText(sb *strings.Builder) {
 			c.writeText(sb)
 		}
 	}
-}
-
-// Copy returns a deep copy of the node.
-func (n *Node) Copy() *Node {
-	if n == nil {
-		return nil
-	}
-	m := &Node{Kind: n.Kind, Name: n.Name, Text: n.Text}
-	if len(n.Attrs) > 0 {
-		m.Attrs = make([]*Node, len(n.Attrs))
-		for i, a := range n.Attrs {
-			m.Attrs[i] = a.Copy()
-		}
-	}
-	if len(n.Children) > 0 {
-		m.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
-			m.Children[i] = c.Copy()
-		}
-	}
-	return m
 }
 
 // DeepEqual reports structural equality: same kind, name, text, attributes

@@ -81,18 +81,24 @@ func TestTextContent(t *testing.T) {
 	}
 }
 
-func TestCopyIsDeep(t *testing.T) {
-	n := catalogFixture()
-	c := n.Copy()
-	if !n.DeepEqual(c) {
-		t.Fatal("copy not equal")
+func TestAppendContent(t *testing.T) {
+	child := Elem("c", TextNd("x"))
+	e := Elem("e")
+	for _, v := range []Value{
+		Null,
+		NodeVal(child),
+		NodeVal(Attr("a", "1")),
+		Seq([]Value{Int(7), Seq([]Value{NodeVal(child), Null}), Float(2)}),
+		Str("t"),
+	} {
+		e.AppendContent(v)
 	}
-	c.Children[0].Attrs[0].Text = "LCD 19"
-	if n.DeepEqual(c) {
-		t.Error("mutating copy affected original (not deep)")
+	if got, want := e.Serialize(false), `<e a="1"><c>x</c>7<c>x</c>2.00t</e>`; got != want {
+		t.Errorf("content = %s, want %s", got, want)
 	}
-	if v, _ := n.Children[0].Attribute("name"); v != "CRT 15" {
-		t.Error("original mutated")
+	// Nodes are immutable once constructed, so content is shared, not copied.
+	if e.Children[0] != child || e.Children[2] != child {
+		t.Error("node content was copied instead of shared")
 	}
 }
 

@@ -5,6 +5,7 @@
 package xdm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -49,14 +50,18 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed value. The zero Value is Null. Values are
 // immutable by convention: operations return new Values.
+//
+// The struct is 48 bytes: every tuple, stored row and transition table is
+// made of these, so its size is paid on every copy. num carries the one
+// numeric payload a value can have (0/1 for bool, the int64 bits for int,
+// the IEEE bits for float); a sequence hangs off a pointer so the slice
+// header is not paid by the scalar values that make up nearly all tuples.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
+	num  uint64
 	s    string
 	node *Node
-	seq  []Value
+	seq  *[]Value
 }
 
 // Null is the null (absent) value.
@@ -64,8 +69,8 @@ var Null = Value{kind: KindNull}
 
 // True and False are the boolean constants.
 var (
-	True  = Value{kind: KindBool, b: true}
-	False = Value{kind: KindBool, b: false}
+	True  = Value{kind: KindBool, num: 1}
+	False = Value{kind: KindBool}
 )
 
 // Bool returns a boolean Value.
@@ -77,10 +82,10 @@ func Bool(b bool) Value {
 }
 
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
 
 // Float returns a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
 
 // String returns a string Value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -94,7 +99,7 @@ func NodeVal(n *Node) Value {
 }
 
 // Seq returns a sequence Value over vs. The slice is not copied.
-func Seq(vs []Value) Value { return Value{kind: KindSeq, seq: vs} }
+func Seq(vs []Value) Value { return Value{kind: KindSeq, seq: &vs} }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -103,22 +108,35 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean content; callers must check Kind first.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.b() }
+
+// b, i and f decode the numeric word; callers have checked the kind.
+func (v Value) b() bool    { return v.num != 0 }
+func (v Value) i() int64   { return int64(v.num) }
+func (v Value) f() float64 { return math.Float64frombits(v.num) }
 
 // AsInt returns the integer content, converting floats by truncation.
 func (v Value) AsInt() int64 {
-	if v.kind == KindFloat {
-		return int64(v.f)
+	switch v.kind {
+	case KindInt:
+		return v.i()
+	case KindFloat:
+		return int64(v.f())
+	default:
+		return 0
 	}
-	return v.i
 }
 
 // AsFloat returns the numeric content as float64.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(v.i())
+	case KindFloat:
+		return v.f()
+	default:
+		return 0
 	}
-	return v.f
 }
 
 // AsString returns the string content; for non-strings it returns the
@@ -145,7 +163,7 @@ func (v Value) AsNode() *Node {
 func (v Value) AsSeq() []Value {
 	switch v.kind {
 	case KindSeq:
-		return v.seq
+		return *v.seq
 	case KindNull:
 		return nil
 	default:
@@ -157,7 +175,7 @@ func (v Value) AsSeq() []Value {
 func (v Value) SeqLen() int {
 	switch v.kind {
 	case KindSeq:
-		return len(v.seq)
+		return len(*v.seq)
 	case KindNull:
 		return 0
 	default:
@@ -175,25 +193,33 @@ func (v Value) Lexical() string {
 	case KindNull:
 		return ""
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			// Render integral floats the way a DECIMAL column would.
-			return strconv.FormatFloat(v.f, 'f', 2, 64)
+		f := v.f()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			// Render integral floats the way a DECIMAL column would. The
+			// digits are the integer's (FormatFloat's fixed-precision path
+			// is multi-precision arithmetic, and this runs once per tagged
+			// value); only -0 needs the float formatter for its sign.
+			if f == 0 && math.Signbit(f) {
+				return "-0.00"
+			}
+			var buf [24]byte
+			return string(append(strconv.AppendInt(buf[:0], int64(f), 10), ".00"...))
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindNode:
 		return v.node.Serialize(false)
 	case KindSeq:
 		var sb strings.Builder
-		for _, e := range v.seq {
+		for _, e := range *v.seq {
 			sb.WriteString(e.Lexical())
 		}
 		return sb.String()
@@ -210,8 +236,8 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindSeq:
-		parts := make([]string, len(v.seq))
-		for i, e := range v.seq {
+		parts := make([]string, len(*v.seq))
+		for i, e := range *v.seq {
 			parts[i] = e.String()
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
@@ -228,17 +254,17 @@ func (v Value) EffectiveBool() bool {
 	case KindNull:
 		return false
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindInt:
-		return v.i != 0
+		return v.i() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f() != 0
 	case KindString:
 		return v.s != ""
 	case KindNode:
 		return true
 	case KindSeq:
-		return len(v.seq) > 0
+		return len(*v.seq) > 0
 	default:
 		return false
 	}
@@ -271,9 +297,9 @@ func Compare(a, b Value) int {
 	}
 	if a.kind == KindBool && b.kind == KindBool {
 		switch {
-		case !a.b && b.b:
+		case !a.b() && b.b():
 			return -1
-		case a.b && !b.b:
+		case a.b() && !b.b():
 			return 1
 		default:
 			return 0
@@ -295,21 +321,21 @@ func Equal(a, b Value) bool {
 	case KindNull:
 		return true
 	case KindBool:
-		return a.b == b.b
+		return a.b() == b.b()
 	case KindInt:
-		return a.i == b.i
+		return a.i() == b.i()
 	case KindFloat:
-		return a.f == b.f
+		return a.f() == b.f()
 	case KindString:
 		return a.s == b.s
 	case KindNode:
 		return a.node.DeepEqual(b.node)
 	case KindSeq:
-		if len(a.seq) != len(b.seq) {
+		if len(*a.seq) != len(*b.seq) {
 			return false
 		}
-		for i := range a.seq {
-			if !Equal(a.seq[i], b.seq[i]) {
+		for i := range *a.seq {
+			if !Equal((*a.seq)[i], (*b.seq)[i]) {
 				return false
 			}
 		}
@@ -327,19 +353,19 @@ func (v Value) Key() string {
 	case KindNull:
 		return "\x00N"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "\x00T"
 		}
 		return "\x00F"
 	case KindInt:
-		return "\x00i" + strconv.FormatInt(v.i, 10)
+		return "\x00i" + strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) {
+		if v.f() == math.Trunc(v.f()) {
 			// Integral floats key identically to ints so that numeric
 			// promotion in Equal matches Key-based grouping.
-			return "\x00i" + strconv.FormatInt(int64(v.f), 10)
+			return "\x00i" + strconv.FormatInt(int64(v.f()), 10)
 		}
-		return "\x00f" + strconv.FormatFloat(v.f, 'b', -1, 64)
+		return "\x00f" + strconv.FormatFloat(v.f(), 'b', -1, 64)
 	case KindString:
 		return "\x00s" + v.s
 	case KindNode:
@@ -347,7 +373,7 @@ func (v Value) Key() string {
 	case KindSeq:
 		var sb strings.Builder
 		sb.WriteString("\x00q")
-		for _, e := range v.seq {
+		for _, e := range *v.seq {
 			k := e.Key()
 			sb.WriteString(strconv.Itoa(len(k)))
 			sb.WriteByte(':')
@@ -371,6 +397,96 @@ func TupleKey(vs []Value) string {
 	return sb.String()
 }
 
+// CompKey is a comparable image of a tuple's key columns, for use as a Go
+// map key by grouping, hash joins and duplicate elimination. Two tuples get
+// equal CompKeys exactly when their TupleKey strings are equal — so an
+// integral float keys as the int it Equals — but the common key, one scalar
+// column, is built without formatting or allocating: the kind and the
+// numeric word (or the string itself) are the key. Wider keys pack their
+// columns into str with one allocation.
+type CompKey struct {
+	kind Kind
+	num  uint64
+	str  string
+}
+
+// kindTuple marks a CompKey over zero or several columns.
+const kindTuple Kind = 0xff
+
+// CompKey returns the key of a one-column tuple holding v.
+func (v Value) CompKey() CompKey {
+	switch v.kind {
+	case KindNull, KindBool, KindInt:
+		return CompKey{kind: v.kind, num: v.num}
+	case KindFloat:
+		f := v.f()
+		if f == math.Trunc(f) {
+			return CompKey{kind: KindInt, num: uint64(int64(f))}
+		}
+		if f != f {
+			return CompKey{kind: KindFloat, num: math.Float64bits(math.NaN())}
+		}
+		return CompKey{kind: KindFloat, num: v.num}
+	case KindString:
+		return CompKey{kind: KindString, str: v.s}
+	default:
+		// Nodes and sequences key by serialized form, as Key does.
+		return CompKey{kind: v.kind, str: v.Key()}
+	}
+}
+
+// RowKey returns the key of the whole tuple t.
+func RowKey(t []Value) CompKey {
+	if len(t) == 1 {
+		return t[0].CompKey()
+	}
+	var buf [64]byte
+	b := buf[:0]
+	for _, v := range t {
+		b = v.CompKey().pack(b)
+	}
+	return CompKey{kind: kindTuple, str: string(b)}
+}
+
+// ColsKey returns the key of columns cols of t, in that order.
+func ColsKey(t []Value, cols []int) CompKey {
+	if len(cols) == 1 {
+		return t[cols[0]].CompKey()
+	}
+	var buf [64]byte
+	b := buf[:0]
+	for _, c := range cols {
+		b = t[c].CompKey().pack(b)
+	}
+	return CompKey{kind: kindTuple, str: string(b)}
+}
+
+// pack appends a self-delimiting encoding of a one-column key.
+func (k CompKey) pack(b []byte) []byte {
+	b = append(b, byte(k.kind))
+	switch k.kind {
+	case KindNull:
+	case KindBool, KindInt, KindFloat:
+		b = binary.BigEndian.AppendUint64(b, k.num)
+	default:
+		b = binary.AppendUvarint(b, uint64(len(k.str)))
+		b = append(b, k.str...)
+	}
+	return b
+}
+
+// Less orders keys deterministically (by kind, then number, then string);
+// the order carries no meaning beyond being total and stable across runs.
+func (k CompKey) Less(o CompKey) bool {
+	if k.kind != o.kind {
+		return k.kind < o.kind
+	}
+	if k.num != o.num {
+		return k.num < o.num
+	}
+	return k.str < o.str
+}
+
 // Arith applies a binary arithmetic operator to numeric values. Null
 // operands yield Null (SQL semantics). Supported ops: + - * div mod.
 func Arith(op string, a, b Value) (Value, error) {
@@ -381,7 +497,7 @@ func Arith(op string, a, b Value) (Value, error) {
 		return Null, fmt.Errorf("xdm: arithmetic %q on non-numeric values %s, %s", op, a.Kind(), b.Kind())
 	}
 	if a.kind == KindInt && b.kind == KindInt && op != "div" {
-		x, y := a.i, b.i
+		x, y := a.i(), b.i()
 		switch op {
 		case "+":
 			return Int(x + y), nil
@@ -477,8 +593,8 @@ func Atomize(v Value) Value {
 	case KindNode:
 		return atomize(v)
 	case KindSeq:
-		out := make([]Value, len(v.seq))
-		for i, e := range v.seq {
+		out := make([]Value, len(*v.seq))
+		for i, e := range *v.seq {
 			out[i] = Atomize(e)
 		}
 		return Seq(out)

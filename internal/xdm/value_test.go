@@ -1,8 +1,10 @@
 package xdm
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -358,5 +360,94 @@ func TestCompareTotalOrderQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestLexicalIntegralFloatMatchesFormatFloat(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 42, -1234567, 1e14, -1e14, 999999999999999, 1001, 1e15, 2.5, -0.125} {
+		want := strconv.FormatFloat(f, 'g', -1, 64)
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			want = strconv.FormatFloat(f, 'f', 2, 64)
+		}
+		if got := Float(f).Lexical(); got != want {
+			t.Errorf("Lexical(%v) = %q, want %q", f, got, want)
+		}
+	}
+}
+
+func TestValueSize(t *testing.T) {
+	if s := reflect.TypeOf(Value{}).Size(); s > 48 {
+		t.Errorf("Value is %d bytes, want <= 48: every tuple and stored row pays for it", s)
+	}
+}
+
+// keyPool draws from few values on purpose, so that random tuples collide:
+// ints and the floats that equal them, a non-integral float, look-alike
+// strings, NULL, booleans, a node and a sequence.
+func keyPool(rng *rand.Rand) Value {
+	switch rng.Intn(10) {
+	case 0:
+		return Null
+	case 1, 2:
+		return Int(int64(rng.Intn(4) - 1))
+	case 3, 4:
+		return Float(float64(rng.Intn(4) - 1))
+	case 5:
+		return Float(float64(rng.Intn(3)) + 0.5)
+	case 6:
+		return Str([]string{"", "1", "1.00", "a", "\x00i1"}[rng.Intn(5)])
+	case 7:
+		return Bool(rng.Intn(2) == 0)
+	case 8:
+		return NodeVal(Elem("e", Attr("a", "1"), Attr("b", []string{"x", "y"}[rng.Intn(2)])))
+	default:
+		return Seq([]Value{Int(int64(rng.Intn(2))), Str("a")})
+	}
+}
+
+// The typed keys must partition tuples exactly as the string keys they
+// replaced in grouping, joining and duplicate elimination did.
+func TestCompKeyPartitionsLikeTupleKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 300; round++ {
+		width := 1 + rng.Intn(3)
+		cols := rng.Perm(width)[:1+rng.Intn(width)]
+		byOld, byRow, byCols := map[string]int{}, map[CompKey]int{}, map[CompKey]int{}
+		byOldCols := map[string]int{}
+		for i := 0; i < 40; i++ {
+			tup := make([]Value, width)
+			for c := range tup {
+				tup[c] = keyPool(rng)
+			}
+			sub := make([]Value, len(cols))
+			for j, c := range cols {
+				sub[j] = tup[c]
+			}
+			// Each map remembers the first tuple seen with a key; the keys
+			// agree iff every tuple maps to the same first tuple under both.
+			old, row := TupleKey(tup), RowKey(tup)
+			if _, ok := byOld[old]; !ok {
+				byOld[old] = i
+			}
+			if _, ok := byRow[row]; !ok {
+				byRow[row] = i
+			}
+			if byOld[old] != byRow[row] {
+				t.Fatalf("round %d: RowKey splits %v differently from TupleKey", round, tup)
+			}
+			oldc, ck := TupleKey(sub), ColsKey(tup, cols)
+			if _, ok := byOldCols[oldc]; !ok {
+				byOldCols[oldc] = i
+			}
+			if _, ok := byCols[ck]; !ok {
+				byCols[ck] = i
+			}
+			if byOldCols[oldc] != byCols[ck] {
+				t.Fatalf("round %d: ColsKey%v splits %v differently from TupleKey", round, cols, tup)
+			}
+			if len(cols) == 1 && ck != tup[cols[0]].CompKey() {
+				t.Fatalf("round %d: one-column ColsKey differs from Value.CompKey for %v", round, tup[cols[0]])
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package xqgm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"quark/internal/reldb"
 	"quark/internal/xdm"
@@ -35,14 +35,25 @@ type EvalContext struct {
 	Deltas map[string]*Transition
 	Stats  EvalStats
 
-	memo map[*Operator][]Tuple
+	memo map[*node][]Tuple
+	// adhoc holds the plans of graphs evaluated here without a prior
+	// Prepare. They live in the context, not on the Operator, so evaluation
+	// never writes to a graph another goroutine may be evaluating.
+	adhoc map[*Operator]*node
 	// oldExcl caches, per table, the Δ primary-key set used to mask
 	// current rows when probing B_old; delIdx caches ∇ rows bucketed by a
 	// probe column. Both depend only on the (fixed) transition tables, and
 	// without them every SrcOld index probe would rescan Δ and ∇ — O(|Δ|)
 	// per probe, quadratic over a large batched transaction.
-	oldExcl map[string]map[string]bool
-	delIdx  map[tableCol]map[string][]reldb.Row
+	oldExcl map[string]map[xdm.CompKey]struct{}
+	delIdx  map[tableCol]map[xdm.CompKey][]reldb.Row
+	hits    []hit // index-join scratch, reused from join to join
+}
+
+// hit is one index-join match: an outer tuple and the base row it probed.
+type hit struct {
+	outer int
+	row   reldb.Row
 }
 
 // tableCol keys the ∇-row cache without per-probe string formatting.
@@ -54,112 +65,150 @@ type tableCol struct {
 // NewEvalContext builds an evaluation context over db. deltas may be nil
 // for pure view evaluation.
 func NewEvalContext(db *reldb.DB, deltas map[string]*Transition) *EvalContext {
-	return &EvalContext{DB: db, Deltas: deltas, memo: map[*Operator][]Tuple{}}
+	return &EvalContext{DB: db, Deltas: deltas}
 }
 
-// Eval evaluates the graph rooted at o and returns its output tuples.
-// Results for shared operators are memoized within this context.
+// Eval evaluates the graph rooted at o and returns its output tuples. It
+// runs o's prepared plan (see Prepare), planning the graph first — for this
+// context only — when it has none. Results for shared and structurally
+// identical operators are memoized within this context. The returned tuples
+// are shared with the memo and, for pass-through operators, with the
+// database's rows: callers must not modify them.
 func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
-	if res, ok := ctx.memo[o]; ok {
+	n := o.prep
+	if n == nil {
+		if n = ctx.adhoc[o]; n == nil {
+			ns, err := plan([]*Operator{o})
+			if err != nil {
+				return nil, err
+			}
+			if ctx.adhoc == nil {
+				ctx.adhoc = map[*Operator]*node{}
+			}
+			n = ns[0]
+			ctx.adhoc[o] = n
+		}
+	}
+	if ctx.memo == nil {
+		ctx.memo = make(map[*node][]Tuple, n.id+1) // ids below a root do not exceed its own
+	}
+	return ctx.run(n)
+}
+
+func (ctx *EvalContext) run(n *node) ([]Tuple, error) {
+	if res, ok := ctx.memo[n]; ok {
 		return res, nil
 	}
-	res, err := ctx.eval(o)
+	res, err := ctx.exec(n)
 	if err != nil {
 		return nil, err
 	}
-	ctx.memo[o] = res
+	ctx.memo[n] = res
 	ctx.Stats.OpsEvaluated++
 	ctx.Stats.RowsProduced += len(res)
 	return res, nil
 }
 
-func (ctx *EvalContext) eval(o *Operator) ([]Tuple, error) {
-	switch o.Type {
+// holds evaluates a predicate: NULL counts as false.
+func holds(pred Expr, env *Env) (bool, error) {
+	v, err := pred.Eval(env)
+	if err != nil {
+		return false, err
+	}
+	return !v.IsNull() && v.EffectiveBool(), nil
+}
+
+// slab carves an operator's output tuples out of shared backing arrays, so
+// an output costs a handful of allocations instead of one per tuple. Fresh
+// tuples are all-NULL. n is the number of tuples the next array holds.
+type slab struct {
+	w, n int
+	buf  []xdm.Value
+}
+
+func (s *slab) next() Tuple {
+	if len(s.buf) < s.w {
+		s.buf = make([]xdm.Value, max(s.n, 1)*s.w)
+		s.n = min(2*max(s.n, 1), 1024)
+	}
+	t := s.buf[:s.w:s.w]
+	s.buf = s.buf[s.w:]
+	return t
+}
+
+func (ctx *EvalContext) exec(n *node) ([]Tuple, error) {
+	switch n.op.Type {
 	case OpTable:
-		return ctx.evalTable(o)
+		return ctx.evalTable(n.op)
 	case OpConstants:
-		if o.constRows != nil {
-			return o.constRows, nil
-		}
-		out := make([]Tuple, 0, len(o.ConstRows))
-		for _, row := range o.ConstRows {
-			t := make(Tuple, len(row))
-			for i, e := range row {
-				v, err := e.Eval(&Env{})
-				if err != nil {
-					return nil, err
-				}
-				t[i] = v
-			}
-			out = append(out, t)
-		}
-		o.constRows = out
-		return out, nil
-	case OpSelect:
-		in, err := ctx.Eval(o.Inputs[0])
+		return n.rows, nil
+	case OpJoin:
+		return ctx.evalJoin(n)
+	case OpUnion:
+		return ctx.evalUnion(n)
+	case OpSelect, OpProject, OpGroupBy, OpOrderBy, OpUnnest:
+		in, err := ctx.run(n.in[0])
 		if err != nil {
 			return nil, err
 		}
+		return ctx.evalUnary(n, in)
+	default:
+		return nil, fmt.Errorf("xqgm: cannot evaluate operator %s", n.op.Type)
+	}
+}
+
+func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
+	o := n.op
+	env := &Env{} // one per operator pass, re-pointed at each tuple
+	switch o.Type {
+	case OpSelect:
 		var out []Tuple
 		for _, t := range in {
-			v, err := o.Pred.Eval(unaryEnv(t))
+			env.In[0] = t
+			ok, err := holds(o.Pred, env)
 			if err != nil {
 				return nil, err
 			}
-			if !v.IsNull() && v.EffectiveBool() {
+			if ok {
 				out = append(out, t)
 			}
 		}
 		return out, nil
 	case OpProject:
-		in, err := ctx.Eval(o.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Tuple, 0, len(in))
-		for _, t := range in {
-			env := unaryEnv(t)
-			nt := make(Tuple, len(o.Projs))
-			for i, p := range o.Projs {
+		out := make([]Tuple, len(in))
+		sl := slab{w: len(o.Projs), n: len(in)}
+		for i, t := range in {
+			env.In[0] = t
+			nt := sl.next()
+			for j, p := range o.Projs {
+				if !n.live[j] {
+					continue // nobody reads it: stays NULL, nothing is constructed
+				}
 				v, err := p.E.Eval(env)
 				if err != nil {
 					return nil, err
 				}
-				nt[i] = v
+				nt[j] = v
 			}
-			out = append(out, nt)
+			out[i] = nt
 		}
 		return out, nil
-	case OpJoin:
-		return ctx.evalJoin(o)
 	case OpGroupBy:
-		return ctx.evalGroupBy(o)
-	case OpUnion:
-		return ctx.evalUnion(o)
+		return ctx.evalGroupBy(n, in, env)
 	case OpOrderBy:
-		in, err := ctx.Eval(o.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
 		out := append([]Tuple(nil), in...)
-		sort.SliceStable(out, func(i, j int) bool {
+		slices.SortStableFunc(out, func(a, b Tuple) int {
 			for _, oc := range o.OrderCols {
-				c := xdm.Compare(out[i][oc.Col], out[j][oc.Col])
-				if oc.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
+				if c := xdm.Compare(a[oc.Col], b[oc.Col]); c != 0 && oc.Desc {
+					return -c
+				} else if c != 0 {
+					return c
 				}
 			}
-			return false
+			return 0
 		})
 		return out, nil
-	case OpUnnest:
-		in, err := ctx.Eval(o.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
+	default: // OpUnnest
 		var out []Tuple
 		for _, t := range in {
 			for _, item := range t[o.UnnestCol].AsSeq() {
@@ -169,8 +218,6 @@ func (ctx *EvalContext) eval(o *Operator) ([]Tuple, error) {
 			}
 		}
 		return out, nil
-	default:
-		return nil, fmt.Errorf("xqgm: cannot evaluate operator %s", o.Type)
 	}
 }
 
@@ -182,15 +229,14 @@ func rowsToTuples(rows []reldb.Row) []Tuple {
 	return out
 }
 
+// noTransition stands for the transition tables of an untouched table.
+var noTransition Transition
+
 func (ctx *EvalContext) transition(table string) *Transition {
-	if ctx.Deltas == nil {
-		return &Transition{}
+	if tr, ok := ctx.Deltas[table]; ok {
+		return tr
 	}
-	tr, ok := ctx.Deltas[table]
-	if !ok {
-		return &Transition{}
-	}
-	return tr
+	return &noTransition
 }
 
 func (ctx *EvalContext) evalTable(o *Operator) ([]Tuple, error) {
@@ -224,13 +270,13 @@ func pruneRows(a, b []reldb.Row) []reldb.Row {
 	if len(a) == 0 || len(b) == 0 {
 		return a
 	}
-	drop := make(map[string]int, len(b))
+	drop := make(map[xdm.CompKey]int, len(b))
 	for _, r := range b {
-		drop[xdm.TupleKey(r)]++
+		drop[xdm.RowKey(r)]++
 	}
 	var out []reldb.Row
 	for _, r := range a {
-		k := xdm.TupleKey(r)
+		k := xdm.RowKey(r)
 		if n := drop[k]; n > 0 {
 			drop[k] = n - 1
 			continue
@@ -250,19 +296,21 @@ func (ctx *EvalContext) evalOldTable(o *Operator, tr *Transition) ([]Tuple, erro
 	if len(o.TablePK) > 0 {
 		exclude := ctx.oldExclFor(o.Table, o.TablePK)
 		err = ctx.DB.Scan(o.Table, func(r reldb.Row) bool {
-			if len(exclude) > 0 && exclude[pkKeyOf(r, o.TablePK)] {
-				return true
+			if len(exclude) > 0 {
+				if _, masked := exclude[xdm.ColsKey(r, o.TablePK)]; masked {
+					return true
+				}
 			}
 			out = append(out, Tuple(r))
 			return true
 		})
 	} else {
-		remain := make(map[string]int, len(tr.Inserted))
+		remain := make(map[xdm.CompKey]int, len(tr.Inserted))
 		for _, r := range tr.Inserted {
-			remain[xdm.TupleKey(r)]++
+			remain[xdm.RowKey(r)]++
 		}
 		err = ctx.DB.Scan(o.Table, func(r reldb.Row) bool {
-			k := xdm.TupleKey(r)
+			k := xdm.RowKey(r)
 			if n := remain[k]; n > 0 {
 				remain[k] = n - 1
 				return true
@@ -282,210 +330,119 @@ func (ctx *EvalContext) evalOldTable(o *Operator, tr *Transition) ([]Tuple, erro
 
 // --- joins ---
 
-// basePath describes an input subtree that reads a single base table,
-// optionally through a Select and/or a column-preserving Project, so joins
-// against it can use reldb's hash indexes.
-type basePath struct {
-	table    string
-	src      TableSource
-	residual Expr  // predicate over the base row, or nil
-	colMap   []int // output column -> base column (identity when proj == nil)
-	names    []string
-	pk       []int // base primary-key column indexes (for SrcOld probing)
-}
-
-func matchBasePath(o *Operator) *basePath {
-	switch o.Type {
-	case OpTable:
-		// Base tables probe the index directly; B_old is probed as the
-		// current table minus Δ-keyed rows plus matching ∇ rows.
-		if o.Source != SrcBase && o.Source != SrcOld {
-			return nil
-		}
-		// The indexed B_old probe masks Δ rows with a key set; without a
-		// primary key the subtraction needs bag multiplicity, so fall back
-		// to evalOldTable's full scan.
-		if o.Source == SrcOld && len(o.TablePK) == 0 {
-			return nil
-		}
-		cm := make([]int, o.Width)
-		for i := range cm {
-			cm[i] = i
-		}
-		return &basePath{table: o.Table, src: o.Source, colMap: cm, names: o.Names, pk: o.TablePK}
-	case OpSelect:
-		bp := matchBasePath(o.Inputs[0])
-		if bp == nil {
-			return nil
-		}
-		// The select's predicate references its input's columns; remap to
-		// base columns.
-		m := map[int]int{}
-		for out, base := range bp.colMap {
-			m[out] = base
-		}
-		pred := SubstituteCols(o.Pred, m)
-		bp2 := *bp
-		bp2.residual = And(bp.residual, pred)
-		return &bp2
-	case OpProject:
-		bp := matchBasePath(o.Inputs[0])
-		if bp == nil {
-			return nil
-		}
-		cm := make([]int, len(o.Projs))
-		for i, p := range o.Projs {
-			cr, ok := p.E.(*ColRef)
-			if !ok || cr.Input != 0 {
-				return nil
-			}
-			cm[i] = bp.colMap[cr.Col]
-		}
-		return &basePath{table: bp.table, src: bp.src, residual: bp.residual, colMap: cm, names: o.OutNames(), pk: bp.pk}
-	default:
-		return nil
-	}
-}
-
-func (ctx *EvalContext) evalJoin(o *Operator) ([]Tuple, error) {
-	l, r := o.Inputs[0], o.Inputs[1]
-	lw, rw := l.OutWidth(), r.OutWidth()
-
-	// Index-nested-loop path: inner joins whose right (or left) side is a
+func (ctx *EvalContext) evalJoin(n *node) ([]Tuple, error) {
+	// Index-nested-loop path: inner joins one of whose sides is a
 	// base-table access path with an index on a join column. This is what
 	// keeps per-update trigger cost independent of data size (paper §6.4 /
 	// Figure 23): only affected keys are probed.
-	if o.JoinKind == JoinInner && len(o.On) > 0 {
-		if res, ok, err := ctx.tryIndexJoin(o, l, r, lw, rw, false); ok || err != nil {
-			return res, err
-		}
-		if res, ok, err := ctx.tryIndexJoin(o, r, l, rw, lw, true); ok || err != nil {
+	for outer := range n.probes {
+		if res, ok, err := ctx.indexJoin(n, outer); ok || err != nil {
 			return res, err
 		}
 	}
-
-	lt, err := ctx.Eval(l)
+	lt, err := ctx.run(n.in[0])
 	if err != nil {
 		return nil, err
 	}
-	rt, err := ctx.Eval(r)
+	rt, err := ctx.run(n.in[1])
 	if err != nil {
 		return nil, err
 	}
-	if len(o.On) == 0 {
-		return ctx.nestedLoopJoin(o, lt, rt, lw, rw)
-	}
-	return ctx.hashJoin(o, lt, rt, lw, rw)
+	return ctx.hashJoin(n, lt, rt)
 }
 
-// tryIndexJoin attempts an index-nested-loop join with `outer` as the
-// driving side and `inner` as the indexed base table. When swapped is true,
-// outer corresponds to the operator's right input.
-func (ctx *EvalContext) tryIndexJoin(o *Operator, outer, inner *Operator, ow, iw int, swapped bool) ([]Tuple, bool, error) {
-	bp := matchBasePath(inner)
-	if bp == nil {
+// indexJoin attempts an index-nested-loop join driven by input `outer`,
+// probing the other input's base table. Each probed row is checked and
+// written straight into the output tuple; the inner operator's own output
+// is never materialized.
+func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
+	pr := n.probes[outer]
+	if pr == nil {
 		return nil, false, nil
 	}
-	// Pick the first equi-pair whose inner column is indexed.
-	probeIdx := -1
-	var probeCol string
-	for i, eq := range o.On {
-		innerOut := eq.R
-		if swapped {
-			innerOut = eq.L
-		}
-		baseCol := bp.colMap[innerOut]
-		name := ""
-		if td, ok := ctx.DB.Schema().Table(bp.table); ok {
-			name = td.Columns[baseCol].Name
-		}
-		if name != "" && ctx.DB.HasIndex(bp.table, name) {
-			probeIdx = i
-			probeCol = name
+	bp := pr.bp
+	// Probe through the first equi-pair whose inner column is indexed.
+	pi := -1
+	for i, bc := range pr.baseCols {
+		if ctx.DB.HasIndex(bp.table, bp.cols[bc]) {
+			pi = i
 			break
 		}
 	}
-	if probeIdx < 0 {
+	if pi < 0 {
 		return nil, false, nil
 	}
-	ot, err := ctx.Eval(outer)
+	ot, err := ctx.run(n.in[outer])
 	if err != nil {
 		return nil, false, err
 	}
 	// Heuristic: only probe when the driving side is small relative to the
 	// table; otherwise a hash join over a single scan is cheaper.
-	if n := ctx.DB.RowCount(bp.table); len(ot) > 64 && len(ot)*4 > n {
+	if rows := ctx.DB.RowCount(bp.table); len(ot) > 64 && len(ot)*4 > rows {
 		return nil, false, nil
 	}
 	ctx.Stats.IndexNLJoins++
-	var out []Tuple
-	for _, otup := range ot {
-		outerCol := o.On[probeIdx].L
-		if swapped {
-			outerCol = o.On[probeIdx].R
+	ocols, lw := n.lcols, n.in[0].width
+	ooff, ioff := 0, lw // where the outer and the inner part land in the output
+	if outer == 1 {
+		ocols, ooff, ioff = n.rcols, lw, 0
+	}
+	// First collect the (outer tuple, base row) matches, then build the
+	// output in one exactly-sized array.
+	hits := ctx.hits[:0]
+	env := &Env{}
+	var oi int
+	var rowErr error
+	emit := func(r reldb.Row) bool {
+		if bp.residual != nil {
+			env.In[0] = r
+			ok, err := holds(bp.residual, env)
+			if err != nil {
+				rowErr = err
+				return false
+			}
+			if !ok {
+				return true
+			}
 		}
-		probeVal := otup[outerCol]
-		if probeVal.IsNull() {
-			continue
+		for i, bc := range pr.baseCols {
+			if a, b := ot[oi][ocols[i]], r[bc]; i != pi && (a.IsNull() || b.IsNull() || !xdm.Equal(a, b)) {
+				return true
+			}
 		}
-		err := ctx.lookupPath(bp, probeCol, probeVal, func(r reldb.Row) bool {
-			// Apply residual base predicate.
-			if bp.residual != nil {
-				v, e := bp.residual.Eval(unaryEnv(r))
-				if e != nil {
-					err = e
-					return false
-				}
-				if v.IsNull() || !v.EffectiveBool() {
-					return true
-				}
+		hits = append(hits, hit{oi, r})
+		return true
+	}
+	for oi = range ot {
+		if v := ot[oi][ocols[pi]]; !v.IsNull() {
+			if err := ctx.lookupPath(bp, pr.baseCols[pi], v, emit); err != nil {
+				return nil, false, err
 			}
-			// Map base row to the inner operator's output shape.
-			itup := make(Tuple, len(bp.colMap))
-			for i, bc := range bp.colMap {
-				itup[i] = r[bc]
+			if rowErr != nil {
+				return nil, false, rowErr
 			}
-			// Verify remaining equi-pairs.
-			for i, eq := range o.On {
-				if i == probeIdx {
-					continue
-				}
-				lv, rv := otup[eq.L], itup[eq.R]
-				if swapped {
-					lv, rv = itup[eq.L], otup[eq.R]
-				}
-				if lv.IsNull() || rv.IsNull() || !xdm.Equal(lv, rv) {
-					return true
-				}
-			}
-			var joined Tuple
-			if swapped {
-				joined = concatTuples(itup, otup)
-			} else {
-				joined = concatTuples(otup, itup)
-			}
-			out = append(out, joined)
-			return true
-		})
-		if err != nil {
-			return nil, false, err
 		}
 	}
-	// Residual join predicate over the combined row.
-	if o.JoinPred != nil {
+	ctx.hits = hits
+	out := make([]Tuple, len(hits))
+	sl := slab{w: n.width, n: len(hits)}
+	for i, h := range hits {
+		jt := sl.next()
+		copy(jt[ooff:], ot[h.outer])
+		for j, bc := range bp.colMap {
+			jt[ioff+j] = h.row[bc]
+		}
+		out[i] = jt
+	}
+	if o := n.op; o.JoinPred != nil {
 		kept := out[:0]
 		for _, t := range out {
-			var lpart, rpart []xdm.Value
-			if swapped {
-				lpart, rpart = t[:iw], t[iw:]
-			} else {
-				lpart, rpart = t[:ow], t[ow:]
-			}
-			v, err := o.JoinPred.Eval(&Env{In: [2][]xdm.Value{lpart, rpart}})
+			env.In = [2][]xdm.Value{t[:lw], t[lw:]}
+			ok, err := holds(o.JoinPred, env)
 			if err != nil {
 				return nil, false, err
 			}
-			if !v.IsNull() && v.EffectiveBool() {
+			if ok {
 				kept = append(kept, t)
 			}
 		}
@@ -494,86 +451,73 @@ func (ctx *EvalContext) tryIndexJoin(o *Operator, outer, inner *Operator, ow, iw
 	return out, true, nil
 }
 
-func pkKeyOf(r reldb.Row, pk []int) string {
-	if len(pk) == 0 {
-		return xdm.TupleKey(r)
-	}
-	ks := make([]xdm.Value, len(pk))
-	for i, c := range pk {
-		ks[i] = r[c]
-	}
-	return xdm.TupleKey(ks)
-}
-
 // oldExclFor returns (building once per context) the Δ primary-key set of
-// a table, used to mask already-updated rows out of B_old probes.
-func (ctx *EvalContext) oldExclFor(table string, pk []int) map[string]bool {
+// a table, used to mask already-updated rows out of B_old.
+func (ctx *EvalContext) oldExclFor(table string, pk []int) map[xdm.CompKey]struct{} {
+	tr := ctx.transition(table)
+	if len(tr.Inserted) == 0 {
+		return nil
+	}
 	if m, ok := ctx.oldExcl[table]; ok {
 		return m
 	}
-	tr := ctx.transition(table)
-	m := make(map[string]bool, len(tr.Inserted))
+	m := make(map[xdm.CompKey]struct{}, len(tr.Inserted))
 	for _, r := range tr.Inserted {
-		m[pkKeyOf(r, pk)] = true
+		m[xdm.ColsKey(r, pk)] = struct{}{}
 	}
 	if ctx.oldExcl == nil {
-		ctx.oldExcl = map[string]map[string]bool{}
+		ctx.oldExcl = map[string]map[xdm.CompKey]struct{}{}
 	}
 	ctx.oldExcl[table] = m
 	return m
 }
 
 // deletedByCol returns (building once per context) the table's ∇ rows
-// bucketed by the given column's value key.
-func (ctx *EvalContext) deletedByCol(table string, col int) map[string][]reldb.Row {
+// bucketed by the given column's value.
+func (ctx *EvalContext) deletedByCol(table string, col int) map[xdm.CompKey][]reldb.Row {
 	key := tableCol{table, col}
 	if m, ok := ctx.delIdx[key]; ok {
 		return m
 	}
 	tr := ctx.transition(table)
-	m := make(map[string][]reldb.Row, len(tr.Deleted))
+	m := make(map[xdm.CompKey][]reldb.Row, len(tr.Deleted))
 	for _, r := range tr.Deleted {
-		k := r[col].Key()
+		k := r[col].CompKey()
 		m[k] = append(m[k], r)
 	}
 	if ctx.delIdx == nil {
-		ctx.delIdx = map[tableCol]map[string][]reldb.Row{}
+		ctx.delIdx = map[tableCol]map[xdm.CompKey][]reldb.Row{}
 	}
 	ctx.delIdx[key] = m
 	return m
 }
 
-// lookupPath probes a base-path by index. For SrcOld it reconstructs the
-// pre-update row set on the fly: current rows whose primary key is not in
-// ΔB, plus the matching ∇B rows (paper §4.2's B_old, evaluated per probe
-// instead of materialized).
-func (ctx *EvalContext) lookupPath(bp *basePath, probeCol string, probeVal xdm.Value, fn func(reldb.Row) bool) error {
+// lookupPath probes a base-path by the index on base column col. For SrcOld
+// it reconstructs the pre-update row set on the fly: current rows whose
+// primary key is not in ΔB, plus the matching ∇B rows (paper §4.2's B_old,
+// evaluated per probe instead of materialized).
+func (ctx *EvalContext) lookupPath(bp *basePath, col int, v xdm.Value, fn func(reldb.Row) bool) error {
 	if bp.src == SrcBase {
-		return ctx.DB.Lookup(bp.table, probeCol, probeVal, fn)
+		return ctx.DB.Lookup(bp.table, bp.cols[col], v, fn)
 	}
 	excl := ctx.oldExclFor(bp.table, bp.pk)
 	stop := false
-	err := ctx.DB.Lookup(bp.table, probeCol, probeVal, func(r reldb.Row) bool {
-		if len(excl) > 0 && excl[pkKeyOf(r, bp.pk)] {
-			return true
+	err := ctx.DB.Lookup(bp.table, bp.cols[col], v, func(r reldb.Row) bool {
+		if len(excl) > 0 {
+			if _, masked := excl[xdm.ColsKey(r, bp.pk)]; masked {
+				return true
+			}
 		}
-		if !fn(r) {
-			stop = true
-			return false
-		}
-		return true
+		stop = !fn(r)
+		return !stop
 	})
 	if err != nil || stop {
 		return err
 	}
-	probeIdx := -1
-	if td, ok := ctx.DB.Schema().Table(bp.table); ok {
-		probeIdx = td.ColIndex(probeCol)
+	if len(ctx.transition(bp.table).Deleted) == 0 {
+		return nil
 	}
-	if probeIdx < 0 {
-		return fmt.Errorf("xqgm: unknown probe column %q on %s", probeCol, bp.table)
-	}
-	for _, r := range ctx.deletedByCol(bp.table, probeIdx)[probeVal.Key()] {
+	for _, r := range ctx.deletedByCol(bp.table, col)[v.CompKey()] {
 		if !fn(r) {
 			return nil
 		}
@@ -581,305 +525,200 @@ func (ctx *EvalContext) lookupPath(bp *basePath, probeCol string, probeVal xdm.V
 	return nil
 }
 
-func concatTuples(a, b Tuple) Tuple {
-	out := make(Tuple, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
-}
-
-func nullTuple(w int) Tuple {
-	out := make(Tuple, w)
-	for i := range out {
-		out[i] = xdm.Null
+// hashJoin joins on the equi-pairs by hashing one side; with no equi-pairs
+// the one-bucket index makes it the nested loop. Right-anti joins build on
+// the left and probe with the right; every other kind builds on the right.
+func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
+	o := n.op
+	if len(o.On) > 0 {
+		ctx.Stats.HashJoins++
+	} else {
+		ctx.Stats.NestedLoopJoin++
 	}
-	return out
-}
-
-func (ctx *EvalContext) hashJoin(o *Operator, lt, rt []Tuple, lw, rw int) ([]Tuple, error) {
-	ctx.Stats.HashJoins++
-	// Build on the right side; builds over Constants inputs (the grouped
-	// trigger plans' constants tables) are cached on the operator since
-	// their rows never change.
-	var build map[string][]Tuple
-	var cacheInto *Operator
-	if r := o.Inputs[1]; r.Type == OpConstants {
-		sig := fmt.Sprint(o.On)
-		if r.constBuild == nil {
-			r.constBuild = map[string]*constBuildEntry{}
-		}
-		if e, ok := r.constBuild[sig]; ok {
-			build = e.byKey
-		} else {
-			cacheInto = r
-		}
+	anti := o.JoinKind == JoinRightAnti
+	probe, build, pcols, bcols := lt, rt, n.lcols, n.rcols
+	if anti {
+		probe, build, pcols, bcols = rt, lt, n.rcols, n.lcols
 	}
-	rightKey := func(t Tuple) (string, bool) {
-		ks := make([]xdm.Value, len(o.On))
-		for i, eq := range o.On {
-			v := t[eq.R]
-			if v.IsNull() {
-				return "", false
-			}
-			ks[i] = v
-		}
-		return xdm.TupleKey(ks), true
+	ix := n.build // frozen at Prepare for a Constants right input
+	if ix.head == nil {
+		ix = newHashIndex(build, bcols)
 	}
-	leftKey := func(t Tuple) (string, bool) {
-		ks := make([]xdm.Value, len(o.On))
-		for i, eq := range o.On {
-			v := t[eq.L]
-			if v.IsNull() {
-				return "", false
-			}
-			ks[i] = v
-		}
-		return xdm.TupleKey(ks), true
-	}
-	if build == nil {
-		build = make(map[string][]Tuple, len(rt))
-		for _, t := range rt {
-			if k, ok := rightKey(t); ok {
-				build[k] = append(build[k], t)
-			}
-		}
-		if cacheInto != nil {
-			cacheInto.constBuild[fmt.Sprint(o.On)] = &constBuildEntry{byKey: build}
-		}
-	}
-	matchPred := func(l, r Tuple) (bool, error) {
-		if o.JoinPred == nil {
-			return true, nil
-		}
-		v, err := o.JoinPred.Eval(&Env{In: [2][]xdm.Value{l, r}})
-		if err != nil {
-			return false, err
-		}
-		return !v.IsNull() && v.EffectiveBool(), nil
-	}
+	emits := o.JoinKind == JoinInner || o.JoinKind == JoinLeftOuter // else a match only disqualifies
+	lw := n.in[0].width
+	sl := slab{w: n.width, n: len(probe)}
+	env := &Env{}
 	var out []Tuple
-	switch o.JoinKind {
-	case JoinInner, JoinLeftOuter, JoinLeftAnti:
-		for _, lt1 := range lt {
-			matched := false
-			if k, ok := leftKey(lt1); ok {
-				for _, rt1 := range build[k] {
-					okp, err := matchPred(lt1, rt1)
+	for _, p := range probe {
+		matched := false
+		if !hasNull(p, pcols) {
+			for i := ix.head[xdm.ColsKey(p, pcols)]; i != 0 && (emits || !matched); i = ix.next[i-1] {
+				l, r := p, build[i-1]
+				if anti {
+					l, r = r, l
+				}
+				if o.JoinPred != nil {
+					env.In = [2][]xdm.Value{l, r}
+					ok, err := holds(o.JoinPred, env)
 					if err != nil {
 						return nil, err
 					}
-					if !okp {
+					if !ok {
 						continue
 					}
-					matched = true
-					if o.JoinKind != JoinLeftAnti {
-						out = append(out, concatTuples(lt1, rt1))
-					}
-				}
-			}
-			if !matched {
-				switch o.JoinKind {
-				case JoinLeftOuter, JoinLeftAnti:
-					out = append(out, concatTuples(lt1, nullTuple(rw)))
-				}
-			}
-		}
-	case JoinRightAnti:
-		// Build on the left side instead.
-		lbuild := make(map[string][]Tuple, len(lt))
-		for _, t := range lt {
-			if k, ok := leftKey(t); ok {
-				lbuild[k] = append(lbuild[k], t)
-			}
-		}
-		for _, rt1 := range rt {
-			matched := false
-			if k, ok := rightKey(rt1); ok {
-				for _, lt1 := range lbuild[k] {
-					okp, err := matchPred(lt1, rt1)
-					if err != nil {
-						return nil, err
-					}
-					if okp {
-						matched = true
-						break
-					}
-				}
-			}
-			if !matched {
-				out = append(out, concatTuples(nullTuple(lw), rt1))
-			}
-		}
-	}
-	return out, nil
-}
-
-func (ctx *EvalContext) nestedLoopJoin(o *Operator, lt, rt []Tuple, lw, rw int) ([]Tuple, error) {
-	ctx.Stats.NestedLoopJoin++
-	matchPred := func(l, r Tuple) (bool, error) {
-		if o.JoinPred == nil {
-			return true, nil
-		}
-		v, err := o.JoinPred.Eval(&Env{In: [2][]xdm.Value{l, r}})
-		if err != nil {
-			return false, err
-		}
-		return !v.IsNull() && v.EffectiveBool(), nil
-	}
-	var out []Tuple
-	switch o.JoinKind {
-	case JoinInner, JoinLeftOuter, JoinLeftAnti:
-		for _, lt1 := range lt {
-			matched := false
-			for _, rt1 := range rt {
-				okp, err := matchPred(lt1, rt1)
-				if err != nil {
-					return nil, err
-				}
-				if !okp {
-					continue
 				}
 				matched = true
-				if o.JoinKind != JoinLeftAnti {
-					out = append(out, concatTuples(lt1, rt1))
+				if emits {
+					jt := sl.next()
+					copy(jt, l)
+					copy(jt[lw:], r)
+					out = append(out, jt)
 				}
-			}
-			if !matched && (o.JoinKind == JoinLeftOuter || o.JoinKind == JoinLeftAnti) {
-				out = append(out, concatTuples(lt1, nullTuple(rw)))
 			}
 		}
-	case JoinRightAnti:
-		for _, rt1 := range rt {
-			matched := false
-			for _, lt1 := range lt {
-				okp, err := matchPred(lt1, rt1)
-				if err != nil {
-					return nil, err
-				}
-				if okp {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				out = append(out, concatTuples(nullTuple(lw), rt1))
-			}
+		if matched || o.JoinKind == JoinInner {
+			continue
 		}
+		// Outer and anti joins keep the unmatched row; the absent side is NULL.
+		jt := sl.next()
+		if anti {
+			copy(jt[lw:], p)
+		} else {
+			copy(jt, p)
+		}
+		out = append(out, jt)
 	}
 	return out, nil
 }
 
 // --- group by ---
 
-func (ctx *EvalContext) evalGroupBy(o *Operator) ([]Tuple, error) {
-	in, err := ctx.Eval(o.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	inKey := o.Inputs[0].Key
-
-	type group struct {
-		keyVals []xdm.Value
-		rows    []Tuple
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, t := range in {
-		ks := make([]xdm.Value, len(o.GroupCols))
-		for i, c := range o.GroupCols {
-			ks[i] = t[c]
-		}
-		k := xdm.TupleKey(ks)
-		g, ok := groups[k]
+func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, error) {
+	o := n.op
+	// Number the groups in first-seen order, then counting-sort the rows so
+	// each group is one run of rows (in input order).
+	gid := make([]int32, len(in))
+	byKey := make(map[xdm.CompKey]int32)
+	var keys []xdm.CompKey
+	var end []int32 // per group: row count, then the end of its run
+	for i, t := range in {
+		k := xdm.ColsKey(t, o.GroupCols)
+		g, ok := byKey[k]
 		if !ok {
-			g = &group{keyVals: ks}
-			groups[k] = g
-			order = append(order, k)
+			g = int32(len(keys))
+			byKey[k] = g
+			keys = append(keys, k)
+			end = append(end, 0)
 		}
-		g.rows = append(g.rows, t)
+		gid[i] = g
+		end[g]++
 	}
 	// Global aggregate over empty input yields one row (SQL semantics);
 	// grouped aggregate over empty input yields none.
-	if len(o.GroupCols) == 0 && len(order) == 0 {
-		k := xdm.TupleKey(nil)
-		groups[k] = &group{}
-		order = append(order, k)
+	if len(o.GroupCols) == 0 && len(keys) == 0 {
+		keys, end = append(keys, xdm.CompKey{}), append(end, 0)
 	}
-	sort.Strings(order) // deterministic group order
+	order := make([]int32, len(keys))
+	for g := range order {
+		order[g] = int32(g)
+		if g > 0 {
+			end[g] += end[g-1]
+		}
+	}
+	rows := make([]Tuple, len(in))
+	for i := len(in) - 1; i >= 0; i-- {
+		end[gid[i]]--
+		rows[end[gid[i]]] = in[i]
+	}
+	// end[g] is now the start of group g's run; its end is the next start.
+	slices.SortFunc(order, func(a, b int32) int { // deterministic group order
+		switch {
+		case keys[a].Less(keys[b]):
+			return -1
+		case keys[b].Less(keys[a]):
+			return 1
+		}
+		return 0
+	})
 	out := make([]Tuple, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
+	sl := slab{w: n.width, n: len(order)}
+	for _, g := range order {
+		stop := len(in)
+		if int(g)+1 < len(end) {
+			stop = int(end[g+1])
+		}
+		grp := rows[end[g]:stop]
+		t := sl.next()
+		for i, c := range o.GroupCols {
+			t[i] = grp[0][c]
+		}
 		// Deterministic intra-group order: sort by the input's canonical
 		// key when available, else by full tuple. This fixes the document
 		// order of aggXMLFrag sequences (XQuery for-loop order over
 		// relational data is implementation-defined; we pick key order).
-		sortTuples(g.rows, inKey)
-		t := make(Tuple, 0, len(o.GroupCols)+len(o.Aggs))
-		t = append(t, g.keyVals...)
-		for _, a := range o.Aggs {
-			v, err := evalAgg(a, g.rows)
+		sortTuples(grp, n.inKey)
+		for i, a := range o.Aggs {
+			v, err := evalAgg(a, grp, env)
 			if err != nil {
 				return nil, err
 			}
-			t = append(t, v)
+			t[len(o.GroupCols)+i] = v
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
+// sortTuples stably sorts rows by the key columns (every column when key is
+// nil), leaving already-ordered input untouched.
 func sortTuples(rows []Tuple, key []int) {
-	if len(rows) < 2 {
-		return
-	}
 	cmp := func(a, b Tuple) int {
-		if key != nil {
-			for _, c := range key {
-				if r := xdm.Compare(a[c], b[c]); r != 0 {
+		if key == nil {
+			for i := range a {
+				if r := xdm.Compare(a[i], b[i]); r != 0 {
 					return r
 				}
 			}
 			return 0
 		}
-		for i := range a {
-			if r := xdm.Compare(a[i], b[i]); r != 0 {
+		for _, c := range key {
+			if r := xdm.Compare(a[c], b[c]); r != 0 {
 				return r
 			}
 		}
 		return 0
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
+	if !slices.IsSortedFunc(rows, cmp) {
+		slices.SortStableFunc(rows, cmp)
+	}
 }
 
-func evalAgg(a Agg, rows []Tuple) (xdm.Value, error) {
-	switch a.Func {
-	case AggCount:
-		if a.Arg == nil {
-			return xdm.Int(int64(len(rows))), nil
+// evalAgg computes one aggregate over a group's rows; env is the caller's
+// reusable environment.
+func evalAgg(a Agg, rows []Tuple, env *Env) (xdm.Value, error) {
+	if a.Func == AggCount && a.Arg == nil {
+		return xdm.Int(int64(len(rows))), nil
+	}
+	var (
+		count, isum  int64
+		sum          float64
+		allInt, some = true, false
+		best         xdm.Value
+		items        []xdm.Value
+	)
+	for _, t := range rows {
+		env.In[0] = t
+		v, err := a.Arg.Eval(env)
+		if err != nil {
+			return xdm.Null, err
 		}
-		n := int64(0)
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
+		switch a.Func {
+		case AggCount:
 			if !v.IsNull() {
-				n += int64(v.SeqLen())
+				count += int64(v.SeqLen())
 			}
-		}
-		return xdm.Int(n), nil
-	case AggSum, AggAvg:
-		sum := 0.0
-		allInt := true
-		isum := int64(0)
-		n := 0
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			v = xdm.Atomize(v)
-			if v.IsNull() {
+		case AggSum, AggAvg:
+			if v = xdm.Atomize(v); v.IsNull() {
 				continue
 			}
 			if v.Kind() == xdm.KindInt {
@@ -888,55 +727,41 @@ func evalAgg(a Agg, rows []Tuple) (xdm.Value, error) {
 				allInt = false
 			}
 			sum += v.AsFloat()
-			n++
+			count++
+		case AggMin, AggMax:
+			if v = xdm.Atomize(v); v.IsNull() {
+				continue
+			}
+			if c := xdm.Compare(v, best); !some || (a.Func == AggMin && c < 0) || (a.Func == AggMax && c > 0) {
+				best, some = v, true
+			}
+		case AggXMLFrag:
+			if items == nil {
+				items = make([]xdm.Value, 0, len(rows))
+			}
+			if v.Kind() == xdm.KindSeq {
+				items = append(items, v.AsSeq()...)
+			} else if !v.IsNull() {
+				items = append(items, v)
+			}
 		}
-		if n == 0 {
+	}
+	switch a.Func {
+	case AggCount:
+		return xdm.Int(count), nil
+	case AggSum, AggAvg:
+		switch {
+		case count == 0:
 			return xdm.Null, nil
-		}
-		if a.Func == AggAvg {
-			return xdm.Float(sum / float64(n)), nil
-		}
-		if allInt {
+		case a.Func == AggAvg:
+			return xdm.Float(sum / float64(count)), nil
+		case allInt:
 			return xdm.Int(isum), nil
 		}
 		return xdm.Float(sum), nil
 	case AggMin, AggMax:
-		var best xdm.Value
-		has := false
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			v = xdm.Atomize(v)
-			if v.IsNull() {
-				continue
-			}
-			if !has {
-				best, has = v, true
-				continue
-			}
-			c := xdm.Compare(v, best)
-			if (a.Func == AggMin && c < 0) || (a.Func == AggMax && c > 0) {
-				best = v
-			}
-		}
-		if !has {
-			return xdm.Null, nil
-		}
-		return best, nil
+		return best, nil // Null when no row had a value
 	case AggXMLFrag:
-		var items []xdm.Value
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			items = append(items, v.AsSeq()...)
-		}
 		return xdm.Seq(items), nil
 	default:
 		return xdm.Null, fmt.Errorf("xqgm: unknown aggregate %v", a.Func)
@@ -945,24 +770,24 @@ func evalAgg(a Agg, rows []Tuple) (xdm.Value, error) {
 
 // --- union ---
 
-func (ctx *EvalContext) evalUnion(o *Operator) ([]Tuple, error) {
+func (ctx *EvalContext) evalUnion(n *node) ([]Tuple, error) {
 	var out []Tuple
-	var seen map[string]bool
-	if o.Distinct {
-		seen = map[string]bool{}
+	var seen map[xdm.CompKey]struct{}
+	if n.op.Distinct {
+		seen = map[xdm.CompKey]struct{}{}
 	}
-	for _, in := range o.Inputs {
-		ts, err := ctx.Eval(in)
+	for _, in := range n.in {
+		ts, err := ctx.run(in)
 		if err != nil {
 			return nil, err
 		}
 		for _, t := range ts {
-			if o.Distinct {
-				k := xdm.TupleKey(t)
-				if seen[k] {
+			if seen != nil {
+				k := xdm.RowKey(t)
+				if _, dup := seen[k]; dup {
 					continue
 				}
-				seen[k] = true
+				seen[k] = struct{}{}
 			}
 			out = append(out, t)
 		}

@@ -316,8 +316,8 @@ type AttrSpec struct {
 
 // ElemCtor is the XML element construction function embedded in Project
 // operators (paper Section 2.1). Children expressions yielding nodes are
-// embedded (deep-copied); sequences are spliced; scalars become child
-// elements via FieldSpec or text content.
+// embedded as they are (nodes are immutable, so content is shared, never
+// copied); sequences are spliced; scalars become text content.
 type ElemCtor struct {
 	Name     string
 	Attrs    []AttrSpec
@@ -327,36 +327,27 @@ type ElemCtor struct {
 // Eval implements Expr.
 func (e *ElemCtor) Eval(env *Env) (xdm.Value, error) {
 	n := xdm.Elem(e.Name)
-	for _, a := range e.Attrs {
+	if len(e.Attrs) > 0 {
+		n.Attrs = make([]*xdm.Node, len(e.Attrs))
+	}
+	for i, a := range e.Attrs {
 		v, err := a.E.Eval(env)
 		if err != nil {
 			return xdm.Null, err
 		}
-		n.AppendChild(xdm.Attr(a.Name, v.Lexical()))
+		n.Attrs[i] = xdm.Attr(a.Name, v.Lexical())
 	}
+	var buf [4]xdm.Value
+	content := buf[:0]
 	for _, c := range e.Children {
 		v, err := c.Eval(env)
 		if err != nil {
 			return xdm.Null, err
 		}
-		appendContent(n, v)
+		content = append(content, v)
 	}
+	n.AppendContent(content...)
 	return xdm.NodeVal(n), nil
-}
-
-func appendContent(n *xdm.Node, v xdm.Value) {
-	switch v.Kind() {
-	case xdm.KindNull:
-		// empty content
-	case xdm.KindNode:
-		n.AppendChild(v.AsNode().Copy())
-	case xdm.KindSeq:
-		for _, e := range v.AsSeq() {
-			appendContent(n, e)
-		}
-	default:
-		n.AppendChild(xdm.TextNd(v.Lexical()))
-	}
 }
 
 func (e *ElemCtor) String() string {

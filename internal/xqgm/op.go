@@ -231,17 +231,9 @@ type Operator struct {
 	// DeriveKeys. Nil means no canonical key (e.g. below an Unnest).
 	Key []int
 
-	// constRows / constBuild cache a Constants operator's evaluated rows
-	// and hash-join build table (constants are immutable literals, and
-	// grouped trigger plans join them on every firing).
-	constRows  []Tuple
-	constBuild map[string]*constBuildEntry
-}
-
-// constBuildEntry is a cached hash-join build table for a Constants input,
-// keyed by the join's equi-column signature.
-type constBuildEntry struct {
-	byKey map[string][]Tuple
+	// prep is the plan Prepare built for the graph rooted here; nil until
+	// then. Nothing else on an Operator changes once its graph is built.
+	prep *node
 }
 
 // NewTable builds a Table operator over a base table described by def.

@@ -1,0 +1,407 @@
+package xqgm
+
+import (
+	"fmt"
+	"strconv"
+
+	"quark/internal/xdm"
+)
+
+// node is one operator of a prepared plan. Prepare builds the nodes once;
+// evaluation only reads them, so one plan serves any number of concurrent
+// EvalContexts. Parameters that need no preparation (predicates,
+// projections, aggregates) are read from op, which is never written.
+type node struct {
+	op    *Operator
+	in    []*node
+	id    int // position in creation order: inputs before consumers
+	width int
+	// live marks the output columns some consumer reads. A Project leaves
+	// the others Null instead of evaluating them.
+	live []bool
+
+	lcols, rcols []int     // Join: equi-join columns of the left / right input
+	probes       [2]*probe // Join: index access path into in[1] (outer in[0]), into in[0] (outer in[1])
+	build        hashIndex // Join: frozen build table over a Constants right input
+	inKey        []int     // GroupBy: the input's canonical key, the in-group order
+	rows         []Tuple   // Constants: the evaluated literal rows
+}
+
+// probe is an index-nested-loop access path into one join input.
+type probe struct {
+	bp *basePath
+	// baseCols[i] is the base-table column behind equi-pair i's inner
+	// column; evaluation probes the first one that has an index.
+	baseCols []int
+}
+
+// Prepare freezes, for the graphs rooted at roots, everything evaluation
+// needs that depends only on the plan: join access paths and key column
+// lists, Constants rows and their hash builds, which columns are read at
+// all, and which subgraphs are structurally identical and so evaluated
+// once. It belongs where a graph is installed (a trigger group's plans, a
+// registered view); the logical graph — what RenderSQL prints — is left
+// untouched apart from remembering its plan, and must not change
+// afterwards. Roots prepared together share the nodes of shared subgraphs.
+// Graphs never passed to Prepare are planned per EvalContext on first Eval.
+func Prepare(roots ...*Operator) error {
+	ns, err := plan(roots)
+	if err != nil {
+		return err
+	}
+	for i, o := range roots {
+		o.prep = ns[i]
+	}
+	return nil
+}
+
+// planner builds plan nodes bottom-up, merging structurally identical
+// operators (the affected-node graphs restrict the same view side to the
+// same keys twice: Joined_20/Projected_21 and Joined_22/Projected_23).
+type planner struct {
+	nodes []*node
+	byOp  map[*Operator]*node
+	bySig map[string]*node
+}
+
+func plan(roots []*Operator) ([]*node, error) {
+	p := &planner{byOp: map[*Operator]*node{}, bySig: map[string]*node{}}
+	out := make([]*node, len(roots))
+	for i, o := range roots {
+		n, err := p.build(o)
+		if err != nil {
+			return nil, err
+		}
+		for c := range n.live {
+			n.live[c] = true
+		}
+		out[i] = n
+	}
+	// Consumers were created after their inputs, so walking backwards sees
+	// every consumer's demand before the node it falls on.
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		p.nodes[i].demand()
+	}
+	return out, nil
+}
+
+func (p *planner) build(o *Operator) (*node, error) {
+	if n, ok := p.byOp[o]; ok {
+		return n, nil
+	}
+	n := &node{op: o, width: o.OutWidth()}
+	for _, in := range o.Inputs {
+		c, err := p.build(in)
+		if err != nil {
+			return nil, err
+		}
+		n.in = append(n.in, c)
+	}
+	n.id = len(p.nodes)
+	sig := n.signature()
+	if dup, ok := p.bySig[sig]; ok {
+		p.byOp[o] = dup
+		return dup, nil
+	}
+	n.live = make([]bool, n.width)
+	switch o.Type {
+	case OpConstants:
+		n.rows = make([]Tuple, len(o.ConstRows))
+		sl, env := slab{w: n.width, n: len(o.ConstRows)}, &Env{}
+		for r, row := range o.ConstRows {
+			if len(row) != n.width {
+				return nil, fmt.Errorf("xqgm: constants row %d has %d columns, want %d", r, len(row), n.width)
+			}
+			t := sl.next()
+			for i, e := range row {
+				v, err := e.Eval(env)
+				if err != nil {
+					return nil, err
+				}
+				t[i] = v
+			}
+			n.rows[r] = t
+		}
+	case OpJoin:
+		for _, eq := range o.On {
+			n.lcols = append(n.lcols, eq.L)
+			n.rcols = append(n.rcols, eq.R)
+		}
+		if o.JoinKind == JoinInner && len(o.On) > 0 {
+			n.probes[0] = newProbe(o.Inputs[1], n.rcols)
+			n.probes[1] = newProbe(o.Inputs[0], n.lcols)
+		}
+		if r := n.in[1]; r.op.Type == OpConstants && len(o.On) > 0 && o.JoinKind != JoinRightAnti {
+			n.build = newHashIndex(r.rows, n.rcols)
+		}
+	case OpGroupBy:
+		n.inKey = o.Inputs[0].Key
+	}
+	p.nodes = append(p.nodes, n)
+	p.byOp[o], p.bySig[sig] = n, n
+	return n, nil
+}
+
+// signature renders everything evaluation depends on, so two nodes with
+// equal signatures produce equal output. Inputs are named by node id: they
+// are already merged. It runs once per operator of every installed plan, so
+// it appends to one buffer rather than going through fmt.
+func (n *node) signature() string {
+	o := n.op
+	b := make([]byte, 0, 128)
+	ints := func(sep byte, vs ...int) {
+		for _, v := range vs {
+			b = strconv.AppendInt(append(b, sep), int64(v), 10)
+		}
+	}
+	expr := func(e Expr) {
+		b = append(b, ' ')
+		if e != nil {
+			b = append(b, e.String()...)
+		}
+		b = append(b, ';')
+	}
+	ints(' ', int(o.Type))
+	for _, in := range n.in {
+		ints('#', in.id)
+	}
+	switch o.Type {
+	case OpTable:
+		b = append(append(b, ' '), o.Table...)
+		ints(' ', int(o.Source))
+	case OpConstants:
+		b = fmt.Appendf(b, " %p", o) // identical to itself only
+	case OpSelect:
+		expr(o.Pred)
+	case OpProject:
+		for _, p := range o.Projs {
+			expr(p.E)
+		}
+	case OpJoin:
+		ints(' ', int(o.JoinKind))
+		for _, eq := range o.On {
+			ints(' ', eq.L, eq.R)
+		}
+		expr(o.JoinPred)
+	case OpGroupBy:
+		ints(' ', o.GroupCols...)
+		ints('k', o.Inputs[0].Key...)
+		for _, a := range o.Aggs {
+			ints(' ', int(a.Func))
+			expr(a.Arg)
+		}
+	case OpUnion:
+		b = strconv.AppendBool(append(b, ' '), o.Distinct)
+	case OpOrderBy:
+		for _, oc := range o.OrderCols {
+			ints(' ', oc.Col)
+			b = strconv.AppendBool(b, oc.Desc)
+		}
+	case OpUnnest:
+		ints(' ', o.UnnestCol)
+	}
+	return string(b)
+}
+
+// demand marks, on n's inputs, the columns n reads to produce its own live
+// columns.
+func (n *node) demand() {
+	o := n.op
+	pass := func(k int) { // input k's columns are n's columns
+		for c, l := range n.live {
+			if l {
+				n.in[k].live[c] = true
+			}
+		}
+	}
+	all := func(k int) {
+		for c := range n.in[k].live {
+			n.in[k].live[c] = true
+		}
+	}
+	// reads marks the columns e references; an expression type this
+	// package does not know could read anything.
+	reads := func(e Expr) {
+		RewriteExpr(e, func(x Expr) Expr {
+			switch x := x.(type) {
+			case *ColRef:
+				if x.Input < len(n.in) && x.Col >= 0 && x.Col < n.in[x.Input].width {
+					n.in[x.Input].live[x.Col] = true
+				}
+			case *Lit, *Cmp, *Arith, *Logic, *Call, *IsNullExpr, *ElemCtor, *PathStep:
+			default:
+				for k := range n.in {
+					all(k)
+				}
+			}
+			return x
+		})
+	}
+	switch o.Type {
+	case OpSelect:
+		pass(0)
+		reads(o.Pred)
+	case OpOrderBy:
+		pass(0)
+		for _, oc := range o.OrderCols {
+			n.in[0].live[oc.Col] = true
+		}
+	case OpUnnest:
+		pass(0)
+		n.in[0].live[o.UnnestCol] = true
+	case OpProject:
+		for i, p := range o.Projs {
+			if n.live[i] {
+				reads(p.E)
+			}
+		}
+	case OpJoin:
+		lw := n.in[0].width
+		for c, l := range n.live {
+			if l && c < lw {
+				n.in[0].live[c] = true
+			} else if l {
+				n.in[1].live[c-lw] = true
+			}
+		}
+		for _, eq := range o.On {
+			n.in[0].live[eq.L] = true
+			n.in[1].live[eq.R] = true
+		}
+		reads(o.JoinPred)
+	case OpGroupBy:
+		for _, c := range o.GroupCols {
+			n.in[0].live[c] = true
+		}
+		for _, a := range o.Aggs {
+			reads(a.Arg)
+		}
+		if n.inKey == nil {
+			all(0) // rows order by the whole tuple
+		}
+		for _, c := range n.inKey {
+			n.in[0].live[c] = true
+		}
+	case OpUnion:
+		for k := range n.in {
+			if o.Distinct {
+				all(k) // duplicates are judged on every column
+			} else {
+				pass(k)
+			}
+		}
+	}
+}
+
+// basePath describes an input subtree that reads a single base table,
+// optionally through a Select and/or a column-preserving Project, so joins
+// against it can use reldb's hash indexes.
+type basePath struct {
+	table    string
+	src      TableSource
+	residual Expr     // predicate over the base row, or nil
+	colMap   []int    // output column -> base column
+	cols     []string // base column names
+	pk       []int    // base primary-key column indexes (for SrcOld probing)
+}
+
+func newProbe(inner *Operator, innerCols []int) *probe {
+	bp := matchBasePath(inner)
+	if bp == nil {
+		return nil
+	}
+	pr := &probe{bp: bp}
+	for _, c := range innerCols {
+		pr.baseCols = append(pr.baseCols, bp.colMap[c])
+	}
+	return pr
+}
+
+func matchBasePath(o *Operator) *basePath {
+	switch o.Type {
+	case OpTable:
+		// Base tables probe the index directly; B_old is probed as the
+		// current table minus Δ-keyed rows plus matching ∇ rows.
+		if o.Source != SrcBase && o.Source != SrcOld {
+			return nil
+		}
+		// The indexed B_old probe masks Δ rows with a key set; without a
+		// primary key the subtraction needs bag multiplicity, so fall back
+		// to evalOldTable's full scan.
+		if o.Source == SrcOld && len(o.TablePK) == 0 {
+			return nil
+		}
+		if len(o.Names) != o.Width {
+			return nil
+		}
+		cm := make([]int, o.Width)
+		for i := range cm {
+			cm[i] = i
+		}
+		return &basePath{table: o.Table, src: o.Source, colMap: cm, cols: o.Names, pk: o.TablePK}
+	case OpSelect:
+		bp := matchBasePath(o.Inputs[0])
+		if bp == nil {
+			return nil
+		}
+		// The select's predicate references its input's columns; remap to
+		// base columns.
+		m := map[int]int{}
+		for out, base := range bp.colMap {
+			m[out] = base
+		}
+		bp2 := *bp
+		bp2.residual = And(bp.residual, SubstituteCols(o.Pred, m))
+		return &bp2
+	case OpProject:
+		bp := matchBasePath(o.Inputs[0])
+		if bp == nil {
+			return nil
+		}
+		cm := make([]int, len(o.Projs))
+		for i, p := range o.Projs {
+			cr, ok := p.E.(*ColRef)
+			if !ok || cr.Input != 0 {
+				return nil
+			}
+			cm[i] = bp.colMap[cr.Col]
+		}
+		bp2 := *bp
+		bp2.colMap = cm
+		return &bp2
+	default:
+		return nil
+	}
+}
+
+// hashIndex buckets tuples by key columns without a slice per bucket: head
+// maps a key to 1 + the index of its first tuple and next chains on from
+// there, in input order. Tuples with a NULL key column are left out (NULL
+// never equi-joins). With no key columns every tuple is in the one bucket,
+// which makes a join without equi-pairs the same loop as a hash join.
+type hashIndex struct {
+	head map[xdm.CompKey]int32
+	next []int32
+}
+
+func newHashIndex(rows []Tuple, cols []int) hashIndex {
+	h := hashIndex{head: make(map[xdm.CompKey]int32, len(rows)), next: make([]int32, len(rows))}
+	for i := len(rows) - 1; i >= 0; i-- {
+		if hasNull(rows[i], cols) {
+			continue
+		}
+		k := xdm.ColsKey(rows[i], cols)
+		h.next[i] = h.head[k]
+		h.head[k] = int32(i + 1)
+	}
+	return h
+}
+
+func hasNull(t Tuple, cols []int) bool {
+	for _, c := range cols {
+		if t[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}

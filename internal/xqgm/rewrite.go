@@ -30,6 +30,7 @@ func cloneWith(o *Operator, m map[*Operator]*Operator, transform func(orig, clon
 		return c
 	}
 	c := *o
+	c.prep = nil // a plan describes the graph it was built from, not its clones
 	c.Inputs = make([]*Operator, len(o.Inputs))
 	for i, in := range o.Inputs {
 		c.Inputs[i] = cloneWith(in, m, transform)
