@@ -14,7 +14,7 @@ import (
 // The count is what the evaluator's prepare-once / allocation-lean design
 // buys (the interpretive evaluator it replaced needed 4,183 here); a change
 // that raises it past the budget is paying per-tuple garbage again.
-const firingAllocBudget = 1375
+const firingAllocBudget = 1350
 
 // raceEnabled is set by race_test.go: the race detector's instrumentation
 // allocates, so the count means nothing under -race.

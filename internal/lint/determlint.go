@@ -29,7 +29,10 @@ import (
 //     commutatively, or appends to slices that are sorted before use in
 //     the same function). Anything else needs `//quark:sorted <reason>`
 //     with a non-empty justification — an adjacent sort or an argument
-//     for why order cannot reach pinned output.
+//     for why order cannot reach pinned output. A `//quark:sorted` that
+//     suppresses nothing (no map range on its line or the next, or a loop
+//     rule 3 accepts anyway) is itself a finding, so a hatch cannot
+//     outlive the loop it excused.
 var DetermLint = &Analyzer{
 	Name: "determlint",
 	Doc:  "forbid wall clocks, shared-source randomness, and unsorted map iteration in deterministic paths",
@@ -45,6 +48,7 @@ var DetermLint = &Analyzer{
 }
 
 func runDetermLint(pass *Pass) error {
+	hatched := map[token.Position]bool{} // map ranges a //quark:sorted governs
 	for _, file := range pass.Files {
 		WalkWithStack(file, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
@@ -52,11 +56,22 @@ func runDetermLint(pass *Pass) error {
 				checkClockCall(pass, n, stack)
 				checkRandCall(pass, n)
 			case *ast.RangeStmt:
-				checkMapRange(pass, file, n)
+				if checkMapRange(pass, file, n) {
+					at := pass.Fset.Position(n.Pos())
+					hatched[token.Position{Filename: at.Filename, Line: at.Line}] = true
+				}
 			}
 			return true
 		})
 	}
+	pass.eachDirective(func(c *ast.Comment, name, _ string) {
+		pos := pass.Fset.Position(c.Pos())
+		at := token.Position{Filename: pos.Filename, Line: pos.Line}
+		next := token.Position{Filename: pos.Filename, Line: pass.Fset.Position(c.End()).Line + 1}
+		if name == "sorted" && !hatched[at] && !hatched[next] {
+			pass.Reportf(c.Pos(), "//quark:sorted suppresses nothing: no map range on this line or the next; delete it")
+		}
+	})
 	return nil
 }
 
@@ -104,26 +119,33 @@ func checkRandCall(pass *Pass, call *ast.CallExpr) {
 	pass.Reportf(call.Pos(), "rand.%s draws from the shared randomly-seeded source; use rand.New(rand.NewSource(seed)) in deterministic paths", fn.Name())
 }
 
-func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
+// checkMapRange reports whether rng is a map range governed by a
+// //quark:sorted directive.
+func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) (hatched bool) {
 	t := pass.Info.Types[rng.X].Type
 	if !IsMapType(t) {
-		return
-	}
-	if reason, ok := pass.Directive(rng.Pos(), "sorted"); ok {
-		if reason == "" {
-			pass.Reportf(rng.Pos(), "//quark:sorted needs a justification (adjacent sort or why order cannot surface)")
-		}
-		return
+		return false
 	}
 	fd := EnclosingFunc(file, rng.Pos())
 	var body *ast.BlockStmt
 	if fd != nil {
 		body = fd.Body
 	}
-	if orderInsensitiveBlock(pass, rng.Body, loopCtx{fnBody: body, after: rng.End()}) {
-		return
+	insensitive := orderInsensitiveBlock(pass, rng.Body, loopCtx{fnBody: body, after: rng.End()})
+	if reason, ok := pass.Directive(rng.Pos(), "sorted"); ok {
+		switch {
+		case reason == "":
+			pass.Reportf(rng.Pos(), "//quark:sorted needs a justification (adjacent sort or why order cannot surface)")
+		case insensitive:
+			pass.Reportf(rng.Pos(), "//quark:sorted suppresses nothing: the loop over %s is already order-insensitive; delete it", exprString(pass, rng.X))
+		}
+		return true
+	}
+	if insensitive {
+		return false
 	}
 	pass.Reportf(rng.Pos(), "iteration over map %s has nondeterministic order: collect+sort the keys, make the body order-insensitive, or annotate //quark:sorted <reason>", exprString(pass, rng.X))
+	return false
 }
 
 // slicesSortedAfter collects the objects of slice variables passed to a

@@ -144,26 +144,30 @@ type directiveKey struct {
 func (p *Package) Directive(pos token.Pos, name string) (reason string, ok bool) {
 	if p.directives == nil {
 		p.directives = map[directiveKey]string{}
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, found := strings.CutPrefix(c.Text, "//quark:")
-					if !found {
-						continue
-					}
-					dname, drest, _ := strings.Cut(text, " ")
-					cpos := p.Fset.Position(c.Pos())
-					reason := strings.TrimSpace(drest)
-					p.directives[directiveKey{cpos.Filename, cpos.Line, dname}] = reason
-					next := p.Fset.Position(c.End()).Line + 1
-					p.directives[directiveKey{cpos.Filename, next, dname}] = reason
-				}
-			}
-		}
+		p.eachDirective(func(c *ast.Comment, dname, reason string) {
+			at := p.Fset.Position(c.Pos())
+			p.directives[directiveKey{at.Filename, at.Line, dname}] = reason
+			p.directives[directiveKey{at.Filename, p.Fset.Position(c.End()).Line + 1, dname}] = reason
+		})
 	}
 	pp := p.Fset.Position(pos)
 	reason, ok = p.directives[directiveKey{pp.Filename, pp.Line, name}]
 	return reason, ok
+}
+
+// eachDirective calls fn for every `//quark:<name> <reason>` comment of
+// the package.
+func (p *Package) eachDirective(fn func(c *ast.Comment, name, reason string)) {
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if text, found := strings.CutPrefix(c.Text, "//quark:"); found {
+					name, rest, _ := strings.Cut(text, " ")
+					fn(c, name, strings.TrimSpace(rest))
+				}
+			}
+		}
+	}
 }
 
 // ---- shared AST / types helpers ----------------------------------------

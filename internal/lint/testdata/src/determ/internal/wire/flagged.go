@@ -36,3 +36,22 @@ func BadExcuse(m map[string]int) int {
 	}
 	return last
 }
+
+// StaleHatch kept its escape hatch after the map it ranged over became a
+// slice: the directive suppresses nothing.
+func StaleHatch(xs []int) int {
+	last := 0
+	for _, v := range xs { //quark:sorted index order is deterministic // want "suppresses nothing: no map range"
+		last = v
+	}
+	return last
+}
+
+// NeedlessHatch annotates a loop the analyzer accepts on its own.
+func NeedlessHatch(m map[string]int) int {
+	total := 0
+	for _, v := range m { //quark:sorted sums commute // want "suppresses nothing: the loop over m is already order-insensitive"
+		total += v
+	}
+	return total
+}

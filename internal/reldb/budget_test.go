@@ -1,0 +1,92 @@
+package reldb
+
+import (
+	"runtime"
+	"testing"
+
+	"quark/internal/schema"
+	"quark/internal/xdm"
+)
+
+// raceEnabled is set by race_test.go: the race detector's instrumentation
+// allocates, so heap and allocation figures mean nothing under -race.
+var raceEnabled bool
+
+// leafDB opens the benchmark workload's leaf schema (workload.BuildSchema at
+// depth 2: int primary key, indexed int foreign key, float payload) and
+// loads n leaves, 64 to a parent.
+func leafDB(t *testing.T, n int) *DB {
+	t.Helper()
+	s := schema.New()
+	s.MustAddTable(&schema.Table{
+		Name:       "product",
+		Columns:    []schema.Column{{Name: "id", Type: schema.TInt}, {Name: "name", Type: schema.TString}},
+		PrimaryKey: []string{"id"},
+	})
+	s.MustAddTable(&schema.Table{
+		Name: "vendor",
+		Columns: []schema.Column{
+			{Name: "id", Type: schema.TInt}, {Name: "parent", Type: schema.TInt}, {Name: "payload", Type: schema.TFloat},
+		},
+		PrimaryKey:  []string{"id"},
+		ForeignKeys: []schema.ForeignKey{{Columns: []string{"parent"}, RefTable: "product", RefColumns: []string{"id"}}},
+	})
+	db, err := Open(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := db.Insert("vendor", Row{xdm.Int(int64(i)), xdm.Int(int64(i / 64)), xdm.Float(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// storageBytesPerRow caps what one stored leaf may cost in live heap: the
+// 144-byte row, its 24-byte slot, a key-map entry and 4 bytes of posting
+// list come to about 250. The string-keyed row map and nested-map indexes
+// this layout replaced needed 586.
+const storageBytesPerRow = 300
+
+func TestStorageBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures are not meaningful under -race")
+	}
+	const n = 100_000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	db := leafDB(t, n)
+	perRow := float64(heap()-before) / n
+	runtime.KeepAlive(db)
+	t.Logf("live heap per stored row: %.0f B (budget %d)", perRow, storageBytesPerRow)
+	if perRow > storageBytesPerRow {
+		t.Errorf("a stored row costs %.0f B of live heap, budget is %d", perRow, storageBytesPerRow)
+	}
+}
+
+// TestUpdateByPKAllocs pins what a non-key point update allocates: the new
+// row version and the two one-row transition tables handed to fire. No
+// key string is formatted and no index is touched, so nothing else.
+func TestUpdateByPKAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db := leafDB(t, 4096)
+	key := []xdm.Value{xdm.Int(777)}
+	payload := 0.0
+	set := func(r Row) Row { payload++; r[2] = xdm.Float(payload); return r }
+	allocs := testing.AllocsPerRun(200, func() {
+		if found, err := db.UpdateByPK("vendor", key, set); err != nil || !found {
+			t.Fatal(found, err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("a non-key UpdateByPK allocates %.0f objects, want at most 3 (row version + Δ/∇ tables)", allocs)
+	}
+}

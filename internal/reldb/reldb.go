@@ -1,9 +1,18 @@
 // Package reldb is the relational substrate: an in-memory storage engine
-// with primary keys, hash indexes, statement-level INSERT/UPDATE/DELETE,
-// and statement-level AFTER triggers with transition tables. It plays the
-// role IBM DB2 plays in the paper: the generated "SQL triggers" produced by
-// the translation pipeline are installed here and fire with Δtable /
-// ∇table transition tables exactly as described in Section 2.3.
+// with primary keys, single-column indexes, statement-level
+// INSERT/UPDATE/DELETE, and statement-level AFTER triggers with transition
+// tables. It plays the role IBM DB2 plays in the paper: the generated "SQL
+// triggers" produced by the translation pipeline are installed here and
+// fire with Δtable / ∇table transition tables exactly as described in
+// Section 2.3.
+//
+// Storage is slot-addressed: a table's rows live in a slot array (freed
+// slots are reused), one map takes a primary key to its slot, and an index
+// is one posting list of slots per column value, kept in primary-key order.
+// Order contracts: Lookup yields rows in primary-key order (xdm.Compare
+// over the key columns; insertion order for a table without a primary
+// key); Scan and AllRows yield them in slot order, which is deterministic
+// for a given statement history but otherwise carries no meaning.
 //
 // A DB's write path is not safe for concurrent use; the engine layer
 // (internal/core) coordinates statements with per-table read/write locks.
@@ -13,6 +22,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -178,17 +188,30 @@ func (c *counters) reset() {
 // maxTriggerDepth bounds trigger cascades, mirroring DB2's limit of 16.
 const maxTriggerDepth = 16
 
+// index is a single-column secondary index: one posting list of slots per
+// distinct column value, each list in primary-key order (see cmpSlot).
 type index struct {
 	col int
-	m   map[string]map[string]struct{} // value key -> set of row pk keys
+	m   map[xdm.CompKey][]uint32
 }
 
 type tableData struct {
-	def     *schema.Table
-	pkIdx   []int
-	rows    map[string]Row
-	indexes map[string]*index // column name -> secondary index
-	autoID  int64             // synthetic rowid for tables without PK
+	def   *schema.Table
+	pkIdx []int
+	// rows is the slot array. A nil entry is a free slot, listed in free;
+	// an update swaps the new row version into the slot its row already has.
+	rows []Row
+	free []uint32
+	// pk maps a row's storage key to its slot: the key columns' CompKey, or
+	// for a table without a primary key the synthetic rowid's. On a
+	// single-column primary key it doubles as that column's index (pkCol).
+	pk    map[xdm.CompKey]uint32
+	pkCol int // the single primary-key column, else -1
+	// keys holds each slot's storage key for tables without a primary key
+	// (a keyed table derives it from the row); nil otherwise.
+	keys    []xdm.CompKey
+	indexes []*index // by column position; nil where the column has none
+	autoID  int64    // synthetic rowid for tables without PK
 	// fireDepth guards against runaway trigger cascades on this table.
 	// Per-table counters keep concurrent statements on disjoint tables
 	// (legal under the engine's per-table locks) from counting toward
@@ -218,8 +241,8 @@ type DB struct {
 	obs atomic.Pointer[dbObs]
 }
 
-// Open creates an empty database for the schema. Primary-key columns of
-// every table are indexed automatically (leading column).
+// Open creates an empty database for the schema. Every primary-key column
+// and every foreign-key column of every table is indexed automatically.
 func Open(s *schema.Schema) (*DB, error) {
 	db := &DB{
 		schema: s,
@@ -230,8 +253,12 @@ func Open(s *schema.Schema) (*DB, error) {
 		td := &tableData{
 			def:     t,
 			pkIdx:   t.PKIndexes(),
-			rows:    map[string]Row{},
-			indexes: map[string]*index{},
+			pk:      map[xdm.CompKey]uint32{},
+			pkCol:   -1,
+			indexes: make([]*index, len(t.Columns)),
+		}
+		if len(td.pkIdx) == 1 {
+			td.pkCol = td.pkIdx[0]
 		}
 		db.tables[t.Name] = td
 	}
@@ -272,17 +299,41 @@ func (db *DB) table(name string) (*tableData, error) {
 	return td, nil
 }
 
-func (td *tableData) pkKey(r Row) string {
+// keyOf returns the storage key of a row of a table with a primary key.
+func (td *tableData) keyOf(r Row) xdm.CompKey { return xdm.ColsKey(r, td.pkIdx) }
+
+// keyAt returns the storage key of the row in slot s.
+func (td *tableData) keyAt(s uint32) xdm.CompKey {
 	if len(td.pkIdx) == 0 {
-		// Tables without a primary key get synthetic identity; callers use
-		// insertKey to allocate one.
-		return ""
+		return td.keys[s]
 	}
-	ks := make([]xdm.Value, len(td.pkIdx))
-	for i, c := range td.pkIdx {
-		ks[i] = r[c]
+	return td.keyOf(td.rows[s])
+}
+
+// cmpSlot orders the row in slot s against row r (storage key k) in
+// primary-key order: xdm.Compare over the key columns, or rowid order for a
+// table without a primary key. Posting lists are kept in this order.
+func (td *tableData) cmpSlot(s uint32, r Row, k xdm.CompKey) int {
+	if len(td.pkIdx) == 0 {
+		return td.keys[s].Compare(k)
 	}
-	return xdm.TupleKey(ks)
+	sr := td.rows[s]
+	for _, c := range td.pkIdx {
+		if d := xdm.Compare(sr[c], r[c]); d != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// cmpSlots is cmpSlot between two slots.
+func (td *tableData) cmpSlots(a, b uint32) int { return td.cmpSlot(a, td.rows[b], td.keyAt(b)) }
+
+// search returns the position in posting list l of the first slot whose
+// row does not order before (r, k).
+func (td *tableData) search(l []uint32, r Row, k xdm.CompKey) int {
+	i, _ := slices.BinarySearchFunc(l, k, func(s uint32, k xdm.CompKey) int { return td.cmpSlot(s, r, k) })
+	return i
 }
 
 func (db *DB) validateRow(td *tableData, r Row) error {
@@ -334,7 +385,7 @@ func (db *DB) checkFK(td *tableData, fk schema.ForeignKey, r Row) error {
 			}
 		}
 		if same {
-			_, found = ref.rows[xdm.TupleKey(vals)]
+			_, found = ref.pk[xdm.RowKey(vals)]
 		}
 		if found {
 			return nil
@@ -349,6 +400,9 @@ func (db *DB) checkFK(td *tableData, fk schema.ForeignKey, r Row) error {
 	// assertions (and capacity planning) see it.
 	db.stats.fullScans.Add(1)
 	for _, row := range ref.rows {
+		if row == nil {
+			continue
+		}
 		match := true
 		for i, ri := range refIdx {
 			if !xdm.Equal(row[ri], vals[i]) {
@@ -367,7 +421,8 @@ func (db *DB) checkFK(td *tableData, fk schema.ForeignKey, r Row) error {
 	return nil
 }
 
-// CreateIndex builds a hash index on a single column; idempotent.
+// CreateIndex builds an index on a single column; idempotent. The index on
+// a single-column primary key is the key map itself.
 func (db *DB) CreateIndex(table, col string) error {
 	td, err := db.table(table)
 	if err != nil {
@@ -377,14 +432,22 @@ func (db *DB) CreateIndex(table, col string) error {
 	if ci < 0 {
 		return fmt.Errorf("reldb: table %s has no column %q", table, col)
 	}
-	if _, ok := td.indexes[col]; ok {
+	if ci == td.pkCol || td.indexes[ci] != nil {
 		return nil
 	}
-	ix := &index{col: ci, m: map[string]map[string]struct{}{}}
-	for pk, r := range td.rows { //quark:sorted hash-index build: resulting index content is independent of insertion order
-		ix.add(r[ci], pk)
+	// Building over loaded rows: gather each value's slots, then sort every
+	// list once (filing row by row would shift a long list per row).
+	ix := &index{col: ci, m: map[xdm.CompKey][]uint32{}}
+	for s, r := range td.rows {
+		if r != nil {
+			k := r[ci].CompKey()
+			ix.m[k] = append(ix.m[k], uint32(s))
+		}
 	}
-	td.indexes[col] = ix
+	for _, l := range ix.m {
+		slices.SortFunc(l, td.cmpSlots)
+	}
+	td.indexes[ci] = ix
 	return nil
 }
 
@@ -394,94 +457,209 @@ func (db *DB) HasIndex(table, col string) bool {
 	if err != nil {
 		return false
 	}
-	_, ok := td.indexes[col]
-	return ok
+	ci := td.def.ColIndex(col)
+	return ci >= 0 && (ci == td.pkCol || td.indexes[ci] != nil)
 }
 
-func (ix *index) add(v xdm.Value, pk string) {
-	k := v.Key()
-	s, ok := ix.m[k]
-	if !ok {
-		s = map[string]struct{}{}
-		ix.m[k] = s
+// add files slot s, holding row r under storage key k, in r's posting list
+// at its primary-key position: in place, after the last entry when keys
+// arrive in ascending order (a load), else by binary search and a shift.
+func (ix *index) add(td *tableData, s uint32, r Row, k xdm.CompKey) {
+	v := r[ix.col].CompKey()
+	l := ix.m[v]
+	i := len(l)
+	if i > 0 && td.cmpSlot(l[i-1], r, k) > 0 {
+		i = td.search(l, r, k)
 	}
-	s[pk] = struct{}{}
+	ix.m[v] = slices.Insert(l, i, s)
 }
 
-func (ix *index) remove(v xdm.Value, pk string) {
-	k := v.Key()
-	if s, ok := ix.m[k]; ok {
-		delete(s, pk)
-		if len(s) == 0 {
-			delete(ix.m, k)
+// remove unfiles slot s, filed as row r under storage key k.
+func (ix *index) remove(td *tableData, s uint32, r Row, k xdm.CompKey) {
+	v := r[ix.col].CompKey()
+	l := ix.m[v]
+	i := td.search(l, r, k)
+	if i == len(l) || l[i] != s {
+		// Keys that xdm.Compare ties but CompKey tells apart (an int above
+		// 2^53 beside the float it rounds to) defeat the binary search.
+		if i = slices.Index(l, s); i < 0 {
+			return
+		}
+	}
+	if len(l) == 1 {
+		delete(ix.m, v)
+		return
+	}
+	ix.m[v] = slices.Delete(l, i, i+1)
+}
+
+// alloc returns a vacant slot: the most recently freed one, else a new one.
+func (td *tableData) alloc() uint32 {
+	if n := len(td.free); n > 0 {
+		s := td.free[n-1]
+		td.free = td.free[:n-1]
+		return s
+	}
+	td.rows = append(td.rows, nil)
+	if len(td.pkIdx) == 0 {
+		td.keys = append(td.keys, xdm.CompKey{})
+	}
+	return uint32(len(td.rows) - 1)
+}
+
+// place files row r under storage key k in the vacant slot s.
+func (td *tableData) place(s uint32, r Row, k xdm.CompKey) {
+	td.rows[s] = r
+	if len(td.pkIdx) == 0 {
+		td.keys[s] = k
+	}
+	td.pk[k] = s
+	for _, ix := range td.indexes {
+		if ix != nil {
+			ix.add(td, s, r, k)
 		}
 	}
 }
 
-func (td *tableData) indexAdd(r Row, pk string) {
-	for _, ix := range td.indexes { //quark:sorted each index is maintained independently; no cross-index order dependence
-		ix.add(r[ix.col], pk)
+// vacate unfiles the row in slot s (storage key k) and frees the slot.
+func (td *tableData) vacate(s uint32, k xdm.CompKey) {
+	r := td.rows[s]
+	for _, ix := range td.indexes {
+		if ix != nil {
+			ix.remove(td, s, r, k)
+		}
 	}
+	delete(td.pk, k)
+	td.rows[s] = nil
+	td.free = append(td.free, s)
 }
 
-func (td *tableData) indexRemove(r Row, pk string) {
-	for _, ix := range td.indexes { //quark:sorted each index is maintained independently; no cross-index order dependence
-		ix.remove(r[ix.col], pk)
-	}
-}
-
-func (td *tableData) insertKey(r Row) string {
-	if len(td.pkIdx) > 0 {
-		return td.pkKey(r)
-	}
-	td.autoID++
-	return fmt.Sprintf("\x00rowid:%d", td.autoID)
-}
-
-// keyedRow pairs a row with its storage key (the primary-key tuple key, or
-// a synthetic rowid for tables without a primary key).
+// keyedRow pairs a stored row with its storage key and slot. name is set
+// only by sortKeyed.
 type keyedRow struct {
-	key string
-	row Row
+	key  xdm.CompKey
+	row  Row
+	slot uint32
+	name string
 }
 
 // updateChange records one row rewrite: the storage keys before and after
-// (they differ when the update changes the primary key) and both versions.
+// (they differ when the update changes the primary key), both versions,
+// and the slot the row keeps.
 type updateChange struct {
-	oldKey, newKey string
+	oldKey, newKey xdm.CompKey
 	old, new       Row
+	slot           uint32
+}
+
+// refiles reports whether the update must move the row's entry in ix: a
+// key change reorders every posting list (they are in key order), else only
+// a change of the indexed value does. A plain non-key update edits no index.
+func (c *updateChange) refiles(ix *index) bool {
+	return c.newKey != c.oldKey || c.old[ix.col].CompKey() != c.new[ix.col].CompKey()
+}
+
+// unfile takes the old version out of the key map and posting lists it
+// must leave; refile swaps the new version into the slot and files it. A
+// statement unfiles all its rows before refiling any, so lists stay sorted
+// while primary keys chain or swap.
+func (td *tableData) unfile(c *updateChange) {
+	for _, ix := range td.indexes {
+		if ix != nil && c.refiles(ix) {
+			ix.remove(td, c.slot, c.old, c.oldKey)
+		}
+	}
+	if c.newKey != c.oldKey {
+		delete(td.pk, c.oldKey)
+	}
+}
+
+func (td *tableData) refile(c *updateChange) {
+	td.rows[c.slot] = c.new
+	if c.newKey != c.oldKey {
+		td.pk[c.newKey] = c.slot
+	}
+	for _, ix := range td.indexes {
+		if ix != nil && c.refiles(ix) {
+			ix.add(td, c.slot, c.new, c.newKey)
+		}
+	}
+}
+
+// sortKeyed puts rows into the order Δ/∇ rows are reported in: ascending
+// xdm.TupleKey string of the primary key (the storage-key order the
+// goldens pin), rowid order for a table without a primary key.
+func (td *tableData) sortKeyed(krs []keyedRow) {
+	if len(krs) < 2 {
+		return
+	}
+	if len(td.pkIdx) == 0 {
+		sort.Slice(krs, func(i, j int) bool { return krs[i].key.Compare(krs[j].key) < 0 })
+		return
+	}
+	ks := make([]xdm.Value, len(td.pkIdx))
+	for i := range krs {
+		for j, c := range td.pkIdx {
+			ks[j] = krs[i].row[c]
+		}
+		krs[i].name = xdm.TupleKey(ks)
+	}
+	sort.Slice(krs, func(i, j int) bool { return krs[i].name < krs[j].name })
+}
+
+// match returns the rows satisfying pred, in sortKeyed order.
+func (td *tableData) match(pred func(Row) bool) []keyedRow {
+	var out []keyedRow
+	for s, r := range td.rows {
+		if r != nil && pred(r) {
+			out = append(out, keyedRow{key: td.keyAt(uint32(s)), row: r, slot: uint32(s)})
+		}
+	}
+	td.sortKeyed(out)
+	return out
 }
 
 // applyInsert validates and stores rows without firing triggers.
-func (db *DB) applyInsert(table string, rows []Row) (*tableData, []keyedRow, error) {
+func (db *DB) applyInsert(table string, rows []Row) ([]keyedRow, error) {
 	td, err := db.table(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Validate first (all-or-nothing).
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if err := db.validateRow(td, r); err != nil {
-			return nil, nil, err
-		}
-		if len(td.pkIdx) > 0 {
-			k := td.pkKey(r)
-			if _, dup := td.rows[k]; dup || seen[k] {
-				return nil, nil, fmt.Errorf("reldb: duplicate primary key in %s: %s", table, k)
-			}
-			seen[k] = true
-		}
+	keyed := len(td.pkIdx) > 0
+	inserted := make([]keyedRow, len(rows))
+	var seen map[xdm.CompKey]struct{}
+	if keyed && len(rows) > 1 {
+		seen = make(map[xdm.CompKey]struct{}, len(rows))
 	}
-	inserted := make([]keyedRow, 0, len(rows))
-	for _, r := range rows {
-		rc := r.Copy()
-		k := td.insertKey(rc)
-		td.rows[k] = rc
-		td.indexAdd(rc, k)
-		inserted = append(inserted, keyedRow{key: k, row: rc})
+	for i, r := range rows {
+		if err := db.validateRow(td, r); err != nil {
+			return nil, err
+		}
+		if !keyed {
+			continue
+		}
+		k := td.keyOf(r)
+		_, dup := td.pk[k]
+		if _, again := seen[k]; dup || again {
+			return nil, fmt.Errorf("reldb: duplicate primary key in %s: %v", table, []xdm.Value(r))
+		}
+		if seen != nil {
+			seen[k] = struct{}{}
+		}
+		inserted[i].key = k
+	}
+	for i, r := range rows {
+		kr := &inserted[i]
+		if !keyed {
+			td.autoID++
+			kr.key = xdm.Int(td.autoID).CompKey()
+		}
+		kr.row, kr.slot = r.Copy(), td.alloc()
+		td.place(kr.slot, kr.row, kr.key)
 	}
 	db.stats.statements.Add(1)
-	return td, inserted, nil
+	return inserted, nil
 }
 
 // Insert adds rows to the table as one statement, then fires AFTER INSERT
@@ -495,7 +673,7 @@ func (db *DB) Insert(table string, rows ...Row) error {
 	if m := db.obs.Load(); m != nil {
 		defer m.stmt.Since(time.Now())
 	}
-	_, inserted, err := db.applyInsert(table, rows)
+	inserted, err := db.applyInsert(table, rows)
 	if err != nil {
 		return err
 	}
@@ -519,20 +697,9 @@ func (db *DB) applyDelete(table string, pred func(Row) bool) ([]keyedRow, error)
 	if err != nil {
 		return nil, err
 	}
-	var removed []keyedRow
-	for k, r := range td.rows {
-		if pred(r) {
-			removed = append(removed, keyedRow{key: k, row: r})
-		}
-	}
-	// Sort by storage key: td.rows is a map, and map order would make the
-	// ∇table row order (and everything derived from it — activation order,
-	// sink output, the outbox log) vary run to run. Tx.net already fires
-	// in sorted key order; the single-statement path must match.
-	sort.Slice(removed, func(i, j int) bool { return removed[i].key < removed[j].key })
+	removed := td.match(pred)
 	for _, kr := range removed {
-		td.indexRemove(kr.row, kr.key)
-		delete(td.rows, kr.key)
+		td.vacate(kr.slot, kr.key)
 	}
 	db.stats.statements.Add(1)
 	return removed, nil
@@ -555,23 +722,23 @@ func (db *DB) Delete(table string, pred func(Row) bool) (int, error) {
 }
 
 // applyDeleteByPK removes one row by primary key without firing triggers.
-func (db *DB) applyDeleteByPK(table string, key []xdm.Value) (*keyedRow, error) {
+func (db *DB) applyDeleteByPK(table string, key []xdm.Value) (kr keyedRow, found bool, err error) {
 	td, err := db.table(table)
 	if err != nil {
-		return nil, err
+		return kr, false, err
 	}
 	if len(td.pkIdx) == 0 {
-		return nil, fmt.Errorf("reldb: table %s has no primary key", table)
+		return kr, false, fmt.Errorf("reldb: table %s has no primary key", table)
 	}
-	k := xdm.TupleKey(key)
-	r, ok := td.rows[k]
+	k := xdm.RowKey(key)
+	s, found := td.pk[k]
 	db.stats.statements.Add(1)
-	if !ok {
-		return nil, nil
+	if !found {
+		return kr, false, nil
 	}
-	td.indexRemove(r, k)
-	delete(td.rows, k)
-	return &keyedRow{key: k, row: r}, nil
+	kr = keyedRow{key: k, row: td.rows[s], slot: s}
+	td.vacate(s, k)
+	return kr, true, nil
 }
 
 // DeleteByPK removes the row with the given primary key, if present.
@@ -579,8 +746,8 @@ func (db *DB) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
 	if m := db.obs.Load(); m != nil {
 		defer m.stmt.Since(time.Now())
 	}
-	kr, err := db.applyDeleteByPK(table, key)
-	if err != nil || kr == nil {
+	kr, found, err := db.applyDeleteByPK(table, key)
+	if err != nil || !found {
 		return false, err
 	}
 	return true, db.fire(table, EvDelete, nil, []Row{kr.row}, nil, nil)
@@ -592,56 +759,47 @@ func (db *DB) applyUpdate(table string, pred func(Row) bool, set func(Row) Row) 
 	if err != nil {
 		return nil, err
 	}
-	var changes []updateChange
-	for k, r := range td.rows {
-		if pred(r) {
-			changes = append(changes, updateChange{oldKey: k, old: r})
-		}
-	}
-	// Sort by pre-update storage key before calling set: deterministic
-	// Δ/∇ row order (map order varies run to run), and set observes rows
-	// in a stable order too, matching what a sorted scan would do.
-	sort.Slice(changes, func(i, j int) bool { return changes[i].oldKey < changes[j].oldKey })
-	for i := range changes {
-		nr := set(changes[i].old.Copy())
+	// set sees the rows in the Δ/∇ order, like a key-ordered scan would.
+	matched := td.match(pred)
+	changes := make([]updateChange, len(matched))
+	rekeyed := false
+	for i, kr := range matched {
+		nr := set(kr.row.Copy())
 		if err := db.validateRow(td, nr); err != nil {
 			return nil, err
 		}
-		changes[i].new = nr
-	}
-	// Check PK collisions after removal of the old keys.
-	if len(td.pkIdx) > 0 {
-		removed := map[string]bool{}
-		for _, c := range changes {
-			removed[c.oldKey] = true
-		}
-		added := map[string]bool{}
-		for _, c := range changes {
-			nk := td.pkKey(c.new)
-			if added[nk] {
-				return nil, fmt.Errorf("reldb: update produces duplicate primary key in %s", table)
-			}
-			if _, exists := td.rows[nk]; exists && !removed[nk] {
-				return nil, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
-			}
-			added[nk] = true
-		}
-	}
-	for _, c := range changes {
-		td.indexRemove(c.old, c.oldKey)
-		delete(td.rows, c.oldKey)
-	}
-	for i := range changes {
 		// Tables without a primary key keep their synthetic rowid: the
 		// updated row is the same row, and key stability is what lets
 		// Tx coalescing classify the change as an UPDATE pair.
-		nk := changes[i].oldKey
+		nk := kr.key
 		if len(td.pkIdx) > 0 {
-			nk = td.pkKey(changes[i].new)
+			nk = td.keyOf(nr)
 		}
-		changes[i].newKey = nk
-		td.rows[nk] = changes[i].new
-		td.indexAdd(changes[i].new, nk)
+		changes[i] = updateChange{oldKey: kr.key, newKey: nk, old: kr.row, new: nr, slot: kr.slot}
+		rekeyed = rekeyed || nk != kr.key
+	}
+	// Check PK collisions after removal of the old keys.
+	if rekeyed {
+		removed := map[xdm.CompKey]bool{}
+		for _, c := range changes {
+			removed[c.oldKey] = true
+		}
+		added := map[xdm.CompKey]bool{}
+		for _, c := range changes {
+			if added[c.newKey] {
+				return nil, fmt.Errorf("reldb: update produces duplicate primary key in %s", table)
+			}
+			if _, exists := td.pk[c.newKey]; exists && !removed[c.newKey] {
+				return nil, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
+			}
+			added[c.newKey] = true
+		}
+	}
+	for i := range changes {
+		td.unfile(&changes[i])
+	}
+	for i := range changes {
+		td.refile(&changes[i])
 	}
 	db.stats.statements.Add(1)
 	return changes, nil
@@ -671,36 +829,35 @@ func (db *DB) Update(table string, pred func(Row) bool, set func(Row) Row) (int,
 }
 
 // applyUpdateByPK rewrites one row by primary key without firing triggers.
-func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) (*updateChange, error) {
+func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) (c updateChange, found bool, err error) {
 	td, err := db.table(table)
 	if err != nil {
-		return nil, err
+		return c, false, err
 	}
 	if len(td.pkIdx) == 0 {
-		return nil, fmt.Errorf("reldb: table %s has no primary key", table)
+		return c, false, fmt.Errorf("reldb: table %s has no primary key", table)
 	}
-	k := xdm.TupleKey(key)
-	old, ok := td.rows[k]
-	if !ok {
+	k := xdm.RowKey(key)
+	s, found := td.pk[k]
+	if !found {
 		db.stats.statements.Add(1)
-		return nil, nil
+		return c, false, nil
 	}
+	old := td.rows[s]
 	nr := set(old.Copy())
 	if err := db.validateRow(td, nr); err != nil {
-		return nil, err
+		return c, false, err
 	}
-	nk := td.pkKey(nr)
-	if nk != k {
-		if _, exists := td.rows[nk]; exists {
-			return nil, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
+	c = updateChange{oldKey: k, newKey: td.keyOf(nr), old: old, new: nr, slot: s}
+	if c.newKey != k {
+		if _, exists := td.pk[c.newKey]; exists {
+			return c, false, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
 		}
 	}
-	td.indexRemove(old, k)
-	delete(td.rows, k)
-	td.rows[nk] = nr
-	td.indexAdd(nr, nk)
+	td.unfile(&c)
+	td.refile(&c)
 	db.stats.statements.Add(1)
-	return &updateChange{oldKey: k, newKey: nk, old: old, new: nr}, nil
+	return c, true, nil
 }
 
 // UpdateByPK rewrites the single row with the given primary key.
@@ -708,8 +865,8 @@ func (db *DB) UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool
 	if m := db.obs.Load(); m != nil {
 		defer m.stmt.Since(time.Now())
 	}
-	c, err := db.applyUpdateByPK(table, key, set)
-	if err != nil || c == nil {
+	c, found, err := db.applyUpdateByPK(table, key, set)
+	if err != nil || !found {
 		return false, err
 	}
 	return true, db.fire(table, EvUpdate, []Row{c.new}, []Row{c.old}, nil, nil)
@@ -810,51 +967,72 @@ func (db *DB) Triggers() []*SQLTrigger {
 // TriggerCount reports the number of installed SQL triggers.
 func (db *DB) TriggerCount() int { return len(db.triggers) }
 
-// Scan iterates every row of the table; fn returns false to stop early.
+// Scan iterates every row of the table in slot order (see the package
+// comment); fn returns false to stop early.
 func (db *DB) Scan(table string, fn func(Row) bool) error {
 	td, err := db.table(table)
 	if err != nil {
 		return err
 	}
 	db.stats.fullScans.Add(1)
-	for _, r := range td.rows { //quark:sorted Scan's contract is unspecified order; deterministic consumers sort Δ/∇ rows by storage key (PR 3)
-		db.stats.rowsRead.Add(1)
+	read := 0
+	for _, r := range td.rows {
+		if r == nil {
+			continue
+		}
+		read++
 		if !fn(r) {
-			return nil
+			break
 		}
 	}
+	db.stats.rowsRead.Add(int64(read))
 	return nil
 }
 
-// Lookup iterates the rows whose col equals v, using the column's hash
-// index when present (falling back to a scan otherwise).
+// Lookup iterates the rows whose col equals v in primary-key order (see
+// cmpSlot), walking the column's posting list when it is indexed and
+// scanning the table otherwise; fn returns false to stop early.
 func (db *DB) Lookup(table, col string, v xdm.Value, fn func(Row) bool) error {
 	td, err := db.table(table)
 	if err != nil {
 		return err
 	}
-	ix, ok := td.indexes[col]
-	if !ok {
-		ci := td.def.ColIndex(col)
-		if ci < 0 {
-			return fmt.Errorf("reldb: table %s has no column %q", table, col)
-		}
-		db.stats.fullScans.Add(1)
-		for _, r := range td.rows { //quark:sorted Lookup's contract is unspecified order, matching the index path below
+	ci := td.def.ColIndex(col)
+	if ci < 0 {
+		return fmt.Errorf("reldb: table %s has no column %q", table, col)
+	}
+	if ci == td.pkCol {
+		db.stats.indexLookups.Add(1)
+		if s, ok := td.pk[v.CompKey()]; ok {
 			db.stats.rowsRead.Add(1)
-			if xdm.Equal(r[ci], v) {
-				if !fn(r) {
-					return nil
-				}
-			}
+			fn(td.rows[s])
 		}
 		return nil
 	}
-	db.stats.indexLookups.Add(1)
-	for pk := range ix.m[v.Key()] { //quark:sorted Lookup's contract is unspecified order; callers needing determinism sort downstream
-		db.stats.rowsRead.Add(1)
-		if !fn(td.rows[pk]) {
-			return nil
+	if ix := td.indexes[ci]; ix != nil {
+		db.stats.indexLookups.Add(1)
+		read := 0
+		for _, s := range ix.m[v.CompKey()] {
+			read++
+			if !fn(td.rows[s]) {
+				break
+			}
+		}
+		db.stats.rowsRead.Add(int64(read))
+		return nil
+	}
+	db.stats.fullScans.Add(1)
+	db.stats.rowsRead.Add(int64(len(td.pk)))
+	var hits []uint32
+	for s, r := range td.rows {
+		if r != nil && xdm.Equal(r[ci], v) {
+			hits = append(hits, uint32(s))
+		}
+	}
+	slices.SortFunc(hits, td.cmpSlots)
+	for _, s := range hits {
+		if !fn(td.rows[s]) {
+			break
 		}
 	}
 	return nil
@@ -869,8 +1047,11 @@ func (db *DB) GetByPK(table string, key ...xdm.Value) (Row, bool, error) {
 	if len(td.pkIdx) == 0 {
 		return nil, false, fmt.Errorf("reldb: table %s has no primary key", table)
 	}
-	r, ok := td.rows[xdm.TupleKey(key)]
-	return r, ok, nil
+	s, ok := td.pk[xdm.RowKey(key)]
+	if !ok {
+		return nil, false, nil
+	}
+	return td.rows[s], true, nil
 }
 
 // RowCount reports the number of rows in the table (0 for unknown tables).
@@ -879,19 +1060,22 @@ func (db *DB) RowCount(table string) int {
 	if !ok {
 		return 0
 	}
-	return len(td.rows)
+	return len(td.pk)
 }
 
-// AllRows returns a copy of the table's rows in unspecified order; intended
-// for tests and diagnostics.
+// AllRows returns the table's rows in slot order (the slice is the
+// caller's; the rows are the stored snapshots); intended for tests and
+// diagnostics.
 func (db *DB) AllRows(table string) []Row {
 	td, ok := db.tables[table]
 	if !ok {
 		return nil
 	}
-	out := make([]Row, 0, len(td.rows))
-	for _, r := range td.rows { //quark:sorted documented contract: rows return in unspecified order, tests/diagnostics only
-		out = append(out, r)
+	out := make([]Row, 0, len(td.pk))
+	for _, r := range td.rows {
+		if r != nil {
+			out = append(out, r)
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,14 +34,14 @@ type Tx struct {
 	// The net transition is the diff between this snapshot and the current
 	// table contents, so coalescing across any sequence of operations and
 	// primary-key moves falls out of the bookkeeping.
-	touched map[string]map[string]Row
+	touched map[string]map[xdm.CompKey]preImage
 	// moved tracks row identity across primary-key changes: per table,
 	// the storage key a row currently occupies -> the key it occupied at
 	// transaction start (entries exist only for rows that moved). It lets
 	// the net diff pair a moved row's pre- and post-images as an UPDATE —
 	// matching the single-statement path, which fires AFTER UPDATE for
 	// PK-changing updates — instead of reporting DELETE+INSERT.
-	moved map[string]map[string]string
+	moved map[string]map[xdm.CompKey]xdm.CompKey
 	order []string // tables in first-touch order
 	// allowed, when non-nil, restricts mutations to the listed tables
 	// (declared-footprint batches, Engine.BatchTables); a mutation of any
@@ -50,7 +51,7 @@ type Tx struct {
 	// transaction's first insert into it, so Rollback can restore it: a
 	// rolled-back transaction must leave no trace, and a drifted counter
 	// would give re-run inserts different storage keys than the original
-	// attempt (observable through key-ordered transition tables).
+	// attempt.
 	autoIDs map[string]int64
 	done    bool
 
@@ -71,6 +72,14 @@ type Tx struct {
 	// layer reads it through NeedsEscalation to retry the batch under the
 	// all-table lock instead of surfacing the error.
 	escalate bool
+}
+
+// preImage is what a storage key held when the transaction first touched
+// it: the row (nil = the key was vacant) and the slot it sat in, which is
+// where Rollback puts it back.
+type preImage struct {
+	row  Row
+	slot uint32
 }
 
 // ErrUndeclaredTable is wrapped into the error a restricted transaction
@@ -109,8 +118,8 @@ func (tx *Tx) SetSilent() error {
 func (db *DB) Begin() *Tx {
 	return &Tx{
 		db:      db,
-		touched: map[string]map[string]Row{},
-		moved:   map[string]map[string]string{},
+		touched: map[string]map[xdm.CompKey]preImage{},
+		moved:   map[string]map[xdm.CompKey]xdm.CompKey{},
 		autoIDs: map[string]int64{},
 	}
 }
@@ -126,12 +135,12 @@ func (tx *Tx) snapAutoID(table string) {
 	}
 }
 
-func (tx *Tx) tableTouched(table string) map[string]Row {
+func (tx *Tx) tableTouched(table string) map[xdm.CompKey]preImage {
 	m, ok := tx.touched[table]
 	if !ok {
-		m = map[string]Row{}
+		m = map[xdm.CompKey]preImage{}
 		tx.touched[table] = m
-		tx.moved[table] = map[string]string{}
+		tx.moved[table] = map[xdm.CompKey]xdm.CompKey{}
 		tx.order = append(tx.order, table)
 	}
 	return m
@@ -144,7 +153,7 @@ func (tx *Tx) tableTouched(table string) map[string]Row {
 // must not read the other change's freshly installed entry).
 func (tx *Tx) noteMoves(table string, changes []updateChange) {
 	mv := tx.moved[table]
-	type entry struct{ newKey, origin string }
+	type entry struct{ newKey, origin xdm.CompKey }
 	var adds []entry
 	for _, c := range changes {
 		if c.newKey == c.oldKey {
@@ -164,7 +173,7 @@ func (tx *Tx) noteMoves(table string, changes []updateChange) {
 	for _, a := range adds {
 		// Rows created inside the transaction (origin has no pre-image)
 		// need no entry: their final key diffs as vacant→row on its own.
-		if a.origin != a.newKey && tx.touched[table][a.origin] != nil {
+		if a.origin != a.newKey && tx.touched[table][a.origin].row != nil {
 			mv[a.newKey] = a.origin
 		}
 	}
@@ -174,9 +183,9 @@ func (tx *Tx) noteMoves(table string, changes []updateChange) {
 // time the transaction touches it. Because every change inside the
 // transaction is recorded here, "not yet touched" implies the current value
 // equals the pre-transaction value.
-func noteFirstTouch(m map[string]Row, key string, pre Row) {
+func noteFirstTouch(m map[xdm.CompKey]preImage, key xdm.CompKey, pre Row, slot uint32) {
 	if _, ok := m[key]; !ok {
-		m[key] = pre
+		m[key] = preImage{pre, slot}
 	}
 }
 
@@ -223,13 +232,13 @@ func (tx *Tx) Insert(table string, rows ...Row) error {
 		return err
 	}
 	tx.snapAutoID(table)
-	_, inserted, err := tx.db.applyInsert(table, rows)
+	inserted, err := tx.db.applyInsert(table, rows)
 	if err != nil {
 		return err
 	}
 	m := tx.tableTouched(table)
 	for _, kr := range inserted {
-		noteFirstTouch(m, kr.key, nil)
+		noteFirstTouch(m, kr.key, nil, 0)
 		delete(tx.moved[table], kr.key) // fresh row: no identity chain
 	}
 	return nil
@@ -250,14 +259,14 @@ func (tx *Tx) Update(table string, pred func(Row) bool, set func(Row) Row) (int,
 	// newKey may be this change's oldKey, and the pre-image of that key
 	// is the old row — not vacant.
 	for _, c := range changes {
-		noteFirstTouch(m, c.oldKey, c.old)
+		noteFirstTouch(m, c.oldKey, c.old, c.slot)
 	}
 	for _, c := range changes {
 		if c.newKey != c.oldKey {
 			// If still untouched, the key was vacant before this statement
 			// (the collision check guarantees it) and, being unrecorded,
 			// vacant at transaction start too.
-			noteFirstTouch(m, c.newKey, nil)
+			noteFirstTouch(m, c.newKey, nil, 0)
 		}
 	}
 	tx.noteMoves(table, changes)
@@ -269,16 +278,16 @@ func (tx *Tx) UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool
 	if err := tx.checkTable(table); err != nil {
 		return false, err
 	}
-	c, err := tx.db.applyUpdateByPK(table, key, set)
-	if err != nil || c == nil {
+	c, found, err := tx.db.applyUpdateByPK(table, key, set)
+	if err != nil || !found {
 		return false, err
 	}
 	m := tx.tableTouched(table)
-	noteFirstTouch(m, c.oldKey, c.old)
+	noteFirstTouch(m, c.oldKey, c.old, c.slot)
 	if c.newKey != c.oldKey {
-		noteFirstTouch(m, c.newKey, nil)
+		noteFirstTouch(m, c.newKey, nil, 0)
+		tx.noteMoves(table, []updateChange{c})
 	}
-	tx.noteMoves(table, []updateChange{*c})
 	return true, nil
 }
 
@@ -293,7 +302,7 @@ func (tx *Tx) Delete(table string, pred func(Row) bool) (int, error) {
 	}
 	m := tx.tableTouched(table)
 	for _, kr := range removed {
-		noteFirstTouch(m, kr.key, kr.row)
+		noteFirstTouch(m, kr.key, kr.row, kr.slot)
 		delete(tx.moved[table], kr.key) // the occupant is gone
 	}
 	return len(removed), nil
@@ -304,11 +313,11 @@ func (tx *Tx) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
 	if err := tx.checkTable(table); err != nil {
 		return false, err
 	}
-	kr, err := tx.db.applyDeleteByPK(table, key)
-	if err != nil || kr == nil {
+	kr, found, err := tx.db.applyDeleteByPK(table, key)
+	if err != nil || !found {
 		return false, err
 	}
-	noteFirstTouch(tx.tableTouched(table), kr.key, kr.row)
+	noteFirstTouch(tx.tableTouched(table), kr.key, kr.row, kr.slot)
 	delete(tx.moved[table], kr.key) // the occupant is gone
 	return true, nil
 }
@@ -332,43 +341,54 @@ type netChange struct {
 }
 
 // net computes the coalesced change of one table by diffing the
-// first-touch snapshot against the table's current contents, in sorted
-// key order for deterministic firing. The moved-identity chains pair a
-// PK-changed row's pre- and post-images as one UPDATE, so batched
+// first-touch snapshot against the table's current contents, in storage-key
+// order (sortKeyed) for deterministic firing. The moved-identity chains
+// pair a PK-changed row's pre- and post-images as one UPDATE, so batched
 // commits fire the same event kinds as the single-statement path.
 func (tx *Tx) net(table string) netChange {
 	td := tx.db.tables[table]
 	m := tx.touched[table]
 	mv := tx.moved[table]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	// Each touched key is ordered by the key columns of a row filed under
+	// it: its pre-image, else its current occupant. A key vacant at both
+	// ends nets to nothing and is dropped here.
+	keys := make([]keyedRow, 0, len(m))
+	for k, pre := range m { //quark:sorted sortKeyed orders the keys below
+		row := pre.row
+		if row == nil {
+			s, exists := td.pk[k]
+			if !exists {
+				continue
+			}
+			row = td.rows[s]
+		}
+		keys = append(keys, keyedRow{key: k, row: row})
 	}
-	sort.Strings(keys)
+	td.sortKeyed(keys)
 	var nc netChange
 	// Keys claimed as a moved row's origin: their pre-image belongs to
 	// that row (paired at its current key), not to whatever occupies the
 	// key now — a fresh insert into a vacated key must not adopt it.
-	claimed := map[string]bool{}
+	claimed := map[xdm.CompKey]bool{}
 	for _, origin := range mv {
 		claimed[origin] = true
 	}
 	// Pass 1: current occupants, paired with their identity's pre-image.
-	consumed := map[string]bool{} // origin keys whose pre-image was paired
-	for _, k := range keys {
-		cur, exists := td.rows[k]
+	consumed := map[xdm.CompKey]bool{} // origin keys whose pre-image was paired
+	for _, kr := range keys {
+		k := kr.key
+		s, exists := td.pk[k]
 		if !exists {
 			continue
 		}
-		origin := k
-		if o, ok := mv[k]; ok {
-			origin = o
-		} else if claimed[k] {
-			origin = "" // pre-image owned by the row that moved away
-		}
+		cur := td.rows[s]
 		var pre Row
-		if origin != "" {
-			pre = m[origin]
+		origin, moved := mv[k]
+		switch {
+		case moved:
+			pre = m[origin].row
+		case !claimed[k]: // else the pre-image is owned by the row that moved away
+			origin, pre = k, m[k].row
 		}
 		switch {
 		case pre == nil:
@@ -383,12 +403,13 @@ func (tx *Tx) net(table string) netChange {
 	}
 	// Pass 2: pre-images whose row vanished (deleted, or displaced by a
 	// row that moved in while the original was removed).
-	for _, k := range keys {
-		pre := m[k]
+	for _, kr := range keys {
+		k := kr.key
+		pre := m[k].row
 		if pre == nil || consumed[k] {
 			continue
 		}
-		if _, exists := td.rows[k]; exists {
+		if _, exists := td.pk[k]; exists {
 			if _, movedIn := mv[k]; !movedIn {
 				// The occupant is the original row; pass 1 handled it.
 				continue
@@ -530,17 +551,23 @@ func (tx *Tx) Rollback() error {
 	tx.done = true
 	for _, t := range tx.order {
 		td := tx.db.tables[t]
-		for k, pre := range tx.touched[t] { //quark:sorted rollback restores disjoint keys; final table state is order-independent
-			cur, exists := td.rows[k]
-			if exists {
-				td.indexRemove(cur, k)
-				delete(td.rows, k)
-			}
-			if pre != nil {
-				td.rows[k] = pre
-				td.indexAdd(pre, k)
+		m := tx.touched[t]
+		// Vacate every touched key before restoring any pre-image: the slot
+		// a pre-image goes back to may hold another touched key's row by now.
+		for k := range m { //quark:sorted keys are disjoint; the free list these pushes build is sorted below
+			if s, exists := td.pk[k]; exists {
+				td.vacate(s, k)
 			}
 		}
+		for k, pre := range m { //quark:sorted each pre-image returns to its own slot and key
+			if pre.row != nil {
+				td.place(pre.slot, pre.row, k)
+			}
+		}
+		// The restored slots are taken again; what stays free is the
+		// pre-transaction free set plus the slots the transaction added.
+		td.free = slices.DeleteFunc(td.free, func(s uint32) bool { return td.rows[s] != nil })
+		slices.Sort(td.free)
 	}
 	// Restore synthetic rowid counters for no-PK tables: the rows the
 	// transaction inserted are gone, so their allocated ids must be too.

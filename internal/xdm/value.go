@@ -5,6 +5,7 @@
 package xdm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -270,9 +271,10 @@ func (v Value) EffectiveBool() bool {
 	}
 }
 
-// Compare orders two values. Nulls sort first; values of different kinds
-// are ordered by numeric promotion when both are numeric, else by their
-// lexical form. Returns -1, 0, or 1.
+// Compare orders two values. Nulls sort first; two ints compare exactly
+// (float promotion would tie ids above 2^53 that Equal tells apart);
+// values of different kinds are ordered by numeric promotion when both are
+// numeric, else by their lexical form. Returns -1, 0, or 1.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -283,6 +285,9 @@ func Compare(a, b Value) int {
 		default:
 			return 1
 		}
+	}
+	if a.kind == KindInt && b.kind == KindInt {
+		return cmp.Compare(a.i(), b.i())
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		af, bf := a.AsFloat(), b.AsFloat()
@@ -475,16 +480,16 @@ func (k CompKey) pack(b []byte) []byte {
 	return b
 }
 
-// Less orders keys deterministically (by kind, then number, then string);
+// Compare orders keys deterministically (by kind, then number, then string);
 // the order carries no meaning beyond being total and stable across runs.
-func (k CompKey) Less(o CompKey) bool {
-	if k.kind != o.kind {
-		return k.kind < o.kind
+func (k CompKey) Compare(o CompKey) int {
+	if c := cmp.Compare(k.kind, o.kind); c != 0 {
+		return c
 	}
-	if k.num != o.num {
-		return k.num < o.num
+	if c := cmp.Compare(k.num, o.num); c != 0 {
+		return c
 	}
-	return k.str < o.str
+	return strings.Compare(k.str, o.str)
 }
 
 // Arith applies a binary arithmetic operator to numeric values. Null

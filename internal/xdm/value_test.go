@@ -105,8 +105,16 @@ func TestCompare(t *testing.T) {
 		{Str("a"), Str("b"), -1},
 		{Bool(false), Bool(true), -1},
 		{Bool(true), Bool(true), 0},
+		// Ints compare exactly: above 2^53 float promotion would tie values
+		// Equal tells apart, and key order assumes Compare == 0 iff Equal.
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(math.MinInt64), Int(math.MaxInt64), -1},
 	}
 	for _, c := range cases {
+		if (Compare(c.a, c.b) == 0) != Equal(c.a, c.b) {
+			t.Errorf("Compare(%v, %v) == 0 disagrees with Equal", c.a, c.b)
+		}
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}

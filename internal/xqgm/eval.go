@@ -631,15 +631,7 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 		rows[end[gid[i]]] = in[i]
 	}
 	// end[g] is now the start of group g's run; its end is the next start.
-	slices.SortFunc(order, func(a, b int32) int { // deterministic group order
-		switch {
-		case keys[a].Less(keys[b]):
-			return -1
-		case keys[b].Less(keys[a]):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(order, func(a, b int32) int { return keys[a].Compare(keys[b]) }) // deterministic group order
 	out := make([]Tuple, 0, len(order))
 	sl := slab{w: n.width, n: len(order)}
 	for _, g := range order {
