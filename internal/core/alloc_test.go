@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"io"
 	"testing"
 
 	"quark/internal/core"
+	"quark/internal/dispatch"
+	"quark/internal/outbox"
 	"quark/internal/reldb"
 	"quark/internal/workload"
 	"quark/internal/xdm"
@@ -49,5 +52,57 @@ func TestFiringAllocationBudget(t *testing.T) {
 	t.Logf("allocations per firing: %.0f (budget %d)", allocs, firingAllocBudget)
 	if allocs > firingAllocBudget {
 		t.Errorf("one leaf update allocates %.0f objects, budget is %d", allocs, firingAllocBudget)
+	}
+}
+
+// durableFiringAllocBudget caps the heap allocations of one leaf update
+// whose firing notifies 20 triggers durably — one group append, 20
+// enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
+// measured figure. Per-record appends and the reflective JSON encoder
+// needed about 3,900 here; a change that raises the count past the budget
+// is encoding, framing or writing per record again.
+const durableFiringAllocBudget = 460
+
+func TestDurableFiringAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, err := workload.Build(workload.Params{
+		Depth: 2, LeafTuples: 2048, Fanout: 8, NumTriggers: 100, NumSatisfied: 20,
+	}, core.ModeGrouped, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := outbox.Open(t.TempDir(), outbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if err := w.Engine.EnableAsyncDispatch(dispatch.Config{Workers: 2, QueueCap: 1024, Policy: dispatch.Block}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Engine.Close()
+	if err := w.Engine.EnableOutbox(lg, outbox.NewFileSink(io.Discard)); err != nil {
+		t.Fatal(err)
+	}
+	key := []xdm.Value{xdm.Int(3)} // a leaf under top element 0, which 20 triggers watch
+	payload := 1000.0
+	update := func() {
+		payload++
+		if _, err := w.Engine.UpdateByPK(w.LeafTable(), key, func(r reldb.Row) reldb.Row {
+			r[len(r)-1] = xdm.Float(payload)
+			return r
+		}); err != nil {
+			t.Fatal(err)
+		}
+		w.Engine.Drain()
+	}
+	allocs := testing.AllocsPerRun(100, update)
+	if st := lg.Stats(); st.Appended != 20*101 || st.Acked != 20*101 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("log stats = %+v, want 20 records appended and acknowledged per update: the budget is for a firing that delivers", st)
+	}
+	t.Logf("allocations per durable firing: %.0f (budget %d)", allocs, durableFiringAllocBudget)
+	if allocs > durableFiringAllocBudget {
+		t.Errorf("one durably delivered leaf update allocates %.0f objects, budget is %d", allocs, durableFiringAllocBudget)
 	}
 }

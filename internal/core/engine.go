@@ -16,7 +16,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,7 +217,7 @@ type Engine struct {
 // for a trigger firing on several engines concurrently (the sharded
 // engine's case).
 type DeliveryStripes struct {
-	mu [64]sync.Mutex
+	mu [64]sync.Mutex // at most 64: a deliveryWave tracks the stripes it holds in one uint64
 }
 
 // NewDeliveryStripes allocates a stripe set for engines sharing an outbox.
@@ -629,22 +631,19 @@ func (e *Engine) EnableOutboxShared(lg *outbox.Log, sink outbox.Sink, stripes *D
 // OutboxEnabled reports whether durable delivery is enabled.
 func (e *Engine) OutboxEnabled() bool { return e.ob.Load() != nil }
 
-// deliver hands one activation to the action function: inline in
-// synchronous mode (errors abort the firing statement, AFTER-trigger
-// style), or enqueued on the dispatcher in async mode. The Invocation is
-// an immutable snapshot — node bindings and argument values are
-// materialized XDM values, so workers never touch live engine or database
-// state. Async action errors cannot reach the writer (its statement
-// already returned); they are counted by the dispatcher and reported to
-// its OnError hook. Enqueue errors (Error-policy backpressure, closed
-// dispatcher) do surface to the writer, as do outbox append errors — a
-// delivery that cannot be made durable is not delivered.
+// deliver hands one activation of an engine without an outbox to the
+// action function: inline in synchronous mode (errors abort the firing
+// statement, AFTER-trigger style), or enqueued on the dispatcher in async
+// mode. The Invocation is an immutable snapshot — node bindings and
+// argument values are materialized XDM values, so workers never touch live
+// engine or database state. Async action errors cannot reach the writer
+// (its statement already returned); they are counted by the dispatcher and
+// reported to its OnError hook. Enqueue errors (Error-policy backpressure,
+// closed dispatcher) do surface to the writer. With an outbox, deliveries
+// go through a deliveryWave instead.
 func (e *Engine) deliver(fnName string, inv Invocation) error {
 	fn := e.action(fnName)
 	d := e.dispatcher.Load()
-	if ob := e.ob.Load(); ob != nil {
-		return e.deliverDurable(ob, d, fn, fnName, inv)
-	}
 	if d == nil {
 		e.actsRun.Add(1)
 		if err := fn(inv); err != nil {
@@ -671,53 +670,13 @@ func (e *Engine) obStripeIdx(trigger string) int {
 	return int(h % uint32(len(e.obStripes.mu)))
 }
 
-// obLock returns the trigger's stripe lock.
-func (e *Engine) obLock(trigger string) *sync.Mutex {
-	return &e.obStripes.mu[e.obStripeIdx(trigger)]
-}
-
-// deliverDurable is deliver with the outbox enabled: append, then deliver
-// (inline or enqueued), then ack. The trigger's stripe lock is held across
-// append+enqueue so the log's sequence order and the dispatcher's lane
-// order never disagree — the property that makes a replay reproduce live
-// per-trigger order. In inline (no-dispatcher) mode the stripe is held
-// across the delivery itself: concurrent disjoint-table statements can
-// activate the same trigger, and the Sink contract (one at a time, in log
-// order, per trigger) must hold there too. Callbacks re-entering the
-// engine were always forbidden (see the Engine doc); with the outbox on,
-// an inline violation now deadlocks on the stripe instead of racing.
-func (e *Engine) deliverDurable(ob *outboxState, d *dispatch.Dispatcher, fn ActionFunc, fnName string, inv Invocation) error {
-	rec := &wire.Record{Trigger: inv.Trigger, Event: inv.Event, Old: inv.Old, New: inv.New, Args: inv.Args}
-	run := e.durableRun(ob, fn, inv, rec)
-	mu := e.obLock(inv.Trigger)
-	mu.Lock()
-	if _, err := ob.log.Append(rec); err != nil {
-		mu.Unlock()
-		return fmt.Errorf("core: outbox append for trigger %s: %w", inv.Trigger, err)
-	}
-	if d == nil {
-		err := run()
-		mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("core: action %s of trigger %s: %w", fnName, inv.Trigger, err)
-		}
-		return nil
-	}
-	err := d.Enqueue(dispatch.Delivery{Trigger: inv.Trigger, Run: run})
-	mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("core: dispatching action %s of trigger %s: %w", fnName, inv.Trigger, err)
-	}
-	return nil
-}
-
 // durableRun builds the delivery closure of one durable record: sink (or
 // registered action), then ack. A failed delivery leaves the record
 // unacknowledged — due for replay — and counts against its dead-letter
 // retry budget (outbox Options.RetryLimit), so a permanently failing
 // record eventually moves to the dead-letter file instead of pinning the
 // watermark forever.
-func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, inv Invocation, rec *wire.Record) func() error {
+func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, rec *wire.Record) func() error {
 	return func() error {
 		e.actsRun.Add(1)
 		var start time.Time
@@ -729,7 +688,7 @@ func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, inv Invocation, rec 
 		if ob.sink != nil {
 			err = ob.sink.Deliver(rec)
 		} else {
-			err = fn(inv)
+			err = fn(Invocation{Trigger: rec.Trigger, Event: rec.Event, Old: rec.Old, New: rec.New, Args: rec.Args})
 		}
 		if m != nil {
 			m.sink.Since(start)
@@ -772,22 +731,28 @@ func batchStateOf(b *reldb.BatchInfo) *batchState {
 type waveItem struct {
 	fnName string
 	fn     ActionFunc
-	inv    Invocation
 	rec    *wire.Record
 }
 
-// deliveryWave batches one commit's durable deliveries for group commit:
-// at Tx.Commit every record of the wave is appended to the outbox as ONE
-// contiguous write (and at most one fsync), then delivered in staging
-// order. The whole wave runs under the stripe locks of every trigger it
-// touches — taken in index order, so waves and single-statement
-// deliveries can never deadlock — which preserves the log-order =
-// lane-order invariant for the grouped appends exactly as the per-record
-// stripe does for single statements. The cost is that a wave parked in
-// Block-policy backpressure holds its stripes a little longer; the win is
-// one write syscall per firing wave instead of one per record.
+// deliveryWave is the one path a durable delivery takes: the activations
+// of one commit — or, for a statement-level write, of one plan firing —
+// are appended to the outbox as ONE contiguous write (and at most one
+// fsync), then delivered in staging order, so a wave's records reach the
+// log all or none. The whole wave runs under the stripe locks of every
+// trigger it touches, taken in index order so concurrent waves can never
+// deadlock. Holding a trigger's stripe across append and enqueue keeps
+// the log's sequence order and the dispatcher's lane order in agreement —
+// the property that makes a replay reproduce live per-trigger order. In
+// inline (no-dispatcher) mode the stripes are held across the deliveries
+// themselves: concurrent disjoint-table statements can activate the same
+// trigger, and the Sink contract (one at a time, in log order, per
+// trigger) must hold there too; a callback re-entering the engine (always
+// forbidden, see the Engine doc) deadlocks on its stripe instead of
+// racing. The cost is that a wave parked in Block-policy backpressure
+// holds its stripes a little longer.
 type deliveryWave struct {
 	e     *Engine
+	ob    *outboxState
 	items []waveItem
 	// span, when non-nil, is the committing handle's "commit" phase span:
 	// the wave's group append and deliveries trace as its children.
@@ -795,82 +760,67 @@ type deliveryWave struct {
 }
 
 // add stages one delivery; it reports whether this was the wave's first
-// item (the caller then stages wave.run with the transaction).
-func (w *deliveryWave) add(fnName string, fn ActionFunc, inv Invocation) bool {
-	w.items = append(w.items, waveItem{fnName: fnName, fn: fn, inv: inv,
+// item (a commit's wave is then staged with the transaction).
+func (w *deliveryWave) add(fnName string, inv Invocation) bool {
+	w.items = append(w.items, waveItem{fnName: fnName, fn: w.e.action(fnName),
 		rec: &wire.Record{Trigger: inv.Trigger, Event: inv.Event, Old: inv.Old, New: inv.New, Args: inv.Args}})
 	return len(w.items) == 1
 }
 
-// run is the wave's single staged thunk: group-append, then deliver (or
-// enqueue) each item in staging order. A delivery error aborts the rest
-// of the wave; its records are already durable and unacknowledged, so a
-// replay finishes what the aborted wave did not — at-least-once holds
-// even for the suffix the pre-group-commit engine would never have
-// appended.
+// run group-appends the wave, then delivers (or enqueues) each item in
+// staging order. A delivery error aborts the rest of the wave; its records
+// are already durable and unacknowledged, so a replay finishes what the
+// aborted wave did not.
 func (w *deliveryWave) run() error {
-	e := w.e
-	ob := e.ob.Load()
-	if ob == nil {
-		// The outbox vanished between staging and commit (teardown-time
-		// misuse); deliver plainly rather than drop the wave.
-		for _, it := range w.items {
-			if err := e.deliver(it.fnName, it.inv); err != nil {
-				return err
-			}
-		}
+	if len(w.items) == 0 {
 		return nil
 	}
-	d := e.dispatcher.Load()
-	var idxs []int
-	seen := map[int]bool{}
-	for _, it := range w.items {
-		if i := e.obStripeIdx(it.inv.Trigger); !seen[i] {
-			seen[i] = true
-			idxs = append(idxs, i)
-		}
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		e.obStripes.mu[i].Lock()
-	}
-	defer func() {
-		for j := len(idxs) - 1; j >= 0; j-- {
-			e.obStripes.mu[idxs[j]].Unlock()
-		}
-	}()
+	e, ob := w.e, w.ob
+	var stripes uint64 // bit i set: the wave holds e.obStripes.mu[i]
 	recs := make([]*wire.Record, len(w.items))
 	for i, it := range w.items {
 		recs[i] = it.rec
+		stripes |= 1 << e.obStripeIdx(it.rec.Trigger)
 	}
+	for s := stripes; s != 0; s &= s - 1 {
+		e.obStripes.mu[bits.TrailingZeros64(s)].Lock()
+	}
+	defer func() {
+		for s := stripes; s != 0; s &= s - 1 {
+			e.obStripes.mu[bits.TrailingZeros64(s)].Unlock()
+		}
+	}()
 	asp := w.span.Child("outbox-append")
-	asp.SetAttr("records", fmt.Sprint(len(recs)))
-	if _, err := w.e.obAppendBatch(ob, recs); err != nil {
+	if asp != nil {
+		asp.SetAttr("records", strconv.Itoa(len(recs)))
+	}
+	if _, err := e.obAppendBatch(ob, recs); err != nil {
 		asp.SetAttr("err", err.Error())
 		asp.End()
 		return err
 	}
 	asp.End()
+	d := e.dispatcher.Load()
 	for _, it := range w.items {
-		run := e.durableRun(ob, it.fn, it.inv, it.rec)
+		run := e.durableRun(ob, it.fn, it.rec)
 		if d == nil {
 			// Synchronous durable delivery (sink + ack) traces inline; the
 			// async path's latency lives in the dispatch histograms instead,
 			// since the delivery outlives the commit span.
 			dsp := w.span.Child("deliver")
-			dsp.SetAttr("trigger", it.inv.Trigger)
+			dsp.SetAttr("trigger", it.rec.Trigger)
 			err := run()
 			if err != nil {
 				dsp.SetAttr("err", err.Error())
 			}
 			dsp.End()
 			if err != nil {
-				return fmt.Errorf("core: action %s of trigger %s: %w", it.fnName, it.inv.Trigger, err)
+				return fmt.Errorf("core: action %s of trigger %s: %w", it.fnName, it.rec.Trigger, err)
 			}
 			continue
 		}
-		if err := d.Enqueue(dispatch.Delivery{Trigger: it.inv.Trigger, Run: run}); err != nil {
-			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", it.fnName, it.inv.Trigger, err)
+		if err := d.Enqueue(dispatch.Delivery{Trigger: it.rec.Trigger, Run: run}); err != nil {
+			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", it.fnName, it.rec.Trigger, err)
 		}
 	}
 	return nil
@@ -885,34 +835,52 @@ func (e *Engine) obAppendBatch(ob *outboxState, recs []*wire.Record) (uint64, er
 	return first, nil
 }
 
-// stageOrDeliver routes one activation: immediate delivery for
-// statement-level firings, staged for a transaction's prepare phase. In
-// staged mode with the outbox enabled, deliveries accumulate on the
-// commit's group-commit wave; otherwise each delivery stages its own
-// thunk, preserving activation order either way.
-func (e *Engine) stageOrDeliver(ctx *reldb.FireContext, fnName string, inv Invocation) error {
-	if ctx != nil && ctx.Batch != nil && ctx.Batch.Silent {
+// firingWave returns the wave a firing's durable deliveries collect on, or
+// nil when no outbox is enabled: the commit's shared wave (run by the
+// transaction at commit) for a staged firing, a fresh one — which the
+// caller runs when the firing's activation loop ends — for a
+// statement-level firing.
+func (e *Engine) firingWave(ctx *reldb.FireContext) *deliveryWave {
+	ob := e.ob.Load()
+	if ob == nil {
+		return nil
+	}
+	if ctx.Stage == nil {
+		return &deliveryWave{e: e, ob: ob}
+	}
+	st := batchStateOf(ctx.Batch)
+	if st.wave == nil {
+		st.wave = &deliveryWave{e: e, ob: ob}
+	}
+	return st.wave
+}
+
+// stageOrDeliver routes one activation of a firing whose wave (see
+// firingWave) is wave: durable deliveries collect on the wave; without an
+// outbox a statement-level firing delivers immediately and a staged one
+// stages its own thunk, preserving activation order either way.
+func (e *Engine) stageOrDeliver(ctx *reldb.FireContext, wave *deliveryWave, fnName string, inv Invocation) error {
+	if ctx.Batch != nil && ctx.Batch.Silent {
 		// Defense in depth: no activation of a silent wave may ever reach a
 		// sink, whatever body produced it.
 		return nil
 	}
-	if ctx == nil || ctx.Stage == nil {
+	if ctx.Stage == nil {
+		if wave != nil {
+			wave.add(fnName, inv)
+			return nil
+		}
 		return e.deliver(fnName, inv)
 	}
 	st := batchStateOf(ctx.Batch)
 	st.staged = append(st.staged, inv)
-	if e.ob.Load() != nil {
-		if st.wave == nil {
-			st.wave = &deliveryWave{e: e}
-		}
-		if st.wave.add(fnName, e.action(fnName), inv) {
-			ctx.Stage(st.wave.run)
+	if wave != nil {
+		if wave.add(fnName, inv) {
+			ctx.Stage(wave.run)
 		}
 		return nil
 	}
-	fn := fnName
-	staged := inv
-	ctx.Stage(func() error { return e.deliver(fn, staged) })
+	ctx.Stage(func() error { return e.deliver(fnName, inv) })
 	return nil
 }
 
@@ -1622,6 +1590,7 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 			rows[i] = ks[i].row
 		}
 	}
+	wave := e.firingWave(ctx)
 	var env xqgm.Env
 	for _, row := range rows {
 		var ids []string
@@ -1657,7 +1626,7 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 				}
 			}
 			g.stats.activations.Add(1)
-			if err := e.stageOrDeliver(ctx, ti.Spec.ActionFn, Invocation{
+			if err := e.stageOrDeliver(ctx, wave, ti.Spec.ActionFn, Invocation{
 				Trigger: id,
 				Event:   g.event,
 				Old:     oldNode,
@@ -1667,6 +1636,9 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 				return err
 			}
 		}
+	}
+	if ctx.Stage == nil && wave != nil {
+		return wave.run()
 	}
 	return nil
 }

@@ -132,6 +132,7 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		// before firing members.
 		sort.Slice(fired, func(i, j int) bool { return fired[i].key < fired[j].key })
 		g.stats.deltaRows.Add(int64(len(fired)))
+		wave := e.firingWave(ctx)
 		for _, p := range fired {
 			row := make(xqgm.Tuple, 0, 2*vw)
 			row = append(row, p.new...)
@@ -164,10 +165,13 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 					New:     p.new[g.nav.NodeCol].AsNode(),
 					Args:    avals,
 				}
-				if err := e.stageOrDeliver(ctx, ti.Spec.ActionFn, inv); err != nil {
+				if err := e.stageOrDeliver(ctx, wave, ti.Spec.ActionFn, inv); err != nil {
 					return err
 				}
 			}
+		}
+		if ctx.Stage == nil && wave != nil {
+			return wave.run()
 		}
 		return nil
 	}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
 	"quark/internal/dispatch"
+	"quark/internal/obs"
 	"quark/internal/outbox"
 	"quark/internal/reldb"
 	"quark/internal/schema"
@@ -285,6 +288,14 @@ func TestOutboxLogOrderMatchesDeliveryOrder(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+	checkDeliveryOrderIsLogOrder(t, lg, sink)
+}
+
+// checkDeliveryOrderIsLogOrder requires every trigger's delivery order at
+// the sink to equal its order in the log, and returns the log's record
+// count.
+func checkDeliveryOrderIsLogOrder(t *testing.T, lg *outbox.Log, sink *outbox.PartitionedSink) int {
+	t.Helper()
 	all, err := lg.Records(1)
 	if err != nil {
 		t.Fatal(err)
@@ -303,5 +314,178 @@ func TestOutboxLogOrderMatchesDeliveryOrder(t *testing.T) {
 				t.Fatalf("trigger %s: delivery %d has seq %d, log has %d", trig, i, r.Seq, want[i])
 			}
 		}
+	}
+	return len(all)
+}
+
+// TestStatementWaveIsOneAppend: a statement-level write's activations reach
+// the log as one group append — N records from one segment write, with
+// consecutive sequences in activation order — and a kill-and-restart
+// Replay redelivers what was left unacknowledged in that same order.
+func TestStatementWaveIsOneAppend(t *testing.T) {
+	const triggers, updates = 5, 3
+	dir := t.TempDir()
+	reg := obs.New()
+	lg, err := outbox.Open(dir, outbox.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newWatchedEngine(t, triggers)
+	live := outbox.NewPartitionedSink(2)
+	live.FailFor = func(trig string) bool { return trig == "W1" || trig == "W3" }
+	if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 2, QueueCap: 64, Policy: dispatch.Block}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableOutbox(lg, live); err != nil {
+		t.Fatal(err)
+	}
+	segmentWrites := func() int64 { return reg.Snapshot().Histograms["quark_outbox_append_ns"].Count }
+	for i := 0; i < updates; i++ {
+		appended, writes := lg.Stats().Appended, segmentWrites()
+		if err := bumpPrice(e, "QRK", 50+float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := lg.Stats().Appended - appended; got != triggers {
+			t.Fatalf("update %d appended %d records, want %d", i, got, triggers)
+		}
+		if got := segmentWrites() - writes; got != 1 {
+			t.Fatalf("update %d took %d segment writes, want 1 for the whole firing", i, got)
+		}
+	}
+	e.Drain()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := lg.Records(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != triggers*updates {
+		t.Fatalf("log holds %d records, want %d", len(all), triggers*updates)
+	}
+	for i, r := range all {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d: a firing's sequences must be consecutive", i, r.Seq)
+		}
+		// Activation order within a firing: the grouped plan's trigger ids,
+		// ascending.
+		if want := fmt.Sprintf("W%d", i%triggers); r.Trigger != want {
+			t.Fatalf("record %d belongs to %s, want %s", i, r.Trigger, want)
+		}
+	}
+	if err := lg.Close(); err != nil { // the crash: only the descriptors close
+		t.Fatal(err)
+	}
+
+	lg2, err := outbox.Open(dir, outbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	replay := outbox.NewPartitionedSink(2)
+	if _, err := lg2.Replay(replay); err != nil {
+		t.Fatal(err)
+	}
+	for _, trig := range []string{"W1", "W3"} {
+		recs := replay.ByTrigger(trig)
+		if len(recs) != updates {
+			t.Fatalf("trigger %s: replayed %d records, want the %d its sink refused", trig, len(recs), updates)
+		}
+		for i, r := range recs {
+			if want := all[i*triggers+int(trig[1]-'0')].Seq; r.Seq != want {
+				t.Fatalf("trigger %s: replayed delivery %d has seq %d, log order says %d", trig, i, r.Seq, want)
+			}
+		}
+	}
+	if lg2.Acked() != triggers*updates {
+		t.Fatalf("watermark after replay = %d, want %d", lg2.Acked(), triggers*updates)
+	}
+}
+
+// TestStatementWaveAppendErrorDeliversNone: a firing whose group append
+// fails fails its statement and delivers nothing — the firing's records are
+// a unit, never a delivered prefix.
+func TestStatementWaveAppendErrorDeliversNone(t *testing.T) {
+	const triggers = 5
+	dir := t.TempDir()
+	// One-byte segments: every append must rotate to a fresh segment file.
+	lg, err := outbox.Open(dir, outbox.Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	e := newWatchedEngine(t, triggers)
+	sink := outbox.NewPartitionedSink(1)
+	if err := e.EnableOutbox(lg, sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := bumpPrice(e, "QRK", 1); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Total() != triggers || lg.Stats().Segments != 1 {
+		t.Fatalf("healthy firing: delivered %d into %d segments, want %d records in 1 segment", sink.Total(), lg.Stats().Segments, triggers)
+	}
+	if err := os.RemoveAll(dir); err != nil { // the next rotation cannot create its file
+		t.Fatal(err)
+	}
+	if err := bumpPrice(e, "QRK", 2); err == nil {
+		t.Fatal("statement succeeded although its firing could not be appended")
+	}
+	if st := lg.Stats(); sink.Total() != triggers || st.Appended != triggers {
+		t.Fatalf("after the failed append: delivered %d, appended %d; want both still %d", sink.Total(), st.Appended, triggers)
+	}
+}
+
+// TestStatementWavesKeepLogOrder: two goroutines write disjoint tables, so
+// their firings' waves run truly concurrently, and with 40 triggers a side
+// the waves contend for the same delivery stripes. Each trigger's delivery
+// order must still equal its log order.
+func TestStatementWavesKeepLogOrder(t *testing.T) {
+	const perSide, updates = 40, 25
+	lg, err := outbox.Open(t.TempDir(), outbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	e, _, _ := newTwoMarketEngine(t, ModeGrouped)
+	for i := 0; i < perSide; i++ {
+		for _, side := range []string{"A", "B"} {
+			src := fmt.Sprintf(`CREATE TRIGGER W%s%d AFTER UPDATE ON view('v%s')/q%s DO act%s(NEW_NODE)`,
+				side, i, side, strings.ToLower(side), side)
+			if err := e.CreateTrigger(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sink := outbox.NewPartitionedSink(2)
+	if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 4, QueueCap: 64, Policy: dispatch.Block}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableOutbox(lg, sink); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, tbl := range []string{"quoteA", "quoteB"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < updates; i++ {
+				if _, err := e.UpdateByPK(tbl, []xdm.Value{xdm.Str("X1")}, setQuotePrice(float64(i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e.Drain()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := checkDeliveryOrderIsLogOrder(t, lg, sink), 2*(perSide+1)*updates; got != want {
+		t.Fatalf("log holds %d records, want %d", got, want)
 	}
 }

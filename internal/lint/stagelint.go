@@ -19,7 +19,9 @@ import (
 // static call graph inside the package and flags any path that reaches
 // a delivery primitive:
 //
-//   - core.(*Engine).deliver / deliverDurable (sink or dispatcher)
+//   - core.(*Engine).deliver (sink or dispatcher)
+//   - core.(*deliveryWave).run (durable delivery: group append, then
+//     sink or dispatcher)
 //   - core.(*Engine).obAppendBatch (outbox group append)
 //   - outbox.(*Log).Append / AppendBatch
 //   - dispatch.(*Dispatcher).Enqueue
@@ -48,7 +50,7 @@ type stageBanned struct {
 
 var stageBannedSet = []stageBanned{
 	{"internal/core", "Engine", "deliver", "sink/dispatcher delivery"},
-	{"internal/core", "Engine", "deliverDurable", "durable delivery"},
+	{"internal/core", "deliveryWave", "run", "durable delivery wave"},
 	{"internal/core", "Engine", "obAppendBatch", "outbox group append"},
 	{"internal/outbox", "Log", "Append", "outbox append"},
 	{"internal/outbox", "Log", "AppendBatch", "outbox append"},

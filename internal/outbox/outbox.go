@@ -90,6 +90,10 @@ const (
 	deadFileName = "dead.log"
 	failFileName = "failures"
 	frameHeader  = 8 // u32 payload length + u32 CRC32 (little-endian)
+
+	// maxScratchBytes bounds the frame buffer a Log keeps between appends,
+	// so one outsized batch does not pin its buffer for the log's lifetime.
+	maxScratchBytes = 1 << 20
 )
 
 // Log is an append-only outbox over one directory. All methods are safe
@@ -113,6 +117,7 @@ type Log struct {
 	ackF      *os.File
 	appended  int64
 	closed    bool
+	scratch   []byte // AppendBatch's frame buffer, reused across appends
 
 	// om, when non-nil, holds resolved metric handles plus the registry
 	// for event emission (see AttachObs). Nil is the disabled fast path.
@@ -354,22 +359,24 @@ func truncateTo(path string, size int64) (dropped int64, err error) {
 	return fi.Size() - size, os.Truncate(path, size)
 }
 
-// encodeFrame renders one record's length+CRC frame.
-func encodeFrame(rec *wire.Record) []byte {
-	return Frame(wire.Encode(rec))
+// encodeFrame appends one record's length+CRC frame to dst. The payload is
+// encoded in place behind its header, so framing a record copies nothing.
+func encodeFrame(dst []byte, rec *wire.Record) []byte {
+	at := len(dst)
+	var header [frameHeader]byte
+	dst = wire.AppendEncode(append(dst, header[:]...), rec)
+	payload := dst[at+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // Append assigns the record the next sequence number, writes it to the
 // active segment, and returns the sequence. The record's Seq field is set
 // to the assigned value before encoding, so the log is self-describing.
 func (l *Log) Append(rec *wire.Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.readyLocked(); err != nil {
-		return 0, err
-	}
-	rec.Seq = l.nextSeq
-	return l.writeFramesLocked(encodeFrame(rec), 1)
+	recs := [1]*wire.Record{rec}
+	return l.AppendBatch(recs[:])
 }
 
 // AppendBatch is the group-commit append: every record is assigned a
@@ -391,11 +398,13 @@ func (l *Log) AppendBatch(recs []*wire.Record) (uint64, error) {
 	if err := l.readyLocked(); err != nil {
 		return 0, err
 	}
-	first := l.nextSeq
-	var buf []byte
+	buf := l.scratch[:0]
 	for i, rec := range recs {
-		rec.Seq = first + uint64(i)
-		buf = append(buf, encodeFrame(rec)...)
+		rec.Seq = l.nextSeq + uint64(i)
+		buf = encodeFrame(buf, rec)
+	}
+	if cap(buf) <= maxScratchBytes {
+		l.scratch = buf
 	}
 	return l.writeFramesLocked(buf, uint64(len(recs)))
 }
@@ -648,7 +657,7 @@ func (l *Log) appendDeadLocked(rec *wire.Record) error {
 		}
 		l.deadF = f
 	}
-	frame := encodeFrame(rec)
+	frame := encodeFrame(nil, rec)
 	if _, err := l.deadF.Write(frame); err != nil {
 		return err
 	}
@@ -752,7 +761,7 @@ func (l *Log) rewriteDeadLocked(keep []*wire.Record) error {
 	}
 	var buf []byte
 	for _, rec := range keep {
-		buf = append(buf, encodeFrame(rec)...)
+		buf = encodeFrame(buf, rec)
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {

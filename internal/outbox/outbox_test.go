@@ -3,6 +3,7 @@ package outbox
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -324,6 +325,52 @@ func TestFileSinkEmitsJSONLines(t *testing.T) {
 		if r.Trigger != "json" || r.Seq != uint64(i+1) {
 			t.Errorf("line %d decoded to trigger=%s seq=%d", i, r.Trigger, r.Seq)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector's instrumentation
+// allocates (and makes sync.Pool drop buffers), so allocation counts mean
+// nothing under -race.
+var raceEnabled bool
+
+// TestDeliveryPathSteadyStateAllocations pins the encode-in-place
+// mechanism: once their buffers have grown, a file sink's Deliver (JSON
+// line into a pooled buffer) and the log's group append (frames built in
+// the log's scratch buffer) allocate nothing per record.
+func TestDeliveryPathSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := make([]*wire.Record, 20)
+	for i := range recs {
+		recs[i] = rec("alloc", i)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendBatch of 20 records allocates %.0f objects in steady state, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := l.Append(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Append allocates %.0f objects in steady state, want 0", n)
+	}
+	s := NewFileSink(io.Discard)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.Deliver(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FileSink.Deliver allocates %.0f objects in steady state, want 0", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package outbox
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -28,24 +27,27 @@ func (f SinkFunc) Deliver(rec *wire.Record) error { return f(rec) }
 // process (tail -f, jq, another language) needs no live engine to act on
 // the stream.
 type FileSink struct {
-	mu sync.Mutex
-	w  io.Writer
+	bufs sync.Pool // *[]byte line buffers, so steady-state Deliver allocates nothing
+	mu   sync.Mutex
+	w    io.Writer
 }
 
 // NewFileSink wraps w. The sink serializes writes, so w needs no locking
 // of its own.
 func NewFileSink(w io.Writer) *FileSink { return &FileSink{w: w} }
 
-// Deliver implements Sink.
+// Deliver implements Sink. The line is encoded before the lock is taken:
+// concurrent deliveries encode in parallel and serialize only the write.
 func (s *FileSink) Deliver(rec *wire.Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	bp, _ := s.bufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	b = append(b, '\n')
+	*bp = append(wire.AppendJSON((*bp)[:0], rec), '\n')
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err = s.w.Write(b)
+	_, err := s.w.Write(*bp)
+	s.mu.Unlock()
+	s.bufs.Put(bp)
 	return err
 }
 

@@ -13,8 +13,9 @@
 //
 //   - a compact length-prefixed binary form (Encode/Decode), used by the
 //     outbox segment log, deterministic byte-for-byte for equal records;
-//   - a JSON form (MarshalJSON/UnmarshalJSON), for file/pipe consumers
-//     that want self-describing deltas greppable without this package.
+//   - a JSON form (AppendJSON/MarshalJSON/UnmarshalJSON), for file/pipe
+//     consumers that want self-describing deltas greppable without this
+//     package.
 package wire
 
 import (
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"quark/internal/reldb"
 	"quark/internal/xdm"
@@ -497,7 +499,8 @@ func valueEqual(a, b xdm.Value) bool {
 
 // jsonRecord is the JSON shape of a Record: every field self-describing,
 // large integers carried as strings so no consumer mangles them through
-// float64.
+// float64. UnmarshalJSON decodes through these structs; AppendJSON writes
+// the same shape by hand.
 type jsonRecord struct {
 	Seq     uint64      `json:"seq"`
 	Trigger string      `json:"trigger"`
@@ -525,20 +528,193 @@ type jsonValue struct {
 	Seq   []jsonValue `json:"seq,omitempty"`
 }
 
-// MarshalJSON renders the record in the self-describing JSON form. The
-// output is deterministic: field order is fixed by the struct layout,
-// ints are decimal strings, and floats are the hex digits of their IEEE
-// bit pattern (see toJSONValue) so no consumer mangles them through a
-// decimal round trip.
+// MarshalJSON renders the record in the self-describing JSON form; see
+// AppendJSON.
 func (r *Record) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonRecord{
-		Seq:     r.Seq,
-		Trigger: r.Trigger,
-		Event:   r.Event.String(),
-		Old:     toJSONNode(r.Old),
-		New:     toJSONNode(r.New),
-		Args:    toJSONValues(r.Args),
-	})
+	return AppendJSON(nil, r), nil
+}
+
+// AppendJSON appends the record's JSON form to dst and returns the extended
+// slice. It walks the record once and writes straight into dst — no
+// intermediate tree, no reflection — producing exactly the bytes
+// json.Marshal produces for the jsonRecord shape: fixed field order; empty
+// names, texts, attribute and child lists, sequences and absent OLD/NEW
+// nodes omitted; ints as decimal strings; floats as the hex digits of
+// their IEEE bit pattern, so no consumer mangles them through a decimal
+// round trip; strings escaped as appendJSONString describes.
+func AppendJSON(dst []byte, r *Record) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, r.Seq, 10)
+	dst = append(dst, `,"trigger":`...)
+	dst = appendJSONString(dst, r.Trigger)
+	dst = append(dst, `,"event":`...)
+	dst = appendJSONString(dst, r.Event.String())
+	if r.Old != nil {
+		dst = append(dst, `,"old":`...)
+		dst = appendJSONNode(dst, r.Old)
+	}
+	if r.New != nil {
+		dst = append(dst, `,"new":`...)
+		dst = appendJSONNode(dst, r.New)
+	}
+	if len(r.Args) > 0 {
+		dst = append(dst, `,"args":`...)
+		dst = appendJSONValues(dst, r.Args)
+	}
+	return append(dst, '}')
+}
+
+func appendJSONNode(dst []byte, n *xdm.Node) []byte {
+	if n == nil {
+		return append(dst, "null"...)
+	}
+	switch n.Kind {
+	case xdm.ElementNode:
+		dst = append(dst, `{"kind":"elem"`...)
+	case xdm.AttributeNode:
+		dst = append(dst, `{"kind":"attr"`...)
+	default:
+		dst = append(dst, `{"kind":"text"`...)
+	}
+	if n.Name != "" {
+		dst = append(dst, `,"name":`...)
+		dst = appendJSONString(dst, n.Name)
+	}
+	if n.Text != "" {
+		dst = append(dst, `,"text":`...)
+		dst = appendJSONString(dst, n.Text)
+	}
+	if len(n.Attrs) > 0 {
+		dst = append(dst, `,"attrs":[`...)
+		for i, a := range n.Attrs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '[')
+			dst = appendJSONString(dst, a.Name)
+			dst = append(dst, ',')
+			dst = appendJSONString(dst, a.Text)
+			dst = append(dst, ']')
+		}
+		dst = append(dst, ']')
+	}
+	if len(n.Children) > 0 {
+		dst = append(dst, `,"children":[`...)
+		for i, c := range n.Children {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONNode(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+func appendJSONValues(dst []byte, vs []xdm.Value) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONValue(dst, v)
+	}
+	return append(dst, ']')
+}
+
+func appendJSONValue(dst []byte, v xdm.Value) []byte {
+	switch v.Kind() {
+	case xdm.KindBool:
+		if v.AsBool() {
+			return append(dst, `{"kind":"bool","bool":true}`...)
+		}
+		return append(dst, `{"kind":"bool","bool":false}`...)
+	case xdm.KindInt:
+		dst = append(dst, `{"kind":"int","int":"`...)
+		dst = strconv.AppendInt(dst, v.AsInt(), 10)
+		return append(dst, `"}`...)
+	case xdm.KindFloat:
+		// Hex float form: exact bits, no shortest-representation parsing
+		// subtleties across JSON implementations.
+		dst = append(dst, `{"kind":"float","float":"`...)
+		dst = strconv.AppendUint(dst, math.Float64bits(v.AsFloat()), 16)
+		return append(dst, `"}`...)
+	case xdm.KindString:
+		dst = append(dst, `{"kind":"str","str":`...)
+		dst = appendJSONString(dst, v.AsString())
+		return append(dst, '}')
+	case xdm.KindNode:
+		dst = append(dst, `{"kind":"node","node":`...)
+		dst = appendJSONNode(dst, v.AsNode())
+		return append(dst, '}')
+	case xdm.KindSeq:
+		seq := v.AsSeq()
+		if len(seq) == 0 {
+			return append(dst, `{"kind":"seq"}`...)
+		}
+		dst = append(dst, `{"kind":"seq","seq":`...)
+		dst = appendJSONValues(dst, seq)
+		return append(dst, '}')
+	default:
+		return append(dst, `{"kind":"null"}`...)
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal, escaped exactly as
+// json.Marshal escapes it (HTML escaping on): a backslash before `"` and
+// `\`; \b \f \n \r \t in their short forms; \u00XX for every other byte
+// below 0x20 and for `<`, `>` and `&`; \u2028 and \u2029 for the two
+// JavaScript line separators; \ufffd for each byte of invalid UTF-8.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // UnmarshalJSON parses the JSON form produced by MarshalJSON.
@@ -551,18 +727,19 @@ func (r *Record) UnmarshalJSON(b []byte) error {
 	if err != nil {
 		return err
 	}
+	oldNode, err := fromJSONNode(jr.Old)
+	if err != nil {
+		return err
+	}
+	newNode, err := fromJSONNode(jr.New)
+	if err != nil {
+		return err
+	}
 	args, err := fromJSONValues(jr.Args)
 	if err != nil {
 		return err
 	}
-	*r = Record{
-		Seq:     jr.Seq,
-		Trigger: jr.Trigger,
-		Event:   ev,
-		Old:     fromJSONNode(jr.Old),
-		New:     fromJSONNode(jr.New),
-		Args:    args,
-	}
+	*r = Record{Seq: jr.Seq, Trigger: jr.Trigger, Event: ev, Old: oldNode, New: newNode, Args: args}
 	return nil
 }
 
@@ -575,33 +752,11 @@ func parseEvent(s string) (reldb.Event, error) {
 	return 0, fmt.Errorf("wire: unknown event %q", s)
 }
 
-func toJSONNode(n *xdm.Node) *jsonNode {
-	if n == nil {
-		return nil
-	}
-	jn := &jsonNode{Name: n.Name, Text: n.Text}
-	switch n.Kind {
-	case xdm.ElementNode:
-		jn.Kind = "elem"
-	case xdm.AttributeNode:
-		jn.Kind = "attr"
-	default:
-		jn.Kind = "text"
-	}
-	for _, a := range n.Attrs {
-		jn.Attrs = append(jn.Attrs, [2]string{a.Name, a.Text})
-	}
-	for _, c := range n.Children {
-		jn.Children = append(jn.Children, toJSONNode(c))
-	}
-	return jn
-}
-
 // fromJSONNode needs no explicit depth cap: encoding/json itself rejects
 // documents nested deeper than 10000, which bounds this recursion.
-func fromJSONNode(jn *jsonNode) *xdm.Node {
+func fromJSONNode(jn *jsonNode) (*xdm.Node, error) {
 	if jn == nil {
-		return nil
+		return nil, nil
 	}
 	n := &xdm.Node{Name: jn.Name, Text: jn.Text}
 	switch jn.Kind {
@@ -609,52 +764,22 @@ func fromJSONNode(jn *jsonNode) *xdm.Node {
 		n.Kind = xdm.ElementNode
 	case "attr":
 		n.Kind = xdm.AttributeNode
-	default:
+	case "text":
 		n.Kind = xdm.TextNode
+	default:
+		return nil, fmt.Errorf("wire: unknown node kind %q", jn.Kind)
 	}
 	for _, a := range jn.Attrs {
 		n.Attrs = append(n.Attrs, xdm.Attr(a[0], a[1]))
 	}
-	for _, c := range jn.Children {
-		n.Children = append(n.Children, fromJSONNode(c))
+	for _, jc := range jn.Children {
+		c, err := fromJSONNode(jc)
+		if err != nil {
+			return nil, err
+		}
+		n.Children = append(n.Children, c)
 	}
-	return n
-}
-
-func toJSONValues(vs []xdm.Value) []jsonValue {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]jsonValue, len(vs))
-	for i, v := range vs {
-		out[i] = toJSONValue(v)
-	}
-	return out
-}
-
-func toJSONValue(v xdm.Value) jsonValue {
-	switch v.Kind() {
-	case xdm.KindBool:
-		b := v.AsBool()
-		return jsonValue{Kind: "bool", Bool: &b}
-	case xdm.KindInt:
-		s := fmt.Sprintf("%d", v.AsInt())
-		return jsonValue{Kind: "int", Int: &s}
-	case xdm.KindFloat:
-		// Hex float form: exact bits, no shortest-representation parsing
-		// subtleties across JSON implementations.
-		s := fmt.Sprintf("%x", math.Float64bits(v.AsFloat()))
-		return jsonValue{Kind: "float", Float: &s}
-	case xdm.KindString:
-		s := v.AsString()
-		return jsonValue{Kind: "str", Str: &s}
-	case xdm.KindNode:
-		return jsonValue{Kind: "node", Node: toJSONNode(v.AsNode())}
-	case xdm.KindSeq:
-		return jsonValue{Kind: "seq", Seq: toJSONValues(v.AsSeq())}
-	default:
-		return jsonValue{Kind: "null"}
-	}
+	return n, nil
 }
 
 func fromJSONValues(js []jsonValue) ([]xdm.Value, error) {
@@ -706,7 +831,11 @@ func fromJSONValue(jv jsonValue) (xdm.Value, error) {
 		}
 		return xdm.Str(*jv.Str), nil
 	case "node":
-		return xdm.NodeVal(fromJSONNode(jv.Node)), nil
+		if jv.Node == nil {
+			return xdm.Null, fmt.Errorf("wire: node value missing payload")
+		}
+		n, err := fromJSONNode(jv.Node)
+		return xdm.NodeVal(n), err
 	case "seq":
 		vs, err := fromJSONValues(jv.Seq)
 		if err != nil {

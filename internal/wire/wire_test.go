@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -152,6 +154,9 @@ func FuzzJSON(f *testing.F) {
 		b, _ := json.Marshal(r)
 		f.Add(b)
 	}
+	for _, src := range malformedJSONNodes {
+		f.Add([]byte(src))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var r Record
 		if err := json.Unmarshal(b, &r); err != nil {
@@ -178,10 +183,207 @@ func TestJSONRejectsMalformedPayloads(t *testing.T) {
 		"unknown event":          `{"trigger":"t","event":"TRUNCATE"}`,
 		"unknown value kind":     `{"trigger":"t","event":"INSERT","args":[{"kind":"blob"}]}`,
 	}
+	for i, src := range malformedJSONNodes {
+		cases[fmt.Sprintf("malformed node %d", i)] = src
+	}
 	for name, src := range cases {
 		var r Record
 		if err := r.UnmarshalJSON([]byte(src)); err == nil {
 			t.Errorf("%s: UnmarshalJSON accepted %s", name, src)
 		}
 	}
+}
+
+// malformedJSONNodes are inputs the JSON decoder used to accept: an unknown
+// node kind became a text node that kept its attrs and children (and
+// re-encoded as "kind":"text"), and a node value without its payload
+// decoded to Null where every other kind reports a missing payload.
+var malformedJSONNodes = []string{
+	`{"trigger":"t","event":"INSERT","new":{"kind":"bogus","children":[{"kind":"text","text":"x"}]}}`,
+	`{"trigger":"t","event":"INSERT","new":{"kind":"elem","name":"a","children":[{"name":"b"}]}}`,
+	`{"trigger":"t","event":"INSERT","args":[{"kind":"node","node":{"kind":"bogus","attrs":[["a","1"]]}}]}`,
+	`{"trigger":"t","event":"INSERT","args":[{"kind":"node"}]}`,
+}
+
+// --- reference JSON encoder ---
+//
+// The reflection-based encoder AppendJSON replaced, kept verbatim as the
+// differential reference: a mirror tree of the jsonRecord structs handed
+// to encoding/json.
+
+func referenceJSON(r *Record) ([]byte, error) {
+	return json.Marshal(jsonRecord{
+		Seq:     r.Seq,
+		Trigger: r.Trigger,
+		Event:   r.Event.String(),
+		Old:     toJSONNode(r.Old),
+		New:     toJSONNode(r.New),
+		Args:    toJSONValues(r.Args),
+	})
+}
+
+func toJSONNode(n *xdm.Node) *jsonNode {
+	if n == nil {
+		return nil
+	}
+	jn := &jsonNode{Name: n.Name, Text: n.Text}
+	switch n.Kind {
+	case xdm.ElementNode:
+		jn.Kind = "elem"
+	case xdm.AttributeNode:
+		jn.Kind = "attr"
+	default:
+		jn.Kind = "text"
+	}
+	for _, a := range n.Attrs {
+		jn.Attrs = append(jn.Attrs, [2]string{a.Name, a.Text})
+	}
+	for _, c := range n.Children {
+		jn.Children = append(jn.Children, toJSONNode(c))
+	}
+	return jn
+}
+
+func toJSONValues(vs []xdm.Value) []jsonValue {
+	if len(vs) == 0 {
+		return nil
+	}
+	out := make([]jsonValue, len(vs))
+	for i, v := range vs {
+		out[i] = toJSONValue(v)
+	}
+	return out
+}
+
+func toJSONValue(v xdm.Value) jsonValue {
+	switch v.Kind() {
+	case xdm.KindBool:
+		b := v.AsBool()
+		return jsonValue{Kind: "bool", Bool: &b}
+	case xdm.KindInt:
+		s := fmt.Sprintf("%d", v.AsInt())
+		return jsonValue{Kind: "int", Int: &s}
+	case xdm.KindFloat:
+		// Hex float form: exact bits, no shortest-representation parsing
+		// subtleties across JSON implementations.
+		s := fmt.Sprintf("%x", math.Float64bits(v.AsFloat()))
+		return jsonValue{Kind: "float", Float: &s}
+	case xdm.KindString:
+		s := v.AsString()
+		return jsonValue{Kind: "str", Str: &s}
+	case xdm.KindNode:
+		return jsonValue{Kind: "node", Node: toJSONNode(v.AsNode())}
+	case xdm.KindSeq:
+		return jsonValue{Kind: "seq", Seq: toJSONValues(v.AsSeq())}
+	default:
+		return jsonValue{Kind: "null"}
+	}
+}
+
+// checkAppendJSON is the encoder's contract on one record: byte-identical
+// to the reference encoder and to json.Marshal (which re-scans
+// MarshalJSON's output), appended after whatever dst already holds, valid
+// JSON, and decoding back to an equal record.
+func checkAppendJSON(t *testing.T, r *Record) {
+	t.Helper()
+	want, err := referenceJSON(r)
+	if err != nil {
+		t.Fatalf("reference encoder: %v", err)
+	}
+	got := AppendJSON(nil, r)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendJSON differs from the reference encoder\n got: %s\nwant: %s", got, want)
+	}
+	if !json.Valid(got) {
+		t.Fatalf("AppendJSON wrote invalid JSON: %s", got)
+	}
+	if viaMarshal, err := json.Marshal(r); err != nil || !bytes.Equal(viaMarshal, want) {
+		t.Fatalf("json.Marshal differs from the reference encoder (err %v)\n got: %s\nwant: %s", err, viaMarshal, want)
+	}
+	if ext := AppendJSON([]byte("prefix"), r); !bytes.Equal(ext, append([]byte("prefix"), want...)) {
+		t.Fatalf("AppendJSON did not append after dst's contents: %s", ext)
+	}
+	var back Record
+	if err := back.UnmarshalJSON(got); err != nil {
+		t.Fatalf("UnmarshalJSON of AppendJSON output: %v\n%s", err, got)
+	}
+	// Invalid UTF-8 is the one lossy case: JSON strings are Unicode, so each
+	// bad byte reads back as U+FFFD, after which the round trip is exact.
+	want2 := r
+	if bytes.Contains(got, []byte(`\ufffd`)) {
+		want2 = new(Record)
+		if err := want2.UnmarshalJSON(AppendJSON(nil, &back)); err != nil {
+			t.Fatalf("UnmarshalJSON of re-encoded record: %v", err)
+		}
+	}
+	if !Equal(want2, &back) {
+		t.Fatalf("JSON round trip changed the record\n in: %+v\njson: %s\nout: %+v", r, got, &back)
+	}
+}
+
+// adversarialStrings exercise every branch of json.Marshal's string
+// escaping.
+func adversarialStrings() []string {
+	ss := []string{
+		"", " ", "\t\n ", "plain", `"quoted" \back\slash/`,
+		"<script>alert('&amp;')</script>", "a\u2028b\u2029c", "\u2027\u202a",
+		"\x7f", "\xff", "\xc3", "\xc3\x28", "ok\xe2\x80", "\xed\xa0\x80", "\xed\xbf\xbf", // lone surrogate halves
+		"\xf4\x90\x80\x80", "\ufffd", "é世\U0001F600", "\x00mid\x00", "tail\\",
+	}
+	for b := 0; b < 0x20; b++ {
+		ss = append(ss, string([]byte{byte(b)}), "x"+string([]byte{byte(b)})+"y")
+	}
+	return ss
+}
+
+func TestAppendJSONMatchesReference(t *testing.T) {
+	for _, r := range sampleRecords() {
+		checkAppendJSON(t, r)
+	}
+	for _, s := range adversarialStrings() {
+		node := xdm.Elem(s, xdm.Attr(s, s), xdm.TextNd(s), xdm.Elem("c", xdm.TextNd(s)))
+		checkAppendJSON(t, &Record{Trigger: s, Event: reldb.EvUpdate, Old: node, New: xdm.TextNd(s),
+			Args: []xdm.Value{xdm.Str(s), xdm.NodeVal(xdm.Attr(s, s)), xdm.Seq([]xdm.Value{xdm.Str(s)})}})
+	}
+	values := []xdm.Value{
+		xdm.Float(math.NaN()), xdm.Float(math.Inf(1)), xdm.Float(math.Inf(-1)),
+		xdm.Float(math.Copysign(0, -1)), xdm.Float(0), xdm.Float(math.SmallestNonzeroFloat64),
+		xdm.Int(math.MinInt64), xdm.Int(math.MaxInt64), xdm.Int(0), xdm.Int(-1),
+		xdm.Seq(nil), xdm.Seq([]xdm.Value{}), xdm.Seq([]xdm.Value{xdm.Seq(nil), xdm.Seq([]xdm.Value{xdm.Seq(nil)})}),
+		xdm.Seq([]xdm.Value{xdm.Null, xdm.True, xdm.NodeVal(xdm.TextNd(" "))}),
+		xdm.NodeVal(nil), xdm.NodeVal(xdm.TextNd("")), xdm.NodeVal(xdm.Elem("")), xdm.NodeVal(xdm.Attr("", "")),
+	}
+	checkAppendJSON(t, &Record{Seq: math.MaxUint64, Event: reldb.EvDelete, Args: values})
+	for _, v := range values {
+		checkAppendJSON(t, &Record{Args: []xdm.Value{v}})
+	}
+	// Shapes only hand-built trees have: an element carrying text, an
+	// attribute carrying children, a nil child, an event outside the enum.
+	odd := &xdm.Node{Kind: xdm.AttributeNode, Name: "a", Text: "t",
+		Attrs:    []*xdm.Node{xdm.Attr("k", "v")},
+		Children: []*xdm.Node{{Kind: xdm.ElementNode, Name: "e", Text: "elem text"}, nil}}
+	if want, err := referenceJSON(&Record{Event: 9, Old: odd}); err != nil {
+		t.Fatal(err)
+	} else if got := AppendJSON(nil, &Record{Event: 9, Old: odd}); !bytes.Equal(got, want) {
+		t.Fatalf("hand-built tree\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// FuzzAppendJSON lets the fuzzer build the record — by decoding its input
+// through the binary codec — and holds AppendJSON to the reference encoder
+// on whatever comes out.
+func FuzzAppendJSON(f *testing.F) {
+	for _, r := range sampleRecords() {
+		f.Add(Encode(r))
+	}
+	for _, s := range adversarialStrings() {
+		f.Add(Encode(&Record{Trigger: s, Old: xdm.Elem(s, xdm.Attr(s, s), xdm.TextNd(s)), Args: []xdm.Value{xdm.Str(s)}}))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := Decode(b)
+		if err != nil {
+			return
+		}
+		checkAppendJSON(t, r)
+	})
 }
