@@ -571,11 +571,11 @@ func figCompile() {
 // figAdaptive exercises the cost-based planner on a skewed two-family
 // trigger population: the standard name-selective triggers (one
 // structural group, 100 members) plus a structurally distinct
-// nested-aggregate family over the same view. Static engines run every
-// group in one engine-wide mode; the adaptive engine starts in the WORST
+// nested-aggregate family over the same view. Static engines keep every
+// group in the mode they were built with — MATERIALIZED among them, as the
+// paper's ablation row; the adaptive engine starts in the WORST translated
 // mode (UNGROUPED — one plan per member) and must climb out on its own:
-// the planner re-picks per-group modes from live GroupStats, under a
-// memory budget deliberately too small to materialize every group.
+// the planner re-picks per-group modes from live GroupStats.
 //
 // All systems are measured in interleaved rounds — round-robin blocks of
 // updates over engines built up front — so environment noise (a shared
@@ -583,9 +583,8 @@ func figCompile() {
 // stays meaningful. Re-plans run inside the adaptive system's measured
 // blocks: live migrations are part of its cost, not free.
 //
-// The run fails (exit 1) if the adaptive engine's materialized footprint
-// exceeds its budget, or if its throughput falls below 3/4 of the best
-// static mode — the cost model found the wrong modes.
+// The run fails (exit 1) if the adaptive engine's throughput falls below
+// 3/4 of the best static mode — the cost model found the wrong modes.
 func figAdaptive() {
 	curFig = "adaptive"
 	p := defaults()
@@ -626,9 +625,8 @@ func figAdaptive() {
 	}
 	fmt.Printf("\nAdaptive sweep: skewed workload — %d selective + %d nested-agg triggers, two structural groups\n",
 		p.NumTriggers, adaptiveAggTriggers)
-	var budget int64
 	for _, s := range systems {
-		w, err := buildSkewed(p, modes[s.name], s.adaptive)
+		w, err := buildSkewed(p, modes[s.name])
 		if err != nil {
 			fail(err)
 		}
@@ -644,15 +642,7 @@ func figAdaptive() {
 			}
 		}
 		if s.adaptive {
-			// Budget: 60% of the total estimated footprint — the bigger
-			// group fits, both together never do.
-			for _, g := range w.Engine.GroupStats() {
-				budget += g.EstSnapshotBytes
-			}
-			budget = budget * 6 / 10
-			if err := w.Engine.SetModePolicy(planner.New(planner.Config{MemoryBudget: budget})); err != nil {
-				fail(err)
-			}
+			w.Engine.SetModePolicy(planner.New(planner.Config{}))
 			// Convergence is warm-up: the escape from UNGROUPED (plan
 			// rebuilds included) happens here, and the measured rounds then
 			// see the adaptive engine in steady state — where the periodic
@@ -675,6 +665,10 @@ func figAdaptive() {
 	const rounds = 10
 	for r := 0; r < rounds; r++ {
 		for _, s := range systems {
+			// Each block starts from a collected heap, or it pays for the
+			// block before it: adaptive follows MATERIALIZED, whose every
+			// update leaves a whole evaluated view behind as garbage.
+			runtime.GC()
 			start := time.Now()
 			for i := 0; i < s.perRound; i++ {
 				if err := s.w.UpdateOneLeaf(); err != nil {
@@ -691,26 +685,18 @@ func figAdaptive() {
 		}
 	}
 
-	fmt.Printf("  %-14s%14s%14s%20s\n", "system", "updates/s", "ms/update", "materialized B")
+	fmt.Printf("  %-14s%14s%14s\n", "system", "updates/s", "ms/update")
 	var best float64
 	var adaptivePerSec float64
-	var adaptiveBytes int64
 	for _, s := range systems {
 		perSec := float64(s.updates) / s.elapsed.Seconds()
-		var matBytes int64
-		for _, g := range s.w.Engine.GroupStats() {
-			matBytes += g.SnapshotBytes
-		}
-		fmt.Printf("  %-14s%14.0f%14.3f%20d\n", s.name, perSec, 1000/perSec, matBytes)
-		pt := benchPoint{"x": "skewed", "updates_per_sec": perSec,
-			"ms_per_update": 1000 / perSec, "materialized_bytes": float64(matBytes)}
+		fmt.Printf("  %-14s%14.0f%14.3f\n", s.name, perSec, 1000/perSec)
 		if s.adaptive {
-			adaptivePerSec, adaptiveBytes = perSec, matBytes
-			pt["budget_bytes"] = float64(budget)
+			adaptivePerSec = perSec
 		} else if perSec > best {
 			best = perSec
 		}
-		recordPoint(s.name, pt)
+		recordPoint(s.name, benchPoint{"x": "skewed", "updates_per_sec": perSec, "ms_per_update": 1000 / perSec})
 	}
 	for _, s := range systems {
 		if s.adaptive {
@@ -720,11 +706,7 @@ func figAdaptive() {
 		}
 	}
 	ratio := adaptivePerSec / best
-	fmt.Printf("  adaptive/best-static: %.2fx, materialized %d of budget %d bytes\n",
-		ratio, adaptiveBytes, budget)
-	if adaptiveBytes > budget {
-		fail(fmt.Errorf("adaptive: materialized %d bytes exceeds budget %d", adaptiveBytes, budget))
-	}
+	fmt.Printf("  adaptive/best-static: %.2fx\n", ratio)
 	if ratio < 0.75 {
 		fail(fmt.Errorf("adaptive: %.2fx of best static — the planner picked wrong modes", ratio))
 	}
@@ -735,14 +717,8 @@ const adaptiveAggTriggers = 8
 
 // buildSkewed builds the standard workload plus the nested-aggregate
 // family; the two families compile into two structural trigger groups.
-func buildSkewed(p workload.Params, mode core.Mode, adaptive bool) (*workload.Setup, error) {
-	var w *workload.Setup
-	var err error
-	if adaptive {
-		w, err = workload.BuildAdaptive(p, mode, 42)
-	} else {
-		w, err = workload.Build(p, mode, 42)
-	}
+func buildSkewed(p workload.Params, mode core.Mode) (*workload.Setup, error) {
+	w, err := workload.Build(p, mode, 42)
 	if err != nil {
 		return nil, err
 	}
@@ -763,14 +739,9 @@ func buildSkewed(p workload.Params, mode core.Mode, adaptive bool) (*workload.Se
 // with the relsql plan shadow attached, every translated plan evaluation is
 // replayed as rendered SQL on a mirrored database (schema sync + transition
 // loads + execution + multiset compare). The sweep reports update cost with
-// the shadow detached vs attached per translation mode. Requires a build
-// with the sqlite tag; otherwise it prints a note and records nothing.
+// the shadow detached vs attached per translation mode.
 func figSqlite() {
 	curFig = "sqlite"
-	if !relsql.Available() {
-		fmt.Println("\nSQLite backend sweep: skipped — rebuild benchrunner with -tags sqlite")
-		return
-	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

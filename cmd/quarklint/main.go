@@ -8,7 +8,7 @@
 //
 // Standalone (does its own `go list` + type-check; no findings = exit 0):
 //
-//	go run ./cmd/quarklint [-tags sqlite] ./...
+//	go run ./cmd/quarklint ./...
 //
 // As a `go vet` backend, speaking the vettool unit protocol
 // (-V=full / -flags handshakes and a vet.cfg compilation unit):

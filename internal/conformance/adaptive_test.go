@@ -14,7 +14,7 @@ import (
 )
 
 // TestGoldenAdaptive is the mixed-mode equivalence suite: every scenario
-// runs on an adaptive engine whose trigger groups are dealt arbitrary
+// runs on an engine whose trigger groups are dealt arbitrary
 // per-group modes (three seeds, so different mixes), with a forced live
 // mode switch before every unit, at shard counts 0/2/4 and across
 // sync/async/replayed delivery — and every combination must come out
@@ -70,7 +70,7 @@ func TestGoldenAdaptive(t *testing.T) {
 
 // TestShardFuzzModeFlips is the seeded differential fuzzer with live mode
 // migrations injected mid-stream: the generated stream interleaves mode
-// flips with updates/inserts/deletes/moves/batches, the adaptive engines
+// flips with updates/inserts/deletes/moves/batches, the subject engines
 // apply them while the oracle ignores them, and the invocation streams
 // must stay byte-identical op for op — across 0/2/4 shards and
 // sync/async/outbox delivery.
@@ -104,7 +104,7 @@ func enableOutbox(a workload.Applier, lg *outbox.Log) error {
 
 // fuzzModeFlipsOne runs one configuration: the oracle is a plain
 // MATERIALIZED single engine that ignores flips entirely; the subject is
-// an adaptive engine (single for shards == 0, a fleet otherwise) that
+// a GROUPED engine (single for shards == 0, a fleet otherwise) that
 // applies every flip as a live two-phase migration.
 func fuzzModeFlipsOne(t *testing.T, p workload.Params, sp workload.StreamParams, shards int, style fuzzStyle, seed int64) {
 	t.Helper()
@@ -134,7 +134,7 @@ func fuzzModeFlipsOne(t *testing.T, p workload.Params, sp workload.StreamParams,
 	var sClose func() error
 	var rowCount func(table string) int
 	if shards == 0 {
-		subject, err := workload.BuildAdaptive(p, core.ModeGrouped, seed)
+		subject, err := workload.Build(p, core.ModeGrouped, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func fuzzModeFlipsOne(t *testing.T, p workload.Params, sp workload.StreamParams,
 			}
 		}
 	} else {
-		subject, err := workload.BuildShardedAdaptive(p, core.ModeGrouped, shards, seed)
+		subject, err := workload.BuildSharded(p, core.ModeGrouped, shards, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

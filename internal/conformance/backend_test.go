@@ -1,5 +1,3 @@
-//go:build sqlite
-
 package conformance
 
 import (
@@ -23,9 +21,6 @@ import (
 // divergence fails the run itself, so passing here means the rendered
 // trigger SQL is executable AND correct for every firing of every scenario.
 func TestSQLiteBackendGoldens(t *testing.T) {
-	if !relsql.Available() {
-		t.Fatal("relsql backend not compiled in despite sqlite build tag")
-	}
 	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg}
 	for _, path := range scenarioFiles(t) {
 		name := scenarioName(path)
@@ -147,7 +142,7 @@ func TestSQLitePlanBaselines(t *testing.T) {
 			}
 			want, err := os.ReadFile(basePath)
 			if err != nil {
-				t.Fatalf("%v (run `go test -tags sqlite ./internal/conformance -run TestSQLitePlanBaselines -update` to create it)", err)
+				t.Fatalf("%v (run `go test ./internal/conformance -run TestSQLitePlanBaselines -update` to create it)", err)
 			}
 			if got != string(want) {
 				t.Errorf("query plan drift vs baseline:\n%s", diffText(string(want), got))

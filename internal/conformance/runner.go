@@ -70,10 +70,9 @@ type RunOpts struct {
 	// goldens: rebalancing is silent data movement, never trigger activity.
 	// Ignored on single-engine runs.
 	Rebalance bool
-	// Adaptive runs the engine with per-group translation modes enabled.
-	// ModeSeed picks the initial per-group mode mix: every trigger group is
-	// assigned an arbitrary mode (derived deterministically from the seed),
-	// so structurally different groups run translated and materialized side
+	// Adaptive deals every trigger group an arbitrary mode before the
+	// script runs (derived deterministically from ModeSeed), so
+	// structurally different groups run translated and materialized side
 	// by side. The log must STILL come out byte-identical to the
 	// single-engine MATERIALIZED goldens — the mixed-mode equivalence claim.
 	Adaptive bool
@@ -87,8 +86,7 @@ type RunOpts struct {
 	// (internal/relsql) to the engine: every translated plan evaluation is
 	// replayed as rendered SQL against a mirrored backend database with
 	// real INSERTED_/DELETED_ transition tables, and any result divergence
-	// fails the run. Single-engine styles only. Requires a build with the
-	// sqlite tag (the stub backend errors otherwise).
+	// fails the run. Single-engine styles only.
 	Backend string
 	// BackendVerified, when non-nil, receives the number of plan
 	// evaluations the backend shadow verified during the run.
@@ -125,11 +123,8 @@ type runEngine interface {
 	// rehearseRebalance forces one routing-group migration (the Rebalance
 	// style's injection seam); a no-op on the single engine.
 	rehearseRebalance() error
-	// setAdaptive enables per-group modes (must run before CreateTrigger:
-	// grouping signatures depend on it), groupSigs lists the live groups,
-	// and setGroupModes runs a silent mode migration — the Adaptive and
-	// ModeFlips seams.
-	setAdaptive() error
+	// groupSigs lists the live groups and setGroupModes runs a silent mode
+	// migration — the Adaptive and ModeFlips seams.
 	groupSigs() []string
 	setGroupModes(target map[string]core.Mode) error
 }
@@ -176,7 +171,6 @@ func (r coreRun) armPrepareFail(err error) {
 }
 func (r coreRun) disarmPrepareFail()       { r.e.SetPrepareCheck(nil) }
 func (r coreRun) rehearseRebalance() error { return nil }
-func (r coreRun) setAdaptive() error       { return r.e.SetModePolicy(nil) }
 func (r coreRun) groupSigs() []string      { return r.e.GroupSigs() }
 func (r coreRun) setGroupModes(target map[string]core.Mode) error {
 	_, err := r.e.SetGroupModes(target)
@@ -244,7 +238,6 @@ func (r shardRun) rehearseRebalance() error {
 	return err
 }
 
-func (r shardRun) setAdaptive() error  { return r.e.SetModePolicy(nil) }
 func (r shardRun) groupSigs() []string { return r.e.GroupSigs() }
 func (r shardRun) setGroupModes(target map[string]core.Mode) error {
 	_, err := r.e.SetGroupModes(target)
@@ -289,12 +282,6 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 			_ = sh.Close()
 		}()
 		cr.e.SetPlanShadow(sh)
-	}
-	if opts.Adaptive {
-		// Before any trigger registration: signatures depend on the flag.
-		if err := e.setAdaptive(); err != nil {
-			return "", err
-		}
 	}
 	for _, dr := range sc.Data {
 		if err := e.LoadRow(dr.Table, dr.Row); err != nil {

@@ -3,19 +3,16 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"quark/internal/xqgm"
 )
 
-// This file is the engine's adaptive-mode surface: per-group translation
-// modes as a runtime property, with abort-safe migration between them.
+// This file is the engine's per-group mode surface: a group's translation
+// mode is a runtime property, with abort-safe migration between modes.
 //
 // The paper fixes the translation strategy per system (Section 6 compares
-// UNGROUPED, GROUPED, GROUPED-AGG, and the MATERIALIZED strawman as four
-// engines). An adaptive engine instead treats the engine-global mode as
-// nothing but the default seed for new groups and lets a cost-based
-// policy (internal/planner) re-pick each group's mode from its live
-// groupStats — including mid-workload. The migration protocol reuses the
+// UNGROUPED, GROUPED and GROUPED-AGG as three engines). Here the engine's
+// mode is nothing but the seed for new groups, and a cost-based policy
+// (internal/planner) re-picks each group's mode from its live groupStats —
+// including mid-workload. The migration protocol reuses the
 // silent-transaction machinery built for shard rebalancing: a mode
 // switch is a silent batch that compiles the new plans (evaluating the
 // materialized snapshot if the target mode needs one) while every table
@@ -46,40 +43,14 @@ type GroupStat struct {
 	DeltaRows   int64 `json:"delta_rows"`  // transition rows seen
 	Activations int64 `json:"activations"` // member activations delivered/staged
 	Builds      int64 `json:"builds"`      // plan (re)compilations
-
-	// Measured materialized footprint (0 while the group is translated).
-	SnapshotRows  int64 `json:"snapshot_rows"`
-	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// Estimated footprint were the group MATERIALIZED now, derived from
-	// base-table row counts and the view's output width. The planner's
-	// memory budget is checked against the measured number when present
-	// and this estimate otherwise.
-	EstSnapshotRows  int64 `json:"est_snapshot_rows"`
-	EstSnapshotBytes int64 `json:"est_snapshot_bytes"`
 }
 
-// SetModePolicy switches the engine into adaptive mode and installs the
-// policy Replan consults (nil is allowed: adaptive grouping with manual
-// SetGroupMode control only). Adaptive mode makes trigger-group
-// signatures structural in every translation mode — a group's mode
-// becomes a mutable property instead of part of its identity — so it
-// must be set before any trigger is registered.
-func (e *Engine) SetModePolicy(p ModePolicy) error {
+// SetModePolicy installs the policy Replan consults (nil: manual
+// SetGroupModes control only). It may be called at any time.
+func (e *Engine) SetModePolicy(p ModePolicy) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.triggers) > 0 && !e.adaptive {
-		return fmt.Errorf("core: SetModePolicy after triggers are registered (grouping signatures are already fixed)")
-	}
-	e.adaptive = true
 	e.policy = p
-	return nil
-}
-
-// Adaptive reports whether per-group modes are enabled (SetModePolicy).
-func (e *Engine) Adaptive() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.adaptive
+	e.mu.Unlock()
 }
 
 // SeedGroupMode pre-assigns a mode to a group signature. A group that
@@ -137,54 +108,27 @@ func (e *Engine) GroupMode(sig string) (Mode, bool) {
 	return g.mode, true
 }
 
-// GroupStats samples every group's counters plus a size estimate for
-// materializing it. The estimate reads base-table row counts under read
-// locks (RowCount is not synchronized against writers), acquired in
-// global lockOrder like every other lock path.
+// GroupStats samples every group's counters. It takes the metadata read
+// lock only — never a table lock — so a /metrics scrape or /snapshot does
+// not queue behind an open batch.
 func (e *Engine) GroupStats() []GroupStat {
-	type pending struct {
-		idx    int
-		tables []string
-		width  int
-	}
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	stats := make([]GroupStat, 0, len(e.order))
-	var est []pending
 	for _, sig := range e.order {
 		g := e.groups[sig]
-		gs := GroupStat{
-			Sig:           sig,
-			Mode:          g.mode,
-			ModeName:      g.mode.String(),
-			Members:       len(g.members),
-			Fires:         g.stats.fires.Load(),
-			EvalNS:        g.stats.evalNS.Load(),
-			DeltaRows:     g.stats.deltaRows.Load(),
-			Activations:   g.stats.activations.Load(),
-			Builds:        g.stats.builds.Load(),
-			SnapshotRows:  g.stats.snapRows.Load(),
-			SnapshotBytes: g.stats.snapBytes.Load(),
-		}
-		est = append(est, pending{idx: len(stats), tables: xqgm.Tables(g.nav.Op), width: g.nav.Op.OutWidth()})
-		stats = append(stats, gs)
+		stats = append(stats, GroupStat{
+			Sig:         sig,
+			Mode:        g.mode,
+			ModeName:    g.mode.String(),
+			Members:     len(g.members),
+			Fires:       g.stats.fires.Load(),
+			EvalNS:      g.stats.evalNS.Load(),
+			DeltaRows:   g.stats.deltaRows.Load(),
+			Activations: g.stats.activations.Load(),
+			Builds:      g.stats.builds.Load(),
+		})
 	}
-	unlock := e.acquireLocks(nil, allOf(e.lockOrder))
-	e.mu.RUnlock()
-	for _, p := range est {
-		// The view's cardinality is bounded by a join over its base
-		// tables; the largest base table is a cheap, monotone proxy that
-		// needs no evaluation. Precision matters less than ordering
-		// groups consistently by size.
-		var rows int64
-		for _, t := range p.tables {
-			if n := int64(e.db.RowCount(t)); n > rows {
-				rows = n
-			}
-		}
-		stats[p.idx].EstSnapshotRows = rows
-		stats[p.idx].EstSnapshotBytes = rows * int64(p.width) * bytesPerValue
-	}
-	unlock()
 	return stats
 }
 

@@ -2,45 +2,25 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"quark/internal/fixtures"
+	"quark/internal/obs"
 	"quark/internal/reldb"
 	"quark/internal/xdm"
 )
 
-// newAdaptiveCatalogEngine builds an adaptive engine (per-group modes
-// enabled, no policy) with the two structural trigger families used across
-// these tests: two UPDATE triggers keyed by product name (one group) and
-// one nested-count trigger (second group).
+// newAdaptiveCatalogEngine builds a GROUPED engine (no policy) with the
+// two structural trigger families used across these tests: two UPDATE
+// triggers keyed by product name (one group) and one nested-count trigger
+// (second group).
 func newAdaptiveCatalogEngine(t *testing.T) (*Engine, *[]notification) {
 	t.Helper()
-	db, err := fixtures.OpenPaperDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(db, ModeGrouped)
-	if err := e.SetModePolicy(nil); err != nil {
-		t.Fatal(err)
-	}
-	var log []notification
-	e.RegisterAction("notifySmith", func(inv Invocation) error {
-		n := notification{Trigger: inv.Trigger, Event: inv.Event, Args: len(inv.Args)}
-		if inv.Old != nil {
-			n.OldKey, _ = inv.Old.Attribute("name")
-		}
-		if inv.New != nil {
-			n.NewKey, _ = inv.New.Attribute("name")
-			n.NewXML = inv.New.Serialize(false)
-		}
-		log = append(log, n)
-		return nil
-	})
-	if _, err := e.CreateView("catalog", catalogSrc); err != nil {
-		t.Fatal(err)
-	}
+	e, log := newCatalogEngine(t, ModeGrouped)
 	for i, nm := range []string{"CRT 15", "LCD 19"} {
 		err := e.CreateTrigger(fmt.Sprintf(`
 			CREATE TRIGGER Name%d AFTER UPDATE ON view('catalog')/product
@@ -49,14 +29,14 @@ func newAdaptiveCatalogEngine(t *testing.T) (*Engine, *[]notification) {
 			t.Fatal(err)
 		}
 	}
-	err = e.CreateTrigger(`
+	err := e.CreateTrigger(`
 		CREATE TRIGGER Cheap AFTER UPDATE ON view('catalog')/product
 		WHERE count(NEW_NODE/vendor[./price < 210]) >= 2
 		DO notifySmith(NEW_NODE)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, &log
+	return e, log
 }
 
 func discountP1(t *testing.T, e *Engine, price float64) {
@@ -97,8 +77,8 @@ func firedNames(log *[]notification) []string {
 	return out
 }
 
-// TestAdaptiveMixedModes: an adaptive engine running its groups in
-// different modes at once fires identically to a uniform engine.
+// TestAdaptiveMixedModes: an engine running its groups in different
+// modes at once fires identically to a uniform engine.
 func TestAdaptiveMixedModes(t *testing.T) {
 	oracle, oracleLog := newCatalogEngine(t, ModeMaterialized)
 	for i, nm := range []string{"CRT 15", "LCD 19"} {
@@ -247,9 +227,6 @@ func TestAdaptiveSeededModes(t *testing.T) {
 	sigs := probe.GroupSigs()
 
 	e := NewEngine(db, ModeGrouped)
-	if err := e.SetModePolicy(nil); err != nil {
-		t.Fatal(err)
-	}
 	for _, sig := range sigs {
 		if err := e.SeedGroupMode(sig, ModeMaterialized); err != nil {
 			t.Fatal(err)
@@ -289,25 +266,16 @@ func TestAdaptivePerGroupStats(t *testing.T) {
 	discountP1(t, e, 75)
 	discountP1(t, e, 60)
 
-	var fires, evalNS, matBytes int64
+	var fires, evalNS int64
 	for _, gs := range e.GroupStats() {
 		fires += gs.Fires
 		evalNS += gs.EvalNS
-		if gs.Mode == ModeMaterialized {
-			matBytes += gs.SnapshotBytes
-			if gs.SnapshotRows == 0 {
-				t.Errorf("materialized group %q has zero snapshot rows", gs.Sig)
-			}
-		}
 		if gs.ModeName != gs.Mode.String() {
 			t.Errorf("ModeName %q != %v", gs.ModeName, gs.Mode)
 		}
 	}
 	if fires == 0 || evalNS == 0 {
 		t.Errorf("per-group counters empty: fires=%d evalNS=%d", fires, evalNS)
-	}
-	if matBytes == 0 {
-		t.Error("materialized group reports zero snapshot bytes")
 	}
 	st := e.Stats()
 	if len(st.PerGroup) != len(sigs) {
@@ -330,9 +298,7 @@ func (p fixedPolicy) Decide(stats []GroupStat) map[string]Mode {
 
 func TestAdaptivePolicyReplan(t *testing.T) {
 	e, log := newAdaptiveCatalogEngine(t)
-	if err := e.SetModePolicy(fixedPolicy{want: ModeMaterialized}); err != nil {
-		t.Fatal(err)
-	}
+	e.SetModePolicy(fixedPolicy{want: ModeMaterialized})
 	discountP1(t, e, 75)
 	*log = nil
 	changes, err := e.Replan()
@@ -356,17 +322,73 @@ func TestAdaptivePolicyReplan(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejectedAfterTriggers: flipping an engine to adaptive after
-// triggers exist is rejected (signatures would change shape).
-func TestAdaptiveRejectedAfterTriggers(t *testing.T) {
-	e, _ := newCatalogEngine(t, ModeUngrouped)
-	err := e.CreateTrigger(`
-		CREATE TRIGGER T AFTER UPDATE ON view('catalog')/product
-		WHERE OLD_NODE/@name = 'CRT 15' DO notifySmith(NEW_NODE)`)
+// TestPolicyAfterTriggers: a policy installed after triggers exist — on an
+// engine whose groups started UNGROUPED — takes effect at the next Replan,
+// and the group keeps its identity and keeps firing.
+func TestPolicyAfterTriggers(t *testing.T) {
+	e, log := newCatalogEngine(t, ModeUngrouped)
+	for i, nm := range []string{"CRT 15", "LCD 19"} {
+		err := e.CreateTrigger(fmt.Sprintf(`
+			CREATE TRIGGER T%d AFTER UPDATE ON view('catalog')/product
+			WHERE OLD_NODE/@name = '%s' DO notifySmith(NEW_NODE)`, i, nm))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	discountP1(t, e, 75)
+	sigs := e.GroupSigs()
+	if len(sigs) != 1 {
+		t.Fatalf("groups = %v, want one structural group", sigs)
+	}
+	*log = nil
+
+	e.SetModePolicy(fixedPolicy{want: ModeGroupedAgg})
+	changes, err := e.Replan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetModePolicy(nil); err == nil {
-		t.Error("SetModePolicy after CreateTrigger should fail")
+	if len(changes) != 1 || changes[0].From != ModeUngrouped || changes[0].To != ModeGroupedAgg {
+		t.Fatalf("replan changes = %+v, want one UNGROUPED -> GROUPED-AGG", changes)
+	}
+	if m, _ := e.GroupMode(sigs[0]); m != ModeGroupedAgg {
+		t.Errorf("group mode = %v after replan", m)
+	}
+	if got := e.GroupSigs(); !reflect.DeepEqual(got, sigs) {
+		t.Errorf("group signatures changed across the switch: %v -> %v", sigs, got)
+	}
+	discountP1(t, e, 60)
+	if got, want := firedNames(log), []string{"T0/CRT 15"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after replan fired %v, want %v", got, want)
+	}
+}
+
+// TestGroupStatsTakesNoTableLock: GroupStats, a /metrics scrape and
+// /snapshot's Snapshot all return while an open batch holds every table's
+// write lock — observability never queues behind a writer.
+func TestGroupStatsTakesNoTableLock(t *testing.T) {
+	e, _ := newAdaptiveCatalogEngine(t)
+	reg := obs.New()
+	e.EnableObs(reg)
+	h, err := e.BeginBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 1)
+	go func() {
+		n := len(e.GroupStats())
+		_ = reg.WritePrometheus(io.Discard)
+		n += len(e.Snapshot().Stats.PerGroup)
+		done <- n
+	}()
+	select {
+	case n := <-done:
+		if n != 4 {
+			t.Errorf("saw %d group rows across GroupStats and Snapshot, want 2+2", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("GroupStats / metrics scrape blocked behind an open batch")
+	}
+	if err := h.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 }

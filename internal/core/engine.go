@@ -4,14 +4,15 @@
 // relational engine, and activates trigger actions with OLD_NODE/NEW_NODE
 // parameters when base updates affect the monitored view nodes.
 //
-// Three translation modes reproduce the paper's evaluated systems
-// (Section 6): ModeUngrouped (one SQL trigger set per XML trigger),
-// ModeGrouped (structurally similar triggers share one SQL trigger via a
-// constants table, Section 5.1), and ModeGroupedAgg (additionally derives
-// old aggregates from new values and transition tables, Section 5.2). A
-// fourth mode, ModeMaterialized, implements the strawman the paper argues
-// against — materialize the view and diff it on every update — and doubles
-// as a correctness oracle in tests.
+// Triggers that differ only in constants form one group, and each group
+// runs one of the paper's three translations (Section 6): ModeUngrouped
+// (one SQL trigger set per XML trigger), ModeGrouped (the members share one
+// SQL trigger via a constants table, Section 5.1), or ModeGroupedAgg
+// (additionally derives old aggregates from new values and transition
+// tables, Section 5.2). A fourth mode, ModeMaterialized, implements the
+// strawman the paper argues against — materialize the view and diff it on
+// every update — and is kept as the correctness oracle tests compare the
+// translations against.
 package core
 
 import (
@@ -39,7 +40,8 @@ import (
 	"quark/internal/xquery"
 )
 
-// Mode selects the trigger translation strategy.
+// Mode is a trigger group's translation strategy. NewEngine's mode is the
+// one new groups start in; SetGroupModes and Replan change it per group.
 type Mode uint8
 
 // Translation modes.
@@ -96,9 +98,9 @@ type Stats struct {
 	Dispatch    dispatch.Stats
 	Outbox      bool
 	OutboxLog   outbox.Stats
-	// PerGroup breaks the engine down by trigger group: mode, firings,
-	// eval latency, delta sizes, and (for MATERIALIZED groups) snapshot
-	// footprint. The adaptive planner and /snapshot read the same rows.
+	// PerGroup breaks the engine down by trigger group: mode, members,
+	// firings, eval latency and delta sizes. The planner and /snapshot
+	// read the same rows.
 	PerGroup []GroupStat `json:",omitempty"`
 }
 
@@ -132,13 +134,9 @@ type Engine struct {
 	// taking e.mu (firings run under table locks, not the metadata lock).
 	actions atomic.Pointer[map[string]ActionFunc]
 
-	// adaptive marks mode as a per-group property (SetModePolicy):
-	// signatures stay structural in every mode so a group's mode can
-	// change without re-grouping, and policy (possibly nil) is consulted
-	// by Replan. seedModes pre-assigns modes to groups that do not exist
-	// yet (restart adoption: the shard layer replays persisted decisions
-	// before triggers are registered).
-	adaptive  bool
+	// policy (possibly nil) is consulted by Replan. seedModes pre-assigns
+	// modes to groups that do not exist yet (restart adoption: the shard
+	// layer replays persisted decisions before triggers are registered).
 	policy    ModePolicy
 	seedModes map[string]Mode
 
@@ -236,11 +234,11 @@ type TriggerInfo struct {
 	groupSig string
 }
 
-// group is a set of structurally similar triggers sharing plans. Each
-// group carries its own translation mode: the engine-global mode only
-// seeds it, and an adaptive engine (SetModePolicy) re-picks it per group
-// at runtime — mixed modes coexist because the installed plans, not the
-// engine, decide how a firing evaluates.
+// group is the set of triggers with one structural signature. Each group
+// carries its own translation mode: the engine's mode only seeds it, and
+// SetGroupModes or Replan change it at runtime — mixed modes coexist
+// because the installed plans, not the engine, decide how a firing
+// evaluates.
 type group struct {
 	sig     string
 	mode    Mode
@@ -267,8 +265,6 @@ type groupStats struct {
 	deltaRows   atomic.Int64 // transition rows seen across firings
 	activations atomic.Int64 // member activations delivered or staged
 	builds      atomic.Int64 // plan (re)compilations, incl. mode switches
-	snapRows    atomic.Int64 // materialized snapshot rows (0 when translated)
-	snapBytes   atomic.Int64 // rough materialized snapshot footprint
 }
 
 // groupBuild is one group's compiled-but-not-installed translation: the
@@ -316,7 +312,8 @@ type installedPlan struct {
 	lastBatch int64
 }
 
-// NewEngine creates an engine over db using the given translation mode.
+// NewEngine creates an engine over db whose new trigger groups start in
+// the given translation mode.
 func NewEngine(db *reldb.DB, mode Mode) *Engine {
 	e := &Engine{
 		db:          db,
@@ -452,7 +449,7 @@ func (e *Engine) recomputeReadSets() {
 // DB returns the underlying relational database.
 func (e *Engine) DB() *reldb.DB { return e.db }
 
-// Mode returns the translation mode.
+// Mode returns the translation mode new groups start in.
 func (e *Engine) Mode() Mode { return e.mode }
 
 // CreateView compiles and registers an XQuery view.
@@ -945,7 +942,7 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 			return err
 		}
 	}
-	sig := e.signature(spec)
+	sig := signature(spec)
 	ti := &TriggerInfo{Spec: spec, Consts: cc.consts, groupSig: sig}
 	g, ok := e.groups[sig]
 	if !ok {
@@ -1076,18 +1073,10 @@ func (e *Engine) resolvePath(spec *trigger.Spec) (*compile.NavNode, error) {
 }
 
 // signature groups structurally similar triggers: same view, path, event,
-// condition shape (literals abstracted), and action shape.
-func (e *Engine) signature(spec *trigger.Spec) string {
+// condition shape (literals abstracted), and action shape. It does not
+// depend on any mode, so a group's mode can change without re-grouping.
+func signature(spec *trigger.Spec) string {
 	var sb strings.Builder
-	// Legacy engine-global UNGROUPED never shares plans: every trigger is
-	// its own group, producing one SQL trigger set per XML trigger
-	// (Section 6's UNGROUPED system). An adaptive engine instead keeps
-	// signatures structural in EVERY mode — grouping.ComposeSignature's
-	// contract — so a group's mode is a mutable property, not part of its
-	// identity, and the planner can flip it without re-grouping (a
-	// structural group in per-group UNGROUPED mode evaluates one plan per
-	// member instead).
-	perTrigger := e.mode == ModeUngrouped && !e.adaptive
 	sb.WriteString(spec.ViewName)
 	sb.WriteByte('|')
 	sb.WriteString(spec.PathString())
@@ -1101,7 +1090,7 @@ func (e *Engine) signature(spec *trigger.Spec) string {
 		sb.WriteByte(',')
 		sb.WriteString(abstractString(a))
 	}
-	return grouping.ComposeSignature(sb.String(), perTrigger, spec.Name)
+	return sb.String()
 }
 
 // abstractString renders an expression with literals replaced by "?".
@@ -1266,12 +1255,6 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 	g.sqlNames = nil
 	g.plans = b.plans
 	g.mode = b.mode
-	if b.mode != ModeMaterialized {
-		// Leaving MATERIALIZED: the snapshot footprint is gone with the
-		// dropped bodies.
-		g.stats.snapRows.Store(0)
-		g.stats.snapBytes.Store(0)
-	}
 	for _, p := range b.plans {
 		if p.root != nil {
 			e.ensureIndexes(p.root)
@@ -1296,10 +1279,7 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 
 // buildTablePlans builds the affected-node graph and the plans for one
 // base table: one shared plan in the grouped modes, one plan per member
-// in UNGROUPED mode (a legacy UNGROUPED engine makes every trigger its
-// own group, so the loop degenerates to the single-plan case; an adaptive
-// engine keeps structural groups and this loop IS how a multi-member
-// group runs ungrouped).
+// in UNGROUPED mode.
 func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installedPlan, error) {
 	s := e.db.Schema()
 	opts := affected.Options{Prune: true}
@@ -1362,13 +1342,9 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 	}
 
 	if mode == ModeUngrouped {
-		// One plan per member, all sharing one ANGraph per table. A legacy
-		// UNGROUPED engine makes every trigger its own group, so this loop
-		// has one iteration; an adaptive engine keeps the structural group
-		// and runs each member's plan separately — the paper's per-trigger
-		// translation as a per-group property rather than a grouping one.
+		// The paper's per-trigger translation: one plan per member, all
+		// sharing one ANGraph per table.
 		plans := make([]*installedPlan, 0, len(g.order))
-		roots := make([]*xqgm.Operator, 0, len(g.order))
 		for _, name := range g.order {
 			ti := g.members[name]
 			var root *xqgm.Operator = an.Root
@@ -1386,12 +1362,15 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 			}
 			plan.args[ti.Spec.Name] = args
 			plan.sqlText = RenderSQL(root)
+			// One by one, not Prepare(roots...): an evaluation sizes its memo
+			// by the root's node id, and ids prepared together count every
+			// member's Select before this one.
+			if err := xqgm.Prepare(root); err != nil {
+				return nil, err
+			}
 			plans = append(plans, plan)
-			roots = append(roots, root)
 		}
-		// Prepared together, the members' plans share the nodes of the one
-		// affected-node graph below their Selects.
-		return plans, xqgm.Prepare(roots...)
+		return plans, nil
 	}
 
 	// GROUPED / GROUPED-AGG: constants table + shared plan.
@@ -1716,14 +1695,20 @@ func (e *Engine) Stats() Stats {
 }
 
 // SQLTexts returns the rendered SQL of all installed plans, keyed by group
-// signature and table (for inspection, like Figure 16).
+// signature and table (for inspection, like Figure 16). An UNGROUPED
+// group installs one plan per member, so those keys lead with the owning
+// trigger's name.
 func (e *Engine) SQLTexts() map[string]string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := map[string]string{}
-	for sig, g := range e.groups {
-		for _, p := range g.plans {
-			out[sig+"/"+p.table] = p.sqlText
+	for _, sig := range e.order {
+		for _, p := range e.groups[sig].plans {
+			key := sig
+			if p.trigID != "" {
+				key = p.trigID + "|" + sig
+			}
+			out[key+"/"+p.table] = p.sqlText
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -157,13 +158,16 @@ func TestInsertAndDeleteTriggers(t *testing.T) {
 	}
 }
 
-// TestGroupingSharesSQLTriggers: structurally similar triggers share SQL
-// triggers in grouped modes and don't in ungrouped mode (Section 5.1).
+// TestGroupingSharesSQLTriggers: structurally similar triggers form one
+// group in every mode; the grouped modes share one SQL trigger per (table,
+// event) where UNGROUPED installs one per member (Section 5.1) — and both
+// deliver the same notifications.
 func TestGroupingSharesSQLTriggers(t *testing.T) {
+	names := []string{"CRT 15", "LCD 19", "OLED 27", "Plasma 42", "TFT 17"}
 	counts := map[Mode]int{}
+	fired := map[Mode][]string{}
 	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg} {
-		e, _ := newCatalogEngine(t, mode)
-		names := []string{"CRT 15", "LCD 19", "OLED 27", "Plasma 42", "TFT 17"}
+		e, log := newCatalogEngine(t, mode)
 		for i, nm := range names {
 			err := e.CreateTrigger(fmt.Sprintf(`
 				CREATE TRIGGER T%d AFTER UPDATE ON view('catalog')/product
@@ -177,18 +181,32 @@ func TestGroupingSharesSQLTriggers(t *testing.T) {
 		}
 		st := e.Stats()
 		counts[mode] = st.SQLTriggers
-		if mode == ModeUngrouped && st.Groups != 5 {
-			t.Errorf("%s groups = %d, want 5", mode, st.Groups)
+		if st.Groups != 1 || st.PerGroup[0].Members != len(names) {
+			t.Errorf("%s: %d groups (%+v), want 1 group of %d", mode, st.Groups, st.PerGroup, len(names))
 		}
-		if mode != ModeUngrouped && st.Groups != 1 {
-			t.Errorf("%s groups = %d, want 1", mode, st.Groups)
+		discountP1(t, e, 75)
+		if _, err := e.Update("vendor", func(reldb.Row) bool { return true }, func(r reldb.Row) reldb.Row {
+			r[2] = xdm.Float(r[2].AsFloat() + 1)
+			return r
+		}); err != nil {
+			t.Fatal(err)
 		}
+		for _, n := range *log {
+			fired[mode] = append(fired[mode], n.Trigger+"/"+n.NewXML)
+		}
+		sort.Strings(fired[mode])
 	}
-	if counts[ModeUngrouped] != 5*counts[ModeGrouped] {
-		t.Errorf("SQL triggers: ungrouped=%d grouped=%d (want 5x)", counts[ModeUngrouped], counts[ModeGrouped])
+	if counts[ModeUngrouped] != len(names)*counts[ModeGrouped] {
+		t.Errorf("SQL triggers: ungrouped=%d grouped=%d (want %dx)", counts[ModeUngrouped], counts[ModeGrouped], len(names))
 	}
 	if counts[ModeGrouped] != counts[ModeGroupedAgg] {
 		t.Errorf("grouped=%d groupedagg=%d", counts[ModeGrouped], counts[ModeGroupedAgg])
+	}
+	if len(fired[ModeGrouped]) < 2 {
+		t.Fatalf("GROUPED fired %v, want several notifications", fired[ModeGrouped])
+	}
+	if !reflect.DeepEqual(fired[ModeUngrouped], fired[ModeGrouped]) {
+		t.Errorf("UNGROUPED fired %v\nGROUPED fired %v", fired[ModeUngrouped], fired[ModeGrouped])
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // against in Section 1: the trigger path's result is fully materialized
 // and, after every statement on any underlying table, recomputed and
 // diffed by canonical key. It is expensive by design (cost grows with
-// view size, not with the number of affected nodes) but makes a perfect
-// correctness oracle for the translated-trigger pipeline — and, for
-// small hot views, the adaptive planner's cheapest option.
+// view size, not with the number of affected nodes), which is what makes
+// it the correctness oracle for the translated-trigger pipeline: goldens
+// are generated from it and mixed-mode runs compare against it. The
+// planner never picks it; a group runs it only when SetGroupModes says so.
 //
 // Like compileGroup's translated modes, nothing installs here: the
 // initial snapshot evaluates eagerly (the caller holds the table locks),
@@ -59,11 +60,6 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		return nil, err
 	}
 	state := &matState{rows: snapshot}
-	recordSnapSize := func(rows map[string]xqgm.Tuple) {
-		g.stats.snapRows.Store(int64(len(rows)))
-		g.stats.snapBytes.Store(int64(len(rows)) * int64(vw) * bytesPerValue)
-	}
-	recordSnapSize(snapshot)
 
 	body := func(ctx *reldb.FireContext) error {
 		// Under a batched commit the body fires once per (table, event) of
@@ -89,9 +85,9 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 			// transaction commits. A rolled-back prepare must leave the
 			// diff baseline untouched, or the next firing would diff
 			// against state that never existed.
-			ctx.Stage(func() error { state.rows = after; recordSnapSize(after); return nil })
+			ctx.Stage(func() error { state.rows = after; return nil })
 		} else {
-			defer func() { state.rows = after; recordSnapSize(after) }()
+			defer func() { state.rows = after }()
 		}
 		if ctx.Batch != nil && ctx.Batch.Silent {
 			// Silent data movement (shard rebalancing): the snapshot must
@@ -188,12 +184,6 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 	}
 	return b, nil
 }
-
-// bytesPerValue is the rough in-memory footprint charged per snapshot
-// value when estimating materialized view size (slice header + boxed
-// value). The planner's memory budget works in these units; precision
-// matters less than monotonicity in rows × width.
-const bytesPerValue = 24
 
 type matState struct {
 	rows      map[string]xqgm.Tuple

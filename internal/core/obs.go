@@ -62,22 +62,6 @@ func (e *Engine) enableObs(reg *obs.Registry, registerFuncs bool) {
 		ob.log.AttachObs(reg)
 	}
 	if registerFuncs {
-		reg.GaugeFunc("quark_core_materialized_bytes", func() int64 {
-			var t int64
-			for _, gs := range e.GroupStats() {
-				t += gs.SnapshotBytes
-			}
-			return t
-		})
-		reg.GaugeFunc("quark_core_materialized_groups", func() int64 {
-			var t int64
-			for _, gs := range e.GroupStats() {
-				if gs.Mode == ModeMaterialized {
-					t++
-				}
-			}
-			return t
-		})
 		reg.Func("quark_core_fires_total", func() int64 { return e.fires.Load() })
 		reg.Func("quark_core_actions_total", func() int64 { return e.actsRun.Load() })
 		reg.Func("quark_reldb_statements_total", func() int64 { return e.db.Stats().Statements })

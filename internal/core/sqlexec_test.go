@@ -13,11 +13,10 @@ import (
 )
 
 // shimShadow is a test-local PlanShadow over the sqlshim engine directly
-// (no database/sql, no build tag): every plan firing rebuilds a mirror of
-// the store plus the transition tables and requires the rendered SQL to
-// reproduce the evaluator's rows exactly. internal/relsql is the packaged
-// form of the same idea behind the sqlite tag; this keeps the executability
-// guarantee in the default test tier.
+// (no database/sql): every plan firing rebuilds a mirror of the store plus
+// the transition tables and requires the rendered SQL to reproduce the
+// evaluator's rows exactly. internal/relsql is the packaged form of the
+// same idea, through database/sql.
 type shimShadow struct {
 	db       *reldb.DB
 	verified int

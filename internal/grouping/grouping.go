@@ -56,23 +56,6 @@ func Signature(template xqgm.Expr) string {
 	return template.String()
 }
 
-// ComposeSignature turns a trigger's structural signature (view, path,
-// event, and abstracted condition — the Signature form with identifiers
-// prepended by the caller) into its group key. The structural form is
-// mode-agnostic: an adaptive engine always groups structurally, making a
-// group's translation mode a mutable property rather than part of its
-// identity, so mixed modes coexist and a group can switch modes without
-// re-grouping. Only a legacy UNGROUPED engine passes perTrigger=true,
-// which prepends the trigger name so every trigger stays its own
-// singleton group — preserving the paper's per-trigger translation and
-// its per-trigger group counts.
-func ComposeSignature(structural string, perTrigger bool, trigName string) string {
-	if perTrigger {
-		return trigName + "|" + structural
-	}
-	return structural
-}
-
 // Member is one XML trigger inside a group.
 type Member struct {
 	TrigID string

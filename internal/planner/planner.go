@@ -1,44 +1,36 @@
-// Package planner is the cost-based adaptive mode selector: it scores
-// every trigger group from the engine's live per-group statistics
-// (core.GroupStat) and picks the translation mode each group should run,
-// materializing the most profitable groups under a configurable memory
-// budget. The approach follows the query-clustering template of
-// "Materialized View Selection by Query Clustering in XML Data
-// Warehouses" (see PAPERS.md): the engine's structural trigger groups ARE
-// the clusters — triggers identical up to constants — and the planner
-// selects the materialization set over them greedily by benefit per byte.
+// Package planner is the cost-based mode selector: it scores every
+// trigger group from the engine's live per-group statistics
+// (core.GroupStat) and picks which of the paper's three translations
+// (UNGROUPED, GROUPED, GROUPED-AGG, Section 6) the group should run.
+// MATERIALIZED — the strawman of Section 1 — is the engine's correctness
+// oracle, not a candidate: the planner never picks it and leaves a group
+// somebody explicitly put there alone.
 //
-// The cost model is deliberately coarse. Per firing, a translated group
-// costs roughly one plan evaluation per installed plan (UNGROUPED runs
-// one plan per member; GROUPED/GROUPED-AGG share one, paying a small
-// constants-table join overhead per member), while a MATERIALIZED group
-// re-evaluates its whole view, costing time proportional to the snapshot
-// row count. Observed per-group latency calibrates both sides when the
-// group has fired enough to trust (Config.MinFires); groups without
-// history fall back to fixed default constants. Decisions are
-// deterministic in their input — ties break by signature — which is what
-// lets every shard of a fleet apply the same Decide output.
+// The cost model is deliberately coarse. One firing of a group costs one
+// plan evaluation per member under UNGROUPED, and one shared evaluation
+// plus a small constants-table join overhead per member under GROUPED;
+// GROUPED-AGG discounts GROUPED by a fixed factor. The group's observed
+// latency in the mode it is running scales the whole model once the group
+// has fired enough to trust (Config.MinFires), so the current mode is
+// costed at exactly what it measured and the others relative to it.
+// Groups are decided independently, so decisions are deterministic in
+// their input — which is what lets every shard of a fleet apply the same
+// Decide output.
 package planner
 
 import (
-	"sort"
 	"strconv"
 
 	"quark/internal/core"
 	"quark/internal/obs"
 )
 
-// Default cost constants (nanoseconds), used until a group has observed
-// history to calibrate with. Absolute precision is irrelevant; only the
-// relative ordering of the per-mode costs matters, and every constant is
-// overridden by measurement once the group clears MinFires.
+// Cost-model constants (nanoseconds). Only their ratios matter: a warm
+// group's observation sets the scale.
 const (
 	// defaultEvalNS is the assumed cost of one translated plan evaluation
 	// (affected-node graph over the delta, with index support).
 	defaultEvalNS = 25_000
-	// defaultPerRowNS is the assumed cost per snapshot row of one
-	// materialized re-evaluation + diff.
-	defaultPerRowNS = 400
 	// memberJoinNS is the per-member overhead a grouped plan pays for the
 	// constants-table join and per-member residual work.
 	memberJoinNS = 200
@@ -50,17 +42,12 @@ const (
 
 // Config parameterizes the planner.
 type Config struct {
-	// MemoryBudget bounds the summed (measured or estimated) snapshot
-	// bytes of all groups the planner keeps MATERIALIZED. Zero means no
-	// materialization at all; negative means unbounded.
-	MemoryBudget int64
 	// MinFires is the observation threshold: a group that has fired fewer
 	// times keeps its current mode (no thrash while cold). Defaults to 8.
 	MinFires int64
 	// Hysteresis is the relative cost improvement a switch must promise
 	// (0.2 = 20% cheaper) before the planner moves a group off its
-	// current mode. Defaults to 0.2; zero is allowed (always take the
-	// cheapest), negative disables switching entirely.
+	// current mode. Defaults to 0.2; negative disables switching entirely.
 	Hysteresis float64
 }
 
@@ -82,88 +69,49 @@ func New(cfg Config) *Planner {
 }
 
 // AttachObs makes the planner emit a "planner.decide" event per Decide
-// call (group counts and the chosen materialization set's footprint) on
-// top of the mode.switch/replan events the engines emit themselves.
+// call (group counts) on top of the mode.switch/replan events the engines
+// emit themselves.
 func (p *Planner) AttachObs(reg *obs.Registry) { p.reg = reg }
 
-// modeCost estimates one firing's cost (ns) for the group in each mode.
-func (p *Planner) modeCost(gs core.GroupStat) [4]float64 {
-	members := float64(gs.Members)
-	if members < 1 {
-		members = 1
-	}
-	// Calibrate a per-evaluation cost from observed history when the
-	// group is warm; the observed number already reflects whatever mode
-	// it ran, so it anchors the translated-side estimate.
-	perEval := float64(defaultEvalNS)
-	perRow := float64(defaultPerRowNS)
-	if gs.Fires >= p.cfg.MinFires && gs.EvalNS > 0 {
-		observed := float64(gs.EvalNS) / float64(gs.Fires)
-		if gs.Mode == core.ModeMaterialized {
-			if rows := float64(gs.SnapshotRows); rows > 0 {
-				perRow = observed / rows
-			}
-		} else {
-			plans := 1.0
-			if gs.Mode == core.ModeUngrouped {
-				plans = members
-			}
-			perEval = observed / plans
-		}
-	}
-	matRows := float64(gs.SnapshotRows)
-	if matRows == 0 {
-		matRows = float64(gs.EstSnapshotRows)
-	}
-	var c [4]float64
-	c[core.ModeUngrouped] = members * perEval
-	c[core.ModeGrouped] = perEval + members*memberJoinNS
+// modeCost estimates one firing's cost (ns) for a group running a
+// translated mode, in each translated mode (indexed by core.Mode). For a
+// warm group the entry of its current mode is its observed EvalNS/Fires.
+// (Fires ticks once per plan evaluation, so an UNGROUPED group ticks it
+// once per member per statement; reading that as the group's cost per
+// firing under-costs the grouped modes for a group observed in UNGROUPED —
+// an error in the direction the model takes anyway.)
+func (p *Planner) modeCost(gs core.GroupStat) [3]float64 {
+	members := max(float64(gs.Members), 1)
+	var c [3]float64
+	c[core.ModeUngrouped] = members * defaultEvalNS
+	c[core.ModeGrouped] = defaultEvalNS + members*memberJoinNS
 	c[core.ModeGroupedAgg] = aggFactor * c[core.ModeGrouped]
-	c[core.ModeMaterialized] = matRows * perRow
-	if matRows == 0 {
-		// An empty view diffs for free but carries no benefit either;
-		// avoid a degenerate zero that would always win.
-		c[core.ModeMaterialized] = float64(defaultEvalNS)
+	if gs.Fires >= p.cfg.MinFires && gs.EvalNS > 0 {
+		// Invert the current mode's own formula: scale the model so that
+		// it costs the mode the group ran at what the group measured.
+		k := float64(gs.EvalNS) / float64(gs.Fires) / c[gs.Mode]
+		c[core.ModeUngrouped] *= k
+		c[core.ModeGrouped] *= k
+		c[core.ModeGroupedAgg] = aggFactor * c[core.ModeGrouped]
 	}
 	return c
 }
 
-// snapshotBytes is the budget charge for keeping the group MATERIALIZED:
-// the measured footprint when it is already materialized, the estimate
-// otherwise.
-func snapshotBytes(gs core.GroupStat) int64 {
-	if gs.SnapshotBytes > 0 {
-		return gs.SnapshotBytes
-	}
-	return gs.EstSnapshotBytes
-}
-
 // Decide implements core.ModePolicy: per group, the cheapest translated
-// mode wins unless materialization beats it AND fits the memory budget
-// (greedy by benefit per byte, weighted by how often the group fires).
-// Cold groups (< MinFires) keep their current mode; warm groups only
-// switch when the winner clears the hysteresis margin against the
-// current mode's cost.
+// mode wins when it clears the hysteresis margin against the current
+// mode's cost. Cold groups (< MinFires) and MATERIALIZED groups keep their
+// mode.
 func (p *Planner) Decide(stats []core.GroupStat) map[string]core.Mode {
 	if p.cfg.Hysteresis < 0 {
 		return nil
 	}
-	sorted := append([]core.GroupStat(nil), stats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Sig < sorted[j].Sig })
-
-	type cand struct {
-		gs         core.GroupStat
-		costs      [4]float64
-		translated core.Mode // cheapest non-materialized mode
-		benefit    float64   // (translated - materialized) × fire weight
-		bytes      int64
-	}
-	var cands []cand
 	target := map[string]core.Mode{}
-	for _, gs := range sorted {
-		if gs.Fires < p.cfg.MinFires {
-			continue // cold: no opinion
+	warm := 0
+	for _, gs := range stats {
+		if gs.Fires < p.cfg.MinFires || gs.Mode == core.ModeMaterialized {
+			continue
 		}
+		warm++
 		costs := p.modeCost(gs)
 		best := core.ModeGrouped
 		for _, m := range []core.Mode{core.ModeGroupedAgg, core.ModeUngrouped} {
@@ -171,65 +119,15 @@ func (p *Planner) Decide(stats []core.GroupStat) map[string]core.Mode {
 				best = m
 			}
 		}
-		c := cand{gs: gs, costs: costs, translated: best, bytes: snapshotBytes(gs)}
-		weight := float64(gs.Fires)
-		c.benefit = (costs[best] - costs[core.ModeMaterialized]) * weight
-		cands = append(cands, c)
-		target[gs.Sig] = best // provisional; the budget pass may upgrade
-	}
-
-	// Greedy materialization under the budget: most benefit per byte
-	// first, skipping groups materialization would not help.
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cands[order[a]], cands[order[b]]
-		ba := ca.benefit / float64(ca.bytes+1)
-		bb := cb.benefit / float64(cb.bytes+1)
-		if ba != bb {
-			return ba > bb
-		}
-		return ca.gs.Sig < cb.gs.Sig
-	})
-	var spent, matGroups int64
-	for _, i := range order {
-		c := cands[i]
-		if c.benefit <= 0 {
-			continue
-		}
-		if p.cfg.MemoryBudget == 0 {
-			continue
-		}
-		if p.cfg.MemoryBudget > 0 && spent+c.bytes > p.cfg.MemoryBudget {
-			continue
-		}
-		spent += c.bytes
-		matGroups++
-		target[c.gs.Sig] = core.ModeMaterialized
-	}
-
-	// Hysteresis: drop switches that do not clear the margin against the
-	// group's current cost, and no-ops.
-	for _, c := range cands {
-		want := target[c.gs.Sig]
-		if want == c.gs.Mode {
-			delete(target, c.gs.Sig)
-			continue
-		}
-		cur := c.costs[c.gs.Mode]
-		if c.costs[want] > cur*(1-p.cfg.Hysteresis) {
-			delete(target, c.gs.Sig)
+		if best != gs.Mode && costs[best] <= costs[gs.Mode]*(1-p.cfg.Hysteresis) {
+			target[gs.Sig] = best
 		}
 	}
 	if p.reg != nil {
 		p.reg.Emit("planner.decide", map[string]string{
-			"groups":             strconv.Itoa(len(stats)),
-			"warm":               strconv.Itoa(len(cands)),
-			"switches":           strconv.Itoa(len(target)),
-			"materialized":       strconv.FormatInt(matGroups, 10),
-			"materialized_bytes": strconv.FormatInt(spent, 10),
+			"groups":   strconv.Itoa(len(stats)),
+			"warm":     strconv.Itoa(warm),
+			"switches": strconv.Itoa(len(target)),
 		})
 	}
 	return target

@@ -5,17 +5,7 @@
 // translated triggers are plain SQL — this backend proves the rendered text
 // actually executes and agrees).
 //
-// The implementation is gated behind the "sqlite" build tag so the default
-// build stays dependency-free; without the tag a stub keeps the API shape
-// and reports Available() == false. With the tag, the backend drives the
-// registered "sqlshim" database/sql driver (internal/sqlshim), an embedded
-// SQLite-dialect engine, so no cgo or external module is required either
-// way.
+// The backend drives the registered "sqlshim" database/sql driver
+// (internal/sqlshim), an embedded SQLite-dialect engine, so no cgo or
+// external module is required.
 package relsql
-
-import "errors"
-
-// ErrUnavailable is returned by every entry point when the backend is not
-// compiled in (build without the "sqlite" tag). It is declared outside the
-// build-tag pair so callers can errors.Is against it under either build.
-var ErrUnavailable = errors.New("relsql: real-database backend not compiled in (build with -tags sqlite)")

@@ -1,5 +1,3 @@
-//go:build sqlite
-
 package relsql
 
 import (
@@ -16,9 +14,6 @@ import (
 	"quark/internal/xdm"
 	"quark/internal/xqgm"
 )
-
-// Available reports whether the real-database backend is compiled in.
-func Available() bool { return true }
 
 var shadowSeq atomic.Int64
 

@@ -12,7 +12,7 @@ import (
 	"quark/internal/outbox"
 )
 
-// Fleet-wide adaptive translation modes: every shard compiles the same
+// Fleet-wide per-group translation modes: every shard compiles the same
 // trigger groups (registrations replicate), so a group's mode is a
 // fleet-level agreement — a group half-flipped across shards would break
 // the deterministic (shard, storage-key) activation order the golden
@@ -32,32 +32,14 @@ import (
 // mode switch.
 const modesCkptName = "modes.ckpt"
 
-// SetModePolicy switches the fleet into adaptive per-group modes and
-// installs the policy Replan consults (nil: adaptive with manual
-// SetGroupModes control). Every shard is marked adaptive — signatures
-// become structural in all modes — so this must run before triggers are
-// registered, like its core counterpart. The policy itself lives only on
-// the coordinator: shards never replan independently, because the fleet
-// must agree on every group's mode.
-func (e *Engine) SetModePolicy(p core.ModePolicy) error {
-	engines, _ := e.fleet()
-	for _, ce := range engines {
-		if err := ce.SetModePolicy(nil); err != nil {
-			return err
-		}
-	}
+// SetModePolicy installs the policy Replan consults (nil: manual
+// SetGroupModes control only). The policy lives only on the coordinator:
+// shards never replan independently, because the fleet must agree on
+// every group's mode.
+func (e *Engine) SetModePolicy(p core.ModePolicy) {
 	e.adMu.Lock()
-	e.adaptive = true
 	e.policy = p
 	e.adMu.Unlock()
-	return nil
-}
-
-// Adaptive reports whether per-group modes are enabled.
-func (e *Engine) Adaptive() bool {
-	e.adMu.Lock()
-	defer e.adMu.Unlock()
-	return e.adaptive
 }
 
 // SetReplanBarrier installs a hook that runs between a fleet mode
@@ -86,8 +68,8 @@ func (e *Engine) GroupMode(sig string) (core.Mode, bool) {
 }
 
 // GroupStats aggregates per-group statistics across the fleet: counters
-// and footprints sum (each shard holds a partition of the view), while
-// mode and membership come from shard 0 (identical everywhere). The
+// sum (each shard holds a partition of the view), while mode and
+// membership come from shard 0 (identical everywhere). The
 // result is the planner's cost-model input for fleet-wide replans.
 func (e *Engine) GroupStats() []core.GroupStat {
 	engines, _ := e.fleet()
@@ -107,10 +89,6 @@ func (e *Engine) GroupStats() []core.GroupStat {
 			a.DeltaRows += gs.DeltaRows
 			a.Activations += gs.Activations
 			a.Builds += gs.Builds
-			a.SnapshotRows += gs.SnapshotRows
-			a.SnapshotBytes += gs.SnapshotBytes
-			a.EstSnapshotRows += gs.EstSnapshotRows
-			a.EstSnapshotBytes += gs.EstSnapshotBytes
 		}
 	}
 	sort.Slice(agg, func(i, j int) bool { return agg[i].Sig < agg[j].Sig })
@@ -249,12 +227,11 @@ func (e *Engine) persistModesLocked() error {
 	return os.Rename(tmp, path)
 }
 
-// loadModes adopts a persisted decision set at New: the fleet is marked
-// adaptive and every decision seeds every shard, so groups created by
-// the caller's re-registration come up in their pre-restart modes. A
-// fleet that never switched modes has no file and loads nothing —
-// callers re-enable SetModePolicy on restart as they re-register
-// everything else.
+// loadModes adopts a persisted decision set at New: every decision seeds
+// every shard, so groups created by the caller's re-registration come up
+// in their pre-restart modes. A fleet that never switched modes has no
+// file and loads nothing. The policy is not persisted: callers install it
+// again on restart as they re-register everything else.
 func (e *Engine) loadModes(dir string) error {
 	b, err := os.ReadFile(filepath.Join(dir, modesCkptName))
 	if os.IsNotExist(err) {
@@ -286,9 +263,6 @@ func (e *Engine) loadModes(dir string) error {
 	}
 	engines, _ := e.fleet()
 	for _, ce := range engines {
-		if err := ce.SetModePolicy(nil); err != nil {
-			return err
-		}
 		for sig, m := range modes { //quark:sorted seeding per-group modes; groups are independent and seeds commute
 			if err := ce.SeedGroupMode(sig, m); err != nil {
 				return err
@@ -296,7 +270,6 @@ func (e *Engine) loadModes(dir string) error {
 		}
 	}
 	e.adMu.Lock()
-	e.adaptive = true
 	e.groupModes = modes
 	e.adMu.Unlock()
 	return nil

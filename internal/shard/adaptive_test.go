@@ -12,7 +12,7 @@ import (
 	"quark/internal/xdm"
 )
 
-// newAdaptiveFleet builds an adaptive n-shard fleet (dir may be empty)
+// newAdaptiveFleet builds a GROUPED n-shard fleet (dir may be empty)
 // with one watch trigger over the product map view, returning the engine
 // and a pointer to the firing log.
 func newAdaptiveFleet(t *testing.T, n int, dir string) (*Engine, *[]string, *sync.Mutex) {
@@ -28,11 +28,6 @@ func newAdaptiveFleet(t *testing.T, n int, dir string) (*Engine, *[]string, *syn
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !e.Adaptive() { // a restart over a persisted mode file is already adaptive
-		if err := e.SetModePolicy(nil); err != nil {
-			t.Fatal(err)
-		}
 	}
 	var mu sync.Mutex
 	var got []string
@@ -166,8 +161,8 @@ func TestShardModeSwitchBadTarget(t *testing.T) {
 }
 
 // TestShardModesPersistAndRestart: committed mode decisions survive a
-// restart — a fresh engine over the same directory comes up adaptive with
-// every group seeded to its pre-restart mode.
+// restart — a fresh engine over the same directory comes up with every
+// group seeded to its pre-restart mode.
 func TestShardModesPersistAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	e, _, _ := newAdaptiveFleet(t, 2, dir)
@@ -181,9 +176,6 @@ func TestShardModesPersistAndRestart(t *testing.T) {
 	}
 
 	e2, got, mu := newAdaptiveFleet(t, 2, dir)
-	if !e2.Adaptive() {
-		t.Fatal("reopened fleet not adaptive")
-	}
 	if m, ok := e2.GroupMode(sigs[0]); !ok || m != core.ModeMaterialized {
 		t.Fatalf("reopened group mode = %v,%v; want MATERIALIZED", m, ok)
 	}
@@ -277,9 +269,7 @@ func (p fleetPolicy) Decide(stats []core.GroupStat) map[string]core.Mode {
 // shards added by Grow afterwards come up in the agreed modes.
 func TestShardReplanAndGrow(t *testing.T) {
 	e, got, mu := newAdaptiveFleet(t, 2, "")
-	if err := e.SetModePolicy(fleetPolicy{want: core.ModeMaterialized}); err != nil {
-		t.Fatal(err)
-	}
+	e.SetModePolicy(fleetPolicy{want: core.ModeMaterialized})
 	seedProducts(t, e)
 	changes, err := e.Replan()
 	if err != nil {

@@ -82,13 +82,12 @@ type Engine struct {
 	// seam; see SetRebalanceBarrier).
 	rebalanceBarrier func()
 
-	// Adaptive per-group modes (see adaptive.go). adMu guards the policy
+	// Per-group modes (see adaptive.go). adMu guards the policy
 	// and the committed mode map; groupModes mirrors every committed
 	// per-group decision for persistence (persistModes) and Grow replay.
 	// replanBarrier is the kill-mid-migration crash seam, running between
 	// a fleet mode switch's prepare-all and commit-all phases.
 	adMu          sync.Mutex
-	adaptive      bool
 	policy        core.ModePolicy
 	groupModes    map[string]core.Mode
 	replanBarrier func()

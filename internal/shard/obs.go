@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"quark/internal/core"
 	"quark/internal/obs"
 )
 
@@ -85,22 +84,6 @@ func (e *Engine) EnableObs(reg *obs.Registry) {
 		var t int64
 		for _, db := range dbs {
 			t += db.Stats().IndexLookups
-		}
-		return t
-	})
-	reg.GaugeFunc("quark_core_materialized_bytes", func() int64 {
-		var t int64
-		for _, gs := range e.GroupStats() {
-			t += gs.SnapshotBytes
-		}
-		return t
-	})
-	reg.GaugeFunc("quark_core_materialized_groups", func() int64 {
-		var t int64
-		for _, gs := range e.GroupStats() {
-			if gs.Mode == core.ModeMaterialized {
-				t++
-			}
 		}
 		return t
 	})

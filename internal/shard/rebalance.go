@@ -224,7 +224,6 @@ func (e *Engine) Grow(n int) error {
 	specs := append([]*trigger.Spec(nil), e.trigSpecs...)
 	e.regMu.Unlock()
 	e.adMu.Lock()
-	adaptive := e.adaptive
 	modes := make(map[string]core.Mode, len(e.groupModes))
 	for sig, m := range e.groupModes {
 		modes[sig] = m
@@ -238,17 +237,11 @@ func (e *Engine) Grow(n int) error {
 			return err
 		}
 		ce := core.NewEngine(db, e.mode)
-		if adaptive {
-			// Adaptive marking and mode seeds must precede the trigger
-			// replay: grouping signatures depend on the adaptive flag, and
-			// seeded groups must come up in the fleet's agreed mode.
-			if err := ce.SetModePolicy(nil); err != nil {
+		// Mode seeds precede the trigger replay, so every group comes up in
+		// the fleet's agreed mode.
+		for sig, m := range modes { //quark:sorted seeding per-group modes; groups are independent and seeds commute
+			if err := ce.SeedGroupMode(sig, m); err != nil {
 				return err
-			}
-			for sig, m := range modes { //quark:sorted seeding per-group modes; groups are independent and seeds commute
-				if err := ce.SeedGroupMode(sig, m); err != nil {
-					return err
-				}
 			}
 		}
 		for _, a := range actions {

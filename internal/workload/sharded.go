@@ -43,16 +43,6 @@ func BuildSharded(p Params, mode core.Mode, n int, seed int64) (*ShardedSetup, e
 // BuildShardedDir is BuildSharded with a directory-persistence path (see
 // shard.Config.Dir); empty keeps the routing directory in memory only.
 func BuildShardedDir(p Params, mode core.Mode, n int, seed int64, dir string) (*ShardedSetup, error) {
-	return buildSharded(p, mode, n, seed, dir, false)
-}
-
-// BuildShardedAdaptive is BuildSharded with per-group translation modes
-// enabled fleet-wide (see BuildAdaptive).
-func BuildShardedAdaptive(p Params, mode core.Mode, n int, seed int64) (*ShardedSetup, error) {
-	return buildSharded(p, mode, n, seed, "", true)
-}
-
-func buildSharded(p Params, mode core.Mode, n int, seed int64, dir string, adaptive bool) (*ShardedSetup, error) {
 	if p.Depth < 2 {
 		return nil, fmt.Errorf("workload: depth must be >= 2")
 	}
@@ -60,12 +50,6 @@ func buildSharded(p Params, mode core.Mode, n int, seed int64, dir string, adapt
 	e, err := shard.New(s, shard.Config{Shards: n, Mode: mode, Dir: dir})
 	if err != nil {
 		return nil, err
-	}
-	if adaptive {
-		// Before trigger registration: grouping signatures depend on it.
-		if err := e.SetModePolicy(nil); err != nil {
-			return nil, err
-		}
 	}
 	w := &ShardedSetup{Params: p, Schema: s, Engine: e, rng: rand.New(rand.NewSource(seed))}
 

@@ -87,7 +87,7 @@ type RebalanceOp struct {
 	Offset int
 }
 
-// ModeFlipOp asks an adaptive engine to switch one trigger group's
+// ModeFlipOp asks the engine to switch one trigger group's
 // translation mode: Group indexes into the engine's sorted group
 // signatures (modulo the live group count, resolved at apply time) and
 // Mode is the target core.Mode ordinal. Appliers that don't opt in — the
@@ -261,16 +261,16 @@ type Rebalancer interface {
 	ApplyRebalance(table string, roots []int64, offset int) error
 }
 
-// ModeFlipper is the optional Applier extension for adaptive engines that
-// can switch a trigger group's translation mode mid-stream; appliers
+// ModeFlipper is the optional Applier extension for engines that can
+// switch a trigger group's translation mode mid-stream; appliers
 // without it — or with FlipModes left off (the oracle) — skip flip ops.
 type ModeFlipper interface {
 	ApplyModeFlip(group, mode int) error
 }
 
 // SingleApplier adapts a core.Engine. FlipModes opts the applier into
-// ModeFlip ops (requires an adaptive engine); left false they no-op,
-// which is what the differential oracle wants.
+// ModeFlip ops; left false they no-op, which is what the differential
+// oracle wants.
 type SingleApplier struct {
 	E         *core.Engine
 	FlipModes bool

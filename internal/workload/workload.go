@@ -226,17 +226,6 @@ func genRows(p Params, rng *rand.Rand) (topNames []string, levels [][]reldb.Row)
 // is LeafTuples/Fanout; intermediate levels use a uniform branching factor
 // so that each top element owns Fanout leaves.
 func Build(p Params, mode core.Mode, seed int64) (*Setup, error) {
-	return build(p, mode, seed, false)
-}
-
-// BuildAdaptive is Build with per-group translation modes enabled (every
-// group starts in mode, flippable at runtime via SetGroupModes or the
-// stream's ModeFlip ops).
-func BuildAdaptive(p Params, mode core.Mode, seed int64) (*Setup, error) {
-	return build(p, mode, seed, true)
-}
-
-func build(p Params, mode core.Mode, seed int64, adaptive bool) (*Setup, error) {
 	if p.Depth < 2 {
 		return nil, fmt.Errorf("workload: depth must be >= 2")
 	}
@@ -257,12 +246,6 @@ func build(p Params, mode core.Mode, seed int64, adaptive bool) (*Setup, error) 
 
 	// Engine, view, triggers.
 	e := core.NewEngine(db, mode)
-	if adaptive {
-		// Before trigger registration: grouping signatures depend on it.
-		if err := e.SetModePolicy(nil); err != nil {
-			return nil, err
-		}
-	}
 	w.Engine = e
 	e.RegisterAction("notify", func(core.Invocation) error {
 		w.Notifications++

@@ -7,15 +7,27 @@ import (
 	"quark/internal/xdm"
 )
 
+// maxDepth bounds how deeply expressions may nest (parentheses, predicates,
+// function arguments, if/FLWOR bodies, element constructors and their
+// enclosed expressions). The parser recurses once per level, so without a
+// bound hostile input overflows the goroutine stack, which kills the
+// process; real views and trigger conditions nest a dozen levels.
+const maxDepth = 256
+
 // Parser is a recursive-descent parser for the supported XQuery subset.
 type Parser struct {
-	lx  *Lexer
-	tok Token
+	lx    *Lexer
+	tok   Token
+	depth int // nesting levels open, counted across enclosed-expression sub-parsers
 }
 
 // Parse parses a complete expression.
-func Parse(src string) (Expr, error) {
-	p := &Parser{lx: NewLexer(src)}
+func Parse(src string) (Expr, error) { return parseNested(src, 0) }
+
+// parseNested parses src as a complete expression found depth levels
+// inside an enclosing one.
+func parseNested(src string, depth int) (Expr, error) {
+	p := &Parser{lx: NewLexer(src), depth: depth}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -64,17 +76,32 @@ func (p *Parser) isSymbol(sym string) bool {
 	return p.tok.Kind == TokSymbol && p.tok.Text == sym
 }
 
-func (p *Parser) parseExpr() (Expr, error) {
+// descend opens one nesting level at source offset pos; the caller closes
+// it with p.depth-- once the nested construct is parsed.
+func (p *Parser) descend(pos int) error {
+	if p.depth >= maxDepth {
+		return fmt.Errorf("xquery: expression nests deeper than %d levels at offset %d", maxDepth, pos)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) parseExpr() (e Expr, err error) {
+	if err := p.descend(p.tok.Pos); err != nil {
+		return nil, err
+	}
 	switch {
 	case p.isIdent("for"), p.isIdent("let"):
-		return p.parseFLWOR()
+		e, err = p.parseFLWOR()
 	case p.isIdent("some"), p.isIdent("every"):
-		return p.parseQuantified()
+		e, err = p.parseQuantified()
 	case p.isIdent("if"):
-		return p.parseIf()
+		e, err = p.parseIf()
 	default:
-		return p.parseOr()
+		e, err = p.parseOr()
 	}
+	p.depth--
+	return e, err
 }
 
 func (p *Parser) parseFLWOR() (Expr, error) {
@@ -602,7 +629,7 @@ func (p *Parser) scanCtor(src string, pos int) (*ElemCtor, int, error) {
 			}
 			raw := src[start:j]
 			if strings.HasPrefix(raw, "{") && strings.HasSuffix(raw, "}") {
-				inner, err := Parse(raw[1 : len(raw)-1])
+				inner, err := parseNested(raw[1:len(raw)-1], p.depth)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -634,7 +661,11 @@ func (p *Parser) scanCtor(src string, pos int) (*ElemCtor, int, error) {
 		}
 		switch src[i] {
 		case '<':
+			if err := p.descend(i); err != nil {
+				return nil, 0, err
+			}
 			child, j, err := p.scanCtor(src, i)
+			p.depth--
 			if err != nil {
 				return nil, 0, err
 			}
@@ -674,7 +705,7 @@ func (p *Parser) scanEnclosed(src string, pos int) (Expr, int, error) {
 			depth--
 			if depth == 0 {
 				inner := src[pos+1 : i]
-				e, err := Parse(inner)
+				e, err := parseNested(inner, p.depth)
 				if err != nil {
 					return nil, 0, err
 				}
