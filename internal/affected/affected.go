@@ -62,6 +62,10 @@ func (g *ANGraph) NewCol(i int) int { return g.keyWidth + i }
 // OldCol returns the output position of view column i's pre-update value.
 func (g *ANGraph) OldCol(i int) int { return g.keyWidth + g.viewWidth + g.keyWidth + i }
 
+// KeyWidth reports how many leading output columns hold the affected key
+// (NULL on the rows of a DELETE graph, whose Δ side is absent).
+func (g *ANGraph) KeyWidth() int { return g.keyWidth }
+
 // ViewWidth reports the width of the (possibly key-extended) view output.
 func (g *ANGraph) ViewWidth() int { return g.viewWidth }
 

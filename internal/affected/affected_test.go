@@ -100,25 +100,127 @@ func anGraphs(t *testing.T, s *schema.Schema, table string) map[reldb.Event]*ANG
 // three ANGraphs, and compares against the recompute-and-diff oracle.
 func checkAgainstOracle(t *testing.T, db *reldb.DB, table, label string, fn func() error) {
 	t.Helper()
-	graphs := anGraphs(t, db.Schema(), table)
 	before := snapshotProducts(t, db)
 	deltas := captureStatement(t, db, table, fn)
-	after := snapshotProducts(t, db)
-	want := diffSnapshots(before, after)
+	checkDeltasAgainstOracle(t, db, label, before, deltas)
+}
+
+// checkCommitAgainstOracle does the same for a transaction of several
+// statements, possibly over both tables: the graphs of every touched table
+// are evaluated under the commit's net deltas, as a batched firing does.
+func checkCommitAgainstOracle(t *testing.T, db *reldb.DB, label string, fn func(tx *reldb.Tx) error) {
+	t.Helper()
+	before := snapshotProducts(t, db)
+	tx := db.Begin()
+	if err := fn(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	deltas := map[string]*xqgm.Transition{}
+	for table, nd := range tx.Staged().Deltas {
+		deltas[table] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	checkDeltasAgainstOracle(t, db, label, before, deltas)
+}
+
+// rowsReused sums EvalStats.RowsReused over every OLD-side check of the
+// test binary, so a test can tell the comparison below was not vacuous.
+var rowsReused int
+
+// checkOldSide compares the OLD side of an affected-node graph — the view
+// over B_old joined to the affected keys — evaluated beside the NEW side,
+// which is how the graph evaluates it, with the same operator evaluated
+// alone. A plan that holds no NEW side has no twins, so the second
+// evaluation computes every tuple from scratch: the reference is reached by
+// construction, not by a switch.
+func checkOldSide(t *testing.T, db *reldb.DB, label string, g *ANGraph, deltas map[string]*xqgm.Transition) {
+	t.Helper()
+	top := g.Root
+	if top.Type == xqgm.OpSelect {
+		top = top.Inputs[0]
+	}
+	oNew, oOld := top.Inputs[0], top.Inputs[1]
+	beside := xqgm.NewEvalContext(db, deltas)
+	rows, err := beside.Eval(xqgm.NewJoin(xqgm.JoinLeftOuter, oOld, oNew, top.On, nil))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	alone := xqgm.NewEvalContext(db, deltas)
+	want, err := alone.Eval(oOld)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if alone.Stats.RowsReused != 0 {
+		t.Fatalf("%s: the OLD side alone reused %d rows", label, alone.Stats.RowsReused)
+	}
+	rowsReused += beside.Stats.RowsReused
+	w := oOld.OutWidth()
+	var got []string
+	for i, r := range rows { // the join is on the canonical key: one row per OLD tuple
+		if k := xdm.TupleKey(r[:w]); i == 0 || k != got[len(got)-1] {
+			got = append(got, k)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s (%v on %s): OLD side beside the NEW side has %d tuples, alone %d", label, g.Event, g.Table, len(got), len(want))
+	}
+	for i := range want {
+		if k := xdm.TupleKey(want[i]); got[i] != k {
+			t.Errorf("%s (%v on %s): OLD tuple %d beside the NEW side = %s\nalone = %s", label, g.Event, g.Table, i, got[i], k)
+		}
+	}
+}
+
+// checkDeltasAgainstOracle runs all three ANGraphs of every touched table
+// under the given transition tables and compares the union of what they
+// report with the recompute-and-diff oracle.
+func checkDeltasAgainstOracle(t *testing.T, db *reldb.DB, label string, before map[string]string, deltas map[string]*xqgm.Transition) {
+	t.Helper()
+	want := diffSnapshots(before, snapshotProducts(t, db))
 
 	v := fixtures.BuildCatalogView(db.Schema(), 2)
 	nodeCol, nameCol := v.ProdNodeCol, v.ProdNameCol
+	serialize := func(v xdm.Value) string { return v.AsNode().Serialize(false) }
 
-	// UPDATE pairs.
 	gotUpd := map[string][2]string{}
-	pairs, err := graphs[reldb.EvUpdate].Eval(db, deltas)
-	if err != nil {
-		t.Fatalf("%s: UPDATE eval: %v", label, err)
+	gotIns, gotDel := map[string]string{}, map[string]string{}
+	tables := make([]string, 0, len(deltas))
+	for table := range deltas {
+		tables = append(tables, table)
 	}
-	for _, p := range pairs {
-		key := p.New[nameCol].AsString()
-		gotUpd[key] = [2]string{p.Old[nodeCol].AsNode().Serialize(false), p.New[nodeCol].AsNode().Serialize(false)}
+	sort.Strings(tables)
+	for _, table := range tables {
+		graphs := anGraphs(t, db.Schema(), table)
+		for _, ev := range []reldb.Event{reldb.EvUpdate, reldb.EvInsert, reldb.EvDelete} {
+			checkOldSide(t, db, label, graphs[ev], deltas)
+			pairs, err := graphs[ev].Eval(db, deltas)
+			if err != nil {
+				t.Fatalf("%s: %v eval on %s: %v", label, ev, table, err)
+			}
+			for _, p := range pairs {
+				switch ev {
+				case reldb.EvUpdate:
+					gotUpd[p.New[nameCol].AsString()] = [2]string{serialize(p.Old[nodeCol]), serialize(p.New[nodeCol])}
+				case reldb.EvInsert: // OLD side must be null
+					if !p.Old[nodeCol].IsNull() {
+						t.Errorf("%s: INSERT pair has non-null OLD_NODE", label)
+					}
+					gotIns[p.New[nameCol].AsString()] = serialize(p.New[nodeCol])
+				case reldb.EvDelete: // NEW side must be null
+					if !p.New[nodeCol].IsNull() {
+						t.Errorf("%s: DELETE pair has non-null NEW_NODE", label)
+					}
+					gotDel[p.Old[nameCol].AsString()] = serialize(p.Old[nodeCol])
+				}
+			}
+		}
 	}
+
 	if len(gotUpd) != len(want.updated) {
 		t.Errorf("%s: UPDATE events = %v, want %v", label, keys(gotUpd), keysP(want.updated))
 	}
@@ -135,34 +237,8 @@ func checkAgainstOracle(t *testing.T, db *reldb.DB, table, label string, fn func
 			t.Errorf("%s: NEW_NODE(%q) = %s, want %s", label, k, g[1], w[1])
 		}
 	}
-
-	// INSERT pairs: OLD side must be null.
-	gotIns := map[string]string{}
-	pairs, err = graphs[reldb.EvInsert].Eval(db, deltas)
-	if err != nil {
-		t.Fatalf("%s: INSERT eval: %v", label, err)
-	}
-	for _, p := range pairs {
-		if !p.Old[nodeCol].IsNull() {
-			t.Errorf("%s: INSERT pair has non-null OLD_NODE", label)
-		}
-		gotIns[p.New[nameCol].AsString()] = p.New[nodeCol].AsNode().Serialize(false)
-	}
 	if fmt.Sprint(gotIns) != fmt.Sprint(want.inserted) {
 		t.Errorf("%s: INSERT events = %v, want %v", label, gotIns, want.inserted)
-	}
-
-	// DELETE pairs: NEW side must be null.
-	gotDel := map[string]string{}
-	pairs, err = graphs[reldb.EvDelete].Eval(db, deltas)
-	if err != nil {
-		t.Fatalf("%s: DELETE eval: %v", label, err)
-	}
-	for _, p := range pairs {
-		if !p.New[nodeCol].IsNull() {
-			t.Errorf("%s: DELETE pair has non-null NEW_NODE", label)
-		}
-		gotDel[p.Old[nameCol].AsString()] = p.Old[nodeCol].AsNode().Serialize(false)
 	}
 	if fmt.Sprint(gotDel) != fmt.Sprint(want.deleted) {
 		t.Errorf("%s: DELETE events = %v, want %v", label, gotDel, want.deleted)
@@ -315,8 +391,10 @@ func TestMultiRowStatement(t *testing.T) {
 	})
 }
 
-// TestRandomizedOracle drives random statements through the pipeline and
-// checks every one against the recompute oracle (Theorem 2 in anger).
+// TestRandomizedOracle drives random statements and commits through the
+// pipeline and checks every one against the recompute oracle (Theorem 2 in
+// anger) — and, for every delta, the OLD side of each graph evaluated as an
+// edit of the NEW side against the same operator evaluated alone.
 func TestRandomizedOracle(t *testing.T) {
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {
@@ -330,12 +408,27 @@ func TestRandomizedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The index the engine builds for the affected-key join back
+			// into product; without it that join hashes, and a hash join
+			// takes nothing from its twin.
+			if err := db.CreateIndex("product", "pname"); err != nil {
+				t.Fatal(err)
+			}
 			names := []string{"CRT 15", "LCD 19", "OLED 27", "Plasma 42"}
 			vids := []string{"Amazon", "Bestbuy", "Buy.com", "Circuitcity", "Newegg", "Walmart"}
 			pids := []string{"P1", "P2", "P3"}
 			nextP := 4
-			for step := 0; step < 40; step++ {
-				switch r.Intn(6) {
+			freeVendor := func(pid string) (string, bool) {
+				for _, i := range r.Perm(len(vids)) {
+					if _, taken, _ := db.GetByPK("vendor", xdm.Str(vids[i]), xdm.Str(pid)); !taken {
+						return vids[i], true
+					}
+				}
+				return "", false
+			}
+			reusedBefore := rowsReused
+			for step := 0; step < 60; step++ {
+				switch r.Intn(11) {
 				case 0: // insert product
 					pid := fmt.Sprintf("P%d", nextP)
 					nextP++
@@ -384,9 +477,209 @@ func TestRandomizedOracle(t *testing.T) {
 							func(row reldb.Row) reldb.Row { return row })
 						return err
 					})
+				case 6: // move one vendor offer (a leaf) to another product (parent)
+					rows := db.AllRows("vendor")
+					if len(rows) == 0 {
+						continue
+					}
+					row := rows[r.Intn(len(rows))]
+					vid, from, to := row[0].AsString(), row[1].AsString(), pids[r.Intn(len(pids))]
+					if _, taken, _ := db.GetByPK("vendor", xdm.Str(vid), xdm.Str(to)); taken || to == from {
+						continue
+					}
+					checkAgainstOracle(t, db, "vendor", "rand move vendor", func() error {
+						_, err := db.Update("vendor",
+							func(row reldb.Row) bool { return row[0].AsString() == vid && row[1].AsString() == from },
+							func(row reldb.Row) reldb.Row { row[1] = xdm.Str(to); return row })
+						return err
+					})
+				case 7: // delete every vendor of one product: the count(...) >= 2 predicate may flip
+					pid := pids[r.Intn(len(pids))]
+					checkAgainstOracle(t, db, "vendor", "rand delete group", func() error {
+						_, err := db.Delete("vendor", func(row reldb.Row) bool { return row[1].AsString() == pid })
+						return err
+					})
+				case 8: // one commit: a vendor joins a product and another one leaves it
+					pid := pids[r.Intn(len(pids))]
+					vid, ok := freeVendor(pid)
+					if !ok {
+						continue
+					}
+					price := float64(50 + r.Intn(300))
+					checkCommitAgainstOracle(t, db, "rand insert+delete under one parent", func(tx *reldb.Tx) error {
+						if err := tx.Insert("vendor", reldb.Row{xdm.Str(vid), xdm.Str(pid), xdm.Float(price)}); err != nil {
+							return err
+						}
+						gone := false // the first other vendor of the product
+						_, err := tx.Delete("vendor", func(row reldb.Row) bool {
+							if gone || row[1].AsString() != pid || row[0].AsString() == vid {
+								return false
+							}
+							gone = true
+							return true
+						})
+						return err
+					})
+				case 9: // one commit over both tables: a rename, a price change, a new offer
+					pid, other := pids[r.Intn(len(pids))], pids[r.Intn(len(pids))]
+					name := names[r.Intn(len(names))]
+					price := float64(50 + r.Intn(300))
+					vid, ok := freeVendor(other)
+					checkCommitAgainstOracle(t, db, "rand product+vendor commit", func(tx *reldb.Tx) error {
+						if _, err := tx.UpdateByPK("product", []xdm.Value{xdm.Str(pid)}, func(row reldb.Row) reldb.Row {
+							row[1] = xdm.Str(name)
+							return row
+						}); err != nil {
+							return err
+						}
+						if _, err := tx.Update("vendor",
+							func(row reldb.Row) bool { return row[1].AsString() == other },
+							func(row reldb.Row) reldb.Row { row[2] = xdm.Float(price); return row }); err != nil {
+							return err
+						}
+						if !ok {
+							return nil
+						}
+						return tx.Insert("vendor", reldb.Row{xdm.Str(vid), xdm.Str(other), xdm.Float(price + 1)})
+					})
+				case 10: // one commit: a product, its first two vendors, and an update that nets out
+					pid := fmt.Sprintf("P%d", nextP)
+					nextP++
+					pids = append(pids, pid)
+					name := names[r.Intn(len(names))]
+					checkCommitAgainstOracle(t, db, "rand new product with vendors", func(tx *reldb.Tx) error {
+						if err := tx.Insert("product", reldb.Row{xdm.Str(pid), xdm.Str(name), xdm.Str("m")}); err != nil {
+							return err
+						}
+						if err := tx.Insert("vendor",
+							reldb.Row{xdm.Str(vids[0]), xdm.Str(pid), xdm.Float(100)},
+							reldb.Row{xdm.Str(vids[1]), xdm.Str(pid), xdm.Float(110)}); err != nil {
+							return err
+						}
+						for _, price := range []float64{120, 100} { // and back: nothing changed
+							if _, err := tx.UpdateByPK("vendor", []xdm.Value{xdm.Str(vids[0]), xdm.Str(pid)}, func(row reldb.Row) reldb.Row {
+								row[2] = xdm.Float(price)
+								return row
+							}); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
 				}
 			}
+			if rowsReused == reusedBefore {
+				t.Error("no OLD side took a single row from its NEW side: the comparison checked nothing")
+			}
 		})
+	}
+}
+
+// A view may nest a table that has no primary key — here product reviews,
+// duplicates and all — as long as the trigger's own table has one. B_old of
+// the keyless table is a bag, rebuilt by a scan that subtracts Δ with
+// multiplicity, so the OLD side takes nothing from the NEW side there and
+// gives the same answer; the product rows beside it are still shared.
+func TestKeylessSideTable(t *testing.T) {
+	s := schema.New()
+	s.MustAddTable(&schema.Table{Name: "product", PrimaryKey: []string{"pid"}, Columns: []schema.Column{
+		{Name: "pid", Type: schema.TString}, {Name: "pname", Type: schema.TString}}})
+	s.MustAddTable(&schema.Table{Name: "review", Columns: []schema.Column{
+		{Name: "pid", Type: schema.TString}, {Name: "stars", Type: schema.TInt}}})
+	db, err := reldb.Open(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(vs ...any) reldb.Row {
+		r := make(reldb.Row, len(vs))
+		for i, v := range vs {
+			switch v := v.(type) {
+			case string:
+				r[i] = xdm.Str(v)
+			case int:
+				r[i] = xdm.Int(int64(v))
+			}
+		}
+		return r
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(db.Insert("product", row("P1", "CRT 15"), row("P2", "LCD 19"), row("P3", "OLED 27")))
+	must(db.Insert("review", row("P1", 5), row("P1", 5), row("P1", 3), row("P2", 4), row("P3", 1)))
+
+	pdef, _ := s.Table("product")
+	rdef, _ := s.Table("review")
+	reviews := xqgm.NewGroupBy(xqgm.NewTable(rdef, xqgm.SrcBase), []int{0},
+		xqgm.Agg{Name: "rs", Func: xqgm.AggXMLFrag, Arg: &xqgm.ElemCtor{Name: "r", Children: []xqgm.Expr{xqgm.Col(1)}}})
+	join := xqgm.NewJoin(xqgm.JoinLeftOuter, xqgm.NewTable(pdef, xqgm.SrcBase), reviews, []xqgm.JoinEq{{L: 0, R: 0}}, nil)
+	view := xqgm.NewProject(join, // pid, pname | pid, rs
+		xqgm.Proj{Name: "p", E: &xqgm.ElemCtor{Name: "p",
+			Attrs: []xqgm.AttrSpec{{Name: "name", E: xqgm.Col(1)}}, Children: []xqgm.Expr{xqgm.Col(3)}}},
+		xqgm.Proj{Name: "pid", E: xqgm.Col(0)})
+	snapshot := func() map[string]string {
+		rows, err := xqgm.NewEvalContext(db, nil).Eval(view)
+		must(err)
+		out := map[string]string{}
+		for _, r := range rows {
+			out[r[1].AsString()] = r[0].AsNode().Serialize(false)
+		}
+		return out
+	}
+
+	// One commit: P1 and P2 are renamed, and P1 loses one of its two 5-star
+	// reviews and gains a 2-star one.
+	before := snapshot()
+	deltas := map[string]*xqgm.Transition{
+		"product": {
+			Inserted: []reldb.Row{row("P1", "CRT 17"), row("P2", "LCD 21")},
+			Deleted:  []reldb.Row{row("P1", "CRT 15"), row("P2", "LCD 19")},
+		},
+		"review": {
+			Inserted: []reldb.Row{row("P1", 2)},
+			Deleted:  []reldb.Row{row("P1", 5)},
+		},
+	}
+	for _, r := range deltas["product"].Inserted {
+		name := r[1]
+		_, err := db.UpdateByPK("product", []xdm.Value{r[0]}, func(r reldb.Row) reldb.Row { r[1] = name; return r })
+		must(err)
+	}
+	gone := false
+	_, err = db.Delete("review", func(r reldb.Row) bool {
+		if gone || r[0].AsString() != "P1" || r[1].AsInt() != 5 {
+			return false
+		}
+		gone = true
+		return true
+	})
+	must(err)
+	must(db.Insert("review", deltas["review"].Inserted...))
+	want := diffSnapshots(before, snapshot())
+	if len(want.updated) != 2 {
+		t.Fatalf("oracle: %d updated products, want P1 and P2", len(want.updated))
+	}
+
+	reusedBefore := rowsReused
+	g, err := CreateANGraph(s, reldb.EvUpdate, view, "product", Options{Prune: true, CompareCols: []int{0}})
+	must(err)
+	checkOldSide(t, db, "keyless side table", g, deltas)
+	if rowsReused != reusedBefore {
+		t.Errorf("the OLD side took %d rows from the NEW side; every product row changed and review has no key", rowsReused-reusedBefore)
+	}
+	pairs, err := g.Eval(db, deltas)
+	must(err)
+	if len(pairs) != 2 {
+		t.Fatalf("UPDATE pairs = %d, want 2", len(pairs))
+	}
+	for _, p := range pairs {
+		w := want.updated[p.New[1].AsString()]
+		if o, n := p.Old[0].AsNode().Serialize(false), p.New[0].AsNode().Serialize(false); o != w[0] || n != w[1] {
+			t.Errorf("%s: OLD %s NEW %s, want %s and %s", p.New[1].AsString(), o, n, w[0], w[1])
+		}
 	}
 }
 

@@ -42,6 +42,7 @@ type GroupStat struct {
 	EvalNS      int64 `json:"eval_ns"`     // wall time spent evaluating
 	DeltaRows   int64 `json:"delta_rows"`  // transition rows seen
 	Activations int64 `json:"activations"` // member activations delivered/staged
+	RowsReused  int64 `json:"rows_reused"` // OLD-side rows taken from the NEW side instead of computed
 	Builds      int64 `json:"builds"`      // plan (re)compilations
 }
 
@@ -126,6 +127,7 @@ func (e *Engine) GroupStats() []GroupStat {
 			EvalNS:      g.stats.evalNS.Load(),
 			DeltaRows:   g.stats.deltaRows.Load(),
 			Activations: g.stats.activations.Load(),
+			RowsReused:  g.stats.rowsReused.Load(),
 			Builds:      g.stats.builds.Load(),
 		})
 	}

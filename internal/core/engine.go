@@ -264,6 +264,7 @@ type groupStats struct {
 	evalNS      atomic.Int64 // wall time spent in those evaluations
 	deltaRows   atomic.Int64 // transition rows seen across firings
 	activations atomic.Int64 // member activations delivered or staged
+	rowsReused  atomic.Int64 // xqgm.EvalStats.RowsReused summed over those evaluations
 	builds      atomic.Int64 // plan (re)compilations, incl. mode switches
 }
 
@@ -1528,6 +1529,7 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 	if err != nil {
 		return err
 	}
+	g.stats.rowsReused.Add(int64(ectx.Stats.RowsReused))
 	if sh := e.shadow.Load(); sh != nil {
 		sqlText := plan.sqlText
 		if root == plan.batchRoot {
@@ -1543,26 +1545,38 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 	if len(rows) == 0 {
 		return nil
 	}
-	// Sorted activation (the ORDER BY of Figure 16): by TrigIDs then by
-	// the affected key. A row's key serialises its OLD and NEW nodes, so it
-	// is built once per row, not once per comparison.
+	// Sorted activation (the ORDER BY of Figure 16): by TrigIDs then by the
+	// row. The leading affected-key columns decide that order whenever they
+	// differ (TupleKey length-prefixes each column), and affected keys are
+	// unique per row and TrigIDs, so the rest of the row — which serialises
+	// its OLD and NEW nodes — is keyed only to break a tie: the rows of a
+	// DELETE graph, whose leading key is NULL.
 	if len(rows) > 1 {
 		type keyed struct {
-			ids, key string
-			row      xqgm.Tuple
+			ids, key, full string
+			row            xqgm.Tuple
 		}
 		ks := make([]keyed, len(rows))
 		for i, row := range rows {
-			ks[i] = keyed{key: xdm.TupleKey(row), row: row}
+			ks[i] = keyed{key: xdm.TupleKey(row[:an.KeyWidth()]), row: row}
 			if plan.trigIDsCol >= 0 {
 				ks[i].ids = row[plan.trigIDsCol].AsString()
 			}
+		}
+		full := func(k *keyed) string {
+			if k.full == "" {
+				k.full = xdm.TupleKey(k.row)
+			}
+			return k.full
 		}
 		sort.SliceStable(ks, func(i, j int) bool {
 			if ks[i].ids != ks[j].ids {
 				return ks[i].ids < ks[j].ids
 			}
-			return ks[i].key < ks[j].key
+			if ks[i].key != ks[j].key {
+				return ks[i].key < ks[j].key
+			}
+			return full(&ks[i]) < full(&ks[j])
 		})
 		rows = make([]xqgm.Tuple, len(ks))
 		for i := range ks {

@@ -88,6 +88,7 @@ func (e *Engine) GroupStats() []core.GroupStat {
 			a.EvalNS += gs.EvalNS
 			a.DeltaRows += gs.DeltaRows
 			a.Activations += gs.Activations
+			a.RowsReused += gs.RowsReused
 			a.Builds += gs.Builds
 		}
 	}

@@ -185,8 +185,10 @@ func (n *Node) writeText(sb *strings.Builder) {
 
 // DeepEqual reports structural equality: same kind, name, text, attributes
 // (order-insensitive, per the XML data model) and children (order-sensitive).
+// A node is equal to itself without a walk: subtrees are shared between an
+// OLD_NODE and a NEW_NODE wherever the statement changed nothing.
 func (n *Node) DeepEqual(m *Node) bool {
-	if n == nil || m == nil {
+	if n == m || n == nil || m == nil {
 		return n == m
 	}
 	if n.Kind != m.Kind || n.Name != m.Name || n.Text != m.Text {
@@ -195,16 +197,10 @@ func (n *Node) DeepEqual(m *Node) bool {
 	if len(n.Attrs) != len(m.Attrs) || len(n.Children) != len(m.Children) {
 		return false
 	}
-	if len(n.Attrs) > 0 {
-		av := make(map[string]string, len(n.Attrs))
-		for _, a := range n.Attrs {
-			av[a.Name] = a.Text
-		}
-		for _, b := range m.Attrs {
-			v, ok := av[b.Name]
-			if !ok || v != b.Text {
-				return false
-			}
+	// Attribute lists are short: a nested loop, no map.
+	for _, b := range m.Attrs {
+		if i := slices.IndexFunc(n.Attrs, func(a *Node) bool { return a.Name == b.Name }); i < 0 || n.Attrs[i].Text != b.Text {
+			return false
 		}
 	}
 	for i := range n.Children {

@@ -127,6 +127,39 @@ func TestDeepEqual(t *testing.T) {
 	if !nn.DeepEqual(nil) {
 		t.Error("nil vs nil")
 	}
+	// Attribute and text content matter.
+	if Elem("e", Attr("a", "1")).DeepEqual(Elem("e", Attr("a", "2"))) || Elem("e", Attr("a", "1")).DeepEqual(Elem("e", Attr("b", "1"))) {
+		t.Error("attribute name and value must affect equality")
+	}
+	if Elem("e", TextNd("x")).DeepEqual(Elem("e", TextNd("y"))) {
+		t.Error("text must affect equality")
+	}
+}
+
+// TestDeepEqualAllocatesNothing: the spurious-update filter compares an
+// OLD_NODE with a NEW_NODE on every firing of a non-injective view, over
+// children that each carry attributes.
+func TestDeepEqualAllocatesNothing(t *testing.T) {
+	tree := func(last string) *Node {
+		e := Elem("e0", Attr("name", "n"))
+		for i := 0; i < 64; i++ {
+			text := "50"
+			if i == 63 {
+				text = last
+			}
+			e.AppendChild(Elem("e1", Attr("id", "7"), Attr("k", "v"), Elem("payload", TextNd(text))))
+		}
+		return e
+	}
+	a, b, c := tree("50"), tree("50"), tree("51")
+	var eq, ne bool
+	allocs := testing.AllocsPerRun(100, func() { eq, ne = a.DeepEqual(b), a.DeepEqual(c) })
+	if !eq || ne {
+		t.Fatalf("DeepEqual = %t (equal trees), %t (last child differs)", eq, ne)
+	}
+	if allocs != 0 {
+		t.Errorf("DeepEqual of two 64-child trees allocates %.0f objects, want 0", allocs)
+	}
 }
 
 func TestSerializeCompact(t *testing.T) {

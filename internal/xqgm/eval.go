@@ -20,8 +20,11 @@ type Transition struct {
 
 // EvalStats counts evaluator work for benchmarks and plan-shape tests.
 type EvalStats struct {
-	OpsEvaluated   int
-	RowsProduced   int
+	OpsEvaluated int
+	RowsProduced int
+	// RowsReused counts the produced rows an operator over B_old took from
+	// its twin's output instead of computing them (see EvalContext).
+	RowsReused     int
 	IndexNLJoins   int
 	HashJoins      int
 	NestedLoopJoin int
@@ -30,12 +33,28 @@ type EvalStats struct {
 // EvalContext supplies the data environment for evaluating a graph: the
 // database, the firing statement's transition tables, and result
 // memoization so shared DAG nodes are computed once.
+//
+// An operator over B_old that Prepare paired with a twin over the current
+// tables is evaluated as an edit of the twin: the twin runs first (an
+// affected-node graph needs both sides anyway), and wherever this operator's
+// input tuple is the twin's input tuple — the operator below took it from
+// *its* twin — its output tuple is the twin's. Only the rest is computed:
+// an index join into B_old keeps the twin's matches whose primary key is not
+// in Δ and probes ∇ alone; Select, Project and GroupBy evaluate the tuples
+// and groups the statement changed. So the subtrees of OLD_NODE the
+// statement did not touch are the subtrees of NEW_NODE, not copies. Whatever
+// cannot be matched up is computed as if there were no twin: a hash join, a
+// keyless table (B_old is then a bag, not an index probe), a join whose twin
+// chose another access path, an outer tuple that itself changed. All of this
+// state is per context; evaluation never writes to a plan.
 type EvalContext struct {
 	DB     *reldb.DB
 	Deltas map[string]*Transition
 	Stats  EvalStats
 
 	memo map[*node][]Tuple
+	// trails holds what the nodes of twin pairs leave for each other.
+	trails map[*node]trail
 	// adhoc holds the plans of graphs evaluated here without a prior
 	// Prepare. They live in the context, not on the Operator, so evaluation
 	// never writes to a graph another goroutine may be evaluating.
@@ -51,9 +70,45 @@ type EvalContext struct {
 }
 
 // hit is one index-join match: an outer tuple and the base row it probed.
+// from is the position of the finished output tuple in the twin's output
+// when the match was taken from the twin, else -1.
 type hit struct {
-	outer int
-	row   reldb.Row
+	row         reldb.Row
+	outer, from int32
+}
+
+// trail is what a node of a twin pair leaves behind besides its memoized
+// output. The node over B_old leaves from: per output tuple, its position in
+// the twin's output, or -1 for a tuple computed here — which is how its
+// consumer knows what to take from the consumer's own twin. The twinned node
+// leaves how its output came from its input: an index join its hits, a
+// Select where each input tuple went, a GroupBy the group of each input
+// tuple. (A Project's output position is its input position.)
+type trail struct {
+	from []int32
+
+	outer, pi int       // index join: the driving input and the probed equi-pair
+	hits      []hit     // index join: hits[i] made output tuple i
+	at        []int32   // Select: output position of input tuple i, or -1; GroupBy: its group
+	groups    []groupAt // GroupBy: by group
+}
+
+// groupAt is one group of a twinned GroupBy: its output position and size.
+type groupAt struct{ out, size int32 }
+
+// twinOf evaluates the twin of a unary operator over B_old whose input
+// took tuples from the twin's input. It returns where the input's tuples
+// are in the twin's input (see trail.from), the twin's output and what the
+// twin left; inFrom is nil when there is no twin or nothing to take from it.
+func (ctx *EvalContext) twinOf(n *node) (inFrom []int32, out []Tuple, left trail, err error) {
+	if n.twin == nil {
+		return nil, nil, trail{}, nil
+	}
+	if inFrom = ctx.trails[n.in[0]].from; inFrom == nil {
+		return nil, nil, trail{}, nil
+	}
+	out, err = ctx.run(n.twin)
+	return inFrom, out, ctx.trails[n.twin], err
 }
 
 // tableCol keys the ∇-row cache without per-probe string formatting.
@@ -91,6 +146,9 @@ func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
 	}
 	if ctx.memo == nil {
 		ctx.memo = make(map[*node][]Tuple, n.id+1) // ids below a root do not exceed its own
+	}
+	if ctx.trails == nil && n.pairs > 0 {
+		ctx.trails = make(map[*node]trail, n.pairs)
 	}
 	return ctx.run(n)
 }
@@ -163,21 +221,74 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 	switch o.Type {
 	case OpSelect:
 		var out []Tuple
-		for _, t := range in {
-			env.In[0] = t
-			ok, err := holds(o.Pred, env)
-			if err != nil {
-				return nil, err
+		// A twinned Select leaves where each input tuple went; a Select over
+		// B_old takes the twin's verdict on every tuple the twin saw too.
+		var at, from []int32
+		inFrom, _, twin, err := ctx.twinOf(n)
+		if err != nil {
+			return nil, err
+		}
+		if n.twinned {
+			at = make([]int32, len(in))
+		} else if inFrom != nil {
+			from = make([]int32, 0, len(in))
+		}
+		for i, t := range in {
+			ok, src := false, int32(-1)
+			if from != nil && inFrom[i] >= 0 {
+				src = twin.at[inFrom[i]]
+				ok = src >= 0
+			} else {
+				env.In[0] = t
+				if ok, err = holds(o.Pred, env); err != nil {
+					return nil, err
+				}
 			}
-			if ok {
-				out = append(out, t)
+			if at != nil {
+				at[i] = -1
+				if ok {
+					at[i] = int32(len(out))
+				}
 			}
+			if !ok {
+				continue
+			}
+			out = append(out, t)
+			if from != nil {
+				from = append(from, src)
+			}
+			if src >= 0 {
+				ctx.Stats.RowsReused++
+			}
+		}
+		if at != nil || from != nil {
+			ctx.trails[n] = trail{at: at, from: from}
 		}
 		return out, nil
 	case OpProject:
 		out := make([]Tuple, len(in))
-		sl := slab{w: len(o.Projs), n: len(in)}
+		fresh := len(in)
+		// A tuple the input took from the twin's input projects to what the
+		// twin projected it to.
+		from, tout, _, err := ctx.twinOf(n)
+		if err != nil {
+			return nil, err
+		}
+		if from != nil {
+			for i, k := range from {
+				if k >= 0 {
+					out[i] = tout[k]
+					fresh--
+				}
+			}
+			ctx.Stats.RowsReused += len(in) - fresh
+			ctx.trails[n] = trail{from: from}
+		}
+		sl := slab{w: len(o.Projs), n: fresh}
 		for i, t := range in {
+			if out[i] != nil {
+				continue
+			}
 			env.In[0] = t
 			nt := sl.next()
 			for j, p := range o.Projs {
@@ -387,6 +498,18 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 	if outer == 1 {
 		ocols, ooff, ioff = n.rcols, lw, 0
 	}
+	// A twin that probed the same way has the matches of every driving tuple
+	// this join shares with it: B_old's are those less the rows the statement
+	// wrote (primary key in Δ) plus the ones it removed (∇), which is
+	// lookupPath's rule applied to the twin's hits instead of to the index.
+	twinHits, tout, outerFrom, err := ctx.twinProbe(n, outer, pi)
+	if err != nil {
+		return nil, false, err
+	}
+	var excl map[xdm.CompKey]struct{}
+	if twinHits != nil && bp.src == SrcOld {
+		excl = ctx.oldExclFor(bp.table, bp.pk)
+	}
 	// First collect the (outer tuple, base row) matches, then build the
 	// output in one exactly-sized array.
 	hits := ctx.hits[:0]
@@ -410,29 +533,71 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 				return true
 			}
 		}
-		hits = append(hits, hit{oi, r})
+		hits = append(hits, hit{r, int32(oi), -1})
 		return true
 	}
+	reused := 0
 	for oi = range ot {
-		if v := ot[oi][ocols[pi]]; !v.IsNull() {
+		v := ot[oi][ocols[pi]]
+		if v.IsNull() {
+			continue
+		}
+		k := -1 // the driving tuple's position in the twin's driving input
+		if outerFrom != nil {
+			k = int(outerFrom[oi])
+		} else if twinHits != nil {
+			k = oi // the twin drives from the same node
+		}
+		if k < 0 {
 			if err := ctx.lookupPath(bp, pr.baseCols[pi], v, emit); err != nil {
 				return nil, false, err
 			}
-			if rowErr != nil {
-				return nil, false, rowErr
+		} else {
+			i, _ := slices.BinarySearchFunc(twinHits, int32(k), func(h hit, k int32) int { return int(h.outer - k) })
+			for ; i < len(twinHits) && int(twinHits[i].outer) == k; i++ {
+				if len(excl) > 0 {
+					if _, masked := excl[xdm.ColsKey(twinHits[i].row, bp.pk)]; masked {
+						continue
+					}
+				}
+				hits = append(hits, hit{twinHits[i].row, int32(oi), int32(i)})
+				reused++
+			}
+			if bp.src == SrcOld {
+				ctx.lookupDeleted(bp, pr.baseCols[pi], v, emit)
 			}
 		}
+		if rowErr != nil {
+			return nil, false, rowErr
+		}
 	}
-	ctx.hits = hits
 	out := make([]Tuple, len(hits))
-	sl := slab{w: n.width, n: len(hits)}
+	sl := slab{w: n.width, n: len(hits) - reused}
+	var from []int32
+	if reused > 0 {
+		from = make([]int32, len(hits))
+		ctx.Stats.RowsReused += reused
+	}
 	for i, h := range hits {
+		if from != nil {
+			from[i] = h.from
+		}
+		if h.from >= 0 {
+			out[i] = tout[h.from] // the same driving tuple and the same row: the twin's tuple
+			continue
+		}
 		jt := sl.next()
 		copy(jt[ooff:], ot[h.outer])
 		for j, bc := range bp.colMap {
 			jt[ioff+j] = h.row[bc]
 		}
 		out[i] = jt
+	}
+	ctx.hits = hits
+	if n.twinned && n.op.JoinPred == nil { // hits[i] made out[i]: keep them for the B_old side
+		ctx.trails[n] = trail{outer: outer, pi: pi, hits: append(make([]hit, 0, len(hits)), hits...)}
+	} else if from != nil {
+		ctx.trails[n] = trail{from: from}
 	}
 	if o := n.op; o.JoinPred != nil {
 		kept := out[:0]
@@ -449,6 +614,29 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 		out = kept
 	}
 	return out, true, nil
+}
+
+// twinProbe evaluates the twin of an index join that shares driving tuples
+// with it, and returns the hits the twin left when it probed the same way
+// (nil otherwise), the twin's output, and where this join's driving tuples
+// are in the twin's driving input — nil when both drive from the same node.
+func (ctx *EvalContext) twinProbe(n *node, outer, pi int) (hits []hit, out []Tuple, outerFrom []int32, err error) {
+	t := n.twin
+	if t == nil {
+		return nil, nil, nil, nil
+	}
+	if t.in[outer] != n.in[outer] {
+		if outerFrom = ctx.trails[n.in[outer]].from; outerFrom == nil {
+			return nil, nil, nil, nil
+		}
+	}
+	if out, err = ctx.run(t); err != nil {
+		return nil, nil, nil, err
+	}
+	if tr := ctx.trails[t]; tr.hits != nil && tr.outer == outer && tr.pi == pi {
+		return tr.hits, out, outerFrom, nil
+	}
+	return nil, nil, nil, nil
 }
 
 // oldExclFor returns (building once per context) the Δ primary-key set of
@@ -514,15 +702,20 @@ func (ctx *EvalContext) lookupPath(bp *basePath, col int, v xdm.Value, fn func(r
 	if err != nil || stop {
 		return err
 	}
+	ctx.lookupDeleted(bp, col, v, fn)
+	return nil
+}
+
+// lookupDeleted is the ∇B half of a B_old probe.
+func (ctx *EvalContext) lookupDeleted(bp *basePath, col int, v xdm.Value, fn func(reldb.Row) bool) {
 	if len(ctx.transition(bp.table).Deleted) == 0 {
-		return nil
+		return
 	}
 	for _, r := range ctx.deletedByCol(bp.table, col)[v.CompKey()] {
 		if !fn(r) {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // hashJoin joins on the equi-pairs by hashing one side; with no equi-pairs
@@ -601,6 +794,14 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 	byKey := make(map[xdm.CompKey]int32)
 	var keys []xdm.CompKey
 	var end []int32 // per group: row count, then the end of its run
+	// A group whose rows are exactly the rows of one group of the twin is
+	// that group: same rows, same aggregates. twinGroup[g] is the twin's
+	// group all of g's rows so far came from, or -1.
+	var twinGroup []int32
+	inFrom, tout, twin, err := ctx.twinOf(n)
+	if err != nil {
+		return nil, err
+	}
 	for i, t := range in {
 		k := xdm.ColsKey(t, o.GroupCols)
 		g, ok := byKey[k]
@@ -612,6 +813,17 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 		}
 		gid[i] = g
 		end[g]++
+		if inFrom != nil {
+			tg := int32(-1)
+			if inFrom[i] >= 0 {
+				tg = twin.at[inFrom[i]]
+			}
+			if !ok {
+				twinGroup = append(twinGroup, tg)
+			} else if twinGroup[g] != tg {
+				twinGroup[g] = -1
+			}
+		}
 	}
 	// Global aggregate over empty input yields one row (SQL semantics);
 	// grouped aggregate over empty input yields none.
@@ -634,12 +846,32 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 	slices.SortFunc(order, func(a, b int32) int { return keys[a].Compare(keys[b]) }) // deterministic group order
 	out := make([]Tuple, 0, len(order))
 	sl := slab{w: n.width, n: len(order)}
+	var groups []groupAt // a twinned GroupBy leaves gid and these
+	if n.twinned {
+		groups = make([]groupAt, len(keys))
+	}
+	var from []int32
+	if twinGroup != nil {
+		from = make([]int32, 0, len(order))
+	}
 	for _, g := range order {
 		stop := len(in)
 		if int(g)+1 < len(end) {
 			stop = int(end[g+1])
 		}
 		grp := rows[end[g]:stop]
+		if groups != nil {
+			groups[g] = groupAt{out: int32(len(out)), size: int32(len(grp))}
+		}
+		if from != nil {
+			if tg := twinGroup[g]; tg >= 0 && int(twin.groups[tg].size) == len(grp) {
+				from = append(from, twin.groups[tg].out)
+				out = append(out, tout[twin.groups[tg].out])
+				ctx.Stats.RowsReused++
+				continue
+			}
+			from = append(from, -1)
+		}
 		t := sl.next()
 		for i, c := range o.GroupCols {
 			t[i] = grp[0][c]
@@ -650,6 +882,9 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 		// relational data is implementation-defined; we pick key order).
 		sortTuples(grp, n.inKey)
 		for i, a := range o.Aggs {
+			if !n.live[len(o.GroupCols)+i] {
+				continue // nobody reads it: stays NULL
+			}
 			v, err := evalAgg(a, grp, env)
 			if err != nil {
 				return nil, err
@@ -657,6 +892,11 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 			t[len(o.GroupCols)+i] = v
 		}
 		out = append(out, t)
+	}
+	if groups != nil {
+		ctx.trails[n] = trail{at: gid, groups: groups}
+	} else if from != nil {
+		ctx.trails[n] = trail{from: from}
 	}
 	return out, nil
 }

@@ -19,6 +19,14 @@ type node struct {
 	// live marks the output columns some consumer reads. A Project leaves
 	// the others Null instead of evaluating them.
 	live []bool
+	// twin, on a node that reads B_old, is the node that computes the same
+	// thing over the post-update tables: equal signature once SrcOld is read
+	// as SrcBase and inputs are named by their twins. Evaluation derives this
+	// node's output from the twin's (see EvalContext). twinned marks the
+	// other end: a node some node names as its twin.
+	twin    *node
+	twinned bool
+	pairs   int // on a root: how many nodes of its plan are in a twin pair
 
 	lcols, rcols []int     // Join: equi-join columns of the left / right input
 	probes       [2]*probe // Join: index access path into in[1] (outer in[0]), into in[0] (outer in[1])
@@ -39,11 +47,16 @@ type probe struct {
 // needs that depends only on the plan: join access paths and key column
 // lists, Constants rows and their hash builds, which columns are read at
 // all, and which subgraphs are structurally identical and so evaluated
-// once. It belongs where a graph is installed (a trigger group's plans, a
-// registered view); the logical graph — what RenderSQL prints — is left
-// untouched apart from remembering its plan, and must not change
-// afterwards. Roots prepared together share the nodes of shared subgraphs.
-// Graphs never passed to Prepare are planned per EvalContext on first Eval.
+// once. It also pairs every operator over B_old with its twin over the
+// current tables — an affected-node graph holds the view twice, as G and as
+// G_old, and G_old differs from G only where the statement wrote — so that
+// evaluation builds the OLD side as an edit of the NEW side (see
+// EvalContext). Prepare belongs where a graph is installed (a trigger
+// group's plans, a registered view); the logical graph — what RenderSQL
+// prints — is left untouched apart from remembering its plan, and must not
+// change afterwards. Roots prepared together share the nodes of shared
+// subgraphs. Graphs never passed to Prepare are planned per EvalContext on
+// first Eval.
 func Prepare(roots ...*Operator) error {
 	ns, err := plan(roots)
 	if err != nil {
@@ -82,7 +95,54 @@ func plan(roots []*Operator) ([]*node, error) {
 	for i := len(p.nodes) - 1; i >= 0; i-- {
 		p.nodes[i].demand()
 	}
+	pairs := p.pairTwins()
+	for _, n := range out {
+		n.pairs = pairs
+	}
 	return out, nil
+}
+
+// pairTwins gives every node that reads B_old its twin and returns how many
+// nodes it paired. Inputs come before consumers in p.nodes, so a node's
+// inputs are paired before it is.
+func (p *planner) pairTwins() (pairs int) {
+	old := make([]bool, len(p.nodes)) // by id: the subtree reads SrcOld
+	for _, n := range p.nodes {
+		old[n.id] = n.op.Type == OpTable && n.op.Source == SrcOld
+		for _, in := range n.in {
+			old[n.id] = old[n.id] || old[in.id]
+		}
+		if !old[n.id] {
+			continue
+		}
+		// An input without a twin leaves the signature unchanged: the lookup
+		// finds n itself.
+		t := p.bySig[n.signature(true)]
+		if t == nil || t == n {
+			continue
+		}
+		// A Project or GroupBy leaves the columns nobody reads NULL, and the
+		// twin's tuples stand in for this node's: the twin must compute
+		// every column this node's consumers read.
+		if (n.op.Type == OpProject || n.op.Type == OpGroupBy) && !covers(t.live, n.live) {
+			continue
+		}
+		if !t.twinned {
+			pairs++
+		}
+		n.twin, t.twinned = t, true
+		pairs++
+	}
+	return pairs
+}
+
+func covers(a, b []bool) bool {
+	for i, l := range b {
+		if l && !a[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *planner) build(o *Operator) (*node, error) {
@@ -98,7 +158,7 @@ func (p *planner) build(o *Operator) (*node, error) {
 		n.in = append(n.in, c)
 	}
 	n.id = len(p.nodes)
-	sig := n.signature()
+	sig := n.signature(false)
 	if dup, ok := p.bySig[sig]; ok {
 		p.byOp[o] = dup
 		return dup, nil
@@ -145,8 +205,10 @@ func (p *planner) build(o *Operator) (*node, error) {
 // signature renders everything evaluation depends on, so two nodes with
 // equal signatures produce equal output. Inputs are named by node id: they
 // are already merged. It runs once per operator of every installed plan, so
-// it appends to one buffer rather than going through fmt.
-func (n *node) signature() string {
+// it appends to one buffer rather than going through fmt. With asTwin it
+// renders the signature n's twin has: B_old read as the current table, and
+// inputs named by their twins.
+func (n *node) signature(asTwin bool) string {
 	o := n.op
 	b := make([]byte, 0, 128)
 	ints := func(sep byte, vs ...int) {
@@ -163,12 +225,19 @@ func (n *node) signature() string {
 	}
 	ints(' ', int(o.Type))
 	for _, in := range n.in {
+		if asTwin && in.twin != nil {
+			in = in.twin
+		}
 		ints('#', in.id)
 	}
 	switch o.Type {
 	case OpTable:
+		src := o.Source
+		if asTwin && src == SrcOld {
+			src = SrcBase
+		}
 		b = append(append(b, ' '), o.Table...)
-		ints(' ', int(o.Source))
+		ints(' ', int(src))
 	case OpConstants:
 		b = fmt.Appendf(b, " %p", o) // identical to itself only
 	case OpSelect:
@@ -256,11 +325,13 @@ func (n *node) demand() {
 			}
 		}
 	case OpJoin:
+		// An anti join's absent side comes out NULL whatever it computed, so
+		// it is read only to decide what matches.
 		lw := n.in[0].width
 		for c, l := range n.live {
-			if l && c < lw {
+			if l && c < lw && o.JoinKind != JoinRightAnti {
 				n.in[0].live[c] = true
-			} else if l {
+			} else if l && c >= lw && o.JoinKind != JoinLeftAnti {
 				n.in[1].live[c-lw] = true
 			}
 		}
@@ -273,8 +344,10 @@ func (n *node) demand() {
 		for _, c := range o.GroupCols {
 			n.in[0].live[c] = true
 		}
-		for _, a := range o.Aggs {
-			reads(a.Arg)
+		for i, a := range o.Aggs {
+			if n.live[len(o.GroupCols)+i] {
+				reads(a.Arg)
+			}
 		}
 		if n.inKey == nil {
 			all(0) // rows order by the whole tuple

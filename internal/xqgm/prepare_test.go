@@ -100,6 +100,60 @@ func TestDeadProjectionConstructsNoNode(t *testing.T) {
 		if rows := evalRoot(t, db, inner, nil); built != 7 || rows[0][1].AsNode() == nil {
 			t.Errorf("read=%t: as a root the projection built %d nodes, want 7", read, built)
 		}
+
+		// An aggregate nobody reads is not computed either: its argument's
+		// constructor never runs, and the column stays NULL.
+		built = 0
+		ctor := &xqgm.ElemCtor{Name: "vendor", Children: []xqgm.Expr{countingExpr{&built}}}
+		grouped := xqgm.NewGroupBy(xqgm.NewTable(vdef, xqgm.SrcBase), []int{1},
+			xqgm.Agg{Name: "n", Func: xqgm.AggCount},
+			xqgm.Agg{Name: "nodes", Func: xqgm.AggXMLFrag, Arg: ctor})
+		projs = []xqgm.Proj{{Name: "pid", E: xqgm.Col(0)}, {Name: "n", E: xqgm.Col(1)}}
+		if read {
+			projs = append(projs, xqgm.Proj{Name: "nodes", E: xqgm.Col(2)})
+		}
+		out = evalRoot(t, db, xqgm.NewProject(grouped, projs...), nil)
+		if len(out) != 3 || out[0][1].AsInt() != 3 {
+			t.Fatalf("read=%t: groups = %v, want 3 with P1 counting 3", read, out)
+		}
+		if built != want {
+			t.Errorf("read=%t: the aggregate's constructor ran %d times, want %d", read, built, want)
+		}
+	}
+}
+
+// The side of an anti join that comes out NULL is read for its join columns
+// only, however many of the output's columns the consumer reads: the INSERT
+// and DELETE affected-node graphs do not construct the nodes they discard.
+func TestAntiJoinAbsentSideConstructsNoNode(t *testing.T) {
+	db := paperDB(t)
+	vdef, _ := db.Schema().Table("vendor")
+	for _, kind := range []xqgm.JoinKind{xqgm.JoinLeftAnti, xqgm.JoinRightAnti, xqgm.JoinInner} {
+		var built [2]int
+		side := func(i int, maxPrice float64) *xqgm.Operator {
+			sel := xqgm.NewSelect(xqgm.NewTable(vdef, xqgm.SrcBase),
+				&xqgm.Cmp{Op: "<", L: xqgm.Col(2), R: xqgm.LitOf(xdm.Float(maxPrice))})
+			return xqgm.NewProject(sel,
+				xqgm.Proj{Name: "vid", E: xqgm.Col(0)},
+				xqgm.Proj{Name: "pid", E: xqgm.Col(1)},
+				xqgm.Proj{Name: "node", E: &xqgm.ElemCtor{Name: "vendor", Children: []xqgm.Expr{countingExpr{&built[i]}}}})
+		}
+		// Left: the 3 vendors under 125; right: the 5 under 160.
+		join := xqgm.NewJoin(kind, side(0, 125), side(1, 160), []xqgm.JoinEq{{L: 0, R: 0}, {L: 1, R: 1}}, nil)
+		out := evalRoot(t, db, join, nil)
+		want := map[xqgm.JoinKind][3]int{ // rows, left nodes built, right nodes built
+			xqgm.JoinLeftAnti:  {0, 3, 0},
+			xqgm.JoinRightAnti: {2, 0, 5},
+			xqgm.JoinInner:     {3, 3, 5},
+		}[kind]
+		if len(out) != want[0] || built[0] != want[1] || built[1] != want[2] {
+			t.Errorf("%v: %d rows, %d left and %d right nodes built, want %v", kind, len(out), built[0], built[1], want)
+		}
+		for _, r := range out {
+			if kind == xqgm.JoinRightAnti && (!r[2].IsNull() || r[5].AsNode() == nil) {
+				t.Errorf("%v: row %v, want a NULL left side and a built right node", kind, r)
+			}
+		}
 	}
 }
 
@@ -207,6 +261,51 @@ func TestPlanSharedAcrossGoroutines(t *testing.T) {
 			}()
 		}
 		want := fmt.Sprint(evalRoot(t, db, root, nil))
+		for w := 0; w < workers; w++ {
+			if got := <-results; got != want {
+				t.Errorf("prepared=%t: concurrent evaluation = %s, want %s", prepared, got, want)
+			}
+		}
+	}
+}
+
+// The same for a plan with twin pairs: what the OLD side takes from the NEW
+// side, and the trails both leave for each other, live in the EvalContext —
+// four goroutines evaluating one plan never meet. Run under -race.
+func TestTwinPlanSharedAcrossGoroutines(t *testing.T) {
+	for _, prepared := range []bool{true, false} {
+		db, root, _, deltas := twinFixture(t)
+		if prepared {
+			if err := xqgm.Prepare(root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const workers = 4
+		results := make(chan string, workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				var last string
+				for i := 0; i < 50; i++ {
+					ctx := xqgm.NewEvalContext(db, deltas)
+					out, err := ctx.Eval(root)
+					if err != nil {
+						last = err.Error()
+						break
+					}
+					last = fmt.Sprint(ctx.Stats.RowsReused, out)
+				}
+				results <- last
+			}()
+		}
+		ctx := xqgm.NewEvalContext(db, deltas)
+		out, err := ctx.Eval(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.Stats.RowsReused == 0 {
+			t.Fatal("the plan has no twins: nothing was reused")
+		}
+		want := fmt.Sprint(ctx.Stats.RowsReused, out)
 		for w := 0; w < workers; w++ {
 			if got := <-results; got != want {
 				t.Errorf("prepared=%t: concurrent evaluation = %s, want %s", prepared, got, want)
