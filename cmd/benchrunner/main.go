@@ -1,865 +1,363 @@
-// Command benchrunner regenerates the paper's evaluation figures
-// (Figures 17, 18, 22, 23, 24) as printed series: for each x-axis value it
-// builds the Table 2 workload, performs a batch of independent single-row
-// leaf updates, and reports the average time per update for each system
-// (UNGROUPED / GROUPED / GROUPED-AGG).
+// Command benchrunner measures the paper's evaluation: the parameter sweeps
+// over the Table 2 workload (§6 Figures 17-18, Appendix G Figures 22-24),
+// trigger compile time, the B_old and materialize-and-diff ablations, the
+// rendered-SQL shadow tax, and the shard and adaptive-planner sweeps. A figure
+// is a row of the registry in figures.go and one loop measures them all: every
+// point is R repeats of U updates after a warm-up, recorded as median / p10 /
+// p90 ns per update plus allocations and bytes per update. The committed
+// BENCH_<fig>.json snapshots follow the regresql lifecycle:
 //
-//	benchrunner -fig 17            # one figure
-//	benchrunner -fig all -scale 1  # everything at paper scale (slow)
-//	benchrunner -fig 23 -scale 0.25 -updates 50
+//	benchrunner [flags] run [fig...]     measure and print
+//	benchrunner [flags] update [fig...]  measure and rewrite BENCH_<fig>.json
+//	benchrunner [flags] test [fig...]    measure and compare with BENCH_<fig>.json
+//
+// No figure named means all of them. test judges what another machine can:
+// allocations per update against the snapshot (2 %, the bound BENCHMARK.json
+// puts on counts) and each figure's shape, a ratio between points of one run
+// that states the paper's claim; a shape missed by less than the run's own
+// p10-p90 spread is reported unresolved and does not fail. Times are printed
+// beside the recorded ones and never gate: bench/ judges those.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
-
-	"quark/internal/core"
-	"quark/internal/dispatch"
-	"quark/internal/outbox"
-	"quark/internal/planner"
-	"quark/internal/reldb"
-	"quark/internal/relsql"
-	"quark/internal/schema"
-	"quark/internal/wire"
-	"quark/internal/workload"
-	"quark/internal/xdm"
 )
 
-var (
-	figFlag     = flag.String("fig", "all", "figure to regenerate: 17, 18, 22, 23, 24, batch, dispatch, outbox, shard, adaptive, sqlite, compile, or all")
-	scaleFlag   = flag.Float64("scale", 0.25, "data scale factor (1.0 = paper scale: 128K leaf tuples default)")
-	updatesFlag = flag.Int("updates", 100, "independent updates per measurement (paper: 100)")
-	maxTrigFlag = flag.Int("maxtriggers", 10000, "cap on trigger-count sweep (paper sweeps to 100,000)")
+var scaleFlag = flag.Float64("scale", 0.25, "multiplies data size, trigger population and updates per point (1 = paper scale)")
+
+const (
+	repeats     = 5    // R: timed blocks per point
+	warmUps     = 3    // untimed ops before the first block
+	allocsBound = 0.02 // relative growth of allocations per update that fails test
 )
 
-func defaults() workload.Params {
-	p := workload.Default()
-	p.LeafTuples = int(float64(p.LeafTuples) * *scaleFlag)
-	if p.LeafTuples < p.Fanout*4 {
-		p.LeafTuples = p.Fanout * 4
-	}
-	p.NumTriggers = int(float64(p.NumTriggers) * *scaleFlag)
-	if p.NumTriggers < 10 {
-		p.NumTriggers = 10
-	}
-	return p
+// point is one (series, x) of a figure.
+type point struct {
+	Series string  `json:"series"`
+	X      int     `json:"x"`
+	Median float64 `json:"ns_per_update_median"`
+	P10    float64 `json:"ns_per_update_p10"`
+	P90    float64 `json:"ns_per_update_p90"`
+	Allocs float64 `json:"allocs_per_update"`
+	Bytes  float64 `json:"bytes_per_update"`
 }
 
-func measure(p workload.Params, mode core.Mode) (time.Duration, error) {
-	w, err := workload.Build(p, mode, 42)
+// snapshot is one figure's run: what it takes to repeat it, and its points.
+type snapshot struct {
+	Fig        string  `json:"fig"`
+	Axis       string  `json:"axis"`
+	Scale      float64 `json:"scale"`
+	Repeats    int     `json:"repeats"`
+	Updates    int     `json:"updates"`
+	GoMaxProcs int     `json:"gomaxprocs"`
+	NProc      int     `json:"nproc"`
+	GoVersion  string  `json:"go_version"`
+	Points     []point `json:"points"`
+}
+
+func (s *snapshot) encode() []byte {
+	buf, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
-		return 0, err
+		panic(err) // a struct of numbers and strings
 	}
-	attachCore(w.Engine)
-	// Warm-up update (index/plan caches).
-	if err := w.UpdateOneLeaf(); err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	for i := 0; i < *updatesFlag; i++ {
-		if err := w.UpdateOneLeaf(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(*updatesFlag), nil
+	return append(buf, '\n')
 }
 
-func header(title string, modes []core.Mode) {
-	fmt.Printf("\n%s\n", title)
-	fmt.Printf("%-14s", "x")
-	for _, m := range modes {
-		fmt.Printf("%16s", m)
+// runFigure measures every point of f. The series of one x are built
+// together and their repeats interleaved.
+func runFigure(f *figure, scale float64, repeats int) (*snapshot, error) {
+	s := &snapshot{
+		Fig: f.name, Axis: f.axis, Scale: scale, Repeats: repeats, Updates: max(2, int(float64(f.updates)*scale)),
+		GoMaxProcs: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU(), GoVersion: runtime.Version(),
 	}
-	fmt.Println("  (avg ms per update)")
-}
-
-func row(x string, p workload.Params, modes []core.Mode) {
-	fmt.Printf("%-14s", x)
-	for _, m := range modes {
-		d, err := measure(p, m)
+	fmt.Printf("\n%s  %s\n  scale %g, %d x %d updates per point; ms per update: median [p10-p90]\n", f.name, f.title, scale, repeats, s.Updates)
+	for _, x := range f.xs {
+		pts, err := measureX(f, scale, x, repeats, s.Updates)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "\n%v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("%s %s=%d: %w", f.name, f.axis, x, err)
 		}
-		fmt.Printf("%16.3f", float64(d.Microseconds())/1000.0)
-		recordPoint(fmt.Sprint(m), benchPoint{"x": x, "ms_per_update": float64(d.Microseconds()) / 1000.0})
+		for _, p := range pts {
+			fmt.Printf("  %-13s %s=%-8d %9.3f [%.3f-%.3f] %10.1f allocs %11.0f B\n", p.Series, f.axis, p.X, p.Median/1e6, p.P10/1e6, p.P90/1e6, p.Allocs, p.Bytes)
+		}
+		s.Points = append(s.Points, pts...)
 	}
-	fmt.Println()
+	return s, nil
 }
 
-func fig17() {
-	curFig = "17"
-	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg}
-	header("Figure 17: varying the number of triggers", modes)
-	for _, n := range []int{1, 10, 100, 1000, 10000, 100000} {
-		if n > *maxTrigFlag {
-			break
-		}
-		p := defaults()
-		p.NumTriggers = n
-		if n > 100 {
-			// UNGROUPED at large trigger counts takes minutes per update;
-			// report the grouped modes only (the paper's point exactly).
-			modes2 := []core.Mode{core.ModeGrouped, core.ModeGroupedAgg}
-			fmt.Printf("%-14d%16s", n, "(skipped)")
-			for _, m := range modes2 {
-				d, err := measure(p, m)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("%16.3f", float64(d.Microseconds())/1000.0)
+func measureX(f *figure, scale float64, x, repeats, updates int) (pts []point, err error) {
+	type system struct {
+		*bench
+		series         string
+		ns             []float64
+		mallocs, bytes uint64
+		fired0         int
+	}
+	var systems []*system
+	defer func() {
+		for _, s := range systems {
+			if s.close == nil {
+				continue
 			}
-			fmt.Println()
+			if cerr := s.close(); cerr != nil && err == nil {
+				pts, err = nil, fmt.Errorf("%s: %w", s.series, cerr)
+			}
+		}
+	}()
+	for _, series := range f.series {
+		b, err := f.build(scale, x, series)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", series, err)
+		}
+		if b == nil {
 			continue
 		}
-		row(fmt.Sprint(n), p, modes)
-	}
-}
-
-func fig18() {
-	curFig = "18"
-	modes := []core.Mode{core.ModeGrouped, core.ModeGroupedAgg}
-	header("Figure 18: varying the hierarchy depth", modes)
-	for _, d := range []int{2, 3, 4, 5} {
-		p := defaults()
-		p.Depth = d
-		row(fmt.Sprint(d), p, modes)
-	}
-}
-
-func fig22() {
-	curFig = "22"
-	modes := []core.Mode{core.ModeGrouped, core.ModeGroupedAgg}
-	header("Figure 22: varying the fanout (leaf tuples per XML element)", modes)
-	for _, f := range []int{16, 32, 64, 128, 256} {
-		p := defaults()
-		p.Fanout = f
-		row(fmt.Sprint(f), p, modes)
-	}
-}
-
-func fig23() {
-	curFig = "23"
-	modes := []core.Mode{core.ModeGrouped, core.ModeGroupedAgg}
-	header("Figure 23: varying the number of leaf tuples (data size)", modes)
-	for _, n := range []int{32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024} {
-		scaled := int(float64(n) * *scaleFlag)
-		if scaled < 1024 {
-			scaled = 1024
-		}
-		p := defaults()
-		p.LeafTuples = scaled
-		row(fmt.Sprintf("%dK", scaled/1024), p, modes)
-	}
-}
-
-func fig24() {
-	curFig = "24"
-	modes := []core.Mode{core.ModeGrouped, core.ModeGroupedAgg}
-	header("Figure 24: varying the number of satisfied triggers", modes)
-	for _, s := range []int{1, 20, 40, 80, 100} {
-		p := defaults()
-		p.NumSatisfied = s
-		row(fmt.Sprint(s), p, modes)
-	}
-}
-
-// figBatch sweeps the batched-transaction API: k single-row leaf updates
-// per commit; the per-row trigger cost drops roughly linearly with the
-// batch size since the whole commit fires each SQL trigger once.
-func figBatch() {
-	curFig = "batch"
-	fmt.Println("\nBatch-size sweep: per-row cost of k updates per transaction (GROUPED)")
-	fmt.Printf("%-14s%16s%16s\n", "batch size", "single", "batched")
-	fmt.Printf("%-14s%16s%16s  (avg ms per row)\n", "", "(k stmts)", "(1 commit)")
-	for _, k := range []int{1, 10, 100, 1000} {
-		p := defaults()
-		fmt.Printf("%-14d", k)
-		for _, batched := range []bool{false, true} {
-			w, err := workload.Build(p, core.ModeGrouped, 42)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			attachCore(w.Engine)
-			run := w.UpdateLeavesSingle
-			if batched {
-				run = w.UpdateLeavesBatch
-			}
-			if err := run(k); err != nil { // warm-up
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			iters := *updatesFlag / k
-			if iters < 1 {
-				iters = 1
-			}
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := run(k); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-			perRow := time.Since(start) / time.Duration(iters*k)
-			fmt.Printf("%16.3f", float64(perRow.Microseconds())/1000.0)
-		}
-		fmt.Println()
-	}
-}
-
-// figDispatch sweeps the notification sink's latency and reports the
-// writer-side cost per update (GROUPED) with actions delivered inline
-// (sync) vs through the async dispatcher (queue 1024, 8 workers, Block
-// backpressure). The async column also reports the end-to-end time to a
-// fully drained queue: the sink work does not vanish, it just stops
-// stalling the writer.
-func figDispatch() {
-	curFig = "dispatch"
-	fmt.Println("\nDispatch sweep: per-update writer cost vs sink latency (GROUPED)")
-	fmt.Printf("%-14s%16s%16s%16s%16s\n", "sink latency", "sync", "async writer", "async e2e", "writer speedup")
-	burst := *updatesFlag
-	if burst > 1024 {
-		burst = 1024 // keep the burst inside the queue so writers never block
-	}
-	for _, lat := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond, 5 * time.Millisecond} {
-		perUpdate := map[bool]time.Duration{}
-		var asyncE2E time.Duration
-		for _, async := range []bool{false, true} {
-			p := defaults()
-			w, err := workload.Build(p, core.ModeGrouped, 42)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			lat := lat
-			attachCore(w.Engine)
-			w.Engine.RegisterAction("notify", func(core.Invocation) error {
-				if lat > 0 {
-					time.Sleep(lat)
-				}
-				return nil
-			})
-			if async {
-				if err := w.Engine.EnableAsyncDispatch(dispatch.Config{
-					Workers: 8, QueueCap: 1024, Policy: dispatch.Block,
-				}); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-			if err := w.UpdateOneLeaf(); err != nil { // warm-up
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			w.Engine.Drain()
-			start := time.Now()
-			for i := 0; i < burst; i++ {
-				if err := w.UpdateOneLeaf(); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-			writer := time.Since(start)
-			if async {
-				w.Engine.Drain()
-				asyncE2E = time.Since(start) / time.Duration(burst)
-			}
-			if err := w.Engine.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			perUpdate[async] = writer / time.Duration(burst)
-		}
-		speedup := float64(perUpdate[false]) / float64(perUpdate[true])
-		fmt.Printf("%-14s%14.3fms%14.3fms%14.3fms%15.1fx\n", lat,
-			float64(perUpdate[false].Microseconds())/1000.0,
-			float64(perUpdate[true].Microseconds())/1000.0,
-			float64(asyncE2E.Microseconds())/1000.0,
-			speedup)
-	}
-}
-
-// figOutbox has two parts. Part one prices the durability tax: per-update
-// writer cost of async dispatch with and without the outbox appending
-// every delivery to its segment log first. Part two demonstrates
-// dispatch-aware backpressure: a flooding trigger against a slow sink,
-// run under three policies — Block (no quota), DropNewest (no quota, the
-// flood starves a well-behaved trigger out of the shared queue), and
-// DropOldest with a per-trigger lane quota (the flood is capped, the
-// quiet trigger is untouched) — with the outbox retaining every shed
-// record for replay, so freshness-first queueing still converges to
-// complete delivery.
-func figOutbox() {
-	curFig = "outbox"
-	fmt.Println("\nOutbox sweep (1): per-update writer cost, async vs async+outbox (1ms sink)")
-	fmt.Printf("%-24s%16s\n", "", "(avg ms per update)")
-	burst := *updatesFlag
-	if burst > 512 {
-		burst = 512
-	}
-	for _, durable := range []bool{false, true} {
-		p := defaults()
-		w, err := workload.Build(p, core.ModeGrouped, 42)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		attachCore(w.Engine)
-		w.Engine.RegisterAction("notify", func(core.Invocation) error {
-			time.Sleep(time.Millisecond)
-			return nil
-		})
-		if err := w.Engine.EnableAsyncDispatch(dispatch.Config{
-			Workers: 8, QueueCap: 1024, Policy: dispatch.Block,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		label := "async"
-		if durable {
-			label = "async+outbox"
-			dir, err := os.MkdirTemp("", "benchrunner-outbox-")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-			lg, err := outbox.Open(dir, outbox.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer lg.Close()
-			sink := outbox.SinkFunc(func(*wire.Record) error {
-				time.Sleep(time.Millisecond)
-				return nil
-			})
-			if err := w.Engine.EnableOutbox(lg, sink); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		b.per = max(1, b.per)
+		s := &system{bench: b, series: series}
+		systems = append(systems, s)
+		for i := 0; i < warmUps; i++ {
+			if err := b.op(); err != nil {
+				return nil, fmt.Errorf("%s: %w", series, err)
 			}
 		}
-		if err := w.UpdateOneLeaf(); err != nil { // warm-up
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		w.Engine.Drain()
-		start := time.Now()
-		for i := 0; i < burst; i++ {
-			if err := w.UpdateOneLeaf(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		per := time.Since(start) / time.Duration(burst)
-		w.Engine.Drain()
-		if err := w.Engine.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-24s%16.3f\n", label, float64(per.Microseconds())/1000.0)
+		s.fired0 = b.fired()
 	}
-
-	fmt.Println("\nOutbox sweep (2): flooding trigger vs per-trigger quota (2ms sink, queue 64)")
-	fmt.Printf("%-28s%12s%12s%12s%12s%12s%12s\n",
-		"policy", "flood ok", "flood drop", "quiet ok", "quiet drop", "writer ms", "replayed")
-	for _, cfg := range []struct {
-		label string
-		d     dispatch.Config
-	}{
-		{"BLOCK (no quota)", dispatch.Config{Workers: 2, QueueCap: 64, Policy: dispatch.Block}},
-		{"DROP-NEWEST (no quota)", dispatch.Config{Workers: 2, QueueCap: 64, Policy: dispatch.DropNewest}},
-		{"DROP-OLDEST quota=8", dispatch.Config{Workers: 2, QueueCap: 64, LaneQuota: 8, Policy: dispatch.DropOldest}},
-	} {
-		runFloodScenario(cfg.label, cfg.d)
-	}
-}
-
-// runFloodScenario drives one backpressure configuration: 300 updates of
-// the flooded symbol interleaved with 20 of the quiet one, a 2ms sink,
-// then a restart-style replay that recovers whatever the policy shed.
-func runFloodScenario(label string, dcfg dispatch.Config) {
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	s := schema.New()
-	s.MustAddTable(&schema.Table{
-		Name: "quote",
-		Columns: []schema.Column{
-			{Name: "sym", Type: schema.TString},
-			{Name: "price", Type: schema.TFloat},
-		},
-		PrimaryKey: []string{"sym"},
-	})
-	db, err := reldb.Open(s)
-	fail(err)
-	fail(db.Insert("quote",
-		reldb.Row{xdm.Str("FLOOD"), xdm.Float(1)},
-		reldb.Row{xdm.Str("STEADY"), xdm.Float(1)},
-	))
-	e := core.NewEngine(db, core.ModeGrouped)
-	attachCore(e)
-	e.RegisterAction("notify", func(core.Invocation) error { return nil })
-	_, err = e.CreateView("m", `<m>{for $q in view('default')/quote/row return <q sym={$q/sym} price={$q/price}></q>}</m>`)
-	fail(err)
-	fail(e.CreateTrigger(`CREATE TRIGGER flood AFTER UPDATE ON view('m')/q WHERE NEW_NODE/@sym = 'FLOOD' DO notify(NEW_NODE)`))
-	fail(e.CreateTrigger(`CREATE TRIGGER quiet AFTER UPDATE ON view('m')/q WHERE NEW_NODE/@sym = 'STEADY' DO notify(NEW_NODE)`))
-	fail(e.Flush())
-
-	dir, err := os.MkdirTemp("", "benchrunner-flood-")
-	fail(err)
-	defer os.RemoveAll(dir)
-	lg, err := outbox.Open(dir, outbox.Options{})
-	fail(err)
-	defer lg.Close()
-	sink := outbox.SinkFunc(func(*wire.Record) error {
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	})
-	fail(e.EnableAsyncDispatch(dcfg))
-	fail(e.EnableOutbox(lg, sink))
-
-	bump := func(sym string, p float64) {
-		_, err := e.UpdateByPK("quote", []xdm.Value{xdm.Str(sym)}, func(r reldb.Row) reldb.Row {
-			r[1] = xdm.Float(p)
-			return r
-		})
-		fail(err)
-	}
-	start := time.Now()
-	for i := 0; i < 300; i++ {
-		bump("FLOOD", float64(2+i))
-		if i%15 == 0 {
-			bump("STEADY", float64(2+i))
-		}
-	}
-	writer := time.Since(start)
-	e.Drain()
-	fs, _ := e.TriggerDispatchStats("flood")
-	qs, _ := e.TriggerDispatchStats("quiet")
-	fail(e.Close())
-
-	// "Restart": whatever the policy shed stayed durable; replay recovers it.
-	replayed, err := lg.Replay(outbox.SinkFunc(func(*wire.Record) error { return nil }))
-	fail(err)
-	fmt.Printf("%-28s%12d%12d%12d%12d%12.1f%12d\n",
-		label, fs.Completed, fs.Dropped, qs.Completed, qs.Dropped,
-		float64(writer.Microseconds())/1000.0, replayed)
-}
-
-// figShard sweeps the shard count under 8 concurrent writers, each
-// updating leaves of its own top-level element so every statement takes
-// the routed fast path to a fixed shard. Two regimes:
-//
-//   - CPU-bound (no sink latency): detection and firing are pure
-//     computation, so aggregate scaling is bounded by GOMAXPROCS — on a
-//     one-core box the sweep shows ~1x by construction.
-//   - Sink-bound (1 ms inline action): the action runs under the firing
-//     statement's table lock, the serialization sharding removes. One
-//     shard sleeps writers back to back; N shards overlap the sleeps of
-//     writers routed apart, so scaling approaches min(writers, shards,
-//     distinct shards hit) even on one core.
-func figShard() {
-	curFig = "shard"
-	fmt.Printf("\nShard sweep: 8 routed writers (GROUPED), GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-	runShardSweep("CPU-bound (no sink latency)", 0, *updatesFlag)
-	u := *updatesFlag
-	if u > 50 {
-		u = 50 // 1 ms per update x 8 writers: keep the sweep short
-	}
-	runShardSweep("sink-bound (1 ms inline action)", time.Millisecond, u)
-}
-
-func runShardSweep(label string, sinkLatency time.Duration, updatesPerWriter int) {
-	const writers = 8
-	fmt.Printf("\n  %s\n", label)
-	fmt.Printf("  %-10s%16s%16s%12s\n", "shards", "total updates/s", "ms/update", "speedup")
-	p := defaults()
-	if p.NumTriggers > 1000 {
-		p.NumTriggers = 1000 // trigger population is not the variable here
-	}
-	var base float64
-	for _, n := range []int{1, 2, 4, 8} {
-		w, err := workload.BuildSharded(p, core.ModeGrouped, n, 42)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		attachShard(w.Engine)
-		if sinkLatency > 0 {
-			w.Engine.RegisterAction("notify", func(core.Invocation) error {
-				time.Sleep(sinkLatency)
-				return nil
-			})
-		}
-		var payload atomic.Int64
-		payload.Store(1 << 20)
-		if err := w.UpdateLeafOn(0, float64(payload.Add(1))); err != nil { // warm-up
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < writers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < updatesPerWriter; i++ {
-					leaf := int64(g*p.Fanout + i%p.Fanout)
-					if err := w.UpdateLeafOn(leaf, float64(payload.Add(1))); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		total := writers * updatesPerWriter
-		perSec := float64(total) / elapsed.Seconds()
-		if n == 1 {
-			base = perSec
-		}
-		recordPoint(label, benchPoint{
-			"x":               n,
-			"updates_per_sec": perSec,
-			"ms_per_update":   elapsed.Seconds() * 1000 / float64(total),
-			"speedup":         perSec / base,
-		})
-		fmt.Printf("  %-10d%16.0f%16.3f%11.2fx\n", n, perSec,
-			elapsed.Seconds()*1000/float64(total), perSec/base)
-	}
-}
-
-func figCompile() {
-	curFig = "compile"
-	fmt.Println("\nTrigger compile time (paper §6: ~100 ms on 2003 hardware)")
-	p := defaults()
-	p.NumTriggers = 1
-	w, err := workload.Build(p, core.ModeGrouped, 42)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	attachCore(w.Engine)
-	start := time.Now()
-	const n = 20
-	for i := 0; i < n; i++ {
-		src := fmt.Sprintf(`CREATE TRIGGER c%d AFTER UPDATE ON view('doc')/e0 WHERE NEW_NODE/@name = 'x%d' DO notify(NEW_NODE)`, i, i)
-		if err := w.Engine.CreateTrigger(src); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := w.Engine.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	fmt.Printf("average compile+install time: %.3f ms\n", float64(time.Since(start).Microseconds())/1000.0/n)
-}
-
-// figAdaptive exercises the cost-based planner on a skewed two-family
-// trigger population: the standard name-selective triggers (one
-// structural group, 100 members) plus a structurally distinct
-// nested-aggregate family over the same view. Static engines keep every
-// group in the mode they were built with — MATERIALIZED among them, as the
-// paper's ablation row; the adaptive engine starts in the WORST translated
-// mode (UNGROUPED — one plan per member) and must climb out on its own:
-// the planner re-picks per-group modes from live GroupStats.
-//
-// All systems are measured in interleaved rounds — round-robin blocks of
-// updates over engines built up front — so environment noise (a shared
-// CI box) drifts every series equally and the adaptive/best-static ratio
-// stays meaningful. Re-plans run inside the adaptive system's measured
-// blocks: live migrations are part of its cost, not free.
-//
-// The run fails (exit 1) if the adaptive engine's throughput falls below
-// 3/4 of the best static mode — the cost model found the wrong modes.
-func figAdaptive() {
-	curFig = "adaptive"
-	p := defaults()
-	if p.NumTriggers > 100 {
-		p.NumTriggers = 100 // UNGROUPED beyond 100 takes minutes (fig 17)
-	}
-	p.NumSatisfied = 2
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	type system struct {
-		name     string
-		w        *workload.Setup
-		adaptive bool
-		perRound int // updates per interleaved round
-		elapsed  time.Duration
-		updates  int
-	}
-	blk := *updatesFlag / 10
-	if blk < 2 {
-		blk = 2
-	}
-	systems := []*system{
-		// The two slow systems get 1/10 blocks: at ~100-400 ms/update they
-		// would otherwise dominate the wall clock without getting steadier.
-		{name: "UNGROUPED", w: nil, perRound: blk/10 + 1},
-		{name: "GROUPED", perRound: blk},
-		{name: "GROUPED-AGG", perRound: blk},
-		{name: "MATERIALIZED", perRound: blk/10 + 1},
-		{name: "adaptive", adaptive: true, perRound: blk},
-	}
-	modes := map[string]core.Mode{
-		"UNGROUPED": core.ModeUngrouped, "GROUPED": core.ModeGrouped,
-		"GROUPED-AGG": core.ModeGroupedAgg, "MATERIALIZED": core.ModeMaterialized,
-		"adaptive": core.ModeUngrouped, // worst start: the planner must escape it
-	}
-	fmt.Printf("\nAdaptive sweep: skewed workload — %d selective + %d nested-agg triggers, two structural groups\n",
-		p.NumTriggers, adaptiveAggTriggers)
-	for _, s := range systems {
-		w, err := buildSkewed(p, modes[s.name])
-		if err != nil {
-			fail(err)
-		}
-		s.w = w
-		attachCore(w.Engine)
-		warm := 6
-		if s.name == "UNGROUPED" || s.name == "MATERIALIZED" {
-			warm = 2
-		}
-		for i := 0; i < warm; i++ {
-			if err := w.UpdateOneLeaf(); err != nil {
-				fail(err)
-			}
-		}
-		if s.adaptive {
-			w.Engine.SetModePolicy(planner.New(planner.Config{}))
-			// Convergence is warm-up: the escape from UNGROUPED (plan
-			// rebuilds included) happens here, and the measured rounds then
-			// see the adaptive engine in steady state — where the periodic
-			// re-plans it keeps paying are no-ops unless the workload moves.
-			if _, err := w.Engine.Replan(); err != nil {
-				fail(err)
-			}
-			for i := 0; i < 4; i++ {
-				if err := w.UpdateOneLeaf(); err != nil {
-					fail(err)
-				}
-			}
-			fmt.Printf("  adaptive start: UNGROUPED everywhere; after first re-plan:\n")
-			for _, g := range w.Engine.GroupStats() {
-				fmt.Printf("    group members=%-4d mode=%s\n", g.Members, g.ModeName)
-			}
-		}
-	}
-
-	const rounds = 10
-	for r := 0; r < rounds; r++ {
+	var before, after runtime.MemStats
+	for r := 0; r < repeats; r++ {
 		for _, s := range systems {
-			// Each block starts from a collected heap, or it pays for the
-			// block before it: adaptive follows MATERIALIZED, whose every
-			// update leaves a whole evaluated view behind as garbage.
-			runtime.GC()
+			runtime.GC() // a block starts from a collected heap, or it pays for the one before it
+			runtime.ReadMemStats(&before)
 			start := time.Now()
-			for i := 0; i < s.perRound; i++ {
-				if err := s.w.UpdateOneLeaf(); err != nil {
-					fail(err)
+			for i := 0; i < updates; i++ {
+				if err := s.op(); err != nil {
+					return nil, fmt.Errorf("%s: %w", s.series, err)
 				}
 			}
-			if s.adaptive {
-				if _, err := s.w.Engine.Replan(); err != nil {
-					fail(err)
-				}
-			}
-			s.elapsed += time.Since(start)
-			s.updates += s.perRound
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&after)
+			s.ns = append(s.ns, float64(elapsed.Nanoseconds())/float64(updates*s.per))
+			s.mallocs += after.Mallocs - before.Mallocs
+			s.bytes += after.TotalAlloc - before.TotalAlloc
 		}
-	}
-
-	fmt.Printf("  %-14s%14s%14s\n", "system", "updates/s", "ms/update")
-	var best float64
-	var adaptivePerSec float64
-	for _, s := range systems {
-		perSec := float64(s.updates) / s.elapsed.Seconds()
-		fmt.Printf("  %-14s%14.0f%14.3f\n", s.name, perSec, 1000/perSec)
-		if s.adaptive {
-			adaptivePerSec = perSec
-		} else if perSec > best {
-			best = perSec
-		}
-		recordPoint(s.name, benchPoint{"x": "skewed", "updates_per_sec": perSec, "ms_per_update": 1000 / perSec})
 	}
 	for _, s := range systems {
-		if s.adaptive {
-			for _, g := range s.w.Engine.GroupStats() {
-				fmt.Printf("  adaptive group: members=%d mode=%s\n", g.Members, g.ModeName)
-			}
+		ops := repeats * updates
+		if got := s.fired() - s.fired0; got != ops*s.want {
+			return nil, fmt.Errorf("%s: %d notifications over %d ops, want %d per op", s.series, got, ops, s.want)
 		}
+		slices.Sort(s.ns)
+		n := float64(ops * s.per)
+		pts = append(pts, point{
+			Series: s.series, X: x,
+			Median: math.Round(quantile(s.ns, 0.5)), P10: math.Round(quantile(s.ns, 0.1)), P90: math.Round(quantile(s.ns, 0.9)),
+			Allocs: math.Round(float64(s.mallocs)/n*10) / 10, Bytes: math.Round(float64(s.bytes) / n),
+		})
 	}
-	ratio := adaptivePerSec / best
-	fmt.Printf("  adaptive/best-static: %.2fx\n", ratio)
-	if ratio < 0.75 {
-		fail(fmt.Errorf("adaptive: %.2fx of best static — the planner picked wrong modes", ratio))
-	}
+	return pts, nil
 }
 
-// adaptiveAggTriggers sizes the nested-aggregate trigger family.
-const adaptiveAggTriggers = 8
+// quantile interpolates linearly between the order statistics of sorted.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	hi := min(lo+1, len(sorted)-1)
+	return sorted[lo] + (pos-float64(lo))*(sorted[hi]-sorted[lo])
+}
 
-// buildSkewed builds the standard workload plus the nested-aggregate
-// family; the two families compile into two structural trigger groups.
-func buildSkewed(p workload.Params, mode core.Mode) (*workload.Setup, error) {
-	w, err := workload.Build(p, mode, 42)
+// A shape is a claim about one run: the ratio of two points' ns per update
+// stays at or under atMost, or at or over atLeast (exactly one is set).
+type shape struct {
+	claim           string
+	num, den        ref
+	atLeast, atMost float64
+}
+
+// ref names a point of a series by its x, or by one of the selectors below.
+type ref struct {
+	series string
+	x      int
+}
+
+const (
+	first   = -1 - iota // the series' first measured x
+	last                // its last
+	slowest             // its largest median
+	fastest             // its smallest
+)
+
+func (r ref) find(pts []point) *point {
+	var found *point
+	for i := range pts {
+		p := &pts[i]
+		if p.Series != r.series {
+			continue
+		}
+		switch {
+		case found == nil && (r.x < 0 || r.x == p.X),
+			r.x == last,
+			r.x == slowest && p.Median > found.Median,
+			r.x == fastest && p.Median < found.Median:
+			found = p
+		}
+	}
+	return found
+}
+
+type verdict int
+
+const (
+	pass verdict = iota
+	unresolved
+	fail
+)
+
+func (v verdict) String() string { return [...]string{"ok", "unresolved", "FAIL"}[v] }
+
+// finding is one line of a figure's report; msg starts with the figure's name.
+type finding struct {
+	verdict
+	msg string
+}
+
+// judgeShapes evaluates every shape f declares on the points of one run. A
+// bound the medians miss fails only if the ratio most favourable to it within
+// both points' p10-p90 misses it too; otherwise the run cannot tell.
+func (f *figure) judgeShapes(pts []point) (out []finding) {
+	for _, s := range f.shapes {
+		num, den := s.num.find(pts), s.den.find(pts)
+		if num == nil || den == nil {
+			out = append(out, finding{fail, fmt.Sprintf("%s shape: %s: the run has no point %v or no point %v", f.name, s.claim, s.num, s.den)})
+			continue
+		}
+		ratio := num.Median / den.Median
+		op, bound, best := "<=", s.atMost, num.P10/den.P90
+		missed, hopeless := ratio > bound, best > bound
+		if s.atLeast != 0 {
+			op, bound, best = ">=", s.atLeast, num.P90/den.P10
+			missed, hopeless = ratio < bound, best < bound
+		}
+		v := pass
+		if hopeless {
+			v = fail
+		} else if missed {
+			v = unresolved
+		}
+		out = append(out, finding{v, fmt.Sprintf("%s shape: %s: %s at %d / %s at %d = %.2f (%.2f within the spread), want %s %g",
+			f.name, s.claim, num.Series, num.X, den.Series, den.X, ratio, best, op, bound)})
+	}
+	return out
+}
+
+// compare judges run cur of f against the bytes of its committed snapshot:
+// they must decode with no field this program does not write (anything else
+// is a stale format, not comparable), the headers must agree, every point of
+// either must be a point of both, allocations per update must not have grown
+// past allocsBound, and the figure's shapes must hold on cur.
+func compare(f *figure, snap []byte, cur *snapshot) (out []finding) {
+	add := func(v verdict, format string, args ...any) {
+		out = append(out, finding{v, f.name + " " + fmt.Sprintf(format, args...)})
+	}
+	dec := json.NewDecoder(bytes.NewReader(snap))
+	dec.DisallowUnknownFields()
+	base := new(snapshot)
+	if err := dec.Decode(base); err != nil {
+		add(fail, "snapshot: %v", err)
+		return out
+	}
+	if base.Fig != cur.Fig || base.Scale != cur.Scale || base.Repeats != cur.Repeats || base.Updates != cur.Updates {
+		add(fail, "snapshot is %s at scale %g with %d x %d updates, the run is at scale %g with %d x %d: pass the snapshot's -scale, or run update",
+			base.Fig, base.Scale, base.Repeats, base.Updates, cur.Scale, cur.Repeats, cur.Updates)
+		return out
+	}
+	if len(base.Points) == 0 {
+		add(fail, "snapshot has no points")
+	}
+	seen := map[ref]bool{}
+	for _, b := range base.Points {
+		at := ref{b.Series, b.X}
+		seen[at] = true
+		c := at.find(cur.Points)
+		if c == nil {
+			add(fail, "%s %s=%d: in the snapshot, not produced by this run", b.Series, f.axis, b.X)
+			continue
+		}
+		v := pass
+		if c.Allocs > b.Allocs*(1+allocsBound) {
+			v = fail
+		}
+		add(v, "%s %s=%d: %.1f allocs per update, recorded %.1f (bound +%g%%); %.3f ms, recorded %.3f",
+			b.Series, f.axis, b.X, c.Allocs, b.Allocs, allocsBound*100, c.Median/1e6, b.Median/1e6)
+	}
+	for _, c := range cur.Points {
+		if !seen[ref{c.Series, c.X}] {
+			add(fail, "%s %s=%d: produced by this run, not in the snapshot: run update", c.Series, f.axis, c.X)
+		}
+	}
+	return append(out, f.judgeShapes(cur.Points)...)
+}
+
+func check(err error) {
 	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < adaptiveAggTriggers; i++ {
-		src := fmt.Sprintf(`CREATE TRIGGER agg%d AFTER UPDATE ON view('doc')/e0 WHERE count(NEW_NODE/e1[./payload < %d]) >= %d DO notify(NEW_NODE)`,
-			i, 100+10*i, 2+i)
-		if err := w.Engine.CreateTrigger(src); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Engine.Flush(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// figSqlite measures the durability tax of the real-database backend:
-// with the relsql plan shadow attached, every translated plan evaluation is
-// replayed as rendered SQL on a mirrored database (schema sync + transition
-// loads + execution + multiset compare). The sweep reports update cost with
-// the shadow detached vs attached per translation mode.
-func figSqlite() {
-	curFig = "sqlite"
-	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	p := defaults()
-	// The shadow rebuilds its mirror from scratch on every firing — that is
-	// the tax being measured — so keep the data small enough that a sweep
-	// finishes in seconds, not the paper's full scale.
-	if p.LeafTuples > 1024 {
-		p.LeafTuples = 1024
-	}
-	if p.NumTriggers > 50 {
-		p.NumTriggers = 50
-	}
-	updates := *updatesFlag
-	if updates > 25 {
-		updates = 25
-	}
-	fmt.Printf("\nSQLite backend durability tax: %d leaves, %d triggers, %d updates/point\n",
-		p.LeafTuples, p.NumTriggers, updates)
-	fmt.Printf("  %-14s%14s%18s%10s%12s\n", "system", "ms/update", "ms/update+sql", "tax", "verified")
-	for _, m := range []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg} {
-		w, err := workload.Build(p, m, 42)
-		if err != nil {
-			fail(err)
-		}
-		attachCore(w.Engine)
-		if err := w.UpdateOneLeaf(); err != nil {
-			fail(err)
-		}
-		start := time.Now()
-		for i := 0; i < updates; i++ {
-			if err := w.UpdateOneLeaf(); err != nil {
-				fail(err)
-			}
-		}
-		base := time.Since(start) / time.Duration(updates)
-
-		sh, err := relsql.NewShadow(w.Engine.DB())
-		if err != nil {
-			fail(err)
-		}
-		w.Engine.SetPlanShadow(sh)
-		start = time.Now()
-		for i := 0; i < updates; i++ {
-			if err := w.UpdateOneLeaf(); err != nil {
-				fail(err)
-			}
-		}
-		shadowed := time.Since(start) / time.Duration(updates)
-		w.Engine.SetPlanShadow(nil)
-		verified := sh.Verified()
-		if err := sh.Close(); err != nil {
-			fail(err)
-		}
-		if verified == 0 {
-			fail(fmt.Errorf("sqlite sweep: %s verified no plan evaluations", m))
-		}
-		baseMS := float64(base.Microseconds()) / 1000.0
-		shadowMS := float64(shadowed.Microseconds()) / 1000.0
-		fmt.Printf("  %-14s%14.3f%18.3f%9.1fx%12d\n", m, baseMS, shadowMS, shadowMS/baseMS, verified)
-		recordPoint(fmt.Sprint(m), benchPoint{
-			"x": "durability-tax", "ms_per_update": baseMS,
-			"ms_per_update_sql": shadowMS, "tax_factor": shadowMS / baseMS,
-			"verified": float64(verified),
-		})
 	}
 }
 
 func main() {
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), "usage: benchrunner [flags] run|update|test [fig...]\nfigures:")
+		for _, f := range figures {
+			fmt.Fprint(flag.CommandLine.Output(), " ", f.name)
+		}
+		fmt.Fprintln(flag.CommandLine.Output())
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	stop := startObs()
-	stopProfiles := startProfiles()
-	fmt.Printf("quark benchrunner: scale=%.2f updates/point=%d\n", *scaleFlag, *updatesFlag)
-	switch *figFlag {
-	case "17":
-		fig17()
-	case "18":
-		fig18()
-	case "22":
-		fig22()
-	case "23":
-		fig23()
-	case "24":
-		fig24()
-	case "compile":
-		figCompile()
-	case "batch":
-		figBatch()
-	case "dispatch":
-		figDispatch()
-	case "outbox":
-		figOutbox()
-	case "shard":
-		figShard()
-	case "adaptive":
-		figAdaptive()
-	case "sqlite":
-		figSqlite()
-	case "all":
-		fig17()
-		fig18()
-		fig22()
-		fig23()
-		fig24()
-		figBatch()
-		figDispatch()
-		figOutbox()
-		figShard()
-		figAdaptive()
-		figSqlite()
-		figCompile()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figFlag)
+	verb := flag.Arg(0)
+	var picked []*figure
+	for i := range figures {
+		if f := &figures[i]; flag.NArg() == 1 || slices.Contains(flag.Args()[1:], f.name) {
+			picked = append(picked, f)
+		}
+	}
+	if verb != "run" && verb != "update" && verb != "test" || len(picked) < flag.NArg()-1 {
+		flag.Usage() // no verb, or a figure named that is not one (or named twice)
 		os.Exit(2)
 	}
+
+	stopProfiles := startProfiles()
+	start, failures := time.Now(), 0
+	for _, f := range picked {
+		cur, err := runFigure(f, *scaleFlag, repeats)
+		check(err)
+		path := fmt.Sprintf("BENCH_%s.json", f.name)
+		findings := f.judgeShapes(cur.Points)
+		switch verb {
+		case "update":
+			check(os.WriteFile(path, cur.encode(), 0o644))
+			fmt.Printf("  wrote %s\n", path)
+		case "test":
+			snap, err := os.ReadFile(path)
+			check(err)
+			findings = compare(f, snap, cur)
+		}
+		for _, fd := range findings {
+			fmt.Printf("  %-10s %s\n", fd.verdict, fd.msg)
+			if fd.verdict == fail {
+				failures++
+			}
+		}
+	}
 	stopProfiles()
-	writeBenchDocs()
-	runGate()
-	stop()
+	fmt.Printf("\n%s: %d figure(s) in %s, %d failure(s)\n", verb, len(picked), time.Since(start).Round(time.Second), failures)
+	if failures > 0 {
+		os.Exit(1)
+	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -20,35 +19,22 @@ func startProfiles() (stop func()) {
 	var cpu *os.File
 	if *cpuProfileFlag != "" {
 		var err error
-		if cpu, err = os.Create(*cpuProfileFlag); err == nil {
-			err = pprof.StartCPUProfile(cpu)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
+		cpu, err = os.Create(*cpuProfileFlag)
+		check(err)
+		check(pprof.StartCPUProfile(cpu))
 	}
 	return func() {
 		if cpu != nil {
 			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-				os.Exit(1)
-			}
+			check(cpu.Close())
 		}
 		if *memProfileFlag == "" {
 			return
 		}
 		f, err := os.Create(*memProfileFlag)
-		if err == nil {
-			runtime.GC() // flush the last cycle's allocations into the profile
-			if err = pprof.Lookup("allocs").WriteTo(f, 0); err == nil {
-				err = f.Close()
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			os.Exit(1)
-		}
+		check(err)
+		runtime.GC() // flush the last cycle's allocations into the profile
+		check(pprof.Lookup("allocs").WriteTo(f, 0))
+		check(f.Close())
 	}
 }

@@ -42,7 +42,6 @@ func main() {
 		}
 	}
 
-	tags := flag.String("tags", "", "build tags for the standalone loader (comma-separated)")
 	dir := flag.String("C", "", "directory to run the standalone loader in")
 	flag.Parse()
 	args := flag.Args()
@@ -51,7 +50,7 @@ func main() {
 		runUnit(args[0])
 		return
 	}
-	runStandalone(*dir, *tags, args)
+	runStandalone(*dir, args)
 }
 
 func analyzerNames() []string {
@@ -94,11 +93,11 @@ func runUnit(cfgFile string) {
 }
 
 // runStandalone loads, checks, and reports over full package patterns.
-func runStandalone(dir, tags string, patterns []string) {
+func runStandalone(dir string, patterns []string) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.Load(lint.LoadOptions{Dir: dir, Tags: tags}, patterns...)
+	pkgs, err := lint.Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

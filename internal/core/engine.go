@@ -1094,37 +1094,14 @@ func signature(spec *trigger.Spec) string {
 	return sb.String()
 }
 
-// abstractString renders an expression with literals replaced by "?".
+// abstractString is the shape of an expression: its AST rendered with "?"
+// for each literal, met in the order condCompiler{abstract: true} collects
+// them into Consts.
 func abstractString(ex xquery.Expr) string {
 	if ex == nil {
 		return "<none>"
 	}
-	s := xquery.String(ex)
-	// Cheap structural abstraction: strip quoted strings and numbers.
-	var sb strings.Builder
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if c == '"' {
-			sb.WriteByte('?')
-			i++
-			for i < len(s) && s[i] != '"' {
-				i++
-			}
-			i++
-			continue
-		}
-		if c >= '0' && c <= '9' {
-			sb.WriteByte('?')
-			for i < len(s) && ((s[i] >= '0' && s[i] <= '9') || s[i] == '.') {
-				i++
-			}
-			continue
-		}
-		sb.WriteByte(c)
-		i++
-	}
-	return sb.String()
+	return xquery.AbstractString(ex)
 }
 
 // Flush builds and installs the SQL triggers for all registered XML

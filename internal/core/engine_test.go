@@ -531,3 +531,64 @@ func TestEvalView(t *testing.T) {
 		t.Error("unknown view accepted")
 	}
 }
+
+// TestSignatureKeepsIdentifiersAndQuotedConstants: a group signature
+// abstracts literals and nothing else. Abstracting digit runs of the
+// rendered text put count(NEW_NODE/v1) and count(NEW_NODE/v9) into one
+// group, whose template — the first member's condition — then decided for
+// both; and a constant containing a quote fell out of its siblings' group.
+func TestSignatureKeepsIdentifiersAndQuotedConstants(t *testing.T) {
+	const view = `
+<catalog>
+{for $p in view('default')/product/row
+ let $vs := view('default')/vendor/row[./pid = $p/pid]
+ return <product name={$p/pname}>{for $v in $vs return <v1>{$v/price}</v1>}</product>}
+</catalog>`
+	triggers := map[string]string{ // a is true on every update; the view has no <v9>
+		"a": `CREATE TRIGGER a AFTER UPDATE ON view('c')/product WHERE count(NEW_NODE/v1) >= 1 DO notify(NEW_NODE)`,
+		"b": `CREATE TRIGGER b AFTER UPDATE ON view('c')/product WHERE count(NEW_NODE/v9) >= 1 DO notify(NEW_NODE)`,
+	}
+	run := func(mode Mode, order ...string) map[string]int {
+		db, err := fixtures.OpenPaperDB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(db, mode)
+		fired := map[string]int{}
+		e.RegisterAction("notify", func(inv Invocation) error { fired[inv.Trigger]++; return nil })
+		if _, err := e.CreateView("c", view); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range order {
+			if err := e.CreateTrigger(triggers[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, price := range []float64{80, 90, 95} {
+			discountP1(t, e, price)
+		}
+		return fired
+	}
+	for _, order := range [][]string{{"a", "b"}, {"b", "a"}} {
+		want := run(ModeMaterialized, order...)
+		if fmt.Sprint(want) != "map[a:3]" {
+			t.Fatalf("oracle, order %v: fired %v, want map[a:3]", order, want)
+		}
+		for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg} {
+			if got := run(mode, order...); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, order %v: fired %v, oracle %v", mode, order, got, want)
+			}
+		}
+	}
+
+	e, _ := newCatalogEngine(t, ModeGrouped)
+	for i, name := range []string{`CRT 15`, `say "hi" 5 times`, `it''s`} {
+		if err := e.CreateTrigger(fmt.Sprintf(`CREATE TRIGGER q%d AFTER UPDATE ON view('catalog')/product
+			WHERE NEW_NODE/@name = '%s' DO notifySmith(NEW_NODE)`, i, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sigs := e.GroupSigs(); len(sigs) != 1 || !strings.HasSuffix(sigs[0], `|(NEW_NODE/@name = ?)|notifySmith,NEW_NODE`) {
+		t.Errorf("group signatures = %q, want one ending in (NEW_NODE/@name = ?)", sigs)
+	}
+}

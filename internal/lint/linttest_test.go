@@ -36,7 +36,7 @@ var wantPatRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
-	pkgs, err := Load(LoadOptions{Dir: dir}, "./...")
+	pkgs, err := Load(dir, "./...")
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixture, err)
 	}

@@ -29,26 +29,17 @@ type listPkg struct {
 	}
 }
 
-// LoadOptions configure the standalone package loader.
-type LoadOptions struct {
-	Dir  string // module directory to run `go list` in ("" = cwd)
-	Tags string // build tags, comma-separated (maps to -tags)
-}
-
-// Load type-checks the packages matching patterns using `go list
-// -deps -export` for dependency export data, so it needs no network
-// and no third-party driver. Only non-test Go files of the matched
+// Load type-checks the packages matching patterns, run in module directory
+// dir ("" = cwd), using `go list -deps -export` for dependency export data,
+// so it needs no network and no third-party driver. Only non-test Go files of the matched
 // (non-dep-only) packages are parsed and analyzed; dependencies are
 // imported from their compiled export data.
-func Load(opts LoadOptions, patterns ...string) ([]*Package, error) {
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := []string{"list", "-e", "-deps", "-export",
 		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Standard,Error"}
-	if opts.Tags != "" {
-		args = append(args, "-tags", opts.Tags)
-	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = opts.Dir
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

@@ -279,7 +279,7 @@ func TestTriggerFiresOnOwningShard(t *testing.T) {
 // TestConcurrentRoutedWriters: writers hammering disjoint routing groups
 // on different shards run concurrently without data races, every
 // statement fires, and the directory stays consistent. (The scaling
-// claim benchrunner -fig shard measures rests on this path being safe.)
+// claim `benchrunner run shard` measures rests on this path being safe.)
 func TestConcurrentRoutedWriters(t *testing.T) {
 	e := newCatalogEngine(t, 4)
 	var fired atomic.Int64

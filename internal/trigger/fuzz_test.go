@@ -3,6 +3,7 @@ package trigger
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"quark/internal/xquery"
 )
@@ -13,10 +14,13 @@ import (
 // the stack.
 func TestParseNestingIsBounded(t *testing.T) {
 	deep := strings.Repeat("(", 100_000) + "1" + strings.Repeat(")", 100_000)
+	chain := "1" + strings.Repeat("+1", 100_000)
 	for name, src := range map[string]string{
-		"path":      `CREATE TRIGGER T AFTER UPDATE ON view('v')/a[` + deep + `] DO f(NEW_NODE)`,
-		"condition": `CREATE TRIGGER T AFTER UPDATE ON view('v')/a WHERE ` + deep + ` DO f(NEW_NODE)`,
-		"action":    `CREATE TRIGGER T AFTER UPDATE ON view('v')/a DO f(` + deep + `)`,
+		"path":            `CREATE TRIGGER T AFTER UPDATE ON view('v')/a[` + deep + `] DO f(NEW_NODE)`,
+		"condition":       `CREATE TRIGGER T AFTER UPDATE ON view('v')/a WHERE ` + deep + ` DO f(NEW_NODE)`,
+		"action":          `CREATE TRIGGER T AFTER UPDATE ON view('v')/a DO f(` + deep + `)`,
+		"condition chain": `CREATE TRIGGER T AFTER UPDATE ON view('v')/a WHERE ` + chain + ` > 1 DO f(NEW_NODE)`,
+		"action chain":    `CREATE TRIGGER T AFTER UPDATE ON view('v')/a DO f(` + chain + `)`,
 	} {
 		_, err := Parse(src)
 		if err == nil || !strings.Contains(err.Error(), "deeper than") {
@@ -26,7 +30,8 @@ func TestParseNestingIsBounded(t *testing.T) {
 }
 
 // FuzzParse: the DDL parser never panics and never hangs, and whatever it
-// accepts renders (path, condition, action arguments) without panicking.
+// accepts renders (path, condition, action arguments) without panicking,
+// within a budget linear in the input's length.
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		`CREATE TRIGGER Notify AFTER UPDATE ON view('catalog')/product WHERE NEW_NODE/@name = 'CRT 15' DO notifySmith(NEW_NODE)`,
@@ -42,12 +47,17 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		start := time.Now()
 		_ = spec.PathString()
 		if spec.Condition != nil {
 			_ = xquery.String(spec.Condition)
 		}
 		for _, a := range spec.ActionArgs {
 			_ = xquery.String(a)
+		}
+		budget := 50*time.Millisecond + time.Duration(len(src))*time.Microsecond
+		if d := time.Since(start); d > budget {
+			t.Errorf("rendering took %v on %d bytes of input, budget %v", d, len(src), budget)
 		}
 	})
 }

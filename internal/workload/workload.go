@@ -63,11 +63,6 @@ func Default() Params {
 	return Params{Depth: 2, LeafTuples: 128 * 1024, Fanout: 64, NumTriggers: 10000, NumSatisfied: 1}
 }
 
-// Small returns a scaled-down configuration for tests.
-func Small() Params {
-	return Params{Depth: 2, LeafTuples: 2048, Fanout: 16, NumTriggers: 100, NumSatisfied: 1}
-}
-
 // TableName returns the name of the i-th level table (0 = top/root
 // ancestor, Depth-1 = leaf). Depth 2 uses the paper's product/vendor names.
 func (p Params) TableName(level int) string {
@@ -301,70 +296,25 @@ func (w *Setup) LeafTable() string { return w.Params.TableName(w.Params.Depth - 
 func (w *Setup) UpdateOneLeaf() error {
 	// Leaf ids under top element 0 are 0..(fanout-1) by construction for
 	// depth 2; for deeper trees the first leaf block still belongs to top 0.
-	leafID := int64(w.rng.Intn(maxInt(1, w.Params.Fanout)))
-	newPayload := xdm.Float(float64(50 + w.rng.Intn(200)))
-	_, err := w.Engine.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(leafID)}, func(r reldb.Row) reldb.Row {
-		r[len(r)-1] = newPayload
-		return r
-	})
-	return err
-}
-
-// UpdateLeavesBatch updates leaf rows 0..k-1 (a contiguous block spanning
-// ceil(k/Fanout) top-level elements) inside ONE batched transaction: the
-// translated SQL triggers fire once at commit with the merged transition
-// tables, so per-row trigger cost amortizes with k.
-func (w *Setup) UpdateLeavesBatch(k int) error {
-	if k > w.Params.LeafTuples {
-		k = w.Params.LeafTuples
-	}
-	return w.Engine.Batch(func(tx *reldb.Tx) error {
-		for i := 0; i < k; i++ {
-			newPayload := xdm.Float(float64(50 + w.rng.Intn(200)))
-			if _, err := tx.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(int64(i))}, func(r reldb.Row) reldb.Row {
-				r[len(r)-1] = newPayload
-				return r
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// UpdateLeavesSingle updates the same leaf rows as UpdateLeavesBatch but
-// as k independent statements, each paying a full trigger firing.
-func (w *Setup) UpdateLeavesSingle(k int) error {
-	if k > w.Params.LeafTuples {
-		k = w.Params.LeafTuples
-	}
-	for i := 0; i < k; i++ {
-		newPayload := xdm.Float(float64(50 + w.rng.Intn(200)))
-		if _, err := w.Engine.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(int64(i))}, func(r reldb.Row) reldb.Row {
-			r[len(r)-1] = newPayload
-			return r
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.updateLeaf(w.rng.Intn(w.Params.Fanout))
 }
 
 // UpdateRandomLeaf updates a uniformly random leaf row (for data-size
 // experiments where the touched element should be arbitrary).
 func (w *Setup) UpdateRandomLeaf() error {
-	leafID := int64(w.rng.Intn(maxInt(1, w.Params.LeafTuples)))
-	newPayload := xdm.Float(float64(50 + w.rng.Intn(200)))
-	_, err := w.Engine.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(leafID)}, func(r reldb.Row) reldb.Row {
-		r[len(r)-1] = newPayload
+	return w.updateLeaf(w.rng.Intn(w.DB.RowCount(w.LeafTable())))
+}
+
+// updateLeaf gives one leaf a new random payload. Never the payload it has:
+// a no-op update fires nothing, and callers count notifications per update.
+func (w *Setup) updateLeaf(id int) error {
+	payload := float64(50 + w.rng.Intn(200))
+	_, err := w.Engine.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(int64(id))}, func(r reldb.Row) reldb.Row {
+		if r[len(r)-1].AsFloat() == payload {
+			payload = 299 - payload // the mirror image in 50..249 differs from every integer
+		}
+		r[len(r)-1] = xdm.Float(payload)
 		return r
 	})
 	return err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,25 @@ import (
 
 // Expr is an XQuery AST node.
 type Expr interface {
-	astString() string
+	render(r *renderer)
+}
+
+// renderer accumulates an AST's text in one buffer, so rendering costs time
+// linear in the output however deep the tree is. With abstract set, every
+// Lit is written as "?": the shape of an expression with its constants
+// taken out, which is what structurally similar triggers share (§5.1).
+type renderer struct {
+	strings.Builder
+	abstract bool
+}
+
+func (r *renderer) exprs(es []Expr, sep string) {
+	for i, e := range es {
+		if i > 0 {
+			r.WriteString(sep)
+		}
+		e.render(r)
+	}
 }
 
 // Lit is a literal value.
@@ -17,32 +35,39 @@ type Lit struct {
 	V xdm.Value
 }
 
-func (e *Lit) astString() string { return e.V.String() }
+func (e *Lit) render(r *renderer) {
+	if r.abstract {
+		r.WriteByte('?')
+		return
+	}
+	r.WriteString(e.V.String())
+}
 
 // VarRef references a bound variable.
 type VarRef struct {
 	Name string
 }
 
-func (e *VarRef) astString() string { return "$" + e.Name }
+func (e *VarRef) render(r *renderer) { r.WriteString("$" + e.Name) }
 
 // ViewRef is view('name') — the root of a path over a registered view.
 type ViewRef struct {
 	Name string
 }
 
-func (e *ViewRef) astString() string { return fmt.Sprintf("view(%q)", e.Name) }
+func (e *ViewRef) render(r *renderer) { fmt.Fprintf(r, "view(%q)", e.Name) }
 
 // NodeRef references the trigger's OLD_NODE / NEW_NODE binding.
 type NodeRef struct {
 	Old bool
 }
 
-func (e *NodeRef) astString() string {
+func (e *NodeRef) render(r *renderer) {
 	if e.Old {
-		return "OLD_NODE"
+		r.WriteString("OLD_NODE")
+	} else {
+		r.WriteString("NEW_NODE")
 	}
-	return "NEW_NODE"
 }
 
 // Step is one XPath step.
@@ -53,26 +78,30 @@ type Step struct {
 }
 
 func (s Step) String() string {
-	var sb strings.Builder
+	var r renderer
+	s.render(&r)
+	return r.String()
+}
+
+func (s Step) render(r *renderer) {
 	switch s.Axis {
 	case "descendant":
-		sb.WriteString("//")
+		r.WriteString("//")
 	case "attribute":
-		sb.WriteString("/@")
+		r.WriteString("/@")
 	case "self":
-		sb.WriteString("/.")
+		r.WriteString("/.")
 	default:
-		sb.WriteString("/")
+		r.WriteString("/")
 	}
 	if s.Axis != "self" {
-		sb.WriteString(s.Name)
+		r.WriteString(s.Name)
 	}
 	for _, p := range s.Preds {
-		sb.WriteString("[")
-		sb.WriteString(p.astString())
-		sb.WriteString("]")
+		r.WriteString("[")
+		p.render(r)
+		r.WriteString("]")
 	}
-	return sb.String()
 }
 
 // Path is a base expression followed by steps.
@@ -81,19 +110,25 @@ type Path struct {
 	Steps []Step
 }
 
-func (e *Path) astString() string {
-	var sb strings.Builder
-	sb.WriteString(e.Base.astString())
+func (e *Path) render(r *renderer) {
+	e.Base.render(r)
 	for _, s := range e.Steps {
-		sb.WriteString(s.String())
+		s.render(r)
 	}
-	return sb.String()
 }
 
 // ContextItem is "." inside a predicate.
 type ContextItem struct{}
 
-func (e *ContextItem) astString() string { return "." }
+func (e *ContextItem) render(r *renderer) { r.WriteString(".") }
+
+func renderBinary(r *renderer, l Expr, op string, rhs Expr) {
+	r.WriteString("(")
+	l.render(r)
+	r.WriteString(" " + op + " ")
+	rhs.render(r)
+	r.WriteString(")")
+}
 
 // Cmp is a general comparison.
 type Cmp struct {
@@ -101,9 +136,7 @@ type Cmp struct {
 	L, R Expr
 }
 
-func (e *Cmp) astString() string {
-	return fmt.Sprintf("(%s %s %s)", e.L.astString(), e.Op, e.R.astString())
-}
+func (e *Cmp) render(r *renderer) { renderBinary(r, e.L, e.Op, e.R) }
 
 // Arith is an arithmetic expression (+ - * div mod).
 type Arith struct {
@@ -111,9 +144,7 @@ type Arith struct {
 	L, R Expr
 }
 
-func (e *Arith) astString() string {
-	return fmt.Sprintf("(%s %s %s)", e.L.astString(), e.Op, e.R.astString())
-}
+func (e *Arith) render(r *renderer) { renderBinary(r, e.L, e.Op, e.R) }
 
 // Logic is and/or/not.
 type Logic struct {
@@ -121,15 +152,16 @@ type Logic struct {
 	Args []Expr
 }
 
-func (e *Logic) astString() string {
+func (e *Logic) render(r *renderer) {
 	if e.Op == "not" {
-		return "not(" + e.Args[0].astString() + ")"
+		r.WriteString("not(")
+		e.Args[0].render(r)
+		r.WriteString(")")
+		return
 	}
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = a.astString()
-	}
-	return "(" + strings.Join(parts, " "+e.Op+" ") + ")"
+	r.WriteString("(")
+	r.exprs(e.Args, " "+e.Op+" ")
+	r.WriteString(")")
 }
 
 // FnCall is a function call (count, min, max, sum, avg, distinct, data,
@@ -139,12 +171,10 @@ type FnCall struct {
 	Args []Expr
 }
 
-func (e *FnCall) astString() string {
-	parts := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		parts[i] = a.astString()
-	}
-	return e.Name + "(" + strings.Join(parts, ", ") + ")"
+func (e *FnCall) render(r *renderer) {
+	r.WriteString(e.Name + "(")
+	r.exprs(e.Args, ", ")
+	r.WriteString(")")
 }
 
 // Quantified is some/every $v in seq satisfies pred.
@@ -155,12 +185,15 @@ type Quantified struct {
 	Sat   Expr
 }
 
-func (e *Quantified) astString() string {
+func (e *Quantified) render(r *renderer) {
 	kw := "some"
 	if e.Every {
 		kw = "every"
 	}
-	return fmt.Sprintf("%s $%s in %s satisfies %s", kw, e.Var, e.Seq.astString(), e.Sat.astString())
+	r.WriteString(kw + " $" + e.Var + " in ")
+	e.Seq.render(r)
+	r.WriteString(" satisfies ")
+	e.Sat.render(r)
 }
 
 // IfExpr is if (cond) then a else b.
@@ -168,8 +201,13 @@ type IfExpr struct {
 	Cond, Then, Else Expr
 }
 
-func (e *IfExpr) astString() string {
-	return fmt.Sprintf("if (%s) then %s else %s", e.Cond.astString(), e.Then.astString(), e.Else.astString())
+func (e *IfExpr) render(r *renderer) {
+	r.WriteString("if (")
+	e.Cond.render(r)
+	r.WriteString(") then ")
+	e.Then.render(r)
+	r.WriteString(" else ")
+	e.Else.render(r)
 }
 
 // ForClause / LetClause are FLWOR clauses.
@@ -192,21 +230,25 @@ type FLWOR struct {
 	Return  Expr
 }
 
-func (e *FLWOR) astString() string {
-	var sb strings.Builder
+func (e *FLWOR) render(r *renderer) {
 	for _, c := range e.Clauses {
 		switch c := c.(type) {
 		case ForClause:
-			fmt.Fprintf(&sb, "for $%s in %s ", c.Var, c.Seq.astString())
+			r.WriteString("for $" + c.Var + " in ")
+			c.Seq.render(r)
 		case LetClause:
-			fmt.Fprintf(&sb, "let $%s := %s ", c.Var, c.Seq.astString())
+			r.WriteString("let $" + c.Var + " := ")
+			c.Seq.render(r)
 		}
+		r.WriteString(" ")
 	}
 	if e.Where != nil {
-		fmt.Fprintf(&sb, "where %s ", e.Where.astString())
+		r.WriteString("where ")
+		e.Where.render(r)
+		r.WriteString(" ")
 	}
-	fmt.Fprintf(&sb, "return %s", e.Return.astString())
-	return sb.String()
+	r.WriteString("return ")
+	e.Return.render(r)
 }
 
 // AttrCtor is one attribute of an element constructor: name="literal" or
@@ -224,25 +266,34 @@ type ElemCtor struct {
 	Content []Expr
 }
 
-func (e *ElemCtor) astString() string {
-	var sb strings.Builder
-	sb.WriteString("<")
-	sb.WriteString(e.Name)
+func (e *ElemCtor) render(r *renderer) {
+	r.WriteString("<" + e.Name)
 	for _, a := range e.Attrs {
-		fmt.Fprintf(&sb, " %s={%s}", a.Name, a.Val.astString())
+		r.WriteString(" " + a.Name + "={")
+		a.Val.render(r)
+		r.WriteString("}")
 	}
-	sb.WriteString(">")
+	r.WriteString(">")
 	for _, c := range e.Content {
-		fmt.Fprintf(&sb, "{%s}", c.astString())
+		r.WriteString("{")
+		c.render(r)
+		r.WriteString("}")
 	}
-	sb.WriteString("</" + e.Name + ">")
-	return sb.String()
+	r.WriteString("</" + e.Name + ">")
 }
 
 // String renders any AST node.
-func String(e Expr) string {
+func String(e Expr) string { return renderString(e, false) }
+
+// AbstractString renders e with every literal replaced by "?", in the order
+// a traversal of the AST meets them.
+func AbstractString(e Expr) string { return renderString(e, true) }
+
+func renderString(e Expr, abstract bool) string {
 	if e == nil {
 		return "<nil>"
 	}
-	return e.astString()
+	r := renderer{abstract: abstract}
+	e.render(&r)
+	return r.String()
 }

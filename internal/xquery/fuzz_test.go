@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestParseNestingIsBounded: hostile nesting returns an ordinary error
 // naming the limit. Before the bound each of these recursed once per
 // level; deep enough, the goroutine stack overflowed and the process died
-// (a fatal error, not a recoverable panic).
+// (a fatal error, not a recoverable panic). The operator chains parse in a
+// loop but build a tree as deep as the chain, which String — called under
+// the engine's metadata lock by CreateTrigger — then took quadratic time to
+// render (19 s for 100,000 terms).
 func TestParseNestingIsBounded(t *testing.T) {
 	limit := fmt.Sprintf("deeper than %d levels", maxDepth)
 	for name, src := range map[string]string{
@@ -22,6 +26,8 @@ func TestParseNestingIsBounded(t *testing.T) {
 		"predicates":   strings.Repeat("$x/a[", 10_000) + "1" + strings.Repeat("]", 10_000),
 		"calls":        strings.Repeat("f(", 10_000) + "1" + strings.Repeat(")", 10_000),
 		"flwor":        strings.Repeat("for $x in $y return ", 10_000) + "1",
+		"add chain":    "1" + strings.Repeat("+1", 100_000),
+		"mul chain":    "1" + strings.Repeat(" mod 1 * 1", 50_000),
 	} {
 		_, err := Parse(src)
 		if err == nil || !strings.Contains(err.Error(), limit) {
@@ -33,10 +39,32 @@ func TestParseNestingIsBounded(t *testing.T) {
 	if _, err := Parse(strings.Repeat("(", n) + "1" + strings.Repeat(")", n)); err != nil {
 		t.Errorf("%d nested parens: %v", n, err)
 	}
+	if _, err := Parse("1" + strings.Repeat("+1", n)); err != nil {
+		t.Errorf("chain of %d operators: %v", n, err)
+	}
+	// What is accepted renders in time linear in its length, however wide.
+	wide := strings.Repeat("("+strings.Repeat("'0123456789abcdef' + ", 200)+"1) or ", 400) + "1"
+	e, err := Parse(wide)
+	if err != nil {
+		t.Fatalf("wide input: %v", err)
+	}
+	checkStringBudget(t, e, len(wide))
+}
+
+// checkStringBudget: String returns within a budget linear in the length of
+// the source the AST was parsed from.
+func checkStringBudget(t *testing.T, e Expr, srcLen int) {
+	t.Helper()
+	budget := 50*time.Millisecond + time.Duration(srcLen)*time.Microsecond
+	start := time.Now()
+	_ = String(e)
+	if d := time.Since(start); d > budget {
+		t.Errorf("String took %v on %d bytes of input, budget %v", d, srcLen, budget)
+	}
 }
 
 // FuzzParse: the parser never panics and never hangs, and whatever it
-// accepts renders through String without panicking.
+// accepts renders through String without panicking, in linear time.
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		catalogSrc,
@@ -55,6 +83,6 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = String(e)
+		checkStringBudget(t, e, len(src))
 	})
 }

@@ -86,6 +86,18 @@ func (p *Parser) descend(pos int) error {
 	return nil
 }
 
+// chain consumes the operator of a left-associative chain (a + b + c ...).
+// The loop that parses a chain does not recurse, but the tree it builds is
+// one level deeper per operator and everything downstream recurses over the
+// tree, so each operator opens a level too; the loop's caller closes them all
+// by restoring p.depth.
+func (p *Parser) chain() error {
+	if err := p.descend(p.tok.Pos); err != nil {
+		return err
+	}
+	return p.advance()
+}
+
 func (p *Parser) parseExpr() (e Expr, err error) {
 	if err := p.descend(p.tok.Pos); err != nil {
 		return nil, err
@@ -346,9 +358,10 @@ func (p *Parser) parseAdd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	open := p.depth
 	for p.isSymbol("+") || p.isSymbol("-") {
 		op := p.tok.Text
-		if err := p.advance(); err != nil {
+		if err := p.chain(); err != nil {
 			return nil, err
 		}
 		r, err := p.parseMul()
@@ -357,6 +370,7 @@ func (p *Parser) parseAdd() (Expr, error) {
 		}
 		l = &Arith{Op: op, L: l, R: r}
 	}
+	p.depth = open
 	return l, nil
 }
 
@@ -365,9 +379,10 @@ func (p *Parser) parseMul() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	open := p.depth
 	for p.isSymbol("*") || p.isIdent("div") || p.isIdent("mod") {
 		op := p.tok.Text
-		if err := p.advance(); err != nil {
+		if err := p.chain(); err != nil {
 			return nil, err
 		}
 		r, err := p.parseUnary()
@@ -376,6 +391,7 @@ func (p *Parser) parseMul() (Expr, error) {
 		}
 		l = &Arith{Op: op, L: l, R: r}
 	}
+	p.depth = open
 	return l, nil
 }
 
