@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"io"
+	"runtime"
+	"slices"
 	"testing"
 
 	"quark/internal/core"
@@ -13,33 +15,59 @@ import (
 )
 
 // firingAllocBudget caps the heap allocations of one single-row leaf update
-// that fires a grouped trigger plan: about 10 % above the measured 735.
+// that fires a grouped trigger plan: about 10 % above the measured 201.
 // The count is what the evaluator's prepare-once / allocation-lean design
-// buys (the interpretive evaluator it replaced needed 4,183 here), and what
+// buys (the interpretive evaluator it replaced needed 4,183 here), what
 // building the OLD side as an edit of the NEW side buys on top (1,229 with
-// both sides built): about 8 objects per constructed <e1> child, 64 of them
-// on the NEW side and one on the OLD. A change that raises the count past
-// the budget is paying per-tuple garbage again, or building the 63 children
-// the statement did not touch a second time.
-const firingAllocBudget = 810
+// both sides built, 735 with one), and what carving a pass's nodes, lists
+// and lexical strings out of chunks buys on top of that: the 64 <e1>
+// children of the NEW side cost 8 objects each before, and now cost the
+// first child's 8 and four chunks. A change that raises the count past the
+// budget is paying per-tuple or per-node garbage again, or building the 63
+// children the statement did not touch a second time.
+//
+// firingBytesBudget is the other half: the 99,977 bytes (97.6 KB) one
+// firing allocated before nodes came from chunks. A chunk allocator that
+// rounds passes up, or pays for itself per pass, lowers the count and
+// raises this.
+const (
+	firingAllocBudget = 220
+	firingBytesBudget = 99_977
+)
 
 // raceEnabled is set by race_test.go: the race detector's instrumentation
 // allocates, so the count means nothing under -race.
 var raceEnabled bool
 
-func TestFiringAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
+// perRun reports the heap objects and bytes one call of f allocates, on
+// every goroutine, averaged over runs calls after one to warm up — what
+// testing.AllocsPerRun measures, with MemStats.TotalAlloc beside Mallocs.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// paperFiring builds the allocation tests' workload — 128 top elements of
+// fanout leaves, four of 512 grouped triggers watching each — and returns it
+// with a function that updates one leaf's payload to a value it never had.
+func paperFiring(t *testing.T, fanout int, leaf int64) (*workload.Setup, func()) {
+	t.Helper()
 	w, err := workload.Build(workload.Params{
-		Depth: 2, LeafTuples: 8192, Fanout: 64, NumTriggers: 512, NumSatisfied: 4,
+		Depth: 2, LeafTuples: 128 * fanout, Fanout: fanout, NumTriggers: 512, NumSatisfied: 4,
 	}, core.ModeGrouped, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := []xdm.Value{xdm.Int(7)} // a leaf under top element 0, which 4 triggers watch
-	payload := 1000.0              // unique per update, so none is a no-op
-	update := func() {
+	key := []xdm.Value{xdm.Int(leaf)}
+	payload := 1000.0 // unique per update, so none is a no-op
+	return w, func() {
 		payload++
 		if _, err := w.Engine.UpdateByPK(w.LeafTable(), key, func(r reldb.Row) reldb.Row {
 			r[len(r)-1] = xdm.Float(payload)
@@ -48,14 +76,24 @@ func TestFiringAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+func TestFiringAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, update := paperFiring(t, 64, 7) // a leaf under top element 0, which 4 triggers watch
 	before := w.Notifications
-	allocs := testing.AllocsPerRun(100, update)
-	if got := w.Notifications - before; got != 4*101 { // AllocsPerRun warms up with one extra call
+	allocs, bytes := perRun(100, update)
+	if got := w.Notifications - before; got != 4*101 { // perRun warms up with one extra call
 		t.Fatalf("notifications = %d, want 4 per update: the budget is for a firing that delivers", got)
 	}
-	t.Logf("allocations per firing: %.0f (budget %d)", allocs, firingAllocBudget)
+	t.Logf("one firing: %.0f allocations (budget %d), %.0f bytes (budget %d)", allocs, firingAllocBudget, bytes, firingBytesBudget)
 	if allocs > firingAllocBudget {
 		t.Errorf("one leaf update allocates %.0f objects, budget is %d", allocs, firingAllocBudget)
+	}
+	if bytes > firingBytesBudget {
+		t.Errorf("one leaf update allocates %.0f bytes, budget is %d", bytes, firingBytesBudget)
 	}
 }
 
@@ -106,13 +144,141 @@ func TestOldNodeSharesUntouchedChildren(t *testing.T) {
 	}
 }
 
+// lists collects, by node, copies of the attribute and child lists of every
+// node of the subtrees.
+func lists(into map[*xdm.Node][2][]*xdm.Node, roots ...*xdm.Node) map[*xdm.Node][2][]*xdm.Node {
+	for _, n := range roots {
+		if _, seen := into[n]; seen {
+			continue
+		}
+		into[n] = [2][]*xdm.Node{slices.Clone(n.Attrs), slices.Clone(n.Children)}
+		lists(into, n.Attrs...)
+		lists(into, n.Children...)
+	}
+	return into
+}
+
+// The attribute and child lists of a firing's nodes are cut from shared
+// chunks, each with no spare capacity. Appending to a delivered node — a
+// breach of the contract that delivered nodes are immutable — therefore
+// moves that node's list and writes into nobody else's: every other list of
+// OLD_NODE and NEW_NODE holds the nodes it held. (OLD and NEW share 63 of
+// their 64 children, so a change to a shared child shows on both sides; the
+// check is on the lists.)
+func TestChunkListsDoNotAlias(t *testing.T) {
+	w, update := paperFiring(t, 64, 7)
+	var got []core.Invocation
+	w.Engine.RegisterAction("notify", func(inv core.Invocation) error {
+		got = append(got, inv)
+		return nil
+	})
+	update()
+	if len(got) != 4 {
+		t.Fatalf("invocations = %d, want 4", len(got))
+	}
+	old, new := got[0].Old, got[0].New
+	if len(old.Children) != 64 || len(new.Children) != 64 {
+		t.Fatalf("children: old %d, new %d, want 64 each", len(old.Children), len(new.Children))
+	}
+	before := lists(map[*xdm.Node][2][]*xdm.Node{}, old, new)
+	for n := range before {
+		if cap(n.Attrs) != len(n.Attrs) || cap(n.Children) != len(n.Children) {
+			t.Errorf("<%s>: Attrs len %d cap %d, Children len %d cap %d, want no spare capacity",
+				n.Name, len(n.Attrs), cap(n.Attrs), len(n.Children), cap(n.Children))
+			break
+		}
+	}
+	const victim = 20
+	appended := []*xdm.Node{new.Children[victim], new.Children[victim].Children[0], new}
+	for _, n := range appended {
+		n.AppendChild(xdm.Attr("late", "x")).AppendChild(xdm.TextNd("late"))
+	}
+	for n, was := range before {
+		if slices.Contains(appended, n) {
+			if len(n.Attrs) != len(was[0])+1 || len(n.Children) != len(was[1])+1 {
+				t.Errorf("<%s> appended to: %d attributes and %d children, want one more of each than %d and %d",
+					n.Name, len(n.Attrs), len(n.Children), len(was[0]), len(was[1]))
+			}
+			continue
+		}
+		if !slices.Equal(n.Attrs, was[0]) || !slices.Equal(n.Children, was[1]) {
+			t.Errorf("a list of %s changed when other nodes were appended to", n.Serialize(false))
+		}
+	}
+	if len(old.Children) != 64 || old.Children[victim] != new.Children[victim] {
+		t.Errorf("OLD_NODE's child list changed: %d children", len(old.Children))
+	}
+}
+
+// A consumer that keeps one child of each delivered node keeps the block
+// that child was cut from alive, and nothing more: blocks are bounded and
+// no chunk is shared between two of them, so what 1,000 retained children
+// pin is bounded by 1,000 block caps, although each came from a pass that
+// constructed 512 children in some 200 KB. (With the node, list and text
+// chunks replaced independently, the collector walked from one into the
+// next and every child pinned its whole pass.)
+func TestRetainedChildPinsOneChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const (
+		fanout   = 512
+		firings  = 1000
+		chunkCap = 32 << 10 // xdm's chunk bounds, together
+	)
+	w, update := paperFiring(t, fanout, 7)
+	var kept []*xdm.Node
+	var last *xdm.Node
+	w.Engine.RegisterAction("notify", func(inv core.Invocation) error {
+		if inv.New == last {
+			return nil // the firing's other three triggers: same nodes
+		}
+		if last = inv.New; len(last.Children) != fanout {
+			t.Errorf("NEW_NODE has %d children, want %d", len(last.Children), fanout)
+		}
+		if len(kept) < cap(kept) {
+			kept = append(kept, last.Children[(37*len(kept))%fanout])
+		}
+		return nil
+	})
+	update() // warm up: plans prepared, maps grown
+	kept = make([]*xdm.Node, 0, firings)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // twice: what the first cycle only unlinked is freed by the second
+	runtime.ReadMemStats(&before)
+	for i := 0; i < firings; i++ {
+		update()
+	}
+	if len(kept) != firings {
+		t.Fatalf("kept %d children of %d firings", len(kept), firings)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d retained children pin %d bytes, %d each (bound %d)", len(kept), grown, grown/int64(len(kept)), chunkCap)
+	if grown > int64(len(kept))*chunkCap {
+		t.Errorf("%d retained children pin %d bytes, want at most %d each", len(kept), grown, chunkCap)
+	}
+	runtime.KeepAlive(kept)
+	runtime.KeepAlive(w) // or the engine's own 19 MB die before the second reading
+}
+
 // durableFiringAllocBudget caps the heap allocations of one leaf update
 // whose firing notifies 20 triggers durably — one group append, 20
 // enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
-// measured 370. Per-record appends and the reflective JSON encoder
+// measured 283. Per-record appends and the reflective JSON encoder
 // needed about 3,900 here; a change that raises the count past the budget
-// is encoding, framing or writing per record again.
-const durableFiringAllocBudget = 405
+// is encoding, framing or writing per record again. Its passes construct
+// for eight tuples at most and most of them for one, so
+// durableFiringBytesBudget — the 38,571 bytes it allocated before nodes came
+// from chunks — is where a chunk allocator that costs a short pass anything
+// shows.
+const (
+	durableFiringAllocBudget = 310
+	durableFiringBytesBudget = 38_571
+)
 
 func TestDurableFiringAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -148,12 +314,15 @@ func TestDurableFiringAllocBudget(t *testing.T) {
 		}
 		w.Engine.Drain()
 	}
-	allocs := testing.AllocsPerRun(100, update)
-	if st := lg.Stats(); st.Appended != 20*101 || st.Acked != 20*101 { // AllocsPerRun warms up with one extra call
+	allocs, bytes := perRun(100, update)
+	if st := lg.Stats(); st.Appended != 20*101 || st.Acked != 20*101 { // perRun warms up with one extra call
 		t.Fatalf("log stats = %+v, want 20 records appended and acknowledged per update: the budget is for a firing that delivers", st)
 	}
-	t.Logf("allocations per durable firing: %.0f (budget %d)", allocs, durableFiringAllocBudget)
+	t.Logf("one durable firing: %.0f allocations (budget %d), %.0f bytes (budget %d)", allocs, durableFiringAllocBudget, bytes, durableFiringBytesBudget)
 	if allocs > durableFiringAllocBudget {
 		t.Errorf("one durably delivered leaf update allocates %.0f objects, budget is %d", allocs, durableFiringAllocBudget)
+	}
+	if bytes > durableFiringBytesBudget {
+		t.Errorf("one durably delivered leaf update allocates %.0f bytes, budget is %d", bytes, durableFiringBytesBudget)
 	}
 }

@@ -68,7 +68,7 @@ func callScalar(name string, vals []xdm.Value) (xdm.Value, error) {
 		return xdm.NodeVal(xdm.Attr(vals[0].AsString(), vals[1].Lexical())), nil
 	case "xml_element":
 		n := xdm.Elem(vals[0].AsString())
-		n.AppendContent(vals[1:]...) // the evaluator's own content assembly
+		n.AppendContent(new(xdm.Chunks), vals[1:]...) // the evaluator's own content assembly
 		return xdm.NodeVal(n), nil
 	default:
 		return xdm.Null, fmt.Errorf("sqlshim: unknown function %s", name)

@@ -82,42 +82,46 @@ func (n *Node) AppendChild(c *Node) *Node {
 // copied; attribute nodes route to Attrs), a sequence is spliced item by
 // item, and any other value becomes a text node of its lexical form. It is
 // the one definition of element-content assembly, used by the evaluator's
-// constructor and by the SQL shim's xml_element alike. Passing all of an
-// element's content in one call sizes Children once.
-func (n *Node) AppendContent(vs ...Value) {
-	if extra := contentLen(vs); extra > cap(n.Children)-len(n.Children) {
-		n.Children = slices.Grow(n.Children, extra)
-	}
-	n.appendValues(vs)
+// constructor and by the SQL shim's xml_element alike. The lists are grown
+// once, to exactly the new length, and they and the text nodes come from c
+// (a zero Chunks allocates each on its own).
+func (n *Node) AppendContent(c *Chunks, vs ...Value) {
+	attrs, children := contentLen(vs)
+	n.Attrs = c.grow(n.Attrs, attrs)
+	n.Children = c.grow(n.Children, children)
+	n.appendValues(c, vs)
 }
 
-func (n *Node) appendValues(vs []Value) {
+func (n *Node) appendValues(c *Chunks, vs []Value) {
 	for _, v := range vs {
 		switch v.kind {
 		case KindNull:
 		case KindNode:
 			n.AppendChild(v.node)
 		case KindSeq:
-			n.appendValues(*v.seq)
+			n.appendValues(c, *v.seq)
 		default:
-			n.AppendChild(TextNd(v.Lexical()))
+			n.AppendChild(c.text(v))
 		}
 	}
 }
 
-// contentLen counts the nodes appendValues will add for vs.
-func contentLen(vs []Value) int {
-	n := 0
+// contentLen counts the attributes and the children appendValues will add
+// for vs.
+func contentLen(vs []Value) (attrs, children int) {
 	for _, v := range vs {
-		switch v.kind {
-		case KindNull:
-		case KindSeq:
-			n += contentLen(*v.seq)
+		switch {
+		case v.kind == KindNull:
+		case v.kind == KindSeq:
+			a, c := contentLen(*v.seq)
+			attrs, children = attrs+a, children+c
+		case v.kind == KindNode && v.node.Kind == AttributeNode:
+			attrs++
 		default:
-			n++
+			children++
 		}
 	}
-	return n
+	return attrs, children
 }
 
 // Attribute returns the value of the named attribute and whether it exists.
@@ -327,7 +331,8 @@ func escapeAttr(sb *strings.Builder, s string) {
 }
 
 // Parse parses a small subset of XML sufficient to round-trip Serialize
-// output in tests: elements, attributes, text, entities, self-closing tags.
+// output: elements, attributes, text, entities, self-closing tags. Elements
+// may nest maxParseDepth deep.
 func Parse(s string) (*Node, error) {
 	p := &xmlParser{src: s}
 	p.skipSpace()
@@ -342,9 +347,17 @@ func Parse(s string) (*Node, error) {
 	return n, nil
 }
 
+// maxParseDepth bounds how deeply parsed elements may nest. parseElement
+// recurses once per level and the text comes from outside (SQL text reaches
+// it through xml_parse), so without a bound a few megabytes of "<a>" overflow
+// the stack — which kills the process; it is not a panic. The XQuery and
+// trigger parsers draw the same line.
+const maxParseDepth = 256
+
 type xmlParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int
 }
 
 func (p *xmlParser) skipSpace() {
@@ -367,6 +380,9 @@ func (p *xmlParser) parseElement() (*Node, error) {
 	if name == "" {
 		return nil, fmt.Errorf("xdm: expected element name at offset %d", p.pos)
 	}
+	if p.depth++; p.depth > maxParseDepth {
+		return nil, fmt.Errorf("xdm: elements nest deeper than %d levels at offset %d", maxParseDepth, p.pos)
+	}
 	e := &Node{Kind: ElementNode, Name: name}
 	for {
 		p.skipSpace()
@@ -375,6 +391,7 @@ func (p *xmlParser) parseElement() (*Node, error) {
 		}
 		if strings.HasPrefix(p.src[p.pos:], "/>") {
 			p.pos += 2
+			p.depth--
 			return e, nil
 		}
 		if p.src[p.pos] == '>' {
@@ -422,6 +439,7 @@ func (p *xmlParser) parseElement() (*Node, error) {
 				return nil, fmt.Errorf("xdm: expected '>' closing </%s>", name)
 			}
 			p.pos++
+			p.depth--
 			return e, nil
 		}
 		if p.src[p.pos] == '<' {

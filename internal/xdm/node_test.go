@@ -91,7 +91,7 @@ func TestAppendContent(t *testing.T) {
 		Seq([]Value{Int(7), Seq([]Value{NodeVal(child), Null}), Float(2)}),
 		Str("t"),
 	} {
-		e.AppendContent(v)
+		e.AppendContent(new(Chunks), v)
 	}
 	if got, want := e.Serialize(false), `<e a="1"><c>x</c>7<c>x</c>2.00t</e>`; got != want {
 		t.Errorf("content = %s, want %s", got, want)
@@ -99,6 +99,30 @@ func TestAppendContent(t *testing.T) {
 	// Nodes are immutable once constructed, so content is shared, not copied.
 	if e.Children[0] != child || e.Children[2] != child {
 		t.Error("node content was copied instead of shared")
+	}
+}
+
+// Attributes arriving as content are counted as attributes, not among the
+// children: both lists come out exactly full, whatever the mix.
+func TestAppendContentSizesListsExactly(t *testing.T) {
+	child := Elem("c")
+	mixed := []Value{
+		NodeVal(Attr("a", "1")), Null, NodeVal(child), Int(7),
+		Seq([]Value{NodeVal(Attr("b", "2")), NodeVal(child), Null, Str("t")}),
+	}
+	for name, e := range map[string]*Node{
+		"empty element":     Elem("e"),
+		"element with both": Elem("e", Attr("z", "0"), TextNd("first")),
+	} {
+		attrs, children := len(e.Attrs), len(e.Children)
+		e.AppendContent(new(Chunks), mixed...)
+		if len(e.Attrs) != attrs+2 || len(e.Children) != children+4 {
+			t.Errorf("%s: %d attributes and %d children, want %d and %d", name, len(e.Attrs), len(e.Children), attrs+2, children+4)
+		}
+		if cap(e.Attrs) != len(e.Attrs) || cap(e.Children) != len(e.Children) {
+			t.Errorf("%s: Attrs len %d cap %d, Children len %d cap %d, want no spare capacity",
+				name, len(e.Attrs), cap(e.Attrs), len(e.Children), cap(e.Children))
+		}
 	}
 }
 

@@ -201,19 +201,8 @@ func (v Value) Lexical() string {
 	case KindInt:
 		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		f := v.f()
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			// Render integral floats the way a DECIMAL column would. The
-			// digits are the integer's (FormatFloat's fixed-precision path
-			// is multi-precision arithmetic, and this runs once per tagged
-			// value); only -0 needs the float formatter for its sign.
-			if f == 0 && math.Signbit(f) {
-				return "-0.00"
-			}
-			var buf [24]byte
-			return string(append(strconv.AppendInt(buf[:0], int64(f), 10), ".00"...))
-		}
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		var buf [32]byte
+		return string(v.appendNumber(buf[:0]))
 	case KindString:
 		return v.s
 	case KindNode:
@@ -227,6 +216,25 @@ func (v Value) Lexical() string {
 	default:
 		return ""
 	}
+}
+
+// appendNumber appends the lexical form of an int or a float to dst.
+func (v Value) appendNumber(dst []byte) []byte {
+	if v.kind == KindInt {
+		return strconv.AppendInt(dst, v.i(), 10)
+	}
+	f := v.f()
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		// Render integral floats the way a DECIMAL column would. The
+		// digits are the integer's (FormatFloat's fixed-precision path
+		// is multi-precision arithmetic, and this runs once per tagged
+		// value); only -0 needs its sign spelled out.
+		if f == 0 && math.Signbit(f) {
+			return append(dst, "-0.00"...)
+		}
+		return append(strconv.AppendInt(dst, int64(f), 10), ".00"...)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // String implements fmt.Stringer with a debugging-oriented form.

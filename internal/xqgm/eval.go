@@ -67,6 +67,7 @@ type EvalContext struct {
 	oldExcl map[string]map[xdm.CompKey]struct{}
 	delIdx  map[tableCol]map[xdm.CompKey][]reldb.Row
 	hits    []hit // index-join scratch, reused from join to join
+	env     Env   // the running pass's environment: see passEnv
 }
 
 // hit is one index-join match: an outer tuple and the base row it probed.
@@ -167,6 +168,16 @@ func (ctx *EvalContext) run(n *node) ([]Tuple, error) {
 	return res, nil
 }
 
+// passEnv returns the environment of one operator pass: blank, so the chunks
+// the last pass constructed from are dropped (they live on in the nodes cut
+// from them, not here) and no tuple of it is still referenced. A pass takes
+// it only once everything it reads — its inputs, its twin — has been
+// evaluated: those are passes too, and there is one environment.
+func (ctx *EvalContext) passEnv() *Env {
+	ctx.env = Env{}
+	return &ctx.env
+}
+
 // holds evaluates a predicate: NULL counts as false.
 func holds(pred Expr, env *Env) (bool, error) {
 	v, err := pred.Eval(env)
@@ -217,7 +228,6 @@ func (ctx *EvalContext) exec(n *node) ([]Tuple, error) {
 
 func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 	o := n.op
-	env := &Env{} // one per operator pass, re-pointed at each tuple
 	switch o.Type {
 	case OpSelect:
 		var out []Tuple
@@ -233,6 +243,7 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 		} else if inFrom != nil {
 			from = make([]int32, 0, len(in))
 		}
+		env := ctx.passEnv()
 		for i, t := range in {
 			ok, src := false, int32(-1)
 			if from != nil && inFrom[i] >= 0 {
@@ -284,12 +295,17 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 			ctx.Stats.RowsReused += len(in) - fresh
 			ctx.trails[n] = trail{from: from}
 		}
-		sl := slab{w: len(o.Projs), n: fresh}
+		// The pass's fresh tuples come from one slab, and the nodes their
+		// constructors build from one set of chunks, cut for what the tuples
+		// so far took and the number still to come.
+		sl, env := slab{w: len(o.Projs), n: fresh}, ctx.passEnv()
 		for i, t := range in {
 			if out[i] != nil {
 				continue
 			}
 			env.In[0] = t
+			env.nodes.Tuple(fresh)
+			fresh--
 			nt := sl.next()
 			for j, p := range o.Projs {
 				if !n.live[j] {
@@ -305,7 +321,7 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 		}
 		return out, nil
 	case OpGroupBy:
-		return ctx.evalGroupBy(n, in, env)
+		return ctx.evalGroupBy(n, in)
 	case OpOrderBy:
 		out := append([]Tuple(nil), in...)
 		slices.SortStableFunc(out, func(a, b Tuple) int {
@@ -513,7 +529,7 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 	// First collect the (outer tuple, base row) matches, then build the
 	// output in one exactly-sized array.
 	hits := ctx.hits[:0]
-	env := &Env{}
+	env := ctx.passEnv()
 	var oi int
 	var rowErr error
 	emit := func(r reldb.Row) bool {
@@ -740,7 +756,7 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 	emits := o.JoinKind == JoinInner || o.JoinKind == JoinLeftOuter // else a match only disqualifies
 	lw := n.in[0].width
 	sl := slab{w: n.width, n: len(probe)}
-	env := &Env{}
+	env := ctx.passEnv()
 	var out []Tuple
 	for _, p := range probe {
 		matched := false
@@ -786,7 +802,7 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 
 // --- group by ---
 
-func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, error) {
+func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 	o := n.op
 	// Number the groups in first-seen order, then counting-sort the rows so
 	// each group is one run of rows (in input order).
@@ -802,6 +818,7 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple, env *Env) ([]Tuple, err
 	if err != nil {
 		return nil, err
 	}
+	env := ctx.passEnv()
 	for i, t := range in {
 		k := xdm.ColsKey(t, o.GroupCols)
 		g, ok := byKey[k]

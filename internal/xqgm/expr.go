@@ -15,13 +15,14 @@ type Expr interface {
 	String() string
 }
 
-// Env carries the input tuples an expression may reference.
+// Env carries the input tuples an expression may reference and the chunks
+// its element constructors build from. The zero Env is ready to use; an
+// operator pass takes the context's (EvalContext.passEnv) and re-points it
+// at each tuple.
 type Env struct {
-	In [2][]xdm.Value
+	In    [2][]xdm.Value
+	nodes xdm.Chunks
 }
-
-// unaryEnv wraps a single tuple for unary-operator expressions.
-func unaryEnv(t []xdm.Value) *Env { return &Env{In: [2][]xdm.Value{t, nil}} }
 
 // ColRef references column Col of input Input.
 type ColRef struct {
@@ -326,16 +327,13 @@ type ElemCtor struct {
 
 // Eval implements Expr.
 func (e *ElemCtor) Eval(env *Env) (xdm.Value, error) {
-	n := xdm.Elem(e.Name)
-	if len(e.Attrs) > 0 {
-		n.Attrs = make([]*xdm.Node, len(e.Attrs))
-	}
+	n := env.nodes.Elem(e.Name, len(e.Attrs))
 	for i, a := range e.Attrs {
 		v, err := a.E.Eval(env)
 		if err != nil {
 			return xdm.Null, err
 		}
-		n.Attrs[i] = xdm.Attr(a.Name, v.Lexical())
+		n.Attrs[i] = env.nodes.Attr(a.Name, v)
 	}
 	var buf [4]xdm.Value
 	content := buf[:0]
@@ -346,7 +344,7 @@ func (e *ElemCtor) Eval(env *Env) (xdm.Value, error) {
 		}
 		content = append(content, v)
 	}
-	n.AppendContent(content...)
+	n.AppendContent(&env.nodes, content...)
 	return xdm.NodeVal(n), nil
 }
 
@@ -417,22 +415,26 @@ func (e *PathStep) Eval(env *Env) (xdm.Value, error) {
 			return xdm.Null, fmt.Errorf("xqgm: unsupported axis %q", e.Axis)
 		}
 	}
-	if e.Predicate != nil {
+	if e.Predicate != nil && len(out) > 0 {
+		// The predicate sees the step item as input 0 and inherits input 1
+		// (e.g. the constants-table row in grouped trigger plans, enabling
+		// arbitrarily nested grouped conditions, paper §5.1): env is
+		// re-pointed at each item and put back afterwards.
+		outer, item := env.In[0], make([]xdm.Value, 1)
+		env.In[0] = item
 		kept := out[:0]
-		for _, item := range out {
-			// The predicate sees the step item as input 0 and inherits
-			// input 1 (e.g. the constants-table row in grouped trigger
-			// plans, enabling arbitrarily nested grouped conditions,
-			// paper §5.1).
-			penv := &Env{In: [2][]xdm.Value{{item}, env.In[1]}}
-			pv, err := e.Predicate.Eval(penv)
+		for _, v := range out {
+			item[0] = v
+			pv, err := e.Predicate.Eval(env)
 			if err != nil {
+				env.In[0] = outer
 				return xdm.Null, err
 			}
 			if !pv.IsNull() && pv.EffectiveBool() {
-				kept = append(kept, item)
+				kept = append(kept, v)
 			}
 		}
+		env.In[0] = outer
 		out = kept
 	}
 	switch len(out) {
