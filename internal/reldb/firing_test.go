@@ -362,6 +362,12 @@ func TestCheckFKNonPKFallbackCountsScan(t *testing.T) {
 	if got := db.Stats().FullScans; got != 1 {
 		t.Errorf("FullScans after non-PK FK check = %d, want 1", got)
 	}
+	if err := db.Insert("child", Row{xdm.Int(11), xdm.Str("nope")}); err == nil {
+		t.Error("child with no parent code accepted")
+	}
+	if got := db.Stats().FullScans; got != 2 {
+		t.Errorf("FullScans after a violating non-PK FK check = %d, want 2", got)
+	}
 	// The full-PK fast path stays scan-free.
 	db.ResetStats()
 	if err := db.Insert("parent", Row{xdm.Int(2), xdm.Str("Y")}); err != nil {
@@ -369,5 +375,29 @@ func TestCheckFKNonPKFallbackCountsScan(t *testing.T) {
 	}
 	if got := db.Stats().FullScans; got != 0 {
 		t.Errorf("FullScans on PK-referencing insert = %d, want 0", got)
+	}
+}
+
+// TestCheckFKOnPrimaryKeyIsFinal: when a foreign key names the referenced
+// table's whole primary key, the key map decides a miss as well as a hit; a
+// violating insert must not scan the parent table to confirm it.
+func TestCheckFKOnPrimaryKeyIsFinal(t *testing.T) {
+	db := leafDB(t, 0)
+	for i := 0; i < 1000; i++ {
+		if err := db.Insert("product", Row{xdm.Int(int64(i)), xdm.Str("p")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetEnforceFKs(true)
+	db.ResetStats()
+	err := db.Insert("vendor", Row{xdm.Int(1), xdm.Int(5000), xdm.Float(0)})
+	if err == nil || !strings.Contains(err.Error(), "foreign key violation") {
+		t.Fatalf("vendor of a missing product: err = %v, want a foreign key violation", err)
+	}
+	if err := db.Insert("vendor", Row{xdm.Int(1), xdm.Int(999), xdm.Float(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.FullScans != 0 {
+		t.Errorf("FullScans = %d after a violating and a valid insert against the parent's primary key, want 0", st.FullScans)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // the slot store and against a naive []Row model, and after every step
 // compares everything a reader can observe (GetByPK, RowCount, Scan, and
 // Lookup on every column in primary-key order) and checks the store's own
-// invariants (key map, free list, sorted posting lists). TestStorageModel
+// invariants (both halves of the key map, free list, sorted posting lists). TestStorageModel
 // derives the bytes from a pinned seed; FuzzStorageModel takes them from
 // the fuzzer.
 
@@ -47,6 +47,18 @@ func modelSchema() *schema.Schema {
 	s.MustAddTable(&schema.Table{
 		Name:    "log",
 		Columns: []schema.Column{{Name: "k", Type: schema.TInt}, {Name: "msg", Type: schema.TString}},
+	})
+	// One string key and one float key: between them their keys land in both
+	// halves of the slot map ("" and every number in the pointer-free one).
+	s.MustAddTable(&schema.Table{
+		Name:       "name",
+		Columns:    []schema.Column{{Name: "s", Type: schema.TString}, {Name: "n", Type: schema.TInt}},
+		PrimaryKey: []string{"s"},
+	})
+	s.MustAddTable(&schema.Table{
+		Name:       "meas",
+		Columns:    []schema.Column{{Name: "x", Type: schema.TFloat}, {Name: "n", Type: schema.TInt}},
+		PrimaryKey: []string{"x"},
 	})
 	return s
 }
@@ -196,6 +208,25 @@ func (s *stream) str(pool ...string) xdm.Value {
 	return xdm.Null
 }
 
+func (s *stream) nameKey() xdm.Value {
+	return xdm.Str([]string{"a", "b", "", "ab"}[s.n(4)])
+}
+
+// measKey draws a float key from ints, the floats equal to them, fractions,
+// and two floats beyond int64 that int64() would fold into one.
+func (s *stream) measKey() xdm.Value {
+	switch i := s.n(10); {
+	case i < 3:
+		return xdm.Int(int64(i))
+	case i < 6:
+		return xdm.Float(float64(i - 3))
+	case i < 8:
+		return xdm.Float(float64(i-6) + 0.5)
+	default:
+		return xdm.Float(float64(i-7) * 1e19)
+	}
+}
+
 func (s *stream) pairKey() []xdm.Value {
 	return []xdm.Value{xdm.Int(int64(s.n(3))), xdm.Str([]string{"x", "y", ""}[s.n(3)])}
 }
@@ -218,7 +249,7 @@ func newModelRun(t *testing.T) *modelRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &modelRun{t: t, db: db, tables: map[string]*mtable{}, names: []string{"leaf", "pair", "log"}}
+	r := &modelRun{t: t, db: db, tables: map[string]*mtable{}, names: []string{"leaf", "pair", "log", "name", "meas"}}
 	for _, n := range r.names {
 		r.tables[n] = &mtable{name: n, pk: db.tables[n].pkIdx}
 	}
@@ -264,7 +295,7 @@ func (r *modelRun) step(s *stream) {
 	eq := func(c int, v xdm.Value) func(Row) bool {
 		return func(row Row) bool { return xdm.Equal(row[c], v) }
 	}
-	switch op := s.n(22); op {
+	switch op := s.n(28); op {
 	case 0, 1: // insert 1-3 leaves
 		rows := make([]Row, 1+s.n(3))
 		for i := range rows {
@@ -377,7 +408,34 @@ func (r *modelRun) step(s *stream) {
 		if r.tx != nil {
 			r.rollback()
 		}
+	case 22, 25: // insert 1-2 rows under a string or a float key
+		table, key := r.keyedBy(op == 22, s)
+		rows := make([]Row, 1+s.n(2))
+		for i := range rows {
+			rows[i] = Row{key(), xdm.Int(int64(s.n(3)))}
+		}
+		r.expect("insert "+table.name, r.w().Insert(table.name, rows...), table.insert(rows))
+	case 23, 26: // point update: the counter, or the key itself
+		table, key := r.keyedBy(op == 23, s)
+		k := key()
+		set := [](func(Row) Row){col(1, xdm.Int(int64(s.n(3)))), col(0, key())}[s.n(2)]
+		found, err := r.w().UpdateByPK(table.name, []xdm.Value{k}, set)
+		want, ok := table.update(eq(0, k), set)
+		r.expectN("UpdateByPK "+table.name, b2i(found), err, want, ok)
+	case 24, 27:
+		table, key := r.keyedBy(op == 24, s)
+		k := key()
+		found, err := r.w().DeleteByPK(table.name, k)
+		r.expectN("DeleteByPK "+table.name, b2i(found), err, table.remove(eq(0, k)), true)
 	}
+}
+
+// keyedBy picks the string-keyed or the float-keyed table and its key source.
+func (r *modelRun) keyedBy(str bool, s *stream) (*mtable, func() xdm.Value) {
+	if str {
+		return r.tables["name"], s.nameKey
+	}
+	return r.tables["meas"], s.measKey
 }
 
 func b2i(b bool) int {
@@ -512,7 +570,7 @@ func (r *modelRun) verifyTable(td *tableData, m *mtable) {
 		}
 		free[s] = true
 	}
-	live := 0
+	live, numeric := 0, 0
 	for s, row := range td.rows {
 		if row == nil {
 			if !free[uint32(s)] {
@@ -521,12 +579,19 @@ func (r *modelRun) verifyTable(td *tableData, m *mtable) {
 			continue
 		}
 		live++
-		if got, ok := td.pk[td.keyAt(uint32(s))]; !ok || got != uint32(s) {
+		k := td.keyAt(uint32(s))
+		if got, ok := td.pk.get(k); !ok || got != uint32(s) {
 			t.Fatalf("%s: key map sends slot %d's key to %d, %v", name, s, got, ok)
 		}
+		if _, ok := k.NumKey(); ok {
+			numeric++
+		}
 	}
-	if live != len(td.pk) {
-		t.Fatalf("%s: %d live slots, %d keys", name, live, len(td.pk))
+	// With every live key found and the sizes equal, each half holds exactly
+	// its own keys: the pointer-free one those NumKey accepts.
+	if live != td.pk.len() || numeric != len(td.pk.num) {
+		t.Fatalf("%s: %d live slots (%d with a pointer-free key), %d keys (%d in the pointer-free half)",
+			name, live, numeric, td.pk.len(), len(td.pk.num))
 	}
 	for ci, ix := range td.indexes {
 		if ix == nil {

@@ -205,7 +205,7 @@ type tableData struct {
 	// pk maps a row's storage key to its slot: the key columns' CompKey, or
 	// for a table without a primary key the synthetic rowid's. On a
 	// single-column primary key it doubles as that column's index (pkCol).
-	pk    map[xdm.CompKey]uint32
+	pk    slotMap
 	pkCol int // the single primary-key column, else -1
 	// keys holds each slot's storage key for tables without a primary key
 	// (a keyed table derives it from the row); nil otherwise.
@@ -253,7 +253,7 @@ func Open(s *schema.Schema) (*DB, error) {
 		td := &tableData{
 			def:     t,
 			pkIdx:   t.PKIndexes(),
-			pk:      map[xdm.CompKey]uint32{},
+			pk:      newSlotMap(),
 			pkCol:   -1,
 			indexes: make([]*index, len(t.Columns)),
 		}
@@ -374,22 +374,17 @@ func (db *DB) checkFK(td *tableData, fk schema.ForeignKey, r Row) error {
 		}
 		vals[i] = r[ci]
 	}
-	found := false
-	// Fast path: referencing the full primary key.
-	if len(fk.RefColumns) == len(ref.def.PrimaryKey) {
-		same := true
-		for i, rc := range fk.RefColumns {
-			if ref.def.PrimaryKey[i] != rc {
-				same = false
-				break
-			}
+	violation := func() error {
+		return fmt.Errorf("reldb: foreign key violation: %s(%v) has no parent in %s", td.def.Name, vals, fk.RefTable)
+	}
+	// Fast path: the key names the referenced table's whole primary key,
+	// so the key map's answer is final either way. (A keyless table's map
+	// holds rowids, which no foreign key names.)
+	if len(ref.pkIdx) > 0 && slices.Equal(fk.RefColumns, ref.def.PrimaryKey) {
+		if _, found := ref.pk.get(xdm.RowKey(vals)); !found {
+			return violation()
 		}
-		if same {
-			_, found = ref.pk[xdm.RowKey(vals)]
-		}
-		if found {
-			return nil
-		}
+		return nil
 	}
 	refIdx := make([]int, len(fk.RefColumns))
 	for i, rc := range fk.RefColumns {
@@ -411,14 +406,10 @@ func (db *DB) checkFK(td *tableData, fk schema.ForeignKey, r Row) error {
 			}
 		}
 		if match {
-			found = true
-			break
+			return nil
 		}
 	}
-	if !found {
-		return fmt.Errorf("reldb: foreign key violation: %s(%v) has no parent in %s", td.def.Name, vals, fk.RefTable)
-	}
-	return nil
+	return violation()
 }
 
 // CreateIndex builds an index on a single column; idempotent. The index on
@@ -513,7 +504,7 @@ func (td *tableData) place(s uint32, r Row, k xdm.CompKey) {
 	if len(td.pkIdx) == 0 {
 		td.keys[s] = k
 	}
-	td.pk[k] = s
+	td.pk.put(k, s)
 	for _, ix := range td.indexes {
 		if ix != nil {
 			ix.add(td, s, r, k)
@@ -529,7 +520,7 @@ func (td *tableData) vacate(s uint32, k xdm.CompKey) {
 			ix.remove(td, s, r, k)
 		}
 	}
-	delete(td.pk, k)
+	td.pk.del(k)
 	td.rows[s] = nil
 	td.free = append(td.free, s)
 }
@@ -570,14 +561,14 @@ func (td *tableData) unfile(c *updateChange) {
 		}
 	}
 	if c.newKey != c.oldKey {
-		delete(td.pk, c.oldKey)
+		td.pk.del(c.oldKey)
 	}
 }
 
 func (td *tableData) refile(c *updateChange) {
 	td.rows[c.slot] = c.new
 	if c.newKey != c.oldKey {
-		td.pk[c.newKey] = c.slot
+		td.pk.put(c.newKey, c.slot)
 	}
 	for _, ix := range td.indexes {
 		if ix != nil && c.refiles(ix) {
@@ -640,7 +631,7 @@ func (db *DB) applyInsert(table string, rows []Row) ([]keyedRow, error) {
 			continue
 		}
 		k := td.keyOf(r)
-		_, dup := td.pk[k]
+		_, dup := td.pk.get(k)
 		if _, again := seen[k]; dup || again {
 			return nil, fmt.Errorf("reldb: duplicate primary key in %s: %v", table, []xdm.Value(r))
 		}
@@ -731,7 +722,7 @@ func (db *DB) applyDeleteByPK(table string, key []xdm.Value) (kr keyedRow, found
 		return kr, false, fmt.Errorf("reldb: table %s has no primary key", table)
 	}
 	k := xdm.RowKey(key)
-	s, found := td.pk[k]
+	s, found := td.pk.get(k)
 	db.stats.statements.Add(1)
 	if !found {
 		return kr, false, nil
@@ -789,7 +780,7 @@ func (db *DB) applyUpdate(table string, pred func(Row) bool, set func(Row) Row) 
 			if added[c.newKey] {
 				return nil, fmt.Errorf("reldb: update produces duplicate primary key in %s", table)
 			}
-			if _, exists := td.pk[c.newKey]; exists && !removed[c.newKey] {
+			if _, exists := td.pk.get(c.newKey); exists && !removed[c.newKey] {
 				return nil, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
 			}
 			added[c.newKey] = true
@@ -838,7 +829,7 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 		return c, false, fmt.Errorf("reldb: table %s has no primary key", table)
 	}
 	k := xdm.RowKey(key)
-	s, found := td.pk[k]
+	s, found := td.pk.get(k)
 	if !found {
 		db.stats.statements.Add(1)
 		return c, false, nil
@@ -850,7 +841,7 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 	}
 	c = updateChange{oldKey: k, newKey: td.keyOf(nr), old: old, new: nr, slot: s}
 	if c.newKey != k {
-		if _, exists := td.pk[c.newKey]; exists {
+		if _, exists := td.pk.get(c.newKey); exists {
 			return c, false, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
 		}
 	}
@@ -1003,7 +994,7 @@ func (db *DB) Lookup(table, col string, v xdm.Value, fn func(Row) bool) error {
 	}
 	if ci == td.pkCol {
 		db.stats.indexLookups.Add(1)
-		if s, ok := td.pk[v.CompKey()]; ok {
+		if s, ok := td.pk.get(v.CompKey()); ok {
 			db.stats.rowsRead.Add(1)
 			fn(td.rows[s])
 		}
@@ -1022,7 +1013,7 @@ func (db *DB) Lookup(table, col string, v xdm.Value, fn func(Row) bool) error {
 		return nil
 	}
 	db.stats.fullScans.Add(1)
-	db.stats.rowsRead.Add(int64(len(td.pk)))
+	db.stats.rowsRead.Add(int64(td.pk.len()))
 	var hits []uint32
 	for s, r := range td.rows {
 		if r != nil && xdm.Equal(r[ci], v) {
@@ -1047,7 +1038,7 @@ func (db *DB) GetByPK(table string, key ...xdm.Value) (Row, bool, error) {
 	if len(td.pkIdx) == 0 {
 		return nil, false, fmt.Errorf("reldb: table %s has no primary key", table)
 	}
-	s, ok := td.pk[xdm.RowKey(key)]
+	s, ok := td.pk.get(xdm.RowKey(key))
 	if !ok {
 		return nil, false, nil
 	}
@@ -1060,7 +1051,7 @@ func (db *DB) RowCount(table string) int {
 	if !ok {
 		return 0
 	}
-	return len(td.pk)
+	return td.pk.len()
 }
 
 // AllRows returns the table's rows in slot order (the slice is the
@@ -1071,7 +1062,7 @@ func (db *DB) AllRows(table string) []Row {
 	if !ok {
 		return nil
 	}
-	out := make([]Row, 0, len(td.pk))
+	out := make([]Row, 0, td.pk.len())
 	for _, r := range td.rows {
 		if r != nil {
 			out = append(out, r)

@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -75,6 +76,37 @@ func TestPrimaryKeyEnforcement(t *testing.T) {
 	// Null PK rejected.
 	if err := db.Insert("product", Row{xdm.Null, xdm.Str("x"), xdm.Str("y")}); err == nil {
 		t.Error("expected NULL primary key rejection")
+	}
+}
+
+// TestFloatKeysBeyondInt64: int64() of every float outside [-2^63, 2^63) is
+// one and the same value, so keying an integral float as "the int it equals"
+// without a range check filed 1e19, 2e19, -3e30 and +Inf under one key.
+func TestFloatKeysBeyondInt64(t *testing.T) {
+	s := schema.New()
+	s.MustAddTable(&schema.Table{
+		Name:       "m",
+		Columns:    []schema.Column{{Name: "x", Type: schema.TFloat}, {Name: "tag", Type: schema.TString}},
+		PrimaryKey: []string{"x"},
+	})
+	db, err := Open(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{
+		{xdm.Float(1e19), xdm.Str("1e19")},
+		{xdm.Float(2e19), xdm.Str("2e19")},
+		{xdm.Float(math.Inf(1)), xdm.Str("+Inf")},
+	} {
+		if err := db.Insert("m", r); err != nil {
+			t.Errorf("insert %v: %v", r, err)
+		}
+	}
+	if r, ok, _ := db.GetByPK("m", xdm.Float(-3e30)); ok {
+		t.Errorf("GetByPK(-3e30) finds %v", r)
+	}
+	if r, ok, _ := db.GetByPK("m", xdm.Float(1e19)); !ok || r[1].AsString() != "1e19" {
+		t.Errorf("GetByPK(1e19) = %v, %v", r, ok)
 	}
 }
 

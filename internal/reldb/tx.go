@@ -356,7 +356,7 @@ func (tx *Tx) net(table string) netChange {
 	for k, pre := range m { //quark:sorted sortKeyed orders the keys below
 		row := pre.row
 		if row == nil {
-			s, exists := td.pk[k]
+			s, exists := td.pk.get(k)
 			if !exists {
 				continue
 			}
@@ -377,7 +377,7 @@ func (tx *Tx) net(table string) netChange {
 	consumed := map[xdm.CompKey]bool{} // origin keys whose pre-image was paired
 	for _, kr := range keys {
 		k := kr.key
-		s, exists := td.pk[k]
+		s, exists := td.pk.get(k)
 		if !exists {
 			continue
 		}
@@ -409,7 +409,7 @@ func (tx *Tx) net(table string) netChange {
 		if pre == nil || consumed[k] {
 			continue
 		}
-		if _, exists := td.pk[k]; exists {
+		if _, exists := td.pk.get(k); exists {
 			if _, movedIn := mv[k]; !movedIn {
 				// The occupant is the original row; pass 1 handled it.
 				continue
@@ -555,7 +555,7 @@ func (tx *Tx) Rollback() error {
 		// Vacate every touched key before restoring any pre-image: the slot
 		// a pre-image goes back to may hold another touched key's row by now.
 		for k := range m { //quark:sorted keys are disjoint; the free list these pushes build is sorted below
-			if s, exists := td.pk[k]; exists {
+			if s, exists := td.pk.get(k); exists {
 				td.vacate(s, k)
 			}
 		}

@@ -97,9 +97,9 @@ func (n *Node) appendValues(c *Chunks, vs []Value) {
 		switch v.kind {
 		case KindNull:
 		case KindNode:
-			n.AppendChild(v.node)
+			n.AppendChild(v.node())
 		case KindSeq:
-			n.appendValues(c, *v.seq)
+			n.appendValues(c, v.seq())
 		default:
 			n.AppendChild(c.text(v))
 		}
@@ -113,9 +113,9 @@ func contentLen(vs []Value) (attrs, children int) {
 		switch {
 		case v.kind == KindNull:
 		case v.kind == KindSeq:
-			a, c := contentLen(*v.seq)
+			a, c := contentLen(v.seq())
 			attrs, children = attrs+a, children+c
-		case v.kind == KindNode && v.node.Kind == AttributeNode:
+		case v.kind == KindNode && v.node().Kind == AttributeNode:
 			attrs++
 		default:
 			children++

@@ -11,6 +11,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -52,17 +53,31 @@ func (k Kind) String() string {
 // Value is a dynamically typed value. The zero Value is Null. Values are
 // immutable by convention: operations return new Values.
 //
-// The struct is 48 bytes: every tuple, stored row and transition table is
-// made of these, so its size is paid on every copy. num carries the one
-// numeric payload a value can have (0/1 for bool, the int64 bits for int,
-// the IEEE bits for float); a sequence hangs off a pointer so the slice
-// header is not paid by the scalar values that make up nearly all tuples.
+// The struct is 24 bytes: every tuple cell, stored row and transition table
+// is made of these, so its size is paid on every copy and scanned on every
+// GC cycle. num carries the one numeric payload a value can have (0/1 for
+// bool, the int64 bits for int, the IEEE bits for float, the byte length for
+// a string). A value refers to at most one thing on the heap, so there is
+// one pointer, and kind says what it points to: a string's bytes, a *Node,
+// or a *[]Value (a pointer, so the slice header is not paid by the scalars
+// that make up nearly all tuples). ptr is nil for every other kind and for
+// the empty string, which therefore pins nothing.
+//
+// The casts that recover the typed pointer are the only unsafe code in the
+// module: the constructors Str, NodeVal and Seq store ptr, the accessors
+// str, node and seq read it back, and nothing else touches it.
+//
+// Never compare Values with == or use one as a map key: with a pointer to
+// string data that would compare addresses, not contents. The first field
+// makes either a compile error (placed first it costs nothing; Go pads a
+// trailing zero-size field). Use Equal, Compare, Key or CompKey. For the
+// same reason reflect.DeepEqual over a Value compares the address of a
+// string, not its bytes; no test in the tree lets one reach a Value.
 type Value struct {
+	_    [0]func() // not comparable
 	kind Kind
 	num  uint64
-	s    string
-	node *Node
-	seq  *[]Value
+	ptr  unsafe.Pointer
 }
 
 // Null is the null (absent) value.
@@ -88,19 +103,37 @@ func Int(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
 // Float returns a floating-point Value.
 func Float(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
 
-// String returns a string Value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+// Str returns a string Value.
+func Str(s string) Value {
+	if s == "" {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, num: uint64(len(s)), ptr: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NodeVal wraps an XML node as a Value. A nil node yields Null.
 func NodeVal(n *Node) Value {
 	if n == nil {
 		return Null
 	}
-	return Value{kind: KindNode, node: n}
+	return Value{kind: KindNode, ptr: unsafe.Pointer(n)}
 }
 
 // Seq returns a sequence Value over vs. The slice is not copied.
-func Seq(vs []Value) Value { return Value{kind: KindSeq, seq: &vs} }
+func Seq(vs []Value) Value { return Value{kind: KindSeq, ptr: unsafe.Pointer(&vs)} }
+
+// str returns the string content. Invariant: kind == KindString, so Str
+// stored ptr and num as the data pointer and length of one string (nil and
+// 0 for the empty one).
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.num)) }
+
+// node returns the node. Invariant: kind == KindNode, so NodeVal stored
+// ptr from a non-nil *Node.
+func (v Value) node() *Node { return (*Node)(v.ptr) }
+
+// seq returns the sequence. Invariant: kind == KindSeq, so Seq stored
+// ptr from a *[]Value.
+func (v Value) seq() []Value { return *(*[]Value)(v.ptr) }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -145,7 +178,7 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsString() string {
 	switch v.kind {
 	case KindString:
-		return v.s
+		return v.str()
 	default:
 		return v.Lexical()
 	}
@@ -156,7 +189,7 @@ func (v Value) AsNode() *Node {
 	if v.kind != KindNode {
 		return nil
 	}
-	return v.node
+	return v.node()
 }
 
 // AsSeq returns the contained sequence. A single node or scalar is treated
@@ -164,7 +197,7 @@ func (v Value) AsNode() *Node {
 func (v Value) AsSeq() []Value {
 	switch v.kind {
 	case KindSeq:
-		return *v.seq
+		return v.seq()
 	case KindNull:
 		return nil
 	default:
@@ -176,7 +209,7 @@ func (v Value) AsSeq() []Value {
 func (v Value) SeqLen() int {
 	switch v.kind {
 	case KindSeq:
-		return len(*v.seq)
+		return len(v.seq())
 	case KindNull:
 		return 0
 	default:
@@ -204,12 +237,12 @@ func (v Value) Lexical() string {
 		var buf [32]byte
 		return string(v.appendNumber(buf[:0]))
 	case KindString:
-		return v.s
+		return v.str()
 	case KindNode:
-		return v.node.Serialize(false)
+		return v.node().Serialize(false)
 	case KindSeq:
 		var sb strings.Builder
-		for _, e := range *v.seq {
+		for _, e := range v.seq() {
 			sb.WriteString(e.Lexical())
 		}
 		return sb.String()
@@ -243,10 +276,11 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case KindSeq:
-		parts := make([]string, len(*v.seq))
-		for i, e := range *v.seq {
+		seq := v.seq()
+		parts := make([]string, len(seq))
+		for i, e := range seq {
 			parts[i] = e.String()
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
@@ -269,11 +303,11 @@ func (v Value) EffectiveBool() bool {
 	case KindFloat:
 		return v.f() != 0
 	case KindString:
-		return v.s != ""
+		return v.str() != ""
 	case KindNode:
 		return true
 	case KindSeq:
-		return len(*v.seq) > 0
+		return len(v.seq()) > 0
 	default:
 		return false
 	}
@@ -340,15 +374,16 @@ func Equal(a, b Value) bool {
 	case KindFloat:
 		return a.f() == b.f()
 	case KindString:
-		return a.s == b.s
+		return a.str() == b.str()
 	case KindNode:
-		return a.node.DeepEqual(b.node)
+		return a.node().DeepEqual(b.node())
 	case KindSeq:
-		if len(*a.seq) != len(*b.seq) {
+		as, bs := a.seq(), b.seq()
+		if len(as) != len(bs) {
 			return false
 		}
-		for i := range *a.seq {
-			if !Equal((*a.seq)[i], (*b.seq)[i]) {
+		for i := range as {
+			if !Equal(as[i], bs[i]) {
 				return false
 			}
 		}
@@ -373,20 +408,20 @@ func (v Value) Key() string {
 	case KindInt:
 		return "\x00i" + strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		if v.f() == math.Trunc(v.f()) {
+		if i, ok := floatAsInt(v.f()); ok {
 			// Integral floats key identically to ints so that numeric
 			// promotion in Equal matches Key-based grouping.
-			return "\x00i" + strconv.FormatInt(int64(v.f()), 10)
+			return "\x00i" + strconv.FormatInt(i, 10)
 		}
 		return "\x00f" + strconv.FormatFloat(v.f(), 'b', -1, 64)
 	case KindString:
-		return "\x00s" + v.s
+		return "\x00s" + v.str()
 	case KindNode:
-		return "\x00n" + v.node.Serialize(false)
+		return "\x00n" + v.node().Serialize(false)
 	case KindSeq:
 		var sb strings.Builder
 		sb.WriteString("\x00q")
-		for _, e := range *v.seq {
+		for _, e := range v.seq() {
 			k := e.Key()
 			sb.WriteString(strconv.Itoa(len(k)))
 			sb.WriteByte(':')
@@ -396,6 +431,17 @@ func (v Value) Key() string {
 	default:
 		return "\x00?"
 	}
+}
+
+// floatAsInt returns the int64 that f equals, if there is one: f is integral
+// and inside [-2^63, 2^63). Outside that range (the infinities included)
+// int64(f) is one and the same value for every f, so such floats must key by
+// their own bits.
+func floatAsInt(f float64) (int64, bool) {
+	if f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+		return int64(f), true
+	}
+	return 0, false
 }
 
 // TupleKey concatenates the Keys of vs into a single composite map key.
@@ -413,10 +459,10 @@ func TupleKey(vs []Value) string {
 // CompKey is a comparable image of a tuple's key columns, for use as a Go
 // map key by grouping, hash joins and duplicate elimination. Two tuples get
 // equal CompKeys exactly when their TupleKey strings are equal — so an
-// integral float keys as the int it Equals — but the common key, one scalar
-// column, is built without formatting or allocating: the kind and the
-// numeric word (or the string itself) are the key. Wider keys pack their
-// columns into str with one allocation.
+// integral float keys as the int it Equals, if an int64 does (floatAsInt) —
+// but the common key, one scalar column, is built without formatting or
+// allocating: the kind and the numeric word (or the string itself) are the
+// key. Wider keys pack their columns into str with one allocation.
 type CompKey struct {
 	kind Kind
 	num  uint64
@@ -433,19 +479,34 @@ func (v Value) CompKey() CompKey {
 		return CompKey{kind: v.kind, num: v.num}
 	case KindFloat:
 		f := v.f()
-		if f == math.Trunc(f) {
-			return CompKey{kind: KindInt, num: uint64(int64(f))}
+		if i, ok := floatAsInt(f); ok {
+			return CompKey{kind: KindInt, num: uint64(i)}
 		}
 		if f != f {
 			return CompKey{kind: KindFloat, num: math.Float64bits(math.NaN())}
 		}
 		return CompKey{kind: KindFloat, num: v.num}
 	case KindString:
-		return CompKey{kind: KindString, str: v.s}
+		return CompKey{kind: KindString, str: v.str()}
 	default:
 		// Nodes and sequences key by serialized form, as Key does.
 		return CompKey{kind: v.kind, str: v.Key()}
 	}
+}
+
+// NumKey is the pointer-free image of a CompKey that has no string part: 16
+// bytes the collector never scans, for maps over numeric keys.
+type NumKey struct {
+	kind Kind
+	num  uint64
+}
+
+// NumKey returns k without its string part and whether that loses nothing,
+// which is exactly when the string part is empty: kind already tells the
+// empty string and the zero-column tuple from each other and from the
+// numeric kinds.
+func (k CompKey) NumKey() (NumKey, bool) {
+	return NumKey{kind: k.kind, num: k.num}, k.str == ""
 }
 
 // RowKey returns the key of the whole tuple t.
@@ -596,7 +657,7 @@ func atomize(v Value) Value {
 	if v.kind != KindNode {
 		return v
 	}
-	return ParseTyped(v.node.TextContent())
+	return ParseTyped(v.node().TextContent())
 }
 
 // Atomize is the exported form of atomize, applying fn:data semantics to
@@ -606,8 +667,9 @@ func Atomize(v Value) Value {
 	case KindNode:
 		return atomize(v)
 	case KindSeq:
-		out := make([]Value, len(*v.seq))
-		for i, e := range *v.seq {
+		seq := v.seq()
+		out := make([]Value, len(seq))
+		for i, e := range seq {
 			out[i] = Atomize(e)
 		}
 		return Seq(out)

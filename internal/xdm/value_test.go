@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -151,13 +152,19 @@ func TestKeyDistinguishesLikeEqual(t *testing.T) {
 		Float(0.5), Float(1), Str(""), Str("a"), Str("1"),
 		NodeVal(Elem("a")), NodeVal(Elem("b")),
 		Seq([]Value{Int(1), Int(2)}), Seq([]Value{Int(1)}),
+		// Floats outside [-2^63, 2^63): int64() of each is one and the same
+		// value, Int(MinInt64)'s. Only -2^63 itself equals that int.
+		Float(1e19), Float(2e19), Float(-3e30), Float(0x1p63), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(math.MinInt64), Float(-0x1p63),
 	}
 	for i, a := range vals {
 		for j, b := range vals {
-			ke := a.Key() == b.Key()
 			eq := Equal(a, b)
-			if ke != eq {
+			if ke := a.Key() == b.Key(); ke != eq {
 				t.Errorf("vals[%d]=%v vals[%d]=%v: Key match %v but Equal %v", i, a, j, b, ke, eq)
+			}
+			if ke := a.CompKey() == b.CompKey(); ke != eq {
+				t.Errorf("vals[%d]=%v vals[%d]=%v: CompKey match %v but Equal %v", i, a, j, b, ke, eq)
 			}
 		}
 	}
@@ -383,9 +390,14 @@ func TestLexicalIntegralFloatMatchesFormatFloat(t *testing.T) {
 	}
 }
 
-func TestValueSize(t *testing.T) {
-	if s := reflect.TypeOf(Value{}).Size(); s > 48 {
-		t.Errorf("Value is %d bytes, want <= 48: every tuple and stored row pays for it", s)
+func TestValueIs24Bytes(t *testing.T) {
+	if s := unsafe.Sizeof(Value{}); s != 24 {
+		t.Errorf("Value is %d bytes, want 24: every tuple cell and stored row pays for it", s)
+	}
+	// `Value{} == Value{}` and `map[Value]T` must not compile: == would
+	// compare the address of a string's bytes, not the bytes.
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable: its leading [0]func() field is gone")
 	}
 }
 

@@ -1,6 +1,7 @@
 package xqgm_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -274,6 +275,32 @@ func TestIndexNestedLoopJoinIsUsed(t *testing.T) {
 	st := db.Stats()
 	if st.IndexLookups == 0 {
 		t.Error("no index lookups recorded on the database")
+	}
+}
+
+// TestHashJoinTellsHugeFloatsApart: a hash join buckets by CompKey, and the
+// key of an integral float was int64(f) with no range check — one value for
+// every float beyond int64 — so 1e19 joined 2e19, -3e30 and +Inf.
+func TestHashJoinTellsHugeFloatsApart(t *testing.T) {
+	consts := func(fs ...float64) *xqgm.Operator {
+		rows := make([][]xqgm.Expr, len(fs))
+		for i, f := range fs {
+			rows[i] = []xqgm.Expr{xqgm.LitOf(xdm.Float(f))}
+		}
+		return xqgm.NewConstants([]string{"x"}, rows)
+	}
+	join := xqgm.NewJoin(xqgm.JoinInner, consts(1e19), consts(2e19, math.Inf(1), -3e30, 1e19),
+		[]xqgm.JoinEq{{L: 0, R: 0}}, nil)
+	ctx := xqgm.NewEvalContext(paperDB(t), nil)
+	out, err := ctx.Eval(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Stats.HashJoins != 1 {
+		t.Fatalf("not a hash join: %+v", ctx.Stats)
+	}
+	if len(out) != 1 || !xdm.Equal(out[0][1], xdm.Float(1e19)) {
+		t.Errorf("1e19 joins %v, want itself alone", out)
 	}
 }
 
