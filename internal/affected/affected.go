@@ -14,6 +14,7 @@ package affected
 
 import (
 	"fmt"
+	"slices"
 
 	"quark/internal/pushdown"
 	"quark/internal/reldb"
@@ -54,6 +55,12 @@ type ANGraph struct {
 
 	keyWidth  int // width of the affected-key union Ou
 	viewWidth int // width of the (extended) view output
+
+	// The view sides restricted to their affected keys (G and G_old after
+	// the §5.2 pushdown) and the key columns in their output: what Restrict
+	// walks down.
+	newSide, oldSide *xqgm.Operator
+	keyCols          []int
 }
 
 // NewCol returns the output position of view column i's post-update value.
@@ -423,12 +430,50 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 	// Ou ← Union of the affected keys.
 	ou := xqgm.NewUnion(true, akNew, akOld)
 	kw := len(kNew)
+	key := gNew.Key
 
-	// Trigger pushdown (§5.2): restrict both view sides to the affected
-	// keys before joining, so firing cost scales with the number of
-	// affected nodes, not the database size (Figure 16 / Figure 23).
-	gNewP, pmapNew := pushdown.PushSemiJoin(gNew, ou, kNew)
-	gOldP, pmapOld := pushdown.PushSemiJoin(gOld, ou, kOld)
+	// Trigger pushdown (§5.2): restrict each view side to its keys before
+	// joining, so firing cost scales with the number of affected nodes, not
+	// the database size (Figure 16 / Figure 23). Then
+	// Onew ← Join(Ou.key = G.key)(Ou, G); Oold likewise against G_old.
+	onKey := make([]xqgm.JoinEq, kw)
+	for j := range onKey {
+		onKey[j] = xqgm.JoinEq{L: j, R: kNew[j]}
+	}
+	side := func(g, keys *xqgm.Operator) (*xqgm.Operator, map[*xqgm.Operator]*xqgm.Operator, *xqgm.Operator) {
+		pushed, pmap := pushdown.PushSemiJoin(g, keys, kNew)
+		return pushed, pmap, xqgm.NewJoin(xqgm.JoinInner, keys, pushed, onKey, nil)
+	}
+	// An INSERT graph delivers the NEW nodes with no OLD node of the same
+	// canonical key, a DELETE graph the other way round. When the canonical
+	// key is made of affected-key columns, that is decided on the keys alone:
+	// the side the nodes are present on is restricted to the affected keys
+	// the absent side has no node for (Ou ▷ Oold, Ou ▷ Onew), so a commit
+	// that makes no node appear or vanish constructs nothing there. Not
+	// under OldAggDelta, which derives the OLD side's aggregates from the
+	// NEW side's over all of Ou.
+	var gNewP, gOldP, oNew, oOld *xqgm.Operator
+	var pmapNew, pmapOld map[*xqgm.Operator]*xqgm.Operator
+	canon, covered := keyPositions(key, kNew)
+	covered = covered && !opts.OldAggDelta
+	absent := func(o *xqgm.Operator) *xqgm.Operator {
+		on := make([]xqgm.JoinEq, len(key))
+		for i, kc := range key {
+			on[i] = xqgm.JoinEq{L: canon[i], R: kw + kc}
+		}
+		return xqgm.ProjectCols(xqgm.NewJoin(xqgm.JoinLeftAnti, ou, o, on, nil), prefix(kw))
+	}
+	switch {
+	case ev == reldb.EvInsert && covered:
+		gOldP, pmapOld, oOld = side(gOld, ou)
+		gNewP, pmapNew, oNew = side(gNew, absent(oOld))
+	case ev == reldb.EvDelete && covered:
+		gNewP, pmapNew, oNew = side(gNew, ou)
+		gOldP, pmapOld, oOld = side(gOld, absent(oNew))
+	default:
+		gNewP, pmapNew, oNew = side(gNew, ou)
+		gOldP, pmapOld, oOld = side(gOld, ou)
+	}
 
 	if opts.OldAggDelta {
 		// The GROUPED-AGG rewrite targets the pushed graphs: compose the
@@ -441,14 +486,6 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 	xqgm.DeriveKeys(gNewP)
 	xqgm.DeriveKeys(gOldP)
 
-	// Onew ← Join(Ou.key = G.key)(Ou, G); Oold likewise against G_old.
-	onNew := make([]xqgm.JoinEq, kw)
-	for j := 0; j < kw; j++ {
-		onNew[j] = xqgm.JoinEq{L: j, R: kNew[j]}
-	}
-	oNew := xqgm.NewJoin(xqgm.JoinInner, ou, gNewP, onNew, nil)
-	oOld := xqgm.NewJoin(xqgm.JoinInner, ou, gOldP, onNew, nil)
-
 	vw := gNew.OutWidth()
 	if gOld.OutWidth() != vw {
 		return nil, fmt.Errorf("affected: internal error: G and G_old widths differ")
@@ -456,7 +493,6 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 
 	// Final join on the full canonical key; the join type encodes the
 	// event semantics (Definitions 2-3).
-	key := gNew.Key
 	topOn := make([]xqgm.JoinEq, len(key))
 	for i, kc := range key {
 		topOn[i] = xqgm.JoinEq{L: kw + kc, R: kw + kc}
@@ -473,7 +509,8 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 		return nil, fmt.Errorf("affected: unknown event %v", ev)
 	}
 
-	an := &ANGraph{Root: root, Event: ev, Table: table, keyWidth: kw, viewWidth: vw}
+	an := &ANGraph{Root: root, Event: ev, Table: table, keyWidth: kw, viewWidth: vw,
+		newSide: gNewP, oldSide: gOldP, keyCols: kNew}
 
 	// Spurious-update filter (Figure 12 line 11 / Appendix E.1): required
 	// for UPDATE events unless the view is injective and pruning is on.
@@ -506,6 +543,164 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 		return nil, err
 	}
 	return an, nil
+}
+
+// keyPositions returns where each canonical key column is among the
+// affected-key columns, and whether all of them are.
+func keyPositions(key, keyCols []int) ([]int, bool) {
+	at := make([]int, len(key))
+	for i, kc := range key {
+		if at[i] = slices.Index(keyCols, kc); at[i] < 0 {
+			return nil, false
+		}
+	}
+	return at, true
+}
+
+// prefix returns the column positions 0..n-1.
+func prefix(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// Restrict returns the operator a member's Select(cond) goes on: the graph's
+// root behind a key filter per side whose nodes the root's rows carry (both
+// for UPDATE, NEW for INSERT, OLD for DELETE) and that some conjunct of cond
+// reads alone. The filter evaluates those conjuncts below the side's element
+// constructors (see keyFilter) and yields the affected keys that can satisfy
+// them; the root is joined behind it, so a firing none of whose keys can
+// satisfy evaluates the filter and stops there — the evaluator skips a join's
+// right input when its left is empty. The root itself is shared and
+// unchanged: its OLD side still pairs with its NEW side for a key that
+// passes. cond stays whole on top, so a conjunct no filter can decide is
+// evaluated there alone, and the restriction only ever drops rows the Select
+// would have dropped.
+func (g *ANGraph) Restrict(cond xqgm.Expr) *xqgm.Operator {
+	root := g.Root
+	if g.keyWidth == 0 {
+		return root // a single node: nothing to choose between
+	}
+	sides := []struct {
+		present bool
+		graph   *xqgm.Operator
+		keyAt   int // the root's copy of the side's affected key
+	}{
+		{g.Event != reldb.EvDelete, g.newSide, 0},
+		{g.Event != reldb.EvInsert, g.oldSide, g.OldCol(0) - g.keyWidth},
+	}
+	for _, s := range sides {
+		if !s.present {
+			continue
+		}
+		f := keyFilter(s.graph, g.keyCols, cond, s.keyAt+g.keyWidth, g.viewWidth)
+		if f == nil {
+			continue
+		}
+		on := make([]xqgm.JoinEq, g.keyWidth)
+		for j := range on {
+			on[j] = xqgm.JoinEq{L: j, R: s.keyAt + j}
+		}
+		cols := prefix(root.OutWidth())
+		for i := range cols {
+			cols[i] += g.keyWidth
+		}
+		root = xqgm.ProjectCols(xqgm.NewJoin(xqgm.JoinInner, f, root, on, nil), cols)
+	}
+	return root
+}
+
+// keyFilter returns the distinct affected keys of the side rows that satisfy
+// the conjuncts of cond reading only the side's view columns, which sit at
+// [base, base+width) of the root's rows — or nil when no conjunct does, or
+// none can be decided below the side's top operator, where its elements are
+// constructed. The conjuncts are evaluated as far down the side as descend
+// carries their columns and the keys together.
+func keyFilter(side *xqgm.Operator, keyCols []int, cond xqgm.Expr, base, width int) *xqgm.Operator {
+	var conj []xqgm.Expr
+	cols := slices.Clone(keyCols) // the keys, then the columns the conjuncts read
+	for _, c := range xqgm.Conjuncts(cond) {
+		vc, ok := viewCols(c, base, width)
+		if !ok {
+			continue
+		}
+		if r, _ := descend(side, append(slices.Clone(keyCols), vc...)); r == side {
+			continue
+		}
+		conj = append(conj, c)
+		cols = append(cols, vc...)
+	}
+	if len(conj) == 0 {
+		return nil
+	}
+	r, at := descend(side, cols)
+	m := make(map[int]int, len(cols))
+	for i, vc := range cols {
+		m[base+vc] = at[i]
+	}
+	kw := len(keyCols)
+	f := xqgm.ProjectCols(xqgm.NewSelect(r, xqgm.SubstituteCols(xqgm.And(conj...), m)), at[:kw])
+	if r.Key == nil || slices.ContainsFunc(r.Key, func(c int) bool { return !slices.Contains(at[:kw], c) }) {
+		f = xqgm.NewGroupBy(f, prefix(kw)) // r does not key on them: distinct
+	}
+	return f
+}
+
+// viewCols returns the view columns e reads when it reads at least one and
+// nothing but columns in [base, base+width) of its input. A path step
+// rebinds column 0 in its predicate, and an expression of a type this
+// package does not know could read anything: neither qualifies.
+func viewCols(e xqgm.Expr, base, width int) ([]int, bool) {
+	var cols []int
+	ok := true
+	xqgm.RewriteExpr(e, func(x xqgm.Expr) xqgm.Expr {
+		switch x := x.(type) {
+		case *xqgm.ColRef:
+			if x.Input != 0 || x.Col < base || x.Col >= base+width {
+				ok = false
+			} else {
+				cols = append(cols, x.Col-base)
+			}
+		case *xqgm.Lit, *xqgm.Cmp, *xqgm.Arith, *xqgm.Logic, *xqgm.Call, *xqgm.IsNullExpr:
+		default:
+			ok = false
+		}
+		return x
+	})
+	return cols, ok && len(cols) > 0
+}
+
+// descend follows the output columns at of o down through column-reference
+// Projects, Selects and the left input of left-outer joins for as long as
+// all of them go, and returns the operator reached with the columns'
+// positions there. Every row of o has a row there with the same values in
+// those columns: a predicate over them that a row of o satisfies, a row there
+// satisfies too.
+func descend(o *xqgm.Operator, at []int) (*xqgm.Operator, []int) {
+	for {
+		switch {
+		case o.Type == xqgm.OpSelect:
+		case o.Type == xqgm.OpProject:
+			in := make([]int, len(at))
+			for i, c := range at {
+				cr, ok := o.Projs[c].E.(*xqgm.ColRef)
+				if !ok || cr.Input != 0 {
+					return o, at
+				}
+				in[i] = cr.Col
+			}
+			at = in
+		case o.Type == xqgm.OpJoin && o.JoinKind == xqgm.JoinLeftOuter:
+			if slices.Max(at) >= o.Inputs[0].OutWidth() {
+				return o, at
+			}
+		default:
+			return o, at
+		}
+		o = o.Inputs[0]
+	}
 }
 
 // Pairs evaluates the ANGraph and returns the affected (old, new) tuples of

@@ -65,10 +65,9 @@ func rewritableGroupBy(gb *xqgm.Operator, table string, elideXMLFrag bool) bool 
 	for _, a := range gb.Aggs {
 		switch a.Func {
 		case xqgm.AggCount:
-			// count(expr) skips NULLs and is only invertible when the
-			// argument is provably non-null — e.g. a constructed XML node
-			// column, which the view compiler produces for child counts.
-			if a.Arg != nil && !argProvablyNonNull(gb, a.Arg) {
+			// count(expr) skips NULLs, so its delta is not the row delta.
+			// The view compiler counts children with count(*).
+			if a.Arg != nil {
 				return false
 			}
 		case xqgm.AggSum:
@@ -119,21 +118,6 @@ func tableInSubtree(root *xqgm.Operator, table string) bool {
 		}
 	})
 	return found
-}
-
-// argProvablyNonNull reports whether an aggregate argument can never be
-// NULL: a direct reference to an XML-constructor projection.
-func argProvablyNonNull(gb *xqgm.Operator, arg xqgm.Expr) bool {
-	cr, ok := arg.(*xqgm.ColRef)
-	if !ok || cr.Input != 0 {
-		return false
-	}
-	in := gb.Inputs[0]
-	if in.Type != xqgm.OpProject || cr.Col >= len(in.Projs) {
-		return false
-	}
-	_, isCtor := in.Projs[cr.Col].E.(*xqgm.ElemCtor)
-	return isCtor
 }
 
 func rewriteOne(gb, nb, ob *xqgm.Operator, table string, deltaSrc, nablaSrc xqgm.TableSource, elideXMLFrag bool) {

@@ -295,10 +295,12 @@ func (c *Compiler) compileFLWOR(f *xquery.FLWOR, parent *ctx) (*flResult, *NavNo
 			if err != nil {
 				return nil, nil, err
 			}
-			// Group child nodes by this level's keys.
+			// Group child nodes by this level's keys. The return constructor
+			// yields one node per child row, so the count is count(*): counting
+			// the node column would construct every child just to count it.
 			aggs := []xqgm.Agg{
 				{Name: "frag", Func: xqgm.AggXMLFrag, Arg: xqgm.Col(child.nodeCol)},
-				{Name: "cnt", Func: xqgm.AggCount, Arg: xqgm.Col(child.nodeCol)},
+				{Name: "cnt", Func: xqgm.AggCount},
 			}
 			parentKeyInChild := child.keyCols[:len(cx.keyCols)]
 			g := xqgm.NewGroupBy(child.op, parentKeyInChild, aggs...)

@@ -164,6 +164,46 @@ func TestCountPredicateThreshold(t *testing.T) {
 	}
 }
 
+// TestChildCountBuildsNoChildren: the count a where clause tests over a
+// nested FLWOR is count(*) of the child rows, so a consumer that reads only
+// the count — an anti join's absent side, a key filter — constructs none of
+// the children it counts. Reading the fragment instead constructs them.
+func TestChildCountBuildsNoChildren(t *testing.T) {
+	db, v := compiledCatalog(t)
+	var gb *xqgm.Operator // the products' GroupBy of their vendor children
+	xqgm.Walk(v.Nav.Child("product").Op, func(o *xqgm.Operator) {
+		if o.Type == xqgm.OpGroupBy && len(o.Aggs) == 2 {
+			gb = o
+		}
+	})
+	if gb == nil {
+		t.Fatal("no child GroupBy under the product level")
+	}
+	eval := func(col int) ([]xqgm.Tuple, int) {
+		ctx := xqgm.NewEvalContext(db, nil)
+		rows, err := ctx.Eval(xqgm.ProjectCols(gb, []int{col}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, ctx.Stats.NodesBuilt
+	}
+	fragCol, cntCol := len(gb.GroupCols), len(gb.GroupCols)+1
+	counts, built := eval(cntCol)
+	if built != 0 {
+		t.Errorf("counting the vendors built %d nodes, want 0", built)
+	}
+	total := int64(0)
+	for _, r := range counts {
+		total += r[0].AsInt()
+	}
+	if total != int64(db.RowCount("vendor")) {
+		t.Errorf("counts sum to %d, want %d vendors", total, db.RowCount("vendor"))
+	}
+	if _, built := eval(fragCol); built == 0 {
+		t.Error("the vendor fragments built no nodes: NodesBuilt counts nothing")
+	}
+}
+
 // TestFlatView: a view without nesting (products only).
 func TestFlatView(t *testing.T) {
 	db, err := fixtures.OpenPaperDB()

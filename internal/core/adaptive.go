@@ -38,12 +38,14 @@ type GroupStat struct {
 	ModeName string `json:"mode_name"`
 	Members  int    `json:"members"`
 
-	Fires       int64 `json:"fires"`       // plan/body evaluations
-	EvalNS      int64 `json:"eval_ns"`     // wall time spent evaluating
-	DeltaRows   int64 `json:"delta_rows"`  // transition rows seen
-	Activations int64 `json:"activations"` // member activations delivered/staged
-	RowsReused  int64 `json:"rows_reused"` // OLD-side rows taken from the NEW side instead of computed
-	Builds      int64 `json:"builds"`      // plan (re)compilations
+	Fires        int64 `json:"fires"`         // plan/body evaluations
+	EvalNS       int64 `json:"eval_ns"`       // wall time spent evaluating
+	DeltaRows    int64 `json:"delta_rows"`    // transition rows seen
+	Activations  int64 `json:"activations"`   // member activations delivered/staged
+	RowsReused   int64 `json:"rows_reused"`   // OLD-side rows taken from the NEW side instead of computed
+	JoinsSkipped int64 `json:"joins_skipped"` // joins that left their right input unevaluated: the left one was empty
+	NodesBuilt   int64 `json:"nodes_built"`   // XML nodes the evaluations constructed
+	Builds       int64 `json:"builds"`        // plan (re)compilations
 }
 
 // SetModePolicy installs the policy Replan consults (nil: manual
@@ -119,16 +121,18 @@ func (e *Engine) GroupStats() []GroupStat {
 	for _, sig := range e.order {
 		g := e.groups[sig]
 		stats = append(stats, GroupStat{
-			Sig:         sig,
-			Mode:        g.mode,
-			ModeName:    g.mode.String(),
-			Members:     len(g.members),
-			Fires:       g.stats.fires.Load(),
-			EvalNS:      g.stats.evalNS.Load(),
-			DeltaRows:   g.stats.deltaRows.Load(),
-			Activations: g.stats.activations.Load(),
-			RowsReused:  g.stats.rowsReused.Load(),
-			Builds:      g.stats.builds.Load(),
+			Sig:          sig,
+			Mode:         g.mode,
+			ModeName:     g.mode.String(),
+			Members:      len(g.members),
+			Fires:        g.stats.fires.Load(),
+			EvalNS:       g.stats.evalNS.Load(),
+			DeltaRows:    g.stats.deltaRows.Load(),
+			Activations:  g.stats.activations.Load(),
+			RowsReused:   g.stats.rowsReused.Load(),
+			JoinsSkipped: g.stats.joinsSkipped.Load(),
+			NodesBuilt:   g.stats.nodesBuilt.Load(),
+			Builds:       g.stats.builds.Load(),
 		})
 	}
 	return stats

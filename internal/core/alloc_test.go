@@ -97,6 +97,123 @@ func TestFiringAllocationBudget(t *testing.T) {
 	}
 }
 
+// ungroupedAllocBudget and ungroupedBytesBudget cap one leaf update under
+// 100 UNGROUPED members of which one is satisfied, about 10 % above the
+// measured 8,029 objects and 1,230,047 bytes. Each member's condition
+// filters the affected keys before anything is built, so the 99 others cost
+// their key filter and nothing more (≈ 79 objects, 11.6 KB each); when every
+// member built the updated element and dropped it, this read ≈ 18,850
+// objects and 7.8 MB.
+const (
+	ungroupedAllocBudget = 8_850
+	ungroupedBytesBudget = 1_355_000
+)
+
+func TestUngroupedFiringAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, err := workload.Build(workload.Params{
+		Depth: 2, LeafTuples: 128 * 64, Fanout: 64, NumTriggers: 100, NumSatisfied: 1,
+	}, core.ModeUngrouped, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []xdm.Value{xdm.Int(7)} // a leaf under top element 0, which 1 trigger watches
+	payload := 1000.0
+	update := func() {
+		payload++
+		if _, err := w.Engine.UpdateByPK(w.LeafTable(), key, func(r reldb.Row) reldb.Row {
+			r[len(r)-1] = xdm.Float(payload)
+			return r
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs, bytes := perRun(100, update)
+	if w.Notifications != 101 { // perRun warms up with one extra call
+		t.Fatalf("notifications = %d, want 1 per update: the budget is for a firing that delivers", w.Notifications)
+	}
+	t.Logf("one UNGROUPED firing of 100 members: %.0f allocations (budget %d), %.0f bytes (budget %d)", allocs, ungroupedAllocBudget, bytes, ungroupedBytesBudget)
+	if allocs > ungroupedAllocBudget {
+		t.Errorf("one leaf update allocates %.0f objects, budget is %d", allocs, ungroupedAllocBudget)
+	}
+	if bytes > ungroupedBytesBudget {
+		t.Errorf("one leaf update allocates %.0f bytes, budget is %d", bytes, ungroupedBytesBudget)
+	}
+	// The 99 members that cannot hold skipped the affected-node graph: each
+	// of their evaluations skipped a join. The satisfied member's OLD side
+	// still took its untouched children from its NEW side.
+	gs := w.Engine.GroupStats()
+	if len(gs) != 1 {
+		t.Fatalf("groups = %d, want 1", len(gs))
+	}
+	t.Logf("fires %d, joins skipped %d, nodes built %d, rows reused %d", gs[0].Fires, gs[0].JoinsSkipped, gs[0].NodesBuilt, gs[0].RowsReused)
+	if skipped := gs[0].JoinsSkipped; skipped < 99*101 {
+		t.Errorf("JoinsSkipped = %d over 101 updates, want at least 99 per update", skipped)
+	}
+	if gs[0].RowsReused == 0 {
+		t.Error("RowsReused = 0: the satisfied member built its OLD side from scratch")
+	}
+}
+
+// A commit that makes no <e0> appear or vanish — 32 leaf updates, inserts and
+// deletes under 8 elements that keep at least two children — builds no node
+// in the INSERT or DELETE graph: their present side is restricted to the
+// affected keys the absent side lacks, which are none, and their absent side
+// counts children without constructing them.
+func TestAntiJoinGraphsBuildNothing(t *testing.T) {
+	w, err := workload.Build(workload.Params{Depth: 2, LeafTuples: 128 * 64, Fanout: 64}, core.ModeGrouped, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`CREATE TRIGGER onInsert AFTER INSERT ON view('doc')/e0 DO notify(NEW_NODE)`,
+		`CREATE TRIGGER onDelete AFTER DELETE ON view('doc')/e0 DO notify(OLD_NODE)`,
+	} {
+		if err := w.Engine.CreateTrigger(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Engine.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	leaf := int64(128 * 64) // fresh leaf ids
+	if err := w.Engine.Batch(func(tx *reldb.Tx) error {
+		for i := int64(0); i < 8; i++ {
+			root := 8 * i
+			if err := tx.Insert(w.LeafTable(), reldb.Row{xdm.Int(leaf + i), xdm.Int(root), xdm.Float(1000)}); err != nil {
+				return err
+			}
+			if _, err := tx.DeleteByPK(w.LeafTable(), xdm.Int(root*64+1)); err != nil {
+				return err
+			}
+			for j := int64(2); j < 4; j++ {
+				if _, err := tx.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(root*64 + j)}, func(r reldb.Row) reldb.Row {
+					r[len(r)-1] = xdm.Float(2000)
+					return r
+				}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w.Notifications != 0 {
+		t.Fatalf("notifications = %d: no element appeared or vanished", w.Notifications)
+	}
+	for _, gs := range w.Engine.GroupStats() {
+		if gs.Fires == 0 {
+			t.Errorf("group %s did not fire", gs.Sig)
+		}
+		if gs.NodesBuilt != 0 {
+			t.Errorf("group %s built %d nodes for a commit that makes no element appear or vanish", gs.Sig, gs.NodesBuilt)
+		}
+	}
+}
+
 // One leaf update under a 64-child element delivers an OLD_NODE that is the
 // NEW_NODE except for the child the statement wrote: the 63 others are the
 // same nodes, not equal copies, because the OLD side of the plan took them

@@ -260,12 +260,14 @@ type group struct {
 // planner's cost model and the /snapshot surface read the same numbers.
 // Plain atomics, recorded on the firing path without any obs registry.
 type groupStats struct {
-	fires       atomic.Int64 // plan/body evaluations
-	evalNS      atomic.Int64 // wall time spent in those evaluations
-	deltaRows   atomic.Int64 // transition rows seen across firings
-	activations atomic.Int64 // member activations delivered or staged
-	rowsReused  atomic.Int64 // xqgm.EvalStats.RowsReused summed over those evaluations
-	builds      atomic.Int64 // plan (re)compilations, incl. mode switches
+	fires        atomic.Int64 // plan/body evaluations
+	evalNS       atomic.Int64 // wall time spent in those evaluations
+	deltaRows    atomic.Int64 // transition rows seen across firings
+	activations  atomic.Int64 // member activations delivered or staged
+	rowsReused   atomic.Int64 // xqgm.EvalStats.RowsReused summed over those evaluations
+	joinsSkipped atomic.Int64 // xqgm.EvalStats.JoinsSkipped summed likewise
+	nodesBuilt   atomic.Int64 // xqgm.EvalStats.NodesBuilt summed likewise
+	builds       atomic.Int64 // plan (re)compilations, incl. mode switches
 }
 
 // groupBuild is one group's compiled-but-not-installed translation: the
@@ -1321,14 +1323,16 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 
 	if mode == ModeUngrouped {
 		// The paper's per-trigger translation: one plan per member, all
-		// sharing one ANGraph per table.
+		// sharing one ANGraph per table. A member's condition first filters
+		// the affected keys it can hold for, so the shared graph builds
+		// nodes only for a firing it may deliver.
 		plans := make([]*installedPlan, 0, len(g.order))
 		for _, name := range g.order {
 			ti := g.members[name]
 			var root *xqgm.Operator = an.Root
 			if template != nil {
 				bound := grouping.Bind(template, ti.Consts)
-				root = xqgm.NewSelect(an.Root, bound)
+				root = xqgm.NewSelect(an.Restrict(bound), bound)
 			}
 			plan := &installedPlan{table: table, an: an, args: map[string][]xqgm.Expr{}}
 			plan.root = root
@@ -1507,6 +1511,8 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 		return err
 	}
 	g.stats.rowsReused.Add(int64(ectx.Stats.RowsReused))
+	g.stats.joinsSkipped.Add(int64(ectx.Stats.JoinsSkipped))
+	g.stats.nodesBuilt.Add(int64(ectx.Stats.NodesBuilt))
 	if sh := e.shadow.Load(); sh != nil {
 		sqlText := plan.sqlText
 		if root == plan.batchRoot {

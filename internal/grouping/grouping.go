@@ -182,7 +182,7 @@ func BuildGroupedPlan(g *Group, anRoot *xqgm.Operator) *GroupedPlan {
 	// (column = constant) and a residual.
 	var on []xqgm.JoinEq
 	var residual []xqgm.Expr
-	for _, conj := range conjuncts(g.template) {
+	for _, conj := range xqgm.Conjuncts(g.template) {
 		if l, r, ok := matchEqConst(conj); ok {
 			on = append(on, xqgm.JoinEq{L: l, R: 1 + r}) // +1: TrigIDs col
 			continue
@@ -199,21 +199,6 @@ func BuildGroupedPlan(g *Group, anRoot *xqgm.Operator) *GroupedPlan {
 	}
 	join := xqgm.NewJoin(xqgm.JoinInner, anRoot, consts, on, resid)
 	return &GroupedPlan{Root: join, TrigIDsCol: anW, ConstBase: anW + 1}
-}
-
-// conjuncts flattens a conjunction into its terms.
-func conjuncts(e xqgm.Expr) []xqgm.Expr {
-	if e == nil {
-		return nil
-	}
-	if l, ok := e.(*xqgm.Logic); ok && l.Op == "and" {
-		var out []xqgm.Expr
-		for _, a := range l.Args {
-			out = append(out, conjuncts(a)...)
-		}
-		return out
-	}
-	return []xqgm.Expr{e}
 }
 
 // matchEqConst recognizes Col(c) = ConstRef(j) (either operand order) and

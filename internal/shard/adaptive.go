@@ -89,6 +89,8 @@ func (e *Engine) GroupStats() []core.GroupStat {
 			a.DeltaRows += gs.DeltaRows
 			a.Activations += gs.Activations
 			a.RowsReused += gs.RowsReused
+			a.JoinsSkipped += gs.JoinsSkipped
+			a.NodesBuilt += gs.NodesBuilt
 			a.Builds += gs.Builds
 		}
 	}

@@ -97,6 +97,9 @@ func (c *Chunks) cut(left int) {
 	c.room = n
 }
 
+// Built reports how many nodes have been constructed from c.
+func (c *Chunks) Built() int { return c.used.nodes }
+
 func (c *Chunks) node() *Node {
 	c.used.nodes++
 	if len(c.nodes) == 0 {

@@ -24,7 +24,12 @@ type EvalStats struct {
 	RowsProduced int
 	// RowsReused counts the produced rows an operator over B_old took from
 	// its twin's output instead of computing them (see EvalContext).
-	RowsReused     int
+	RowsReused int
+	// JoinsSkipped counts the joins that returned without evaluating their
+	// right input, because their left input was empty (see evalJoin).
+	JoinsSkipped int
+	// NodesBuilt counts the XML nodes the evaluation's constructors built.
+	NodesBuilt     int
 	IndexNLJoins   int
 	HashJoins      int
 	NestedLoopJoin int
@@ -151,7 +156,9 @@ func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
 	if ctx.trails == nil && n.pairs > 0 {
 		ctx.trails = make(map[*node]trail, n.pairs)
 	}
-	return ctx.run(n)
+	res, err := ctx.run(n)
+	ctx.endPass()
+	return res, err
 }
 
 func (ctx *EvalContext) run(n *node) ([]Tuple, error) {
@@ -174,8 +181,15 @@ func (ctx *EvalContext) run(n *node) ([]Tuple, error) {
 // it only once everything it reads — its inputs, its twin — has been
 // evaluated: those are passes too, and there is one environment.
 func (ctx *EvalContext) passEnv() *Env {
-	ctx.env = Env{}
+	ctx.endPass()
 	return &ctx.env
+}
+
+// endPass blanks the environment, counting the nodes the pass that had it
+// built.
+func (ctx *EvalContext) endPass() {
+	ctx.Stats.NodesBuilt += ctx.env.nodes.Built()
+	ctx.env = Env{}
 }
 
 // holds evaluates a predicate: NULL counts as false.
@@ -470,6 +484,15 @@ func (ctx *EvalContext) evalJoin(n *node) ([]Tuple, error) {
 	lt, err := ctx.run(n.in[0])
 	if err != nil {
 		return nil, err
+	}
+	// Every output row of these kinds carries a left row: with none, the
+	// right input is not needed. It is not evaluated either — nothing reads
+	// it unless another consumer does, and then that consumer runs it. This
+	// is what a key filter in front of an affected-node graph relies on: the
+	// graph costs nothing for a firing whose keys the filter rejected.
+	if len(lt) == 0 && n.op.JoinKind != JoinRightAnti {
+		ctx.Stats.JoinsSkipped++
+		return nil, nil
 	}
 	rt, err := ctx.run(n.in[1])
 	if err != nil {

@@ -203,6 +203,21 @@ func And(args ...Expr) Expr {
 	}
 }
 
+// Conjuncts flattens a conjunction into its terms; nil has none.
+func Conjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	if l, ok := e.(*Logic); ok && l.Op == "and" {
+		var out []Expr
+		for _, a := range l.Args {
+			out = append(out, Conjuncts(a)...)
+		}
+		return out
+	}
+	return []Expr{e}
+}
+
 // Call is a scalar function call. Supported: data, string, count, not,
 // concat, abs, empty, exists. count/empty/exists apply to a sequence-valued
 // argument (typically an aggXMLFrag column).

@@ -304,6 +304,39 @@ func TestHashJoinTellsHugeFloatsApart(t *testing.T) {
 	}
 }
 
+// TestEmptyLeftSkipsRight: an inner, left-outer or left-anti join with an
+// empty left input returns empty without evaluating its right input; a
+// right-anti join returns its right input's rows and has to evaluate it.
+func TestEmptyLeftSkipsRight(t *testing.T) {
+	db := paperDB(t)
+	vdef, _ := db.Schema().Table("vendor")
+	vend := xqgm.NewTable(vdef, xqgm.SrcBase)
+	// Neither input is a base-table path, so every kind takes the hash path.
+	none := xqgm.NewProject(xqgm.NewSelect(vend, xqgm.LitOf(xdm.False)),
+		xqgm.Proj{Name: "pid", E: xqgm.Col(1)},
+		xqgm.Proj{Name: "twice", E: &xqgm.Arith{Op: "*", L: xqgm.Col(2), R: xqgm.LitOf(xdm.Int(2))}})
+	right := xqgm.NewGroupBy(vend, []int{1}) // the pids
+	on := []xqgm.JoinEq{{L: 0, R: 0}}
+	for _, kind := range []xqgm.JoinKind{xqgm.JoinInner, xqgm.JoinLeftOuter, xqgm.JoinLeftAnti, xqgm.JoinRightAnti} {
+		ctx := xqgm.NewEvalContext(db, nil)
+		out, err := ctx.Eval(xqgm.NewJoin(kind, none, right, on, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == xqgm.JoinRightAnti {
+			if len(out) != 3 || ctx.Stats.JoinsSkipped != 0 {
+				t.Errorf("%v: %d rows, %d joins skipped; want the 3 pids and no skip", kind, len(out), ctx.Stats.JoinsSkipped)
+			}
+			continue
+		}
+		// The vendor scan, the empty left side's two operators and the join:
+		// the GroupBy on the right is not evaluated.
+		if len(out) != 0 || ctx.Stats.JoinsSkipped != 1 || ctx.Stats.OpsEvaluated != 4 {
+			t.Errorf("%v: %d rows, %d joins skipped, %d operators evaluated; want 0, 1 and 4", kind, len(out), ctx.Stats.JoinsSkipped, ctx.Stats.OpsEvaluated)
+		}
+	}
+}
+
 func TestIndexJoinThroughSelectAndProject(t *testing.T) {
 	db := paperDB(t)
 	vdef, _ := db.Schema().Table("vendor")
