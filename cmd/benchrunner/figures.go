@@ -38,7 +38,7 @@ type bench struct {
 var figures = []figure{
 	{
 		name: "fig17", title: "Figure 17: varying the number of triggers", axis: "triggers",
-		xs: []int{1, 10, 100, 1000, 10000, 100000}, series: []string{"UNGROUPED", "GROUPED", "GROUPED-AGG"}, updates: 1000,
+		xs: []int{1, 10, 100, 1000, 10000, 100000}, series: []string{"UNGROUPED", "GROUPED"}, updates: 1000,
 		build: func(scale float64, x int, series string) (*bench, error) {
 			// UNGROUPED evaluates one plan per trigger: past 100 triggers
 			// an update takes seconds, which is the paper's point.
@@ -68,7 +68,7 @@ var figures = []figure{
 	{
 		name: "fig22", title: "Figure 22: varying the fanout (leaf tuples per XML element)", axis: "fanout",
 		xs: []int{16, 32, 64, 128, 256}, series: grouped, updates: 2000,
-		build: byFanout,
+		build: table2(func(p *workload.Params, x int) { p.Fanout = x }),
 		shapes: []shape{
 			{claim: "mild in fanout: 16x the leaves per element cost less than 16x", num: ref{"GROUPED", last}, den: ref{"GROUPED", first}, atMost: 16},
 		},
@@ -99,13 +99,6 @@ var figures = []figure{
 		},
 	},
 	{
-		// §5.2: aggregating B_old directly (GROUPED) against deriving the old
-		// aggregates from the deltas (GROUPED-AGG), where aggregation is dear.
-		name: "ablation-bold", title: "Ablation: B_old aggregation at fanout 256", axis: "fanout",
-		xs: []int{256}, series: grouped, updates: 2000,
-		build: byFanout,
-	},
-	{
 		// §1's strawman re-evaluates the view and diffs: its cost follows the
 		// view's size, the translated trigger's does not.
 		name: "ablation-materialized", title: "Ablation: translated triggers against materialize-and-diff", axis: "leaves",
@@ -125,7 +118,7 @@ var figures = []figure{
 		// rendered SQL on a mirror rebuilt per firing (ROADMAP 6(a)), so the
 		// data stays small.
 		name: "sqltax", title: "Rendered-SQL shadow tax (shadow 0 detached, 1 attached)", axis: "shadow",
-		xs: []int{0, 1}, series: []string{"UNGROUPED", "GROUPED", "GROUPED-AGG"}, updates: 40,
+		xs: []int{0, 1}, series: []string{"UNGROUPED", "GROUPED"}, updates: 40,
 		build: func(scale float64, x int, series string) (*bench, error) {
 			p := defaults(scale)
 			p.LeafTuples, p.NumTriggers = min(p.LeafTuples, 1024), min(p.NumTriggers, 50)
@@ -246,7 +239,7 @@ var figures = []figure{
 		// x are measured in interleaved repeats, so drift on a shared box
 		// moves them together and the ratios below keep their meaning.
 		name: "adaptive", title: "Adaptive planner against the static modes, skewed workload", axis: "skew",
-		xs: []int{0}, series: []string{"UNGROUPED", "GROUPED", "GROUPED-AGG", "adaptive"}, updates: 400,
+		xs: []int{0}, series: []string{"UNGROUPED", "GROUPED", "adaptive"}, updates: 400,
 		build: func(scale float64, _ int, series string) (*bench, error) {
 			const aggTriggers = 8
 			p := defaults(scale)
@@ -280,7 +273,7 @@ var figures = []figure{
 					return nil, err
 				}
 			}
-			w.Engine.SetModePolicy(planner.New(planner.Config{}))
+			w.Engine.SetModePolicy(planner.New())
 			n := 0
 			b.op = func() error {
 				if n++; n%16 == 1 {
@@ -294,18 +287,14 @@ var figures = []figure{
 		},
 		shapes: []shape{
 			{claim: "from an UNGROUPED start the planner reaches 3/4 of GROUPED's throughput", num: ref{"GROUPED", 0}, den: ref{"adaptive", 0}, atLeast: 0.75},
-			{claim: "and 3/4 of GROUPED-AGG's", num: ref{"GROUPED-AGG", 0}, den: ref{"adaptive", 0}, atLeast: 0.75},
 		},
 	},
 }
 
-var grouped = []string{"GROUPED", "GROUPED-AGG"}
-
-var byFanout = table2(func(p *workload.Params, x int) { p.Fanout = x })
+var grouped = []string{"GROUPED"}
 
 var modes = map[string]core.Mode{
-	"UNGROUPED": core.ModeUngrouped, "GROUPED": core.ModeGrouped,
-	"GROUPED-AGG": core.ModeGroupedAgg, "MATERIALIZED": core.ModeMaterialized,
+	"UNGROUPED": core.ModeUngrouped, "GROUPED": core.ModeGrouped, "MATERIALIZED": core.ModeMaterialized,
 }
 
 // defaults are Table 2's defaults with the data and the trigger population

@@ -1,6 +1,6 @@
 // Command benchrunner measures the paper's evaluation: the parameter sweeps
 // over the Table 2 workload (§6 Figures 17-18, Appendix G Figures 22-24),
-// trigger compile time, the B_old and materialize-and-diff ablations, the
+// trigger compile time, the materialize-and-diff ablation, the
 // rendered-SQL shadow tax, and the shard and adaptive-planner sweeps. A figure
 // is a row of the registry in figures.go and one loop measures them all: every
 // point is R repeats of U updates after a warm-up, recorded as median / p10 /

@@ -13,7 +13,7 @@ import (
 // back is a figure that exercised the pipeline at every Table 2 value.
 func TestEveryFigureRuns(t *testing.T) {
 	const scale = 0.01 // trigger axes are capped at 400: fig17 and compile leave their larger x out
-	left := map[string]int{"fig17": 9, "compile": 4}
+	left := map[string]int{"fig17": 6, "compile": 4}
 	for i := range figures {
 		f := &figures[i]
 		s, err := runFigure(f, scale, 1)

@@ -56,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	engine := core.NewEngine(db, core.ModeGroupedAgg)
+	engine := core.NewEngine(db, core.ModeGrouped)
 
 	if *obsAddr != "" {
 		reg := obs.New()

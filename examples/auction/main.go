@@ -75,7 +75,7 @@ func main() {
 		reldb.Row{xdm.Int(1005), xdm.Int(200), xdm.Float(4500)},
 	))
 
-	engine := core.NewEngine(db, core.ModeGroupedAgg)
+	engine := core.NewEngine(db, core.ModeGrouped)
 	engine.RegisterAction("watch", func(inv core.Invocation) error {
 		item, _ := inv.New.Attribute("item")
 		fmt.Printf("  -> auction %q now has %d bid(s)\n", item, len(inv.New.ChildElements("bid")))

@@ -35,15 +35,6 @@ type Options struct {
 	// whole nodes (Appendix F.4: pushing the comparison down to aggregate
 	// columns for views that are injective except for scalar aggregates).
 	CompareCols []int
-	// OldAggDelta enables the Section 5.2 GROUPED-AGG optimization:
-	// distributive aggregates on the B_old side are derived from the new
-	// aggregates plus the transition tables instead of recomputed.
-	OldAggDelta bool
-	// ElideOldXMLFrag additionally allows OldAggDelta to rewrite GroupBys
-	// containing aggXMLFrag aggregates by replacing the OLD side's XML
-	// fragments with NULL. Sound only when the trigger never reads
-	// OLD_NODE content (the engine checks this before enabling it).
-	ElideOldXMLFrag bool
 }
 
 // ANGraph is the result of CreateANGraph: a graph whose output rows carry
@@ -135,7 +126,7 @@ func CreateAKGraph(s *schema.Schema, o *xqgm.Operator, table string, src xqgm.Ta
 		// Push the affected-key semijoin into I so the join touches only
 		// candidate rows (§5.2 pushdown; compare Figure 16's ProductCount
 		// CTE, which joins AffectedKeys before aggregating).
-		pushedIn, _ := pushdown.PushSemiJoin(in, akIn, ki)
+		pushedIn := pushdown.PushSemiJoin(in, akIn, ki)
 		j := xqgm.NewJoin(xqgm.JoinInner, pushedIn, akIn, on, nil)
 		// O' ← GroupBy(J) on O's grouping columns (distinct affected group
 		// keys); the group columns occupy the same positions in J as in I.
@@ -228,7 +219,7 @@ func CreateAKGraph(s *schema.Schema, o *xqgm.Operator, table string, src xqgm.Ta
 			for j, ic := range ki {
 				on[j] = xqgm.JoinEq{L: ic, R: j}
 			}
-			pushedIn, _ := pushdown.PushSemiJoin(in, akIn, ki)
+			pushedIn := pushdown.PushSemiJoin(in, akIn, ki)
 			join := xqgm.NewJoin(xqgm.JoinInner, pushedIn, akIn, on, nil)
 			branches = append(branches, xqgm.ProjectCols(join, o.Key))
 		}
@@ -312,7 +303,7 @@ func createAKLeftOuter(s *schema.Schema, o *xqgm.Operator, table string, src xqg
 		if sameAsLK(cols) {
 			return ak
 		}
-		pushed, _ := pushdown.PushSemiJoin(l, ak, cols)
+		pushed := pushdown.PushSemiJoin(l, ak, cols)
 		on := make([]xqgm.JoinEq, len(cols))
 		for j, c := range cols {
 			on[j] = xqgm.JoinEq{L: c, R: j}
@@ -338,21 +329,6 @@ func createAKLeftOuter(s *schema.Schema, o *xqgm.Operator, table string, src xqg
 		ak = xqgm.NewUnion(true, branches...)
 	}
 	return ak, append([]int(nil), lk...), nil
-}
-
-// composeOpMaps chains clone and pushdown operator maps: an original
-// operator resolves through the clone map, then through the pushdown map
-// when the pushed rewrite replaced it.
-func composeOpMaps(a, b map[*xqgm.Operator]*xqgm.Operator) map[*xqgm.Operator]*xqgm.Operator {
-	out := make(map[*xqgm.Operator]*xqgm.Operator, len(a))
-	for k, v := range a {
-		if w, ok := b[v]; ok {
-			out[k] = w
-		} else {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // ensureProjected returns the output position of a Project that carries
@@ -385,8 +361,8 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 		deltaSrc, nablaSrc = xqgm.SrcDeltaPruned, xqgm.SrcNablaPruned
 	}
 
-	gNew, mapNew := xqgm.CloneMap(g)
-	gOld, mapOld := xqgm.CloneMap(g)
+	gNew := xqgm.Clone(g)
+	gOld := xqgm.Clone(g)
 	// Every base table in the old-side clone reads B_old, not just the
 	// fired table. For single-statement firings the other tables have empty
 	// transition tables and B_old degenerates to the current table, so this
@@ -440,22 +416,18 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 	for j := range onKey {
 		onKey[j] = xqgm.JoinEq{L: j, R: kNew[j]}
 	}
-	side := func(g, keys *xqgm.Operator) (*xqgm.Operator, map[*xqgm.Operator]*xqgm.Operator, *xqgm.Operator) {
-		pushed, pmap := pushdown.PushSemiJoin(g, keys, kNew)
-		return pushed, pmap, xqgm.NewJoin(xqgm.JoinInner, keys, pushed, onKey, nil)
+	side := func(g, keys *xqgm.Operator) (*xqgm.Operator, *xqgm.Operator) {
+		pushed := pushdown.PushSemiJoin(g, keys, kNew)
+		return pushed, xqgm.NewJoin(xqgm.JoinInner, keys, pushed, onKey, nil)
 	}
 	// An INSERT graph delivers the NEW nodes with no OLD node of the same
 	// canonical key, a DELETE graph the other way round. When the canonical
 	// key is made of affected-key columns, that is decided on the keys alone:
 	// the side the nodes are present on is restricted to the affected keys
 	// the absent side has no node for (Ou ▷ Oold, Ou ▷ Onew), so a commit
-	// that makes no node appear or vanish constructs nothing there. Not
-	// under OldAggDelta, which derives the OLD side's aggregates from the
-	// NEW side's over all of Ou.
+	// that makes no node appear or vanish constructs nothing there.
 	var gNewP, gOldP, oNew, oOld *xqgm.Operator
-	var pmapNew, pmapOld map[*xqgm.Operator]*xqgm.Operator
 	canon, covered := keyPositions(key, kNew)
-	covered = covered && !opts.OldAggDelta
 	absent := func(o *xqgm.Operator) *xqgm.Operator {
 		on := make([]xqgm.JoinEq, len(key))
 		for i, kc := range key {
@@ -465,26 +437,15 @@ func CreateANGraph(s *schema.Schema, ev reldb.Event, g *xqgm.Operator, table str
 	}
 	switch {
 	case ev == reldb.EvInsert && covered:
-		gOldP, pmapOld, oOld = side(gOld, ou)
-		gNewP, pmapNew, oNew = side(gNew, absent(oOld))
+		gOldP, oOld = side(gOld, ou)
+		gNewP, oNew = side(gNew, absent(oOld))
 	case ev == reldb.EvDelete && covered:
-		gNewP, pmapNew, oNew = side(gNew, ou)
-		gOldP, pmapOld, oOld = side(gOld, absent(oNew))
+		gNewP, oNew = side(gNew, ou)
+		gOldP, oOld = side(gOld, absent(oNew))
 	default:
-		gNewP, pmapNew, oNew = side(gNew, ou)
-		gOldP, pmapOld, oOld = side(gOld, ou)
+		gNewP, oNew = side(gNew, ou)
+		gOldP, oOld = side(gOld, ou)
 	}
-
-	if opts.OldAggDelta {
-		// The GROUPED-AGG rewrite targets the pushed graphs: compose the
-		// clone maps with the pushdown maps so original GroupBys resolve to
-		// their restricted counterparts.
-		rewriteOldAggregates(g, gOldP, table,
-			composeOpMaps(mapNew, pmapNew), composeOpMaps(mapOld, pmapOld),
-			deltaSrc, nablaSrc, opts.ElideOldXMLFrag)
-	}
-	xqgm.DeriveKeys(gNewP)
-	xqgm.DeriveKeys(gOldP)
 
 	vw := gNew.OutWidth()
 	if gOld.OutWidth() != vw {

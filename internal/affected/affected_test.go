@@ -97,12 +97,14 @@ func anGraphs(t *testing.T, s *schema.Schema, table string) map[reldb.Event]*ANG
 }
 
 // checkAgainstOracle applies a statement, captures transitions, runs all
-// three ANGraphs, and compares against the recompute-and-diff oracle.
-func checkAgainstOracle(t *testing.T, db *reldb.DB, table, label string, fn func() error) {
+// three ANGraphs, and compares against the recompute-and-diff oracle. It
+// returns the statement's transition tables.
+func checkAgainstOracle(t *testing.T, db *reldb.DB, table, label string, fn func() error) map[string]*xqgm.Transition {
 	t.Helper()
 	before := snapshotProducts(t, db)
 	deltas := captureStatement(t, db, table, fn)
 	checkDeltasAgainstOracle(t, db, label, before, deltas)
+	return deltas
 }
 
 // checkCommitAgainstOracle does the same for a transaction of several
@@ -320,7 +322,9 @@ func TestPaperPriceUpdate(t *testing.T) {
 }
 
 // TestViewInsertAndDeleteEvents drives count crossings in both directions:
-// P4 gains a second vendor (XML INSERT) then loses it (XML DELETE).
+// P4 gains a second vendor (XML INSERT) then loses it (XML DELETE). The same
+// deltas also go through a view whose only aggregates are count(*) and sum,
+// which decides the crossing on the exact old count alone.
 func TestViewInsertAndDeleteEvents(t *testing.T) {
 	db, err := fixtures.OpenPaperDB()
 	if err != nil {
@@ -332,15 +336,60 @@ func TestViewInsertAndDeleteEvents(t *testing.T) {
 	if err := db.Insert("vendor", reldb.Row{xdm.Str("Amazon"), xdm.Str("P4"), xdm.Float(900)}); err != nil {
 		t.Fatal(err)
 	}
+	countView := func(ev reldb.Event, deltas map[string]*xqgm.Transition) []Pair {
+		t.Helper()
+		an, err := CreateANGraph(db.Schema(), ev, buildCountView(db.Schema(), 2), "vendor", Options{Prune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := an.Eval(db, deltas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pairs
+	}
 	// count 1 -> 2: OLED 27 appears in the view.
-	checkAgainstOracle(t, db, "vendor", "insert crossing", func() error {
+	deltas := checkAgainstOracle(t, db, "vendor", "insert crossing", func() error {
 		return db.Insert("vendor", reldb.Row{xdm.Str("Bestbuy"), xdm.Str("P4"), xdm.Float(950)})
 	})
+	if pairs := countView(reldb.EvInsert, deltas); len(pairs) != 1 || pairs[0].New[1].AsString() != "OLED 27" || !pairs[0].Old[0].IsNull() {
+		t.Errorf("count view INSERT pairs = %v, want OLED 27 alone", pairs)
+	}
 	// count 2 -> 1: OLED 27 disappears.
-	checkAgainstOracle(t, db, "vendor", "delete crossing", func() error {
+	deltas = checkAgainstOracle(t, db, "vendor", "delete crossing", func() error {
 		_, err := db.DeleteByPK("vendor", xdm.Str("Bestbuy"), xdm.Str("P4"))
 		return err
 	})
+	if pairs := countView(reldb.EvDelete, deltas); len(pairs) != 1 || pairs[0].Old[1].AsString() != "OLED 27" || !pairs[0].New[0].IsNull() {
+		t.Errorf("count view DELETE pairs = %v, want OLED 27 alone", pairs)
+	}
+}
+
+// buildCountView constructs a catalog-like path graph whose only aggregates
+// are count(*) and sum: <product name={pname} cnt={count} total={sum}/> for
+// products with at least minVendors vendors; node in column 0, pname in 1.
+func buildCountView(s *schema.Schema, minVendors int64) *xqgm.Operator {
+	prodDef, _ := s.Table("product")
+	vendDef, _ := s.Table("vendor")
+	prod := xqgm.NewTable(prodDef, xqgm.SrcBase)
+	vend := xqgm.NewTable(vendDef, xqgm.SrcBase)
+	join := xqgm.NewJoin(xqgm.JoinInner, prod, vend, []xqgm.JoinEq{{L: 0, R: 1}}, nil)
+	g := xqgm.NewGroupBy(join, []int{1},
+		xqgm.Agg{Name: "cnt", Func: xqgm.AggCount},
+		xqgm.Agg{Name: "total", Func: xqgm.AggSum, Arg: xqgm.Col(5)},
+	)
+	sel := xqgm.NewSelect(g, &xqgm.Cmp{Op: ">=", L: xqgm.Col(1), R: xqgm.LitOf(xdm.Int(minVendors))})
+	elem := &xqgm.ElemCtor{Name: "product", Attrs: []xqgm.AttrSpec{
+		{Name: "name", E: xqgm.Col(0)},
+		{Name: "cnt", E: xqgm.Col(1)},
+		{Name: "total", E: xqgm.Col(2)},
+	}}
+	top := xqgm.NewProject(sel,
+		xqgm.Proj{Name: "product", E: elem},
+		xqgm.Proj{Name: "pname", E: xqgm.Col(0)},
+	)
+	xqgm.DeriveKeys(top)
+	return top
 }
 
 // TestProductRename: updating pname moves vendors between groups, which can

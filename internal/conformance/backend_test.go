@@ -21,7 +21,7 @@ import (
 // divergence fails the run itself, so passing here means the rendered
 // trigger SQL is executable AND correct for every firing of every scenario.
 func TestSQLiteBackendGoldens(t *testing.T) {
-	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg}
+	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped}
 	for _, path := range scenarioFiles(t) {
 		name := scenarioName(path)
 		t.Run(name, func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestSQLiteBackendGoldens(t *testing.T) {
 func backendPlanText(t *testing.T, sc *Scenario) string {
 	t.Helper()
 	var sb strings.Builder
-	for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg} {
+	for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped} {
 		db, err := reldb.Open(sc.Schema)
 		if err != nil {
 			t.Fatal(err)

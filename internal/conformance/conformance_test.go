@@ -82,7 +82,7 @@ func TestGolden(t *testing.T) {
 // with actions delivered inline (sync) and through the async worker pool
 // (with the per-unit Drain barrier the runner inserts).
 func TestDifferential(t *testing.T) {
-	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg}
+	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped}
 	for _, path := range scenarioFiles(t) {
 		name := scenarioName(path)
 		t.Run(name, func(t *testing.T) {

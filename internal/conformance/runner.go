@@ -348,7 +348,7 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 		modeRng = rand.New(rand.NewSource(opts.ModeSeed))
 		target := map[string]core.Mode{}
 		for _, sig := range e.groupSigs() {
-			target[sig] = core.Mode(modeRng.Intn(4))
+			target[sig] = core.Modes[modeRng.Intn(len(core.Modes))]
 		}
 		if len(target) > 0 {
 			if err := e.setGroupModes(target); err != nil {
@@ -401,7 +401,7 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 			// re-plan whose invisibility the unit's own log then proves.
 			if sigs := e.groupSigs(); len(sigs) > 0 {
 				sig := sigs[modeRng.Intn(len(sigs))]
-				if err := e.setGroupModes(map[string]core.Mode{sig: core.Mode(modeRng.Intn(4))}); err != nil {
+				if err := e.setGroupModes(map[string]core.Mode{sig: core.Modes[modeRng.Intn(len(core.Modes))]}); err != nil {
 					return "", fmt.Errorf("mode flip rehearsal: %w", err)
 				}
 			}

@@ -6,7 +6,7 @@
 // files hold the notification log the MATERIALIZED oracle produces for
 // the script, executed both statement-by-statement and batched. The
 // differential driver then requires every translation mode (UNGROUPED,
-// GROUPED, GROUPED-AGG) to reproduce the oracle's log exactly in both
+// GROUPED) to reproduce the oracle's log exactly in both
 // execution styles. Regenerate goldens with `go test -run Golden -update`.
 package conformance
 

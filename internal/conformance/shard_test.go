@@ -91,7 +91,7 @@ func TestGoldenShardedRebalance(t *testing.T) {
 // counts, both execution styles, and the async + replayed-outbox delivery
 // paths (shared dispatcher / shared log spanning shards).
 func TestShardedDifferential(t *testing.T) {
-	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg}
+	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped}
 	for _, path := range scenarioFiles(t) {
 		name := scenarioName(path)
 		t.Run(name, func(t *testing.T) {

@@ -9,10 +9,9 @@ import (
 // mode is a runtime property, with abort-safe migration between modes.
 //
 // The paper fixes the translation strategy per system (Section 6 compares
-// UNGROUPED, GROUPED and GROUPED-AGG as three engines). Here the engine's
-// mode is nothing but the seed for new groups, and a cost-based policy
-// (internal/planner) re-picks each group's mode from its live groupStats —
-// including mid-workload. The migration protocol reuses the
+// its translations as separate engines). Here the engine's mode is nothing
+// but the seed for new groups, and a policy (internal/planner) re-picks
+// each group's mode from its live groupStats — including mid-workload. The migration protocol reuses the
 // silent-transaction machinery built for shard rebalancing: a mode
 // switch is a silent batch that compiles the new plans (evaluating the
 // materialized snapshot if the target mode needs one) while every table
@@ -30,8 +29,8 @@ type ModePolicy interface {
 }
 
 // GroupStat is one trigger group's row in Stats.PerGroup and the
-// planner's cost-model input. Counters are cumulative since engine
-// start and survive rebuilds and mode switches.
+// planner's input. Counters are cumulative since engine start and
+// survive rebuilds and mode switches.
 type GroupStat struct {
 	Sig      string `json:"sig"`
 	Mode     Mode   `json:"mode"`
@@ -62,7 +61,7 @@ func (e *Engine) SetModePolicy(p ModePolicy) {
 // uses the seeding half for restart adoption: persisted planner
 // decisions replay before the application re-registers its triggers.
 func (e *Engine) SeedGroupMode(sig string, m Mode) error {
-	if m > ModeMaterialized {
+	if !m.Valid() {
 		return fmt.Errorf("core: unknown mode %d", m)
 	}
 	e.mu.Lock()
@@ -178,7 +177,7 @@ type ModeSwitch struct {
 // a fleet coordinator can prepare every shard before committing any.
 func (e *Engine) PrepareGroupModes(target map[string]Mode) (*ModeSwitch, error) {
 	for sig, m := range target { //quark:sorted validation only: any order rejects the same bad entry set
-		if m > ModeMaterialized {
+		if !m.Valid() {
 			return nil, fmt.Errorf("core: unknown mode %d for group %q", m, sig)
 		}
 	}

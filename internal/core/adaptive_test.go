@@ -105,11 +105,11 @@ func TestAdaptiveMixedModes(t *testing.T) {
 	if len(sigs) != 2 {
 		t.Fatalf("groups = %d (%v), want 2", len(sigs), sigs)
 	}
-	// One group materialized, the other GROUPED-AGG: a genuinely mixed mix.
+	// One group materialized, the other UNGROUPED: a genuinely mixed mix.
 	if err := e.SetGroupMode(sigs[0], ModeMaterialized); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetGroupMode(sigs[1], ModeGroupedAgg); err != nil {
+	if err := e.SetGroupMode(sigs[1], ModeUngrouped); err != nil {
 		t.Fatal(err)
 	}
 	if m, ok := e.GroupMode(sigs[0]); !ok || m != ModeMaterialized {
@@ -134,7 +134,7 @@ func TestAdaptiveRuntimeSwitch(t *testing.T) {
 		t.Fatal("warmup update fired nothing")
 	}
 
-	for _, m := range []Mode{ModeMaterialized, ModeUngrouped, ModeGroupedAgg, ModeMaterialized, ModeGrouped} {
+	for _, m := range []Mode{ModeMaterialized, ModeUngrouped, ModeGrouped, ModeMaterialized, ModeGrouped} {
 		target := map[string]Mode{}
 		for _, sig := range e.GroupSigs() {
 			target[sig] = m
@@ -342,15 +342,15 @@ func TestPolicyAfterTriggers(t *testing.T) {
 	}
 	*log = nil
 
-	e.SetModePolicy(fixedPolicy{want: ModeGroupedAgg})
+	e.SetModePolicy(fixedPolicy{want: ModeGrouped})
 	changes, err := e.Replan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) != 1 || changes[0].From != ModeUngrouped || changes[0].To != ModeGroupedAgg {
-		t.Fatalf("replan changes = %+v, want one UNGROUPED -> GROUPED-AGG", changes)
+	if len(changes) != 1 || changes[0].From != ModeUngrouped || changes[0].To != ModeGrouped {
+		t.Fatalf("replan changes = %+v, want one UNGROUPED -> GROUPED", changes)
 	}
-	if m, _ := e.GroupMode(sigs[0]); m != ModeGroupedAgg {
+	if m, _ := e.GroupMode(sigs[0]); m != ModeGrouped {
 		t.Errorf("group mode = %v after replan", m)
 	}
 	if got := e.GroupSigs(); !reflect.DeepEqual(got, sigs) {

@@ -109,7 +109,7 @@ func TestBatchMatchesOracle(t *testing.T) {
 			if len(oracle) == 0 {
 				t.Fatal("oracle fired nothing; script is not exercising the pipeline")
 			}
-			for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg} {
+			for _, mode := range []Mode{ModeUngrouped, ModeGrouped} {
 				got := runScript(t, mode, batched, triggers, script)
 				if !reflect.DeepEqual(got, oracle) {
 					t.Errorf("%s/%s diverges from oracle:\n got:    %v\n oracle: %v", mode, style, got, oracle)
@@ -157,7 +157,7 @@ func TestBatchFiresOncePerCommit(t *testing.T) {
 // must still hand the action the true pre-transaction OLD_NODE (the old
 // side reconstructs every touched table, not just the firing one).
 func TestBatchMultiTableOldState(t *testing.T) {
-	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg, ModeMaterialized} {
+	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeMaterialized} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			e, log := newCatalogEngine(t, mode)

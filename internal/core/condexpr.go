@@ -31,8 +31,6 @@ type condCompiler struct {
 	// placeholders and records their values (trigger grouping, §5.1).
 	abstract bool
 	consts   []xdm.Value
-	// usage tracking for the GROUPED-AGG safety check.
-	oldContentUsed bool
 }
 
 func (cc *condCompiler) lit(v xdm.Value) xqgm.Expr {
@@ -45,7 +43,6 @@ func (cc *condCompiler) lit(v xdm.Value) xqgm.Expr {
 
 func (cc *condCompiler) nodeCol(old bool) int {
 	if old {
-		cc.oldContentUsed = true
 		return cc.layout.OldCol(cc.nav.NodeCol)
 	}
 	return cc.layout.NewCol(cc.nav.NodeCol)

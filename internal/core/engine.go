@@ -5,14 +5,15 @@
 // parameters when base updates affect the monitored view nodes.
 //
 // Triggers that differ only in constants form one group, and each group
-// runs one of the paper's three translations (Section 6): ModeUngrouped
-// (one SQL trigger set per XML trigger), ModeGrouped (the members share one
-// SQL trigger via a constants table, Section 5.1), or ModeGroupedAgg
-// (additionally derives old aggregates from new values and transition
-// tables, Section 5.2). A fourth mode, ModeMaterialized, implements the
-// strawman the paper argues against — materialize the view and diff it on
-// every update — and is kept as the correctness oracle tests compare the
-// translations against.
+// runs one of two translations (Section 6): ModeUngrouped (one SQL trigger
+// set per XML trigger) or ModeGrouped (the members share one SQL trigger
+// via a constants table, Section 5.1). The paper's third translation
+// (Section 5.2: old aggregates derived from the new ones and the transition
+// tables) is not reproduced as a mode: at every point a figure measures it
+// ran GROUPED's plan, and where its rewrite applied it cost more bytes. A
+// third mode, ModeMaterialized, implements the strawman the paper argues
+// against — materialize the view and diff it on every update — and is kept
+// as the correctness oracle tests compare the translations against.
 package core
 
 import (
@@ -44,12 +45,12 @@ import (
 // one new groups start in; SetGroupModes and Replan change it per group.
 type Mode uint8
 
-// Translation modes.
+// Translation modes. The values are persisted (a sharded fleet's mode
+// checkpoint stores them), so they never change: 2 is retired.
 const (
-	ModeUngrouped Mode = iota
-	ModeGrouped
-	ModeGroupedAgg
-	ModeMaterialized
+	ModeUngrouped    Mode = 0
+	ModeGrouped      Mode = 1
+	ModeMaterialized Mode = 3
 )
 
 func (m Mode) String() string {
@@ -58,13 +59,19 @@ func (m Mode) String() string {
 		return "UNGROUPED"
 	case ModeGrouped:
 		return "GROUPED"
-	case ModeGroupedAgg:
-		return "GROUPED-AGG"
 	case ModeMaterialized:
 		return "MATERIALIZED"
 	default:
 		return fmt.Sprintf("Mode(%d)", uint8(m))
 	}
+}
+
+// Modes lists every mode, in value order.
+var Modes = []Mode{ModeUngrouped, ModeGrouped, ModeMaterialized}
+
+// Valid reports whether m is one of Modes.
+func (m Mode) Valid() bool {
+	return m == ModeUngrouped || m == ModeGrouped || m == ModeMaterialized
 }
 
 // Invocation is passed to an action function when its trigger fires.
@@ -251,13 +258,13 @@ type group struct {
 	built    bool
 	plans    []*installedPlan
 	sqlNames []string
-	// stats survive rebuilds and mode switches: the planner's cost model
-	// wants the group's history, not the current plan's.
+	// stats survive rebuilds and mode switches: the planner wants the
+	// group's history, not the current plan's.
 	stats groupStats
 }
 
 // groupStats are the always-on per-group counters behind GroupStats: the
-// planner's cost model and the /snapshot surface read the same numbers.
+// planner and the /snapshot surface read the same numbers.
 // Plain atomics, recorded on the firing path without any obs registry.
 type groupStats struct {
 	fires        atomic.Int64 // plan/body evaluations
@@ -302,13 +309,6 @@ type installedPlan struct {
 	args       map[string][]xqgm.Expr // trigID -> compiled action args
 	members    map[string]*TriggerInfo
 	sqlText    string
-	batchSQL   string // rendered SQL of batchRoot (empty when batchRoot is nil)
-
-	// batchRoot/batchAN, when set, replace root/an for batched firings
-	// that touched more than one table: the GROUPED-AGG old-aggregate
-	// derivation (§5.2) is only sound for single-table deltas.
-	batchRoot *xqgm.Operator
-	batchAN   *affected.ANGraph
 
 	// lastBatch dedups plan evaluation within one Tx.Commit (the same
 	// plan is shared by this table's INSERT/UPDATE/DELETE triggers).
@@ -431,11 +431,7 @@ func (e *Engine) recomputeReadSets() {
 			continue
 		}
 		for _, p := range g.plans {
-			ts := xqgm.Tables(p.root)
-			if p.batchRoot != nil {
-				ts = append(ts, xqgm.Tables(p.batchRoot)...)
-			}
-			add(p.table, ts)
+			add(p.table, xqgm.Tables(p.root))
 		}
 	}
 	e.readSets = map[string][]string{}
@@ -1239,9 +1235,6 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 		if p.root != nil {
 			e.ensureIndexes(p.root)
 		}
-		if p.batchRoot != nil {
-			e.ensureIndexes(p.batchRoot)
-		}
 	}
 	for _, pt := range b.installs {
 		e.sqlSeq++
@@ -1261,16 +1254,14 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 // base table: one shared plan in the grouped modes, one plan per member
 // in UNGROUPED mode.
 func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installedPlan, error) {
-	s := e.db.Schema()
 	opts := affected.Options{Prune: true}
-	injective := affected.InjectiveFor(g.nav.Op, table)
-	if injective {
+	if affected.InjectiveFor(g.nav.Op, table) {
 		opts.SkipValueCompare = true
 	} else {
 		opts.CompareCols = []int{g.nav.NodeCol}
 	}
 
-	an, err := affected.CreateANGraph(s, g.event, g.nav.Op, table, opts)
+	an, err := affected.CreateANGraph(e.db.Schema(), g.event, g.nav.Op, table, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1286,38 +1277,6 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		template, err = tcc.compile(first.Spec.Condition)
 		if err != nil {
 			return nil, err
-		}
-	}
-
-	// GROUPED-AGG: rebuild the ANGraph with the Section 5.2 optimization
-	// when it is sound (injective view, OLD_NODE content unused). The
-	// layout is unchanged by these options. The unoptimized graph is kept
-	// as the batch fallback: deriving old aggregates from new values and
-	// one table's transition tables is only correct when that table is the
-	// sole change, so commits that touched several tables evaluate the
-	// plain graph instead.
-	var anPlain *affected.ANGraph
-	if mode == ModeGroupedAgg {
-		anPlain = an
-		oldContent := tcc.oldContentUsed || e.actionUsesOldContent(g, layout)
-		opts.OldAggDelta = true
-		if injective && !oldContent {
-			opts.ElideOldXMLFrag = true
-		}
-		an, err = affected.CreateANGraph(s, g.event, g.nav.Op, table, opts)
-		if err != nil {
-			return nil, err
-		}
-		layout = Layout{NewCol: an.NewCol, OldCol: an.OldCol}
-		tcc = &condCompiler{nav: g.nav, layout: layout, abstract: true}
-		if first.Spec.Condition != nil {
-			template, err = tcc.compile(first.Spec.Condition)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if anPlain.Root.OutWidth() != an.Root.OutWidth() {
-			return nil, fmt.Errorf("core: internal error: GROUPED-AGG layout differs from plain layout")
 		}
 	}
 
@@ -1355,7 +1314,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		return plans, nil
 	}
 
-	// GROUPED / GROUPED-AGG: constants table + shared plan.
+	// GROUPED: constants table + shared plan.
 	plan := &installedPlan{table: table, an: an, args: map[string][]xqgm.Expr{}}
 	gg := grouping.NewGroup(g.sig, template, len(first.Consts))
 	for _, name := range g.order {
@@ -1367,18 +1326,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 	gp := grouping.BuildGroupedPlan(gg, an.Root)
 	plan.root = gp.Root
 	plan.trigIDsCol = gp.TrigIDsCol
-	roots := []*xqgm.Operator{gp.Root}
-	if anPlain != nil {
-		bp := grouping.BuildGroupedPlan(gg, anPlain.Root)
-		if bp.TrigIDsCol != gp.TrigIDsCol {
-			return nil, fmt.Errorf("core: internal error: batch fallback plan layout differs")
-		}
-		plan.batchRoot = bp.Root
-		plan.batchAN = anPlain
-		plan.batchSQL = RenderSQL(bp.Root)
-		roots = append(roots, bp.Root)
-	}
-	if err := xqgm.Prepare(roots...); err != nil {
+	if err := xqgm.Prepare(gp.Root); err != nil {
 		return nil, err
 	}
 	for _, name := range g.order {
@@ -1391,24 +1339,6 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 	}
 	plan.sqlText = RenderSQL(gp.Root)
 	return []*installedPlan{plan}, nil
-}
-
-// actionUsesOldContent reports whether any member's action arguments read
-// OLD_NODE content.
-func (e *Engine) actionUsesOldContent(g *group, layout Layout) bool {
-	for _, name := range g.order {
-		ti := g.members[name]
-		cc := &condCompiler{nav: g.nav, layout: layout}
-		for _, a := range ti.Spec.ActionArgs {
-			if _, err := cc.compile(a); err != nil {
-				return true // be conservative on compile errors
-			}
-		}
-		if cc.oldContentUsed {
-			return true
-		}
-	}
-	return false
 }
 
 // compileArgs compiles a member's action arguments (concrete constants).
@@ -1448,15 +1378,15 @@ func (e *Engine) fire(g *group, plan *installedPlan, ctx *reldb.FireContext) err
 	e.fires.Add(1)
 	g.stats.fires.Add(1)
 	g.stats.deltaRows.Add(int64(len(ctx.Inserted) + len(ctx.Deleted)))
-	start := time.Now()                                             //quark:clock planner calibration input: evalNS feeds the cost model, never delivered bytes
-	defer func() { g.stats.evalNS.Add(int64(time.Since(start))) }() //quark:clock planner calibration input: evalNS feeds the cost model, never delivered bytes
+	start := time.Now()                                             //quark:clock per-group eval time: evalNS is reported in GroupStats, never delivered bytes
+	defer func() { g.stats.evalNS.Add(int64(time.Since(start))) }() //quark:clock per-group eval time: evalNS is reported in GroupStats, never delivered bytes
 	if m := e.obsp.Load(); m != nil {
 		defer m.fire.Since(time.Now())
 	}
 	deltas := map[string]*xqgm.Transition{
 		ctx.Table: {Inserted: ctx.Inserted, Deleted: ctx.Deleted},
 	}
-	return e.activate(g, plan, plan.root, plan.an, deltas, ctx)
+	return e.activate(g, plan, deltas, ctx)
 }
 
 // fireBatch runs the plan once for a whole committed transaction.
@@ -1475,8 +1405,8 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 	for _, nd := range ctx.Batch.Deltas {
 		g.stats.deltaRows.Add(int64(len(nd.Inserted) + len(nd.Deleted)))
 	}
-	start := time.Now()                                             //quark:clock planner calibration input: evalNS feeds the cost model, never delivered bytes
-	defer func() { g.stats.evalNS.Add(int64(time.Since(start))) }() //quark:clock planner calibration input: evalNS feeds the cost model, never delivered bytes
+	start := time.Now()                                             //quark:clock per-group eval time: evalNS is reported in GroupStats, never delivered bytes
+	defer func() { g.stats.evalNS.Add(int64(time.Since(start))) }() //quark:clock per-group eval time: evalNS is reported in GroupStats, never delivered bytes
 	if m := e.obsp.Load(); m != nil {
 		defer m.fire.Since(time.Now())
 		if psp, ok := ctx.Batch.Obs.(*obs.Span); ok && psp != nil {
@@ -1489,24 +1419,21 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 	for t, nd := range ctx.Batch.Deltas {
 		deltas[t] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
 	}
-	root, an := plan.root, plan.an
-	if len(deltas) > 1 && plan.batchRoot != nil {
-		root, an = plan.batchRoot, plan.batchAN
-	}
-	return e.activate(g, plan, root, an, deltas, ctx)
+	return e.activate(g, plan, deltas, ctx)
 }
 
 // activate evaluates a trigger plan and invokes — or, in a prepare-phase
 // staging pass, stages — the member actions. Batched firings dedup
 // activations across the plans of one commit via the batch state riding
 // on ctx.Batch.
-func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an *affected.ANGraph, deltas map[string]*xqgm.Transition, ctx *reldb.FireContext) error {
+func (e *Engine) activate(g *group, plan *installedPlan, deltas map[string]*xqgm.Transition, ctx *reldb.FireContext) error {
 	var seen map[string]bool
 	if ctx.Batch != nil {
 		seen = batchStateOf(ctx.Batch).seen
 	}
+	an := plan.an
 	ectx := xqgm.NewEvalContext(e.db, deltas)
-	rows, err := ectx.Eval(root)
+	rows, err := ectx.Eval(plan.root)
 	if err != nil {
 		return err
 	}
@@ -1514,13 +1441,9 @@ func (e *Engine) activate(g *group, plan *installedPlan, root *xqgm.Operator, an
 	g.stats.joinsSkipped.Add(int64(ectx.Stats.JoinsSkipped))
 	g.stats.nodesBuilt.Add(int64(ectx.Stats.NodesBuilt))
 	if sh := e.shadow.Load(); sh != nil {
-		sqlText := plan.sqlText
-		if root == plan.batchRoot {
-			sqlText = plan.batchSQL
-		}
 		// Materialized-view bodies carry no rendered SQL; nothing to mirror.
-		if sqlText != "" {
-			if err := (*sh).VerifyPlan(plan.table, sqlText, deltas, rows); err != nil {
+		if plan.sqlText != "" {
+			if err := (*sh).VerifyPlan(plan.table, plan.sqlText, deltas, rows); err != nil {
 				return fmt.Errorf("core: plan shadow: %w", err)
 			}
 		}

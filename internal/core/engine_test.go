@@ -66,7 +66,7 @@ func newCatalogEngine(t *testing.T, mode Mode) (*Engine, *[]notification) {
 // TestPaperNotifyTrigger runs the paper's Section 2.2 example end to end:
 // the Notify trigger fires on the price update with the new product value.
 func TestPaperNotifyTrigger(t *testing.T) {
-	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg, ModeMaterialized} {
+	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeMaterialized} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			e, log := newCatalogEngine(t, mode)
@@ -116,7 +116,7 @@ func TestPaperNotifyTrigger(t *testing.T) {
 // TestInsertAndDeleteTriggers: count-threshold crossings fire INSERT and
 // DELETE triggers with the right node bindings.
 func TestInsertAndDeleteTriggers(t *testing.T) {
-	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg, ModeMaterialized} {
+	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeMaterialized} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			e, log := newCatalogEngine(t, mode)
@@ -166,7 +166,7 @@ func TestGroupingSharesSQLTriggers(t *testing.T) {
 	names := []string{"CRT 15", "LCD 19", "OLED 27", "Plasma 42", "TFT 17"}
 	counts := map[Mode]int{}
 	fired := map[Mode][]string{}
-	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg} {
+	for _, mode := range []Mode{ModeUngrouped, ModeGrouped} {
 		e, log := newCatalogEngine(t, mode)
 		for i, nm := range names {
 			err := e.CreateTrigger(fmt.Sprintf(`
@@ -198,9 +198,6 @@ func TestGroupingSharesSQLTriggers(t *testing.T) {
 	}
 	if counts[ModeUngrouped] != len(names)*counts[ModeGrouped] {
 		t.Errorf("SQL triggers: ungrouped=%d grouped=%d (want %dx)", counts[ModeUngrouped], counts[ModeGrouped], len(names))
-	}
-	if counts[ModeGrouped] != counts[ModeGroupedAgg] {
-		t.Errorf("grouped=%d groupedagg=%d", counts[ModeGrouped], counts[ModeGroupedAgg])
 	}
 	if len(fired[ModeGrouped]) < 2 {
 		t.Fatalf("GROUPED fired %v, want several notifications", fired[ModeGrouped])
@@ -242,7 +239,7 @@ func TestGroupedActivationRouting(t *testing.T) {
 // count(NEW_NODE/vendor[./price < x]) >= y with per-trigger constants,
 // under grouping.
 func TestNestedGroupedCondition(t *testing.T) {
-	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg} {
+	for _, mode := range []Mode{ModeUngrouped, ModeGrouped} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			e, log := newCatalogEngine(t, mode)
@@ -297,7 +294,7 @@ func TestAllModesAgree(t *testing.T) {
 		log  []string
 	}
 	var runs []run
-	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg, ModeMaterialized} {
+	for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeMaterialized} {
 		db, err := fixtures.OpenPaperDB()
 		if err != nil {
 			t.Fatal(err)
@@ -574,7 +571,7 @@ func TestSignatureKeepsIdentifiersAndQuotedConstants(t *testing.T) {
 		if fmt.Sprint(want) != "map[a:3]" {
 			t.Fatalf("oracle, order %v: fired %v, want map[a:3]", order, want)
 		}
-		for _, mode := range []Mode{ModeUngrouped, ModeGrouped, ModeGroupedAgg} {
+		for _, mode := range []Mode{ModeUngrouped, ModeGrouped} {
 			if got := run(mode, order...); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, order %v: fired %v, oracle %v", mode, order, got, want)
 			}

@@ -74,8 +74,8 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		}
 		e.fires.Add(1)
 		g.stats.fires.Add(1)
-		start := time.Now()                                             //quark:clock planner calibration input: evalNS feeds the cost model, never delivered bytes
-		defer func() { g.stats.evalNS.Add(int64(time.Since(start))) }() //quark:clock planner calibration input: evalNS feeds the cost model, never delivered bytes
+		start := time.Now()                                             //quark:clock per-group eval time: evalNS is reported in GroupStats, never delivered bytes
+		defer func() { g.stats.evalNS.Add(int64(time.Since(start))) }() //quark:clock per-group eval time: evalNS is reported in GroupStats, never delivered bytes
 		after, err := e.materializeSnapshot(g)
 		if err != nil {
 			return err

@@ -15,9 +15,8 @@ import (
 // PushSemiJoin restricts the graph rooted at root to the rows whose columns
 // `cols` (positions in root's output) match some row of keys (whose output
 // is exactly those key values, in order). It returns a rewritten graph with
-// the same output schema, plus a mapping from original operators to their
-// rewritten counterparts along the pushed path (unchanged subtrees are
-// shared, not cloned, and do not appear in the map).
+// the same output schema; operators off the pushed path are shared, not
+// cloned.
 //
 // The rewrite pushes the semijoin through Select, Project (column
 // references), OrderBy, GroupBy (when the key columns are grouping
@@ -25,14 +24,13 @@ import (
 // both sides of a Join; where it can push no further it attaches
 // Project(I.cols)(Join(I, keys)) — each I row matches at most one keys row
 // (keys are distinct), so no duplicates arise.
-func PushSemiJoin(root *xqgm.Operator, keys *xqgm.Operator, cols []int) (*xqgm.Operator, map[*xqgm.Operator]*xqgm.Operator) {
-	m := map[*xqgm.Operator]*xqgm.Operator{}
-	out := push(root, keys, cols, m)
+func PushSemiJoin(root *xqgm.Operator, keys *xqgm.Operator, cols []int) *xqgm.Operator {
+	out := push(root, keys, cols)
 	// Re-derive canonical keys on the rewritten graph: rebuilt operators
 	// start without keys, and the evaluator uses keys for deterministic
 	// aggXMLFrag document order.
 	xqgm.DeriveKeys(out)
-	return out, m
+	return out
 }
 
 // attach joins keys at this level and projects the original schema back.
@@ -62,28 +60,24 @@ func distinctProject(keys *xqgm.Operator, idx []int) *xqgm.Operator {
 	return xqgm.NewGroupBy(proj, g)
 }
 
-func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int, m map[*xqgm.Operator]*xqgm.Operator) *xqgm.Operator {
+func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int) *xqgm.Operator {
 	if len(cols) == 0 {
 		return o
 	}
 	switch o.Type {
 	case xqgm.OpSelect:
-		in := push(o.Inputs[0], keys, cols, m)
+		in := push(o.Inputs[0], keys, cols)
 		if in == o.Inputs[0] {
 			return attach(o, keys, cols)
 		}
-		n := xqgm.NewSelect(in, o.Pred)
-		m[o] = n
-		return n
+		return xqgm.NewSelect(in, o.Pred)
 
 	case xqgm.OpOrderBy:
-		in := push(o.Inputs[0], keys, cols, m)
+		in := push(o.Inputs[0], keys, cols)
 		if in == o.Inputs[0] {
 			return attach(o, keys, cols)
 		}
-		n := xqgm.NewOrderBy(in, o.OrderCols...)
-		m[o] = n
-		return n
+		return xqgm.NewOrderBy(in, o.OrderCols...)
 
 	case xqgm.OpProject:
 		// Map the pushed columns through column-reference projections.
@@ -98,13 +92,11 @@ func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int, m map[*xqgm.Operato
 			}
 			inCols[j] = cr.Col
 		}
-		in := push(o.Inputs[0], keys, inCols, m)
+		in := push(o.Inputs[0], keys, inCols)
 		if in == o.Inputs[0] {
 			return attach(o, keys, cols)
 		}
-		n := xqgm.NewProject(in, o.Projs...)
-		m[o] = n
-		return n
+		return xqgm.NewProject(in, o.Projs...)
 
 	case xqgm.OpGroupBy:
 		// Pushable only when every pushed column is a grouping column:
@@ -117,13 +109,11 @@ func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int, m map[*xqgm.Operato
 			}
 			inCols[j] = o.GroupCols[c]
 		}
-		in := push(o.Inputs[0], keys, inCols, m)
+		in := push(o.Inputs[0], keys, inCols)
 		if in == o.Inputs[0] {
 			return attach(o, keys, cols)
 		}
-		n := xqgm.NewGroupBy(in, o.GroupCols, o.Aggs...)
-		m[o] = n
-		return n
+		return xqgm.NewGroupBy(in, o.GroupCols, o.Aggs...)
 
 	case xqgm.OpJoin:
 		if o.JoinKind == xqgm.JoinLeftOuter {
@@ -131,17 +121,15 @@ func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int, m map[*xqgm.Operato
 			// When the pushed columns are all left join columns, the same
 			// keys also restrict the right side (surviving left rows can
 			// only match right rows with those key values).
-			l := push(o.Inputs[0], keys, cols, m)
+			l := push(o.Inputs[0], keys, cols)
 			r := o.Inputs[1]
 			if mapped, ok := mapThroughOn(cols, o.On); ok {
-				r = push(r, keys, mapped, m)
+				r = push(r, keys, mapped)
 			}
 			if l == o.Inputs[0] && r == o.Inputs[1] {
 				return attach(o, keys, cols)
 			}
-			n := xqgm.NewJoin(o.JoinKind, l, r, o.On, o.JoinPred)
-			m[o] = n
-			return n
+			return xqgm.NewJoin(o.JoinKind, l, r, o.On, o.JoinPred)
 		}
 		if o.JoinKind != xqgm.JoinInner {
 			return attach(o, keys, cols)
@@ -161,28 +149,26 @@ func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int, m map[*xqgm.Operato
 		l, r := o.Inputs[0], o.Inputs[1]
 		switch {
 		case len(rIdx) == 0:
-			l = push(l, keys, lCols, m)
+			l = push(l, keys, lCols)
 		case len(lIdx) == 0:
-			r = push(r, keys, rCols, m)
+			r = push(r, keys, rCols)
 		default:
 			// Composite key spanning both sides: push a distinct partial
 			// key restriction into each side (sound: a superset of the
 			// needed rows survives; the enclosing key join re-filters).
-			l = push(l, distinctProject(keys, lIdx), lCols, m)
-			r = push(r, distinctProject(keys, rIdx), rCols, m)
+			l = push(l, distinctProject(keys, lIdx), lCols)
+			r = push(r, distinctProject(keys, rIdx), rCols)
 		}
 		if l == o.Inputs[0] && r == o.Inputs[1] {
 			return attach(o, keys, cols)
 		}
-		n := xqgm.NewJoin(o.JoinKind, l, r, o.On, o.JoinPred)
-		m[o] = n
-		return n
+		return xqgm.NewJoin(o.JoinKind, l, r, o.On, o.JoinPred)
 
 	case xqgm.OpUnion:
 		ins := make([]*xqgm.Operator, len(o.Inputs))
 		changed := false
 		for i, in := range o.Inputs {
-			ins[i] = push(in, keys, cols, m)
+			ins[i] = push(in, keys, cols)
 			if ins[i] != in {
 				changed = true
 			}
@@ -190,9 +176,7 @@ func push(o *xqgm.Operator, keys *xqgm.Operator, cols []int, m map[*xqgm.Operato
 		if !changed {
 			return attach(o, keys, cols)
 		}
-		n := xqgm.NewUnion(o.Distinct, ins...)
-		m[o] = n
-		return n
+		return xqgm.NewUnion(o.Distinct, ins...)
 
 	case xqgm.OpTable, xqgm.OpConstants:
 		return attach(o, keys, cols)

@@ -28,8 +28,9 @@ import (
 
 // modesCkptName is the persisted planner-decision file inside Config.Dir:
 // one CRC frame (outbox format) holding a JSON map of group signature ->
-// mode. Replaced atomically via tmp + rename after every committed fleet
-// mode switch.
+// int(core.Mode). Replaced atomically via tmp + rename after every
+// committed fleet mode switch. Files written while 2 was a mode still
+// load: 2 reads as GROUPED.
 const modesCkptName = "modes.ckpt"
 
 // SetModePolicy installs the policy Replan consults (nil: manual
@@ -70,7 +71,7 @@ func (e *Engine) GroupMode(sig string) (core.Mode, bool) {
 // GroupStats aggregates per-group statistics across the fleet: counters
 // sum (each shard holds a partition of the view), while mode and
 // membership come from shard 0 (identical everywhere). The
-// result is the planner's cost-model input for fleet-wide replans.
+// result is the planner's input for fleet-wide replans.
 func (e *Engine) GroupStats() []core.GroupStat {
 	engines, _ := e.fleet()
 	var agg []core.GroupStat
@@ -259,7 +260,10 @@ func (e *Engine) loadModes(dir string) error {
 	}
 	modes := make(map[string]core.Mode, len(enc))
 	for sig, m := range enc { //quark:sorted decode+validate: builds a map and rejects bad entries; order-independent outcome
-		if m < 0 || core.Mode(m) > core.ModeMaterialized {
+		if m == 2 { // retired GROUPED-AGG: every plan it ran was GROUPED's plan
+			m = int(core.ModeGrouped)
+		}
+		if m < 0 || m > int(core.ModeMaterialized) || !core.Mode(m).Valid() {
 			return fmt.Errorf("shard: persisted mode file names unknown mode %d for group %q", m, sig)
 		}
 		modes[sig] = core.Mode(m)

@@ -1,23 +1,24 @@
 package shard
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"quark/internal/core"
 	"quark/internal/obs"
+	"quark/internal/outbox"
 	"quark/internal/reldb"
 	"quark/internal/xdm"
 )
 
-// newAdaptiveFleet builds a GROUPED n-shard fleet (dir may be empty)
-// with one watch trigger over the product map view, returning the engine
-// and a pointer to the firing log.
-func newAdaptiveFleet(t *testing.T, n int, dir string) (*Engine, *[]string, *sync.Mutex) {
-	t.Helper()
-	e, err := New(catalogSchema(t), Config{
+// fleetConfig is a GROUPED n-shard fleet over the catalog schema (dir may
+// be empty).
+func fleetConfig(n int, dir string) Config {
+	return Config{
 		Shards: n,
 		Mode:   core.ModeGrouped,
 		Routing: []TableRouting{
@@ -25,7 +26,15 @@ func newAdaptiveFleet(t *testing.T, n int, dir string) (*Engine, *[]string, *syn
 			{Table: "vendor", ViaParent: "product"},
 		},
 		Dir: dir,
-	})
+	}
+}
+
+// newAdaptiveFleet builds a fleetConfig fleet with one watch trigger over
+// the product map view, returning the engine and a pointer to the firing
+// log.
+func newAdaptiveFleet(t *testing.T, n int, dir string) (*Engine, *[]string, *sync.Mutex) {
+	t.Helper()
+	e, err := New(catalogSchema(t), fleetConfig(n, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestShardFleetModeSwitch(t *testing.T) {
 	if len(sigs) != 1 {
 		t.Fatalf("group sigs = %v, want 1", sigs)
 	}
-	for _, m := range []core.Mode{core.ModeMaterialized, core.ModeUngrouped, core.ModeGroupedAgg} {
+	for _, m := range []core.Mode{core.ModeMaterialized, core.ModeUngrouped, core.ModeGrouped} {
 		changes, err := e.SetGroupModes(map[string]core.Mode{sigs[0]: m})
 		if err != nil {
 			t.Fatalf("switch to %v: %v", m, err)
@@ -204,7 +213,7 @@ func TestShardKillMidModeSwitch(t *testing.T) {
 	sigs := e.GroupSigs()
 
 	// State A on disk.
-	if _, err := e.SetGroupModes(map[string]core.Mode{sigs[0]: core.ModeGroupedAgg}); err != nil {
+	if _, err := e.SetGroupModes(map[string]core.Mode{sigs[0]: core.ModeUngrouped}); err != nil {
 		t.Fatal(err)
 	}
 	pre, err := os.ReadFile(filepath.Join(dir, "modes.ckpt"))
@@ -241,14 +250,90 @@ func TestShardKillMidModeSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec, _, _ := newAdaptiveFleet(t, 2, crashDir)
-	if m, ok := ec.GroupMode(sigs[0]); !ok || m != core.ModeGroupedAgg {
-		t.Fatalf("crash image recovered to %v,%v; want pre-switch GROUPED-AGG", m, ok)
+	if m, ok := ec.GroupMode(sigs[0]); !ok || m != core.ModeUngrouped {
+		t.Fatalf("crash image recovered to %v,%v; want pre-switch UNGROUPED", m, ok)
 	}
 
 	// Recovery from the live directory: wholly post-switch (state B).
 	e2, _, _ := newAdaptiveFleet(t, 2, dir)
 	if m, ok := e2.GroupMode(sigs[0]); !ok || m != core.ModeMaterialized {
 		t.Fatalf("committed image recovered to %v,%v; want post-switch MATERIALIZED", m, ok)
+	}
+}
+
+// writeModes writes a modes.ckpt holding enc the way persistModesLocked
+// frames it.
+func writeModes(t *testing.T, dir string, enc map[string]int) {
+	t.Helper()
+	buf, err := json.Marshal(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, modesCkptName), outbox.Frame(buf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardModesLegacyFile: a decision file written while 2 was a mode
+// (GROUPED-AGG, which ran GROUPED's plan) still loads — 2 as GROUPED, and
+// MATERIALIZED keeps the value 3 it was persisted under.
+func TestShardModesLegacyFile(t *testing.T) {
+	const lg = `CREATE TRIGGER lg AFTER UPDATE ON view('m')/p WHERE NEW_NODE/@mfr = 'LG' DO notify(NEW_NODE)`
+	dir := t.TempDir()
+	e, _, _ := newAdaptiveFleet(t, 2, dir)
+	if err := e.CreateTrigger(lg); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sigs := e.GroupSigs()
+	if len(sigs) != 2 {
+		t.Fatalf("group sigs = %v, want 2", sigs)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeModes(t, dir, map[string]int{sigs[0]: 2, sigs[1]: 3})
+
+	e2, got, mu := newAdaptiveFleet(t, 2, dir)
+	if err := e2.CreateTrigger(lg); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for sig, want := range map[string]core.Mode{sigs[0]: core.ModeGrouped, sigs[1]: core.ModeMaterialized} {
+		if m, ok := e2.GroupMode(sig); !ok || m != want {
+			t.Errorf("group %q came up %v,%v; want %v", sig, m, ok, want)
+		}
+		for i := 0; i < e2.NumShards(); i++ {
+			if m, ok := e2.Shard(i).GroupMode(sig); !ok || m != want {
+				t.Errorf("shard %d: group %q came up %v,%v; want %v", i, sig, m, ok, want)
+			}
+		}
+	}
+	seedProducts(t, e2)
+	touchAllProducts(t, e2, "ACME")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(*got) != 4 {
+		t.Errorf("reopened fleet fired %d, want 4", len(*got))
+	}
+}
+
+// TestShardModesRejectUnknown: any other value than a mode or the legacy 2
+// fails New rather than seeding a group with a mode nobody can run.
+func TestShardModesRejectUnknown(t *testing.T) {
+	dir := t.TempDir()
+	writeModes(t, dir, map[string]int{"some group": 7})
+	e, err := New(catalogSchema(t), fleetConfig(2, dir))
+	if err == nil {
+		_ = e.Close()
+		t.Fatal("a decision file naming mode 7 was accepted")
+	}
+	if !strings.Contains(err.Error(), "unknown mode 7") {
+		t.Errorf("error = %v, want it to name unknown mode 7", err)
 	}
 }
 

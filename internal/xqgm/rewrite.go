@@ -7,14 +7,6 @@ func Clone(root *Operator) *Operator {
 	return cloneWith(root, map[*Operator]*Operator{}, nil)
 }
 
-// CloneMap deep-copies the DAG and also returns the old-to-new operator
-// mapping, so callers can relocate references into the clone.
-func CloneMap(root *Operator) (*Operator, map[*Operator]*Operator) {
-	m := map[*Operator]*Operator{}
-	c := cloneWith(root, m, nil)
-	return c, m
-}
-
 // CloneTransform deep-copies the DAG, applying transform to every cloned
 // operator (after its inputs have been cloned). transform may mutate the
 // clone it is given; it must not mutate originals.
@@ -76,16 +68,6 @@ func WithOldTable(root *Operator, table string) *Operator {
 	return CloneTransform(root, func(_, c *Operator) {
 		if c.Type == OpTable && c.Table == table && c.Source == SrcBase {
 			c.Source = SrcOld
-		}
-	})
-}
-
-// WithTableSource returns a clone in which Table operators reading `table`
-// with source `from` are switched to source `to`.
-func WithTableSource(root *Operator, table string, from, to TableSource) *Operator {
-	return CloneTransform(root, func(_, c *Operator) {
-		if c.Type == OpTable && c.Table == table && c.Source == from {
-			c.Source = to
 		}
 	})
 }
