@@ -33,9 +33,8 @@ var errRollback = fmt.Errorf("conformance: rollback requested")
 // The log is deterministic: one unit per statement (or per batch block),
 // notifications sorted within each unit. Notification lines carry the
 // trigger, the view-level event, the evaluated action arguments, and the
-// serialized NEW node — everything the paper's action contract exposes
-// except OLD content, which the GROUPED-AGG mode may legitimately elide
-// when no trigger reads it (§5.2).
+// serialized OLD and NEW nodes — everything the paper's action contract
+// exposes.
 func Run(sc *Scenario, mode core.Mode, batched bool) (string, error) {
 	return RunStyle(sc, mode, RunOpts{Batched: batched})
 }
@@ -322,7 +321,7 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 	var unitMu sync.Mutex
 	var unit []string
 	e.RegisterAction("notify", func(inv core.Invocation) error {
-		line := formatNotify(inv.Trigger, inv.Event, inv.Args, inv.New)
+		line := formatNotify(inv.Trigger, inv.Event, inv.Args, inv.Old, inv.New)
 		unitMu.Lock()
 		unit = append(unit, line)
 		unitMu.Unlock()
@@ -494,22 +493,26 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 // formatNotify is the single renderer of a notification line. The
 // in-process action and the outbox read-back both go through it, which is
 // what makes replayed-sink runs byte-comparable with the goldens.
-func formatNotify(trigger string, event reldb.Event, args []xdm.Value, n *xdm.Node) string {
+func formatNotify(trigger string, event reldb.Event, args []xdm.Value, oldNode, newNode *xdm.Node) string {
 	strs := make([]string, len(args))
 	for i, a := range args {
 		strs[i] = a.Lexical()
 	}
-	newXML := "-"
-	if n != nil {
-		newXML = n.Serialize(false)
+	return fmt.Sprintf("notify %s %s args=(%s) old=%s new=%s",
+		trigger, event, strings.Join(strs, "; "), serialize(oldNode), serialize(newNode))
+}
+
+// serialize renders a node of a notification line, "-" for none.
+func serialize(n *xdm.Node) string {
+	if n == nil {
+		return "-"
 	}
-	return fmt.Sprintf("notify %s %s args=(%s) new=%s",
-		trigger, event, strings.Join(strs, "; "), newXML)
+	return n.Serialize(false)
 }
 
 // formatRecord renders a decoded outbox record via formatNotify.
 func formatRecord(r *wire.Record) string {
-	return formatNotify(r.Trigger, r.Event, r.Args, r.New)
+	return formatNotify(r.Trigger, r.Event, r.Args, r.Old, r.New)
 }
 
 // stmtWriter is the mutation surface shared by the engine (per-statement

@@ -74,7 +74,7 @@ type capture struct {
 }
 
 func (c *capture) action(inv core.Invocation) error {
-	line := formatNotify(inv.Trigger, inv.Event, inv.Args, inv.New)
+	line := formatNotify(inv.Trigger, inv.Event, inv.Args, inv.Old, inv.New)
 	c.mu.Lock()
 	c.lines = append(c.lines, line)
 	c.mu.Unlock()

@@ -50,11 +50,11 @@ func TestGoldenSharded(t *testing.T) {
 }
 
 // TestGoldenShardedRebalance is the rebalance dress rehearsal: every
-// scenario replays on N in {2, 4} shards with one forced routing-group
-// migration injected before every unit, in both execution styles, and
-// the notification log must STILL be byte-identical to the committed
-// single-engine goldens — rebalancing is silent data movement, so a
-// stream with migrations interleaved is indistinguishable from one
+// scenario replays in every mode on N in {2, 4} shards with one forced
+// routing-group migration injected before every unit, in both execution
+// styles, and the notification log must STILL be byte-identical to the
+// committed single-engine goldens — rebalancing is silent data movement,
+// so a stream with migrations interleaved is indistinguishable from one
 // without.
 func TestGoldenShardedRebalance(t *testing.T) {
 	for _, path := range scenarioFiles(t) {
@@ -68,18 +68,20 @@ func TestGoldenShardedRebalance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range []int{2, 4} {
-				single, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Shards: n, Rebalance: true})
-				if err != nil {
-					t.Fatalf("shards=%d single: %v", n, err)
-				}
-				batched, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Shards: n, Batched: true, Rebalance: true})
-				if err != nil {
-					t.Fatalf("shards=%d batched: %v", n, err)
-				}
-				got := "== single ==\n" + single + "== batched ==\n" + batched
-				if got != string(want) {
-					t.Errorf("shards=%d with rebalances diverges from single-engine golden:\n%s", n, diffText(string(want), got))
+			for _, mode := range core.Modes {
+				for _, n := range []int{2, 4} {
+					single, err := RunStyle(sc, mode, RunOpts{Shards: n, Rebalance: true})
+					if err != nil {
+						t.Fatalf("%s shards=%d single: %v", mode, n, err)
+					}
+					batched, err := RunStyle(sc, mode, RunOpts{Shards: n, Batched: true, Rebalance: true})
+					if err != nil {
+						t.Fatalf("%s shards=%d batched: %v", mode, n, err)
+					}
+					got := "== single ==\n" + single + "== batched ==\n" + batched
+					if got != string(want) {
+						t.Errorf("%s shards=%d with rebalances diverges from single-engine golden:\n%s", mode, n, diffText(string(want), got))
+					}
 				}
 			}
 		})

@@ -49,18 +49,20 @@ func TestGoldenAbortFirst(t *testing.T) {
 					t.Errorf("shards=%d abort-first run diverges from golden:\n%s", n, diffText(string(want), got))
 				}
 			}
-			// One translated mode too: the staged GROUPED plans must abort
-			// as cleanly as the materialized oracle's.
+			// The translated modes too: their staged plans must abort as
+			// cleanly as the materialized oracle's.
 			oracle, err := Run(sc, core.ModeMaterialized, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunStyle(sc, core.ModeGrouped, RunOpts{Shards: 2, Batched: true, AbortFirst: true})
-			if err != nil {
-				t.Fatalf("grouped shards=2 batched+abortfirst: %v", err)
-			}
-			if got != oracle {
-				t.Errorf("grouped abort-first run diverges from oracle:\n%s", diffText(oracle, got))
+			for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped} {
+				got, err := RunStyle(sc, mode, RunOpts{Shards: 2, Batched: true, AbortFirst: true})
+				if err != nil {
+					t.Fatalf("%s shards=2 batched+abortfirst: %v", mode, err)
+				}
+				if got != oracle {
+					t.Errorf("%s abort-first run diverges from oracle:\n%s", mode, diffText(oracle, got))
+				}
 			}
 		})
 	}
