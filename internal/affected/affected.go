@@ -10,6 +10,12 @@
 //   - InjectiveFor (Appendix F): the sufficient conditions for injective
 //     views, which let the spurious-update value comparison be dropped when
 //     pruned transition tables are used (Theorem 3).
+//
+// Of Section 5.2, the pushdown is here (both view sides are restricted to
+// the affected keys before anything is joined or aggregated); deriving the
+// OLD side's aggregates from the NEW side's and the transition tables is
+// not. The OLD side is the view over B_old, which evaluation builds as an
+// edit of the NEW side (xqgm.Prepare pairs the two).
 package affected
 
 import (

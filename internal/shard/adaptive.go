@@ -260,13 +260,14 @@ func (e *Engine) loadModes(dir string) error {
 	}
 	modes := make(map[string]core.Mode, len(enc))
 	for sig, m := range enc { //quark:sorted decode+validate: builds a map and rejects bad entries; order-independent outcome
-		if m == 2 { // retired GROUPED-AGG: every plan it ran was GROUPED's plan
+		if m == 2 { // retired GROUPED-AGG: GROUPED's plan plus the §5.2 rewrite
 			m = int(core.ModeGrouped)
 		}
-		if m < 0 || m > int(core.ModeMaterialized) || !core.Mode(m).Valid() {
+		mode := core.Mode(m)
+		if int(mode) != m || !mode.Valid() {
 			return fmt.Errorf("shard: persisted mode file names unknown mode %d for group %q", m, sig)
 		}
-		modes[sig] = core.Mode(m)
+		modes[sig] = mode
 	}
 	engines, _ := e.fleet()
 	for _, ce := range engines {

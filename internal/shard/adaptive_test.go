@@ -275,7 +275,7 @@ func writeModes(t *testing.T, dir string, enc map[string]int) {
 }
 
 // TestShardModesLegacyFile: a decision file written while 2 was a mode
-// (GROUPED-AGG, which ran GROUPED's plan) still loads — 2 as GROUPED, and
+// (GROUPED-AGG, GROUPED plus the §5.2 rewrite) still loads — 2 as GROUPED, and
 // MATERIALIZED keeps the value 3 it was persisted under.
 func TestShardModesLegacyFile(t *testing.T) {
 	const lg = `CREATE TRIGGER lg AFTER UPDATE ON view('m')/p WHERE NEW_NODE/@mfr = 'LG' DO notify(NEW_NODE)`
