@@ -47,6 +47,45 @@ func TestDecideMovesHotGroupOffUngrouped(t *testing.T) {
 	}
 }
 
+// The planner chooses among the translated modes only: it never targets
+// MATERIALIZED, and a warm group somebody put there gets no target at all.
+func TestDecideLeavesMaterializedToTheCaller(t *testing.T) {
+	var stats []core.GroupStat
+	for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped, core.ModeMaterialized} {
+		for _, members := range []int{1, 8, 10_000} {
+			for _, ns := range []int64{300, 25_000, 400_000_000} {
+				sig := fmt.Sprintf("%s/%d/%d", mode, members, ns)
+				stats = append(stats, group(sig, mode, members, 1000, ns))
+			}
+		}
+	}
+	target := New().Decide(stats)
+	for _, gs := range stats {
+		m, ok := target[gs.Sig]
+		if ok && m == core.ModeMaterialized {
+			t.Errorf("group %q (%d members) targeted MATERIALIZED", gs.Sig, gs.Members)
+		}
+		if ok && gs.Mode == core.ModeMaterialized {
+			t.Errorf("warm MATERIALIZED group %q got target %v", gs.Sig, m)
+		}
+	}
+}
+
+// A group already in its best mode produces no switch (no-op decisions are
+// dropped), and a single-member UNGROUPED group — where the two translations
+// are a wash — stays put however hot it is.
+func TestDecideHysteresisAndNoOps(t *testing.T) {
+	for _, gs := range []core.GroupStat{
+		group("steady", core.ModeGrouped, 3, 1000, 20_000),
+		group("big", core.ModeGrouped, 10_000, 1000, 400_000_000),
+		group("tie", core.ModeUngrouped, 1, 1000, 25_000),
+	} {
+		if target := New().Decide([]core.GroupStat{gs}); len(target) != 0 {
+			t.Errorf("%s group got a switch: %v", gs.Sig, target)
+		}
+	}
+}
+
 // Decisions are deterministic in their input regardless of slice order —
 // the property that lets every shard apply the same fleet-wide decision.
 func TestDecideDeterministic(t *testing.T) {
