@@ -15,7 +15,7 @@ import (
 )
 
 // firingAllocBudget caps the heap allocations of one single-row leaf update
-// that fires a grouped trigger plan: about 10 % above the measured 201.
+// that fires a grouped trigger plan: about 10 % above the measured 178.
 // The count is what the evaluator's prepare-once / allocation-lean design
 // buys (the interpretive evaluator it replaced needed 4,183 here), what
 // building the OLD side as an edit of the NEW side buys on top (1,229 with
@@ -26,13 +26,14 @@ import (
 // budget is paying per-tuple or per-node garbage again, or building the 63
 // children the statement did not touch a second time.
 //
-// firingBytesBudget is the other half, about 5 % above the measured 78,640
-// bytes (97,072 while a tuple cell was 48 bytes, not 24). A chunk allocator
+// firingBytesBudget is the other half, about 5 % above the measured 73,870
+// bytes (78,640 while the evaluation context kept its memo and trails in
+// maps, 97,072 while a tuple cell was 48 bytes, not 24). A chunk allocator
 // that rounds passes up, or pays for itself per pass, lowers the count and
 // raises this; so does anything that widens xdm.Value.
 const (
-	firingAllocBudget = 220
-	firingBytesBudget = 82_500
+	firingAllocBudget = 196
+	firingBytesBudget = 77_600
 )
 
 // raceEnabled is set by race_test.go: the race detector's instrumentation
@@ -65,9 +66,15 @@ func paperFiring(t *testing.T, fanout int, leaf int64) (*workload.Setup, func())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w, leafUpdate(t, w, leaf)
+}
+
+// leafUpdate returns a function that updates one leaf's payload to a value
+// it never had, so no update is a no-op.
+func leafUpdate(t *testing.T, w *workload.Setup, leaf int64) func() {
 	key := []xdm.Value{xdm.Int(leaf)}
-	payload := 1000.0 // unique per update, so none is a no-op
-	return w, func() {
+	payload := 1000.0
+	return func() {
 		payload++
 		if _, err := w.Engine.UpdateByPK(w.LeafTable(), key, func(r reldb.Row) reldb.Row {
 			r[len(r)-1] = xdm.Float(payload)
@@ -98,38 +105,24 @@ func TestFiringAllocationBudget(t *testing.T) {
 }
 
 // ungroupedAllocBudget and ungroupedBytesBudget cap one leaf update under
-// 100 UNGROUPED members of which one is satisfied, about 10 % above the
-// measured 8,029 objects and 1,230,047 bytes. Each member's condition
+// 100 UNGROUPED members of which one is satisfied, about 10 % and 5 % above
+// the measured 4,338 objects and 242,130 bytes. Each member's condition
 // filters the affected keys before anything is built, so the 99 others cost
-// their key filter and nothing more (≈ 79 objects, 11.6 KB each); when every
-// member built the updated element and dropped it, this read ≈ 18,850
-// objects and 7.8 MB.
+// their key filter and nothing more (see rejectedMemberAllocBudget). It read
+// 8,029 objects and 1.23 MB while every member built its own evaluation
+// context and, in it, the statement's transition-table indexes; ≈ 18,850
+// objects and 7.8 MB while every member built the updated element and
+// dropped it.
 const (
-	ungroupedAllocBudget = 8_850
-	ungroupedBytesBudget = 1_355_000
+	ungroupedAllocBudget = 4_780
+	ungroupedBytesBudget = 254_300
 )
 
 func TestUngroupedFiringAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	w, err := workload.Build(workload.Params{
-		Depth: 2, LeafTuples: 128 * 64, Fanout: 64, NumTriggers: 100, NumSatisfied: 1,
-	}, core.ModeUngrouped, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := []xdm.Value{xdm.Int(7)} // a leaf under top element 0, which 1 trigger watches
-	payload := 1000.0
-	update := func() {
-		payload++
-		if _, err := w.Engine.UpdateByPK(w.LeafTable(), key, func(r reldb.Row) reldb.Row {
-			r[len(r)-1] = xdm.Float(payload)
-			return r
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	w, update := ungroupedFiring(t, 1)
 	allocs, bytes := perRun(100, update)
 	if w.Notifications != 101 { // perRun warms up with one extra call
 		t.Fatalf("notifications = %d, want 1 per update: the budget is for a firing that delivers", w.Notifications)
@@ -154,6 +147,57 @@ func TestUngroupedFiringAllocationBudget(t *testing.T) {
 	}
 	if gs[0].RowsReused == 0 {
 		t.Error("RowsReused = 0: the satisfied member built its OLD side from scratch")
+	}
+}
+
+// ungroupedFiring builds 100 UNGROUPED members of which satisfied watch top
+// element 0, and returns it with a function that updates a leaf under it.
+func ungroupedFiring(t *testing.T, satisfied int) (*workload.Setup, func()) {
+	t.Helper()
+	w, err := workload.Build(workload.Params{
+		Depth: 2, LeafTuples: 128 * 64, Fanout: 64, NumTriggers: 100, NumSatisfied: satisfied,
+	}, core.ModeUngrouped, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, leafUpdate(t, w, 7)
+}
+
+// rejectedMemberAllocBudget and rejectedMemberBytesBudget cap what one
+// UNGROUPED member whose condition rejects the firing costs — one leaf
+// update under 100 such members, divided by 100 — about 10 % above the
+// measured 42.3 objects and 1,771 bytes. Such a member evaluates its key
+// filter, finds no key, and skips the affected-node graph: what it allocates
+// is the output of the operators it runs. Everything that depends only on
+// the statement — the evaluation context with its memo and trails, the
+// transition tables as tuples, their Δ-key sets and ∇ indexes — is built
+// once for all the members. When each member had a context of its own, a
+// rejected member cost 79.1 objects and 11,626 bytes, the context's memo and
+// trail maps alone 6.4 KB of it.
+const (
+	rejectedMemberAllocBudget = 47
+	rejectedMemberBytesBudget = 1_950
+)
+
+func TestUngroupedRejectedMemberBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w, update := ungroupedFiring(t, 0)
+	allocs, bytes := perRun(100, update)
+	if w.Notifications != 0 {
+		t.Fatalf("notifications = %d, want none: no member watches the updated element", w.Notifications)
+	}
+	allocs, bytes = allocs/100, bytes/100
+	t.Logf("one rejected UNGROUPED member: %.1f allocations (budget %d), %.0f bytes (budget %d)", allocs, rejectedMemberAllocBudget, bytes, rejectedMemberBytesBudget)
+	if allocs > rejectedMemberAllocBudget {
+		t.Errorf("a rejected member allocates %.1f objects, budget is %d", allocs, rejectedMemberAllocBudget)
+	}
+	if bytes > rejectedMemberBytesBudget {
+		t.Errorf("a rejected member allocates %.0f bytes, budget is %d", bytes, rejectedMemberBytesBudget)
+	}
+	if gs := w.Engine.GroupStats(); len(gs) != 1 || gs[0].JoinsSkipped < 100*101 || gs[0].NodesBuilt != 0 {
+		t.Errorf("group stats %+v: want every evaluation to skip its graph and build nothing", gs)
 	}
 }
 
@@ -385,15 +429,16 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 // durableFiringAllocBudget caps the heap allocations of one leaf update
 // whose firing notifies 20 triggers durably — one group append, 20
 // enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
-// measured 283. Per-record appends and the reflective JSON encoder
+// measured 258. Per-record appends and the reflective JSON encoder
 // needed about 3,900 here; a change that raises the count past the budget
 // is encoding, framing or writing per record again. Its passes construct
 // for eight tuples at most and most of them for one, so
-// durableFiringBytesBudget — about 5 % above the measured 32,100 bytes — is
-// where a chunk allocator that costs a short pass anything shows.
+// durableFiringBytesBudget — about 5 % above the measured 27,330 to 27,460
+// bytes (32,100 while the evaluation context kept its memo and trails in
+// maps) — is where a chunk allocator that costs a short pass anything shows.
 const (
-	durableFiringAllocBudget = 310
-	durableFiringBytesBudget = 33_800
+	durableFiringAllocBudget = 284
+	durableFiringBytesBudget = 28_800
 )
 
 func TestDurableFiringAllocBudget(t *testing.T) {

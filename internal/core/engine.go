@@ -703,13 +703,16 @@ func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, rec *wire.Record) fu
 
 // batchState is the engine's per-commit scratch riding on
 // BatchInfo.EngineState: activation dedup across the commit's plans, the
-// staged invocation set (inspected by the prepare check), and the
-// group-commit wave when the outbox is enabled. All firing waves of one
-// commit run on the committing goroutine, so no locking is needed.
+// staged invocation set (inspected by the prepare check), the group-commit
+// wave when the outbox is enabled, and the one evaluation context over the
+// commit's net deltas that every plan it fires evaluates in. All firing
+// waves of one commit run on the committing goroutine, so no locking is
+// needed.
 type batchState struct {
 	seen   map[string]bool
 	staged []Invocation
 	wave   *deliveryWave
+	eval   *xqgm.EvalContext
 }
 
 // batchStateOf returns the commit's engine state, creating it on first use.
@@ -1382,10 +1385,16 @@ func (e *Engine) fire(g *group, plan *installedPlan, ctx *reldb.FireContext) err
 	if m := e.obsp.Load(); m != nil {
 		defer m.fire.Since(time.Now())
 	}
-	deltas := map[string]*xqgm.Transition{
-		ctx.Table: {Inserted: ctx.Inserted, Deleted: ctx.Deleted},
+	// Every plan that fires for the statement evaluates in one context over
+	// its transition tables (see reldb.FireContext's sharing contract).
+	ectx, ok := ctx.EngineState.(*xqgm.EvalContext)
+	if !ok {
+		ectx = xqgm.NewEvalContext(e.db, map[string]*xqgm.Transition{
+			ctx.Table: {Inserted: ctx.Inserted, Deleted: ctx.Deleted},
+		})
+		ctx.EngineState = ectx
 	}
-	return e.activate(g, plan, deltas, ctx)
+	return e.activate(g, plan, ectx, ctx)
 }
 
 // fireBatch runs the plan once for a whole committed transaction.
@@ -1414,24 +1423,30 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 			defer sp.End()
 		}
 	}
-	deltas := make(map[string]*xqgm.Transition, len(ctx.Batch.Deltas))
-	for t, nd := range ctx.Batch.Deltas {
-		deltas[t] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
+	st := batchStateOf(ctx.Batch)
+	if st.eval == nil {
+		deltas := make(map[string]*xqgm.Transition, len(ctx.Batch.Deltas))
+		for t, nd := range ctx.Batch.Deltas {
+			deltas[t] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
+		}
+		st.eval = xqgm.NewEvalContext(e.db, deltas)
 	}
-	return e.activate(g, plan, deltas, ctx)
+	return e.activate(g, plan, st.eval, ctx)
 }
 
-// activate evaluates a trigger plan and invokes — or, in a prepare-phase
-// staging pass, stages — the member actions. Batched firings dedup
-// activations across the plans of one commit via the batch state riding
-// on ctx.Batch.
-func (e *Engine) activate(g *group, plan *installedPlan, deltas map[string]*xqgm.Transition, ctx *reldb.FireContext) error {
+// activate evaluates a trigger plan in the statement's or commit's
+// evaluation context and invokes — or, in a prepare-phase staging pass,
+// stages — the member actions. Batched firings dedup activations across the
+// plans of one commit via the batch state riding on ctx.Batch.
+func (e *Engine) activate(g *group, plan *installedPlan, ectx *xqgm.EvalContext, ctx *reldb.FireContext) error {
 	var seen map[string]bool
 	if ctx.Batch != nil {
 		seen = batchStateOf(ctx.Batch).seen
 	}
 	an := plan.an
-	ectx := xqgm.NewEvalContext(e.db, deltas)
+	// An action delivered by an earlier body may have written the database:
+	// this plan starts from an empty memo.
+	ectx.Reset()
 	rows, err := ectx.Eval(plan.root)
 	if err != nil {
 		return err
@@ -1442,7 +1457,7 @@ func (e *Engine) activate(g *group, plan *installedPlan, deltas map[string]*xqgm
 	if sh := e.shadow.Load(); sh != nil {
 		// Materialized-view bodies carry no rendered SQL; nothing to mirror.
 		if plan.sqlText != "" {
-			if err := (*sh).VerifyPlan(plan.table, plan.sqlText, deltas, rows); err != nil {
+			if err := (*sh).VerifyPlan(plan.table, plan.sqlText, ectx.Deltas, rows); err != nil {
 				return fmt.Errorf("core: plan shadow: %w", err)
 			}
 		}

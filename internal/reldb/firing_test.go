@@ -94,6 +94,61 @@ func TestZeroRowTxFiresNothing(t *testing.T) {
 	}
 }
 
+// TestBodiesShareTheStatementsFireContext: every body that fires for one
+// statement receives the same FireContext — what one leaves in EngineState
+// the next finds — and a statement a body executes gets a FireContext of its
+// own, shared by its bodies in turn.
+func TestBodiesShareTheStatementsFireContext(t *testing.T) {
+	db := pvDB(t)
+	loadPaperData(t, db)
+	got := map[string]*FireContext{}
+	state := map[string]any{} // EngineState as each body found it
+	body := func(name string, then func(*FireContext) error) func(*FireContext) error {
+		return func(ctx *FireContext) error {
+			got[name], state[name] = ctx, ctx.EngineState
+			ctx.EngineState = name
+			if then != nil {
+				return then(ctx)
+			}
+			return nil
+		}
+	}
+	nested := func(*FireContext) error {
+		return db.Insert("product", Row{xdm.Str("P9"), xdm.Str("Tablet"), xdm.Str("Acme")})
+	}
+	for _, tr := range []*SQLTrigger{
+		{Name: "A", Table: "vendor", Event: EvUpdate, Body: body("A", nested)},
+		{Name: "N1", Table: "product", Event: EvInsert, Body: body("N1", nil)},
+		{Name: "B", Table: "vendor", Event: EvUpdate, Body: body("B", nil)},
+		{Name: "N2", Table: "product", Event: EvInsert, Body: body("N2", nil)},
+	} {
+		if err := db.CreateTrigger(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.UpdateByPK("vendor", []xdm.Value{xdm.Str("Amazon"), xdm.Str("P1")}, func(r Row) Row {
+		r[2] = xdm.Float(75)
+		return r
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 4 {
+		t.Fatalf("bodies run: %v, want A, B, N1, N2", got)
+	}
+	if got["A"] != got["B"] || got["N1"] != got["N2"] {
+		t.Errorf("bodies of one statement got different FireContexts: A %p B %p, N1 %p N2 %p", got["A"], got["B"], got["N1"], got["N2"])
+	}
+	if got["A"] == got["N1"] || got["N1"].Depth != 2 || got["N1"].Table != "product" {
+		t.Errorf("the nested statement's FireContext: %p (outer %p), depth %d, table %s", got["N1"], got["A"], got["N1"].Depth, got["N1"].Table)
+	}
+	want := map[string]any{"A": nil, "N1": nil, "N2": "N1", "B": "A"}
+	for name, w := range want {
+		if state[name] != w {
+			t.Errorf("%s found EngineState %v, want %v", name, state[name], w)
+		}
+	}
+}
+
 // TestTriggerBodyMutatingTriggers: a body that drops a later trigger and
 // creates a new one must not make the firing wave skip or double-fire
 // neighbors — the wave runs the statement-time snapshot exactly once

@@ -80,6 +80,13 @@ func (e Event) String() string {
 // Trigger bodies and asynchronous dispatchers may therefore retain
 // transition rows, and anything derived from them, beyond the firing
 // statement without copying and without holding the statement's locks.
+//
+// Sharing contract: a statement has one FireContext, and every body that
+// fires for it receives the same pointer, one body after another on the
+// statement's goroutine. A body must not change the fields reldb set; it may
+// keep per-statement state in EngineState for the bodies after it. A
+// statement a body executes is a statement of its own, with its own
+// FireContext.
 type FireContext struct {
 	DB       *DB
 	Table    string
@@ -102,6 +109,13 @@ type FireContext struct {
 	// runs its effects at prepare time, which is the pre-two-phase
 	// behavior.
 	Stage func(deliver func() error)
+	// EngineState is scratch storage for the trigger-translation layer, as
+	// BatchInfo.EngineState is per commit: it lives exactly as long as the
+	// statement, and its bodies run sequentially, so state cached here (the
+	// statement's evaluation context) needs no locking. A body may write
+	// the database before the next body runs, so nothing read from the
+	// database may be served from here to a later body.
+	EngineState any
 }
 
 // NetDelta is the net change of one table over a whole transaction:
@@ -887,20 +901,23 @@ func (db *DB) fire(table string, ev Event, inserted, deleted []Row, batch *Batch
 	// triggers installed when the statement completed fire; triggers
 	// created by a body join from the next statement on.
 	triggers := db.triggers
+	var ctx *FireContext // one for the statement: every body gets it
 	for _, tr := range triggers {
 		if tr.Table != table || tr.Event != ev {
 			continue
 		}
 		db.stats.triggerFires.Add(1)
-		ctx := &FireContext{
-			DB:       db,
-			Table:    table,
-			Event:    ev,
-			Inserted: inserted,
-			Deleted:  deleted,
-			Depth:    int(depth),
-			Batch:    batch,
-			Stage:    stage,
+		if ctx == nil {
+			ctx = &FireContext{
+				DB:       db,
+				Table:    table,
+				Event:    ev,
+				Inserted: inserted,
+				Deleted:  deleted,
+				Depth:    int(depth),
+				Batch:    batch,
+				Stage:    stage,
+			}
 		}
 		if err := tr.Body(ctx); err != nil {
 			return fmt.Errorf("reldb: trigger %s: %w", tr.Name, err)

@@ -52,14 +52,26 @@ type EvalStats struct {
 // keyless table (B_old is then a bag, not an index probe), a join whose twin
 // chose another access path, an outer tuple that itself changed. All of this
 // state is per context; evaluation never writes to a plan.
+//
+// One context may evaluate many plans over the same transition tables — a
+// statement's trigger bodies share one — and then allocates per plan only
+// for the operators that plan runs. The memo is a slice indexed by node id
+// and the trails one indexed by pair slot (allocated on the first trail
+// left); both belong to one plan at a time and are cleared, not freed, when
+// Eval is handed a root of another. What depends only on Deltas — the
+// transition tables as tuples, pruned or not, and the Δ-key sets and ∇
+// indexes of B_old probes — is built once per context. Reset empties the
+// memo when the database may have changed in between.
 type EvalContext struct {
 	DB     *reldb.DB
 	Deltas map[string]*Transition
 	Stats  EvalStats
 
-	memo map[*node][]Tuple
-	// trails holds what the nodes of twin pairs leave for each other.
-	trails map[*node]trail
+	plan *planShape  // the plan memo and trails belong to
+	memo []memoEntry // by node id
+	// trails holds what the nodes of twin pairs leave for each other, by
+	// slot-1; it is empty until the first one leaves a trail.
+	trails []trail
 	// adhoc holds the plans of graphs evaluated here without a prior
 	// Prepare. They live in the context, not on the Operator, so evaluation
 	// never writes to a graph another goroutine may be evaluating.
@@ -71,8 +83,18 @@ type EvalContext struct {
 	// per probe, quadratic over a large batched transaction.
 	oldExcl map[string]map[xdm.CompKey]struct{}
 	delIdx  map[tableCol]map[xdm.CompKey][]reldb.Row
-	hits    []hit // index-join scratch, reused from join to join
-	env     Env   // the running pass's environment: see passEnv
+	// trans caches the transition tables read as tuples — Δ, ∇ and their
+	// pruned forms — by table and source.
+	trans map[tableCol][]Tuple
+	hits  []hit // index-join scratch, reused from join to join
+	env   Env   // the running pass's environment: see passEnv
+}
+
+// memoEntry is one node's memoized output; done tells an empty output from
+// none yet.
+type memoEntry struct {
+	out  []Tuple
+	done bool
 }
 
 // hit is one index-join match: an outer tuple and the base row it probed.
@@ -110,14 +132,32 @@ func (ctx *EvalContext) twinOf(n *node) (inFrom []int32, out []Tuple, left trail
 	if n.twin == nil {
 		return nil, nil, trail{}, nil
 	}
-	if inFrom = ctx.trails[n.in[0]].from; inFrom == nil {
+	if inFrom = ctx.trail(n.in[0]).from; inFrom == nil {
 		return nil, nil, trail{}, nil
 	}
 	out, err = ctx.run(n.twin)
-	return inFrom, out, ctx.trails[n.twin], err
+	return inFrom, out, ctx.trail(n.twin), err
 }
 
-// tableCol keys the ∇-row cache without per-probe string formatting.
+// trail returns what n left in the running evaluation: nothing when n is in
+// no twin pair or left nothing.
+func (ctx *EvalContext) trail(n *node) trail {
+	if n.slot == 0 || int(n.slot) > len(ctx.trails) {
+		return trail{}
+	}
+	return ctx.trails[n.slot-1]
+}
+
+// leave records n's trail; n is in a twin pair.
+func (ctx *EvalContext) leave(n *node, t trail) {
+	if len(ctx.trails) == 0 {
+		ctx.trails = slices.Grow(ctx.trails, ctx.plan.pairs)[:ctx.plan.pairs]
+	}
+	ctx.trails[n.slot-1] = t
+}
+
+// tableCol keys the per-table caches without per-probe string formatting:
+// the ∇-row cache by a column, the transition-table cache by a source.
 type tableCol struct {
 	table string
 	col   int
@@ -132,7 +172,8 @@ func NewEvalContext(db *reldb.DB, deltas map[string]*Transition) *EvalContext {
 // Eval evaluates the graph rooted at o and returns its output tuples. It
 // runs o's prepared plan (see Prepare), planning the graph first — for this
 // context only — when it has none. Results for shared and structurally
-// identical operators are memoized within this context. The returned tuples
+// identical operators are memoized within this context, for as long as it
+// evaluates roots of the same plan and is not Reset. The returned tuples
 // are shared with the memo and, for pass-through operators, with the
 // database's rows: callers must not modify them.
 func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
@@ -150,26 +191,41 @@ func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
 			ctx.adhoc[o] = n
 		}
 	}
-	if ctx.memo == nil {
-		ctx.memo = make(map[*node][]Tuple, n.id+1) // ids below a root do not exceed its own
-	}
-	if ctx.trails == nil && n.pairs > 0 {
-		ctx.trails = make(map[*node]trail, n.pairs)
+	if n.plan != ctx.plan {
+		ctx.forget()
+		ctx.plan = n.plan
+		ctx.memo = slices.Grow(ctx.memo[:0], n.plan.nodes)[:n.plan.nodes]
 	}
 	res, err := ctx.run(n)
 	ctx.endPass()
 	return res, err
 }
 
+// Reset forgets every operator output the context holds and zeroes Stats,
+// so the next Eval reads the database as it is then. What depends only on
+// Deltas stays, and so do the buffers.
+func (ctx *EvalContext) Reset() {
+	ctx.forget()
+	ctx.Stats = EvalStats{}
+}
+
+// forget clears the memo and the trails, keeping their capacity. Entries past
+// the memo's length are already clear: every forget clears the whole length.
+func (ctx *EvalContext) forget() {
+	clear(ctx.memo)
+	clear(ctx.trails)
+	ctx.trails = ctx.trails[:0]
+}
+
 func (ctx *EvalContext) run(n *node) ([]Tuple, error) {
-	if res, ok := ctx.memo[n]; ok {
-		return res, nil
+	if m := ctx.memo[n.id]; m.done {
+		return m.out, nil
 	}
 	res, err := ctx.exec(n)
 	if err != nil {
 		return nil, err
 	}
-	ctx.memo[n] = res
+	ctx.memo[n.id] = memoEntry{res, true}
 	ctx.Stats.OpsEvaluated++
 	ctx.Stats.RowsProduced += len(res)
 	return res, nil
@@ -287,7 +343,7 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 			}
 		}
 		if at != nil || from != nil {
-			ctx.trails[n] = trail{at: at, from: from}
+			ctx.leave(n, trail{at: at, from: from})
 		}
 		return out, nil
 	case OpProject:
@@ -307,7 +363,7 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 				}
 			}
 			ctx.Stats.RowsReused += len(in) - fresh
-			ctx.trails[n] = trail{from: from}
+			ctx.leave(n, trail{from: from})
 		}
 		// The pass's fresh tuples come from one slab, and the nodes their
 		// constructors build from one set of chunks, cut for what the tuples
@@ -390,19 +446,39 @@ func (ctx *EvalContext) evalTable(o *Operator) ([]Tuple, error) {
 			return true
 		})
 		return out, err
-	case SrcDelta:
-		return rowsToTuples(tr.Inserted), nil
-	case SrcNabla:
-		return rowsToTuples(tr.Deleted), nil
-	case SrcDeltaPruned:
-		return rowsToTuples(pruneRows(tr.Inserted, tr.Deleted)), nil
-	case SrcNablaPruned:
-		return rowsToTuples(pruneRows(tr.Deleted, tr.Inserted)), nil
+	case SrcDelta, SrcNabla, SrcDeltaPruned, SrcNablaPruned:
+		return ctx.transitionTuples(o.Table, o.Source, tr), nil
 	case SrcOld:
 		return ctx.evalOldTable(o, tr)
 	default:
 		return nil, fmt.Errorf("xqgm: unknown table source %d", o.Source)
 	}
+}
+
+// transitionTuples returns (building once per context) one of a table's
+// transition tables as tuples.
+func (ctx *EvalContext) transitionTuples(table string, src TableSource, tr *Transition) []Tuple {
+	key := tableCol{table, int(src)}
+	if ts, ok := ctx.trans[key]; ok {
+		return ts
+	}
+	var rows []reldb.Row
+	switch src {
+	case SrcDelta:
+		rows = tr.Inserted
+	case SrcNabla:
+		rows = tr.Deleted
+	case SrcDeltaPruned:
+		rows = pruneRows(tr.Inserted, tr.Deleted)
+	default:
+		rows = pruneRows(tr.Deleted, tr.Inserted)
+	}
+	ts := rowsToTuples(rows)
+	if ctx.trans == nil {
+		ctx.trans = map[tableCol][]Tuple{}
+	}
+	ctx.trans[key] = ts
+	return ts
 }
 
 // pruneRows implements the pruned transition tables of Definition 8:
@@ -634,9 +710,9 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 	}
 	ctx.hits = hits
 	if n.twinned && n.op.JoinPred == nil { // hits[i] made out[i]: keep them for the B_old side
-		ctx.trails[n] = trail{outer: outer, pi: pi, hits: append(make([]hit, 0, len(hits)), hits...)}
+		ctx.leave(n, trail{outer: outer, pi: pi, hits: append(make([]hit, 0, len(hits)), hits...)})
 	} else if from != nil {
-		ctx.trails[n] = trail{from: from}
+		ctx.leave(n, trail{from: from})
 	}
 	if o := n.op; o.JoinPred != nil {
 		kept := out[:0]
@@ -665,14 +741,14 @@ func (ctx *EvalContext) twinProbe(n *node, outer, pi int) (hits []hit, out []Tup
 		return nil, nil, nil, nil
 	}
 	if t.in[outer] != n.in[outer] {
-		if outerFrom = ctx.trails[n.in[outer]].from; outerFrom == nil {
+		if outerFrom = ctx.trail(n.in[outer]).from; outerFrom == nil {
 			return nil, nil, nil, nil
 		}
 	}
 	if out, err = ctx.run(t); err != nil {
 		return nil, nil, nil, err
 	}
-	if tr := ctx.trails[t]; tr.hits != nil && tr.outer == outer && tr.pi == pi {
+	if tr := ctx.trail(t); tr.hits != nil && tr.outer == outer && tr.pi == pi {
 		return tr.hits, out, outerFrom, nil
 	}
 	return nil, nil, nil, nil
@@ -773,8 +849,10 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 		probe, build, pcols, bcols = rt, lt, n.rcols, n.lcols
 	}
 	ix := n.build // frozen at Prepare for a Constants right input
-	if ix.head == nil {
-		ix = newHashIndex(build, bcols)
+	var local hashIndex
+	if ix == nil {
+		local.index(build, bcols)
+		ix = &local
 	}
 	emits := o.JoinKind == JoinInner || o.JoinKind == JoinLeftOuter // else a match only disqualifies
 	lw := n.in[0].width
@@ -784,7 +862,8 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 	for _, p := range probe {
 		matched := false
 		if !hasNull(p, pcols) {
-			for i := ix.head[xdm.ColsKey(p, pcols)]; i != 0 && (emits || !matched); i = ix.next[i-1] {
+			k := xdm.ColsKey(p, pcols)
+			for i := ix.first(k); i != 0 && (emits || !matched); i = ix.after(i, k) {
 				l, r := p, build[i-1]
 				if anti {
 					l, r = r, l
@@ -934,9 +1013,9 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 		out = append(out, t)
 	}
 	if groups != nil {
-		ctx.trails[n] = trail{at: gid, groups: groups}
+		ctx.leave(n, trail{at: gid, groups: groups})
 	} else if from != nil {
-		ctx.trails[n] = trail{from: from}
+		ctx.leave(n, trail{from: from})
 	}
 	return out, nil
 }

@@ -12,9 +12,11 @@ import (
 // EvalContexts. Parameters that need no preparation (predicates,
 // projections, aggregates) are read from op, which is never written.
 type node struct {
-	op    *Operator
-	in    []*node
-	id    int // position in creation order: inputs before consumers
+	op *Operator
+	in []*node
+	// id is the position in creation order — inputs before consumers — and
+	// dense within one plan: an EvalContext's memo is indexed by it.
+	id    int
 	width int
 	// live marks the output columns some consumer reads. A Project leaves
 	// the others Null instead of evaluating them.
@@ -23,16 +25,28 @@ type node struct {
 	// thing over the post-update tables: equal signature once SrcOld is read
 	// as SrcBase and inputs are named by their twins. Evaluation derives this
 	// node's output from the twin's (see EvalContext). twinned marks the
-	// other end: a node some node names as its twin.
+	// other end: a node some node names as its twin. slot is 1 + the place of
+	// either end among the plan's paired nodes, where an EvalContext keeps
+	// its trail; 0 on a node in no pair.
 	twin    *node
 	twinned bool
-	pairs   int // on a root: how many nodes of its plan are in a twin pair
+	slot    int32
+	plan    *planShape // on a root: the plan it belongs to
 
-	lcols, rcols []int     // Join: equi-join columns of the left / right input
-	probes       [2]*probe // Join: index access path into in[1] (outer in[0]), into in[0] (outer in[1])
-	build        hashIndex // Join: frozen build table over a Constants right input
-	inKey        []int     // GroupBy: the input's canonical key, the in-group order
-	rows         []Tuple   // Constants: the evaluated literal rows
+	lcols, rcols []int      // Join: equi-join columns of the left / right input
+	probes       [2]*probe  // Join: index access path into in[1] (outer in[0]), into in[0] (outer in[1])
+	build        *hashIndex // Join: frozen build table over a Constants right input
+	inKey        []int      // GroupBy: the input's canonical key, the in-group order
+	rows         []Tuple    // Constants: the evaluated literal rows
+}
+
+// planShape is all a prepared root keeps of its planning — the planner's
+// maps die with it: the plan's identity, which tells an EvalContext that
+// evaluates several plans when its memo and trails belong to another, and
+// their sizes. One is shared by the roots planned together.
+type planShape struct {
+	nodes int // node ids run from 0 to nodes-1
+	pairs int // trail slots run from 1 to pairs
 }
 
 // probe is an index-nested-loop access path into one join input.
@@ -85,26 +99,37 @@ func plan(roots []*Operator) ([]*node, error) {
 		if err != nil {
 			return nil, err
 		}
+		out[i] = n
+	}
+	// Every node's live columns are cut from one array.
+	width := 0
+	for _, n := range p.nodes {
+		width += n.width
+	}
+	live := make([]bool, width)
+	for _, n := range p.nodes {
+		n.live, live = live[:n.width:n.width], live[n.width:]
+	}
+	for _, n := range out {
 		for c := range n.live {
 			n.live[c] = true
 		}
-		out[i] = n
 	}
 	// Consumers were created after their inputs, so walking backwards sees
 	// every consumer's demand before the node it falls on.
 	for i := len(p.nodes) - 1; i >= 0; i-- {
 		p.nodes[i].demand()
 	}
-	pairs := p.pairTwins()
+	shape := &planShape{nodes: len(p.nodes), pairs: p.pairTwins()}
 	for _, n := range out {
-		n.pairs = pairs
+		n.plan = shape
 	}
 	return out, nil
 }
 
-// pairTwins gives every node that reads B_old its twin and returns how many
-// nodes it paired. Inputs come before consumers in p.nodes, so a node's
-// inputs are paired before it is.
+// pairTwins gives every node that reads B_old its twin and both ends of the
+// pair their trail slots, and returns how many nodes it paired. Inputs come
+// before consumers in p.nodes, so a node's inputs are paired before it is.
 func (p *planner) pairTwins() (pairs int) {
 	old := make([]bool, len(p.nodes)) // by id: the subtree reads SrcOld
 	for _, n := range p.nodes {
@@ -127,11 +152,13 @@ func (p *planner) pairTwins() (pairs int) {
 		if (n.op.Type == OpProject || n.op.Type == OpGroupBy) && !covers(t.live, n.live) {
 			continue
 		}
-		if !t.twinned {
+		if t.slot == 0 {
 			pairs++
+			t.slot = int32(pairs)
 		}
 		n.twin, t.twinned = t, true
 		pairs++
+		n.slot = int32(pairs)
 	}
 	return pairs
 }
@@ -163,7 +190,6 @@ func (p *planner) build(o *Operator) (*node, error) {
 		p.byOp[o] = dup
 		return dup, nil
 	}
-	n.live = make([]bool, n.width)
 	switch o.Type {
 	case OpConstants:
 		n.rows = make([]Tuple, len(o.ConstRows))
@@ -447,18 +473,55 @@ func matchBasePath(o *Operator) *basePath {
 	}
 }
 
+// tinyBuild is the most tuples a hash join's build side may have to be
+// searched linearly instead of hashed: a key filter leaves most of an
+// affected-node graph's joins one affected key to build on, and a map for it
+// costs more than the search.
+const tinyBuild = 8
+
 // hashIndex buckets tuples by key columns without a slice per bucket: head
 // maps a key to 1 + the index of its first tuple and next chains on from
 // there, in input order. Tuples with a NULL key column are left out (NULL
 // never equi-joins). With no key columns every tuple is in the one bucket,
 // which makes a join without equi-pairs the same loop as a hash join.
+//
+// A build of at most tinyBuild tuples has no map (head is nil): keys holds
+// the n tuples' keys and a lookup compares them in input order — the same
+// equality, the same tuples, the same order. A tuple with a NULL key column
+// keeps the zero key, a NULL's: no key looked up equals it, since a probe
+// with a NULL key column looks nothing up.
 type hashIndex struct {
 	head map[xdm.CompKey]int32
 	next []int32
+
+	keys [tinyBuild]xdm.CompKey
+	n    int32
 }
 
-func newHashIndex(rows []Tuple, cols []int) hashIndex {
-	h := hashIndex{head: make(map[xdm.CompKey]int32, len(rows)), next: make([]int32, len(rows))}
+// newHashIndex hashes rows by cols.
+func newHashIndex(rows []Tuple, cols []int) *hashIndex {
+	h := &hashIndex{}
+	h.hash(rows, cols)
+	return h
+}
+
+// index builds h over rows: searched linearly when they are few enough,
+// else hashed.
+func (h *hashIndex) index(rows []Tuple, cols []int) {
+	if len(rows) > tinyBuild {
+		h.hash(rows, cols)
+		return
+	}
+	h.n = int32(len(rows))
+	for i, r := range rows {
+		if !hasNull(r, cols) {
+			h.keys[i] = xdm.ColsKey(r, cols)
+		}
+	}
+}
+
+func (h *hashIndex) hash(rows []Tuple, cols []int) {
+	h.head, h.next = make(map[xdm.CompKey]int32, len(rows)), make([]int32, len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
 		if hasNull(rows[i], cols) {
 			continue
@@ -467,7 +530,34 @@ func newHashIndex(rows []Tuple, cols []int) hashIndex {
 		h.next[i] = h.head[k]
 		h.head[k] = int32(i + 1)
 	}
-	return h
+}
+
+// first returns 1 + the index of the first tuple whose key is k, or 0.
+func (h *hashIndex) first(k xdm.CompKey) int32 {
+	if h.head == nil {
+		return h.search(k, 0)
+	}
+	return h.head[k]
+}
+
+// after continues a lookup of k past i, the last value first or after
+// returned for it: 1 + the index of the next tuple whose key is k, or 0.
+func (h *hashIndex) after(i int32, k xdm.CompKey) int32 {
+	if h.head == nil {
+		return h.search(k, i)
+	}
+	return h.next[i-1]
+}
+
+// search is a tiny build's lookup: 1 + the index of the first tuple from
+// index i on whose key is k, or 0.
+func (h *hashIndex) search(k xdm.CompKey, i int32) int32 {
+	for ; i < h.n; i++ {
+		if h.keys[i] == k {
+			return i + 1
+		}
+	}
+	return 0
 }
 
 func hasNull(t Tuple, cols []int) bool {

@@ -2,6 +2,7 @@ package xqgm_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"quark/internal/reldb"
@@ -143,6 +144,75 @@ func TestOldSideIsAnEditOfItsTwin(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// One context evaluates the roots of separately prepared plans one after
+// another — a plan with twins, a smaller one, the first again, a larger one
+// with more twins — and answers each as a fresh context does: the memo and
+// trails of one plan never serve another. After Reset it reads the database
+// afresh.
+func TestContextEvaluatesSeveralPlans(t *testing.T) {
+	db, twins, _, deltas := twinFixture(t)
+	vdef, _ := db.Schema().Table("vendor")
+	cheap := func(src xqgm.TableSource) *xqgm.Operator {
+		return xqgm.NewSelect(xqgm.NewTable(vdef, src), &xqgm.Cmp{Op: "<", L: xqgm.Col(2), R: xqgm.LitOf(xdm.Float(150))})
+	}
+	counts := func(src xqgm.TableSource) *xqgm.Operator {
+		return xqgm.NewGroupBy(cheap(src), []int{1}, xqgm.Agg{Name: "n", Func: xqgm.AggCount})
+	}
+	on := []xqgm.JoinEq{{L: 0, R: 0}}
+	small := cheap(xqgm.SrcOld)
+	large := xqgm.NewJoin(xqgm.JoinInner, twins, xqgm.NewJoin(xqgm.JoinLeftOuter, counts(xqgm.SrcOld), counts(xqgm.SrcBase), on, nil), on, nil)
+	for _, o := range []*xqgm.Operator{twins, small, large} {
+		if err := xqgm.Prepare(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := func(o *xqgm.Operator) string {
+		ctx := xqgm.NewEvalContext(db, deltas)
+		out, err := ctx.Eval(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(ctx.Stats.RowsReused, out)
+	}
+	shared := xqgm.NewEvalContext(db, deltas)
+	for i, o := range []*xqgm.Operator{twins, small, twins, large, small} {
+		reused := shared.Stats.RowsReused
+		out, err := shared.Eval(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(shared.Stats.RowsReused-reused, out), fresh(o); got != want {
+			t.Errorf("evaluation %d in a shared context = %s\nfresh = %s", i, got, want)
+		}
+	}
+	if shared.Stats.RowsReused == 0 {
+		t.Fatal("nothing was reused: the plans have no twins")
+	}
+
+	// The same plan again is served from the memo until Reset.
+	evalShared := func() string {
+		out, err := shared.Eval(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(shared.Stats.RowsReused, out)
+	}
+	before := evalShared()
+	if err := db.Insert("vendor", reldb.Row{xdm.Str("Dell"), xdm.Str("P4"), xdm.Float(120)}); err != nil {
+		t.Fatal(err)
+	}
+	if after := evalShared(); after != before {
+		t.Errorf("memoized result changed without Reset: %s, was %s", after, before)
+	}
+	shared.Reset()
+	if shared.Stats != (xqgm.EvalStats{}) {
+		t.Errorf("Reset left stats %+v", shared.Stats)
+	}
+	if got, want := evalShared(), fresh(small); got != want || !strings.Contains(got, "Dell") {
+		t.Errorf("after Reset = %s, fresh = %s, want Dell's row in both", got, want)
 	}
 }
 
