@@ -44,6 +44,7 @@ type GroupStat struct {
 	RowsReused   int64 `json:"rows_reused"`   // OLD-side rows taken from the NEW side instead of computed
 	JoinsSkipped int64 `json:"joins_skipped"` // joins that left their right input unevaluated: the left one was empty
 	NodesBuilt   int64 `json:"nodes_built"`   // XML nodes the evaluations constructed
+	OpsShared    int64 `json:"ops_shared"`    // operator outputs taken from another group's evaluation
 	Builds       int64 `json:"builds"`        // plan (re)compilations
 }
 
@@ -131,6 +132,7 @@ func (e *Engine) GroupStats() []GroupStat {
 			RowsReused:   g.stats.rowsReused.Load(),
 			JoinsSkipped: g.stats.joinsSkipped.Load(),
 			NodesBuilt:   g.stats.nodesBuilt.Load(),
+			OpsShared:    g.stats.opsShared.Load(),
 			Builds:       g.stats.builds.Load(),
 		})
 	}

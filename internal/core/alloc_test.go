@@ -201,15 +201,20 @@ func TestUngroupedRejectedMemberBudget(t *testing.T) {
 	}
 }
 
-// A commit that makes no <e0> appear or vanish — 32 leaf updates, inserts and
-// deletes under 8 elements that keep at least two children — builds no node
-// in the INSERT or DELETE graph: their present side is restricted to the
-// affected keys the absent side lacks, which are none, and their absent side
-// counts children without constructing them.
-func TestAntiJoinGraphsBuildNothing(t *testing.T) {
-	w, err := workload.Build(workload.Params{Depth: 2, LeafTuples: 128 * 64, Fanout: 64}, core.ModeGrouped, 1)
+// eventGroups builds 128 top elements of 64 leaves under numTriggers grouped
+// UPDATE triggers and, with insertDelete,
+// an INSERT and a DELETE trigger on the same path: the three event graphs of
+// the batch-mixed benchmark workload.
+func eventGroups(t *testing.T, numTriggers int, insertDelete bool) *workload.Setup {
+	t.Helper()
+	w, err := workload.Build(workload.Params{
+		Depth: 2, LeafTuples: 128 * 64, Fanout: 64, NumTriggers: numTriggers, NumSatisfied: min(4, numTriggers),
+	}, core.ModeGrouped, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !insertDelete {
+		return w
 	}
 	for _, src := range []string{
 		`CREATE TRIGGER onInsert AFTER INSERT ON view('doc')/e0 DO notify(NEW_NODE)`,
@@ -222,29 +227,55 @@ func TestAntiJoinGraphsBuildNothing(t *testing.T) {
 	if err := w.Engine.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	leaf := int64(128 * 64) // fresh leaf ids
-	if err := w.Engine.Batch(func(tx *reldb.Tx) error {
-		for i := int64(0); i < 8; i++ {
-			root := 8 * i
-			if err := tx.Insert(w.LeafTable(), reldb.Row{xdm.Int(leaf + i), xdm.Int(root), xdm.Float(1000)}); err != nil {
-				return err
-			}
-			if _, err := tx.DeleteByPK(w.LeafTable(), xdm.Int(root*64+1)); err != nil {
-				return err
-			}
-			for j := int64(2); j < 4; j++ {
-				if _, err := tx.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(root*64 + j)}, func(r reldb.Row) reldb.Row {
-					r[len(r)-1] = xdm.Float(2000)
-					return r
-				}); err != nil {
+	return w
+}
+
+// mixedCommit returns a function that commits, under each of 8 top
+// elements, the insert of a fresh leaf, the delete of an original one and
+// updates of two more: 32 leaf writes that make no <e0> appear or vanish,
+// since each element keeps 64 children. Call c deletes leaf 4+c of each
+// element, so up to 60 calls find their leaves.
+func mixedCommit(t *testing.T, w *workload.Setup) func() {
+	fanout := int64(w.Params.Fanout)
+	leaf := int64(w.Params.NumTop()) * fanout // fresh leaf ids
+	payload, call := 1000.0, int64(0)
+	return func() {
+		if err := w.Engine.Batch(func(tx *reldb.Tx) error {
+			for i := int64(0); i < 8; i++ {
+				root := 8 * i
+				if err := tx.Insert(w.LeafTable(), reldb.Row{xdm.Int(leaf), xdm.Int(root), xdm.Float(payload)}); err != nil {
 					return err
 				}
+				leaf++
+				if _, err := tx.DeleteByPK(w.LeafTable(), xdm.Int(root*fanout+4+call)); err != nil {
+					return err
+				}
+				for j := int64(2); j < 4; j++ {
+					payload++
+					p := payload
+					if _, err := tx.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(root*fanout + j)}, func(r reldb.Row) reldb.Row {
+						r[len(r)-1] = xdm.Float(p)
+						return r
+					}); err != nil {
+						return err
+					}
+				}
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		call++
 	}
+}
+
+// A commit that makes no <e0> appear or vanish builds no node in the INSERT
+// or DELETE graph: their present side is restricted to the affected keys the
+// absent side lacks, which are none, and their absent side counts children
+// without constructing them.
+func TestAntiJoinGraphsBuildNothing(t *testing.T) {
+	w := eventGroups(t, 0, true)
+	mixedCommit(t, w)()
 	if w.Notifications != 0 {
 		t.Fatalf("notifications = %d: no element appeared or vanished", w.Notifications)
 	}
@@ -255,6 +286,55 @@ func TestAntiJoinGraphsBuildNothing(t *testing.T) {
 		if gs.NodesBuilt != 0 {
 			t.Errorf("group %s built %d nodes for a commit that makes no element appear or vanish", gs.Sig, gs.NodesBuilt)
 		}
+	}
+}
+
+// The UPDATE, INSERT and DELETE groups on one path evaluate their plans in
+// the commit's one evaluation context, and the two that run after the UPDATE
+// group take the affected keys and view sides it computed.
+func TestEventGraphsShareTheCommitsWork(t *testing.T) {
+	w := eventGroups(t, 16, true)
+	mixedCommit(t, w)()
+	if w.Notifications == 0 {
+		t.Fatal("no UPDATE trigger fired")
+	}
+	gs := w.Engine.GroupStats()
+	if len(gs) != 3 {
+		t.Fatalf("groups = %d, want UPDATE, INSERT and DELETE", len(gs))
+	}
+	for _, g := range gs[1:] {
+		t.Logf("group %s: %d operator outputs taken", g.Sig, g.OpsShared)
+		if g.OpsShared == 0 {
+			t.Errorf("group %s took nothing from the groups before it", g.Sig)
+		}
+	}
+}
+
+// eventGraphsBytesRatio caps what the INSERT and DELETE groups add to a
+// batched commit under the UPDATE group: 1.1 times its bytes. The two
+// deliver nothing here, and the operators their graphs share with the UPDATE
+// graph — affected keys, both view sides — they take from it. Evaluating
+// them afresh cost about 1.6 times.
+const eventGraphsBytesRatio = 1.1
+
+func TestEventGraphsAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var bytes [2]float64
+	var notified [2]int
+	for i, insertDelete := range []bool{false, true} {
+		w := eventGroups(t, 512, insertDelete)
+		_, bytes[i] = perRun(20, mixedCommit(t, w))
+		notified[i] = w.Notifications
+	}
+	if notified[0] == 0 || notified[1] != notified[0] {
+		t.Fatalf("notifications = %v, want the UPDATE group's, the same in both", notified)
+	}
+	ratio := bytes[1] / bytes[0]
+	t.Logf("one commit: %.0f bytes under the UPDATE group, %.0f with INSERT and DELETE beside it (%.2fx, budget %.2fx)", bytes[0], bytes[1], ratio, eventGraphsBytesRatio)
+	if ratio > eventGraphsBytesRatio {
+		t.Errorf("the INSERT and DELETE groups make a commit allocate %.2fx the bytes, budget %.2fx", ratio, eventGraphsBytesRatio)
 	}
 }
 

@@ -273,6 +273,7 @@ type groupStats struct {
 	rowsReused   atomic.Int64 // xqgm.EvalStats.RowsReused summed over those evaluations
 	joinsSkipped atomic.Int64 // xqgm.EvalStats.JoinsSkipped summed likewise
 	nodesBuilt   atomic.Int64 // xqgm.EvalStats.NodesBuilt summed likewise
+	opsShared    atomic.Int64 // xqgm.EvalStats.OpsShared summed likewise
 	builds       atomic.Int64 // plan (re)compilations, incl. mode switches
 }
 
@@ -308,6 +309,7 @@ type installedPlan struct {
 	args       map[string][]xqgm.Expr // trigID -> compiled action args
 	members    map[string]*TriggerInfo
 	sqlText    string
+	keyCols    [2][]int // the affected node's canonical key in a row: NEW side, OLD side
 
 	// lastBatch dedups plan evaluation within one Tx.Commit (the same
 	// plan is shared by this table's INSERT/UPDATE/DELETE triggers).
@@ -709,10 +711,18 @@ func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, rec *wire.Record) fu
 // waves of one commit run on the committing goroutine, so no locking is
 // needed.
 type batchState struct {
-	seen   map[string]bool
+	seen   map[activation]struct{}
 	staged []Invocation
 	wave   *deliveryWave
-	eval   *xqgm.EvalContext
+	eval   *evalState
+}
+
+// activation identifies one (trigger, affected node) activation within a
+// commit: the member and the node's canonical key on both sides.
+type activation struct {
+	g        *group
+	id       string
+	new, old xdm.CompKey
 }
 
 // batchStateOf returns the commit's engine state, creating it on first use.
@@ -720,9 +730,16 @@ func batchStateOf(b *reldb.BatchInfo) *batchState {
 	if st, ok := b.EngineState.(*batchState); ok {
 		return st
 	}
-	st := &batchState{seen: map[string]bool{}}
+	st := &batchState{seen: map[activation]struct{}{}}
 	b.EngineState = st
 	return st
+}
+
+// evalState is the evaluation context the bodies of one statement or commit
+// share, and the database's write sequence when its outputs were computed.
+type evalState struct {
+	xqgm.EvalContext
+	seq uint64
 }
 
 // waveItem is one staged durable delivery.
@@ -1295,7 +1312,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 				bound := grouping.Bind(template, ti.Consts)
 				root = xqgm.NewSelect(an.Restrict(bound), bound)
 			}
-			plan := &installedPlan{table: table, an: an, args: map[string][]xqgm.Expr{}}
+			plan := newInstalledPlan(g, table, an)
 			plan.root = root
 			plan.trigIDsCol = -1
 			plan.trigID = ti.Spec.Name
@@ -1317,7 +1334,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 	}
 
 	// GROUPED: constants table + shared plan.
-	plan := &installedPlan{table: table, an: an, args: map[string][]xqgm.Expr{}}
+	plan := newInstalledPlan(g, table, an)
 	gg := grouping.NewGroup(g.sig, template, len(first.Consts))
 	for _, name := range g.order {
 		ti := g.members[name]
@@ -1387,14 +1404,14 @@ func (e *Engine) fire(g *group, plan *installedPlan, ctx *reldb.FireContext) err
 	}
 	// Every plan that fires for the statement evaluates in one context over
 	// its transition tables (see reldb.FireContext's sharing contract).
-	ectx, ok := ctx.EngineState.(*xqgm.EvalContext)
+	es, ok := ctx.EngineState.(*evalState)
 	if !ok {
-		ectx = xqgm.NewEvalContext(e.db, map[string]*xqgm.Transition{
+		es = &evalState{EvalContext: xqgm.EvalContext{DB: e.db, Deltas: map[string]*xqgm.Transition{
 			ctx.Table: {Inserted: ctx.Inserted, Deleted: ctx.Deleted},
-		})
-		ctx.EngineState = ectx
+		}}}
+		ctx.EngineState = es
 	}
-	return e.activate(g, plan, ectx, ctx)
+	return e.activate(g, plan, es, ctx)
 }
 
 // fireBatch runs the plan once for a whole committed transaction.
@@ -1429,7 +1446,7 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 		for t, nd := range ctx.Batch.Deltas {
 			deltas[t] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
 		}
-		st.eval = xqgm.NewEvalContext(e.db, deltas)
+		st.eval = &evalState{EvalContext: xqgm.EvalContext{DB: e.db, Deltas: deltas}}
 	}
 	return e.activate(g, plan, st.eval, ctx)
 }
@@ -1438,26 +1455,33 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 // evaluation context and invokes — or, in a prepare-phase staging pass,
 // stages — the member actions. Batched firings dedup activations across the
 // plans of one commit via the batch state riding on ctx.Batch.
-func (e *Engine) activate(g *group, plan *installedPlan, ectx *xqgm.EvalContext, ctx *reldb.FireContext) error {
-	var seen map[string]bool
+func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *reldb.FireContext) error {
+	var seen map[activation]struct{}
 	if ctx.Batch != nil {
 		seen = batchStateOf(ctx.Batch).seen
 	}
 	an := plan.an
-	// An action delivered by an earlier body may have written the database:
-	// this plan starts from an empty memo.
-	ectx.Reset()
-	rows, err := ectx.Eval(plan.root)
+	// The plan takes what another group's plan computed in this context
+	// (an UNGROUPED group's members are one owner: each evaluates its own
+	// plan), but only while the database is as it was then: an action an
+	// earlier body delivered may have written it.
+	if seq := e.db.WriteSeq(); seq != es.seq {
+		es.Reset()
+		es.seq = seq
+	}
+	es.Stats = xqgm.EvalStats{}
+	rows, err := es.EvalFor(g, plan.root)
 	if err != nil {
 		return err
 	}
-	g.stats.rowsReused.Add(int64(ectx.Stats.RowsReused))
-	g.stats.joinsSkipped.Add(int64(ectx.Stats.JoinsSkipped))
-	g.stats.nodesBuilt.Add(int64(ectx.Stats.NodesBuilt))
+	g.stats.rowsReused.Add(int64(es.Stats.RowsReused))
+	g.stats.joinsSkipped.Add(int64(es.Stats.JoinsSkipped))
+	g.stats.nodesBuilt.Add(int64(es.Stats.NodesBuilt))
+	g.stats.opsShared.Add(int64(es.Stats.OpsShared))
 	if sh := e.shadow.Load(); sh != nil {
 		// Materialized-view bodies carry no rendered SQL; nothing to mirror.
 		if plan.sqlText != "" {
-			if err := (*sh).VerifyPlan(plan.table, plan.sqlText, ectx.Deltas, rows); err != nil {
+			if err := (*sh).VerifyPlan(plan.table, plan.sqlText, es.Deltas, rows); err != nil {
 				return fmt.Errorf("core: plan shadow: %w", err)
 			}
 		}
@@ -1520,11 +1544,11 @@ func (e *Engine) activate(g *group, plan *installedPlan, ectx *xqgm.EvalContext,
 				continue
 			}
 			if seen != nil {
-				k := activationKey(g, an, row, id)
-				if seen[k] {
+				k := activation{g, id, xdm.ColsKey(row, plan.keyCols[0]), xdm.ColsKey(row, plan.keyCols[1])}
+				if _, dup := seen[k]; dup {
 					continue
 				}
-				seen[k] = true
+				seen[k] = struct{}{}
 			}
 			var args []xdm.Value
 			if argExprs := plan.args[id]; len(argExprs) > 0 {
@@ -1556,17 +1580,14 @@ func (e *Engine) activate(g *group, plan *installedPlan, ectx *xqgm.EvalContext,
 	return nil
 }
 
-// activationKey identifies one (trigger, affected node) activation within
-// a commit: the member plus the node's canonical key on both sides.
-func activationKey(g *group, an *affected.ANGraph, row xqgm.Tuple, id string) string {
-	ks := make([]xdm.Value, 0, 2*len(g.nav.KeyCols))
+// newInstalledPlan starts a plan over an's rows for one base table of g.
+func newInstalledPlan(g *group, table string, an *affected.ANGraph) *installedPlan {
+	p := &installedPlan{table: table, an: an, args: map[string][]xqgm.Expr{}}
 	for _, kc := range g.nav.KeyCols {
-		ks = append(ks, row[an.NewCol(kc)])
+		p.keyCols[0] = append(p.keyCols[0], an.NewCol(kc))
+		p.keyCols[1] = append(p.keyCols[1], an.OldCol(kc))
 	}
-	for _, kc := range g.nav.KeyCols {
-		ks = append(ks, row[an.OldCol(kc)])
-	}
-	return g.sig + "\x00" + id + "\x00" + xdm.TupleKey(ks)
+	return p
 }
 
 // ensureIndexes creates hash indexes on base-table columns used as

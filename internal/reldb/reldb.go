@@ -113,8 +113,9 @@ type FireContext struct {
 	// BatchInfo.EngineState is per commit: it lives exactly as long as the
 	// statement, and its bodies run sequentially, so state cached here (the
 	// statement's evaluation context) needs no locking. A body may write
-	// the database before the next body runs, so nothing read from the
-	// database may be served from here to a later body.
+	// the database before the next body runs, so what was read from the
+	// database may serve a later body only while WriteSeq still returns
+	// the value it returned when that was read.
 	EngineState any
 }
 
@@ -244,6 +245,7 @@ type DB struct {
 	enforceFKs bool
 	stats      counters
 	batchSeq   atomic.Int64
+	writes     atomic.Uint64 // see WriteSeq
 	// nesting reports overall cascade depth in FireContext.Depth. Under
 	// concurrent statements (disjoint tables) it over-counts by the
 	// number of in-flight firings — informational only; the cascade
@@ -304,6 +306,18 @@ func (db *DB) Stats() Stats { return db.stats.snapshot() }
 
 // ResetStats zeroes the engine counters.
 func (db *DB) ResetStats() { db.stats.reset() }
+
+// WriteSeq returns the database's write sequence. It grows with every
+// applied statement and every transaction commit and rollback, and is never
+// reset, so a reader that sees the value it saw before knows nothing was
+// written in between.
+func (db *DB) WriteSeq() uint64 { return db.writes.Load() }
+
+// applied counts one applied statement.
+func (db *DB) applied() {
+	db.stats.statements.Add(1)
+	db.writes.Add(1)
+}
 
 func (db *DB) table(name string) (*tableData, error) {
 	td, ok := db.tables[name]
@@ -663,7 +677,7 @@ func (db *DB) applyInsert(table string, rows []Row) ([]keyedRow, error) {
 		kr.row, kr.slot = r.Copy(), td.alloc()
 		td.place(kr.slot, kr.row, kr.key)
 	}
-	db.stats.statements.Add(1)
+	db.applied()
 	return inserted, nil
 }
 
@@ -706,7 +720,7 @@ func (db *DB) applyDelete(table string, pred func(Row) bool) ([]keyedRow, error)
 	for _, kr := range removed {
 		td.vacate(kr.slot, kr.key)
 	}
-	db.stats.statements.Add(1)
+	db.applied()
 	return removed, nil
 }
 
@@ -737,7 +751,7 @@ func (db *DB) applyDeleteByPK(table string, key []xdm.Value) (kr keyedRow, found
 	}
 	k := xdm.RowKey(key)
 	s, found := td.pk.get(k)
-	db.stats.statements.Add(1)
+	db.applied()
 	if !found {
 		return kr, false, nil
 	}
@@ -806,7 +820,7 @@ func (db *DB) applyUpdate(table string, pred func(Row) bool, set func(Row) Row) 
 	for i := range changes {
 		td.refile(&changes[i])
 	}
-	db.stats.statements.Add(1)
+	db.applied()
 	return changes, nil
 }
 
@@ -845,7 +859,7 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 	k := xdm.RowKey(key)
 	s, found := td.pk.get(k)
 	if !found {
-		db.stats.statements.Add(1)
+		db.applied()
 		return c, false, nil
 	}
 	old := td.rows[s]
@@ -861,7 +875,7 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 	}
 	td.unfile(&c)
 	td.refile(&c)
-	db.stats.statements.Add(1)
+	db.applied()
 	return c, true, nil
 }
 

@@ -529,6 +529,7 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	tx.done = true
+	tx.db.writes.Add(1)
 	if m := tx.db.obs.Load(); m != nil {
 		defer m.txCommit.Since(time.Now())
 	}
@@ -574,5 +575,6 @@ func (tx *Tx) Rollback() error {
 	for t, id := range tx.autoIDs { //quark:sorted per-table counter restore; entries are independent
 		tx.db.tables[t].autoID = id
 	}
+	tx.db.writes.Add(1)
 	return nil
 }

@@ -481,3 +481,72 @@ func TestTxChainedPKMoveCoalesces(t *testing.T) {
 		t.Fatalf("expected coalesced pair 1 -> 9, got %+v", log[0])
 	}
 }
+
+// The write sequence grows with every applied statement, commit and
+// rollback, and with nothing else: the bodies of one statement, and the
+// firing waves of one prepared transaction, all see the value it had when
+// they started, and reads leave it alone.
+func TestWriteSeq(t *testing.T) {
+	db := txTestDB(t)
+	var seen []uint64 // what each body saw
+	for _, name := range []string{"a", "b"} {
+		for _, ev := range []Event{EvInsert, EvUpdate, EvDelete} {
+			if err := db.CreateTrigger(&SQLTrigger{Name: name + ev.String(), Table: "item", Event: ev,
+				Body: func(*FireContext) error { seen = append(seen, db.WriteSeq()); return nil }}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	qty := func(n int64) func(Row) Row {
+		return func(r Row) Row { r[1] = xdm.Int(n); return r }
+	}
+	all := func(Row) bool { return true }
+	last := db.WriteSeq()
+	step := func(what string, write func() error, bodies int) {
+		t.Helper()
+		seen = seen[:0]
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		now := db.WriteSeq()
+		if now <= last {
+			t.Errorf("%s: write sequence %d, was %d", what, now, last)
+		}
+		if len(seen) != bodies {
+			t.Errorf("%s: %d bodies ran, want %d", what, len(seen), bodies)
+		}
+		for _, s := range seen {
+			if s != seen[0] {
+				t.Errorf("%s: the bodies saw %v, want one value", what, seen)
+				break
+			}
+		}
+		last = now
+	}
+	step("Insert", func() error { return db.Insert("item", Row{xdm.Int(1), xdm.Int(1)}, Row{xdm.Int(2), xdm.Int(2)}) }, 2)
+	step("UpdateByPK", func() error { _, err := db.UpdateByPK("item", []xdm.Value{xdm.Int(1)}, qty(3)); return err }, 2)
+	step("Update", func() error { _, err := db.Update("item", all, qty(4)); return err }, 2)
+	step("DeleteByPK", func() error { _, err := db.DeleteByPK("item", xdm.Int(2)); return err }, 2)
+	step("Delete", func() error { _, err := db.Delete("item", all); return err }, 2)
+
+	_ = db.Scan("item", all)
+	_, _, _ = db.GetByPK("item", xdm.Int(1))
+	if db.WriteSeq() != last {
+		t.Error("a read moved the write sequence")
+	}
+
+	tx := db.Begin()
+	step("Tx.Insert", func() error { return tx.Insert("item", Row{xdm.Int(5), xdm.Int(5)}, Row{xdm.Int(6), xdm.Int(6)}) }, 0)
+	step("Tx.Prepare, Tx.Commit", func() error {
+		if err := tx.Prepare(); err != nil {
+			return err
+		}
+		if db.WriteSeq() != last {
+			t.Error("Tx.Prepare moved the write sequence")
+		}
+		return tx.Commit()
+	}, 2)
+	tx = db.Begin()
+	step("Tx.UpdateByPK", func() error { _, err := tx.UpdateByPK("item", []xdm.Value{xdm.Int(5)}, qty(7)); return err }, 0)
+	step("Tx.Rollback", tx.Rollback, 0)
+}

@@ -92,6 +92,7 @@ func (e *Engine) GroupStats() []core.GroupStat {
 			a.RowsReused += gs.RowsReused
 			a.JoinsSkipped += gs.JoinsSkipped
 			a.NodesBuilt += gs.NodesBuilt
+			a.OpsShared += gs.OpsShared
 			a.Builds += gs.Builds
 		}
 	}

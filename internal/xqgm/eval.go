@@ -28,6 +28,9 @@ type EvalStats struct {
 	// JoinsSkipped counts the joins that returned without evaluating their
 	// right input, because their left input was empty (see evalJoin).
 	JoinsSkipped int
+	// OpsShared counts the operators that took their output from another
+	// owner's plan instead of evaluating (see EvalFor).
+	OpsShared int
 	// NodesBuilt counts the XML nodes the evaluation's constructors built.
 	NodesBuilt     int
 	IndexNLJoins   int
@@ -60,18 +63,28 @@ type EvalStats struct {
 // left); both belong to one plan at a time and are cleared, not freed, when
 // Eval is handed a root of another. What depends only on Deltas — the
 // transition tables as tuples, pruned or not, and the Δ-key sets and ∇
-// indexes of B_old probes — is built once per context. Reset empties the
-// memo when the database may have changed in between.
+// indexes of B_old probes — is built once per context.
+//
+// Plans evaluated for different owners (see EvalFor) share their work: when
+// the context turns from one owner's plan to another's, it keeps what the
+// finished plan computed, by node key, with the trails its twin pairs left,
+// and a node of a later plan with the same key takes that output instead of
+// evaluating (see take). Plans of one owner share nothing. Reset empties the
+// memo and what is kept when the database may have changed in between.
 type EvalContext struct {
 	DB     *reldb.DB
 	Deltas map[string]*Transition
 	Stats  EvalStats
 
-	plan *planShape  // the plan memo and trails belong to
-	memo []memoEntry // by node id
+	plan  *planShape  // the plan memo and trails belong to
+	owner any         // whom it is evaluated for
+	memo  []memoEntry // by node id
 	// trails holds what the nodes of twin pairs leave for each other, by
 	// slot-1; it is empty until the first one leaves a trail.
 	trails []trail
+	// kept holds, by key, the outputs finished plans computed; nil until a
+	// plan is kept.
+	kept map[nodeKey]keptOut
 	// adhoc holds the plans of graphs evaluated here without a prior
 	// Prepare. They live in the context, not on the Operator, so evaluation
 	// never writes to a graph another goroutine may be evaluating.
@@ -90,11 +103,21 @@ type EvalContext struct {
 	env   Env   // the running pass's environment: see passEnv
 }
 
-// memoEntry is one node's memoized output; done tells an empty output from
-// none yet.
+// memoEntry is one node's memoized output and the node that computed it:
+// the node itself, or the node of a finished plan whose output it took; by
+// is nil until there is an output, so it tells an empty one from none yet.
 type memoEntry struct {
-	out  []Tuple
-	done bool
+	out []Tuple
+	by  *node
+}
+
+// keptOut is the output a node of a finished plan computed, with the trail
+// it left (nil when it is in no twin pair) and whom it was evaluated for.
+type keptOut struct {
+	n     *node
+	out   []Tuple
+	trail *trail
+	owner any
 }
 
 // hit is one index-join match: an outer tuple and the base row it probed.
@@ -176,7 +199,14 @@ func NewEvalContext(db *reldb.DB, deltas map[string]*Transition) *EvalContext {
 // evaluates roots of the same plan and is not Reset. The returned tuples
 // are shared with the memo and, for pass-through operators, with the
 // database's rows: callers must not modify them.
-func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
+func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) { return ctx.EvalFor(nil, o) }
+
+// EvalFor is Eval on behalf of owner, a comparable value naming whom the
+// plan is evaluated for: it may take what plans evaluated for other owners
+// since the last Reset computed (see EvalContext), and what it computes
+// serves them in turn. Eval is EvalFor with one owner for every plan, so
+// it shares nothing across plans.
+func (ctx *EvalContext) EvalFor(owner any, o *Operator) ([]Tuple, error) {
 	n := o.prep
 	if n == nil {
 		if n = ctx.adhoc[o]; n == nil {
@@ -192,20 +222,25 @@ func (ctx *EvalContext) Eval(o *Operator) ([]Tuple, error) {
 		}
 	}
 	if n.plan != ctx.plan {
+		if ctx.plan != nil && owner != ctx.owner {
+			ctx.keep()
+		}
 		ctx.forget()
 		ctx.plan = n.plan
 		ctx.memo = slices.Grow(ctx.memo[:0], n.plan.nodes)[:n.plan.nodes]
 	}
+	ctx.owner = owner
 	res, err := ctx.run(n)
 	ctx.endPass()
 	return res, err
 }
 
-// Reset forgets every operator output the context holds and zeroes Stats,
-// so the next Eval reads the database as it is then. What depends only on
-// Deltas stays, and so do the buffers.
+// Reset forgets every operator output the context holds, kept ones
+// included, and zeroes Stats, so the next Eval reads the database as it is
+// then. What depends only on Deltas stays, and so do the buffers.
 func (ctx *EvalContext) Reset() {
 	ctx.forget()
+	clear(ctx.kept)
 	ctx.Stats = EvalStats{}
 }
 
@@ -217,15 +252,70 @@ func (ctx *EvalContext) forget() {
 	ctx.trails = ctx.trails[:0]
 }
 
+// keep files what the finished plan computed under the nodes' keys for the
+// plans of other owners. What it took is kept already: nothing is kept while
+// a plan runs. An output already kept gives way only to one whose live
+// columns cover its own. The kept trails point into the plan's trail slots,
+// so the next plan leaves its trails in new ones.
+func (ctx *EvalContext) keep() {
+	if ctx.kept == nil {
+		ctx.kept = map[nodeKey]keptOut{}
+	}
+	pointed := false // some kept output points into ctx.trails
+	for _, m := range ctx.memo {
+		n := m.by
+		if n == nil {
+			continue
+		}
+		if k, ok := ctx.kept[n.key]; ok && (k.n == n || !covers(n.live, k.n.live)) {
+			continue
+		}
+		k := keptOut{n: n, out: m.out, owner: ctx.owner}
+		if n.slot != 0 && int(n.slot) <= len(ctx.trails) {
+			k.trail, pointed = &ctx.trails[n.slot-1], true
+		}
+		ctx.kept[n.key] = k
+	}
+	if pointed {
+		ctx.trails = nil
+	}
+}
+
+// take gives n the output a finished plan of another owner computed under
+// n's key, if it holds every column n's consumers read: an output whose
+// Project left a column NULL that n's consumers read cannot stand in. It
+// restores the trail that output's node left into n's slot when that trail
+// means the same for n: a twinned node's trail describes its output in
+// terms of its inputs, the same for both; a node over B_old's points into
+// its twin's output, which is the same only when both twins have one key.
+// A twinned node whose consumers need a trail the kept node never left
+// evaluates instead. Without a trail n's consumers over B_old evaluate
+// without their twins.
+func (ctx *EvalContext) take(n *node) bool {
+	k, ok := ctx.kept[n.key]
+	if !ok || k.owner == ctx.owner || !covers(k.n.live, n.live) || n.twinned && !k.n.twinned {
+		return false
+	}
+	ctx.memo[n.id] = memoEntry{out: k.out, by: k.n}
+	if k.trail != nil && (n.twinned || n.twin != nil && k.n.twin != nil && k.n.twin.key == n.twin.key) {
+		ctx.leave(n, *k.trail)
+	}
+	ctx.Stats.OpsShared++
+	return true
+}
+
 func (ctx *EvalContext) run(n *node) ([]Tuple, error) {
-	if m := ctx.memo[n.id]; m.done {
+	if m := ctx.memo[n.id]; m.by != nil {
 		return m.out, nil
+	}
+	if len(ctx.kept) > 0 && ctx.take(n) {
+		return ctx.memo[n.id].out, nil
 	}
 	res, err := ctx.exec(n)
 	if err != nil {
 		return nil, err
 	}
-	ctx.memo[n.id] = memoEntry{res, true}
+	ctx.memo[n.id] = memoEntry{out: res, by: n}
 	ctx.Stats.OpsEvaluated++
 	ctx.Stats.RowsProduced += len(res)
 	return res, nil
@@ -552,7 +642,7 @@ func (ctx *EvalContext) evalJoin(n *node) ([]Tuple, error) {
 	// base-table access path with an index on a join column. This is what
 	// keeps per-update trigger cost independent of data size (paper §6.4 /
 	// Figure 23): only affected keys are probed.
-	for outer := range n.probes {
+	for outer := range n.join.probes {
 		if res, ok, err := ctx.indexJoin(n, outer); ok || err != nil {
 			return res, err
 		}
@@ -582,7 +672,7 @@ func (ctx *EvalContext) evalJoin(n *node) ([]Tuple, error) {
 // written straight into the output tuple; the inner operator's own output
 // is never materialized.
 func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
-	pr := n.probes[outer]
+	pr := n.join.probes[outer]
 	if pr == nil {
 		return nil, false, nil
 	}
@@ -608,10 +698,10 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 		return nil, false, nil
 	}
 	ctx.Stats.IndexNLJoins++
-	ocols, lw := n.lcols, n.in[0].width
+	ocols, lw := n.join.lcols, int(n.in[0].width)
 	ooff, ioff := 0, lw // where the outer and the inner part land in the output
 	if outer == 1 {
-		ocols, ooff, ioff = n.rcols, lw, 0
+		ocols, ooff, ioff = n.join.rcols, lw, 0
 	}
 	// A twin that probed the same way has the matches of every driving tuple
 	// this join shares with it: B_old's are those less the rows the statement
@@ -687,7 +777,7 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 		}
 	}
 	out := make([]Tuple, len(hits))
-	sl := slab{w: n.width, n: len(hits) - reused}
+	sl := slab{w: int(n.width), n: len(hits) - reused}
 	var from []int32
 	if reused > 0 {
 		from = make([]int32, len(hits))
@@ -844,19 +934,20 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 		ctx.Stats.NestedLoopJoin++
 	}
 	anti := o.JoinKind == JoinRightAnti
-	probe, build, pcols, bcols := lt, rt, n.lcols, n.rcols
+	j := n.join
+	probe, build, pcols, bcols := lt, rt, j.lcols, j.rcols
 	if anti {
-		probe, build, pcols, bcols = rt, lt, n.rcols, n.lcols
+		probe, build, pcols, bcols = rt, lt, j.rcols, j.lcols
 	}
-	ix := n.build // frozen at Prepare for a Constants right input
+	ix := j.build // frozen at Prepare for a Constants right input
 	var local hashIndex
 	if ix == nil {
 		local.index(build, bcols)
 		ix = &local
 	}
 	emits := o.JoinKind == JoinInner || o.JoinKind == JoinLeftOuter // else a match only disqualifies
-	lw := n.in[0].width
-	sl := slab{w: n.width, n: len(probe)}
+	lw := int(n.in[0].width)
+	sl := slab{w: int(n.width), n: len(probe)}
 	env := ctx.passEnv()
 	var out []Tuple
 	for _, p := range probe {
@@ -964,7 +1055,7 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 	// end[g] is now the start of group g's run; its end is the next start.
 	slices.SortFunc(order, func(a, b int32) int { return keys[a].Compare(keys[b]) }) // deterministic group order
 	out := make([]Tuple, 0, len(order))
-	sl := slab{w: n.width, n: len(order)}
+	sl := slab{w: int(n.width), n: len(order)}
 	var groups []groupAt // a twinned GroupBy leaves gid and these
 	if n.twinned {
 		groups = make([]groupAt, len(keys))
@@ -999,7 +1090,7 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 		// key when available, else by full tuple. This fixes the document
 		// order of aggXMLFrag sequences (XQuery for-loop order over
 		// relational data is implementation-defined; we pick key order).
-		sortTuples(grp, n.inKey)
+		sortTuples(grp, o.Inputs[0].Key)
 		for i, a := range o.Aggs {
 			if !n.live[len(o.GroupCols)+i] {
 				continue // nobody reads it: stays NULL

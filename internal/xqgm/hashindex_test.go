@@ -61,20 +61,20 @@ func TestTinyBuildMatchesHashedBuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					n := ns[0]
-					bcols := n.rcols
+					bcols := n.join.rcols
 					if kind == JoinRightAnti {
-						bcols = n.lcols
+						bcols = n.join.lcols
 					}
 					var ix hashIndex
 					if ix.index(build, bcols); (ix.head == nil) != (size <= tinyBuild) {
 						t.Fatalf("build of %d: searched linearly = %t", size, ix.head == nil)
 					}
-					n.build = nil
+					n.join.build = nil
 					tiny, err := (&EvalContext{}).hashJoin(n, lt, rt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					n.build = newHashIndex(build, bcols)
+					n.join.build = newHashIndex(build, bcols)
 					hashed, err := (&EvalContext{}).hashJoin(n, lt, rt)
 					if err != nil {
 						t.Fatal(err)

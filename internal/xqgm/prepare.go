@@ -2,6 +2,8 @@ package xqgm
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
 
 	"quark/internal/xdm"
@@ -14,10 +16,13 @@ import (
 type node struct {
 	op *Operator
 	in []*node
+	// key names the output across plans (see nodeKey): an EvalContext that
+	// evaluates several plans files what one computed under it for the next.
+	key nodeKey
 	// id is the position in creation order — inputs before consumers — and
-	// dense within one plan: an EvalContext's memo is indexed by it.
-	id    int
-	width int
+	// dense within one plan: an EvalContext's memo is indexed by it. width
+	// is the number of output columns.
+	id, width int32
 	// live marks the output columns some consumer reads. A Project leaves
 	// the others Null instead of evaluating them.
 	live []bool
@@ -33,11 +38,17 @@ type node struct {
 	slot    int32
 	plan    *planShape // on a root: the plan it belongs to
 
-	lcols, rcols []int      // Join: equi-join columns of the left / right input
-	probes       [2]*probe  // Join: index access path into in[1] (outer in[0]), into in[0] (outer in[1])
-	build        *hashIndex // Join: frozen build table over a Constants right input
-	inKey        []int      // GroupBy: the input's canonical key, the in-group order
-	rows         []Tuple    // Constants: the evaluated literal rows
+	join *joinPlan // Join: see joinPlan
+	rows []Tuple   // Constants: the evaluated literal rows
+}
+
+// joinPlan is what Prepare freezes for a Join. It hangs off the node
+// rather than sitting in it: most nodes are not joins, and every node of
+// an installed plan stays allocated as long as the plan.
+type joinPlan struct {
+	lcols, rcols []int      // equi-join columns of the left / right input
+	probes       [2]*probe  // index access path into in[1] (outer in[0]), into in[0] (outer in[1])
+	build        *hashIndex // frozen build table over a Constants right input
 }
 
 // planShape is all a prepared root keeps of its planning — the planner's
@@ -88,15 +99,23 @@ func Prepare(roots ...*Operator) error {
 type planner struct {
 	nodes []*node
 	byOp  map[*Operator]*node
-	bySig map[string]*node
+	byKey map[nodeKey]*node
+	held  []*sigEntry // the interned signatures of nodes, one reference each
+	sig   []byte      // the signature being rendered
 }
 
+// plan builds the nodes of the graphs rooted at roots. It holds interned
+// while it does, and the plan holds one reference to the signature of each
+// of its nodes until it is unreachable.
 func plan(roots []*Operator) ([]*node, error) {
-	p := &planner{byOp: map[*Operator]*node{}, bySig: map[string]*node{}}
+	p := &planner{byOp: map[*Operator]*node{}, byKey: map[nodeKey]*node{}, sig: make([]byte, 0, 128)}
+	interned.Lock()
+	defer interned.Unlock()
 	out := make([]*node, len(roots))
 	for i, o := range roots {
 		n, err := p.build(o)
 		if err != nil {
+			releaseLocked(p.held)
 			return nil, err
 		}
 		out[i] = n
@@ -104,7 +123,7 @@ func plan(roots []*Operator) ([]*node, error) {
 	// Every node's live columns are cut from one array.
 	width := 0
 	for _, n := range p.nodes {
-		width += n.width
+		width += int(n.width)
 	}
 	live := make([]bool, width)
 	for _, n := range p.nodes {
@@ -124,6 +143,7 @@ func plan(roots []*Operator) ([]*node, error) {
 	for _, n := range out {
 		n.plan = shape
 	}
+	runtime.AddCleanup(shape, release, slices.Clone(p.held)) // the plan keeps the list: no spare capacity
 	return out, nil
 }
 
@@ -142,7 +162,8 @@ func (p *planner) pairTwins() (pairs int) {
 		}
 		// An input without a twin leaves the signature unchanged: the lookup
 		// finds n itself.
-		t := p.bySig[n.signature(true)]
+		p.sig = n.signature(p.sig[:0], true)
+		t := p.byKey[lookupLocked(p.sig).keyOrZero()]
 		if t == nil || t == n {
 			continue
 		}
@@ -176,7 +197,7 @@ func (p *planner) build(o *Operator) (*node, error) {
 	if n, ok := p.byOp[o]; ok {
 		return n, nil
 	}
-	n := &node{op: o, width: o.OutWidth()}
+	n := &node{op: o, width: int32(o.OutWidth())}
 	for _, in := range o.Inputs {
 		c, err := p.build(in)
 		if err != nil {
@@ -184,18 +205,19 @@ func (p *planner) build(o *Operator) (*node, error) {
 		}
 		n.in = append(n.in, c)
 	}
-	n.id = len(p.nodes)
-	sig := n.signature(false)
-	if dup, ok := p.bySig[sig]; ok {
+	n.id = int32(len(p.nodes))
+	p.sig = n.signature(p.sig[:0], false)
+	e := lookupLocked(p.sig)
+	if dup := p.byKey[e.keyOrZero()]; dup != nil {
 		p.byOp[o] = dup
 		return dup, nil
 	}
 	switch o.Type {
 	case OpConstants:
 		n.rows = make([]Tuple, len(o.ConstRows))
-		sl, env := slab{w: n.width, n: len(o.ConstRows)}, &Env{}
+		sl, env := slab{w: int(n.width), n: len(o.ConstRows)}, &Env{}
 		for r, row := range o.ConstRows {
-			if len(row) != n.width {
+			if len(row) != int(n.width) {
 				return nil, fmt.Errorf("xqgm: constants row %d has %d columns, want %d", r, len(row), n.width)
 			}
 			t := sl.next()
@@ -209,34 +231,37 @@ func (p *planner) build(o *Operator) (*node, error) {
 			n.rows[r] = t
 		}
 	case OpJoin:
+		j := &joinPlan{}
 		for _, eq := range o.On {
-			n.lcols = append(n.lcols, eq.L)
-			n.rcols = append(n.rcols, eq.R)
+			j.lcols = append(j.lcols, eq.L)
+			j.rcols = append(j.rcols, eq.R)
 		}
 		if o.JoinKind == JoinInner && len(o.On) > 0 {
-			n.probes[0] = newProbe(o.Inputs[1], n.rcols)
-			n.probes[1] = newProbe(o.Inputs[0], n.lcols)
+			j.probes[0] = newProbe(o.Inputs[1], j.rcols)
+			j.probes[1] = newProbe(o.Inputs[0], j.lcols)
 		}
 		if r := n.in[1]; r.op.Type == OpConstants && len(o.On) > 0 && o.JoinKind != JoinRightAnti {
-			n.build = newHashIndex(r.rows, n.rcols)
+			j.build = newHashIndex(r.rows, j.rcols)
 		}
-	case OpGroupBy:
-		n.inKey = o.Inputs[0].Key
+		n.join = j
 	}
+	e = internLocked(e, p.sig)
+	p.held = append(p.held, e)
+	n.key = e.key
 	p.nodes = append(p.nodes, n)
-	p.byOp[o], p.bySig[sig] = n, n
+	p.byOp[o], p.byKey[n.key] = n, n
 	return n, nil
 }
 
-// signature renders everything evaluation depends on, so two nodes with
-// equal signatures produce equal output. Inputs are named by node id: they
-// are already merged. It runs once per operator of every installed plan, so
-// it appends to one buffer rather than going through fmt. With asTwin it
-// renders the signature n's twin has: B_old read as the current table, and
-// inputs named by their twins.
-func (n *node) signature(asTwin bool) string {
+// signature appends to b everything evaluation depends on, so two nodes
+// with equal signatures produce equal output. Inputs are named by key: they
+// are already merged, in this plan and in every other. It runs once per
+// operator of every installed plan, so it appends to the planner's buffer
+// rather than going through fmt. With asTwin it renders the signature n's
+// twin has: B_old read as the current table, and inputs named by their
+// twins.
+func (n *node) signature(b []byte, asTwin bool) []byte {
 	o := n.op
-	b := make([]byte, 0, 128)
 	ints := func(sep byte, vs ...int) {
 		for _, v := range vs {
 			b = strconv.AppendInt(append(b, sep), int64(v), 10)
@@ -254,7 +279,7 @@ func (n *node) signature(asTwin bool) string {
 		if asTwin && in.twin != nil {
 			in = in.twin
 		}
-		ints('#', in.id)
+		b = strconv.AppendUint(append(b, '#'), uint64(in.key), 10)
 	}
 	switch o.Type {
 	case OpTable:
@@ -295,7 +320,7 @@ func (n *node) signature(asTwin bool) string {
 	case OpUnnest:
 		ints(' ', o.UnnestCol)
 	}
-	return string(b)
+	return b
 }
 
 // demand marks, on n's inputs, the columns n reads to produce its own live
@@ -320,7 +345,7 @@ func (n *node) demand() {
 		RewriteExpr(e, func(x Expr) Expr {
 			switch x := x.(type) {
 			case *ColRef:
-				if x.Input < len(n.in) && x.Col >= 0 && x.Col < n.in[x.Input].width {
+				if x.Input < len(n.in) && x.Col >= 0 && x.Col < int(n.in[x.Input].width) {
 					n.in[x.Input].live[x.Col] = true
 				}
 			case *Lit, *Cmp, *Arith, *Logic, *Call, *IsNullExpr, *ElemCtor, *PathStep:
@@ -353,7 +378,7 @@ func (n *node) demand() {
 	case OpJoin:
 		// An anti join's absent side comes out NULL whatever it computed, so
 		// it is read only to decide what matches.
-		lw := n.in[0].width
+		lw := int(n.in[0].width)
 		for c, l := range n.live {
 			if l && c < lw && o.JoinKind != JoinRightAnti {
 				n.in[0].live[c] = true
@@ -375,10 +400,11 @@ func (n *node) demand() {
 				reads(a.Arg)
 			}
 		}
-		if n.inKey == nil {
+		// The input's canonical key orders a group's rows.
+		if o.Inputs[0].Key == nil {
 			all(0) // rows order by the whole tuple
 		}
-		for _, c := range n.inKey {
+		for _, c := range o.Inputs[0].Key {
 			n.in[0].live[c] = true
 		}
 	case OpUnion:
