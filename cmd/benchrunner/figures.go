@@ -51,7 +51,13 @@ var figures = []figure{
 		},
 		shapes: []shape{
 			{claim: "GROUPED is flat in the number of triggers", num: ref{"GROUPED", last}, den: ref{"GROUPED", first}, atMost: 2},
-			{claim: "UNGROUPED grows with the number of triggers", num: ref{"UNGROUPED", last}, den: ref{"UNGROUPED", first}, atLeast: 10},
+			// One trigger is satisfied at every point, so the 1-trigger point
+			// is that member building its element and nothing else, and a
+			// ratio against it measures the construction more than the
+			// members. From 10 to 100 triggers the satisfied member stays and
+			// only the rejected ones multiply: ten times the members cost at
+			// least four times as much.
+			{claim: "UNGROUPED grows with the number of triggers", num: ref{"UNGROUPED", 100}, den: ref{"UNGROUPED", 10}, atLeast: 4},
 		},
 	},
 	{

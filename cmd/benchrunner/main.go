@@ -310,6 +310,23 @@ func check(err error) {
 	}
 }
 
+// parseArgs reads the arguments after the flags: the verb, then the figures
+// to measure, every figure when none is named. It reports false for no verb,
+// an unknown one, or a figure named that is not one (or named twice).
+func parseArgs(args []string) (verb string, picked []*figure, ok bool) {
+	if len(args) == 0 {
+		return "", nil, false
+	}
+	verb, names := args[0], args[1:]
+	for i := range figures {
+		if f := &figures[i]; len(names) == 0 || slices.Contains(names, f.name) {
+			picked = append(picked, f)
+		}
+	}
+	ok = (verb == "run" || verb == "update" || verb == "test") && len(picked) >= len(names)
+	return verb, picked, ok
+}
+
 func main() {
 	flag.Usage = func() {
 		fmt.Fprint(flag.CommandLine.Output(), "usage: benchrunner [flags] run|update|test [fig...]\nfigures:")
@@ -320,15 +337,9 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	verb := flag.Arg(0)
-	var picked []*figure
-	for i := range figures {
-		if f := &figures[i]; flag.NArg() == 1 || slices.Contains(flag.Args()[1:], f.name) {
-			picked = append(picked, f)
-		}
-	}
-	if verb != "run" && verb != "update" && verb != "test" || len(picked) < flag.NArg()-1 {
-		flag.Usage() // no verb, or a figure named that is not one (or named twice)
+	verb, picked, ok := parseArgs(flag.Args())
+	if !ok {
+		flag.Usage()
 		os.Exit(2)
 	}
 

@@ -3,9 +3,55 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestMain runs main instead of the tests when the test binary is started by
+// TestNoArgumentsPrintsUsage.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHRUNNER_RUN_MAIN") == "1" {
+		os.Args = os.Args[:1]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// benchrunner with no arguments prints its usage and exits 2, as it does for
+// an unknown verb, instead of failing on the missing verb.
+func TestNoArgumentsPrintsUsage(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "BENCHRUNNER_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "usage: benchrunner") {
+		t.Errorf("no arguments: %v, output:\n%s\nwant exit status 2 and the usage", err, out)
+	}
+}
+
+func TestParseArgs(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		picked int // figures picked when ok
+		ok     bool
+	}{
+		{nil, 0, false},
+		{[]string{"run"}, len(figures), true},
+		{[]string{"test", "fig17", "fig18"}, 2, true},
+		{[]string{"measure"}, 0, false},
+		{[]string{"run", "fig99"}, 0, false},
+		{[]string{"update", "fig17", "fig17"}, 0, false},
+	} {
+		verb, picked, ok := parseArgs(c.args)
+		if ok != c.ok || ok && (len(picked) != c.picked || verb != c.args[0]) {
+			t.Errorf("parseArgs(%q) = %q, %d figures, %v; want %d figures, %v", c.args, verb, len(picked), ok, c.picked, c.ok)
+		}
+	}
+}
 
 // TestEveryFigureRuns executes every registry row end to end at the smallest
 // scale. measureX itself fails a point whose ops did not deliver exactly

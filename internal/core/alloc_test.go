@@ -15,25 +15,32 @@ import (
 )
 
 // firingAllocBudget caps the heap allocations of one single-row leaf update
-// that fires a grouped trigger plan: about 10 % above the measured 178.
+// that fires a grouped trigger plan: about 10 % above the measured 63.
 // The count is what the evaluator's prepare-once / allocation-lean design
 // buys (the interpretive evaluator it replaced needed 4,183 here), what
 // building the OLD side as an edit of the NEW side buys on top (1,229 with
-// both sides built, 735 with one), and what carving a pass's nodes, lists
-// and lexical strings out of chunks buys on top of that: the 64 <e1>
+// both sides built, 735 with one), what carving a pass's nodes, lists and
+// lexical strings out of chunks buys on top of that (178: the 64 <e1>
 // children of the NEW side cost 8 objects each before, and now cost the
-// first child's 8 and four chunks. A change that raises the count past the
-// budget is paying per-tuple or per-node garbage again, or building the 63
-// children the statement did not touch a second time.
+// first child's 8 and four chunks), and what cutting the operators' outputs
+// from the memory the engine's kept evaluation context reuses buys last:
+// what is left is the delivered nodes and their aggregate item sequences,
+// the statement's Δ-key set and ∇ index, and the engine's and reldb's
+// per-statement bookkeeping. A change that raises the count past the budget
+// is paying per-tuple or per-node garbage again, building the 63 children
+// the statement did not touch a second time, or allocating operator outputs
+// on the heap again.
 //
-// firingBytesBudget is the other half, about 5 % above the measured 73,870
-// bytes (78,640 while the evaluation context kept its memo and trails in
-// maps, 97,072 while a tuple cell was 48 bytes, not 24). A chunk allocator
-// that rounds passes up, or pays for itself per pass, lowers the count and
-// raises this; so does anything that widens xdm.Value.
+// firingBytesBudget is the other half, about 5 % above the measured 32,800
+// bytes, 24 KB of it the delivered <e0> and <e1> nodes (73,870 while every
+// statement allocated its operators' outputs, 78,640 while the evaluation
+// context kept its memo and trails in maps, 97,072 while a tuple cell was
+// 48 bytes, not 24). A chunk allocator that rounds passes up, or pays for
+// itself per pass, lowers the count and raises this; so does anything that
+// widens xdm.Value.
 const (
-	firingAllocBudget = 196
-	firingBytesBudget = 77_600
+	firingAllocBudget = 70
+	firingBytesBudget = 34_440
 )
 
 // raceEnabled is set by race_test.go: the race detector's instrumentation
@@ -106,16 +113,18 @@ func TestFiringAllocationBudget(t *testing.T) {
 
 // ungroupedAllocBudget and ungroupedBytesBudget cap one leaf update under
 // 100 UNGROUPED members of which one is satisfied, about 10 % and 5 % above
-// the measured 4,338 objects and 242,130 bytes. Each member's condition
-// filters the affected keys before anything is built, so the 99 others cost
-// their key filter and nothing more (see rejectedMemberAllocBudget). It read
-// 8,029 objects and 1.23 MB while every member built its own evaluation
-// context and, in it, the statement's transition-table indexes; ≈ 18,850
-// objects and 7.8 MB while every member built the updated element and
-// dropped it.
+// the measured 59 objects and 32,664 bytes. Each member's condition filters
+// the affected keys before anything is built, so the 99 others cost their
+// key filter, whose outputs take memory the statement's evaluation context
+// reuses from the statement before (see rejectedMemberAllocBudget). It read
+// 4,338 objects and 242,130 bytes while every statement allocated its
+// operators' outputs; 8,029 objects and 1.23 MB while every member built its
+// own evaluation context and, in it, the statement's transition-table
+// indexes; ≈ 18,850 objects and 7.8 MB while every member built the updated
+// element and dropped it.
 const (
-	ungroupedAllocBudget = 4_780
-	ungroupedBytesBudget = 254_300
+	ungroupedAllocBudget = 65
+	ungroupedBytesBudget = 34_300
 )
 
 func TestUngroupedFiringAllocationBudget(t *testing.T) {
@@ -165,18 +174,20 @@ func ungroupedFiring(t *testing.T, satisfied int) (*workload.Setup, func()) {
 
 // rejectedMemberAllocBudget and rejectedMemberBytesBudget cap what one
 // UNGROUPED member whose condition rejects the firing costs — one leaf
-// update under 100 such members, divided by 100 — about 10 % above the
-// measured 42.3 objects and 1,771 bytes. Such a member evaluates its key
-// filter, finds no key, and skips the affected-node graph: what it allocates
-// is the output of the operators it runs. Everything that depends only on
-// the statement — the evaluation context with its memo and trails, the
-// transition tables as tuples, their Δ-key sets and ∇ indexes — is built
-// once for all the members. When each member had a context of its own, a
-// rejected member cost 79.1 objects and 11,626 bytes, the context's memo and
-// trail maps alone 6.4 KB of it.
+// update under 100 such members, divided by 100 — about 10 % and 5 % above
+// the measured 0.19 objects and 14.6 bytes. Such a member evaluates its key
+// filter, finds no key, and skips the affected-node graph: the output of the
+// operators it runs is cut from memory the statement's evaluation context
+// reuses, so what is left is the statement's own cost spread over the 100.
+// Everything that depends only on the statement — the evaluation context
+// with its memo and trails, the transition tables as tuples, their Δ-key
+// sets and ∇ indexes — is built once for all the members. A rejected member
+// cost 42.3 objects and 1,771 bytes while every statement allocated its
+// operators' outputs, and 79.1 objects and 11,626 bytes while each member had
+// a context of its own, the context's memo and trail maps alone 6.4 KB of it.
 const (
-	rejectedMemberAllocBudget = 47
-	rejectedMemberBytesBudget = 1_950
+	rejectedMemberAllocBudget = 0.21
+	rejectedMemberBytesBudget = 15.3
 )
 
 func TestUngroupedRejectedMemberBudget(t *testing.T) {
@@ -189,12 +200,12 @@ func TestUngroupedRejectedMemberBudget(t *testing.T) {
 		t.Fatalf("notifications = %d, want none: no member watches the updated element", w.Notifications)
 	}
 	allocs, bytes = allocs/100, bytes/100
-	t.Logf("one rejected UNGROUPED member: %.1f allocations (budget %d), %.0f bytes (budget %d)", allocs, rejectedMemberAllocBudget, bytes, rejectedMemberBytesBudget)
+	t.Logf("one rejected UNGROUPED member: %.2f allocations (budget %.2f), %.1f bytes (budget %.1f)", allocs, rejectedMemberAllocBudget, bytes, rejectedMemberBytesBudget)
 	if allocs > rejectedMemberAllocBudget {
-		t.Errorf("a rejected member allocates %.1f objects, budget is %d", allocs, rejectedMemberAllocBudget)
+		t.Errorf("a rejected member allocates %.2f objects, budget is %.2f", allocs, rejectedMemberAllocBudget)
 	}
 	if bytes > rejectedMemberBytesBudget {
-		t.Errorf("a rejected member allocates %.0f bytes, budget is %d", bytes, rejectedMemberBytesBudget)
+		t.Errorf("a rejected member allocates %.1f bytes, budget is %.1f", bytes, rejectedMemberBytesBudget)
 	}
 	if gs := w.Engine.GroupStats(); len(gs) != 1 || gs[0].JoinsSkipped < 100*101 || gs[0].NodesBuilt != 0 {
 		t.Errorf("group stats %+v: want every evaluation to skip its graph and build nothing", gs)
@@ -314,7 +325,9 @@ func TestEventGraphsShareTheCommitsWork(t *testing.T) {
 // batched commit under the UPDATE group: 1.1 times its bytes. The two
 // deliver nothing here, and the operators their graphs share with the UPDATE
 // graph — affected keys, both view sides — they take from it. Evaluating
-// them afresh cost about 1.6 times.
+// them afresh cost about 1.6 times. The ratio measured 1.01 (321,479 bytes
+// per commit against 318,790), and 1.02 (650,948 against 638,833) while
+// every commit allocated its operators' outputs.
 const eventGraphsBytesRatio = 1.1
 
 func TestEventGraphsAllocationBudget(t *testing.T) {
@@ -509,16 +522,18 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 // durableFiringAllocBudget caps the heap allocations of one leaf update
 // whose firing notifies 20 triggers durably — one group append, 20
 // enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
-// measured 258. Per-record appends and the reflective JSON encoder
-// needed about 3,900 here; a change that raises the count past the budget
-// is encoding, framing or writing per record again. Its passes construct
-// for eight tuples at most and most of them for one, so
-// durableFiringBytesBudget — about 5 % above the measured 27,330 to 27,460
-// bytes (32,100 while the evaluation context kept its memo and trails in
-// maps) — is where a chunk allocator that costs a short pass anything shows.
+// measured 146 (258 while every statement allocated its operators'
+// outputs). Per-record appends and the reflective JSON encoder needed about
+// 3,900 here; a change that raises the count past the budget is encoding,
+// framing or writing per record again. Its passes construct for eight
+// tuples at most and most of them for one, so durableFiringBytesBudget —
+// about 5 % above the measured 13,937 to 13,945 bytes (27,330 to 27,460
+// while every statement allocated its operators' outputs, 32,100 while the
+// evaluation context kept its memo and trails in maps) — is where a chunk
+// allocator that costs a short pass anything shows.
 const (
-	durableFiringAllocBudget = 284
-	durableFiringBytesBudget = 28_800
+	durableFiringAllocBudget = 161
+	durableFiringBytesBudget = 14_650
 )
 
 func TestDurableFiringAllocBudget(t *testing.T) {

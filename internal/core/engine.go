@@ -203,6 +203,9 @@ type Engine struct {
 	fires   atomic.Int64
 	actsRun atomic.Int64
 
+	// evals lends statements and commits their evaluation contexts.
+	evals evalPool
+
 	// obsp, when non-nil, holds the resolved metric handles of an attached
 	// observability registry (EnableObs). Nil means disabled: every
 	// instrumented path reduces to one atomic load and a branch.
@@ -332,6 +335,7 @@ func NewEngine(db *reldb.DB, mode Mode) *Engine {
 	acts := map[string]ActionFunc{}
 	e.actions.Store(&acts)
 	e.obStripes = NewDeliveryStripes()
+	e.evals.db, e.evals.idle = db, maxIdleEvals
 	e.fkReads = map[string][]string{}
 	for _, t := range db.Schema().Tables() {
 		e.tableLocks[t.Name] = &sync.RWMutex{}
@@ -707,14 +711,24 @@ func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, rec *wire.Record) fu
 // BatchInfo.EngineState: activation dedup across the commit's plans, the
 // staged invocation set (inspected by the prepare check), the group-commit
 // wave when the outbox is enabled, and the one evaluation context over the
-// commit's net deltas that every plan it fires evaluates in. All firing
-// waves of one commit run on the committing goroutine, so no locking is
-// needed.
+// commit's net deltas that every plan it fires evaluates in, borrowed until
+// the prepare phase ends. All firing waves of one commit run on the
+// committing goroutine, so no locking is needed.
 type batchState struct {
 	seen   map[activation]struct{}
 	staged []Invocation
 	wave   *deliveryWave
 	eval   *evalState
+}
+
+// Release returns the commit's evaluation context when its prepare phase
+// is done: the staged invocations and the wave hold nodes and values, never
+// the context's tuples.
+func (st *batchState) Release() {
+	if st.eval != nil {
+		st.eval.Release()
+		st.eval = nil
+	}
 }
 
 // activation identifies one (trigger, affected node) activation within a
@@ -733,13 +747,6 @@ func batchStateOf(b *reldb.BatchInfo) *batchState {
 	st := &batchState{seen: map[activation]struct{}{}}
 	b.EngineState = st
 	return st
-}
-
-// evalState is the evaluation context the bodies of one statement or commit
-// share, and the database's write sequence when its outputs were computed.
-type evalState struct {
-	xqgm.EvalContext
-	seq uint64
 }
 
 // waveItem is one staged durable delivery.
@@ -1403,12 +1410,11 @@ func (e *Engine) fire(g *group, plan *installedPlan, ctx *reldb.FireContext) err
 		defer m.fire.Since(time.Now())
 	}
 	// Every plan that fires for the statement evaluates in one context over
-	// its transition tables (see reldb.FireContext's sharing contract).
+	// its transition tables, borrowed until reldb releases the statement
+	// (see reldb.FireContext's sharing contract).
 	es, ok := ctx.EngineState.(*evalState)
 	if !ok {
-		es = &evalState{EvalContext: xqgm.EvalContext{DB: e.db, Deltas: map[string]*xqgm.Transition{
-			ctx.Table: {Inserted: ctx.Inserted, Deleted: ctx.Deleted},
-		}}}
+		es = e.evals.statement(ctx.Table, ctx.Inserted, ctx.Deleted)
 		ctx.EngineState = es
 	}
 	return e.activate(g, plan, es, ctx)
@@ -1419,7 +1425,8 @@ func (e *Engine) fire(g *group, plan *installedPlan, ctx *reldb.FireContext) err
 // holds the plan's table write lock (a plan fires only from statements on
 // its own table, so concurrent disjoint BatchTables commits touch
 // disjoint plans). The per-commit activation dedup state rides on the
-// commit's BatchInfo, so its lifetime is exactly the commit's.
+// commit's BatchInfo, so its lifetime is exactly the commit's; the
+// evaluation context on it is borrowed until the prepare phase ends.
 func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext) error {
 	if plan.lastBatch == ctx.Batch.Seq {
 		return nil // another event of the same commit already ran this plan
@@ -1442,11 +1449,7 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 	}
 	st := batchStateOf(ctx.Batch)
 	if st.eval == nil {
-		deltas := make(map[string]*xqgm.Transition, len(ctx.Batch.Deltas))
-		for t, nd := range ctx.Batch.Deltas {
-			deltas[t] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
-		}
-		st.eval = &evalState{EvalContext: xqgm.EvalContext{DB: e.db, Deltas: deltas}}
+		st.eval = e.evals.commit(ctx.Batch.Deltas)
 	}
 	return e.activate(g, plan, st.eval, ctx)
 }

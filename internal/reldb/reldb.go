@@ -110,13 +110,28 @@ type FireContext struct {
 	// behavior.
 	Stage func(deliver func() error)
 	// EngineState is scratch storage for the trigger-translation layer, as
-	// BatchInfo.EngineState is per commit: it lives exactly as long as the
-	// statement, and its bodies run sequentially, so state cached here (the
-	// statement's evaluation context) needs no locking. A body may write
-	// the database before the next body runs, so what was read from the
-	// database may serve a later body only while WriteSeq still returns
-	// the value it returned when that was read.
+	// BatchInfo.EngineState is per commit. The statement's bodies run one
+	// after another, so state kept here (the evaluation context the engine
+	// lends the statement) needs no locking. It serves this statement only:
+	// when the last body has returned — or one failed — reldb calls Release
+	// on it if it is a Releaser, and the engine may then hand what it holds
+	// to another statement. A body may write the database before the next
+	// body runs, so what was read from the database may serve a later body
+	// only while WriteSeq still returns the value it returned when that was
+	// read.
 	EngineState any
+}
+
+// Releaser is what an EngineState implements to learn that reldb is done
+// with it: Release runs once, when a statement's bodies or a commit's prepare
+// phase have finished, whether they failed or not.
+type Releaser interface{ Release() }
+
+// release ends an EngineState's use.
+func release(state any) {
+	if r, ok := state.(Releaser); ok {
+		r.Release()
+	}
 }
 
 // NetDelta is the net change of one table over a whole transaction:
@@ -144,8 +159,11 @@ type BatchInfo struct {
 	// EngineState is scratch storage for the trigger-translation layer:
 	// every firing wave of one commit shares this BatchInfo and runs on
 	// the committing goroutine, so per-commit state cached here (e.g.
-	// cross-plan activation dedup) needs no locking and lives exactly as
-	// long as the commit that created it.
+	// cross-plan activation dedup, the staged invocations) needs no locking.
+	// When the prepare phase has finished, failed or not, reldb calls
+	// Release on it if it is a Releaser: what served only the evaluation
+	// (the engine's evaluation context) may go back then, while what Commit
+	// delivers stays with the BatchInfo.
 	EngineState any
 	// Obs is the opaque observability token set via Tx.SetObsToken (the
 	// engine's prepare-phase trace span); reldb never inspects it.
@@ -916,6 +934,11 @@ func (db *DB) fire(table string, ev Event, inserted, deleted []Row, batch *Batch
 	// created by a body join from the next statement on.
 	triggers := db.triggers
 	var ctx *FireContext // one for the statement: every body gets it
+	defer func() {
+		if ctx != nil {
+			release(ctx.EngineState)
+		}
+	}()
 	for _, tr := range triggers {
 		if tr.Table != table || tr.Event != ev {
 			continue

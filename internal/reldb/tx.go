@@ -468,6 +468,7 @@ func (tx *Tx) prepare() error {
 		batch.Deltas[t] = nd
 	}
 	tx.batch = batch
+	defer func() { release(batch.EngineState) }()
 	stage := func(deliver func() error) {
 		tx.staged = append(tx.staged, deliver)
 	}

@@ -71,6 +71,16 @@ type EvalStats struct {
 // and a node of a later plan with the same key takes that output instead of
 // evaluating (see take). Plans of one owner share nothing. Reset empties the
 // memo and what is kept when the database may have changed in between.
+//
+// A context may serve one statement after another: Rebind starts the next.
+// A rebound context cuts its operators' outputs — tuple cells, output arrays,
+// GroupBy's row permutation, the trails' positions — from blocks it keeps,
+// and the next Rebind clears them and cuts the next statement's outputs from
+// them again, keeping at most maxKeptBytes. So the tuples EvalFor returns are
+// valid until the next Rebind, and whatever outlives the statement — a node,
+// an aggregate's item sequence, a value copied out of a tuple — must not be a
+// tuple. A context that is never rebound allocates every output on its own
+// and keeps nothing: its tuples live as long as they are referenced.
 type EvalContext struct {
 	DB     *reldb.DB
 	Deltas map[string]*Transition
@@ -99,8 +109,27 @@ type EvalContext struct {
 	// trans caches the transition tables read as tuples — Δ, ∇ and their
 	// pruned forms — by table and source.
 	trans map[tableCol][]Tuple
-	hits  []hit // index-join scratch, reused from join to join
-	env   Env   // the running pass's environment: see passEnv
+	mem   outMem // what outputs are cut from: see Rebind
+	hits  []hit  // index-join scratch, reused from join to join
+	// matches is hash-join scratch: the (probe, build) pairs of one join
+	// before its output is built, build -1 for an unmatched probe tuple.
+	matches []match
+	// groupBy is GroupBy's scratch, reused from pass to pass.
+	groupBy groupScratch
+	env     Env // the running pass's environment: see passEnv
+}
+
+// match is one hash-join output tuple: positions in the probe and the build
+// input, the build position -1 when the probe tuple stands alone.
+type match struct{ p, b int32 }
+
+// groupScratch is what a GroupBy pass needs only while it runs: the group of
+// each key, the keys in first-seen order, the runs' ends, the twin's group
+// behind each group, and the groups in key order.
+type groupScratch struct {
+	byKey          map[xdm.CompKey]int32
+	keys           []xdm.CompKey
+	end, twin, ord []int32
 }
 
 // memoEntry is one node's memoized output and the node that computed it:
@@ -244,6 +273,27 @@ func (ctx *EvalContext) Reset() {
 	ctx.Stats = EvalStats{}
 }
 
+// Rebind starts the context on the next statement, whose transition tables
+// are deltas. It forgets every operator output, memoized or kept, the trails
+// and what it built from the last statement's transition tables, then clears
+// the memory the outputs were cut from and cuts the next statement's from it
+// (see EvalContext): the tuples EvalFor returned before are invalid from
+// here on. Memory past maxKeptBytes is dropped.
+func (ctx *EvalContext) Rebind(deltas map[string]*Transition) {
+	ctx.Reset()
+	ctx.Deltas = deltas
+	ctx.plan, ctx.owner = nil, nil
+	clear(ctx.trans)
+	clear(ctx.oldExcl)
+	clear(ctx.delIdx)
+	ctx.mem.reset()
+	ctx.hits, ctx.matches = scratch(ctx.hits), scratch(ctx.matches)
+}
+
+// KeptBytes reports the memory the context keeps for its outputs across
+// Rebind: at most maxKeptBytes right after one.
+func (ctx *EvalContext) KeptBytes() int { return ctx.mem.bytes() }
+
 // forget clears the memo and the trails, keeping their capacity. Entries past
 // the memo's length are already clear: every forget clears the whole length.
 func (ctx *EvalContext) forget() {
@@ -347,19 +397,18 @@ func holds(pred Expr, env *Env) (bool, error) {
 	return !v.IsNull() && v.EffectiveBool(), nil
 }
 
-// slab carves an operator's output tuples out of shared backing arrays, so
-// an output costs a handful of allocations instead of one per tuple. Fresh
-// tuples are all-NULL. n is the number of tuples the next array holds.
+// slab carves an operator pass's fresh output tuples out of one piece of
+// cells, cut for exactly the tuples the pass makes, so an output costs one
+// piece instead of one per tuple. Fresh tuples are all-NULL.
 type slab struct {
-	w, n int
-	buf  []xdm.Value
+	w   int
+	buf []xdm.Value
 }
 
+// slab cuts the cells of n tuples of width w.
+func (ctx *EvalContext) slab(w, n int) slab { return slab{w, ctx.mem.cells.take(w * n)} }
+
 func (s *slab) next() Tuple {
-	if len(s.buf) < s.w {
-		s.buf = make([]xdm.Value, max(s.n, 1)*s.w)
-		s.n = min(2*max(s.n, 1), 1024)
-	}
 	t := s.buf[:s.w:s.w]
 	s.buf = s.buf[s.w:]
 	return t
@@ -390,7 +439,6 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 	o := n.op
 	switch o.Type {
 	case OpSelect:
-		var out []Tuple
 		// A twinned Select leaves where each input tuple went; a Select over
 		// B_old takes the twin's verdict on every tuple the twin saw too.
 		var at, from []int32
@@ -399,10 +447,11 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 			return nil, err
 		}
 		if n.twinned {
-			at = make([]int32, len(in))
+			at = ctx.mem.ints.take(len(in))
 		} else if inFrom != nil {
-			from = make([]int32, 0, len(in))
+			from = ctx.mem.ints.take(len(in))[:0]
 		}
+		out := ctx.mem.tuples.room(len(in))
 		env := ctx.passEnv()
 		for i, t := range in {
 			ok, src := false, int32(-1)
@@ -435,9 +484,9 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 		if at != nil || from != nil {
 			ctx.leave(n, trail{at: at, from: from})
 		}
-		return out, nil
+		return ctx.mem.tuples.cut(out), nil
 	case OpProject:
-		out := make([]Tuple, len(in))
+		out := ctx.mem.tuples.take(len(in))
 		fresh := len(in)
 		// A tuple the input took from the twin's input projects to what the
 		// twin projected it to.
@@ -458,7 +507,7 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 		// The pass's fresh tuples come from one slab, and the nodes their
 		// constructors build from one set of chunks, cut for what the tuples
 		// so far took and the number still to come.
-		sl, env := slab{w: len(o.Projs), n: fresh}, ctx.passEnv()
+		sl, env := ctx.slab(len(o.Projs), fresh), ctx.passEnv()
 		for i, t := range in {
 			if out[i] != nil {
 				continue
@@ -508,8 +557,8 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 	}
 }
 
-func rowsToTuples(rows []reldb.Row) []Tuple {
-	out := make([]Tuple, len(rows))
+func (ctx *EvalContext) rowsToTuples(rows []reldb.Row) []Tuple {
+	out := ctx.mem.tuples.take(len(rows))
 	for i, r := range rows {
 		out[i] = Tuple(r)
 	}
@@ -530,7 +579,7 @@ func (ctx *EvalContext) evalTable(o *Operator) ([]Tuple, error) {
 	tr := ctx.transition(o.Table)
 	switch o.Source {
 	case SrcBase:
-		out := make([]Tuple, 0, ctx.DB.RowCount(o.Table))
+		out := ctx.mem.tuples.take(ctx.DB.RowCount(o.Table))[:0]
 		err := ctx.DB.Scan(o.Table, func(r reldb.Row) bool {
 			out = append(out, Tuple(r))
 			return true
@@ -563,7 +612,7 @@ func (ctx *EvalContext) transitionTuples(table string, src TableSource, tr *Tran
 	default:
 		rows = pruneRows(tr.Deleted, tr.Inserted)
 	}
-	ts := rowsToTuples(rows)
+	ts := ctx.rowsToTuples(rows)
 	if ctx.trans == nil {
 		ctx.trans = map[tableCol][]Tuple{}
 	}
@@ -598,7 +647,7 @@ func pruneRows(a, b []reldb.Row) []reldb.Row {
 // the table so a key set is exact; without one the table may hold duplicate
 // rows and Δ must be subtracted with multiplicity, not as a set.
 func (ctx *EvalContext) evalOldTable(o *Operator, tr *Transition) ([]Tuple, error) {
-	var out []Tuple
+	out := ctx.mem.tuples.room(ctx.DB.RowCount(o.Table) + len(tr.Deleted))
 	var err error
 	if len(o.TablePK) > 0 {
 		exclude := ctx.oldExclFor(o.Table, o.TablePK)
@@ -632,7 +681,7 @@ func (ctx *EvalContext) evalOldTable(o *Operator, tr *Transition) ([]Tuple, erro
 	for _, r := range tr.Deleted {
 		out = append(out, Tuple(r))
 	}
-	return out, nil
+	return ctx.mem.tuples.cut(out), nil
 }
 
 // --- joins ---
@@ -776,11 +825,11 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 			return nil, false, rowErr
 		}
 	}
-	out := make([]Tuple, len(hits))
-	sl := slab{w: int(n.width), n: len(hits) - reused}
+	out := ctx.mem.tuples.take(len(hits))
+	sl := ctx.slab(int(n.width), len(hits)-reused)
 	var from []int32
 	if reused > 0 {
-		from = make([]int32, len(hits))
+		from = ctx.mem.ints.take(len(hits))
 		ctx.Stats.RowsReused += reused
 	}
 	for i, h := range hits {
@@ -800,7 +849,7 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 	}
 	ctx.hits = hits
 	if n.twinned && n.op.JoinPred == nil { // hits[i] made out[i]: keep them for the B_old side
-		ctx.leave(n, trail{outer: outer, pi: pi, hits: append(make([]hit, 0, len(hits)), hits...)})
+		ctx.leave(n, trail{outer: outer, pi: pi, hits: append(ctx.mem.hits.take(len(hits))[:0], hits...)})
 	} else if from != nil {
 		ctx.leave(n, trail{from: from})
 	}
@@ -946,20 +995,20 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 		ix = &local
 	}
 	emits := o.JoinKind == JoinInner || o.JoinKind == JoinLeftOuter // else a match only disqualifies
-	lw := int(n.in[0].width)
-	sl := slab{w: int(n.width), n: len(probe)}
+	// First collect the output's (probe, build) pairs — about one per probe
+	// tuple, most joins — then build it in one exactly-sized array.
+	ms := slices.Grow(ctx.matches[:0], len(probe))
 	env := ctx.passEnv()
-	var out []Tuple
-	for _, p := range probe {
+	for pi, p := range probe {
 		matched := false
 		if !hasNull(p, pcols) {
 			k := xdm.ColsKey(p, pcols)
 			for i := ix.first(k); i != 0 && (emits || !matched); i = ix.after(i, k) {
-				l, r := p, build[i-1]
-				if anti {
-					l, r = r, l
-				}
 				if o.JoinPred != nil {
+					l, r := p, build[i-1]
+					if anti {
+						l, r = r, l
+					}
 					env.In = [2][]xdm.Value{l, r}
 					ok, err := holds(o.JoinPred, env)
 					if err != nil {
@@ -971,24 +1020,31 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 				}
 				matched = true
 				if emits {
-					jt := sl.next()
-					copy(jt, l)
-					copy(jt[lw:], r)
-					out = append(out, jt)
+					ms = append(ms, match{int32(pi), i - 1})
 				}
 			}
 		}
-		if matched || o.JoinKind == JoinInner {
-			continue
+		if !matched && o.JoinKind != JoinInner {
+			// Outer and anti joins keep the unmatched row; the absent side is NULL.
+			ms = append(ms, match{int32(pi), -1})
 		}
-		// Outer and anti joins keep the unmatched row; the absent side is NULL.
+	}
+	ctx.matches = ms
+	lw := int(n.in[0].width)
+	out := ctx.mem.tuples.take(len(ms))
+	sl := ctx.slab(int(n.width), len(ms))
+	for i, m := range ms {
 		jt := sl.next()
-		if anti {
+		switch p := probe[m.p]; {
+		case m.b < 0 && anti:
 			copy(jt[lw:], p)
-		} else {
+		case m.b < 0:
 			copy(jt, p)
+		default: // only inner and left outer joins emit matches
+			copy(jt, p)
+			copy(jt[lw:], build[m.b])
 		}
-		out = append(out, jt)
+		out[i] = jt
 	}
 	return out, nil
 }
@@ -997,20 +1053,24 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 
 func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 	o := n.op
-	// Number the groups in first-seen order, then counting-sort the rows so
-	// each group is one run of rows (in input order).
-	gid := make([]int32, len(in))
-	byKey := make(map[xdm.CompKey]int32)
-	var keys []xdm.CompKey
-	var end []int32 // per group: row count, then the end of its run
-	// A group whose rows are exactly the rows of one group of the twin is
-	// that group: same rows, same aggregates. twinGroup[g] is the twin's
-	// group all of g's rows so far came from, or -1.
-	var twinGroup []int32
 	inFrom, tout, twin, err := ctx.twinOf(n)
 	if err != nil {
 		return nil, err
 	}
+	// Number the groups in first-seen order, then counting-sort the rows so
+	// each group is one run of rows (in input order).
+	sc := &ctx.groupBy
+	if sc.byKey == nil {
+		sc.byKey = map[xdm.CompKey]int32{}
+	}
+	clear(sc.byKey) // a pass that failed left its keys
+	// end holds per group its row count, then the end of its run.
+	byKey, keys, end := sc.byKey, sc.keys[:0], sc.end[:0]
+	// A group whose rows are exactly the rows of one group of the twin is
+	// that group: same rows, same aggregates. twinGroup[g] is the twin's
+	// group all of g's rows so far came from, or -1.
+	twinGroup := sc.twin[:0]
+	gid := ctx.mem.ints.take(len(in))
 	env := ctx.passEnv()
 	for i, t := range in {
 		k := xdm.ColsKey(t, o.GroupCols)
@@ -1040,29 +1100,41 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 	if len(o.GroupCols) == 0 && len(keys) == 0 {
 		keys, end = append(keys, xdm.CompKey{}), append(end, 0)
 	}
-	order := make([]int32, len(keys))
+	// A group is taken from the twin only if it has as many rows as the
+	// twin's group: the rest get fresh tuples.
+	fresh, reusing := len(keys), inFrom != nil && len(in) > 0
+	if reusing {
+		for g, tg := range twinGroup {
+			if tg >= 0 && twin.groups[tg].size == end[g] {
+				fresh--
+			} else {
+				twinGroup[g] = -1
+			}
+		}
+	}
+	order := slices.Grow(sc.ord[:0], len(keys))[:len(keys)]
 	for g := range order {
 		order[g] = int32(g)
 		if g > 0 {
 			end[g] += end[g-1]
 		}
 	}
-	rows := make([]Tuple, len(in))
+	rows := ctx.mem.tuples.take(len(in))
 	for i := len(in) - 1; i >= 0; i-- {
 		end[gid[i]]--
 		rows[end[gid[i]]] = in[i]
 	}
 	// end[g] is now the start of group g's run; its end is the next start.
 	slices.SortFunc(order, func(a, b int32) int { return keys[a].Compare(keys[b]) }) // deterministic group order
-	out := make([]Tuple, 0, len(order))
-	sl := slab{w: int(n.width), n: len(order)}
+	out := ctx.mem.tuples.take(len(order))[:0]
+	sl := ctx.slab(int(n.width), fresh)
 	var groups []groupAt // a twinned GroupBy leaves gid and these
 	if n.twinned {
-		groups = make([]groupAt, len(keys))
+		groups = ctx.mem.groups.take(len(keys))
 	}
 	var from []int32
-	if twinGroup != nil {
-		from = make([]int32, 0, len(order))
+	if reusing {
+		from = ctx.mem.ints.take(len(order))[:0]
 	}
 	for _, g := range order {
 		stop := len(in)
@@ -1074,7 +1146,7 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 			groups[g] = groupAt{out: int32(len(out)), size: int32(len(grp))}
 		}
 		if from != nil {
-			if tg := twinGroup[g]; tg >= 0 && int(twin.groups[tg].size) == len(grp) {
+			if tg := twinGroup[g]; tg >= 0 {
 				from = append(from, twin.groups[tg].out)
 				out = append(out, tout[twin.groups[tg].out])
 				ctx.Stats.RowsReused++
@@ -1102,6 +1174,11 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 			t[len(o.GroupCols)+i] = v
 		}
 		out = append(out, t)
+	}
+	if len(keys) > maxRoom {
+		*sc = groupScratch{} // clearing a map costs its size: start small again
+	} else {
+		sc.keys, sc.end, sc.twin, sc.ord = keys[:0], end[:0], twinGroup[:0], order[:0]
 	}
 	if groups != nil {
 		ctx.leave(n, trail{at: gid, groups: groups})
@@ -1213,17 +1290,23 @@ func evalAgg(a Agg, rows []Tuple, env *Env) (xdm.Value, error) {
 // --- union ---
 
 func (ctx *EvalContext) evalUnion(n *node) ([]Tuple, error) {
-	var out []Tuple
-	var seen map[xdm.CompKey]struct{}
-	if n.op.Distinct {
-		seen = map[xdm.CompKey]struct{}{}
-	}
+	// Every input runs before the output's room is taken: an input's own
+	// evaluation takes memory too.
+	total := 0
 	for _, in := range n.in {
 		ts, err := ctx.run(in)
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range ts {
+		total += len(ts)
+	}
+	var seen map[xdm.CompKey]struct{}
+	if n.op.Distinct {
+		seen = map[xdm.CompKey]struct{}{}
+	}
+	out := ctx.mem.tuples.room(total)
+	for _, in := range n.in {
+		for _, t := range ctx.memo[in.id].out {
 			if seen != nil {
 				k := xdm.RowKey(t)
 				if _, dup := seen[k]; dup {
@@ -1234,7 +1317,7 @@ func (ctx *EvalContext) evalUnion(n *node) ([]Tuple, error) {
 			out = append(out, t)
 		}
 	}
-	return out, nil
+	return ctx.mem.tuples.cut(out), nil
 }
 
 // SortedEval evaluates o and returns the tuples sorted by the given

@@ -215,7 +215,7 @@ func (p *planner) build(o *Operator) (*node, error) {
 	switch o.Type {
 	case OpConstants:
 		n.rows = make([]Tuple, len(o.ConstRows))
-		sl, env := slab{w: int(n.width), n: len(o.ConstRows)}, &Env{}
+		sl, env := slab{int(n.width), make([]xdm.Value, int(n.width)*len(o.ConstRows))}, &Env{}
 		for r, row := range o.ConstRows {
 			if len(row) != int(n.width) {
 				return nil, fmt.Errorf("xqgm: constants row %d has %d columns, want %d", r, len(row), n.width)
