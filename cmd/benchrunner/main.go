@@ -14,9 +14,10 @@
 // No figure named means all of them. test judges what another machine can:
 // allocations per update against the snapshot (2 %, the bound BENCHMARK.json
 // puts on counts) and each figure's shape, a ratio between points of one run
-// that states the paper's claim; a shape missed by less than the run's own
-// p10-p90 spread is reported unresolved and does not fail. Times are printed
-// beside the recorded ones and never gate: bench/ judges those.
+// that states the paper's claim, in time or in allocations; a time shape
+// missed by less than the run's own p10-p90 spread is reported unresolved
+// and does not fail. Times are printed beside the recorded ones and never
+// gate: bench/ judges those.
 package main
 
 import (
@@ -172,11 +173,14 @@ func quantile(sorted []float64, q float64) float64 {
 }
 
 // A shape is a claim about one run: the ratio of two points' ns per update
-// stays at or under atMost, or at or over atLeast (exactly one is set).
+// stays at or under atMost, or at or over atLeast (exactly one is set). With
+// allocs the ratio is of allocations per update, which repeat from run to
+// run: a bound they miss fails.
 type shape struct {
 	claim           string
 	num, den        ref
 	atLeast, atMost float64
+	allocs          bool
 }
 
 // ref names a point of a series by its x, or by one of the selectors below.
@@ -238,9 +242,16 @@ func (f *figure) judgeShapes(pts []point) (out []finding) {
 		}
 		ratio := num.Median / den.Median
 		op, bound, best := "<=", s.atMost, num.P10/den.P90
-		missed, hopeless := ratio > bound, best > bound
 		if s.atLeast != 0 {
 			op, bound, best = ">=", s.atLeast, num.P90/den.P10
+		}
+		what := fmt.Sprintf("(%.2f within the spread)", best)
+		if s.allocs {
+			ratio = num.Allocs / den.Allocs
+			best, what = ratio, "in allocations per update"
+		}
+		missed, hopeless := ratio > bound, best > bound
+		if s.atLeast != 0 {
 			missed, hopeless = ratio < bound, best < bound
 		}
 		v := pass
@@ -249,8 +260,8 @@ func (f *figure) judgeShapes(pts []point) (out []finding) {
 		} else if missed {
 			v = unresolved
 		}
-		out = append(out, finding{v, fmt.Sprintf("%s shape: %s: %s at %d / %s at %d = %.2f (%.2f within the spread), want %s %g",
-			f.name, s.claim, num.Series, num.X, den.Series, den.X, ratio, best, op, bound)})
+		out = append(out, finding{v, fmt.Sprintf("%s shape: %s: %s at %d / %s at %d = %.2f %s, want %s %g",
+			f.name, s.claim, num.Series, num.X, den.Series, den.X, ratio, what, op, bound)})
 	}
 	return out
 }

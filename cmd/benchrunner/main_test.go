@@ -85,6 +85,37 @@ func TestEveryFigureRuns(t *testing.T) {
 	}
 }
 
+// The compile figure's join shape fails on the points recorded while joining
+// a group recompiled it (BENCH_compile.json before the constants table was
+// a member store): 8,121.8 allocations per update at 10 members, 124,423.1
+// at 10,000.
+func TestCompileJoinShapeFailsWhereJoiningRecompiled(t *testing.T) {
+	var f *figure
+	for i := range figures {
+		if figures[i].name == "compile" {
+			f = &figures[i]
+		}
+	}
+	recompiling := []point{
+		{Series: "new", X: 10, Median: 1028165, P10: 762701, P90: 1363984, Allocs: 7505.4},
+		{Series: "join", X: 10, Median: 676126, P10: 645337, P90: 858946, Allocs: 8121.8},
+		{Series: "new", X: 1000, Median: 1079935, P10: 888984, P90: 1665773, Allocs: 7505},
+		{Series: "join", X: 1000, Median: 3162623, P10: 2808562, P90: 3367972, Allocs: 30071.7},
+		{Series: "new", X: 10000, Median: 1659187, P10: 1083148, P90: 2265378, Allocs: 7504.8},
+		{Series: "join", X: 10000, Median: 23318526, P10: 18785086, P90: 25223270, Allocs: 124423.1},
+	}
+	failed := false
+	for _, fd := range f.judgeShapes(recompiling) {
+		if strings.Contains(fd.msg, "joining a group") {
+			failed = fd.verdict == fail
+			t.Log(fd.verdict, fd.msg)
+		}
+	}
+	if !failed {
+		t.Error("the join shape passes points where joining a group recompiles it")
+	}
+}
+
 // TestCompare feeds compare doctored snapshots of a hand-made run: nothing
 // passes vacuously, and only a miss the spread cannot explain fails a shape.
 func TestCompare(t *testing.T) {
@@ -131,6 +162,21 @@ func TestCompare(t *testing.T) {
 		}
 		if worst.verdict != c.want || !strings.Contains(worst.msg, c.in) {
 			t.Errorf("%s: worst finding %s %q, want %s naming %q", c.name, worst.verdict, worst.msg, c.want, c.in)
+		}
+	}
+
+	// An allocation shape has no spread to hide in: a miss fails.
+	fa := &figure{name: "figX", axis: "n", shapes: []shape{
+		{claim: "flat", num: ref{"A", last}, den: ref{"A", first}, atMost: 1.25, allocs: true},
+	}}
+	grown := run(150, 140)
+	grown.Points[1].Allocs = 1100
+	for _, c := range []struct {
+		cur  *snapshot
+		want verdict
+	}{{flat, pass}, {grown, fail}} {
+		if fd := fa.judgeShapes(c.cur.Points)[0]; fd.verdict != c.want || !strings.Contains(fd.msg, "in allocations per update") {
+			t.Errorf("allocation shape on %v allocations: %s %q, want %s", c.cur.Points[1].Allocs, fd.verdict, fd.msg, c.want)
 		}
 	}
 

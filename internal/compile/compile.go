@@ -221,7 +221,7 @@ func (c *Compiler) compileDocCtor(ctor *xquery.ElemCtor) (*xqgm.Operator, *NavNo
 	}
 	if cur == nil {
 		// Constant document.
-		cur = xqgm.NewConstants([]string{"one"}, [][]xqgm.Expr{{xqgm.LitOf(xdm.Int(1))}})
+		cur = xqgm.NewConstants([]string{"one"}, []xqgm.Tuple{{xdm.Int(1)}})
 	}
 	docCtor := &xqgm.ElemCtor{Name: ctor.Name, Children: childExprs}
 	for _, a := range ctor.Attrs {

@@ -124,7 +124,7 @@ func (e *Engine) GroupStats() []GroupStat {
 			Sig:          sig,
 			Mode:         g.mode,
 			ModeName:     g.mode.String(),
-			Members:      len(g.members),
+			Members:      g.members.Len(),
 			Fires:        g.stats.fires.Load(),
 			EvalNS:       g.stats.evalNS.Load(),
 			DeltaRows:    g.stats.deltaRows.Load(),

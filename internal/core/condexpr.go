@@ -27,16 +27,37 @@ type Layout struct {
 type condCompiler struct {
 	nav    *compile.NavNode
 	layout Layout
-	// abstract, when true, replaces literals with grouping.ConstRef
-	// placeholders and records their values (trigger grouping, §5.1).
-	abstract bool
-	consts   []xdm.Value
+	// consts records the literals, which compile to grouping.ConstRef
+	// placeholders (trigger grouping, §5.1); the first nCond are a
+	// template's condition's.
+	consts []xdm.Value
+	nCond  int
+}
+
+// template compiles a trigger's condition and action arguments, whose
+// constants follow the condition's. The arguments read theirs from input 1,
+// where activation puts a member's Consts.
+func (cc *condCompiler) template(cond xquery.Expr, args []xquery.Expr) (xqgm.Expr, []xqgm.Expr, error) {
+	var c xqgm.Expr
+	if cond != nil {
+		var err error
+		if c, err = cc.compile(cond); err != nil {
+			return nil, nil, err
+		}
+	}
+	cc.nCond = len(cc.consts)
+	out := make([]xqgm.Expr, len(args))
+	for i, a := range args {
+		ce, err := cc.compile(a)
+		if err != nil {
+			return nil, nil, err
+		}
+		out[i] = grouping.ReadConsts(ce, 0)
+	}
+	return c, out, nil
 }
 
 func (cc *condCompiler) lit(v xdm.Value) xqgm.Expr {
-	if !cc.abstract {
-		return xqgm.LitOf(v)
-	}
 	cc.consts = append(cc.consts, v)
 	return &grouping.ConstRef{Idx: len(cc.consts) - 1}
 }

@@ -363,6 +363,50 @@ func TestDropTriggerDrainsAsyncLane(t *testing.T) {
 	}
 }
 
+// A batch that staged an invocation of a trigger enqueues it when it
+// commits, and dropping the trigger takes no table lock to change its
+// group: DropTrigger waits for the open batch before it drains the lane, so
+// the staged delivery runs and nothing enqueues to the lane afterwards.
+func TestDropTriggerWaitsForAStagedInvocation(t *testing.T) {
+	e, snapshot := newOrderedEngine(t, 2)
+	if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 2, QueueCap: 64, Policy: dispatch.Block}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h, err := e.BeginBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Tx().UpdateByPK("item", []xdm.Value{xdm.Int(0)}, func(r reldb.Row) reldb.Row {
+		r[2] = xdm.Int(7)
+		return r
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() { done <- e.DropTrigger("ord0") }()
+	select {
+	case err := <-done:
+		t.Fatalf("DropTrigger returned (%v) while a batch that staged an invocation of the trigger was open", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := h.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot()[0]; len(got) != 1 || got[0] != 7 {
+		t.Errorf("ord0 delivered %v by the time DropTrigger returned, want [7]", got)
+	}
+	if _, ok := e.TriggerDispatchStats("ord0"); ok {
+		t.Error("the staged delivery enqueued to ord0's lane after DropTrigger drained it")
+	}
+}
+
 // TestAsyncErrorPolicySurfacesToWriter: with Policy Error, a full queue
 // rejects the delivery and the writer's statement reports it.
 func TestAsyncErrorPolicySurfacesToWriter(t *testing.T) {

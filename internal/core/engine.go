@@ -146,12 +146,13 @@ type Engine struct {
 	policy    ModePolicy
 	seedModes map[string]Mode
 
-	triggers map[string]*TriggerInfo
+	triggers map[string]registration
 	groups   map[string]*group
 	order    []string // group signatures in creation order
 	dirty    bool
-	// dirtyGroups marks groups whose membership changed since the last
-	// flush; unchanged groups keep their compiled plans across flushes.
+	// dirtyGroups marks groups to compile at the next flush: new ones, and
+	// those whose plans change with their membership (every mode but a
+	// built GROUPED group's). The rest keep their plans across flushes.
 	dirtyGroups    map[string]bool
 	pendingDropSQL []string // SQL triggers of groups that were emptied
 	sqlSeq         int
@@ -236,11 +237,10 @@ type outboxState struct {
 	sink outbox.Sink // nil: deliver to the registered action functions
 }
 
-// TriggerInfo is one registered XML trigger.
-type TriggerInfo struct {
-	Spec     *trigger.Spec
-	Consts   []xdm.Value
-	groupSig string
+// registration is one registered XML trigger: its group and its row there.
+type registration struct {
+	g *group
+	m *grouping.Member
 }
 
 // group is the set of triggers with one structural signature. Each group
@@ -249,13 +249,17 @@ type TriggerInfo struct {
 // because the installed plans, not the engine, decide how a firing
 // evaluates.
 type group struct {
-	sig     string
-	mode    Mode
-	event   reldb.Event
-	view    string
-	nav     *compile.NavNode
-	members map[string]*TriggerInfo
-	order   []string
+	sig      string
+	mode     Mode
+	event    reldb.Event
+	view     string
+	nav      *compile.NavNode
+	actionFn string
+	// cond and args are the first member's: every member has their shape,
+	// and differs only in constants, which the store holds.
+	cond    xquery.Expr
+	args    []xquery.Expr
+	members *grouping.Store
 	// built at flush:
 	built    bool
 	plans    []*installedPlan
@@ -296,23 +300,24 @@ type pendingTrigger struct {
 	table  string
 	event  reldb.Event
 	body   func(*reldb.FireContext) error
-	sql    string
 	prefix string // sql-trigger name prefix: "xmlTrig" or "matTrig"
 }
 
-// installedPlan is one compiled SQL-trigger body. Everything reachable
-// from a plan is immutable after flush (member/arg maps are snapshots),
-// so firings may run without the metadata lock.
+// installedPlan is one compiled SQL-trigger body. Firings run without the
+// metadata lock: what a plan reads is immutable after flush, except a
+// grouped plan's store, which the firing read-locks.
 type installedPlan struct {
-	table      string
-	an         *affected.ANGraph
-	root       *xqgm.Operator
-	trigIDsCol int                    // -1 for ungrouped plans
-	trigID     string                 // ungrouped: the single owner
-	args       map[string][]xqgm.Expr // trigID -> compiled action args
-	members    map[string]*TriggerInfo
-	sqlText    string
-	keyCols    [2][]int // the affected node's canonical key in a row: NEW side, OLD side
+	table string
+	an    *affected.ANGraph
+	root  *xqgm.Operator
+	args  []xqgm.Expr // the group's action arguments: a member's constants are input 1
+	// A GROUPED plan's rows name their members in the store at trigIDsCol;
+	// an UNGROUPED plan is member's alone.
+	store      *grouping.Store
+	trigIDsCol int
+	member     *grouping.Member
+	rendered   atomic.Pointer[renderedSQL] // see sql
+	keyCols    [2][]int                    // the affected node's canonical key in a row: NEW side, OLD side
 
 	// lastBatch dedups plan evaluation within one Tx.Commit (the same
 	// plan is shared by this table's INSERT/UPDATE/DELETE triggers).
@@ -326,7 +331,7 @@ func NewEngine(db *reldb.DB, mode Mode) *Engine {
 		db:          db,
 		comp:        compile.New(db.Schema()),
 		mode:        mode,
-		triggers:    map[string]*TriggerInfo{},
+		triggers:    map[string]registration{},
 		groups:      map[string]*group{},
 		dirtyGroups: map[string]bool{},
 		tableLocks:  map[string]*sync.RWMutex{},
@@ -945,7 +950,8 @@ func (e *Engine) CreateTrigger(src string) error {
 	return e.CreateTriggerSpec(spec)
 }
 
-// CreateTriggerSpec registers a pre-parsed trigger.
+// CreateTriggerSpec registers a pre-parsed trigger. One joining a built
+// GROUPED group is live on return, and neither compiles nor locks a table.
 func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -959,44 +965,57 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	if err != nil {
 		return err
 	}
-	// Collect the trigger's condition constants (traversal order matches
-	// the abstracted template used for grouping).
-	cc := &condCompiler{nav: nav, layout: identityLayout(nav), abstract: true}
-	if spec.Condition != nil {
-		if _, err := cc.compile(spec.Condition); err != nil {
-			return err
-		}
+	// Collect the trigger's constants (traversal order matches the
+	// abstracted template used for grouping).
+	cc := &condCompiler{nav: nav, layout: identityLayout(nav)}
+	cond, _, err := cc.template(spec.Condition, spec.ActionArgs)
+	if err != nil {
+		return err
 	}
 	sig := signature(spec)
-	ti := &TriggerInfo{Spec: spec, Consts: cc.consts, groupSig: sig}
 	g, ok := e.groups[sig]
 	if !ok {
 		mode := e.mode
 		if m, seeded := e.seedModes[sig]; seeded {
 			mode = m
 		}
-		g = &group{sig: sig, mode: mode, event: spec.Event, view: spec.ViewName, nav: nav, members: map[string]*TriggerInfo{}}
+		g = &group{sig: sig, mode: mode, event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
+			cond: spec.Condition, args: spec.ActionArgs, members: grouping.NewStore(cond, cc.nCond)}
 		e.groups[sig] = g
 		e.order = append(e.order, sig)
 	}
-	g.members[spec.Name] = ti
-	g.order = append(g.order, spec.Name)
-	e.triggers[spec.Name] = ti
-	e.dirty = true
-	e.dirtyGroups[sig] = true
+	// The member keeps copies: the spec's strings point into its source.
+	m := &grouping.Member{Name: strings.Clone(spec.Name), Consts: make([]xdm.Value, len(cc.consts))}
+	for i, v := range cc.consts {
+		if v.Kind() == xdm.KindString {
+			v = xdm.Str(strings.Clone(v.AsString()))
+		}
+		m.Consts[i] = v
+	}
+	if err := g.members.Add(m); err != nil {
+		return err
+	}
+	e.triggers[m.Name] = registration{g, m}
+	e.touched(g)
 	return nil
 }
 
-// DropTrigger removes an XML trigger. With async dispatch enabled it also
-// rebuilds the installed SQL triggers immediately (Flush semantics) and
-// then drains the trigger's delivery lane: deliveries already enqueued
-// for the dropped trigger complete before DropTrigger returns, and the
-// lane's bookkeeping is released. The immediate flush matters for the
-// drain: it runs under every table's write lock, so it both waits out
-// in-flight statements that could still fire the old plans and uninstalls
-// those plans, guaranteeing nothing can enqueue to the drained lane
-// afterwards. (In synchronous mode the rebuild stays deferred to the next
-// Flush, as before.)
+// touched records that g's membership changed: a built GROUPED group's
+// plans read it as they run, any other group's compile it in.
+func (e *Engine) touched(g *group) {
+	if !g.built || g.mode != ModeGrouped {
+		e.dirty = true
+		e.dirtyGroups[g.sig] = true
+	}
+}
+
+// DropTrigger removes an XML trigger. With async dispatch enabled it then
+// drains the trigger's delivery lane, so deliveries already enqueued for it
+// complete before DropTrigger returns and the lane is released. First it
+// rebuilds what the drop changed (Flush semantics) and waits out every
+// statement and batch in flight: one that evaluated before the drop, or
+// staged an invocation, holds a table lock until it has enqueued. (In
+// synchronous mode the rebuild stays deferred to the next Flush.)
 func (e *Engine) DropTrigger(name string) error {
 	e.mu.Lock()
 	err := e.dropTriggerLocked(name)
@@ -1010,49 +1029,38 @@ func (e *Engine) DropTrigger(name string) error {
 		return err
 	}
 	if d != nil {
-		// Drain outside the metadata lock: lane deliveries may take
-		// arbitrary time, and concurrent engine API calls must not queue
-		// up behind the drop. The drain runs even when the flush failed —
-		// the trigger is already unregistered, so the lane must still be
-		// released (the flush error is surfaced afterwards, and the next
-		// statement will retry the rebuild).
+		// Wait and drain outside the metadata lock: lane deliveries may take
+		// arbitrary time, and engine calls must not queue up behind the drop.
+		// The drain runs even when the flush failed: the trigger is already
+		// unregistered, and the next statement retries the rebuild.
+		e.lockAllForWrite()()
 		d.DrainTrigger(name)
 	}
 	return flushErr
 }
 
 func (e *Engine) dropTriggerLocked(name string) error {
-	ti, ok := e.triggers[name]
+	r, ok := e.triggers[name]
 	if !ok {
 		return fmt.Errorf("core: no trigger %q", name)
 	}
 	delete(e.triggers, name)
-	g := e.groups[ti.groupSig]
-	delete(g.members, name)
-	for i, n := range g.order {
-		if n == name {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
+	g := r.g
+	g.members.Remove(r.m)
+	if g.members.Len() > 0 {
+		e.touched(g)
+		return nil
 	}
-	if len(g.members) == 0 {
-		delete(e.groups, ti.groupSig)
-		delete(e.dirtyGroups, ti.groupSig)
-		e.pendingDropSQL = append(e.pendingDropSQL, g.sqlNames...)
-		for i, s := range e.order {
-			if s == ti.groupSig {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
-	} else {
-		e.dirtyGroups[ti.groupSig] = true
-	}
+	delete(e.groups, g.sig)
+	delete(e.dirtyGroups, g.sig)
+	e.pendingDropSQL = append(e.pendingDropSQL, g.sqlNames...)
+	e.order = slices.DeleteFunc(e.order, func(s string) bool { return s == g.sig })
 	e.dirty = true
 	return nil
 }
 
-// identityLayout is used for constant collection (layout-independent).
+// identityLayout is the view's row: NEW columns, then OLD (constant
+// collection, MATERIALIZED's tuple pairs).
 func identityLayout(nav *compile.NavNode) Layout {
 	w := nav.Op.OutWidth()
 	return Layout{NewCol: func(i int) int { return i }, OldCol: func(i int) int { return w + i }}
@@ -1119,8 +1127,7 @@ func signature(spec *trigger.Spec) string {
 }
 
 // abstractString is the shape of an expression: its AST rendered with "?"
-// for each literal, met in the order condCompiler{abstract: true} collects
-// them into Consts.
+// for each literal, met in the order condCompiler collects them.
 func abstractString(ex xquery.Expr) string {
 	if ex == nil {
 		return "<none>"
@@ -1217,26 +1224,17 @@ func (e *Engine) compileGroup(g *group, mode Mode) (*groupBuild, error) {
 		tables[te.Table] = append(tables[te.Table], te.Event)
 	}
 
-	// Immutable membership snapshot shared by this build's plans: firings
-	// run without the metadata lock, so they must not read g.members,
-	// which CreateTrigger/DropTrigger mutate.
-	members := make(map[string]*TriggerInfo, len(g.members))
-	for name, ti := range g.members {
-		members[name] = ti
-	}
-
 	for _, table := range tableOrder {
 		plans, err := e.buildTablePlans(g, table, mode)
 		if err != nil {
 			return nil, err
 		}
 		for _, plan := range plans {
-			plan.members = members
 			b.plans = append(b.plans, plan)
 			for _, relEv := range tables[table] {
 				p := plan
 				b.installs = append(b.installs, pendingTrigger{
-					table: table, event: relEv, prefix: "xmlTrig", sql: plan.sqlText,
+					table: table, event: relEv, prefix: "xmlTrig",
 					body: func(ctx *reldb.FireContext) error { return e.fire(g, p, ctx) },
 				})
 			}
@@ -1266,7 +1264,7 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 		e.sqlSeq++
 		name := fmt.Sprintf("%s_%d", pt.prefix, e.sqlSeq)
 		if err := e.db.CreateTrigger(&reldb.SQLTrigger{
-			Name: name, Table: pt.table, Event: pt.event, Body: pt.body, SQL: pt.sql,
+			Name: name, Table: pt.table, Event: pt.event, Body: pt.body,
 		}); err != nil {
 			return err
 		}
@@ -1291,19 +1289,10 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 	if err != nil {
 		return nil, err
 	}
-	layout := Layout{NewCol: an.NewCol, OldCol: an.OldCol}
-
-	// Compile the shared condition template (abstracted constants). All
-	// members of a structural group share the abstracted condition shape,
-	// so the first member's condition is the template for every member.
-	first := g.members[g.order[0]]
-	tcc := &condCompiler{nav: g.nav, layout: layout, abstract: true}
-	var template xqgm.Expr
-	if first.Spec.Condition != nil {
-		template, err = tcc.compile(first.Spec.Condition)
-		if err != nil {
-			return nil, err
-		}
+	cc := &condCompiler{nav: g.nav, layout: Layout{NewCol: an.NewCol, OldCol: an.OldCol}}
+	template, args, err := cc.template(g.cond, g.args)
+	if err != nil {
+		return nil, err
 	}
 
 	if mode == ModeUngrouped {
@@ -1311,24 +1300,17 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		// sharing one ANGraph per table. A member's condition first filters
 		// the affected keys it can hold for, so the shared graph builds
 		// nodes only for a firing it may deliver.
-		plans := make([]*installedPlan, 0, len(g.order))
-		for _, name := range g.order {
-			ti := g.members[name]
+		members := g.members.Members()
+		plans := make([]*installedPlan, 0, len(members))
+		for _, m := range members {
 			var root *xqgm.Operator = an.Root
 			if template != nil {
-				bound := grouping.Bind(template, ti.Consts)
+				bound := grouping.Bind(template, m.Consts)
 				root = xqgm.NewSelect(an.Restrict(bound), bound)
 			}
-			plan := newInstalledPlan(g, table, an)
+			plan := newInstalledPlan(g, table, an, args)
 			plan.root = root
-			plan.trigIDsCol = -1
-			plan.trigID = ti.Spec.Name
-			args, err := e.compileArgs(g, ti, layout)
-			if err != nil {
-				return nil, err
-			}
-			plan.args[ti.Spec.Name] = args
-			plan.sqlText = RenderSQL(root)
+			plan.member = m
 			// One by one, not Prepare(roots...): an evaluation sizes its memo
 			// by the root's node id, and ids prepared together count every
 			// member's Select before this one.
@@ -1340,45 +1322,15 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		return plans, nil
 	}
 
-	// GROUPED: constants table + shared plan.
-	plan := newInstalledPlan(g, table, an)
-	gg := grouping.NewGroup(g.sig, template, len(first.Consts))
-	for _, name := range g.order {
-		ti := g.members[name]
-		if err := gg.Add(name, ti.Consts); err != nil {
-			return nil, err
-		}
-	}
-	gp := grouping.BuildGroupedPlan(gg, an.Root)
-	plan.root = gp.Root
-	plan.trigIDsCol = gp.TrigIDsCol
-	if err := xqgm.Prepare(gp.Root); err != nil {
+	// GROUPED: one plan joining the group's constants table, whose TrigIDs
+	// follows the affected-node graph's columns.
+	plan := newInstalledPlan(g, table, an, args)
+	plan.root = grouping.BuildGroupedPlan(g.members, template, an.Root)
+	plan.store, plan.trigIDsCol = g.members, an.Root.OutWidth()
+	if err := xqgm.Prepare(plan.root); err != nil {
 		return nil, err
 	}
-	for _, name := range g.order {
-		ti := g.members[name]
-		args, err := e.compileArgs(g, ti, layout)
-		if err != nil {
-			return nil, err
-		}
-		plan.args[name] = args
-	}
-	plan.sqlText = RenderSQL(gp.Root)
 	return []*installedPlan{plan}, nil
-}
-
-// compileArgs compiles a member's action arguments (concrete constants).
-func (e *Engine) compileArgs(g *group, ti *TriggerInfo, layout Layout) ([]xqgm.Expr, error) {
-	cc := &condCompiler{nav: g.nav, layout: layout}
-	out := make([]xqgm.Expr, len(ti.Spec.ActionArgs))
-	for i, a := range ti.Spec.ActionArgs {
-		ce, err := cc.compile(a)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ce
-	}
-	return out, nil
 }
 
 // fire is the body of an installed SQL trigger: evaluate the plan over the
@@ -1459,6 +1411,32 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 // stages — the member actions. Batched firings dedup activations across the
 // plans of one commit via the batch state riding on ctx.Batch.
 func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *reldb.FireContext) error {
+	invs, err := e.activations(g, plan, es, ctx)
+	if err == nil && len(invs) > 0 {
+		wave := e.firingWave(ctx)
+		for _, inv := range invs {
+			g.stats.activations.Add(1)
+			if err = e.stageOrDeliver(ctx, wave, g.actionFn, inv); err != nil {
+				break
+			}
+		}
+		if err == nil && ctx.Stage == nil && wave != nil {
+			err = wave.run()
+		}
+	}
+	clear(invs) // what was delivered is the actions' now, not the context's
+	return err
+}
+
+// activations evaluates the plan and returns its activations in delivery
+// order, in es's buffer. A grouped plan's membership holds still meanwhile
+// and is free again before anything is delivered: an action may take its
+// time, or write a table whose statement fires the group again.
+func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *reldb.FireContext) ([]Invocation, error) {
+	if st := plan.store; st != nil {
+		st.RLock()
+		defer st.RUnlock()
+	}
 	var seen map[activation]struct{}
 	if ctx.Batch != nil {
 		seen = batchStateOf(ctx.Batch).seen
@@ -1475,22 +1453,19 @@ func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *rel
 	es.Stats = xqgm.EvalStats{}
 	rows, err := es.EvalFor(g, plan.root)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	g.stats.rowsReused.Add(int64(es.Stats.RowsReused))
 	g.stats.joinsSkipped.Add(int64(es.Stats.JoinsSkipped))
 	g.stats.nodesBuilt.Add(int64(es.Stats.NodesBuilt))
 	g.stats.opsShared.Add(int64(es.Stats.OpsShared))
 	if sh := e.shadow.Load(); sh != nil {
-		// Materialized-view bodies carry no rendered SQL; nothing to mirror.
-		if plan.sqlText != "" {
-			if err := (*sh).VerifyPlan(plan.table, plan.sqlText, es.Deltas, rows); err != nil {
-				return fmt.Errorf("core: plan shadow: %w", err)
-			}
+		if err := (*sh).VerifyPlan(plan.table, plan.sql(), es.Deltas, rows); err != nil {
+			return nil, fmt.Errorf("core: plan shadow: %w", err)
 		}
 	}
 	if len(rows) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Sorted activation (the ORDER BY of Figure 16): by TrigIDs then by the
 	// row. The leading affected-key columns decide that order whenever they
@@ -1506,7 +1481,7 @@ func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *rel
 		ks := make([]keyed, len(rows))
 		for i, row := range rows {
 			ks[i] = keyed{key: xdm.TupleKey(row[:an.KeyWidth()]), row: row}
-			if plan.trigIDsCol >= 0 {
+			if plan.store != nil {
 				ks[i].ids = row[plan.trigIDsCol].AsString()
 			}
 		}
@@ -1530,62 +1505,68 @@ func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *rel
 			rows[i] = ks[i].row
 		}
 	}
-	wave := e.firingWave(ctx)
+	invs := es.invs[:0]
 	var env xqgm.Env
 	for _, row := range rows {
-		var ids []string
-		if plan.trigIDsCol >= 0 {
-			ids = grouping.SplitTriggerIDs(row[plan.trigIDsCol])
-		} else {
-			ids = []string{plan.trigID}
+		members := []*grouping.Member{plan.member}
+		if plan.store != nil {
+			members = plan.store.RowMembers(row[plan.trigIDsCol])
 		}
 		oldNode := row[an.OldCol(g.nav.NodeCol)].AsNode()
 		newNode := row[an.NewCol(g.nav.NodeCol)].AsNode()
-		for _, id := range ids {
-			ti, ok := plan.members[id]
-			if !ok {
-				continue
-			}
+		for _, m := range members {
 			if seen != nil {
-				k := activation{g, id, xdm.ColsKey(row, plan.keyCols[0]), xdm.ColsKey(row, plan.keyCols[1])}
+				k := activation{g, m.Name, xdm.ColsKey(row, plan.keyCols[0]), xdm.ColsKey(row, plan.keyCols[1])}
 				if _, dup := seen[k]; dup {
 					continue
 				}
 				seen[k] = struct{}{}
 			}
 			var args []xdm.Value
-			if argExprs := plan.args[id]; len(argExprs) > 0 {
-				args = make([]xdm.Value, len(argExprs))
-				env.In[0] = row
-				for i, ae := range argExprs {
+			if len(plan.args) > 0 {
+				args = make([]xdm.Value, len(plan.args))
+				env.In = [2][]xdm.Value{row, m.Consts}
+				for i, ae := range plan.args {
 					v, err := ae.Eval(&env)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					args[i] = v
 				}
 			}
-			g.stats.activations.Add(1)
-			if err := e.stageOrDeliver(ctx, wave, ti.Spec.ActionFn, Invocation{
-				Trigger: id,
-				Event:   g.event,
-				Old:     oldNode,
-				New:     newNode,
-				Args:    args,
-			}); err != nil {
-				return err
-			}
+			invs = append(invs, Invocation{Trigger: m.Name, Event: g.event, Old: oldNode, New: newNode, Args: args})
 		}
 	}
-	if ctx.Stage == nil && wave != nil {
-		return wave.run()
+	es.invs = invs
+	return invs, nil
+}
+
+// renderedSQL is a grouped plan's SQL as of one membership version.
+type renderedSQL struct {
+	version uint64
+	text    string
+}
+
+// sql returns the plan's SQL, rendered when first asked for and again once
+// the group's membership changed: a grouped plan lists its constants table
+// in it. The caller holds the store's read lock or the metadata lock, which
+// joins and leaves take too.
+func (p *installedPlan) sql() string {
+	var v uint64
+	if p.store != nil {
+		v = p.store.Version()
 	}
-	return nil
+	if r := p.rendered.Load(); r != nil && r.version == v {
+		return r.text
+	}
+	r := &renderedSQL{version: v, text: RenderSQL(p.root)}
+	p.rendered.Store(r)
+	return r.text
 }
 
 // newInstalledPlan starts a plan over an's rows for one base table of g.
-func newInstalledPlan(g *group, table string, an *affected.ANGraph) *installedPlan {
-	p := &installedPlan{table: table, an: an, args: map[string][]xqgm.Expr{}}
+func newInstalledPlan(g *group, table string, an *affected.ANGraph, args []xqgm.Expr) *installedPlan {
+	p := &installedPlan{table: table, an: an, args: args}
 	for _, kc := range g.nav.KeyCols {
 		p.keyCols[0] = append(p.keyCols[0], an.NewCol(kc))
 		p.keyCols[1] = append(p.keyCols[1], an.OldCol(kc))
@@ -1663,10 +1644,10 @@ func (e *Engine) SQLTexts() map[string]string {
 	for _, sig := range e.order {
 		for _, p := range e.groups[sig].plans {
 			key := sig
-			if p.trigID != "" {
-				key = p.trigID + "|" + sig
+			if p.member != nil {
+				key = p.member.Name + "|" + sig
 			}
-			out[key+"/"+p.table] = p.sqlText
+			out[key+"/"+p.table] = p.sql()
 		}
 	}
 	return out

@@ -19,6 +19,7 @@ type evalState struct {
 	pool   *evalPool
 	deltas map[string]*xqgm.Transition
 	trs    []xqgm.Transition // what deltas points at
+	invs   []Invocation      // a firing's activations, until it delivers them
 }
 
 // maxIdleEvals is how many returned contexts an engine keeps for the next

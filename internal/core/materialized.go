@@ -25,34 +25,16 @@ import (
 // an aborted switch simply discards it.
 func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 	vw := g.nav.Op.OutWidth()
-	layout := Layout{
-		NewCol: func(i int) int { return i },
-		OldCol: func(i int) int { return vw + i },
+	// The members are snapshotted here: the body runs without the metadata
+	// lock. Each evaluates the group's condition and arguments with its own
+	// constants as input 1.
+	members := g.members.Members()
+	cc := &condCompiler{nav: g.nav, layout: identityLayout(g.nav)}
+	cond, args, err := cc.template(g.cond, g.args)
+	if err != nil {
+		return nil, err
 	}
-
-	// Per-member bound conditions and argument expressions. The member
-	// list is snapshotted here: the body runs without the metadata lock.
-	order := append([]string(nil), g.order...)
-	members := make(map[string]*TriggerInfo, len(g.members))
-	conds := map[string]xqgm.Expr{}
-	args := map[string][]xqgm.Expr{}
-	for _, name := range order {
-		ti := g.members[name]
-		members[name] = ti
-		cc := &condCompiler{nav: g.nav, layout: layout, abstract: true}
-		if ti.Spec.Condition != nil {
-			tmpl, err := cc.compile(ti.Spec.Condition)
-			if err != nil {
-				return nil, err
-			}
-			conds[name] = grouping.Bind(tmpl, ti.Consts)
-		}
-		a, err := e.compileArgs(g, ti, layout)
-		if err != nil {
-			return nil, err
-		}
-		args[name] = a
-	}
+	cond = grouping.ReadConsts(cond, 0)
 
 	// Initial snapshot.
 	snapshot, err := e.materializeSnapshot(g)
@@ -133,11 +115,11 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 			row := make(xqgm.Tuple, 0, 2*vw)
 			row = append(row, p.new...)
 			row = append(row, p.old...)
-			env := &xqgm.Env{In: [2][]xdm.Value{row, nil}}
-			for _, name := range order {
-				ti := members[name]
-				if c := conds[name]; c != nil {
-					v, err := c.Eval(env)
+			env := &xqgm.Env{}
+			for _, m := range members {
+				env.In = [2][]xdm.Value{row, m.Consts}
+				if cond != nil {
+					v, err := cond.Eval(env)
 					if err != nil {
 						return err
 					}
@@ -145,8 +127,8 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 						continue
 					}
 				}
-				avals := make([]xdm.Value, len(args[name]))
-				for i, ae := range args[name] {
+				avals := make([]xdm.Value, len(args))
+				for i, ae := range args {
 					v, err := ae.Eval(env)
 					if err != nil {
 						return err
@@ -155,13 +137,13 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 				}
 				g.stats.activations.Add(1)
 				inv := Invocation{
-					Trigger: name,
+					Trigger: m.Name,
 					Event:   g.event,
 					Old:     p.old[g.nav.NodeCol].AsNode(),
 					New:     p.new[g.nav.NodeCol].AsNode(),
 					Args:    avals,
 				}
-				if err := e.stageOrDeliver(ctx, wave, ti.Spec.ActionFn, inv); err != nil {
+				if err := e.stageOrDeliver(ctx, wave, g.actionFn, inv); err != nil {
 					return err
 				}
 			}
@@ -178,7 +160,6 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		for _, ev := range []reldb.Event{reldb.EvInsert, reldb.EvUpdate, reldb.EvDelete} {
 			b.installs = append(b.installs, pendingTrigger{
 				table: table, event: ev, prefix: "matTrig", body: body,
-				sql: "-- materialized view maintenance + diff",
 			})
 		}
 	}

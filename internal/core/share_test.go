@@ -37,7 +37,7 @@ func cutAmazonP1(t *testing.T, e *Engine) {
 func opsShared(t *testing.T, e *Engine, trigger string) int64 {
 	t.Helper()
 	e.mu.RLock()
-	sig := e.triggers[trigger].groupSig
+	sig := e.triggers[trigger].g.sig
 	e.mu.RUnlock()
 	for _, gs := range e.GroupStats() {
 		if gs.Sig == sig {

@@ -112,11 +112,12 @@ func (r *sqlRenderer) renderOp(o *xqgm.Operator) *relRef {
 		}
 	case xqgm.OpConstants:
 		cols := uniqueCols(o.Names, len(o.Names))
-		rows := make([]string, 0, len(o.ConstRows))
-		for _, row := range o.ConstRows {
+		listing := o.Consts.Listing()
+		rows := make([]string, 0, len(listing))
+		for _, row := range listing {
 			cells := make([]string, len(row))
-			for i, e := range row {
-				cells[i] = r.renderExpr(e, exprCtx{})
+			for i, v := range row {
+				cells[i] = renderLit(v)
 			}
 			rows = append(rows, "("+strings.Join(cells, ", ")+")")
 		}

@@ -10,8 +10,9 @@ package grouping
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"sync"
 
 	"quark/internal/xdm"
 	"quark/internal/xqgm"
@@ -46,123 +47,154 @@ func Bind(template xqgm.Expr, consts []xdm.Value) xqgm.Expr {
 	})
 }
 
-// Signature produces the structural signature used to group triggers: the
-// condition template rendered with placeholders, so triggers differing only
-// in constants collide. Callers prepend view/path/event identifiers.
-func Signature(template xqgm.Expr) string {
-	if template == nil {
-		return "<nil>"
-	}
-	return template.String()
-}
-
-// Member is one XML trigger inside a group.
+// Member is one trigger of a group: its name and its constants, the
+// condition's first and then any its action's arguments have.
 type Member struct {
-	TrigID string
+	Name   string
 	Consts []xdm.Value
+	seq    uint64 // the store's version it joined at
 }
 
-// Group is a set of structurally similar triggers sharing one plan.
-type Group struct {
-	signature string
-	template  xqgm.Expr
-	numConsts int
-	members   []Member
+// Store is a group's membership and the constants table its grouped plan
+// joins: a row per distinct combination of condition constants, TrigIDs —
+// its members' names, sorted, comma-separated — then the constants, hashed
+// on the columns the join probes. A member joins its row, which it adds if
+// new, and leaves it, which goes with its last member: no plan changes. A
+// reader (a firing resolving its rows' members, a rendering of the plan's
+// SQL) holds the read lock throughout; Add and Remove take the write lock.
+type Store struct {
+	sync.RWMutex
+	nCond  int
+	names  []string // the table's columns: TrigIDs, Const1..
+	tab    *xqgm.ConstTable
+	combos [][]*Member // by row of tab: its members, by name
+	// byConsts finds a row by its constants, byIDs by its TrigIDs.
+	byConsts map[xdm.CompKey]int32
+	byIDs    map[string]int32
+	size     int
+	version  uint64 // counts changes; a member joins at the version it makes
 }
 
-// NewGroup creates a group for the given condition template with numConsts
-// constant placeholders.
-func NewGroup(signature string, template xqgm.Expr, numConsts int) *Group {
-	return &Group{signature: signature, template: template, numConsts: numConsts}
-}
-
-// Signature returns the group's structural signature.
-func (g *Group) Signature() string { return g.signature }
-
-// Template returns the shared condition template.
-func (g *Group) Template() xqgm.Expr { return g.template }
-
-// Size reports the number of member triggers.
-func (g *Group) Size() int { return len(g.members) }
-
-// Add registers a trigger with its constant values.
-func (g *Group) Add(trigID string, consts []xdm.Value) error {
-	if len(consts) != g.numConsts {
-		return fmt.Errorf("grouping: trigger %s has %d constants, group expects %d", trigID, len(consts), g.numConsts)
+// NewStore returns an empty store for a group whose condition template has
+// nCond constants.
+func NewStore(template xqgm.Expr, nCond int) *Store {
+	on, _ := split(template)
+	cols := make([]int, len(on))
+	for i, eq := range on {
+		cols[i] = eq.R
 	}
-	g.members = append(g.members, Member{TrigID: trigID, Consts: consts})
+	names := []string{"TrigIDs"}
+	for j := 1; j <= nCond; j++ {
+		names = append(names, fmt.Sprintf("Const%d", j))
+	}
+	// Listed, as rendered SQL shows it, in the order of the constants.
+	list := func(row xqgm.Tuple) string { return xdm.TupleKey(row[1:]) }
+	return &Store{
+		nCond: nCond, names: names, tab: xqgm.NewIndexedConstTable(cols, list),
+		byConsts: map[xdm.CompKey]int32{}, byIDs: map[string]int32{},
+	}
+}
+
+// Add registers m.
+func (s *Store) Add(m *Member) error {
+	if len(m.Consts) < s.nCond {
+		return fmt.Errorf("grouping: trigger %s has %d constants, group expects %d", m.Name, len(m.Consts), s.nCond)
+	}
+	s.Lock()
+	defer s.Unlock()
+	s.version++
+	m.seq = s.version
+	k := xdm.RowKey(m.Consts[:s.nCond])
+	i, ok := s.byConsts[k]
+	if !ok {
+		row := make(xqgm.Tuple, 1+s.nCond)
+		copy(row[1:], m.Consts)
+		i = int32(s.tab.Add(row))
+		s.byConsts[k] = i
+		s.combos = append(s.combos, nil)
+	}
+	ms := s.combos[i]
+	at := sort.Search(len(ms), func(j int) bool { return ms[j].Name >= m.Name })
+	s.combos[i] = slices.Insert(ms, at, m)
+	s.relabel(i)
+	s.size++
 	return nil
 }
 
-// Remove drops a trigger from the group; reports whether it was present.
-func (g *Group) Remove(trigID string) bool {
-	for i, m := range g.members {
-		if m.TrigID == trigID {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			return true
+// Remove unregisters m; it reports whether m was a member.
+func (s *Store) Remove(m *Member) bool {
+	s.Lock()
+	defer s.Unlock()
+	k := xdm.RowKey(m.Consts[:s.nCond])
+	i, ok := s.byConsts[k]
+	if !ok {
+		return false
+	}
+	ms := s.combos[i]
+	at := sort.Search(len(ms), func(j int) bool { return ms[j].Name >= m.Name })
+	if at == len(ms) || ms[at] != m {
+		return false
+	}
+	s.combos[i] = slices.Delete(ms, at, at+1)
+	delete(s.byIDs, s.tab.Rows()[i][0].AsString())
+	if len(s.combos[i]) > 0 {
+		s.relabel(i)
+	} else {
+		// The last row moves into i's place.
+		last := int32(len(s.combos) - 1)
+		delete(s.byConsts, k)
+		s.tab.Remove(int(i))
+		s.combos[i], s.combos[last] = s.combos[last], nil
+		s.combos = s.combos[:last]
+		if i != last {
+			row := s.tab.Rows()[i]
+			s.byConsts[xdm.RowKey(row[1:])] = i
+			s.byIDs[row[0].AsString()] = i
 		}
 	}
-	return false
+	s.size--
+	s.version++
+	return true
 }
 
-// ConstantsTable builds the group's constants table operator (paper
-// Section 5.1): one row per distinct constant combination, with a TrigIDs
-// column listing the member triggers sharing it (comma-separated, sorted).
-func (g *Group) ConstantsTable() *xqgm.Operator {
-	type combo struct {
-		key    string
-		consts []xdm.Value
-		ids    []string
-	}
-	byKey := map[string]*combo{}
-	var order []string
-	for _, m := range g.members {
-		k := xdm.TupleKey(m.Consts)
-		c, ok := byKey[k]
-		if !ok {
-			c = &combo{key: k, consts: m.Consts}
-			byKey[k] = c
-			order = append(order, k)
+// relabel sets row i's TrigIDs from its members.
+func (s *Store) relabel(i int32) {
+	var b []byte
+	for j, m := range s.combos[i] {
+		if j > 0 {
+			b = append(b, ',')
 		}
-		c.ids = append(c.ids, m.TrigID)
+		b = append(b, m.Name...)
 	}
-	sort.Strings(order)
-	names := make([]string, 1+g.numConsts)
-	names[0] = "TrigIDs"
-	for j := 0; j < g.numConsts; j++ {
-		names[j+1] = fmt.Sprintf("Const%d", j+1)
-	}
-	rows := make([][]xqgm.Expr, 0, len(order))
-	for _, k := range order {
-		c := byKey[k]
-		sort.Strings(c.ids)
-		row := make([]xqgm.Expr, 1+g.numConsts)
-		row[0] = xqgm.LitOf(xdm.Str(strings.Join(c.ids, ",")))
-		for j, v := range c.consts {
-			row[j+1] = xqgm.LitOf(v)
-		}
-		rows = append(rows, row)
-	}
-	return xqgm.NewConstants(names, rows)
+	ids := string(b) // sized to fit: the row keeps it
+	s.tab.Rows()[i][0] = xdm.Str(ids)
+	s.byIDs[ids] = i
 }
 
-// SplitTriggerIDs parses a TrigIDs column value back into trigger IDs.
-func SplitTriggerIDs(v xdm.Value) []string {
-	s := v.AsString()
-	if s == "" {
-		return nil
+// RowMembers returns the members of the row whose TrigIDs is ids, by name.
+// The caller holds the lock.
+func (s *Store) RowMembers(ids xdm.Value) []*Member {
+	if i, ok := s.byIDs[ids.AsString()]; ok {
+		return s.combos[i]
 	}
-	return strings.Split(s, ",")
+	return nil
 }
 
-// GroupedPlan is the shared plan for a trigger group: the affected-node
-// graph joined with the constants table. Output columns are the ANGraph's
-// columns followed by the constants table's columns (TrigIDs first).
-type GroupedPlan struct {
-	Root       *xqgm.Operator
-	TrigIDsCol int // output position of the TrigIDs column
-	ConstBase  int // output position of Const1
+// Members returns every member in the order they joined.
+func (s *Store) Members() []*Member {
+	out := make([]*Member, 0, s.size)
+	for _, ms := range s.combos {
+		out = append(out, ms...)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
+	return out
 }
+
+// Len reports the number of members.
+func (s *Store) Len() int { return s.size }
+
+// Version counts the changes to the membership.
+func (s *Store) Version() uint64 { return s.version }
 
 // BuildGroupedPlan converts the per-trigger Select(condition-with-constants)
 // into a join with the group's constants table (paper Figure 14), keeping
@@ -170,35 +202,36 @@ type GroupedPlan struct {
 // per (affected-node row, constants row) — the decorrelated equivalent of
 // the correlated G_grouped graph of Figure 15, correct for arbitrarily
 // nested conditions because the residual is evaluated per constant
-// combination.
+// combination. The join reads the store's table as it is when it runs; its
+// output columns are anRoot's followed by the table's, TrigIDs first.
 //
 // anRoot is the affected-node graph; template is the condition with
 // ConstRef placeholders, written over anRoot's output columns (input 0).
-func BuildGroupedPlan(g *Group, anRoot *xqgm.Operator) *GroupedPlan {
-	consts := g.ConstantsTable()
-	anW := anRoot.OutWidth()
+func BuildGroupedPlan(s *Store, template xqgm.Expr, anRoot *xqgm.Operator) *xqgm.Operator {
+	on, resid := split(template)
+	return xqgm.NewJoin(xqgm.JoinInner, anRoot, xqgm.NewConstantsOver(s.names, s.tab), on, resid)
+}
 
-	// Split the template conjunction into hash-joinable equalities
-	// (column = constant) and a residual.
-	var on []xqgm.JoinEq
+// split divides a condition template's conjuncts into hash-joinable
+// equalities (column = constant) against the constants table and a
+// residual.
+func split(template xqgm.Expr) (on []xqgm.JoinEq, resid xqgm.Expr) {
 	var residual []xqgm.Expr
-	for _, conj := range xqgm.Conjuncts(g.template) {
+	for _, conj := range xqgm.Conjuncts(template) {
 		if l, r, ok := matchEqConst(conj); ok {
 			on = append(on, xqgm.JoinEq{L: l, R: 1 + r}) // +1: TrigIDs col
 			continue
 		}
 		if conj != nil {
-			residual = append(residual, rewriteForJoin(conj))
+			residual = append(residual, ReadConsts(conj, 1))
 		}
 	}
-	var resid xqgm.Expr
 	if len(residual) == 1 {
 		resid = residual[0]
 	} else if len(residual) > 1 {
 		resid = &xqgm.Logic{Op: "and", Args: residual}
 	}
-	join := xqgm.NewJoin(xqgm.JoinInner, anRoot, consts, on, resid)
-	return &GroupedPlan{Root: join, TrigIDsCol: anW, ConstBase: anW + 1}
+	return on, resid
 }
 
 // matchEqConst recognizes Col(c) = ConstRef(j) (either operand order) and
@@ -222,13 +255,13 @@ func matchEqConst(e xqgm.Expr) (int, int, bool) {
 	return 0, 0, false
 }
 
-// rewriteForJoin converts a condition term into a join predicate: ConstRef
-// placeholders become references to the constants-table side (input 1),
-// while column references to the affected-node side stay on input 0.
-func rewriteForJoin(e xqgm.Expr) xqgm.Expr {
+// ReadConsts rewrites a template's ConstRef placeholders into references to
+// input 1, constant j at column offset+j: a constants-table row has TrigIDs
+// first (offset 1), a member's Consts none.
+func ReadConsts(e xqgm.Expr, offset int) xqgm.Expr {
 	return xqgm.RewriteExpr(e, func(x xqgm.Expr) xqgm.Expr {
 		if cr, ok := x.(*ConstRef); ok {
-			return &xqgm.ColRef{Input: 1, Col: 1 + cr.Idx}
+			return &xqgm.ColRef{Input: 1, Col: offset + cr.Idx}
 		}
 		return x
 	})

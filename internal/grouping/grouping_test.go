@@ -1,7 +1,7 @@
 package grouping
 
 import (
-	"strings"
+	"sort"
 	"testing"
 
 	"quark/internal/xdm"
@@ -34,113 +34,122 @@ func TestBind(t *testing.T) {
 
 func TestGroupMembership(t *testing.T) {
 	tmpl := &xqgm.Cmp{Op: "=", L: xqgm.Col(0), R: &ConstRef{Idx: 0}}
-	g := NewGroup("sig", tmpl, 1)
-	if err := g.Add("t1", []xdm.Value{xdm.Str("a")}); err != nil {
-		t.Fatal(err)
+	s := NewStore(tmpl, 1)
+	t1 := &Member{Name: "t1", Consts: []xdm.Value{xdm.Str("a")}}
+	t3 := &Member{Name: "t3", Consts: []xdm.Value{xdm.Str("b"), xdm.Str("an action argument")}}
+	for _, m := range []*Member{t1, t3} {
+		if err := s.Add(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := g.Add("t2", []xdm.Value{xdm.Str("a"), xdm.Str("b")}); err == nil {
-		t.Error("wrong constant arity accepted")
+	if err := s.Add(&Member{Name: "t2"}); err == nil {
+		t.Error("a member without the condition's constant was accepted")
 	}
-	if err := g.Add("t3", []xdm.Value{xdm.Str("b")}); err != nil {
-		t.Fatal(err)
+	if s.Len() != 2 || len(s.tab.Rows()) != 2 {
+		t.Errorf("size=%d rows=%d, want 2 and 2", s.Len(), len(s.tab.Rows()))
 	}
-	if g.Size() != 2 || g.Signature() != "sig" {
-		t.Errorf("size=%d sig=%q", g.Size(), g.Signature())
+	if !s.Remove(t1) || s.Remove(t1) || s.Remove(&Member{Name: "t3", Consts: t3.Consts}) {
+		t.Error("Remove removes the member given, once")
 	}
-	if !g.Remove("t1") || g.Remove("t1") {
-		t.Error("Remove semantics")
+	if s.Len() != 1 || len(s.tab.Rows()) != 1 {
+		t.Errorf("after remove: size=%d rows=%d, want 1 and 1", s.Len(), len(s.tab.Rows()))
 	}
-	if g.Size() != 1 {
-		t.Errorf("size after remove = %d", g.Size())
+	if got := s.Members(); len(got) != 1 || got[0] != t3 {
+		t.Errorf("members = %v", got)
 	}
 }
 
 // TestConstantsTable: distinct constant combinations share one row with
-// merged TrigIDs (the Section 5.1 constants table).
+// merged TrigIDs (the Section 5.1 constants table), and the table follows
+// members as they come and go.
 func TestConstantsTable(t *testing.T) {
 	tmpl := &xqgm.Cmp{Op: "=", L: xqgm.Col(0), R: &ConstRef{Idx: 0}}
-	g := NewGroup("sig", tmpl, 1)
+	s := NewStore(tmpl, 1)
+	ms := map[string]*Member{}
 	for _, m := range []struct{ id, c string }{
-		{"1", "CRT 15"}, {"2", "CRT 15"}, {"3", "LCD 19"},
+		{"2", "CRT 15"}, {"1", "CRT 15"}, {"3", "LCD 19"}, {"4", "DVD 7"},
 	} {
-		if err := g.Add(m.id, []xdm.Value{xdm.Str(m.c)}); err != nil {
+		ms[m.id] = &Member{Name: m.id, Consts: []xdm.Value{xdm.Str(m.c)}}
+		if err := s.Add(ms[m.id]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ct := g.ConstantsTable()
-	if ct.Type != xqgm.OpConstants || len(ct.ConstRows) != 2 {
-		t.Fatalf("constants rows = %d, want 2 (merged combos)", len(ct.ConstRows))
-	}
-	ctx := xqgm.NewEvalContext(nil, nil)
-	rows, err := ctx.Eval(ct)
-	if err != nil {
-		t.Fatal(err)
+	s.Remove(ms["3"]) // DVD 7's row moves into LCD 19's place
+	rows := s.tab.Rows()
+	if len(rows) != 2 {
+		t.Fatalf("constants rows = %d, want 2 (merged combos)", len(rows))
 	}
 	found := map[string]string{}
 	for _, r := range rows {
 		found[r[1].AsString()] = r[0].AsString()
+		if got := s.RowMembers(r[0]); len(got) == 0 || got[0].Consts[0].AsString() != r[1].AsString() {
+			t.Errorf("row %v resolves to members %v", r, got)
+		}
 	}
-	if found["CRT 15"] != "1,2" || found["LCD 19"] != "3" {
-		t.Errorf("TrigIDs = %v (want CRT 15 -> \"1,2\")", found)
+	if found["CRT 15"] != "1,2" || found["DVD 7"] != "4" {
+		t.Errorf("TrigIDs = %v (want CRT 15 -> \"1,2\", DVD 7 -> \"4\")", found)
 	}
-	ids := SplitTriggerIDs(xdm.Str("1,2"))
-	if len(ids) != 2 || ids[0] != "1" || ids[1] != "2" {
-		t.Errorf("SplitTriggerIDs = %v", ids)
+	if got := s.RowMembers(xdm.Str("1,2")); len(got) != 2 || got[0].Name != "1" || got[1].Name != "2" {
+		t.Errorf("members of 1,2 = %v", got)
 	}
-	if SplitTriggerIDs(xdm.Str("")) != nil {
-		t.Error("empty TrigIDs should split to nil")
+	if s.RowMembers(xdm.Str("3")) != nil {
+		t.Error("a removed row still resolves")
+	}
+	if got := s.Members(); len(got) != 3 || got[0].Name != "2" || got[1].Name != "1" || got[2].Name != "4" {
+		t.Errorf("members in join order = %v", got)
 	}
 }
 
 // TestBuildGroupedPlan: equality conditions become join pairs; the rest
-// stays residual (decorrelated Figure 14/15 form).
+// stays residual (decorrelated Figure 14/15 form), and the plan sees a
+// member that joins after it was prepared.
 func TestBuildGroupedPlan(t *testing.T) {
 	// Condition: col0 = ?0 and col1 < ?1.
 	tmpl := &xqgm.Logic{Op: "and", Args: []xqgm.Expr{
 		&xqgm.Cmp{Op: "=", L: xqgm.Col(0), R: &ConstRef{Idx: 0}},
 		&xqgm.Cmp{Op: "<", L: xqgm.Col(1), R: &ConstRef{Idx: 1}},
 	}}
-	g := NewGroup("sig", tmpl, 2)
-	_ = g.Add("a", []xdm.Value{xdm.Str("x"), xdm.Int(10)})
-	_ = g.Add("b", []xdm.Value{xdm.Str("y"), xdm.Int(5)})
+	s := NewStore(tmpl, 2)
+	_ = s.Add(&Member{Name: "a", Consts: []xdm.Value{xdm.Str("x"), xdm.Int(10)}})
+	_ = s.Add(&Member{Name: "b", Consts: []xdm.Value{xdm.Str("y"), xdm.Int(5)}})
 
 	// A little "affected nodes" relation: (name, value).
-	an := xqgm.NewConstants([]string{"name", "value"}, [][]xqgm.Expr{
-		{xqgm.LitOf(xdm.Str("x")), xqgm.LitOf(xdm.Int(7))},
-		{xqgm.LitOf(xdm.Str("y")), xqgm.LitOf(xdm.Int(7))},
-		{xqgm.LitOf(xdm.Str("z")), xqgm.LitOf(xdm.Int(1))},
+	an := xqgm.NewConstants([]string{"name", "value"}, []xqgm.Tuple{
+		{xdm.Str("x"), xdm.Int(7)},
+		{xdm.Str("y"), xdm.Int(7)},
+		{xdm.Str("z"), xdm.Int(1)},
 	})
-	plan := BuildGroupedPlan(g, an)
-	if plan.TrigIDsCol != 2 || plan.ConstBase != 3 {
-		t.Errorf("layout: TrigIDs=%d ConstBase=%d", plan.TrigIDsCol, plan.ConstBase)
+	plan := BuildGroupedPlan(s, tmpl, an)
+	if names := plan.OutNames(); len(names) != 5 || names[2] != "TrigIDs" || names[3] != "Const1" {
+		t.Errorf("layout: %v", names)
 	}
-	ctx := xqgm.NewEvalContext(nil, nil)
-	rows, err := ctx.Eval(plan.Root)
-	if err != nil {
+	if err := xqgm.Prepare(plan); err != nil {
 		t.Fatal(err)
+	}
+	eval := func() []string {
+		rows, err := xqgm.NewEvalContext(nil, nil).Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range rows {
+			out = append(out, r[0].AsString()+":"+r[2].AsString())
+		}
+		sort.Strings(out)
+		return out
 	}
 	// x matches trigger a only (7 < 10); y does not match b (7 >= 5);
 	// z matches nothing.
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1: %v", len(rows), rows)
+	if got := eval(); len(got) != 1 || got[0] != "x:a" {
+		t.Fatalf("rows = %v, want [x:a]", got)
 	}
-	if rows[0][0].AsString() != "x" || rows[0][plan.TrigIDsCol].AsString() != "a" {
-		t.Errorf("row = %v", rows[0])
+	_ = s.Add(&Member{Name: "c", Consts: []xdm.Value{xdm.Str("z"), xdm.Int(2)}})
+	if got := eval(); len(got) != 2 || got[1] != "z:c" {
+		t.Errorf("after c joined: rows = %v, want [x:a z:c]", got)
 	}
 	// The join found at the plan root carries one equi pair and a residual.
-	join := plan.Root
+	join := plan
 	if join.Type != xqgm.OpJoin || len(join.On) != 1 || join.JoinPred == nil {
 		t.Errorf("plan shape: %s", join)
-	}
-}
-
-func TestSignature(t *testing.T) {
-	tmpl := &xqgm.Cmp{Op: "=", L: xqgm.Col(0), R: &ConstRef{Idx: 0}}
-	s := Signature(tmpl)
-	if !strings.Contains(s, "?0") {
-		t.Errorf("signature %q should show placeholders", s)
-	}
-	if Signature(nil) != "<nil>" {
-		t.Error("nil signature")
 	}
 }

@@ -12,9 +12,9 @@ import (
 )
 
 func keysOp(vals ...string) *xqgm.Operator {
-	rows := make([][]xqgm.Expr, len(vals))
+	rows := make([]xqgm.Tuple, len(vals))
 	for i, v := range vals {
-		rows[i] = []xqgm.Expr{xqgm.LitOf(xdm.Str(v))}
+		rows[i] = xqgm.Tuple{xdm.Str(v)}
 	}
 	return xqgm.NewConstants([]string{"k"}, rows)
 }
@@ -205,9 +205,9 @@ func TestPushCompositeKeyAcrossJoin(t *testing.T) {
 	join := xqgm.NewJoin(xqgm.JoinInner, prod, vend, []xqgm.JoinEq{{L: 0, R: 1}}, nil)
 	xqgm.DeriveKeys(join)
 	// Composite key: (p.pid, v.vid) spanning both sides.
-	keys := xqgm.NewConstants([]string{"pid", "vid"}, [][]xqgm.Expr{
-		{xqgm.LitOf(xdm.Str("P1")), xqgm.LitOf(xdm.Str("Amazon"))},
-		{xqgm.LitOf(xdm.Str("P2")), xqgm.LitOf(xdm.Str("Bestbuy"))},
+	keys := xqgm.NewConstants([]string{"pid", "vid"}, []xqgm.Tuple{
+		{xdm.Str("P1"), xdm.Str("Amazon")},
+		{xdm.Str("P2"), xdm.Str("Bestbuy")},
 	})
 	pushed := PushSemiJoin(join, keys, []int{0, 3})
 	// A composite key spanning both sides is pushed as partial restrictions

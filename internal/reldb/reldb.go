@@ -171,12 +171,11 @@ type BatchInfo struct {
 }
 
 // SQLTrigger is a statement-level AFTER trigger. Body is the compiled
-// trigger action; SQL carries the rendered SQL text for display and tests.
+// trigger action.
 type SQLTrigger struct {
 	Name  string
 	Table string
 	Event Event
-	SQL   string
 	Body  func(*FireContext) error
 }
 

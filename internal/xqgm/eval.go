@@ -419,7 +419,7 @@ func (ctx *EvalContext) exec(n *node) ([]Tuple, error) {
 	case OpTable:
 		return ctx.evalTable(n.op)
 	case OpConstants:
-		return n.rows, nil
+		return n.op.Consts.rows, nil
 	case OpJoin:
 		return ctx.evalJoin(n)
 	case OpUnion:
@@ -709,11 +709,14 @@ func (ctx *EvalContext) evalJoin(n *node) ([]Tuple, error) {
 		ctx.Stats.JoinsSkipped++
 		return nil, nil
 	}
+	if t := n.join.consts; t != nil {
+		return ctx.hashJoin(n, lt, t.rows, t.ix)
+	}
 	rt, err := ctx.run(n.in[1])
 	if err != nil {
 		return nil, err
 	}
-	return ctx.hashJoin(n, lt, rt)
+	return ctx.hashJoin(n, lt, rt, nil)
 }
 
 // indexJoin attempts an index-nested-loop join driven by input `outer`,
@@ -975,7 +978,8 @@ func (ctx *EvalContext) lookupDeleted(bp *basePath, col int, v xdm.Value, fn fun
 // hashJoin joins on the equi-pairs by hashing one side; with no equi-pairs
 // the one-bucket index makes it the nested loop. Right-anti joins build on
 // the left and probe with the right; every other kind builds on the right.
-func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
+// ix, when not nil, is the build side's index, kept by its table.
+func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple, ix *hashIndex) ([]Tuple, error) {
 	o := n.op
 	if len(o.On) > 0 {
 		ctx.Stats.HashJoins++
@@ -988,7 +992,6 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple) ([]Tuple, error) {
 	if anti {
 		probe, build, pcols, bcols = rt, lt, j.rcols, j.lcols
 	}
-	ix := j.build // frozen at Prepare for a Constants right input
 	var local hashIndex
 	if ix == nil {
 		local.index(build, bcols)

@@ -3,6 +3,7 @@ package xqgm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"quark/internal/xdm"
@@ -65,17 +66,16 @@ func TestTinyBuildMatchesHashedBuild(t *testing.T) {
 					if kind == JoinRightAnti {
 						bcols = n.join.lcols
 					}
-					var ix hashIndex
-					if ix.index(build, bcols); (ix.head == nil) != (size <= tinyBuild) {
-						t.Fatalf("build of %d: searched linearly = %t", size, ix.head == nil)
+					var sized, hashedIx hashIndex
+					if sized.index(build, bcols); (sized.head == nil) != (size <= tinyBuild) {
+						t.Fatalf("build of %d: searched linearly = %t", size, sized.head == nil)
 					}
-					n.join.build = nil
-					tiny, err := (&EvalContext{}).hashJoin(n, lt, rt)
+					hashedIx.hash(build, bcols)
+					tiny, err := (&EvalContext{}).hashJoin(n, lt, rt, &sized)
 					if err != nil {
 						t.Fatal(err)
 					}
-					n.join.build = newHashIndex(build, bcols)
-					hashed, err := (&EvalContext{}).hashJoin(n, lt, rt)
+					hashed, err := (&EvalContext{}).hashJoin(n, lt, rt, &hashedIx)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -86,4 +86,66 @@ func TestTinyBuildMatchesHashedBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A table that keeps its index while rows come and go joins as a fresh build
+// of the rows it holds: every row added is found under its key, and a row
+// removed, or moved into a removed row's place, is found where it is now.
+// Its chains keep no input order, so the outputs are compared as multisets.
+func TestConstTableIndexFollowsItsRows(t *testing.T) {
+	pred := &Cmp{Op: "<", L: Col(2), R: Col2(2)}
+	r := rand.New(rand.NewSource(2))
+	for _, kind := range []JoinKind{JoinInner, JoinLeftOuter, JoinLeftAnti, JoinRightAnti} {
+		for _, on := range [][]JoinEq{nil, {{L: 0, R: 0}}, {{L: 0, R: 1}, {L: 1, R: 0}}} {
+			for _, residual := range []Expr{nil, pred} {
+				probe := joinRows(r, 12, 0)
+				none := NewConstants([]string{"a", "b", "c"}, nil)
+				ns, err := plan([]*Operator{NewJoin(kind, none, none, on, residual)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := ns[0]
+				bcols := n.join.rcols
+				if kind == JoinRightAnti {
+					bcols = n.join.lcols
+				}
+				tab := NewIndexedConstTable(bcols, nil)
+				kept, junk := joinRows(r, 40, 100), joinRows(r, 40, 200)
+				for i := range kept {
+					tab.Add(kept[i])
+					tab.Add(junk[i])
+				}
+				for _, i := range r.Perm(len(junk)) {
+					at := slices.IndexFunc(tab.Rows(), func(row Tuple) bool { return row[2].AsInt() == int64(200+i) })
+					tab.Remove(at)
+				}
+				var fresh hashIndex
+				fresh.hash(kept, bcols)
+				lt, rt, lf, rf := probe, tab.Rows(), probe, kept
+				if kind == JoinRightAnti {
+					lt, rt, lf, rf = tab.Rows(), probe, kept, probe
+				}
+				got, err := (&EvalContext{}).hashJoin(n, lt, rt, tab.ix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := (&EvalContext{}).hashJoin(n, lf, rf, &fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := sortedRows(got), sortedRows(want); !slices.Equal(g, w) {
+					t.Errorf("%v on %v, residual %v:\nkept index  %v\nfresh build %v", kind, on, residual, g, w)
+				}
+			}
+		}
+	}
+}
+
+func sortedRows(rows []Tuple) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = fmt.Sprint(row)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -196,7 +196,7 @@ type Operator struct {
 	Names   []string
 
 	// OpConstants
-	ConstRows [][]Expr // literal rows (exprs must be Lit)
+	Consts *ConstTable
 
 	// OpSelect / extra join predicate
 	Pred Expr
@@ -244,9 +244,15 @@ func NewTable(def *schema.Table, src TableSource) *Operator {
 }
 
 // NewConstants builds a Constants operator with the given column names and
-// literal rows (paper Section 5.1 constants table).
-func NewConstants(names []string, rows [][]Expr) *Operator {
-	return &Operator{Type: OpConstants, Names: names, Width: len(names), ConstRows: rows}
+// literal rows.
+func NewConstants(names []string, rows []Tuple) *Operator {
+	return NewConstantsOver(names, &ConstTable{rows: rows})
+}
+
+// NewConstantsOver builds a Constants operator reading t, whose rows have
+// one column per name.
+func NewConstantsOver(names []string, t *ConstTable) *Operator {
+	return &Operator{Type: OpConstants, Names: names, Width: len(names), Consts: t}
 }
 
 // NewSelect builds a Select restricting in by pred; output schema = input.
@@ -664,7 +670,7 @@ func (o *Operator) dump(sb *strings.Builder, depth int, ids map[*Operator]int, n
 			sb.WriteString("{all}")
 		}
 	case OpConstants:
-		fmt.Fprintf(sb, "{%d rows}", len(o.ConstRows))
+		fmt.Fprintf(sb, "{%d rows}", len(o.Consts.rows))
 	}
 	if o.Key != nil {
 		fmt.Fprintf(sb, " key=%v", o.Key)

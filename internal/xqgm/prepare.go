@@ -39,16 +39,17 @@ type node struct {
 	plan    *planShape // on a root: the plan it belongs to
 
 	join *joinPlan // Join: see joinPlan
-	rows []Tuple   // Constants: the evaluated literal rows
 }
 
 // joinPlan is what Prepare freezes for a Join. It hangs off the node
 // rather than sitting in it: most nodes are not joins, and every node of
 // an installed plan stays allocated as long as the plan.
 type joinPlan struct {
-	lcols, rcols []int      // equi-join columns of the left / right input
-	probes       [2]*probe  // index access path into in[1] (outer in[0]), into in[0] (outer in[1])
-	build        *hashIndex // frozen build table over a Constants right input
+	lcols, rcols []int     // equi-join columns of the left / right input
+	probes       [2]*probe // index access path into in[1] (outer in[0]), into in[0] (outer in[1])
+	// consts is the right input's table when it keeps an index on rcols: the
+	// join probes that index instead of hashing the rows it reads.
+	consts *ConstTable
 }
 
 // planShape is all a prepared root keeps of its planning — the planner's
@@ -70,11 +71,11 @@ type probe struct {
 
 // Prepare freezes, for the graphs rooted at roots, everything evaluation
 // needs that depends only on the plan: join access paths and key column
-// lists, Constants rows and their hash builds, which columns are read at
-// all, and which subgraphs are structurally identical and so evaluated
-// once. It also pairs every operator over B_old with its twin over the
-// current tables — an affected-node graph holds the view twice, as G and as
-// G_old, and G_old differs from G only where the statement wrote — so that
+// lists, which columns are read at all, and which subgraphs are
+// structurally identical and so evaluated once. It also pairs every
+// operator over B_old with its twin over the current tables — an
+// affected-node graph holds the view twice, as G and as G_old, and G_old
+// differs from G only where the statement wrote — so that
 // evaluation builds the OLD side as an edit of the NEW side (see
 // EvalContext). Prepare belongs where a graph is installed (a trigger
 // group's plans, a registered view); the logical graph — what RenderSQL
@@ -212,25 +213,7 @@ func (p *planner) build(o *Operator) (*node, error) {
 		p.byOp[o] = dup
 		return dup, nil
 	}
-	switch o.Type {
-	case OpConstants:
-		n.rows = make([]Tuple, len(o.ConstRows))
-		sl, env := slab{int(n.width), make([]xdm.Value, int(n.width)*len(o.ConstRows))}, &Env{}
-		for r, row := range o.ConstRows {
-			if len(row) != int(n.width) {
-				return nil, fmt.Errorf("xqgm: constants row %d has %d columns, want %d", r, len(row), n.width)
-			}
-			t := sl.next()
-			for i, e := range row {
-				v, err := e.Eval(env)
-				if err != nil {
-					return nil, err
-				}
-				t[i] = v
-			}
-			n.rows[r] = t
-		}
-	case OpJoin:
+	if o.Type == OpJoin {
 		j := &joinPlan{}
 		for _, eq := range o.On {
 			j.lcols = append(j.lcols, eq.L)
@@ -240,8 +223,11 @@ func (p *planner) build(o *Operator) (*node, error) {
 			j.probes[0] = newProbe(o.Inputs[1], j.rcols)
 			j.probes[1] = newProbe(o.Inputs[0], j.lcols)
 		}
-		if r := n.in[1]; r.op.Type == OpConstants && len(o.On) > 0 && o.JoinKind != JoinRightAnti {
-			j.build = newHashIndex(r.rows, j.rcols)
+		if r := o.Inputs[1]; r.Type == OpConstants && r.Consts.ix != nil && o.JoinKind != JoinRightAnti {
+			if !slices.Equal(r.Consts.cols, j.rcols) {
+				return nil, fmt.Errorf("xqgm: constants table indexed on columns %v, joined on %v", r.Consts.cols, j.rcols)
+			}
+			j.consts = r.Consts
 		}
 		n.join = j
 	}
@@ -522,13 +508,6 @@ type hashIndex struct {
 
 	keys [tinyBuild]xdm.CompKey
 	n    int32
-}
-
-// newHashIndex hashes rows by cols.
-func newHashIndex(rows []Tuple, cols []int) *hashIndex {
-	h := &hashIndex{}
-	h.hash(rows, cols)
-	return h
 }
 
 // index builds h over rows: searched linearly when they are few enough,

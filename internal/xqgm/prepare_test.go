@@ -206,7 +206,7 @@ func TestOldTableProbeMatchesScan(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		keys := xqgm.NewConstants([]string{"pid"}, [][]xqgm.Expr{{xqgm.LitOf(xdm.Str(pid))}})
+		keys := xqgm.NewConstants([]string{"pid"}, []xqgm.Tuple{{xdm.Str(pid)}})
 		join := xqgm.NewJoin(xqgm.JoinInner, keys, xqgm.NewTable(vdef, xqgm.SrcOld), []xqgm.JoinEq{{L: 0, R: 1}}, nil)
 		ctx := xqgm.NewEvalContext(db, deltas)
 		got, err := ctx.Eval(join)
@@ -232,10 +232,10 @@ func TestPlanSharedAcrossGoroutines(t *testing.T) {
 	db := paperDB(t)
 	vdef, _ := db.Schema().Table("vendor")
 	for _, prepared := range []bool{true, false} {
-		watch := xqgm.NewConstants([]string{"pid", "who"}, [][]xqgm.Expr{
-			{xqgm.LitOf(xdm.Str("P1")), xqgm.LitOf(xdm.Str("a"))},
-			{xqgm.LitOf(xdm.Str("P1")), xqgm.LitOf(xdm.Str("b"))},
-			{xqgm.LitOf(xdm.Str("P3")), xqgm.LitOf(xdm.Str("c"))},
+		watch := xqgm.NewConstants([]string{"pid", "who"}, []xqgm.Tuple{
+			{xdm.Str("P1"), xdm.Str("a")},
+			{xdm.Str("P1"), xdm.Str("b")},
+			{xdm.Str("P3"), xdm.Str("c")},
 		})
 		counts := xqgm.NewGroupBy(xqgm.NewTable(vdef, xqgm.SrcBase), []int{1}, xqgm.Agg{Name: "n", Func: xqgm.AggCount})
 		root := xqgm.NewJoin(xqgm.JoinLeftOuter, counts, watch, []xqgm.JoinEq{{L: 0, R: 0}}, nil)

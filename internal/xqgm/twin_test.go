@@ -56,9 +56,9 @@ func twinFixture(t *testing.T) (db *reldb.DB, root, oldSide *xqgm.Operator, delt
 	must(err)
 
 	vdef, _ := db.Schema().Table("vendor")
-	var keyRows [][]xqgm.Expr
+	var keyRows []xqgm.Tuple
 	for _, pid := range []string{"P1", "P2", "P3", "P4"} {
-		keyRows = append(keyRows, []xqgm.Expr{xqgm.LitOf(xdm.Str(pid))})
+		keyRows = append(keyRows, xqgm.Tuple{xdm.Str(pid)})
 	}
 	keys := xqgm.NewConstants([]string{"pid"}, keyRows)
 	side := func(src xqgm.TableSource) *xqgm.Operator {

@@ -258,7 +258,7 @@ func TestIndexNestedLoopJoinIsUsed(t *testing.T) {
 	db := paperDB(t)
 	vdef, _ := db.Schema().Table("vendor")
 	// Small driving side: a one-row constants table with pid P2.
-	keys := xqgm.NewConstants([]string{"pid"}, [][]xqgm.Expr{{xqgm.LitOf(xdm.Str("P2"))}})
+	keys := xqgm.NewConstants([]string{"pid"}, []xqgm.Tuple{{xdm.Str("P2")}})
 	vend := xqgm.NewTable(vdef, xqgm.SrcBase)
 	join := xqgm.NewJoin(xqgm.JoinInner, keys, vend, []xqgm.JoinEq{{L: 0, R: 1}}, nil)
 	ctx := xqgm.NewEvalContext(db, nil)
@@ -283,9 +283,9 @@ func TestIndexNestedLoopJoinIsUsed(t *testing.T) {
 // every float beyond int64 — so 1e19 joined 2e19, -3e30 and +Inf.
 func TestHashJoinTellsHugeFloatsApart(t *testing.T) {
 	consts := func(fs ...float64) *xqgm.Operator {
-		rows := make([][]xqgm.Expr, len(fs))
+		rows := make([]xqgm.Tuple, len(fs))
 		for i, f := range fs {
-			rows[i] = []xqgm.Expr{xqgm.LitOf(xdm.Float(f))}
+			rows[i] = xqgm.Tuple{xdm.Float(f)}
 		}
 		return xqgm.NewConstants([]string{"x"}, rows)
 	}
@@ -340,7 +340,7 @@ func TestEmptyLeftSkipsRight(t *testing.T) {
 func TestIndexJoinThroughSelectAndProject(t *testing.T) {
 	db := paperDB(t)
 	vdef, _ := db.Schema().Table("vendor")
-	keys := xqgm.NewConstants([]string{"pid"}, [][]xqgm.Expr{{xqgm.LitOf(xdm.Str("P1"))}})
+	keys := xqgm.NewConstants([]string{"pid"}, []xqgm.Tuple{{xdm.Str("P1")}})
 	// vendor restricted to price < 130, projected to (pid, price).
 	vend := xqgm.NewTable(vdef, xqgm.SrcBase)
 	sel := xqgm.NewSelect(vend, &xqgm.Cmp{Op: "<", L: xqgm.Col(2), R: xqgm.LitOf(xdm.Float(130))})
