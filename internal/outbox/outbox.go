@@ -117,7 +117,8 @@ type Log struct {
 	ackF      *os.File
 	appended  int64
 	closed    bool
-	scratch   []byte // AppendBatch's frame buffer, reused across appends
+	scratch   []byte    // AppendBatch's frame buffer, reused across appends
+	memo      wire.Memo // binary encodings of the nodes AppendBatch framed last
 
 	// om, when non-nil, holds resolved metric handles plus the registry
 	// for event emission (see AttachObs). Nil is the disabled fast path.
@@ -289,14 +290,17 @@ func (l *Log) scanSegments() error {
 // stopping at the first torn or corrupt frame, and returns the byte
 // offset just past the last valid frame. It is the single frame decoder:
 // recovery (scanSegmentFile) and read-back (visit) must never disagree on
-// framing.
+// framing. A zero-length frame ends the walk like a torn one: no writer
+// frames an empty payload, and an all-zero header (whose CRC of nothing is
+// 0) is what a crash leaves when a file's size reached the disk before its
+// data did.
 func forEachFrame(b []byte, fn func(payload []byte) error) (validBytes int64, err error) {
 	off := 0
 	for off+frameHeader <= len(b) {
 		n := int(binary.LittleEndian.Uint32(b[off:]))
 		sum := binary.LittleEndian.Uint32(b[off+4:])
-		if off+frameHeader+n > len(b) {
-			break // torn tail
+		if n == 0 || off+frameHeader+n > len(b) {
+			break // zero-filled or torn tail
 		}
 		payload := b[off+frameHeader : off+frameHeader+n]
 		if crc32.ChecksumIEEE(payload) != sum {
@@ -312,10 +316,11 @@ func forEachFrame(b []byte, fn func(payload []byte) error) (validBytes int64, er
 	return int64(off), nil
 }
 
-// Frame renders one length+CRC frame around an arbitrary payload — the
-// log's segment framing, exported so sibling persistence files can share
-// one tested format (the shard router's directory checkpoint + delta log
-// live beside the outbox; Open ignores any file that is not seg-*.log).
+// Frame renders one length+CRC frame around a payload — the log's segment
+// framing, exported so sibling persistence files can share one tested
+// format (the shard router's directory checkpoint + delta log live beside
+// the outbox; Open ignores any file that is not seg-*.log). The payload
+// must not be empty: ScanFrames reads an empty frame as a torn tail.
 func Frame(payload []byte) []byte {
 	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
@@ -325,9 +330,9 @@ func Frame(payload []byte) []byte {
 }
 
 // ScanFrames walks the valid frames of b in order, stopping at the first
-// torn or corrupt frame, and returns the byte offset just past the last
-// valid frame — the truncation point for torn-tail recovery. It is the
-// exported face of the log's own frame decoder.
+// torn, corrupt or empty frame, and returns the byte offset just past the
+// last valid frame — the truncation point for torn-tail recovery. It is
+// the exported face of the log's own frame decoder.
 func ScanFrames(b []byte, fn func(payload []byte) error) (validBytes int64, err error) {
 	return forEachFrame(b, fn)
 }
@@ -360,11 +365,13 @@ func truncateTo(path string, size int64) (dropped int64, err error) {
 }
 
 // encodeFrame appends one record's length+CRC frame to dst. The payload is
-// encoded in place behind its header, so framing a record copies nothing.
-func encodeFrame(dst []byte, rec *wire.Record) []byte {
+// encoded in place behind its header, so framing a record copies nothing;
+// a node the memo already holds (memo may be nil) is copied rather than
+// walked. The CRC always covers the whole payload.
+func encodeFrame(dst []byte, rec *wire.Record, memo *wire.Memo) []byte {
 	at := len(dst)
 	var header [frameHeader]byte
-	dst = wire.AppendEncode(append(dst, header[:]...), rec)
+	dst = wire.AppendEncodeMemo(append(dst, header[:]...), rec, memo)
 	payload := dst[at+frameHeader:]
 	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(payload))
@@ -388,7 +395,10 @@ func (l *Log) Append(rec *wire.Record) (uint64, error) {
 // one oversized record would). Returns the first assigned sequence. The
 // write is all-or-nothing against the scan: a torn batch truncates back
 // to the last good frame, so a crash mid-batch loses the whole batch,
-// never a random middle.
+// never a random middle. A node shared by several records of the batch
+// (a firing hands every satisfied member the same OLD and NEW nodes) is
+// encoded once; its later occurrences copy those bytes from the log's
+// memo, which keeps the last few nodes across batches.
 func (l *Log) AppendBatch(recs []*wire.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, fmt.Errorf("outbox: empty append batch")
@@ -401,7 +411,7 @@ func (l *Log) AppendBatch(recs []*wire.Record) (uint64, error) {
 	buf := l.scratch[:0]
 	for i, rec := range recs {
 		rec.Seq = l.nextSeq + uint64(i)
-		buf = encodeFrame(buf, rec)
+		buf = encodeFrame(buf, rec, &l.memo)
 	}
 	if cap(buf) <= maxScratchBytes {
 		l.scratch = buf
@@ -657,7 +667,7 @@ func (l *Log) appendDeadLocked(rec *wire.Record) error {
 		}
 		l.deadF = f
 	}
-	frame := encodeFrame(nil, rec)
+	frame := encodeFrame(nil, rec, nil)
 	if _, err := l.deadF.Write(frame); err != nil {
 		return err
 	}
@@ -761,7 +771,7 @@ func (l *Log) rewriteDeadLocked(keep []*wire.Record) error {
 	}
 	var buf []byte
 	for _, rec := range keep {
-		buf = encodeFrame(buf, rec)
+		buf = encodeFrame(buf, rec, nil)
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {

@@ -26,28 +26,46 @@ func (f SinkFunc) Deliver(rec *wire.Record) error { return f(rec) }
 // shape. Each line is a self-describing wire.Record, so a downstream
 // process (tail -f, jq, another language) needs no live engine to act on
 // the stream.
+//
+// Each pooled line buffer carries a wire.Memo with the JSON of the last few
+// nodes encoded into it, copied when a later record carries the same node:
+// the records of one firing share their OLD and NEW nodes, so a worker
+// encodes a wave's nodes once rather than once per record.
 type FileSink struct {
-	bufs sync.Pool // *[]byte line buffers, so steady-state Deliver allocates nothing
+	bufs sync.Pool // *sinkBuf, so steady-state Deliver allocates nothing
 	mu   sync.Mutex
 	w    io.Writer
 }
+
+// sinkBuf is one pooled line buffer and the node memo that goes with it.
+type sinkBuf struct {
+	line []byte
+	memo wire.Memo
+}
+
+// maxLineBytes bounds the line buffer a FileSink keeps between deliveries.
+const maxLineBytes = 1 << 20
 
 // NewFileSink wraps w. The sink serializes writes, so w needs no locking
 // of its own.
 func NewFileSink(w io.Writer) *FileSink { return &FileSink{w: w} }
 
 // Deliver implements Sink. The line is encoded before the lock is taken:
-// concurrent deliveries encode in parallel and serialize only the write.
+// concurrent deliveries encode in parallel, each through its own buffer's
+// memo, and serialize only the write.
 func (s *FileSink) Deliver(rec *wire.Record) error {
-	bp, _ := s.bufs.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
+	b, _ := s.bufs.Get().(*sinkBuf)
+	if b == nil {
+		b = new(sinkBuf)
 	}
-	*bp = append(wire.AppendJSON((*bp)[:0], rec), '\n')
+	b.line = append(wire.AppendJSONMemo(b.line[:0], rec, &b.memo), '\n')
 	s.mu.Lock()
-	_, err := s.w.Write(*bp)
+	_, err := s.w.Write(b.line)
 	s.mu.Unlock()
-	s.bufs.Put(bp)
+	if cap(b.line) > maxLineBytes {
+		b.line = nil
+	}
+	s.bufs.Put(b)
 	return err
 }
 

@@ -129,6 +129,40 @@ func TestDirStoreTornDeltaTail(t *testing.T) {
 	}
 }
 
+// TestDirStoreZeroFilledDeltaTail: a crash that extended the delta log's
+// size without its data leaves zeros, which read as empty frames. Reopening
+// truncates them like a torn frame instead of failing to decode them.
+func TestDirStoreZeroFilledDeltaTail(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := OpenDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AppendDelta([]DirOp{{Op: OpSet, Key: "a", Shard: 1}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deltaPath := filepath.Join(dir, dirDeltaName)
+	whole, err := os.ReadFile(deltaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(deltaPath, append(whole, make([]byte, 16)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, st, err := OpenDirStore(dir)
+	if err != nil {
+		t.Fatalf("reopen over zero-filled tail: %v", err)
+	}
+	defer s2.Close()
+	if st.Dir["a"] != 1 {
+		t.Fatalf("complete prefix not applied: %+v", st)
+	}
+	if b, _ := os.ReadFile(deltaPath); len(b) != len(whole) {
+		t.Fatalf("zero-filled tail not truncated: %d bytes, want %d", len(b), len(whole))
+	}
+}
+
 // TestDirStoreStaleDeltaReplay: a kill between the checkpoint rename and
 // the delta truncation leaves stale deltas beside the new checkpoint;
 // replaying them on top must be an exact no-op (the checkpoint already

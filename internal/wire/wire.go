@@ -83,15 +83,22 @@ func Encode(r *Record) []byte {
 // AppendEncode appends the record's binary form to dst and returns the
 // extended slice.
 func AppendEncode(dst []byte, r *Record) []byte {
+	return AppendEncodeMemo(dst, r, nil)
+}
+
+// AppendEncodeMemo is AppendEncode that copies a node's bytes from m
+// wherever m has seen the node before (see Memo); a nil m walks every node.
+// The bytes are AppendEncode's.
+func AppendEncodeMemo(dst []byte, r *Record, m *Memo) []byte {
 	dst = append(dst, magic, version)
 	dst = binary.AppendUvarint(dst, r.Seq)
 	dst = appendString(dst, r.Trigger)
 	dst = append(dst, byte(r.Event))
-	dst = appendMaybeNode(dst, r.Old)
-	dst = appendMaybeNode(dst, r.New)
+	dst = appendMaybeNode(dst, r.Old, m)
+	dst = appendMaybeNode(dst, r.New, m)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Args)))
 	for _, a := range r.Args {
-		dst = appendValue(dst, a)
+		dst = appendValue(dst, a, m)
 	}
 	return dst
 }
@@ -116,7 +123,7 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendValue(dst []byte, v xdm.Value) []byte {
+func appendValue(dst []byte, v xdm.Value, m *Memo) []byte {
 	switch v.Kind() {
 	case xdm.KindNull:
 		return append(dst, tagNull)
@@ -136,13 +143,13 @@ func appendValue(dst []byte, v xdm.Value) []byte {
 		return appendString(dst, v.AsString())
 	case xdm.KindNode:
 		dst = append(dst, tagNode)
-		return appendNode(dst, v.AsNode())
+		return memoized(dst, v.AsNode(), m, appendNode)
 	case xdm.KindSeq:
 		dst = append(dst, tagSeq)
 		seq := v.AsSeq()
 		dst = binary.AppendUvarint(dst, uint64(len(seq)))
 		for _, e := range seq {
-			dst = appendValue(dst, e)
+			dst = appendValue(dst, e, m)
 		}
 		return dst
 	default:
@@ -152,12 +159,12 @@ func appendValue(dst []byte, v xdm.Value) []byte {
 	}
 }
 
-func appendMaybeNode(dst []byte, n *xdm.Node) []byte {
+func appendMaybeNode(dst []byte, n *xdm.Node, m *Memo) []byte {
 	if n == nil {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
-	return appendNode(dst, n)
+	return memoized(dst, n, m, appendNode)
 }
 
 // appendNode encodes the node structurally (kind, name, text, attributes,
@@ -543,6 +550,13 @@ func (r *Record) MarshalJSON() ([]byte, error) {
 // their IEEE bit pattern, so no consumer mangles them through a decimal
 // round trip; strings escaped as appendJSONString describes.
 func AppendJSON(dst []byte, r *Record) []byte {
+	return AppendJSONMemo(dst, r, nil)
+}
+
+// AppendJSONMemo is AppendJSON that copies a node's bytes from m wherever
+// m has seen the node before (see Memo); a nil m walks every node. The
+// bytes are AppendJSON's.
+func AppendJSONMemo(dst []byte, r *Record, m *Memo) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, r.Seq, 10)
 	dst = append(dst, `,"trigger":`...)
@@ -551,15 +565,15 @@ func AppendJSON(dst []byte, r *Record) []byte {
 	dst = appendJSONString(dst, r.Event.String())
 	if r.Old != nil {
 		dst = append(dst, `,"old":`...)
-		dst = appendJSONNode(dst, r.Old)
+		dst = memoized(dst, r.Old, m, appendJSONNode)
 	}
 	if r.New != nil {
 		dst = append(dst, `,"new":`...)
-		dst = appendJSONNode(dst, r.New)
+		dst = memoized(dst, r.New, m, appendJSONNode)
 	}
 	if len(r.Args) > 0 {
 		dst = append(dst, `,"args":`...)
-		dst = appendJSONValues(dst, r.Args)
+		dst = appendJSONValues(dst, r.Args, m)
 	}
 	return append(dst, '}')
 }
@@ -611,18 +625,18 @@ func appendJSONNode(dst []byte, n *xdm.Node) []byte {
 	return append(dst, '}')
 }
 
-func appendJSONValues(dst []byte, vs []xdm.Value) []byte {
+func appendJSONValues(dst []byte, vs []xdm.Value, m *Memo) []byte {
 	dst = append(dst, '[')
 	for i, v := range vs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONValue(dst, v)
+		dst = appendJSONValue(dst, v, m)
 	}
 	return append(dst, ']')
 }
 
-func appendJSONValue(dst []byte, v xdm.Value) []byte {
+func appendJSONValue(dst []byte, v xdm.Value, m *Memo) []byte {
 	switch v.Kind() {
 	case xdm.KindBool:
 		if v.AsBool() {
@@ -645,7 +659,7 @@ func appendJSONValue(dst []byte, v xdm.Value) []byte {
 		return append(dst, '}')
 	case xdm.KindNode:
 		dst = append(dst, `{"kind":"node","node":`...)
-		dst = appendJSONNode(dst, v.AsNode())
+		dst = memoized(dst, v.AsNode(), m, appendJSONNode)
 		return append(dst, '}')
 	case xdm.KindSeq:
 		seq := v.AsSeq()
@@ -653,7 +667,7 @@ func appendJSONValue(dst []byte, v xdm.Value) []byte {
 			return append(dst, `{"kind":"seq"}`...)
 		}
 		dst = append(dst, `{"kind":"seq","seq":`...)
-		dst = appendJSONValues(dst, seq)
+		dst = appendJSONValues(dst, seq, m)
 		return append(dst, '}')
 	default:
 		return append(dst, `{"kind":"null"}`...)

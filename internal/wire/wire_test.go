@@ -145,6 +145,13 @@ func FuzzDecode(f *testing.F) {
 		if !Equal(r, r2) {
 			t.Fatalf("re-encode changed the record:\n in: %+v\nout: %+v", r, r2)
 		}
+		// A batch of the record twice, framed through one Memo, is
+		// Encode's bytes twice.
+		var m Memo
+		enc := Encode(r)
+		if got := AppendEncodeMemo(AppendEncodeMemo(nil, r, &m), r, &m); !bytes.Equal(got, append(enc, enc...)) {
+			t.Fatal("memo batch differs from Encode")
+		}
 	})
 }
 
@@ -371,7 +378,10 @@ func TestAppendJSONMatchesReference(t *testing.T) {
 
 // FuzzAppendJSON lets the fuzzer build the record — by decoding its input
 // through the binary codec — and holds AppendJSON to the reference encoder
-// on whatever comes out.
+// on whatever comes out. The record then goes through a file sink's
+// encoding path twice in a row, the second time from its node cache, and a
+// copy whose NEW and argument are its OLD node does too; both lines must
+// be AppendJSON's.
 func FuzzAppendJSON(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(Encode(r))
@@ -385,5 +395,16 @@ func FuzzAppendJSON(f *testing.F) {
 			return
 		}
 		checkAppendJSON(t, r)
+		shared := *r
+		if r.Old != nil {
+			shared.New = r.Old
+			shared.Args = append([]xdm.Value{xdm.NodeVal(r.Old)}, r.Args...)
+		}
+		var m Memo
+		for _, rec := range []*Record{r, r, &shared, &shared} {
+			if got, want := AppendJSONMemo(nil, rec, &m), AppendJSON(nil, rec); !bytes.Equal(got, want) {
+				t.Fatalf("sink path differs from AppendJSON\n got: %s\nwant: %s", got, want)
+			}
+		}
 	})
 }
