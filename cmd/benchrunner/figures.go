@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"quark/internal/core"
-	"quark/internal/planner"
 	"quark/internal/relsql"
 	"quark/internal/workload"
 )
@@ -234,66 +233,6 @@ var figures = []figure{
 		},
 		shapes: []shape{
 			{claim: "8 shards overlap the sink waits of 8 writers", num: ref{"sink-bound", 1}, den: ref{"sink-bound", 8}, atLeast: 3},
-		},
-	},
-	{
-		// A skewed population: the name-selective triggers (one structural
-		// group) plus a nested-aggregate family over the same view. The static
-		// systems keep both groups in the mode they were built with; adaptive
-		// starts in the worst translated mode and has to climb out by
-		// re-planning from live GroupStats. Its re-plans run inside the
-		// measured updates: migrations are part of its cost. The series of one
-		// x are measured in interleaved repeats, so drift on a shared box
-		// moves them together and the ratios below keep their meaning.
-		name: "adaptive", title: "Adaptive planner against the static modes, skewed workload", axis: "skew",
-		xs: []int{0}, series: []string{"UNGROUPED", "GROUPED", "adaptive"}, updates: 400,
-		build: func(scale float64, _ int, series string) (*bench, error) {
-			const aggTriggers = 8
-			p := defaults(scale)
-			p.NumTriggers, p.NumSatisfied = min(p.NumTriggers, 100), 2
-			mode := series
-			if series == "adaptive" {
-				mode = "UNGROUPED"
-			}
-			b, err := leafBench(p, mode, (*workload.Setup).UpdateOneLeaf)
-			if err != nil {
-				return nil, err
-			}
-			w := b.w
-			for i := 0; i < aggTriggers; i++ { // payloads stay below 250: always satisfied
-				if err := w.Engine.CreateTrigger(fmt.Sprintf(`CREATE TRIGGER agg%d AFTER UPDATE ON view('doc')/e0 WHERE count(NEW_NODE/e1[./payload < %d]) >= %d DO notify(NEW_NODE)`,
-					i, 1000+10*i, 2+i)); err != nil {
-					return nil, err
-				}
-			}
-			if err := w.Engine.Flush(); err != nil {
-				return nil, err
-			}
-			b.want += aggTriggers
-			if series != "adaptive" {
-				return b, nil
-			}
-			// The first re-plan needs statistics; the escape from UNGROUPED it
-			// decides on is warm-up, the re-plans that follow are measured.
-			for i := 0; i < 6; i++ {
-				if err := w.UpdateOneLeaf(); err != nil {
-					return nil, err
-				}
-			}
-			w.Engine.SetModePolicy(planner.New())
-			n := 0
-			b.op = func() error {
-				if n++; n%16 == 1 {
-					if _, err := w.Engine.Replan(); err != nil {
-						return err
-					}
-				}
-				return w.UpdateOneLeaf()
-			}
-			return b, nil
-		},
-		shapes: []shape{
-			{claim: "from an UNGROUPED start the planner reaches 3/4 of GROUPED's throughput", num: ref{"GROUPED", 0}, den: ref{"adaptive", 0}, atLeast: 0.75},
 		},
 	},
 }

@@ -1,9 +1,9 @@
 // Command benchrunner measures the paper's evaluation: the parameter sweeps
 // over the Table 2 workload (§6 Figures 17-18, Appendix G Figures 22-24),
 // trigger compile time, the materialize-and-diff ablation, the
-// rendered-SQL shadow tax, and the shard and adaptive-planner sweeps. A figure
-// is a row of the registry in figures.go and one loop measures them all: every
-// point is R repeats of U updates after a warm-up, recorded as median / p10 /
+// rendered-SQL shadow tax, and the shard sweep. A figure is a row of the
+// registry in figures.go and one loop measures them all: every point is R
+// repeats of U updates after a warm-up, recorded as median / p10 /
 // p90 ns per update plus allocations and bytes per update. The committed
 // BENCH_<fig>.json snapshots follow the regresql lifecycle:
 //

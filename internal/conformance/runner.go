@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -69,18 +68,6 @@ type RunOpts struct {
 	// goldens: rebalancing is silent data movement, never trigger activity.
 	// Ignored on single-engine runs.
 	Rebalance bool
-	// Adaptive deals every trigger group an arbitrary mode before the
-	// script runs (derived deterministically from ModeSeed), so
-	// structurally different groups run translated and materialized side
-	// by side. The log must STILL come out byte-identical to the
-	// single-engine MATERIALIZED goldens — the mixed-mode equivalence claim.
-	Adaptive bool
-	ModeSeed int64
-	// ModeFlips, with Adaptive, forces one live mode switch before every
-	// unit (a seeded group/mode pick), so every scenario replays with
-	// silent mode migrations interleaved mid-stream. The log must STILL
-	// match the goldens: migration is never trigger activity.
-	ModeFlips bool
 	// Backend, when "sqlite", attaches the real-database plan shadow
 	// (internal/relsql) to the engine: every translated plan evaluation is
 	// replayed as rendered SQL against a mirrored backend database with
@@ -122,10 +109,6 @@ type runEngine interface {
 	// rehearseRebalance forces one routing-group migration (the Rebalance
 	// style's injection seam); a no-op on the single engine.
 	rehearseRebalance() error
-	// groupSigs lists the live groups and setGroupModes runs a silent mode
-	// migration — the Adaptive and ModeFlips seams.
-	groupSigs() []string
-	setGroupModes(target map[string]core.Mode) error
 }
 
 // coreRun adapts one core.Engine (initial data loads straight into the
@@ -170,11 +153,6 @@ func (r coreRun) armPrepareFail(err error) {
 }
 func (r coreRun) disarmPrepareFail()       { r.e.SetPrepareCheck(nil) }
 func (r coreRun) rehearseRebalance() error { return nil }
-func (r coreRun) groupSigs() []string      { return r.e.GroupSigs() }
-func (r coreRun) setGroupModes(target map[string]core.Mode) error {
-	_, err := r.e.SetGroupModes(target)
-	return err
-}
 
 // shardRun adapts a sharded engine; initial data routes through the
 // shard layer so the directory knows every row.
@@ -234,12 +212,6 @@ func (r shardRun) rehearseRebalance() error {
 	_, err := r.e.Rebalance(shard.Plan{Moves: []shard.GroupMove{
 		{Table: g.Table, Key: g.Key, To: (g.Shard + 1) % n},
 	}})
-	return err
-}
-
-func (r shardRun) groupSigs() []string { return r.e.GroupSigs() }
-func (r shardRun) setGroupModes(target map[string]core.Mode) error {
-	_, err := r.e.SetGroupModes(target)
 	return err
 }
 
@@ -340,21 +312,6 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 	if err := e.Flush(); err != nil {
 		return "", err
 	}
-	var modeRng *rand.Rand
-	if opts.Adaptive {
-		// Arbitrary initial per-group mode mix, derived from the seed; the
-		// same seed always deals the same mix.
-		modeRng = rand.New(rand.NewSource(opts.ModeSeed))
-		target := map[string]core.Mode{}
-		for _, sig := range e.groupSigs() {
-			target[sig] = core.Modes[modeRng.Intn(len(core.Modes))]
-		}
-		if len(target) > 0 {
-			if err := e.setGroupModes(target); err != nil {
-				return "", fmt.Errorf("initial mode mix: %w", err)
-			}
-		}
-	}
 
 	var out strings.Builder
 	lastSeq := uint64(1) // first log sequence not yet attributed to a unit
@@ -393,16 +350,6 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 			// then proves the movement left no observable trace.
 			if err := e.rehearseRebalance(); err != nil {
 				return "", fmt.Errorf("rebalance rehearsal: %w", err)
-			}
-		}
-		if opts.Adaptive && opts.ModeFlips {
-			// One forced mode switch before every unit — a mid-stream
-			// re-plan whose invisibility the unit's own log then proves.
-			if sigs := e.groupSigs(); len(sigs) > 0 {
-				sig := sigs[modeRng.Intn(len(sigs))]
-				if err := e.setGroupModes(map[string]core.Mode{sig: core.Modes[modeRng.Intn(len(core.Modes))]}); err != nil {
-					return "", fmt.Errorf("mode flip rehearsal: %w", err)
-				}
 			}
 		}
 		st := sc.Script[i]

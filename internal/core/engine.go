@@ -4,16 +4,17 @@
 // relational engine, and activates trigger actions with OLD_NODE/NEW_NODE
 // parameters when base updates affect the monitored view nodes.
 //
-// Triggers that differ only in constants form one group, and each group
-// runs one of two translations (Section 6): ModeUngrouped (one SQL trigger
-// set per XML trigger) or ModeGrouped (the members share one SQL trigger
-// via a constants table, Section 5.1). The paper's third translation
-// (Section 5.2: old aggregates derived from the new ones and the transition
-// tables) is not reproduced as a mode: at every figure point it ran
-// GROUPED's plan, and no figure or benchmark workload reaches the rewrite. A
-// third mode, ModeMaterialized, implements the strawman the paper argues
-// against — materialize the view and diff it on every update — and is kept
-// as the correctness oracle tests compare the translations against.
+// Triggers that differ only in constants form one group. An engine runs
+// one of two translations (Section 6), fixed when it is built, for every
+// group: ModeUngrouped (one SQL trigger set per XML trigger) or ModeGrouped
+// (the members share one SQL trigger via a constants table, Section 5.1).
+// The paper's third translation (Section 5.2: old aggregates derived from
+// the new ones and the transition tables) is not reproduced as a mode: at
+// every figure point it ran GROUPED's plan, and no figure or benchmark
+// workload reaches the rewrite. A third mode, ModeMaterialized, implements
+// the strawman the paper argues against — materialize the view and diff it
+// on every update — and is kept as the correctness oracle tests compare the
+// translations against.
 package core
 
 import (
@@ -42,12 +43,11 @@ import (
 	"quark/internal/xquery"
 )
 
-// Mode is a trigger group's translation strategy. NewEngine's mode is the
-// one new groups start in; SetGroupModes and Replan change it per group.
+// Mode is an engine's translation strategy, fixed by NewEngine: every
+// trigger group it builds runs it.
 type Mode uint8
 
-// Translation modes. The values are persisted (a sharded fleet's mode
-// checkpoint stores them), so they never change: 2 is retired.
+// Translation modes. 2 was GROUPED-AGG and is retired.
 const (
 	ModeUngrouped    Mode = 0
 	ModeGrouped      Mode = 1
@@ -69,9 +69,6 @@ func (m Mode) String() string {
 
 // Modes lists every mode, in value order.
 var Modes = []Mode{ModeUngrouped, ModeGrouped, ModeMaterialized}
-
-// Valid reports whether m is one of Modes.
-func (m Mode) Valid() bool { return slices.Contains(Modes, m) }
 
 // Invocation is passed to an action function when its trigger fires.
 type Invocation struct {
@@ -105,8 +102,7 @@ type Stats struct {
 	Outbox      bool
 	OutboxLog   outbox.Stats
 	// PerGroup breaks the engine down by trigger group: mode, members,
-	// firings, eval latency and delta sizes. The planner and /snapshot
-	// read the same rows.
+	// firings, eval latency and delta sizes. /snapshot reads the same rows.
 	PerGroup []GroupStat `json:",omitempty"`
 }
 
@@ -139,12 +135,6 @@ type Engine struct {
 	// actions is copy-on-write so trigger firings can read it without
 	// taking e.mu (firings run under table locks, not the metadata lock).
 	actions atomic.Pointer[map[string]ActionFunc]
-
-	// policy (possibly nil) is consulted by Replan. seedModes pre-assigns
-	// modes to groups that do not exist yet (restart adoption: the shard
-	// layer replays persisted decisions before triggers are registered).
-	policy    ModePolicy
-	seedModes map[string]Mode
 
 	triggers map[string]registration
 	groups   map[string]*group
@@ -243,14 +233,10 @@ type registration struct {
 	m *grouping.Member
 }
 
-// group is the set of triggers with one structural signature. Each group
-// carries its own translation mode: the engine's mode only seeds it, and
-// SetGroupModes or Replan change it at runtime — mixed modes coexist
-// because the installed plans, not the engine, decide how a firing
-// evaluates.
+// group is the set of triggers with one structural signature, translated
+// in the engine's mode.
 type group struct {
 	sig      string
-	mode     Mode
 	event    reldb.Event
 	view     string
 	nav      *compile.NavNode
@@ -264,14 +250,14 @@ type group struct {
 	built    bool
 	plans    []*installedPlan
 	sqlNames []string
-	// stats survive rebuilds and mode switches: the planner wants the
-	// group's history, not the current plan's.
+	// stats survive rebuilds: they are the group's history, not the
+	// current plan's.
 	stats groupStats
 }
 
-// groupStats are the always-on per-group counters behind GroupStats: the
-// planner and the /snapshot surface read the same numbers.
-// Plain atomics, recorded on the firing path without any obs registry.
+// groupStats are the always-on per-group counters behind GroupStats and
+// the /snapshot surface. Plain atomics, recorded on the firing path
+// without any obs registry.
 type groupStats struct {
 	fires        atomic.Int64 // plan/body evaluations
 	evalNS       atomic.Int64 // wall time spent in those evaluations
@@ -281,16 +267,14 @@ type groupStats struct {
 	joinsSkipped atomic.Int64 // xqgm.EvalStats.JoinsSkipped summed likewise
 	nodesBuilt   atomic.Int64 // xqgm.EvalStats.NodesBuilt summed likewise
 	opsShared    atomic.Int64 // xqgm.EvalStats.OpsShared summed likewise
-	builds       atomic.Int64 // plan (re)compilations, incl. mode switches
+	builds       atomic.Int64 // plan (re)compilations
 }
 
 // groupBuild is one group's compiled-but-not-installed translation: the
 // plans plus the SQL triggers to create. Compilation is side-effect-free
-// (nothing is registered with the database until installGroup), which is
-// what makes a prepared mode switch abortable — discarding a build leaves
-// the engine byte-identical.
+// (nothing is registered with the database until installGroup), so a
+// failed compile leaves the group's previous plans installed.
 type groupBuild struct {
-	mode     Mode
 	plans    []*installedPlan
 	installs []pendingTrigger
 }
@@ -324,8 +308,8 @@ type installedPlan struct {
 	lastBatch int64
 }
 
-// NewEngine creates an engine over db whose new trigger groups start in
-// the given translation mode.
+// NewEngine creates an engine over db whose trigger groups all run the
+// given translation mode.
 func NewEngine(db *reldb.DB, mode Mode) *Engine {
 	e := &Engine{
 		db:          db,
@@ -433,7 +417,7 @@ func (e *Engine) recomputeReadSets() {
 	}
 	for _, sig := range e.order {
 		g := e.groups[sig]
-		if g.mode == ModeMaterialized {
+		if e.mode == ModeMaterialized {
 			ts := xqgm.Tables(g.nav.Op)
 			for _, t := range ts {
 				add(t, ts)
@@ -458,7 +442,7 @@ func (e *Engine) recomputeReadSets() {
 // DB returns the underlying relational database.
 func (e *Engine) DB() *reldb.DB { return e.db }
 
-// Mode returns the translation mode new groups start in.
+// Mode returns the engine's translation mode.
 func (e *Engine) Mode() Mode { return e.mode }
 
 // CreateView compiles and registers an XQuery view.
@@ -975,11 +959,7 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	sig := signature(spec)
 	g, ok := e.groups[sig]
 	if !ok {
-		mode := e.mode
-		if m, seeded := e.seedModes[sig]; seeded {
-			mode = m
-		}
-		g = &group{sig: sig, mode: mode, event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
+		g = &group{sig: sig, event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
 			cond: spec.Condition, args: spec.ActionArgs, members: grouping.NewStore(cond, cc.nCond)}
 		e.groups[sig] = g
 		e.order = append(e.order, sig)
@@ -1003,7 +983,7 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 // touched records that g's membership changed: a built GROUPED group's
 // plans read it as they run, any other group's compile it in.
 func (e *Engine) touched(g *group) {
-	if !g.built || g.mode != ModeGrouped {
+	if !g.built || e.mode != ModeGrouped {
 		e.dirty = true
 		e.dirtyGroups[g.sig] = true
 	}
@@ -1107,7 +1087,7 @@ func (e *Engine) resolvePath(spec *trigger.Spec) (*compile.NavNode, error) {
 
 // signature groups structurally similar triggers: same view, path, event,
 // condition shape (literals abstracted), and action shape. It does not
-// depend on any mode, so a group's mode can change without re-grouping.
+// depend on the mode.
 func signature(spec *trigger.Spec) string {
 	var sb strings.Builder
 	sb.WriteString(spec.ViewName)
@@ -1180,7 +1160,7 @@ func (e *Engine) flushLocked() error {
 		}
 		// Compile before dropping anything: a failed compile leaves the
 		// previous plans installed and the group still dirty.
-		b, err := e.compileGroup(g, g.mode)
+		b, err := e.compileGroup(g)
 		if err != nil {
 			return fmt.Errorf("core: building trigger group %q: %w", sig, err)
 		}
@@ -1202,18 +1182,16 @@ func allOf(names []string) map[string]bool {
 	return out
 }
 
-// compileGroup compiles one trigger group for the given mode without
+// compileGroup compiles one trigger group in the engine's mode without
 // installing anything: no SQL triggers are created, no indexes built, no
-// engine state mutated. The returned build either installs atomically
-// (installGroup, under every table's write lock) or is discarded — the
-// abort path of a prepared mode switch. Caller holds e.mu and the table
-// locks (a MATERIALIZED compile evaluates its initial snapshot).
-func (e *Engine) compileGroup(g *group, mode Mode) (*groupBuild, error) {
+// engine state mutated. Caller holds e.mu and the table locks (a
+// MATERIALIZED compile evaluates its initial snapshot).
+func (e *Engine) compileGroup(g *group) (*groupBuild, error) {
 	g.stats.builds.Add(1)
-	if mode == ModeMaterialized {
+	if e.mode == ModeMaterialized {
 		return e.compileMaterialized(g)
 	}
-	b := &groupBuild{mode: mode}
+	b := &groupBuild{}
 	srcEvents := events.GetSrcEvents(e.db.Schema(), g.nav.Op, g.event)
 	tables := map[string][]reldb.Event{}
 	var tableOrder []string
@@ -1225,7 +1203,7 @@ func (e *Engine) compileGroup(g *group, mode Mode) (*groupBuild, error) {
 	}
 
 	for _, table := range tableOrder {
-		plans, err := e.buildTablePlans(g, table, mode)
+		plans, err := e.buildTablePlans(g, table)
 		if err != nil {
 			return nil, err
 		}
@@ -1245,16 +1223,14 @@ func (e *Engine) compileGroup(g *group, mode Mode) (*groupBuild, error) {
 
 // installGroup swaps a compiled build into the group: the old SQL
 // triggers drop, the new ones install, and the group adopts the build's
-// mode and plans. Runs under e.mu and every table's write lock (flush, or
-// a prepared mode switch's commit), so no statement ever observes a
-// half-installed group.
+// plans. Runs under e.mu and every table's write lock (flush), so no
+// statement ever observes a half-installed group.
 func (e *Engine) installGroup(g *group, b *groupBuild) error {
 	for _, n := range g.sqlNames {
 		_ = e.db.DropTrigger(n)
 	}
 	g.sqlNames = nil
 	g.plans = b.plans
-	g.mode = b.mode
 	for _, p := range b.plans {
 		if p.root != nil {
 			e.ensureIndexes(p.root)
@@ -1277,7 +1253,7 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 // buildTablePlans builds the affected-node graph and the plans for one
 // base table: one shared plan in GROUPED mode, one plan per member in
 // UNGROUPED mode.
-func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installedPlan, error) {
+func (e *Engine) buildTablePlans(g *group, table string) ([]*installedPlan, error) {
 	opts := affected.Options{Prune: true}
 	if affected.InjectiveFor(g.nav.Op, table) {
 		opts.SkipValueCompare = true
@@ -1295,7 +1271,7 @@ func (e *Engine) buildTablePlans(g *group, table string, mode Mode) ([]*installe
 		return nil, err
 	}
 
-	if mode == ModeUngrouped {
+	if e.mode == ModeUngrouped {
 		// The paper's per-trigger translation: one plan per member, all
 		// sharing one ANGraph per table. A member's condition first filters
 		// the affected keys it can hold for, so the shared graph builds

@@ -16,13 +16,10 @@ import (
 // diffed by canonical key. It is expensive by design (cost grows with
 // view size, not with the number of affected nodes), which is what makes
 // it the correctness oracle for the translated-trigger pipeline: goldens
-// are generated from it and mixed-mode runs compare against it. The
-// planner never picks it; a group runs it only when SetGroupModes says so.
+// are generated from it.
 //
 // Like compileGroup's translated modes, nothing installs here: the
-// initial snapshot evaluates eagerly (the caller holds the table locks),
-// so a group switching modes pays the snapshot cost during prepare and
-// an aborted switch simply discards it.
+// initial snapshot evaluates eagerly (the caller holds the table locks).
 func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 	vw := g.nav.Op.OutWidth()
 	// The members are snapshotted here: the body runs without the metadata
@@ -155,7 +152,7 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 	}
 
 	// Fire on every event of every table the view reads.
-	b := &groupBuild{mode: ModeMaterialized}
+	b := &groupBuild{}
 	for _, table := range xqgm.Tables(g.nav.Op) {
 		for _, ev := range []reldb.Event{reldb.EvInsert, reldb.EvUpdate, reldb.EvDelete} {
 			b.installs = append(b.installs, pendingTrigger{

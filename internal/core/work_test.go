@@ -1,0 +1,71 @@
+package core_test
+
+import (
+	"testing"
+
+	"quark/internal/core"
+	"quark/internal/workload"
+	"quark/internal/xqgm"
+)
+
+// oneMemberWork is what 200 leaf updates cost one trigger at fig17's
+// 1-trigger point, in the work counters of every layer.
+type oneMemberWork struct {
+	RowsRead, IndexLookups int64 // reldb
+	NodesBuilt, RowsReused int64 // the group's GroupStat
+	OpsEvaluated           int   // xqgm, over the plan that fired
+	RowsProduced           int
+}
+
+// TestOneMemberGroupedDoesNoMoreWork: a GROUPED group of one member reads
+// the same rows, does the same index lookups and builds and reuses the same
+// nodes as an UNGROUPED one, and evaluates no more operators: UNGROUPED runs
+// its member's key filter (4 operators, 1 row each, per update) where
+// GROUPED joins a one-row constants table. One member is the only case in
+// which UNGROUPED could have been the cheaper mode to start a group in, and
+// it is not, so an engine fixes its translation mode when it is built.
+func TestOneMemberGroupedDoesNoMoreWork(t *testing.T) {
+	const updates = 200
+	measure := func(mode core.Mode) oneMemberWork {
+		w, err := workload.Build(workload.Params{
+			Depth: 2, LeafTuples: 128 * 64, Fanout: 64, NumTriggers: 1, NumSatisfied: 1,
+		}, mode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			for i := 0; i < updates; i++ {
+				if err := w.UpdateOneLeaf(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // warm-up
+		var got oneMemberWork
+		db, gs := w.DB.Stats(), w.Engine.GroupStats()[0]
+		run()
+		db1, gs1 := w.DB.Stats(), w.Engine.GroupStats()[0]
+		got.RowsRead, got.IndexLookups = db1.RowsRead-db.RowsRead, db1.IndexLookups-db.IndexLookups
+		got.NodesBuilt, got.RowsReused = gs1.NodesBuilt-gs.NodesBuilt, gs1.RowsReused-gs.RowsReused
+		// The plan's own work, on the next updates: counting it evaluates
+		// the plan again, which reads the database.
+		var st xqgm.EvalStats
+		w.Engine.CountPlanWork(&st)
+		run()
+		got.OpsEvaluated, got.RowsProduced = st.OpsEvaluated, st.RowsProduced
+		if w.Notifications != 3*updates {
+			t.Fatalf("%v: %d notifications over %d updates, want one each", mode, w.Notifications, 3*updates)
+		}
+		return got
+	}
+	grouped, ungrouped := measure(core.ModeGrouped), measure(core.ModeUngrouped)
+	t.Logf("per %d updates: GROUPED %+v, UNGROUPED %+v", updates, grouped, ungrouped)
+	g, u := grouped, ungrouped
+	g.OpsEvaluated, g.RowsProduced, u.OpsEvaluated, u.RowsProduced = 0, 0, 0, 0
+	if g != u || grouped.OpsEvaluated > ungrouped.OpsEvaluated || grouped.RowsProduced > ungrouped.RowsProduced {
+		t.Errorf("a one-member GROUPED group does other or more work than UNGROUPED:\nGROUPED   %+v\nUNGROUPED %+v", grouped, ungrouped)
+	}
+	if grouped.RowsRead == 0 || grouped.NodesBuilt == 0 || grouped.OpsEvaluated == 0 {
+		t.Errorf("counted no work: %+v", grouped)
+	}
+}

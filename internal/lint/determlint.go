@@ -17,7 +17,8 @@ import (
 //     observability guard. The PR 7 contract is "disabled = one branch,
 //     no clock read": a clock read is acceptable only inside a branch
 //     dominated by a nil-check of an obs handle. Intentional exceptions
-//     (e.g. planner calibration inputs) carry `//quark:clock <reason>`.
+//     (e.g. the per-group eval time GroupStats reports) carry
+//     `//quark:clock <reason>`.
 //
 //  2. No nondeterministically-seeded randomness: package-level math/rand
 //     functions draw from the shared, randomly-seeded source. Seeded

@@ -6,8 +6,7 @@ import (
 )
 
 // LockLint enforces the engine's documented lock hierarchy (see the
-// Engine concurrency-model comment in internal/core/engine.go and the
-// migration notes in adaptive.go):
+// Engine concurrency-model comment in internal/core/engine.go):
 //
 //  1. Per-table locks are acquired only through acquireLocks, which
 //     walks lockOrder so acquisition order is globally fixed and

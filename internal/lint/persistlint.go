@@ -7,8 +7,8 @@ import (
 
 // PersistLint enforces the crash-safety discipline for small durable
 // state files — directory checkpoints (*.ckpt), the dead-letter
-// quarantine (dead.log), persisted failure budgets, and mode/routing
-// stores. The repo-wide contract (PRs 5–8) is tmp-then-rename with CRC
+// quarantine (dead.log), persisted failure budgets, and the routing
+// store. The repo-wide contract is tmp-then-rename with CRC
 // framing: a torn write must be detectable (CRC frame) and must never
 // clobber the previous good state (rename is atomic; the tmp file takes
 // the torn bytes).
@@ -23,7 +23,7 @@ import (
 //     os.OpenFile with explicit flags, checkpoints through rule 1.
 //
 // Everywhere else in the module, writing a path that names a protected
-// artifact (.ckpt, dead.log, dir.delta, modes) with os.WriteFile or
+// artifact (.ckpt, dead.log, dir.delta) with os.WriteFile or
 // os.Create is flagged: only the blessed stores may touch those files.
 var PersistLint = &Analyzer{
 	Name:    "persistlint",

@@ -9,7 +9,7 @@ import (
 
 // Clobber writes a checkpoint file from outside its owning store.
 func Clobber(dir string, payload []byte) error {
-	return os.WriteFile(filepath.Join(dir, "modes.ckpt"), payload, 0o644) // want "protected durable artifact"
+	return os.WriteFile(filepath.Join(dir, "dir.ckpt"), payload, 0o644) // want "protected durable artifact"
 }
 
 // ClobberVar hides the protected name behind a local variable.

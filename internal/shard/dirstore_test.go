@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -347,5 +348,71 @@ func TestEngineRebuildDirectory(t *testing.T) {
 	}
 	if err := e.VerifyDirectory(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardModesLegacyFile: a Config.Dir that still holds the per-group
+// mode file older versions persisted (modes.ckpt, here naming the retired
+// mode 2, MATERIALIZED and a value no version ever wrote) opens without
+// error, and every group on every shard comes up in Config.Mode.
+func TestShardModesLegacyFile(t *testing.T) {
+	for _, mode := range core.Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			const sig = `m|view("m")/p|UPDATE|<none>|notify,NEW_NODE` // the watch trigger's group
+			dir := t.TempDir()
+			old, err := json.Marshal(map[string]int{sig: 2, "other": 3, "some group": 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "modes.ckpt"), outbox.Frame(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(catalogSchema(t), Config{
+				Shards: 2,
+				Mode:   mode,
+				Routing: []TableRouting{
+					{Table: "product", ByColumns: []string{"pname"}},
+					{Table: "vendor", ViaParent: "product"},
+				},
+				Dir: dir,
+			})
+			if err != nil {
+				t.Fatalf("opening a directory with a legacy modes.ckpt: %v", err)
+			}
+			defer e.Close()
+			fired := 0
+			e.RegisterAction("notify", func(core.Invocation) error { fired++; return nil })
+			if err := e.CreateView("m", `<m>{for $q in view('default')/product/row return <p name={$q/pname} mfr={$q/mfr}></p>}</m>`); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CreateTrigger(`CREATE TRIGGER watch AFTER UPDATE ON view('m')/p DO notify(NEW_NODE)`); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if sigs := e.GroupSigs(); len(sigs) != 1 || sigs[0] != sig {
+				t.Fatalf("group signatures %q, want the one the legacy file names", sigs)
+			}
+			for i := 0; i < e.NumShards(); i++ {
+				for _, gs := range e.Shard(i).GroupStats() {
+					if gs.Mode != mode {
+						t.Errorf("shard %d: group %q came up %v, want %v", i, gs.Sig, gs.Mode, mode)
+					}
+				}
+			}
+			mustInsert(t, e, "product", row("P1", "CRT 15", "Samsung"), row("P2", "LCD 19", "LG"))
+			for _, pid := range []string{"P1", "P2"} {
+				if _, err := e.UpdateByPK("product", []xdm.Value{xdm.Str(pid)}, func(r reldb.Row) reldb.Row {
+					r[2] = xdm.Str("ACME")
+					return r
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fired != 2 {
+				t.Errorf("fired %d, want 2", fired)
+			}
+		})
 	}
 }

@@ -81,16 +81,6 @@ type Engine struct {
 	// prepare-all and commit-all phases (the kill-mid-rebalance tests'
 	// seam; see SetRebalanceBarrier).
 	rebalanceBarrier func()
-
-	// Per-group modes (see adaptive.go). adMu guards the policy
-	// and the committed mode map; groupModes mirrors every committed
-	// per-group decision for persistence (persistModes) and Grow replay.
-	// replanBarrier is the kill-mid-migration crash seam, running between
-	// a fleet mode switch's prepare-all and commit-all phases.
-	adMu          sync.Mutex
-	policy        core.ModePolicy
-	groupModes    map[string]core.Mode
-	replanBarrier func()
 }
 
 type namedAction struct {
@@ -169,15 +159,6 @@ func New(s *schema.Schema, cfg Config) (*Engine, error) {
 		}
 		e.dbs = append(e.dbs, db)
 		e.engines = append(e.engines, core.NewEngine(db, cfg.Mode))
-	}
-	if cfg.Dir != "" {
-		// Persisted planner decisions (if any) adopt before the caller
-		// re-registers triggers, so every group comes back in the mode it
-		// ran before the restart (see adaptive.go).
-		if err := e.loadModes(cfg.Dir); err != nil {
-			_ = e.store.Close()
-			return nil, err
-		}
 	}
 	return e, nil
 }

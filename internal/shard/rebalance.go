@@ -223,12 +223,6 @@ func (e *Engine) Grow(n int) error {
 	views := append([]namedView(nil), e.views...)
 	specs := append([]*trigger.Spec(nil), e.trigSpecs...)
 	e.regMu.Unlock()
-	e.adMu.Lock()
-	modes := make(map[string]core.Mode, len(e.groupModes))
-	for sig, m := range e.groupModes {
-		modes[sig] = m
-	}
-	e.adMu.Unlock()
 	var newEngines []*core.Engine
 	var newDBs []*reldb.DB
 	for i := cur; i < n; i++ {
@@ -237,13 +231,6 @@ func (e *Engine) Grow(n int) error {
 			return err
 		}
 		ce := core.NewEngine(db, e.mode)
-		// Mode seeds precede the trigger replay, so every group comes up in
-		// the fleet's agreed mode.
-		for sig, m := range modes { //quark:sorted seeding per-group modes; groups are independent and seeds commute
-			if err := ce.SeedGroupMode(sig, m); err != nil {
-				return err
-			}
-		}
 		for _, a := range actions {
 			ce.RegisterAction(a.name, a.fn)
 		}

@@ -37,12 +37,6 @@ type StreamParams struct {
 	// fuzzer proves. Zero keeps the rng draw sequence of pre-elastic
 	// streams intact, so existing pinned seeds reproduce byte-identically.
 	RebalanceFrac float64
-	// ModeFlipFrac is the probability an op flips one trigger group's
-	// translation mode (a live, silent migration). Like rebalances, mode
-	// flips must be observationally invisible: appliers that opt in apply
-	// them, the oracle ignores them. Zero adds no rng draws, so existing
-	// pinned seeds replay unchanged.
-	ModeFlipFrac float64
 }
 
 // DefaultStream returns fuzzer-oriented stream parameters: mostly
@@ -87,22 +81,11 @@ type RebalanceOp struct {
 	Offset int
 }
 
-// ModeFlipOp asks the engine to switch one trigger group's
-// translation mode: Group indexes into the engine's sorted group
-// signatures (modulo the live group count, resolved at apply time) and
-// Mode is the target mode. Appliers that don't opt in — the differential
-// oracle — treat it as a no-op.
-type ModeFlipOp struct {
-	Group int
-	Mode  core.Mode
-}
-
 // Op is one unit of the stream: a single statement (len(Batch) == 1),
-// one transaction over several leaves/roots, a rebalance, or a mode flip.
+// one transaction over several leaves/roots, or a rebalance.
 type Op struct {
 	Batch     []LeafOp
 	Rebalance *RebalanceOp
-	ModeFlip  *ModeFlipOp
 }
 
 // GenStream generates a deterministic, replayable update stream for the
@@ -201,11 +184,6 @@ func GenStream(p Params, sp StreamParams, seed int64) ([]Op, error) {
 			ops = append(ops, Op{Rebalance: &RebalanceOp{Roots: roots, Offset: 1 + rng.Intn(7)}})
 			continue
 		}
-		// Same gating contract as rebalances: no extra draws unless asked.
-		if sp.ModeFlipFrac > 0 && rng.Float64() < sp.ModeFlipFrac {
-			ops = append(ops, Op{ModeFlip: &ModeFlipOp{Group: rng.Intn(64), Mode: core.Modes[rng.Intn(len(core.Modes))]}})
-			continue
-		}
 		if rng.Float64() < sp.CrossShardFrac && numTop > 1 {
 			nRoots := sp.BatchRoots
 			if nRoots < 2 {
@@ -261,19 +239,9 @@ type Rebalancer interface {
 	ApplyRebalance(table string, roots []int64, offset int) error
 }
 
-// ModeFlipper is the optional Applier extension for engines that can
-// switch a trigger group's translation mode mid-stream; appliers
-// without it — or with FlipModes left off (the oracle) — skip flip ops.
-type ModeFlipper interface {
-	ApplyModeFlip(group int, mode core.Mode) error
-}
-
-// SingleApplier adapts a core.Engine. FlipModes opts the applier into
-// ModeFlip ops; left false they no-op, which is what the differential
-// oracle wants.
+// SingleApplier adapts a core.Engine.
 type SingleApplier struct {
-	E         *core.Engine
-	FlipModes bool
+	E *core.Engine
 }
 
 // Insert implements TxWriter.
@@ -296,25 +264,9 @@ func (a SingleApplier) Batch(fn func(TxWriter) error) error {
 	return a.E.Batch(func(tx *reldb.Tx) error { return fn(tx) })
 }
 
-// ApplyModeFlip implements ModeFlipper: the group index resolves against
-// the engine's sorted signatures, so identical streams resolve to
-// identical groups on every engine shape.
-func (a SingleApplier) ApplyModeFlip(group int, mode core.Mode) error {
-	if !a.FlipModes {
-		return nil
-	}
-	sigs := a.E.GroupSigs()
-	if len(sigs) == 0 {
-		return nil
-	}
-	return a.E.SetGroupMode(sigs[group%len(sigs)], mode)
-}
-
-// ShardApplier adapts a shard.Engine. FlipModes opts into ModeFlip ops,
-// as on SingleApplier.
+// ShardApplier adapts a shard.Engine.
 type ShardApplier struct {
-	E         *shard.Engine
-	FlipModes bool
+	E *shard.Engine
 }
 
 // Insert implements TxWriter.
@@ -354,19 +306,6 @@ func (a ShardApplier) ApplyRebalance(table string, roots []int64, offset int) er
 	return err
 }
 
-// ApplyModeFlip implements ModeFlipper fleet-wide: one two-phase switch
-// flips the group on every shard.
-func (a ShardApplier) ApplyModeFlip(group int, mode core.Mode) error {
-	if !a.FlipModes {
-		return nil
-	}
-	sigs := a.E.GroupSigs()
-	if len(sigs) == 0 {
-		return nil
-	}
-	return a.E.SetGroupMode(sigs[group%len(sigs)], mode)
-}
-
 // ApplyOp replays one stream op against an engine: a single statement for
 // len(Batch) == 1, one transaction otherwise. Identical streams applied
 // to the single and sharded engines must produce identical invocation
@@ -377,12 +316,6 @@ func ApplyOp(a Applier, p Params, op Op) error {
 			return rb.ApplyRebalance(p.TableName(0), op.Rebalance.Roots, op.Rebalance.Offset)
 		}
 		return nil // the oracle: data movement is observationally invisible
-	}
-	if op.ModeFlip != nil {
-		if mf, ok := a.(ModeFlipper); ok {
-			return mf.ApplyModeFlip(op.ModeFlip.Group, op.ModeFlip.Mode)
-		}
-		return nil // the oracle: mode migration is observationally invisible
 	}
 	leafTable := p.TableName(p.Depth - 1)
 	apply := func(w TxWriter, lo LeafOp) error {
