@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -17,9 +18,11 @@ import (
 // the slot store and against a naive []Row model, and after every step
 // compares everything a reader can observe (GetByPK, RowCount, Scan, and
 // Lookup on every column in primary-key order) and checks the store's own
-// invariants (both halves of the key map, free list, sorted posting lists). TestStorageModel
-// derives the bytes from a pinned seed; FuzzStorageModel takes them from
-// the fuzzer.
+// invariants (both halves of the key map, free list, sorted posting lists,
+// the slabs and the compaction bound). TestStorageModel derives the bytes
+// from a pinned seed; FuzzStorageModel takes them from the fuzzer. One op
+// rewrites every leaf until the table compacts, so short streams cross the
+// compaction bound too.
 
 var modelSeed = flag.Int64("seed", 1, "first seed of TestStorageModel's op streams")
 
@@ -240,7 +243,7 @@ type modelRun struct {
 
 	tx       *Tx
 	txModel  map[string]*mtable // the model at Begin
-	txSlots  map[string][]Row   // each table's slot array at Begin
+	txSlots  map[string][]Row   // each table's slots' versions at Begin
 	txAutoID map[string]int64
 }
 
@@ -295,7 +298,7 @@ func (r *modelRun) step(s *stream) {
 	eq := func(c int, v xdm.Value) func(Row) bool {
 		return func(row Row) bool { return xdm.Equal(row[c], v) }
 	}
-	switch op := s.n(28); op {
+	switch op := s.n(29); op {
 	case 0, 1: // insert 1-3 leaves
 		rows := make([]Row, 1+s.n(3))
 		for i := range rows {
@@ -427,6 +430,30 @@ func (r *modelRun) step(s *stream) {
 		k := key()
 		found, err := r.w().DeleteByPK(table.name, k)
 		r.expectN("DeleteByPK "+table.name, b2i(found), err, table.remove(eq(0, k)), true)
+	case 28:
+		r.churn()
+	}
+}
+
+// churn rewrites every leaf, one statement a round, until its dead values
+// pass the compaction bound: even rounds write a string tag, odd ones a
+// number and a NULL tag, so versions move between the pointer-free and the
+// scanned slabs of one table.
+func (r *modelRun) churn() {
+	leaf := r.tables["leaf"]
+	live := len(leaf.rows) * len(r.db.tables["leaf"].def.Columns)
+	if live == 0 {
+		return
+	}
+	all := func(Row) bool { return true }
+	for i := 0; i <= deadBound(live)/live; i++ {
+		set := func(row Row) Row { row[3] = xdm.Str([]string{"a", "bb"}[i%4/2]); return row }
+		if i%2 == 1 {
+			set = func(row Row) Row { row[2], row[3] = xdm.Float(float64(i)), xdm.Null; return row }
+		}
+		n, err := r.w().Update("leaf", all, set)
+		want, ok := leaf.update(all, set)
+		r.expectN("churn leaf", n, err, want, ok)
 	}
 }
 
@@ -450,7 +477,7 @@ func (r *modelRun) begin() {
 	r.txModel, r.txSlots, r.txAutoID = map[string]*mtable{}, map[string][]Row{}, map[string]int64{}
 	for _, n := range r.names {
 		r.txModel[n] = r.tables[n].clone()
-		r.txSlots[n] = slices.Clone(r.db.tables[n].rows)
+		r.txSlots[n] = slotRows(r.db.tables[n])
 		r.txAutoID[n] = r.db.tables[n].autoID
 	}
 }
@@ -468,7 +495,7 @@ func (r *modelRun) rollback() {
 		peak := r.tables[n].peak
 		r.tables[n] = r.txModel[n]
 		r.tables[n].peak = peak // the slot array keeps what the transaction grew it to
-		for s, row := range td.rows {
+		for s, row := range slotRows(td) {
 			var was Row
 			if s < len(pre) {
 				was = pre[s]
@@ -483,12 +510,60 @@ func (r *modelRun) rollback() {
 	}
 }
 
+// slotRows returns the version in each slot of td, nil for a free one.
+func slotRows(td *tableData) []Row {
+	out := make([]Row, len(td.rows))
+	for s := range out {
+		out[s] = td.row(uint32(s))
+	}
+	return out
+}
+
 // verify compares every observable of every table with the model and
 // checks the store's structural invariants.
 func (r *modelRun) verify() {
 	r.t.Helper()
 	for _, n := range r.names {
-		r.verifyTable(r.db.tables[n], r.tables[n])
+		td := r.db.tables[n]
+		r.verifyTable(td, r.tables[n])
+		r.verifySlabs(td)
+	}
+}
+
+// verifySlabs checks the version store: dead values within the compaction
+// bound, every live version carved once, in a slab no larger than the cap,
+// and in a pointer-free slab exactly when its values hold no pointer.
+func (r *modelRun) verifySlabs(td *tableData) {
+	t, st, name := r.t, &td.store, td.def.Name
+	t.Helper()
+	carved := 0
+	for i, sl := range st.list {
+		if cap(sl.vals) > max(maxSlab, int(st.width)) {
+			t.Fatalf("%s: slab %d holds %d values, the cap is %d", name, i, cap(sl.vals), maxSlab)
+		}
+		carved += len(sl.vals)
+	}
+	if carved != st.used {
+		t.Fatalf("%s: slabs hold %d carved values, the store counts %d", name, carved, st.used)
+	}
+	if live, dead := td.live(), td.dead(); dead < 0 || dead > deadBound(live) {
+		t.Fatalf("%s: %d dead values beside %d live ones, the bound is %d", name, dead, live, deadBound(live))
+	}
+	seen := map[vref]bool{}
+	for s, ref := range td.rows {
+		if ref.vacant() {
+			continue
+		}
+		if seen[ref] {
+			t.Fatalf("%s: slot %d shares version %v with another slot", name, s, ref)
+		}
+		seen[ref] = true
+		if int(ref.slab) > len(st.list) || int(ref.off+st.width) > len(st.list[ref.slab-1].vals) {
+			t.Fatalf("%s: slot %d refers to %v outside the carved values", name, s, ref)
+		}
+		if scanned := st.list[ref.slab-1].scanned; scanned != (kindOf(td.row(uint32(s))) == 1) {
+			t.Fatalf("%s: slot %d's version %v sits in a slab with scanned=%v", name, s, td.row(uint32(s)), scanned)
+		}
 	}
 }
 
@@ -565,13 +640,13 @@ func (r *modelRun) verifyTable(td *tableData, m *mtable) {
 	}
 	free := map[uint32]bool{}
 	for _, s := range td.free {
-		if free[s] || td.rows[s] != nil {
+		if free[s] || td.row(s) != nil {
 			t.Fatalf("%s: free list entry %d is duplicated or occupied", name, s)
 		}
 		free[s] = true
 	}
 	live, numeric := 0, 0
-	for s, row := range td.rows {
+	for s, row := range slotRows(td) {
 		if row == nil {
 			if !free[uint32(s)] {
 				t.Fatalf("%s: vacant slot %d is not on the free list", name, s)
@@ -603,10 +678,10 @@ func (r *modelRun) verifyTable(td *tableData, m *mtable) {
 				t.Fatalf("%s.%s: empty posting list kept for %v", name, td.def.Columns[ci].Name, v)
 			}
 			for i, s := range l {
-				if td.rows[s] == nil || td.rows[s][ci].CompKey() != v {
-					t.Fatalf("%s.%s: slot %d filed under %v holds %v", name, td.def.Columns[ci].Name, s, v, td.rows[s])
+				if row := td.row(s); row == nil || row[ci].CompKey() != v {
+					t.Fatalf("%s.%s: slot %d filed under %v holds %v", name, td.def.Columns[ci].Name, s, v, row)
 				}
-				if i > 0 && td.cmpSlot(l[i-1], td.rows[s], td.keyAt(s)) >= 0 {
+				if i > 0 && td.cmpSlot(l[i-1], td.row(s), td.keyAt(s)) >= 0 {
 					t.Fatalf("%s.%s: posting list %v out of primary-key order at %d", name, td.def.Columns[ci].Name, l, i)
 				}
 			}
@@ -637,8 +712,9 @@ func multiset(rows []Row) string {
 }
 
 // replay runs one op stream to its end, verifying after every step, and
-// returns each table's rows in slot order.
-func replay(t *testing.T, ops []byte) map[string][]Row {
+// returns each table's rows in slot order and how often the leaf table
+// compacted.
+func replay(t *testing.T, ops []byte) (map[string][]Row, int) {
 	r := newModelRun(t)
 	s := &stream{b: ops}
 	for len(s.b) > 0 {
@@ -653,7 +729,7 @@ func replay(t *testing.T, ops []byte) map[string][]Row {
 	for _, n := range r.names {
 		out[n] = r.db.AllRows(n)
 	}
-	return out
+	return out, r.db.tables["leaf"].compactions
 }
 
 func TestStorageModel(t *testing.T) {
@@ -661,11 +737,15 @@ func TestStorageModel(t *testing.T) {
 		ops := make([]byte, 1500)
 		rand.New(rand.NewSource(seed)).Read(ops)
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			first := replay(t, ops)
+			first, compactions := replay(t, ops)
 			// Slot order is a function of the statement history alone.
-			if again := replay(t, ops); fmt.Sprint(again) != fmt.Sprint(first) {
+			if again, _ := replay(t, ops); fmt.Sprint(again) != fmt.Sprint(first) {
 				t.Fatalf("slot order differs between two replays of one stream:\n%v\n%v", first, again)
 			}
+			if compactions == 0 {
+				t.Fatal("the leaf table never crossed the compaction bound")
+			}
+			t.Logf("%d compactions", compactions)
 		})
 	}
 }
@@ -680,11 +760,17 @@ func FuzzStorageModel(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(ops)
 		f.Add(ops)
 	}
+	// Three inserts of 3, 1 and 2 leaves, then a churn: the leaf table
+	// compacts.
+	crossing := []byte{0, 2, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 1, 5, 0, 0, 0, 6, 0, 0, 0, 28}
+	f.Add(crossing)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		replay(t, ops)
+		if _, compactions := replay(t, ops); bytes.Equal(ops, crossing) && compactions == 0 {
+			t.Fatal("the crossing stream did not compact the leaf table")
+		}
 	})
 }
 

@@ -6,7 +6,8 @@
 // fire with Δtable / ∇table transition tables exactly as described in
 // Section 2.3.
 //
-// Storage is slot-addressed: a table's rows live in a slot array (freed
+// Storage is slot-addressed: a table's slot array holds a reference to each
+// row's current version, carved from the table's slabs (see slab.go; freed
 // slots are reused), one map takes a primary key to its slot, and an index
 // is one posting list of slots per column value, kept in primary-key order.
 // Order contracts: Lookup yields rows in primary-key order (xdm.Compare
@@ -33,6 +34,15 @@ import (
 
 // Row is one relational tuple, positionally aligned with the table's
 // columns.
+//
+// A Row the store hands out (from Scan, Lookup, GetByPK, AllRows, or a
+// transition table) is a stored version: a view into one of the table's
+// slabs, capped so that an append copies it. Nothing writes a stored
+// version after it is carved — not the store, which writes a new version
+// for every change and restores a rolled-back row by carving a copy, and
+// not a reader. A version of pointer-free values lives in memory the
+// collector does not scan, so a pointer written into it would not keep
+// what it points to alive. Copy a Row before changing it.
 type Row []xdm.Value
 
 // Copy returns a copy of the row (values are immutable, so a shallow copy
@@ -75,8 +85,8 @@ func (e Event) String() string {
 //
 // Immutability contract: the Row values in the transition tables (and in
 // Batch.Deltas) are snapshots that the store never mutates in place —
-// every write path replaces rows copy-on-write (applyInsert copies its
-// input; applyUpdate builds the new version from a copy and swaps it in).
+// every write path carves a new version (applyInsert copies its input;
+// applyUpdate copies what set returns) and points the slot at it; see Row.
 // Trigger bodies and asynchronous dispatchers may therefore retain
 // transition rows, and anything derived from them, beyond the firing
 // statement without copying and without holding the statement's locks.
@@ -230,10 +240,16 @@ type index struct {
 type tableData struct {
 	def   *schema.Table
 	pkIdx []int
-	// rows is the slot array. A nil entry is a free slot, listed in free;
-	// an update swaps the new row version into the slot its row already has.
-	rows []Row
-	free []uint32
+	// rows is the slot array: each slot's reference to its row's current
+	// version in store. A vacant entry is a free slot, listed in free; an
+	// update points the slot its row already has at the new version.
+	rows  []vref
+	store slabs
+	free  []uint32
+	// scratch is the copy of a row an update's set function edits; the
+	// edited row is carved into store before set runs again.
+	scratch     Row
+	compactions int // of store, for tests
 	// pk maps a row's storage key to its slot: the key columns' CompKey, or
 	// for a table without a primary key the synthetic rowid's. On a
 	// single-column primary key it doubles as that column's index (pkCol).
@@ -286,6 +302,7 @@ func Open(s *schema.Schema) (*DB, error) {
 		td := &tableData{
 			def:     t,
 			pkIdx:   t.PKIndexes(),
+			store:   slabs{width: uint32(len(t.Columns))},
 			pk:      newSlotMap(),
 			pkCol:   -1,
 			indexes: make([]*index, len(t.Columns)),
@@ -352,7 +369,7 @@ func (td *tableData) keyAt(s uint32) xdm.CompKey {
 	if len(td.pkIdx) == 0 {
 		return td.keys[s]
 	}
-	return td.keyOf(td.rows[s])
+	return td.keyOf(td.row(s))
 }
 
 // cmpSlot orders the row in slot s against row r (storage key k) in
@@ -362,7 +379,7 @@ func (td *tableData) cmpSlot(s uint32, r Row, k xdm.CompKey) int {
 	if len(td.pkIdx) == 0 {
 		return td.keys[s].Compare(k)
 	}
-	sr := td.rows[s]
+	sr := td.row(s)
 	for _, c := range td.pkIdx {
 		if d := xdm.Compare(sr[c], r[c]); d != 0 {
 			return d
@@ -372,7 +389,7 @@ func (td *tableData) cmpSlot(s uint32, r Row, k xdm.CompKey) int {
 }
 
 // cmpSlots is cmpSlot between two slots.
-func (td *tableData) cmpSlots(a, b uint32) int { return td.cmpSlot(a, td.rows[b], td.keyAt(b)) }
+func (td *tableData) cmpSlots(a, b uint32) int { return td.cmpSlot(a, td.row(b), td.keyAt(b)) }
 
 // search returns the position in posting list l of the first slot whose
 // row does not order before (r, k).
@@ -439,7 +456,8 @@ func (db *DB) checkFK(td *tableData, fk schema.ForeignKey, r Row) error {
 	// must show up in the stats like every other scan so access-path
 	// assertions (and capacity planning) see it.
 	db.stats.fullScans.Add(1)
-	for _, row := range ref.rows {
+	for s := range ref.rows {
+		row := ref.row(uint32(s))
 		if row == nil {
 			continue
 		}
@@ -474,8 +492,8 @@ func (db *DB) CreateIndex(table, col string) error {
 	// Building over loaded rows: gather each value's slots, then sort every
 	// list once (filing row by row would shift a long list per row).
 	ix := &index{col: ci, m: map[xdm.CompKey][]uint32{}}
-	for s, r := range td.rows {
-		if r != nil {
+	for s := range td.rows {
+		if r := td.row(uint32(s)); r != nil {
 			k := r[ci].CompKey()
 			ix.m[k] = append(ix.m[k], uint32(s))
 		}
@@ -536,16 +554,17 @@ func (td *tableData) alloc() uint32 {
 		td.free = td.free[:n-1]
 		return s
 	}
-	td.rows = append(td.rows, nil)
+	td.rows = append(td.rows, vref{})
 	if len(td.pkIdx) == 0 {
 		td.keys = append(td.keys, xdm.CompKey{})
 	}
 	return uint32(len(td.rows) - 1)
 }
 
-// place files row r under storage key k in the vacant slot s.
-func (td *tableData) place(s uint32, r Row, k xdm.CompKey) {
-	td.rows[s] = r
+// place carves a version of row r into the vacant slot s, files it under
+// storage key k, and returns the stored version.
+func (td *tableData) place(s uint32, r Row, k xdm.CompKey) Row {
+	td.rows[s], r = td.store.carve(r)
 	if len(td.pkIdx) == 0 {
 		td.keys[s] = k
 	}
@@ -555,18 +574,19 @@ func (td *tableData) place(s uint32, r Row, k xdm.CompKey) {
 			ix.add(td, s, r, k)
 		}
 	}
+	return r
 }
 
 // vacate unfiles the row in slot s (storage key k) and frees the slot.
 func (td *tableData) vacate(s uint32, k xdm.CompKey) {
-	r := td.rows[s]
+	r := td.row(s)
 	for _, ix := range td.indexes {
 		if ix != nil {
 			ix.remove(td, s, r, k)
 		}
 	}
 	td.pk.del(k)
-	td.rows[s] = nil
+	td.rows[s] = vref{}
 	td.free = append(td.free, s)
 }
 
@@ -581,11 +601,12 @@ type keyedRow struct {
 
 // updateChange records one row rewrite: the storage keys before and after
 // (they differ when the update changes the primary key), both versions,
-// and the slot the row keeps.
+// the slot the row keeps and where the new version was carved.
 type updateChange struct {
 	oldKey, newKey xdm.CompKey
 	old, new       Row
 	slot           uint32
+	ref            vref
 }
 
 // refiles reports whether the update must move the row's entry in ix: a
@@ -596,7 +617,7 @@ func (c *updateChange) refiles(ix *index) bool {
 }
 
 // unfile takes the old version out of the key map and posting lists it
-// must leave; refile swaps the new version into the slot and files it. A
+// must leave; refile points the slot at the new version and files it. A
 // statement unfiles all its rows before refiling any, so lists stay sorted
 // while primary keys chain or swap.
 func (td *tableData) unfile(c *updateChange) {
@@ -611,7 +632,7 @@ func (td *tableData) unfile(c *updateChange) {
 }
 
 func (td *tableData) refile(c *updateChange) {
-	td.rows[c.slot] = c.new
+	td.rows[c.slot] = c.ref
 	if c.newKey != c.oldKey {
 		td.pk.put(c.newKey, c.slot)
 	}
@@ -646,8 +667,8 @@ func (td *tableData) sortKeyed(krs []keyedRow) {
 // match returns the rows satisfying pred, in sortKeyed order.
 func (td *tableData) match(pred func(Row) bool) []keyedRow {
 	var out []keyedRow
-	for s, r := range td.rows {
-		if r != nil && pred(r) {
+	for s := range td.rows {
+		if r := td.row(uint32(s)); r != nil && pred(r) {
 			out = append(out, keyedRow{key: td.keyAt(uint32(s)), row: r, slot: uint32(s)})
 		}
 	}
@@ -691,9 +712,10 @@ func (db *DB) applyInsert(table string, rows []Row) ([]keyedRow, error) {
 			td.autoID++
 			kr.key = xdm.Int(td.autoID).CompKey()
 		}
-		kr.row, kr.slot = r.Copy(), td.alloc()
-		td.place(kr.slot, kr.row, kr.key)
+		kr.slot = td.alloc()
+		kr.row = td.place(kr.slot, r, kr.key)
 	}
+	td.settle()
 	db.applied()
 	return inserted, nil
 }
@@ -737,6 +759,7 @@ func (db *DB) applyDelete(table string, pred func(Row) bool) ([]keyedRow, error)
 	for _, kr := range removed {
 		td.vacate(kr.slot, kr.key)
 	}
+	td.settle()
 	db.applied()
 	return removed, nil
 }
@@ -772,8 +795,9 @@ func (db *DB) applyDeleteByPK(table string, key []xdm.Value) (kr keyedRow, found
 	if !found {
 		return kr, false, nil
 	}
-	kr = keyedRow{key: k, row: td.rows[s], slot: s}
+	kr = keyedRow{key: k, row: td.row(s), slot: s}
 	td.vacate(s, k)
+	td.settle()
 	return kr, true, nil
 }
 
@@ -795,13 +819,16 @@ func (db *DB) applyUpdate(table string, pred func(Row) bool, set func(Row) Row) 
 	if err != nil {
 		return nil, err
 	}
+	// A failed statement leaves the versions it carved dead; settle counts
+	// them.
+	defer td.settle()
 	// set sees the rows in the Δ/∇ order, like a key-ordered scan would.
 	matched := td.match(pred)
 	changes := make([]updateChange, len(matched))
 	rekeyed := false
 	for i, kr := range matched {
-		nr := set(kr.row.Copy())
-		if err := db.validateRow(td, nr); err != nil {
+		ref, nr, err := db.edit(td, kr.row, set)
+		if err != nil {
 			return nil, err
 		}
 		// Tables without a primary key keep their synthetic rowid: the
@@ -811,7 +838,7 @@ func (db *DB) applyUpdate(table string, pred func(Row) bool, set func(Row) Row) 
 		if len(td.pkIdx) > 0 {
 			nk = td.keyOf(nr)
 		}
-		changes[i] = updateChange{oldKey: kr.key, newKey: nk, old: kr.row, new: nr, slot: kr.slot}
+		changes[i] = updateChange{oldKey: kr.key, newKey: nk, old: kr.row, new: nr, slot: kr.slot, ref: ref}
 		rekeyed = rekeyed || nk != kr.key
 	}
 	// Check PK collisions after removal of the old keys.
@@ -841,10 +868,23 @@ func (db *DB) applyUpdate(table string, pred func(Row) bool, set func(Row) Row) 
 	return changes, nil
 }
 
+// edit runs set on a scratch copy of the stored version old, validates the
+// row it returns and carves that as the new version.
+func (db *DB) edit(td *tableData, old Row, set func(Row) Row) (vref, Row, error) {
+	td.scratch = append(td.scratch[:0], old...)
+	nr := set(td.scratch)
+	if err := db.validateRow(td, nr); err != nil {
+		return vref{}, nil, err
+	}
+	ref, nr := td.store.carve(nr)
+	return ref, nr, nil
+}
+
 // Update rewrites all rows matching pred via set, as one statement, then
 // fires AFTER UPDATE triggers with ∇table = old rows and Δtable = new rows.
-// set must return a full replacement row (it may mutate the copy it is
-// given). Primary-key changes are permitted if they do not collide.
+// set must return a full replacement row. It may mutate the copy it is
+// given, which is scratch the store reuses: set must not keep it. Primary-key
+// changes are permitted if they do not collide.
 func (db *DB) Update(table string, pred func(Row) bool, set func(Row) Row) (int, error) {
 	if m := db.obs.Load(); m != nil {
 		defer m.stmt.Since(time.Now())
@@ -879,12 +919,13 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 		db.applied()
 		return c, false, nil
 	}
-	old := td.rows[s]
-	nr := set(old.Copy())
-	if err := db.validateRow(td, nr); err != nil {
+	defer td.settle()
+	old := td.row(s)
+	ref, nr, err := db.edit(td, old, set)
+	if err != nil {
 		return c, false, err
 	}
-	c = updateChange{oldKey: k, newKey: td.keyOf(nr), old: old, new: nr, slot: s}
+	c = updateChange{oldKey: k, newKey: td.keyOf(nr), old: old, new: nr, slot: s, ref: ref}
 	if c.newKey != k {
 		if _, exists := td.pk.get(c.newKey); exists {
 			return c, false, fmt.Errorf("reldb: update collides with existing primary key in %s", table)
@@ -896,7 +937,8 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 	return c, true, nil
 }
 
-// UpdateByPK rewrites the single row with the given primary key.
+// UpdateByPK rewrites the single row with the given primary key; set is as
+// in Update.
 func (db *DB) UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool, error) {
 	if m := db.obs.Load(); m != nil {
 		defer m.stmt.Since(time.Now())
@@ -1020,7 +1062,8 @@ func (db *DB) Scan(table string, fn func(Row) bool) error {
 	}
 	db.stats.fullScans.Add(1)
 	read := 0
-	for _, r := range td.rows {
+	for s := range td.rows {
+		r := td.row(uint32(s))
 		if r == nil {
 			continue
 		}
@@ -1049,7 +1092,7 @@ func (db *DB) Lookup(table, col string, v xdm.Value, fn func(Row) bool) error {
 		db.stats.indexLookups.Add(1)
 		if s, ok := td.pk.get(v.CompKey()); ok {
 			db.stats.rowsRead.Add(1)
-			fn(td.rows[s])
+			fn(td.row(s))
 		}
 		return nil
 	}
@@ -1058,7 +1101,7 @@ func (db *DB) Lookup(table, col string, v xdm.Value, fn func(Row) bool) error {
 		read := 0
 		for _, s := range ix.m[v.CompKey()] {
 			read++
-			if !fn(td.rows[s]) {
+			if !fn(td.row(s)) {
 				break
 			}
 		}
@@ -1068,14 +1111,14 @@ func (db *DB) Lookup(table, col string, v xdm.Value, fn func(Row) bool) error {
 	db.stats.fullScans.Add(1)
 	db.stats.rowsRead.Add(int64(td.pk.len()))
 	var hits []uint32
-	for s, r := range td.rows {
-		if r != nil && xdm.Equal(r[ci], v) {
+	for s := range td.rows {
+		if r := td.row(uint32(s)); r != nil && xdm.Equal(r[ci], v) {
 			hits = append(hits, uint32(s))
 		}
 	}
 	slices.SortFunc(hits, td.cmpSlots)
 	for _, s := range hits {
-		if !fn(td.rows[s]) {
+		if !fn(td.row(s)) {
 			break
 		}
 	}
@@ -1095,7 +1138,7 @@ func (db *DB) GetByPK(table string, key ...xdm.Value) (Row, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	return td.rows[s], true, nil
+	return td.row(s), true, nil
 }
 
 // RowCount reports the number of rows in the table (0 for unknown tables).
@@ -1116,8 +1159,8 @@ func (db *DB) AllRows(table string) []Row {
 		return nil
 	}
 	out := make([]Row, 0, td.pk.len())
-	for _, r := range td.rows {
-		if r != nil {
+	for s := range td.rows {
+		if r := td.row(uint32(s)); r != nil {
 			out = append(out, r)
 		}
 	}

@@ -360,7 +360,7 @@ func (tx *Tx) net(table string) netChange {
 			if !exists {
 				continue
 			}
-			row = td.rows[s]
+			row = td.row(s)
 		}
 		keys = append(keys, keyedRow{key: k, row: row})
 	}
@@ -381,7 +381,7 @@ func (tx *Tx) net(table string) netChange {
 		if !exists {
 			continue
 		}
-		cur := td.rows[s]
+		cur := td.row(s)
 		var pre Row
 		origin, moved := mv[k]
 		switch {
@@ -543,7 +543,9 @@ func (tx *Tx) Commit() error {
 }
 
 // Rollback undoes every change the transaction applied, restoring rows and
-// indexes to their pre-transaction state. No triggers fire. Rolling back
+// indexes to their pre-transaction state: each pre-image goes back to its
+// slot as a new version carved from it, which is why a compaction in between
+// loses nothing. No triggers fire. Rolling back
 // a prepared transaction discards its staged deliveries — staging has no
 // external effect, which is what makes the prepare phase abortable.
 func (tx *Tx) Rollback() error {
@@ -568,8 +570,9 @@ func (tx *Tx) Rollback() error {
 		}
 		// The restored slots are taken again; what stays free is the
 		// pre-transaction free set plus the slots the transaction added.
-		td.free = slices.DeleteFunc(td.free, func(s uint32) bool { return td.rows[s] != nil })
+		td.free = slices.DeleteFunc(td.free, func(s uint32) bool { return !td.rows[s].vacant() })
 		slices.Sort(td.free)
+		td.settle()
 	}
 	// Restore synthetic rowid counters for no-PK tables: the rows the
 	// transaction inserted are gone, so their allocated ids must be too.

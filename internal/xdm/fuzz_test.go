@@ -103,8 +103,27 @@ func FuzzValueRoundTrip(f *testing.F) {
 			t.Fatalf("empty string keeps pointer %v", e.ptr)
 		}
 
-		// Nodes and sequences come back as the very objects that went in.
+		// Exactly the values with no pointer may live in pointer-free memory,
+		// and come back out of it unchanged.
 		n := Elem("e", TextNd(s))
+		free := []Value{Null, True, Int(i), Float(fl), Str("")}
+		if a.PointerFree() != (s == "") || NodeVal(n).PointerFree() || Seq(nil).PointerFree() {
+			t.Fatalf("PointerFree is wrong for %q, a node or a sequence", s)
+		}
+		slab := PointerFreeValues(len(free))
+		for j, v := range free {
+			if !v.PointerFree() {
+				t.Fatalf("%v holds a pointer", v)
+			}
+			slab[j] = v
+		}
+		for j, v := range slab {
+			if v.kind != free[j].kind || v.num != free[j].num || v.ptr != nil {
+				t.Fatalf("pointer-free memory gave back %v for %v", v, free[j])
+			}
+		}
+
+		// Nodes and sequences come back as the very objects that went in.
 		if NodeVal(n).AsNode() != n || Str(s).AsNode() != nil {
 			t.Fatal("NodeVal does not round-trip its node")
 		}

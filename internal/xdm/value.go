@@ -65,7 +65,9 @@ func (k Kind) String() string {
 //
 // The casts that recover the typed pointer are the only unsafe code in the
 // module: the constructors Str, NodeVal and Seq store ptr, the accessors
-// str, node and seq read it back, and nothing else touches it.
+// str, node and seq read it back, and nothing else touches it. The one other
+// cast, in PointerFreeValues, views pointer-free memory as Values for the
+// values whose ptr is nil.
 //
 // Never compare Values with == or use one as a map key: with a pointer to
 // string data that would compare addresses, not contents. The first field
@@ -215,6 +217,21 @@ func (v Value) SeqLen() int {
 	default:
 		return 1
 	}
+}
+
+// PointerFree reports whether the value holds no Go pointer: null, a bool,
+// an int, a float or the empty string. Only such values may be stored in
+// memory from PointerFreeValues.
+func (v Value) PointerFree() bool { return v.ptr == nil }
+
+// PointerFreeValues returns n zero Values in memory allocated as
+// pointer-free, which the garbage collector never scans: it keeps the
+// memory alive while anything points into it, but never looks inside. Only
+// values whose PointerFree holds may be stored there; a pointer written into
+// it is invisible to the collector, which may then free what it points to.
+func PointerFreeValues(n int) []Value {
+	words := make([]uint64, n*int(unsafe.Sizeof(Value{})/unsafe.Sizeof(uint64(0))))
+	return unsafe.Slice((*Value)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // IsNumeric reports whether the value is an int or float.
