@@ -167,6 +167,9 @@ func (s *Store) relabel(i int32) {
 		b = append(b, m.Name...)
 	}
 	ids := string(b) // sized to fit: the row keeps it
+	if old := s.tab.Rows()[i][0]; !old.IsNull() {
+		delete(s.byIDs, old.AsString())
+	}
 	s.tab.Rows()[i][0] = xdm.Str(ids)
 	s.byIDs[ids] = i
 }
