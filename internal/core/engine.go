@@ -136,8 +136,9 @@ type Engine struct {
 	// taking e.mu (firings run under table locks, not the metadata lock).
 	actions atomic.Pointer[map[string]ActionFunc]
 
-	triggers map[string]registration
+	triggers triggerTable
 	groups   map[string]*group
+	sigBuf   []byte   // CreateTriggerSpec renders a signature here
 	order    []string // group signatures in creation order
 	dirty    bool
 	// dirtyGroups marks groups to compile at the next flush: new ones, and
@@ -227,15 +228,10 @@ type outboxState struct {
 	sink outbox.Sink // nil: deliver to the registered action functions
 }
 
-// registration is one registered XML trigger: its group and its row there.
-type registration struct {
-	g *group
-	m *grouping.Member
-}
-
 // group is the set of triggers with one structural signature, translated
 // in the engine's mode.
 type group struct {
+	num      uint32 // in e.triggers
 	sig      string
 	event    reldb.Event
 	view     string
@@ -296,10 +292,11 @@ type installedPlan struct {
 	root  *xqgm.Operator
 	args  []xqgm.Expr // the group's action arguments: a member's constants are input 1
 	// A GROUPED plan's rows name their members in the store at trigIDsCol;
-	// an UNGROUPED plan is member's alone.
+	// an UNGROUPED plan is one member's, whose name and constants it keeps.
 	store      *grouping.Store
 	trigIDsCol int
-	member     *grouping.Member
+	member     string
+	consts     []xdm.Value
 	rendered   atomic.Pointer[renderedSQL] // see sql
 	keyCols    [2][]int                    // the affected node's canonical key in a row: NEW side, OLD side
 
@@ -315,7 +312,7 @@ func NewEngine(db *reldb.DB, mode Mode) *Engine {
 		db:          db,
 		comp:        compile.New(db.Schema()),
 		mode:        mode,
-		triggers:    map[string]registration{},
+		triggers:    newTriggerTable(),
 		groups:      map[string]*group{},
 		dirtyGroups: map[string]bool{},
 		tableLocks:  map[string]*sync.RWMutex{},
@@ -939,7 +936,7 @@ func (e *Engine) CreateTrigger(src string) error {
 func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.triggers[spec.Name]; dup {
+	if _, _, at := e.triggers.find(spec.Name); at >= 0 {
 		return fmt.Errorf("core: duplicate trigger %q", spec.Name)
 	}
 	if e.action(spec.ActionFn) == nil {
@@ -956,26 +953,32 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	if err != nil {
 		return err
 	}
-	sig := signature(spec)
-	g, ok := e.groups[sig]
+	e.sigBuf = appendSignature(e.sigBuf[:0], spec)
+	g, ok := e.groups[string(e.sigBuf)]
 	if !ok {
+		sig := string(e.sigBuf)
 		g = &group{sig: sig, event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
 			cond: spec.Condition, args: spec.ActionArgs, members: grouping.NewStore(cond, cc.nCond)}
 		e.groups[sig] = g
 		e.order = append(e.order, sig)
+		e.triggers.addGroup(g)
 	}
-	// The member keeps copies: the spec's strings point into its source.
-	m := &grouping.Member{Name: strings.Clone(spec.Name), Consts: make([]xdm.Value, len(cc.consts))}
+	// The store keeps copies: the spec's strings point into its source.
+	consts := make([]xdm.Value, len(cc.consts))
 	for i, v := range cc.consts {
 		if v.Kind() == xdm.KindString {
 			v = xdm.Str(strings.Clone(v.AsString()))
 		}
-		m.Consts[i] = v
+		consts[i] = v
 	}
-	if err := g.members.Add(m); err != nil {
+	h, err := g.members.Add(strings.Clone(spec.Name), consts)
+	if err != nil {
+		if g.members.Len() == 0 {
+			e.dropGroup(g)
+		}
 		return err
 	}
-	e.triggers[m.Name] = registration{g, m}
+	e.triggers.insert(g, h)
 	e.touched(g)
 	return nil
 }
@@ -1020,23 +1023,28 @@ func (e *Engine) DropTrigger(name string) error {
 }
 
 func (e *Engine) dropTriggerLocked(name string) error {
-	r, ok := e.triggers[name]
-	if !ok {
+	g, h, at := e.triggers.find(name)
+	if at < 0 {
 		return fmt.Errorf("core: no trigger %q", name)
 	}
-	delete(e.triggers, name)
-	g := r.g
-	g.members.Remove(r.m)
+	e.triggers.remove(at)
+	g.members.Remove(h)
 	if g.members.Len() > 0 {
 		e.touched(g)
 		return nil
 	}
+	e.dropGroup(g)
+	return nil
+}
+
+// dropGroup unregisters g, which has no members left.
+func (e *Engine) dropGroup(g *group) {
+	e.triggers.dropGroup(g)
 	delete(e.groups, g.sig)
 	delete(e.dirtyGroups, g.sig)
 	e.pendingDropSQL = append(e.pendingDropSQL, g.sqlNames...)
 	e.order = slices.DeleteFunc(e.order, func(s string) bool { return s == g.sig })
 	e.dirty = true
-	return nil
 }
 
 // identityLayout is the view's row: NEW columns, then OLD (constant
@@ -1085,34 +1093,33 @@ func (e *Engine) resolvePath(spec *trigger.Spec) (*compile.NavNode, error) {
 	return nav, nil
 }
 
-// signature groups structurally similar triggers: same view, path, event,
-// condition shape (literals abstracted), and action shape. It does not
-// depend on the mode.
-func signature(spec *trigger.Spec) string {
-	var sb strings.Builder
-	sb.WriteString(spec.ViewName)
-	sb.WriteByte('|')
-	sb.WriteString(spec.PathString())
-	sb.WriteByte('|')
-	sb.WriteString(spec.Event.String())
-	sb.WriteByte('|')
-	sb.WriteString(abstractString(spec.Condition))
-	sb.WriteByte('|')
-	sb.WriteString(spec.ActionFn)
+// appendSignature appends spec's group signature to b. The signature groups
+// structurally similar triggers: same view, path, event, condition shape
+// (literals abstracted), and action shape. It does not depend on the mode.
+func appendSignature(b []byte, spec *trigger.Spec) []byte {
+	b = append(b, spec.ViewName...)
+	b = append(b, '|')
+	b = spec.AppendPath(b)
+	b = append(b, '|')
+	b = append(b, spec.Event.String()...)
+	b = append(b, '|')
+	b = appendAbstract(b, spec.Condition)
+	b = append(b, '|')
+	b = append(b, spec.ActionFn...)
 	for _, a := range spec.ActionArgs {
-		sb.WriteByte(',')
-		sb.WriteString(abstractString(a))
+		b = append(b, ',')
+		b = appendAbstract(b, a)
 	}
-	return sb.String()
+	return b
 }
 
-// abstractString is the shape of an expression: its AST rendered with "?"
-// for each literal, met in the order condCompiler collects them.
-func abstractString(ex xquery.Expr) string {
+// appendAbstract appends the shape of an expression: its AST rendered with
+// "?" for each literal, met in the order condCompiler collects them.
+func appendAbstract(b []byte, ex xquery.Expr) []byte {
 	if ex == nil {
-		return "<none>"
+		return append(b, "<none>"...)
 	}
-	return xquery.AbstractString(ex)
+	return xquery.AppendAbstract(b, ex)
 }
 
 // Flush builds and installs the SQL triggers for all registered XML
@@ -1279,18 +1286,17 @@ func (e *Engine) buildTablePlans(g *group, table string) ([]*installedPlan, erro
 		members := g.members.Members()
 		plans := make([]*installedPlan, 0, len(members))
 		for _, m := range members {
-			var root *xqgm.Operator = an.Root
-			if template != nil {
-				bound := grouping.Bind(template, m.Consts)
-				root = xqgm.NewSelect(an.Restrict(bound), bound)
-			}
 			plan := newInstalledPlan(g, table, an, args)
-			plan.root = root
-			plan.member = m
+			plan.member, plan.consts = g.members.Name(m), g.members.AppendConsts(nil, m)
+			plan.root = an.Root
+			if template != nil {
+				bound := grouping.Bind(template, plan.consts)
+				plan.root = xqgm.NewSelect(an.Restrict(bound), bound)
+			}
 			// One by one, not Prepare(roots...): an evaluation sizes its memo
 			// by the root's node id, and ids prepared together count every
 			// member's Select before this one.
-			if err := xqgm.Prepare(root); err != nil {
+			if err := xqgm.Prepare(plan.root); err != nil {
 				return nil, err
 			}
 			plans = append(plans, plan)
@@ -1436,7 +1442,7 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 	g.stats.nodesBuilt.Add(int64(es.Stats.NodesBuilt))
 	g.stats.opsShared.Add(int64(es.Stats.OpsShared))
 	if sh := e.shadow.Load(); sh != nil {
-		if err := (*sh).VerifyPlan(plan.table, plan.sql(), es.Deltas, rows); err != nil {
+		if err := (*sh).VerifyPlan(plan.table, plan.sql(), es.Deltas, plan.labelled(rows)); err != nil {
 			return nil, fmt.Errorf("core: plan shadow: %w", err)
 		}
 	}
@@ -1451,15 +1457,12 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 	// DELETE graph, whose leading key is NULL.
 	if len(rows) > 1 {
 		type keyed struct {
-			ids, key, full string
-			row            xqgm.Tuple
+			key, full string
+			row       xqgm.Tuple
 		}
 		ks := make([]keyed, len(rows))
 		for i, row := range rows {
 			ks[i] = keyed{key: xdm.TupleKey(row[:an.KeyWidth()]), row: row}
-			if plan.store != nil {
-				ks[i].ids = row[plan.trigIDsCol].AsString()
-			}
 		}
 		full := func(k *keyed) string {
 			if k.full == "" {
@@ -1468,8 +1471,10 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 			return k.full
 		}
 		sort.SliceStable(ks, func(i, j int) bool {
-			if ks[i].ids != ks[j].ids {
-				return ks[i].ids < ks[j].ids
+			if plan.store != nil {
+				if c := plan.store.CompareIDs(ks[i].row[plan.trigIDsCol], ks[j].row[plan.trigIDsCol]); c != 0 {
+					return c < 0
+				}
 			}
 			if ks[i].key != ks[j].key {
 				return ks[i].key < ks[j].key
@@ -1481,40 +1486,66 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 			rows[i] = ks[i].row
 		}
 	}
-	invs := es.invs[:0]
-	var env xqgm.Env
+	es.invs = es.invs[:0]
 	for _, row := range rows {
-		members := []*grouping.Member{plan.member}
-		if plan.store != nil {
-			members = plan.store.RowMembers(row[plan.trigIDsCol])
+		if plan.store == nil {
+			if err := es.invoke(g, plan, seen, row, plan.member, plan.consts); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		oldNode := row[an.OldCol(g.nav.NodeCol)].AsNode()
-		newNode := row[an.NewCol(g.nav.NodeCol)].AsNode()
-		for _, m := range members {
-			if seen != nil {
-				k := activation{g, m.Name, xdm.ColsKey(row, plan.keyCols[0]), xdm.ColsKey(row, plan.keyCols[1])}
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-			}
-			var args []xdm.Value
+		for _, m := range plan.store.RowMembers(row[plan.trigIDsCol]) {
 			if len(plan.args) > 0 {
-				args = make([]xdm.Value, len(plan.args))
-				env.In = [2][]xdm.Value{row, m.Consts}
-				for i, ae := range plan.args {
-					v, err := ae.Eval(&env)
-					if err != nil {
-						return nil, err
-					}
-					args[i] = v
-				}
+				es.consts = plan.store.AppendConsts(es.consts[:0], m)
 			}
-			invs = append(invs, Invocation{Trigger: m.Name, Event: g.event, Old: oldNode, New: newNode, Args: args})
+			if err := es.invoke(g, plan, seen, row, plan.store.Name(m), es.consts); err != nil {
+				return nil, err
+			}
 		}
 	}
-	es.invs = invs
-	return invs, nil
+	return es.invs, nil
+}
+
+// invoke appends to es.invs the activation of the trigger named name, whose
+// constants are consts, by a row of plan's result, unless seen has it.
+func (es *evalState) invoke(g *group, plan *installedPlan, seen map[activation]struct{}, row xqgm.Tuple, name string, consts []xdm.Value) error {
+	if seen != nil {
+		k := activation{g, name, xdm.ColsKey(row, plan.keyCols[0]), xdm.ColsKey(row, plan.keyCols[1])}
+		if _, dup := seen[k]; dup {
+			return nil
+		}
+		seen[k] = struct{}{}
+	}
+	var args []xdm.Value
+	if len(plan.args) > 0 {
+		args = make([]xdm.Value, len(plan.args))
+		es.env.In = [2][]xdm.Value{row, consts}
+		for i, ae := range plan.args {
+			v, err := ae.Eval(&es.env)
+			if err != nil {
+				return err
+			}
+			args[i] = v
+		}
+		es.env.In = [2][]xdm.Value{}
+	}
+	es.invs = append(es.invs, Invocation{Trigger: name, Event: g.event,
+		Old: row[plan.an.OldCol(g.nav.NodeCol)].AsNode(), New: row[plan.an.NewCol(g.nav.NodeCol)].AsNode(), Args: args})
+	return nil
+}
+
+// labelled returns a grouped plan's rows with each TrigIDs cell holding
+// its row's label, as the plan's SQL lists it; others as they are.
+func (p *installedPlan) labelled(rows []xqgm.Tuple) []xqgm.Tuple {
+	if p.store == nil {
+		return rows
+	}
+	out := make([]xqgm.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+		out[i][p.trigIDsCol] = xdm.Str(p.store.Label(r[p.trigIDsCol]))
+	}
+	return out
 }
 
 // renderedSQL is a grouped plan's SQL as of one membership version.
@@ -1589,7 +1620,7 @@ func (e *Engine) indexIfBase(op *xqgm.Operator, col int) {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	st := Stats{
-		XMLTriggers: len(e.triggers),
+		XMLTriggers: e.triggers.n,
 		SQLTriggers: e.db.TriggerCount(),
 		Groups:      len(e.groups),
 		Fires:       e.fires.Load(),
@@ -1620,8 +1651,8 @@ func (e *Engine) SQLTexts() map[string]string {
 	for _, sig := range e.order {
 		for _, p := range e.groups[sig].plans {
 			key := sig
-			if p.member != nil {
-				key = p.member.Name + "|" + sig
+			if p.member != "" {
+				key = p.member + "|" + sig
 			}
 			out[key+"/"+p.table] = p.sql()
 		}

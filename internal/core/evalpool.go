@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"quark/internal/reldb"
+	"quark/internal/xdm"
 	"quark/internal/xqgm"
 )
 
@@ -20,6 +21,10 @@ type evalState struct {
 	deltas map[string]*xqgm.Transition
 	trs    []xqgm.Transition // what deltas points at
 	invs   []Invocation      // a firing's activations, until it delivers them
+	// A grouped member's constants and the environment its action's
+	// arguments evaluate in, while they do.
+	consts []xdm.Value
+	env    xqgm.Env
 }
 
 // maxIdleEvals is how many returned contexts an engine keeps for the next

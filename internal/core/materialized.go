@@ -25,7 +25,14 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 	// The members are snapshotted here: the body runs without the metadata
 	// lock. Each evaluates the group's condition and arguments with its own
 	// constants as input 1.
-	members := g.members.Members()
+	type member struct {
+		name   string
+		consts []xdm.Value
+	}
+	var members []member
+	for _, m := range g.members.Members() {
+		members = append(members, member{g.members.Name(m), g.members.AppendConsts(nil, m)})
+	}
 	cc := &condCompiler{nav: g.nav, layout: identityLayout(g.nav)}
 	cond, args, err := cc.template(g.cond, g.args)
 	if err != nil {
@@ -114,7 +121,7 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 			row = append(row, p.old...)
 			env := &xqgm.Env{}
 			for _, m := range members {
-				env.In = [2][]xdm.Value{row, m.Consts}
+				env.In = [2][]xdm.Value{row, m.consts}
 				if cond != nil {
 					v, err := cond.Eval(env)
 					if err != nil {
@@ -134,7 +141,7 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 				}
 				g.stats.activations.Add(1)
 				inv := Invocation{
-					Trigger: m.Name,
+					Trigger: m.name,
 					Event:   g.event,
 					Old:     p.old[g.nav.NodeCol].AsNode(),
 					New:     p.new[g.nav.NodeCol].AsNode(),

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -277,5 +278,130 @@ func TestIncrementalMembershipMatchesFreshBuild(t *testing.T) {
 					len(members), strings.Join(logs[0], "\n"), strings.Join(logs[1], "\n"))
 			}
 		})
+	}
+}
+
+// One firing whose result holds several constants rows activates them in
+// the order of their TrigIDs — the members' names, sorted, comma-separated
+// — and each row's members by name (Figure 16's ORDER BY), as members
+// join and leave rows.
+func TestActivationsFollowTrigIDs(t *testing.T) {
+	w := membershipSetup(t, core.ModeGrouped)
+	e := w.Engine
+	var fired []string
+	e.RegisterAction("rec", func(inv core.Invocation) error {
+		fired = append(fired, inv.Trigger)
+		return nil
+	})
+	// Every member holds for element 0; its second constant picks its row.
+	create := func(name string, row int) {
+		t.Helper()
+		if err := e.CreateTrigger(fmt.Sprintf(`CREATE TRIGGER %s AFTER UPDATE ON view('doc')/e0 WHERE NEW_NODE/@name = '%s' and NEW_NODE/@name != 'q%d' DO rec(NEW_NODE)`,
+			name, w.TopNames[0], row)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := 1000.0
+	check := func(want ...string) {
+		t.Helper()
+		fired, payload = nil, payload+1
+		if err := setPayload(e, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(fired, want) {
+			t.Errorf("delivered to %v, want %v", fired, want)
+		}
+	}
+	create("b", 1)
+	create("a9", 1)
+	create("a", 2)
+	create("c", 3)
+	create("a10", 3)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "a10", "c", "a9", "b") // "a" < "a10,c" < "a9,b"
+	create("a11", 1)
+	check("a", "a10", "c", "a11", "a9", "b") // "a10,c" < "a11,a9,b"
+	if err := e.DropTrigger("a"); err != nil { // its row goes, and the last takes its place
+		t.Fatal(err)
+	}
+	check("a10", "c", "a11", "a9", "b")
+}
+
+// Writers fire a group whose members pass action arguments of their own,
+// while members join and leave it and another group. Every delivery
+// carries its own trigger's argument.
+func TestArgumentsFollowTheirMembersUnderChurn(t *testing.T) {
+	w := membershipSetup(t, core.ModeGrouped)
+	e := w.Engine
+	var mu sync.Mutex
+	var bad []string
+	var delivered atomic.Int64
+	e.RegisterAction("rec", func(inv core.Invocation) error {
+		delivered.Add(1)
+		if len(inv.Args) != 2 || inv.Args[1].AsString() != "arg of "+inv.Trigger {
+			mu.Lock()
+			bad = append(bad, fmt.Sprintf("%s got %v", inv.Trigger, inv.Args[1:]))
+			mu.Unlock()
+		}
+		return nil
+	})
+	create := func(name, cond string) error {
+		return e.CreateTrigger(fmt.Sprintf(`CREATE TRIGGER %s AFTER UPDATE ON view('doc')/e0 WHERE %s DO rec(NEW_NODE, 'arg of %s')`, name, cond, name))
+	}
+	watch := fmt.Sprintf("NEW_NODE/@name = '%s'", w.TopNames[0])
+	for i := 0; i < 50; i++ {
+		if err := create(fmt.Sprintf("m%d", i), watch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for wr := 0; wr < 2; wr++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if err := setPayload(e, int64(wr), float64(1000*(wr+1)+i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for c := 0; c < 100; c++ {
+			name, cond := fmt.Sprintf("j%d", c), watch
+			if c%2 == 1 { // the other group: a condition of another shape
+				cond = fmt.Sprintf("count(NEW_NODE/e1) >= %d", c)
+			}
+			if err := create(name, cond); err != nil {
+				errs <- err
+				return
+			}
+			if c%3 == 0 {
+				if err := e.DropTrigger(name); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d of %d deliveries carried another member's argument, e.g. %s", len(bad), delivered.Load(), bad[0])
+	}
+	if delivered.Load() < 2*40*50 {
+		t.Errorf("%d deliveries, want at least one per writer's update and first member", delivered.Load())
 	}
 }

@@ -37,7 +37,8 @@ func cutAmazonP1(t *testing.T, e *Engine) {
 func opsShared(t *testing.T, e *Engine, trigger string) int64 {
 	t.Helper()
 	e.mu.RLock()
-	sig := e.triggers[trigger].g.sig
+	g, _, _ := e.triggers.find(trigger)
+	sig := g.sig
 	e.mu.RUnlock()
 	for _, gs := range e.GroupStats() {
 		if gs.Sig == sig {

@@ -2,6 +2,7 @@ package grouping
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"quark/internal/xdm"
@@ -35,27 +36,39 @@ func TestBind(t *testing.T) {
 func TestGroupMembership(t *testing.T) {
 	tmpl := &xqgm.Cmp{Op: "=", L: xqgm.Col(0), R: &ConstRef{Idx: 0}}
 	s := NewStore(tmpl, 1)
-	t1 := &Member{Name: "t1", Consts: []xdm.Value{xdm.Str("a")}}
-	t3 := &Member{Name: "t3", Consts: []xdm.Value{xdm.Str("b"), xdm.Str("an action argument")}}
-	for _, m := range []*Member{t1, t3} {
-		if err := s.Add(m); err != nil {
-			t.Fatal(err)
-		}
+	t1, err := s.Add("t1", []xdm.Value{xdm.Str("a")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Add(&Member{Name: "t2"}); err == nil {
+	t3, err := s.Add("t3", []xdm.Value{xdm.Str("b"), xdm.Str("an action argument")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Add("t2", nil); err == nil {
 		t.Error("a member without the condition's constant was accepted")
 	}
 	if s.Len() != 2 || len(s.tab.Rows()) != 2 {
 		t.Errorf("size=%d rows=%d, want 2 and 2", s.Len(), len(s.tab.Rows()))
 	}
-	if !s.Remove(t1) || s.Remove(t1) || s.Remove(&Member{Name: "t3", Consts: t3.Consts}) {
+	if got := s.AppendConsts(nil, t3); len(got) != 2 || got[0].AsString() != "b" || got[1].AsString() != "an action argument" {
+		t.Errorf("t3's constants = %v", got)
+	}
+	if !s.Remove(t1) || s.Remove(t1) || s.Remove(-1) || s.Remove(7) {
 		t.Error("Remove removes the member given, once")
 	}
 	if s.Len() != 1 || len(s.tab.Rows()) != 1 {
 		t.Errorf("after remove: size=%d rows=%d, want 1 and 1", s.Len(), len(s.tab.Rows()))
 	}
-	if got := s.Members(); len(got) != 1 || got[0] != t3 {
+	if got := s.Members(); len(got) != 1 || got[0] != t3 || s.Name(t3) != "t3" {
 		t.Errorf("members = %v", got)
+	}
+	// A freed handle is reused, and the new member has no constants of t3's.
+	t4, _ := s.Add("t4", []xdm.Value{xdm.Str("b")})
+	if t4 != t1 {
+		t.Errorf("t4 got handle %d, want t1's freed %d", t4, t1)
+	}
+	if got := s.AppendConsts(nil, t4); len(got) != 1 {
+		t.Errorf("t4's constants = %v", got)
 	}
 }
 
@@ -65,14 +78,15 @@ func TestGroupMembership(t *testing.T) {
 func TestConstantsTable(t *testing.T) {
 	tmpl := &xqgm.Cmp{Op: "=", L: xqgm.Col(0), R: &ConstRef{Idx: 0}}
 	s := NewStore(tmpl, 1)
-	ms := map[string]*Member{}
+	ms := map[string]int32{}
 	for _, m := range []struct{ id, c string }{
 		{"2", "CRT 15"}, {"1", "CRT 15"}, {"3", "LCD 19"}, {"4", "DVD 7"},
 	} {
-		ms[m.id] = &Member{Name: m.id, Consts: []xdm.Value{xdm.Str(m.c)}}
-		if err := s.Add(ms[m.id]); err != nil {
+		h, err := s.Add(m.id, []xdm.Value{xdm.Str(m.c)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ms[m.id] = h
 	}
 	s.Remove(ms["3"]) // DVD 7's row moves into LCD 19's place
 	rows := s.tab.Rows()
@@ -81,21 +95,29 @@ func TestConstantsTable(t *testing.T) {
 	}
 	found := map[string]string{}
 	for _, r := range rows {
-		found[r[1].AsString()] = r[0].AsString()
-		if got := s.RowMembers(r[0]); len(got) == 0 || got[0].Consts[0].AsString() != r[1].AsString() {
+		found[r[1].AsString()] = s.Label(r[0])
+		if got := s.RowMembers(r[0]); len(got) == 0 || s.AppendConsts(nil, got[0])[0].AsString() != r[1].AsString() {
 			t.Errorf("row %v resolves to members %v", r, got)
 		}
 	}
 	if found["CRT 15"] != "1,2" || found["DVD 7"] != "4" {
 		t.Errorf("TrigIDs = %v (want CRT 15 -> \"1,2\", DVD 7 -> \"4\")", found)
 	}
-	if got := s.RowMembers(xdm.Str("1,2")); len(got) != 2 || got[0].Name != "1" || got[1].Name != "2" {
-		t.Errorf("members of 1,2 = %v", got)
+	var listed []string
+	for _, r := range s.tab.Listing() {
+		listed = append(listed, r[0].AsString()+"="+r[1].AsString())
 	}
-	if s.RowMembers(xdm.Str("3")) != nil {
-		t.Error("a removed row still resolves")
+	if got := strings.Join(listed, " "); got != "4=DVD 7 1,2=CRT 15" {
+		t.Errorf("listing = %s", got)
 	}
-	if got := s.Members(); len(got) != 3 || got[0].Name != "2" || got[1].Name != "1" || got[2].Name != "4" {
+	crt := s.RowMembers(rows[0][0])
+	if rows[0][1].AsString() != "CRT 15" {
+		crt = s.RowMembers(rows[1][0])
+	}
+	if len(crt) != 2 || s.Name(crt[0]) != "1" || s.Name(crt[1]) != "2" {
+		t.Errorf("members of 1,2 = %v", crt)
+	}
+	if got := s.Members(); len(got) != 3 || s.Name(got[0]) != "2" || s.Name(got[1]) != "1" || s.Name(got[2]) != "4" {
 		t.Errorf("members in join order = %v", got)
 	}
 }
@@ -110,8 +132,8 @@ func TestBuildGroupedPlan(t *testing.T) {
 		&xqgm.Cmp{Op: "<", L: xqgm.Col(1), R: &ConstRef{Idx: 1}},
 	}}
 	s := NewStore(tmpl, 2)
-	_ = s.Add(&Member{Name: "a", Consts: []xdm.Value{xdm.Str("x"), xdm.Int(10)}})
-	_ = s.Add(&Member{Name: "b", Consts: []xdm.Value{xdm.Str("y"), xdm.Int(5)}})
+	_, _ = s.Add("a", []xdm.Value{xdm.Str("x"), xdm.Int(10)})
+	_, _ = s.Add("b", []xdm.Value{xdm.Str("y"), xdm.Int(5)})
 
 	// A little "affected nodes" relation: (name, value).
 	an := xqgm.NewConstants([]string{"name", "value"}, []xqgm.Tuple{
@@ -133,7 +155,7 @@ func TestBuildGroupedPlan(t *testing.T) {
 		}
 		var out []string
 		for _, r := range rows {
-			out = append(out, r[0].AsString()+":"+r[2].AsString())
+			out = append(out, r[0].AsString()+":"+s.Label(r[2]))
 		}
 		sort.Strings(out)
 		return out
@@ -143,7 +165,7 @@ func TestBuildGroupedPlan(t *testing.T) {
 	if got := eval(); len(got) != 1 || got[0] != "x:a" {
 		t.Fatalf("rows = %v, want [x:a]", got)
 	}
-	_ = s.Add(&Member{Name: "c", Consts: []xdm.Value{xdm.Str("z"), xdm.Int(2)}})
+	_, _ = s.Add("c", []xdm.Value{xdm.Str("z"), xdm.Int(2)})
 	if got := eval(); len(got) != 2 || got[1] != "z:c" {
 		t.Errorf("after c joined: rows = %v, want [x:a z:c]", got)
 	}

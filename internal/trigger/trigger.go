@@ -12,6 +12,7 @@ package trigger
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"quark/internal/reldb"
@@ -212,11 +213,15 @@ func walkNodeRefs(e xquery.Expr, fn func(old bool)) {
 }
 
 // PathString renders the trigger's path for diagnostics.
-func (s *Spec) PathString() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "view(%q)", s.ViewName)
+func (s *Spec) PathString() string { return string(s.AppendPath(nil)) }
+
+// AppendPath appends PathString's text to b.
+func (s *Spec) AppendPath(b []byte) []byte {
+	b = append(b, "view("...)
+	b = strconv.AppendQuote(b, s.ViewName)
+	b = append(b, ')')
 	for _, st := range s.PathSteps {
-		sb.WriteString(st.String())
+		b = st.Append(b)
 	}
-	return sb.String()
+	return b
 }

@@ -2,7 +2,6 @@ package xqgm
 
 import (
 	"slices"
-	"strings"
 
 	"quark/internal/xdm"
 )
@@ -14,29 +13,28 @@ import (
 // index in place: whoever changes the table excludes the evaluations that
 // read it.
 type ConstTable struct {
-	rows    []Tuple
-	cols    []int      // what ix hashes
-	ix      *hashIndex // nil: literal rows, which a join hashes as it runs
-	listKey func(Tuple) string
+	rows []Tuple
+	cols []int      // what ix hashes
+	ix   *hashIndex // nil: literal rows, which a join hashes as it runs
+	list func([]Tuple) []Tuple
 }
 
 // NewIndexedConstTable returns an empty table hashed on cols; Listing
-// orders its rows by listKey.
-func NewIndexedConstTable(cols []int, listKey func(Tuple) string) *ConstTable {
-	return &ConstTable{cols: cols, ix: &hashIndex{head: map[xdm.CompKey]int32{}}, listKey: listKey}
+// shows its rows as list renders them from the stored ones.
+func NewIndexedConstTable(cols []int, list func([]Tuple) []Tuple) *ConstTable {
+	return &ConstTable{cols: cols, ix: &hashIndex{head: map[xdm.CompKey]int32{}}, list: list}
 }
 
 // Rows returns the rows, in no particular order.
 func (t *ConstTable) Rows() []Tuple { return t.rows }
 
-// Listing returns the rows in the order a listing of the table shows them:
-// by listKey, or as given.
+// Listing returns the rows as a listing of the table shows them: as list
+// renders them, or as given.
 func (t *ConstTable) Listing() []Tuple {
-	out := slices.Clone(t.rows)
-	if t.listKey != nil {
-		slices.SortFunc(out, func(a, b Tuple) int { return strings.Compare(t.listKey(a), t.listKey(b)) })
+	if t.list != nil {
+		return t.list(t.rows)
 	}
-	return out
+	return slices.Clone(t.rows)
 }
 
 // Add appends row to an indexed table and returns its position. The row's

@@ -1,8 +1,7 @@
 package xquery
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"quark/internal/xdm"
 )
@@ -17,8 +16,15 @@ type Expr interface {
 // Lit is written as "?": the shape of an expression with its constants
 // taken out, which is what structurally similar triggers share (§5.1).
 type renderer struct {
-	strings.Builder
+	b        []byte
 	abstract bool
+}
+
+func (r *renderer) WriteString(s string) { r.b = append(r.b, s...) }
+
+func (r *renderer) WriteByte(c byte) error {
+	r.b = append(r.b, c)
+	return nil
 }
 
 func (r *renderer) exprs(es []Expr, sep string) {
@@ -55,7 +61,11 @@ type ViewRef struct {
 	Name string
 }
 
-func (e *ViewRef) render(r *renderer) { fmt.Fprintf(r, "view(%q)", e.Name) }
+func (e *ViewRef) render(r *renderer) {
+	r.WriteString("view(")
+	r.b = strconv.AppendQuote(r.b, e.Name)
+	r.WriteByte(')')
+}
 
 // NodeRef references the trigger's OLD_NODE / NEW_NODE binding.
 type NodeRef struct {
@@ -77,10 +87,13 @@ type Step struct {
 	Preds []Expr // predicates, evaluated with "." bound to the step item
 }
 
-func (s Step) String() string {
-	var r renderer
+func (s Step) String() string { return string(s.Append(nil)) }
+
+// Append appends the step's text to b.
+func (s Step) Append(b []byte) []byte {
+	r := renderer{b: b}
 	s.render(&r)
-	return r.String()
+	return r.b
 }
 
 func (s Step) render(r *renderer) {
@@ -283,17 +296,22 @@ func (e *ElemCtor) render(r *renderer) {
 }
 
 // String renders any AST node.
-func String(e Expr) string { return renderString(e, false) }
-
-// AbstractString renders e with every literal replaced by "?", in the order
-// a traversal of the AST meets them.
-func AbstractString(e Expr) string { return renderString(e, true) }
-
-func renderString(e Expr, abstract bool) string {
+func String(e Expr) string {
 	if e == nil {
 		return "<nil>"
 	}
-	r := renderer{abstract: abstract}
+	var r renderer
 	e.render(&r)
-	return r.String()
+	return string(r.b)
+}
+
+// AppendAbstract appends e's text with every literal replaced by "?", in
+// the order a traversal of the AST meets them, to b.
+func AppendAbstract(b []byte, e Expr) []byte {
+	if e == nil {
+		return append(b, "<nil>"...)
+	}
+	r := renderer{b: b, abstract: true}
+	e.render(&r)
+	return r.b
 }
