@@ -120,7 +120,8 @@ func NewStore(template xqgm.Expr, nCond int) *Store {
 
 // Add files a member named name whose constants are consts, the
 // condition's first and then any its action's arguments have, and returns
-// its handle. The store keeps name and consts as given; names are unique.
+// its handle. The store keeps name and the constants' values as given;
+// names are unique.
 func (s *Store) Add(name string, consts []xdm.Value) (int32, error) {
 	if len(consts) < s.nCond {
 		return -1, fmt.Errorf("grouping: trigger %s has %d constants, group expects %d", name, len(consts), s.nCond)
@@ -136,7 +137,7 @@ func (s *Store) Add(name string, consts []xdm.Value) (int32, error) {
 	}
 	h := s.newHandle(name, r)
 	if len(consts) > s.nCond {
-		s.extra[h] = consts[s.nCond:]
+		s.extra[h] = slices.Clone(consts[s.nCond:])
 	}
 	ms := s.members[r]
 	at, _ := slices.BinarySearchFunc(ms, name, s.byName)
