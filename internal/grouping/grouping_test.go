@@ -103,6 +103,8 @@ func TestConstantsTable(t *testing.T) {
 	if found["CRT 15"] != "1,2" || found["DVD 7"] != "4" {
 		t.Errorf("TrigIDs = %v (want CRT 15 -> \"1,2\", DVD 7 -> \"4\")", found)
 	}
+	// A listing renders TrigIDs, and orders rows by their constants' keys,
+	// which length-prefix each value.
 	var listed []string
 	for _, r := range s.tab.Listing() {
 		listed = append(listed, r[0].AsString()+"="+r[1].AsString())
