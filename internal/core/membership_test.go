@@ -322,7 +322,7 @@ func TestActivationsFollowTrigIDs(t *testing.T) {
 	}
 	check("a", "a10", "c", "a9", "b") // "a" < "a10,c" < "a9,b"
 	create("a11", 1)
-	check("a", "a10", "c", "a11", "a9", "b") // "a10,c" < "a11,a9,b"
+	check("a", "a10", "c", "a11", "a9", "b")   // "a10,c" < "a11,a9,b"
 	if err := e.DropTrigger("a"); err != nil { // its row goes, and the last takes its place
 		t.Fatal(err)
 	}
