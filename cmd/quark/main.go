@@ -84,7 +84,7 @@ func run() error {
 	})
 
 	fmt.Println("=== Registering the catalog view (Figure 3) ===")
-	if _, err := engine.CreateView("catalog", catalogView); err != nil {
+	if err := engine.CreateView("catalog", catalogView); err != nil {
 		return err
 	}
 	doc, err := engine.EvalView("catalog")

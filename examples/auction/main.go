@@ -83,7 +83,7 @@ func main() {
 	})
 
 	// Depth-4 view: regions/categories/auctions/bids.
-	_, err = engine.CreateView("auctions", `
+	err = engine.CreateView("auctions", `
 <auctions>
 {for $r in view('default')/region/row
  let $cats := view('default')/category/row[./parent = $r/id]

@@ -50,7 +50,7 @@ func main() {
 		return nil
 	})
 
-	if _, err := engine.CreateView("catalog", catalogView); err != nil {
+	if err := engine.CreateView("catalog", catalogView); err != nil {
 		log.Fatal(err)
 	}
 	triggers := []string{

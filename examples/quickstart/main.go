@@ -56,7 +56,7 @@ func main() {
 
 	// 3. An XML view (XQuery over the automatic default view): authors
 	// with at least 2 books, each listing its books.
-	_, err = engine.CreateView("library", `
+	err = engine.CreateView("library", `
 <library>
 {for $a in view('default')/author/row
  let $books := view('default')/book/row[./aid = $a/aid]

@@ -70,7 +70,7 @@ func main() {
 		return nil
 	})
 
-	_, err = engine.CreateView("market", `
+	err = engine.CreateView("market", `
 <market>
 {for $s in view('default')/sector/row
  let $quotes := view('default')/quote/row[./sid = $s/sid]

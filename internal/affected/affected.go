@@ -70,9 +70,6 @@ func (g *ANGraph) OldCol(i int) int { return g.keyWidth + g.viewWidth + g.keyWid
 // (NULL on the rows of a DELETE graph, whose Δ side is absent).
 func (g *ANGraph) KeyWidth() int { return g.keyWidth }
 
-// ViewWidth reports the width of the (possibly key-extended) view output.
-func (g *ANGraph) ViewWidth() int { return g.viewWidth }
-
 // CreateAKGraph implements Figure 8. It returns an operator O' and the
 // output columns K of o such that joining o with O' on K yields exactly the
 // tuples of o affected by the update captured in the transition table read
@@ -823,16 +820,4 @@ func exprRecovCtor(e xqgm.Expr, in []colMask) colMask {
 		return m
 	}
 	return 0
-}
-
-// Lexicalize is a helper for tests: renders a tuple deterministically.
-func Lexicalize(t xqgm.Tuple) string {
-	out := ""
-	for i, v := range t {
-		if i > 0 {
-			out += "|"
-		}
-		out += v.Lexical()
-	}
-	return out
 }

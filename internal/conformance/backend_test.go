@@ -13,52 +13,6 @@ import (
 	"quark/internal/relsql"
 )
 
-// TestSQLiteBackendGoldens replays every golden scenario with the
-// real-database plan shadow attached: each translated plan evaluation is
-// re-executed as rendered SQL against a mirrored backend with real
-// INSERTED_/DELETED_ transition tables, and the notification log must still
-// come out byte-identical to the committed goldens. Any SQL/evaluator
-// divergence fails the run itself, so passing here means the rendered
-// trigger SQL is executable AND correct for every firing of every scenario.
-func TestSQLiteBackendGoldens(t *testing.T) {
-	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped}
-	for _, path := range scenarioFiles(t) {
-		name := scenarioName(path)
-		t.Run(name, func(t *testing.T) {
-			sc, err := ParseFile(path, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range modes {
-				var vSingle, vBatched int64
-				single, err := RunStyle(sc, mode, RunOpts{Backend: "sqlite", BackendVerified: &vSingle})
-				if err != nil {
-					t.Fatalf("%s single: %v", mode, err)
-				}
-				batched, err := RunStyle(sc, mode, RunOpts{Backend: "sqlite", Batched: true, BackendVerified: &vBatched})
-				if err != nil {
-					t.Fatalf("%s batched: %v", mode, err)
-				}
-				got := "== single ==\n" + single + "== batched ==\n" + batched
-				if got != string(want) {
-					t.Errorf("%s diverges from golden under the sqlite backend:\n%s", mode, diffText(string(want), got))
-				}
-				if vSingle == 0 {
-					t.Errorf("%s single: backend shadow verified no plan evaluations", mode)
-				}
-				if vBatched == 0 {
-					t.Errorf("%s batched: backend shadow verified no plan evaluations", mode)
-				}
-				t.Logf("%s: verified %d single + %d batched plan evaluations", mode, vSingle, vBatched)
-			}
-		})
-	}
-}
-
 // backendPlanText renders the regresql-style cost baseline for one scenario:
 // the backend's EXPLAIN QUERY PLAN output for every installed trigger plan,
 // per translation mode, in deterministic order.
@@ -73,7 +27,7 @@ func backendPlanText(t *testing.T, sc *Scenario) string {
 		e := core.NewEngine(db, mode)
 		e.RegisterAction("notify", func(core.Invocation) error { return nil })
 		for _, v := range sc.Views {
-			if _, err := e.CreateView(v.Name, v.Src); err != nil {
+			if err := e.CreateView(v.Name, v.Src); err != nil {
 				t.Fatalf("view %s: %v", v.Name, err)
 			}
 		}

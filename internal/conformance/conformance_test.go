@@ -29,173 +29,191 @@ func scenarioName(path string) string {
 	return strings.TrimSuffix(filepath.Base(path), ".txt")
 }
 
-// oracleOutput runs the scenario through the MATERIALIZED oracle in both
-// execution styles and formats the combined golden text.
-func oracleOutput(t *testing.T, sc *Scenario) string {
+const (
+	ung = core.ModeUngrouped
+	grp = core.ModeGrouped
+	mat = core.ModeMaterialized
+)
+
+// row is one execution style of the matrix: a translation mode plus the
+// runner's options.
+type row struct {
+	mode core.Mode
+	opts RunOpts
+}
+
+// String names the row's subtest: mode, engine, style, then delivery and
+// injection flags, e.g. GROUPED+shards=2+batched+async+replayed. Select
+// rows by axis with -run 'TestGolden//shards', '//sqlite', '//abortfirst'.
+func (r row) String() string {
+	parts := []string{r.mode.String()}
+	if r.opts.Shards > 0 {
+		parts = append(parts, fmt.Sprintf("shards=%d", r.opts.Shards))
+	}
+	if r.opts.Backend != "" {
+		parts = append(parts, r.opts.Backend)
+	}
+	if r.opts.Batched {
+		parts = append(parts, "batched")
+	} else {
+		parts = append(parts, "single")
+	}
+	for _, f := range []struct {
+		on   bool
+		name string
+	}{{r.opts.Async, "async"}, {r.opts.Replayed, "replayed"}, {r.opts.Rebalance, "rebalance"}, {r.opts.AbortFirst, "abortfirst"}} {
+		if f.on {
+			parts = append(parts, f.name)
+		}
+	}
+	return strings.Join(parts, "+")
+}
+
+// matrix is every execution style the suite runs, each once. Every row
+// must reproduce the committed golden byte for byte: the single or
+// batched half, as the row batches. Sharding (routed statements and
+// distributed transactions), forced rebalances before every unit,
+// prepare failures injected before every batch, async delivery, the
+// replayed outbox and the SQL plan shadow must all be invisible.
+var matrix = []row{
+	// The oracle, inline and through the worker pool and the outbox.
+	{mat, RunOpts{}}, {mat, RunOpts{Batched: true}},
+	{mat, RunOpts{Async: true}}, {mat, RunOpts{Batched: true, Async: true}},
+	{mat, RunOpts{Async: true, Replayed: true}}, {mat, RunOpts{Batched: true, Async: true, Replayed: true}},
+	// The translations on one engine.
+	{ung, RunOpts{}}, {ung, RunOpts{Batched: true}},
+	{ung, RunOpts{Async: true}}, {ung, RunOpts{Batched: true, Async: true}},
+	{ung, RunOpts{Async: true, Replayed: true}}, {ung, RunOpts{Batched: true, Async: true, Replayed: true}},
+	{grp, RunOpts{}}, {grp, RunOpts{Batched: true}},
+	{grp, RunOpts{Async: true}}, {grp, RunOpts{Batched: true, Async: true}},
+	{grp, RunOpts{Async: true, Replayed: true}}, {grp, RunOpts{Batched: true, Async: true, Replayed: true}},
+	// Sharded fleets; one shard pins the degenerate fleet to one engine.
+	{mat, RunOpts{Shards: 1}}, {mat, RunOpts{Shards: 1, Batched: true}},
+	{mat, RunOpts{Shards: 2}}, {mat, RunOpts{Shards: 2, Batched: true}},
+	{mat, RunOpts{Shards: 4}}, {mat, RunOpts{Shards: 4, Batched: true}},
+	{ung, RunOpts{Shards: 1}}, {ung, RunOpts{Shards: 1, Batched: true}},
+	{ung, RunOpts{Shards: 1, Async: true}}, {ung, RunOpts{Shards: 1, Batched: true, Async: true, Replayed: true}},
+	{ung, RunOpts{Shards: 2}}, {ung, RunOpts{Shards: 2, Batched: true}},
+	{ung, RunOpts{Shards: 2, Async: true}}, {ung, RunOpts{Shards: 2, Batched: true, Async: true, Replayed: true}},
+	{ung, RunOpts{Shards: 4}}, {ung, RunOpts{Shards: 4, Batched: true}},
+	{ung, RunOpts{Shards: 4, Async: true}}, {ung, RunOpts{Shards: 4, Batched: true, Async: true, Replayed: true}},
+	{grp, RunOpts{Shards: 1}}, {grp, RunOpts{Shards: 1, Batched: true}},
+	{grp, RunOpts{Shards: 1, Async: true}}, {grp, RunOpts{Shards: 1, Batched: true, Async: true, Replayed: true}},
+	{grp, RunOpts{Shards: 2}}, {grp, RunOpts{Shards: 2, Batched: true}},
+	{grp, RunOpts{Shards: 2, Async: true}}, {grp, RunOpts{Shards: 2, Batched: true, Async: true, Replayed: true}},
+	{grp, RunOpts{Shards: 4}}, {grp, RunOpts{Shards: 4, Batched: true}},
+	{grp, RunOpts{Shards: 4, Async: true}}, {grp, RunOpts{Shards: 4, Batched: true, Async: true, Replayed: true}},
+	// One routing-group migration forced before every unit.
+	{ung, RunOpts{Shards: 2, Rebalance: true}}, {ung, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
+	{ung, RunOpts{Shards: 4, Rebalance: true}}, {ung, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+	{grp, RunOpts{Shards: 2, Rebalance: true}}, {grp, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
+	{grp, RunOpts{Shards: 4, Rebalance: true}}, {grp, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+	{mat, RunOpts{Shards: 2, Rebalance: true}}, {mat, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
+	{mat, RunOpts{Shards: 4, Rebalance: true}}, {mat, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+	// Every batch first attempted with a prepare failure armed: the
+	// aborted attempt must leave no trace for the retry to trip over.
+	{mat, RunOpts{Batched: true, AbortFirst: true}},
+	{mat, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+	{mat, RunOpts{Shards: 4, Batched: true, AbortFirst: true}},
+	{ung, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+	{grp, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+	// Every plan evaluation replayed as rendered SQL.
+	{ung, RunOpts{Backend: "sqlite"}}, {ung, RunOpts{Backend: "sqlite", Batched: true}},
+	{grp, RunOpts{Backend: "sqlite"}}, {grp, RunOpts{Backend: "sqlite", Batched: true}},
+}
+
+// TestGolden runs every scenario in every matrix row against the
+// committed golden file. -update rewrites the goldens from the
+// single-engine MATERIALIZED oracle, statement by statement and batched.
+func TestGolden(t *testing.T) {
+	seen := map[string]bool{}
+	for _, r := range matrix {
+		if seen[r.String()] {
+			t.Fatalf("matrix lists %s twice", r)
+		}
+		seen[r.String()] = true
+	}
+	t.Logf("%d rows per scenario", len(matrix))
+	for _, path := range scenarioFiles(t) {
+		name := scenarioName(path)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sc, err := ParseFile(path, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldenPath := filepath.Join("testdata", "golden", name+".golden")
+			if *update {
+				writeGolden(t, sc, goldenPath)
+			}
+			b, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("%v (run `go test ./internal/conformance -run 'TestGolden$' -update` to create it)", err)
+			}
+			single, batched, ok := strings.Cut(strings.TrimPrefix(string(b), "== single ==\n"), "== batched ==\n")
+			if !ok {
+				t.Fatalf("%s has no batched half", goldenPath)
+			}
+			if !strings.Contains(single, "notify ") || !strings.Contains(batched, "notify ") {
+				t.Error("the oracle fires no notifications in one style; the scenario exercises nothing")
+			}
+			for _, r := range matrix {
+				t.Run(r.String(), func(t *testing.T) {
+					want := single
+					if r.opts.Batched {
+						want = batched
+					}
+					opts := r.opts
+					var verified int64
+					if opts.Backend != "" {
+						opts.BackendVerified = &verified
+					}
+					got, err := RunStyle(sc, r.mode, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("diverges from golden:\n%s", diffText(want, got))
+					}
+					if opts.Backend != "" && verified == 0 {
+						t.Error("backend shadow verified no plan evaluations")
+					}
+				})
+			}
+		})
+	}
+}
+
+// writeGolden rewrites the scenario's golden from the MATERIALIZED oracle
+// on one engine, statement by statement and batched.
+func writeGolden(t *testing.T, sc *Scenario, path string) {
 	t.Helper()
-	single, err := Run(sc, core.ModeMaterialized, false)
+	single, err := RunStyle(sc, mat, RunOpts{})
 	if err != nil {
 		t.Fatalf("oracle single: %v", err)
 	}
-	batched, err := Run(sc, core.ModeMaterialized, true)
+	batched, err := RunStyle(sc, mat, RunOpts{Batched: true})
 	if err != nil {
 		t.Fatalf("oracle batched: %v", err)
 	}
-	return "== single ==\n" + single + "== batched ==\n" + batched
-}
-
-// TestGolden compares the oracle's notification log against the committed
-// golden file for every scenario; -update rewrites the goldens.
-func TestGolden(t *testing.T) {
-	for _, path := range scenarioFiles(t) {
-		name := scenarioName(path)
-		t.Run(name, func(t *testing.T) {
-			sc, err := ParseFile(path, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := oracleOutput(t, sc)
-			goldenPath := filepath.Join("testdata", "golden", name+".golden")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("rewrote %s", goldenPath)
-				return
-			}
-			want, err := os.ReadFile(goldenPath)
-			if err != nil {
-				t.Fatalf("%v (run `go test ./internal/conformance -run TestGolden -update` to create it)", err)
-			}
-			if got != string(want) {
-				t.Errorf("golden mismatch:\n%s", diffText(string(want), got))
-			}
-		})
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestDifferential requires every translation mode to reproduce the
-// oracle's notification log exactly, statement-by-statement and batched,
-// with actions delivered inline (sync) and through the async worker pool
-// (with the per-unit Drain barrier the runner inserts).
-func TestDifferential(t *testing.T) {
-	modes := []core.Mode{core.ModeUngrouped, core.ModeGrouped}
-	for _, path := range scenarioFiles(t) {
-		name := scenarioName(path)
-		t.Run(name, func(t *testing.T) {
-			sc, err := ParseFile(path, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The oracle depends only on the execution style's batching,
-			// not on how actions are delivered: compute it once per style.
-			oracles := map[bool]string{}
-			for _, batched := range []bool{false, true} {
-				oracle, err := Run(sc, core.ModeMaterialized, batched)
-				if err != nil {
-					t.Fatalf("oracle batched=%v: %v", batched, err)
-				}
-				if !strings.Contains(oracle, "notify ") {
-					t.Errorf("batched=%v: oracle fired no notifications; scenario exercises nothing", batched)
-				}
-				oracles[batched] = oracle
-			}
-			for _, opts := range []RunOpts{
-				{Batched: false}, {Batched: true},
-				{Batched: false, Async: true}, {Batched: true, Async: true},
-				{Batched: false, Async: true, Replayed: true},
-				{Batched: true, Async: true, Replayed: true},
-			} {
-				style := "single"
-				if opts.Batched {
-					style = "batched"
-				}
-				if opts.Async {
-					style += "+async"
-				}
-				if opts.Replayed {
-					style += "+replayed"
-				}
-				oracle := oracles[opts.Batched]
-				for _, mode := range modes {
-					got, err := RunStyle(sc, mode, opts)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", mode, style, err)
-					}
-					if got != oracle {
-						t.Errorf("%s/%s diverges from oracle:\n%s", mode, style, diffText(oracle, got))
-					}
-				}
-			}
-		})
+	if err := os.WriteFile(path, []byte("== single ==\n"+single+"== batched ==\n"+batched), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	t.Logf("rewrote %s", path)
 }
 
-// TestGoldenAsync runs the oracle with async action dispatch and requires
-// the log to be byte-identical to the committed (synchronous) golden
-// files: the per-unit Drain barrier must fully mask the worker pool.
-func TestGoldenAsync(t *testing.T) {
-	for _, path := range scenarioFiles(t) {
-		name := scenarioName(path)
-		t.Run(name, func(t *testing.T) {
-			sc, err := ParseFile(path, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Async: true})
-			if err != nil {
-				t.Fatalf("async single: %v", err)
-			}
-			batched, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Batched: true, Async: true})
-			if err != nil {
-				t.Fatalf("async batched: %v", err)
-			}
-			got := "== single ==\n" + single + "== batched ==\n" + batched
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("async output diverges from sync golden:\n%s", diffText(string(want), got))
-			}
-		})
+// TestDropTriggerOnlyOutsideABlock: the script accepts `drop trigger`
+// between units and rejects it inside begin..commit.
+func TestDropTriggerOnlyOutsideABlock(t *testing.T) {
+	const head = "[schema]\ntable t: id int pk\n[script]\n"
+	if _, err := Parse(head+"begin\ncommit\ndrop trigger w\n", "ok"); err != nil {
+		t.Errorf("drop after a block: %v", err)
 	}
-}
-
-// TestGoldenReplayed runs the oracle with async dispatch and the durable
-// outbox, building the notification log from the segment files through
-// the wire codec (the replayed-sink path), and requires it to be
-// byte-identical to the committed synchronous goldens: serialization,
-// the log, and replay ordering must lose nothing the action contract
-// exposes.
-func TestGoldenReplayed(t *testing.T) {
-	for _, path := range scenarioFiles(t) {
-		name := scenarioName(path)
-		t.Run(name, func(t *testing.T) {
-			sc, err := ParseFile(path, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Async: true, Replayed: true})
-			if err != nil {
-				t.Fatalf("replayed single: %v", err)
-			}
-			batched, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Batched: true, Async: true, Replayed: true})
-			if err != nil {
-				t.Fatalf("replayed batched: %v", err)
-			}
-			got := "== single ==\n" + single + "== batched ==\n" + batched
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("replayed-sink output diverges from sync golden:\n%s", diffText(string(want), got))
-			}
-		})
+	if _, err := Parse(head+"begin\ndrop trigger w\ncommit\n", "bad"); err == nil {
+		t.Error("drop inside begin..commit was accepted")
 	}
 }
 

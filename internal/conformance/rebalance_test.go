@@ -122,8 +122,6 @@ func fuzzRebalance(t *testing.T, p workload.Params, sp workload.StreamParams, st
 	}
 
 	tables := []string{p.TableName(0), p.TableName(1)}
-	oApp := workload.SingleApplier{E: oracle.Engine}
-	sApp := workload.ShardApplier{E: sharded.Engine}
 	growAt, shrinkAt := len(ops)/3, 2*len(ops)/3
 	for i, op := range ops {
 		switch i {
@@ -136,11 +134,11 @@ func fuzzRebalance(t *testing.T, p workload.Params, sp workload.StreamParams, st
 				t.Fatalf("op %d: Shrink(6): %v [replay: -seed %d]", i, err, seed)
 			}
 		}
-		if err := workload.ApplyOp(oApp, p, op); err != nil {
+		if err := workload.ApplyOp(oracle.Engine, p, op); err != nil {
 			t.Fatalf("op %d (%+v) on oracle: %v [replay: -seed %d]", i, op, err, seed)
 		}
 		oDrain()
-		if err := workload.ApplyOp(sApp, p, op); err != nil {
+		if err := workload.ApplyOp(sharded.Engine, p, op); err != nil {
 			t.Fatalf("op %d (%+v) on sharded: %v [replay: -seed %d]", i, op, err, seed)
 		}
 		sDrain()
@@ -198,8 +196,6 @@ func TestShardGrowShrink(t *testing.T) {
 	var oCap, sCap capture
 	oracle.Engine.RegisterAction("notify", oCap.action)
 	sharded.Engine.RegisterAction("notify", sCap.action)
-	oApp := workload.SingleApplier{E: oracle.Engine}
-	sApp := workload.ShardApplier{E: sharded.Engine}
 	tables := []string{p.TableName(0), p.TableName(1)}
 	for i, op := range ops {
 		switch i {
@@ -212,10 +208,10 @@ func TestShardGrowShrink(t *testing.T) {
 				t.Fatalf("op %d: Shrink(4): %v [replay: -seed %d]", i, err, seed)
 			}
 		}
-		if err := workload.ApplyOp(oApp, p, op); err != nil {
+		if err := workload.ApplyOp(oracle.Engine, p, op); err != nil {
 			t.Fatalf("op %d on oracle: %v [replay: -seed %d]", i, err, seed)
 		}
-		if err := workload.ApplyOp(sApp, p, op); err != nil {
+		if err := workload.ApplyOp(sharded.Engine, p, op); err != nil {
 			t.Fatalf("op %d on sharded: %v [replay: -seed %d]", i, err, seed)
 		}
 		if want, got := sortedJoin(oCap.take()), sortedJoin(sCap.take()); want != got {

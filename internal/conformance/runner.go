@@ -21,23 +21,6 @@ import (
 // request a rollback; Engine.Batch rolls back and propagates it.
 var errRollback = fmt.Errorf("conformance: rollback requested")
 
-// Run executes the scenario's script in the given translation mode and
-// style and returns the formatted notification log. In single-statement
-// style every statement fires its triggers immediately (begin/commit are
-// ignored; rollback blocks are skipped entirely, matching the batched
-// style's rolled-back net effect of nothing). In batched style each
-// begin..commit block runs as one transaction whose triggers fire once at
-// commit.
-//
-// The log is deterministic: one unit per statement (or per batch block),
-// notifications sorted within each unit. Notification lines carry the
-// trigger, the view-level event, the evaluated action arguments, and the
-// serialized OLD and NEW nodes — everything the paper's action contract
-// exposes.
-func Run(sc *Scenario, mode core.Mode, batched bool) (string, error) {
-	return RunStyle(sc, mode, RunOpts{Batched: batched})
-}
-
 // RunOpts selects the execution style for RunStyle.
 type RunOpts struct {
 	// Batched runs each begin..commit block as one transaction whose
@@ -88,161 +71,42 @@ type RunOpts struct {
 	AbortFirst bool
 }
 
-// runEngine is the slice of the engine surface the runner needs, served
-// by both the single core engine and the sharded fleet.
-type runEngine interface {
-	stmtWriter
-	LoadRow(table string, row reldb.Row) error
-	RegisterAction(name string, fn core.ActionFunc)
-	CreateView(name, src string) error
-	CreateTrigger(src string) error
-	Flush() error
-	EnableAsync(cfg dispatch.Config) error
-	EnableOutbox(lg *outbox.Log, sink outbox.Sink) error
-	Drain()
-	Close() error
-	Batch(fn func(stmtWriter) error) error
-	// armPrepareFail / disarmPrepareFail install and clear a prepare-phase
-	// failure on every underlying engine (the AbortFirst injection seam).
-	armPrepareFail(err error)
-	disarmPrepareFail()
-	// rehearseRebalance forces one routing-group migration (the Rebalance
-	// style's injection seam); a no-op on the single engine.
-	rehearseRebalance() error
-}
-
-// coreRun adapts one core.Engine (initial data loads straight into the
-// store, as the goldens were generated).
-type coreRun struct {
-	e  *core.Engine
-	db *reldb.DB
-}
-
-func (r coreRun) LoadRow(table string, row reldb.Row) error { return r.db.Insert(table, row) }
-func (r coreRun) RegisterAction(name string, fn core.ActionFunc) {
-	r.e.RegisterAction(name, fn)
-}
-func (r coreRun) CreateView(name, src string) error {
-	_, err := r.e.CreateView(name, src)
-	return err
-}
-func (r coreRun) CreateTrigger(src string) error { return r.e.CreateTrigger(src) }
-func (r coreRun) Flush() error                   { return r.e.Flush() }
-func (r coreRun) EnableAsync(cfg dispatch.Config) error {
-	return r.e.EnableAsyncDispatch(cfg)
-}
-func (r coreRun) EnableOutbox(lg *outbox.Log, sink outbox.Sink) error {
-	return r.e.EnableOutbox(lg, sink)
-}
-func (r coreRun) Drain()       { r.e.Drain() }
-func (r coreRun) Close() error { return r.e.Close() }
-func (r coreRun) Insert(table string, rows ...reldb.Row) error {
-	return r.e.Insert(table, rows...)
-}
-func (r coreRun) Update(table string, pred func(reldb.Row) bool, set func(reldb.Row) reldb.Row) (int, error) {
-	return r.e.Update(table, pred, set)
-}
-func (r coreRun) Delete(table string, pred func(reldb.Row) bool) (int, error) {
-	return r.e.Delete(table, pred)
-}
-func (r coreRun) Batch(fn func(stmtWriter) error) error {
-	return r.e.Batch(func(tx *reldb.Tx) error { return fn(txWriter{tx}) })
-}
-func (r coreRun) armPrepareFail(err error) {
-	r.e.SetPrepareCheck(func([]core.Invocation) error { return err })
-}
-func (r coreRun) disarmPrepareFail()       { r.e.SetPrepareCheck(nil) }
-func (r coreRun) rehearseRebalance() error { return nil }
-
-// shardRun adapts a sharded engine; initial data routes through the
-// shard layer so the directory knows every row.
-type shardRun struct{ e *shard.Engine }
-
-func (r shardRun) LoadRow(table string, row reldb.Row) error { return r.e.Insert(table, row) }
-func (r shardRun) RegisterAction(name string, fn core.ActionFunc) {
-	r.e.RegisterAction(name, fn)
-}
-func (r shardRun) CreateView(name, src string) error { return r.e.CreateView(name, src) }
-func (r shardRun) CreateTrigger(src string) error    { return r.e.CreateTrigger(src) }
-func (r shardRun) Flush() error                      { return r.e.Flush() }
-func (r shardRun) EnableAsync(cfg dispatch.Config) error {
-	return r.e.EnableAsyncDispatch(cfg)
-}
-func (r shardRun) EnableOutbox(lg *outbox.Log, sink outbox.Sink) error {
-	return r.e.EnableOutbox(lg, sink)
-}
-func (r shardRun) Drain()       { r.e.Drain() }
-func (r shardRun) Close() error { return r.e.Close() }
-func (r shardRun) Insert(table string, rows ...reldb.Row) error {
-	return r.e.Insert(table, rows...)
-}
-func (r shardRun) Update(table string, pred func(reldb.Row) bool, set func(reldb.Row) reldb.Row) (int, error) {
-	return r.e.Update(table, pred, set)
-}
-func (r shardRun) Delete(table string, pred func(reldb.Row) bool) (int, error) {
-	return r.e.Delete(table, pred)
-}
-func (r shardRun) Batch(fn func(stmtWriter) error) error {
-	return r.e.Batch(func(tx *shard.Tx) error { return fn(tx) })
-}
-func (r shardRun) armPrepareFail(err error) {
-	for i := 0; i < r.e.NumShards(); i++ {
-		r.e.Shard(i).SetPrepareCheck(func([]core.Invocation) error { return err })
-	}
-}
-func (r shardRun) disarmPrepareFail() {
-	for i := 0; i < r.e.NumShards(); i++ {
-		r.e.Shard(i).SetPrepareCheck(nil)
-	}
-}
-
-// rehearseRebalance moves the first routing group (sorted order) one
-// shard over — a forced silent migration whose invisibility every golden
-// comparison then proves.
-func (r shardRun) rehearseRebalance() error {
-	n := r.e.NumShards()
-	if n < 2 {
-		return nil
-	}
-	groups := r.e.Groups()
-	if len(groups) == 0 {
-		return nil
-	}
-	g := groups[0]
-	_, err := r.e.Rebalance(shard.Plan{Moves: []shard.GroupMove{
-		{Table: g.Table, Key: g.Key, To: (g.Shard + 1) % n},
-	}})
-	return err
-}
-
 // RunStyle executes the scenario's script in the given translation mode
-// and style; see Run.
+// and style and returns the formatted notification log. Without
+// opts.Batched every statement fires its triggers immediately
+// (begin/commit are ignored; rollback blocks are skipped entirely,
+// matching the batched style's rolled-back net effect of nothing). With
+// it each begin..commit block runs as one transaction whose triggers fire
+// once at commit.
+//
+// The log is deterministic: one unit per statement (or per batch block),
+// notifications sorted within each unit. Notification lines carry the
+// trigger, the view-level event, the evaluated action arguments, and the
+// serialized OLD and NEW nodes — everything the paper's action contract
+// exposes.
 func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
-	var e runEngine
 	if opts.Shards > 0 {
-		se, err := shard.New(sc.Schema, shard.Config{
+		if opts.Backend != "" {
+			return "", fmt.Errorf("conformance: Backend runs are single-engine only (Shards must be 0)")
+		}
+		e, err := shard.New(sc.Schema, shard.Config{
 			Shards: opts.Shards, Mode: mode, Routing: sc.Routing,
 		})
 		if err != nil {
 			return "", err
 		}
-		e = shardRun{se}
-	} else {
-		db, err := reldb.Open(sc.Schema)
-		if err != nil {
-			return "", err
-		}
-		e = coreRun{core.NewEngine(db, mode), db}
+		return run(sc, e, opts)
 	}
+	db, err := reldb.Open(sc.Schema)
+	if err != nil {
+		return "", err
+	}
+	e := core.NewEngine(db, mode)
 	if opts.Backend != "" {
 		if opts.Backend != "sqlite" {
 			return "", fmt.Errorf("conformance: unknown backend %q", opts.Backend)
 		}
-		cr, ok := e.(coreRun)
-		if !ok {
-			return "", fmt.Errorf("conformance: Backend runs are single-engine only (Shards must be 0)")
-		}
-		sh, err := relsql.NewShadow(cr.db)
+		sh, err := relsql.NewShadow(db)
 		if err != nil {
 			return "", err
 		}
@@ -252,15 +116,20 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 			}
 			_ = sh.Close()
 		}()
-		cr.e.SetPlanShadow(sh)
+		e.SetPlanShadow(sh)
 	}
+	return run(sc, e, opts)
+}
+
+// run drives one engine through the scenario; see RunStyle.
+func run[T reldb.Writer](sc *Scenario, e core.Surface[T], opts RunOpts) (string, error) {
 	for _, dr := range sc.Data {
-		if err := e.LoadRow(dr.Table, dr.Row); err != nil {
+		if err := e.Insert(dr.Table, dr.Row); err != nil {
 			return "", err
 		}
 	}
 	if opts.Async {
-		if err := e.EnableAsync(dispatch.Config{
+		if err := e.EnableAsyncDispatch(dispatch.Config{
 			Workers: 8, QueueCap: 1024, Policy: dispatch.Block,
 		}); err != nil {
 			return "", err
@@ -343,16 +212,30 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 		return nil
 	}
 
+	var rebalancer *shard.Engine // Rebalance is ignored on single-engine runs
+	if opts.Rebalance {
+		rebalancer, _ = any(e).(*shard.Engine)
+	}
 	i := 0
 	for i < len(sc.Script) {
-		if opts.Rebalance {
+		if rebalancer != nil {
 			// One forced migration before every unit: the unit's own log
 			// then proves the movement left no observable trace.
-			if err := e.rehearseRebalance(); err != nil {
+			if err := rehearseRebalance(rebalancer); err != nil {
 				return "", fmt.Errorf("rebalance rehearsal: %w", err)
 			}
 		}
 		st := sc.Script[i]
+		if st.Kind == StDrop {
+			if err := e.DropTrigger(st.Trigger); err != nil {
+				return "", fmt.Errorf("%s: %w", st.Text, err)
+			}
+			if err := endUnit(st.Text); err != nil {
+				return "", err
+			}
+			i++
+			continue
+		}
 		if st.Kind != StBegin {
 			if err := sc.execStmt(e, st); err != nil {
 				return "", fmt.Errorf("%s: %w", st.Text, err)
@@ -394,7 +277,7 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 			continue
 		default:
 			runBlock := func() error {
-				return e.Batch(func(tx stmtWriter) error {
+				return e.Batch(func(tx T) error {
 					for _, bs := range block {
 						if err := sc.execStmt(tx, bs); err != nil {
 							return fmt.Errorf("%s: %w", bs.Text, err)
@@ -411,9 +294,10 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 				// block with nothing delivered and no state applied — the
 				// real attempt below (and every later unit) re-proves the
 				// no-state-leak half against the goldens.
-				e.armPrepareFail(fmt.Errorf("conformance: injected prepare failure"))
+				injected := fmt.Errorf("conformance: injected prepare failure")
+				e.SetPrepareCheck(func([]core.Invocation) error { return injected })
 				err := runBlock()
-				e.disarmPrepareFail()
+				e.SetPrepareCheck(nil)
 				if err == nil {
 					return "", fmt.Errorf("%s: armed prepare failure did not abort the block", label)
 				}
@@ -435,6 +319,22 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 		i = j + 1
 	}
 	return out.String(), nil
+}
+
+// rehearseRebalance moves the first routing group (sorted order) one
+// shard over — a forced silent migration whose invisibility every golden
+// comparison then proves.
+func rehearseRebalance(e *shard.Engine) error {
+	n := e.NumShards()
+	groups := e.Groups()
+	if n < 2 || len(groups) == 0 {
+		return nil
+	}
+	g := groups[0]
+	_, err := e.Rebalance(shard.Plan{Moves: []shard.GroupMove{
+		{Table: g.Table, Key: g.Key, To: (g.Shard + 1) % n},
+	}})
+	return err
 }
 
 // formatNotify is the single renderer of a notification line. The
@@ -462,19 +362,7 @@ func formatRecord(r *wire.Record) string {
 	return formatNotify(r.Trigger, r.Event, r.Args, r.Old, r.New)
 }
 
-// stmtWriter is the mutation surface shared by the engine (per-statement
-// firing) and a transaction (per-commit firing).
-type stmtWriter interface {
-	Insert(table string, rows ...reldb.Row) error
-	Update(table string, pred func(reldb.Row) bool, set func(reldb.Row) reldb.Row) (int, error)
-	Delete(table string, pred func(reldb.Row) bool) (int, error)
-}
-
-// txWriter adapts *reldb.Tx (method set already matches; the wrapper only
-// exists to make the interface satisfaction explicit).
-type txWriter struct{ *reldb.Tx }
-
-func (sc *Scenario) execStmt(w stmtWriter, st Stmt) error {
+func (sc *Scenario) execStmt(w reldb.Writer, st Stmt) error {
 	switch st.Kind {
 	case StInsert:
 		return w.Insert(st.Table, reldb.Row(st.Row))

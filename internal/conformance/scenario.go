@@ -4,10 +4,11 @@
 // schema, data, an XML view, XML triggers, and an update script (with
 // optional begin/commit/rollback batch blocks); the committed golden
 // files hold the notification log the MATERIALIZED oracle produces for
-// the script, executed both statement-by-statement and batched. The
-// differential driver then requires every translation mode (UNGROUPED,
-// GROUPED) to reproduce the oracle's log exactly in both
-// execution styles. Regenerate goldens with `go test -run Golden -update`.
+// the script, executed both statement-by-statement and batched. TestGolden
+// then requires every row of its matrix — each translation mode on one
+// engine or a sharded fleet, with every delivery and injection style — to
+// reproduce that log exactly. Regenerate goldens with
+// `go test ./internal/conformance -run 'TestGolden$' -update`.
 package conformance
 
 import (
@@ -60,6 +61,7 @@ const (
 	StBegin
 	StCommit
 	StRollback
+	StDrop // drop trigger NAME, outside begin..commit only
 )
 
 // Stmt is one script statement. For updates, Sets maps columns to new
@@ -72,6 +74,7 @@ type Stmt struct {
 	WhereCol string
 	WhereVal xdm.Value
 	WhereAll bool
+	Trigger  string // drop
 	Text     string // source line, used as the unit label
 }
 
@@ -357,6 +360,17 @@ func (sc *Scenario) parseStmt(line string) error {
 		return nil
 	case "rollback":
 		sc.Script = append(sc.Script, Stmt{Kind: StRollback, Text: line})
+		return nil
+	}
+	if name, ok := strings.CutPrefix(line, "drop trigger "); ok {
+		for k := len(sc.Script) - 1; k >= 0; k-- {
+			if kind := sc.Script[k].Kind; kind == StBegin {
+				return fmt.Errorf("drop trigger inside begin..commit: %q", line)
+			} else if kind == StCommit || kind == StRollback {
+				break
+			}
+		}
+		sc.Script = append(sc.Script, Stmt{Kind: StDrop, Trigger: strings.TrimSpace(name), Text: line})
 		return nil
 	}
 	fields := strings.SplitN(line, " ", 2)

@@ -186,14 +186,12 @@ func fuzzOne(t *testing.T, p workload.Params, sp workload.StreamParams, shards i
 		}()
 	}
 
-	oApp := workload.SingleApplier{E: oracle.Engine}
-	sApp := workload.ShardApplier{E: sharded.Engine}
 	for i, op := range ops {
-		if err := workload.ApplyOp(oApp, p, op); err != nil {
+		if err := workload.ApplyOp(oracle.Engine, p, op); err != nil {
 			t.Fatalf("op %d (%+v) on oracle: %v [replay: -seed %d]", i, op, err, seed)
 		}
 		oDrain()
-		if err := workload.ApplyOp(sApp, p, op); err != nil {
+		if err := workload.ApplyOp(sharded.Engine, p, op); err != nil {
 			t.Fatalf("op %d (%+v) on sharded: %v [replay: -seed %d]", i, op, err, seed)
 		}
 		sDrain()
@@ -270,15 +268,13 @@ func TestShardFuzzReplayedSink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oApp := workload.SingleApplier{E: oracle.Engine}
-	sApp := workload.ShardApplier{E: sharded.Engine}
 	var want []string
 	for i, op := range ops {
-		if err := workload.ApplyOp(oApp, p, op); err != nil {
+		if err := workload.ApplyOp(oracle.Engine, p, op); err != nil {
 			t.Fatalf("op %d on oracle: %v", i, err)
 		}
 		want = append(want, oCap.take()...)
-		if err := workload.ApplyOp(sApp, p, op); err != nil {
+		if err := workload.ApplyOp(sharded.Engine, p, op); err != nil {
 			t.Fatalf("op %d on sharded: %v", i, err)
 		}
 		sharded.Engine.Drain()

@@ -3,8 +3,6 @@ package conformance
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,58 +13,6 @@ import (
 	"quark/internal/workload"
 	"quark/internal/xdm"
 )
-
-// TestGoldenAbortFirst proves aborted transactions leave zero trace: every
-// batched begin..commit block is first attempted with an armed
-// prepare-phase failure (the runner asserts the attempt errors and
-// delivers nothing) and then run for real — and the final log must STILL
-// be byte-identical to the committed goldens, on the single engine and on
-// sharded fleets. Any state or directory leakage from the aborted attempt
-// would corrupt the retry or a later unit and show up as golden drift.
-func TestGoldenAbortFirst(t *testing.T) {
-	for _, path := range scenarioFiles(t) {
-		name := scenarioName(path)
-		t.Run(name, func(t *testing.T) {
-			sc, err := ParseFile(path, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range []int{0, 2, 4} {
-				single, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Shards: n})
-				if err != nil {
-					t.Fatalf("shards=%d single: %v", n, err)
-				}
-				batched, err := RunStyle(sc, core.ModeMaterialized, RunOpts{Shards: n, Batched: true, AbortFirst: true})
-				if err != nil {
-					t.Fatalf("shards=%d batched+abortfirst: %v", n, err)
-				}
-				got := "== single ==\n" + single + "== batched ==\n" + batched
-				if got != string(want) {
-					t.Errorf("shards=%d abort-first run diverges from golden:\n%s", n, diffText(string(want), got))
-				}
-			}
-			// The translated modes too: their staged plans must abort as
-			// cleanly as the materialized oracle's.
-			oracle, err := Run(sc, core.ModeMaterialized, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []core.Mode{core.ModeUngrouped, core.ModeGrouped} {
-				got, err := RunStyle(sc, mode, RunOpts{Shards: 2, Batched: true, AbortFirst: true})
-				if err != nil {
-					t.Fatalf("%s shards=2 batched+abortfirst: %v", mode, err)
-				}
-				if got != oracle {
-					t.Errorf("%s abort-first run diverges from oracle:\n%s", mode, diffText(oracle, got))
-				}
-			}
-		})
-	}
-}
 
 var errInjected = errors.New("conformance: injected failure")
 
@@ -210,8 +156,6 @@ func fuzzFailures(t *testing.T, p workload.Params, sp workload.StreamParams, sha
 	})
 
 	tables := []string{p.TableName(0), p.TableName(1)}
-	oApp := workload.SingleApplier{E: oracle.Engine}
-	sApp := workload.ShardApplier{E: sharded.Engine}
 	injected, aborted := 0, 0
 	for i, op := range ops {
 		// prepare: arm every op (only distributed transactions prepare, so
@@ -229,7 +173,7 @@ func fuzzFailures(t *testing.T, p workload.Params, sp workload.StreamParams, sha
 			}
 		}
 		pre := fleetState(sharded.Engine, tables)
-		err := workload.ApplyOp(sApp, p, op)
+		err := workload.ApplyOp(sharded.Engine, p, op)
 		if inject && phase == "prepare" {
 			sharded.Engine.Shard(k).SetPrepareCheck(nil)
 		}
@@ -248,14 +192,14 @@ func fuzzFailures(t *testing.T, p workload.Params, sp workload.StreamParams, sha
 						i, op, seed, pre, post)
 				}
 				// Retry disarmed: the op must now apply cleanly.
-				if err := workload.ApplyOp(sApp, p, op); err != nil {
+				if err := workload.ApplyOp(sharded.Engine, p, op); err != nil {
 					t.Fatalf("op %d (%+v): replay after abort: %v [replay: -seed %d]", i, op, err, seed)
 				}
 			}
 			// phase=commit: the error surfaced but the fleet committed; the
 			// oracle comparison below proves it committed COMPLETELY.
 		}
-		if err := workload.ApplyOp(oApp, p, op); err != nil {
+		if err := workload.ApplyOp(oracle.Engine, p, op); err != nil {
 			t.Fatalf("op %d (%+v) on oracle: %v [replay: -seed %d]", i, op, err, seed)
 		}
 		checkFleetAgainstOracle(t, i, seed, oracle, sharded, tables)

@@ -10,15 +10,6 @@ import (
 	"quark/internal/xdm"
 )
 
-// writer abstracts the mutation surface shared by the engine (one firing
-// wave per statement) and a reldb.Tx (one firing wave per commit), so the
-// same script can run in both styles.
-type writer interface {
-	Insert(table string, rows ...reldb.Row) error
-	UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) reldb.Row) (bool, error)
-	DeleteByPK(table string, key ...xdm.Value) (bool, error)
-}
-
 func notifKeys(log []notification) []string {
 	out := make([]string, len(log))
 	for i, n := range log {
@@ -38,7 +29,7 @@ func setPrice(p float64) func(reldb.Row) reldb.Row {
 
 // runScript executes the script in the given style and returns the sorted
 // notification keys.
-func runScript(t *testing.T, mode Mode, batched bool, triggers []string, script func(writer) error) []string {
+func runScript(t *testing.T, mode Mode, batched bool, triggers []string, script func(reldb.Writer) error) []string {
 	t.Helper()
 	e, log := newCatalogEngine(t, mode)
 	for _, src := range triggers {
@@ -75,7 +66,7 @@ func TestBatchMatchesOracle(t *testing.T) {
 		`CREATE TRIGGER GoneProducts AFTER DELETE ON view('catalog')/product
 		 DO notifySmith(OLD_NODE/@name)`,
 	}
-	script := func(w writer) error {
+	script := func(w reldb.Writer) error {
 		// Two updates to the same row (coalesce) plus one to a sibling.
 		if _, err := w.UpdateByPK("vendor", []xdm.Value{xdm.Str("Amazon"), xdm.Str("P1")}, setPrice(90)); err != nil {
 			return err

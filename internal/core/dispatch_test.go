@@ -54,7 +54,7 @@ func newTwoMarketEngine(t *testing.T, mode Mode) (*Engine, *atomic.Int64, *atomi
 	} {
 		src := fmt.Sprintf(`<m>{for $q in view('default')/%s/row return <%s sym={$q/sym} price={$q/price}></%s>}</m>`,
 			v.table, v.elem, v.elem)
-		if _, err := e.CreateView(v.view, src); err != nil {
+		if err := e.CreateView(v.view, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func newOrderedEngine(t *testing.T, lanes int) (*Engine, func() [][]int) {
 		mu.Unlock()
 		return nil
 	})
-	if _, err := e.CreateView("vd", `<doc>{for $i in view('default')/item/row return <it name={$i/name} v={$i/val}></it>}</doc>`); err != nil {
+	if err := e.CreateView("vd", `<doc>{for $i in view('default')/item/row return <it name={$i/name} v={$i/val}></it>}</doc>`); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < lanes; k++ {

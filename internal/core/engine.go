@@ -106,6 +106,27 @@ type Stats struct {
 	PerGroup []GroupStat `json:",omitempty"`
 }
 
+// Surface is the engine API the core engine and the sharded engine
+// (internal/shard) share, generic in the transaction type Batch hands its
+// callback: *reldb.Tx here, *shard.Tx there. Code that drives either
+// engine — the conformance runner, stream replay — takes a Surface.
+type Surface[T reldb.Writer] interface {
+	reldb.Writer
+	RegisterAction(name string, fn ActionFunc)
+	CreateView(name, src string) error
+	CreateTrigger(src string) error
+	DropTrigger(name string) error
+	Flush() error
+	EnableAsyncDispatch(cfg dispatch.Config) error
+	EnableOutbox(lg *outbox.Log, sink outbox.Sink) error
+	SetPrepareCheck(fn func([]Invocation) error)
+	Drain()
+	Close() error
+	Batch(fn func(T) error) error
+}
+
+var _ Surface[*reldb.Tx] = (*Engine)(nil)
+
 // Engine ties the pipeline together over one relational database.
 //
 // Concurrency model: e.mu (an RWMutex) guards only engine metadata —
@@ -439,14 +460,12 @@ func (e *Engine) recomputeReadSets() {
 // DB returns the underlying relational database.
 func (e *Engine) DB() *reldb.DB { return e.db }
 
-// Mode returns the engine's translation mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
-// CreateView compiles and registers an XQuery view.
-func (e *Engine) CreateView(name, src string) (*compile.ViewDef, error) {
+// CreateView compiles and registers an XQuery view; View returns it.
+func (e *Engine) CreateView(name, src string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.comp.CompileView(name, src)
+	_, err := e.comp.CompileView(name, src)
+	return err
 }
 
 // View returns a registered view.
@@ -1783,14 +1802,6 @@ func (e *Engine) BeginBatch() (*BatchHandle, error) {
 	return h, nil
 }
 
-// AttachSpan replaces the handle's trace span with sp — a fleet
-// coordinator (the sharded engine) passes a child of its own distributed-
-// transaction root so every shard's prepare/commit/abort phases nest
-// under one tree. The handle ends sp at Commit/Rollback but never retains
-// it; retaining the root is the coordinator's job. Passing nil disables
-// tracing for this handle.
-func (h *BatchHandle) AttachSpan(sp *obs.Span) { h.span = sp }
-
 // Tx returns the handle's transaction for applying mutations.
 func (h *BatchHandle) Tx() *reldb.Tx { return h.tx }
 
@@ -1804,9 +1815,6 @@ func (h *BatchHandle) Tx() *reldb.Tx { return h.tx }
 func (h *BatchHandle) SetSilent() error {
 	return h.tx.SetSilent()
 }
-
-// Engine returns the engine the handle belongs to.
-func (h *BatchHandle) Engine() *Engine { return h.e }
 
 // Prepare runs the transaction's prepare phase without finishing the
 // handle: the merged net deltas are computed, trigger conditions evaluate,

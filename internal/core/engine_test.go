@@ -57,7 +57,7 @@ func newCatalogEngine(t *testing.T, mode Mode) (*Engine, *[]notification) {
 		log = append(log, n)
 		return nil
 	})
-	if _, err := e.CreateView("catalog", catalogSrc); err != nil {
+	if err := e.CreateView("catalog", catalogSrc); err != nil {
 		t.Fatal(err)
 	}
 	return e, &log
@@ -315,7 +315,7 @@ func TestAllModesAgree(t *testing.T) {
 			log = append(log, fmt.Sprintf("%s/%s/%s/%s", inv.Trigger, inv.Event, key, newXML))
 			return nil
 		})
-		if _, err := e.CreateView("catalog", catalogSrc); err != nil {
+		if err := e.CreateView("catalog", catalogSrc); err != nil {
 			t.Fatal(err)
 		}
 		for i, nm := range []string{"CRT 15", "LCD 19", "OLED 27"} {
@@ -553,7 +553,7 @@ func TestSignatureKeepsIdentifiersAndQuotedConstants(t *testing.T) {
 		e := NewEngine(db, mode)
 		fired := map[string]int{}
 		e.RegisterAction("notify", func(inv Invocation) error { fired[inv.Trigger]++; return nil })
-		if _, err := e.CreateView("c", view); err != nil {
+		if err := e.CreateView("c", view); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range order {

@@ -28,9 +28,7 @@ func membershipSetup(t *testing.T, mode core.Mode) *workload.Setup {
 }
 
 // setPayload gives one leaf a payload no statement wrote before.
-func setPayload(w interface {
-	UpdateByPK(string, []xdm.Value, func(reldb.Row) reldb.Row) (bool, error)
-}, leaf int64, p float64) error {
+func setPayload(w reldb.Writer, leaf int64, p float64) error {
 	_, err := w.UpdateByPK("vendor", []xdm.Value{xdm.Int(leaf)}, func(r reldb.Row) reldb.Row {
 		r[len(r)-1] = xdm.Float(p)
 		return r

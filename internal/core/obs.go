@@ -24,15 +24,7 @@ type engineObs struct {
 // snapshot-time collectors over the engine's existing atomics. Passing
 // nil detaches. Idempotent; not safe to race with in-flight statements —
 // call it at setup time, like EnableAsyncDispatch.
-func (e *Engine) EnableObs(reg *obs.Registry) { e.enableObs(reg, true) }
-
-// enableObs is EnableObs with the counter collectors optional: a fleet
-// coordinator (the sharded engine) attaches many engines to ONE registry,
-// and same-name collectors would shadow each other, so it suppresses the
-// per-engine registration and exports fleet-wide sums itself. Histograms
-// need no such care — shards recording into one shared histogram IS the
-// fleet aggregate.
-func (e *Engine) enableObs(reg *obs.Registry, registerFuncs bool) {
+func (e *Engine) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		e.obsp.Store(nil)
 		e.db.AttachObs(nil)
@@ -61,31 +53,13 @@ func (e *Engine) enableObs(reg *obs.Registry, registerFuncs bool) {
 	if ob := e.ob.Load(); ob != nil {
 		ob.log.AttachObs(reg)
 	}
-	if registerFuncs {
-		reg.Func("quark_core_fires_total", func() int64 { return e.fires.Load() })
-		reg.Func("quark_core_actions_total", func() int64 { return e.actsRun.Load() })
-		reg.Func("quark_reldb_statements_total", func() int64 { return e.db.Stats().Statements })
-		reg.Func("quark_reldb_trigger_fires_total", func() int64 { return e.db.Stats().TriggerFires })
-		reg.Func("quark_reldb_full_scans_total", func() int64 { return e.db.Stats().FullScans })
-		reg.Func("quark_reldb_index_lookups_total", func() int64 { return e.db.Stats().IndexLookups })
-		reg.Func("quark_reldb_rows_read_total", func() int64 { return e.db.Stats().RowsRead })
-	}
-}
-
-// EnableObsShared is EnableObs for fleet members sharing ONE registry
-// with their siblings (the sharded engine): histograms and span traces
-// record normally — same-name series aggregate fleet-wide — but the
-// per-engine counter collectors are suppressed, because N shards
-// registering the same collector name would shadow each other. The fleet
-// coordinator exports the summed totals itself.
-func (e *Engine) EnableObsShared(reg *obs.Registry) { e.enableObs(reg, false) }
-
-// ObsRegistry returns the attached registry (nil when disabled).
-func (e *Engine) ObsRegistry() *obs.Registry {
-	if m := e.obsp.Load(); m != nil {
-		return m.reg
-	}
-	return nil
+	reg.Func("quark_core_fires_total", func() int64 { return e.fires.Load() })
+	reg.Func("quark_core_actions_total", func() int64 { return e.actsRun.Load() })
+	reg.Func("quark_reldb_statements_total", func() int64 { return e.db.Stats().Statements })
+	reg.Func("quark_reldb_trigger_fires_total", func() int64 { return e.db.Stats().TriggerFires })
+	reg.Func("quark_reldb_full_scans_total", func() int64 { return e.db.Stats().FullScans })
+	reg.Func("quark_reldb_index_lookups_total", func() int64 { return e.db.Stats().IndexLookups })
+	reg.Func("quark_reldb_rows_read_total", func() int64 { return e.db.Stats().RowsRead })
 }
 
 // EngineSnapshot is the unified cross-layer observability snapshot:

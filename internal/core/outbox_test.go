@@ -43,7 +43,7 @@ func newWatchedEngine(t *testing.T, n int) *Engine {
 	e := NewEngine(db, ModeGrouped)
 	e.RegisterAction("notify", func(Invocation) error { return nil })
 	src := `<m>{for $q in view('default')/quote/row return <q sym={$q/sym} price={$q/price}></q>}</m>`
-	if _, err := e.CreateView("v", src); err != nil {
+	if err := e.CreateView("v", src); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {

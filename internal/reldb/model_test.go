@@ -157,15 +157,6 @@ func (m *mtable) remove(pred func(Row) bool) (n int) {
 	return before - len(m.rows)
 }
 
-// writer is the statement surface DB and Tx share.
-type writer interface {
-	Insert(table string, rows ...Row) error
-	Update(table string, pred func(Row) bool, set func(Row) Row) (int, error)
-	Delete(table string, pred func(Row) bool) (int, error)
-	UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool, error)
-	DeleteByPK(table string, key ...xdm.Value) (bool, error)
-}
-
 // stream hands out the op bytes; an exhausted stream yields zeros.
 type stream struct{ b []byte }
 
@@ -266,7 +257,7 @@ func newModelRun(t *testing.T) *modelRun {
 	return r
 }
 
-func (r *modelRun) w() writer {
+func (r *modelRun) w() Writer {
 	if r.tx != nil {
 		return r.tx
 	}

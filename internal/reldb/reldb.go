@@ -53,6 +53,22 @@ func (r Row) Copy() Row {
 	return out
 }
 
+// Writer is the DML surface. A DB fires its triggers per statement and a
+// Tx once at commit; the core and sharded engines, and a sharded
+// transaction, route the same five statements.
+type Writer interface {
+	Insert(table string, rows ...Row) error
+	Update(table string, pred func(Row) bool, set func(Row) Row) (int, error)
+	Delete(table string, pred func(Row) bool) (int, error)
+	UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool, error)
+	DeleteByPK(table string, key ...xdm.Value) (bool, error)
+}
+
+var (
+	_ Writer = (*DB)(nil)
+	_ Writer = (*Tx)(nil)
+)
+
 // Event is the statement kind a SQL trigger listens for.
 type Event uint8
 

@@ -143,12 +143,9 @@ func OpenDirStore(dir string) (*DirStore, DirState, error) {
 	return s, st, nil
 }
 
-// Dir returns the store's filesystem directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 // AppendDelta appends one frame holding the given routing changes.
-// Best-effort: an I/O error is recorded (sticky) and surfaced by Err and
-// the next Checkpoint, never propagated into the routing fast path.
+// Best-effort: an I/O error is recorded (sticky) and surfaced by the
+// next Checkpoint, never propagated into the routing fast path.
 func (s *DirStore) AppendDelta(ops []DirOp) {
 	if len(ops) == 0 {
 		return
@@ -161,13 +158,6 @@ func (s *DirStore) AppendDelta(ops []DirOp) {
 	if _, err := s.deltaF.Write(outbox.Frame(encodeDelta(ops))); err != nil {
 		s.err = err
 	}
-}
-
-// Err reports the sticky persistence error, if any.
-func (s *DirStore) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Checkpoint atomically replaces the checkpoint with st and truncates the

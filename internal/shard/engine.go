@@ -2,9 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"quark/internal/core"
 	"quark/internal/dispatch"
@@ -73,15 +71,13 @@ type Engine struct {
 
 	store *DirStore // nil: in-memory directory only
 
-	// om, when non-nil, holds the fleet's resolved metric handles (see
-	// EnableObs). Nil is the disabled fast path.
-	om atomic.Pointer[shardObs]
-
 	// rebalanceBarrier, when set, runs between a rebalance transaction's
 	// prepare-all and commit-all phases (the kill-mid-rebalance tests'
 	// seam; see SetRebalanceBarrier).
 	rebalanceBarrier func()
 }
+
+var _ core.Surface[*Tx] = (*Engine)(nil)
 
 type namedAction struct {
 	name string
@@ -187,9 +183,6 @@ func (e *Engine) Shard(i int) *core.Engine {
 // Router returns the engine's router.
 func (e *Engine) Router() *Router { return e.router }
 
-// Mode returns the translation mode.
-func (e *Engine) Mode() core.Mode { return e.mode }
-
 // OwnerOf reports which shard currently owns the row with the given
 // primary key, according to the directory.
 func (e *Engine) OwnerOf(table string, key ...xdm.Value) (int, bool) {
@@ -213,7 +206,7 @@ func (e *Engine) RegisterAction(name string, fn core.ActionFunc) {
 func (e *Engine) CreateView(name, src string) error {
 	engines, _ := e.fleet()
 	for _, ce := range engines {
-		if _, err := ce.CreateView(name, src); err != nil {
+		if err := ce.CreateView(name, src); err != nil {
 			return err
 		}
 	}
@@ -282,6 +275,18 @@ func (e *Engine) Flush() error {
 		}
 	}
 	return nil
+}
+
+// SetPrepareCheck installs (or, with nil, clears) the transaction
+// admission check on every shard of the current fleet (see
+// core.Engine.SetPrepareCheck; Grow does not replay it): an error from any
+// shard's check fails that shard's prepare, and the distributed
+// transaction rolls back everywhere.
+func (e *Engine) SetPrepareCheck(fn func([]core.Invocation) error) {
+	engines, _ := e.fleet()
+	for _, ce := range engines {
+		ce.SetPrepareCheck(fn)
+	}
 }
 
 // EnableAsyncDispatch switches every shard's action delivery to one
@@ -430,7 +435,7 @@ func (e *Engine) Insert(table string, rows ...reldb.Row) error {
 			return engines[0].Insert(table, row)
 		}
 		k := pkKeyOf(rt, row)
-		o := e.router.ownerForRowRt(rt, row, nil)
+		o := e.router.ownerForRow(rt, row, nil)
 		if seen[k] {
 			return fmt.Errorf("shard: duplicate primary key in table %s", table)
 		}
@@ -448,9 +453,6 @@ func (e *Engine) Insert(table string, rows ...reldb.Row) error {
 		return e.runTxTables([]string{table}, func(tx *Tx) error {
 			return tx.Insert(table, rows...)
 		})
-	}
-	if m := e.om.Load(); m != nil {
-		m.routedStmt.Inc()
 	}
 	for si := range engines {
 		g := groups[si]
@@ -513,7 +515,7 @@ func (e *Engine) UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) r
 		// Malformed post-image: let the owning engine produce the error.
 		return engines[owner].UpdateByPK(table, key, set)
 	}
-	newOwner := e.router.ownerForRowRt(rt, next, nil)
+	newOwner := e.router.ownerForRow(rt, next, nil)
 	if nk := pkKeyOf(rt, next); nk != pk {
 		// Fleet-wide PK uniqueness on PK moves (see Insert): a collision
 		// on another shard is invisible to the destination's reldb.
@@ -522,9 +524,6 @@ func (e *Engine) UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) r
 		}
 	}
 	if newOwner == owner {
-		if m := e.om.Load(); m != nil {
-			m.routedStmt.Inc()
-		}
 		changed, err := engines[owner].UpdateByPK(table, key, set)
 		applied := changed && err == nil
 		if err != nil {
@@ -600,9 +599,6 @@ func (e *Engine) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if m := e.om.Load(); m != nil {
-		m.routedStmt.Inc()
-	}
 	removed, err := engines[owner].DeleteByPK(table, key...)
 	if err == nil && removed {
 		e.router.forget(table, pk)
@@ -665,12 +661,7 @@ func (e *Engine) runTxTables(tables []string, fn func(*Tx) error) error {
 func (e *Engine) beginAll(tables []string) (*Tx, error) {
 	engines, dbs := e.fleet()
 	tx := &Tx{e: e, dbs: dbs, ov: newDirOps()}
-	if m := e.om.Load(); m != nil {
-		m.distStmt.Inc()
-		tx.span = m.reg.StartSpan("tx")
-		tx.span.SetAttr("shards", strconv.Itoa(len(engines)))
-	}
-	for i, ce := range engines {
+	for _, ce := range engines {
 		var h *core.BatchHandle
 		var err error
 		if tables == nil {
@@ -682,17 +673,7 @@ func (e *Engine) beginAll(tables []string) (*Tx, error) {
 			for _, open := range tx.hs {
 				_ = open.Rollback()
 			}
-			tx.span.End()
 			return nil, err
-		}
-		if tx.span != nil {
-			// Replace the per-shard root the core handle opened with a
-			// child of the fleet root, so the whole distributed commit —
-			// every shard's prepare, trigger evaluation, commit, group
-			// append — retains as ONE trace tree.
-			sp := tx.span.Child("shard")
-			sp.SetAttr("shard", strconv.Itoa(i))
-			h.AttachSpan(sp)
 		}
 		tx.hs = append(tx.hs, h)
 	}

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"quark/internal/core"
@@ -132,17 +131,10 @@ func (e *Engine) Rebalance(p Plan) (int, error) {
 	}
 	sort.Strings(footprint)
 
-	m := e.om.Load()
-	if m != nil {
-		m.reg.Emit("rebalance.start", map[string]string{
-			"moves": strconv.Itoa(len(moves)),
-		})
-	}
 	tx, err := e.beginAll(footprint)
 	if err != nil {
 		return 0, err
 	}
-	tx.span.SetAttr("kind", "rebalance")
 	tx.barrier = e.rebalanceBarrier
 	for _, h := range tx.hs {
 		if err := h.SetSilent(); err != nil {
@@ -163,21 +155,12 @@ func (e *Engine) Rebalance(p Plan) (int, error) {
 		}
 		if err := tx.moveGroup(rt, gk, from, m.To); err != nil {
 			tx.rollback()
-			if om := e.om.Load(); om != nil {
-				om.reg.Emit("rebalance.abort", map[string]string{"err": err.Error()})
-			}
 			return 0, err
 		}
 		moved++
 	}
 	if err := tx.commit(); err != nil {
 		return 0, err
-	}
-	if m != nil {
-		m.rebalMoves.Add(int64(moved))
-		m.reg.Emit("rebalance.finish", map[string]string{
-			"moved": strconv.Itoa(moved),
-		})
 	}
 	return moved, nil
 }
@@ -235,7 +218,7 @@ func (e *Engine) Grow(n int) error {
 			ce.RegisterAction(a.name, a.fn)
 		}
 		for _, v := range views {
-			if _, err := ce.CreateView(v.name, v.src); err != nil {
+			if err := ce.CreateView(v.name, v.src); err != nil {
 				return err
 			}
 		}
@@ -257,9 +240,6 @@ func (e *Engine) Grow(n int) error {
 				return err
 			}
 		}
-		if m := e.om.Load(); m != nil {
-			ce.EnableObsShared(m.reg)
-		}
 		newEngines = append(newEngines, ce)
 		newDBs = append(newDBs, db)
 	}
@@ -268,11 +248,6 @@ func (e *Engine) Grow(n int) error {
 	e.dbs = append(append([]*reldb.DB(nil), e.dbs...), newDBs...)
 	e.topo.Unlock()
 	e.router.setShards(n)
-	if m := e.om.Load(); m != nil {
-		m.reg.Emit("shard.grow", map[string]string{
-			"from": strconv.Itoa(cur), "to": strconv.Itoa(n),
-		})
-	}
 	if err := e.streamToLayout(n); err != nil {
 		return err
 	}
@@ -338,11 +313,6 @@ func (e *Engine) Shrink(n int) error {
 	e.engines = append([]*core.Engine(nil), e.engines[:n]...)
 	e.dbs = append([]*reldb.DB(nil), e.dbs[:n]...)
 	e.topo.Unlock()
-	if m := e.om.Load(); m != nil {
-		m.reg.Emit("shard.shrink", map[string]string{
-			"from": strconv.Itoa(cur), "to": strconv.Itoa(n),
-		})
-	}
 	if err := e.CheckpointDirectory(); err != nil && first == nil {
 		first = err
 	}

@@ -354,15 +354,7 @@ func (r *Router) lookup(table, pkKey string, ov *dirOps) (int, bool) {
 // when the parent row is unknown (deterministic orphan placement that
 // still co-locates with the parent once it arrives — insert parents
 // before children to co-locate through the directory proper).
-func (r *Router) ownerForRow(table string, row []xdm.Value, ov *dirOps) (int, error) {
-	rt, err := r.route(table)
-	if err != nil {
-		return 0, err
-	}
-	return r.ownerForRowRt(rt, row, ov), nil
-}
-
-func (r *Router) ownerForRowRt(rt *route, row []xdm.Value, ov *dirOps) int {
+func (r *Router) ownerForRow(rt *route, row []xdm.Value, ov *dirOps) int {
 	if rt.parent == "" {
 		return r.placeGroup(groupKeyOf(rt, row), ov)
 	}
@@ -436,25 +428,6 @@ func (r *Router) recordAssign(groupKey string, shard int) {
 	if s, ok := r.assign[groupKey]; !ok || s != shard {
 		r.assign[groupKey] = shard
 		r.appendDeltaLocked([]DirOp{{Op: OpAssign, Key: groupKey, Shard: shard}})
-	}
-	r.mu.Unlock()
-}
-
-// assignOf reports a group's committed sticky assignment.
-func (r *Router) assignOf(groupKey string) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.assign[groupKey]
-	return s, ok
-}
-
-// dropAssign removes a committed group assignment (Shrink retires the
-// lingering assignments of emptied groups that point at drained shards).
-func (r *Router) dropAssign(groupKey string) {
-	r.mu.Lock()
-	if _, ok := r.assign[groupKey]; ok {
-		delete(r.assign, groupKey)
-		r.appendDeltaLocked([]DirOp{{Op: OpUnassign, Key: groupKey}})
 	}
 	r.mu.Unlock()
 }

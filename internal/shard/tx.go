@@ -2,10 +2,8 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"quark/internal/core"
-	"quark/internal/obs"
 	"quark/internal/reldb"
 	"quark/internal/xdm"
 )
@@ -22,10 +20,6 @@ type Tx struct {
 	dbs []*reldb.DB // fleet snapshot taken at begin (see Engine.fleet)
 	hs  []*core.BatchHandle
 	ov  *dirOps
-	// span is the distributed transaction's fleet-root trace span,
-	// non-nil only with observability attached (each per-shard handle
-	// traces into a "shard" child; see Engine.beginAll).
-	span *obs.Span
 	// barrier, when set, runs between prepare-all and commit-all (the
 	// rebalance crash tests' seam; see Engine.SetRebalanceBarrier).
 	barrier func()
@@ -43,7 +37,7 @@ func (tx *Tx) Insert(table string, rows ...reldb.Row) error {
 			return tx.hs[0].Tx().Insert(table, row) // canonical arity error
 		}
 		k := pkKeyOf(rt, row)
-		o := tx.e.router.ownerForRowRt(rt, row, tx.ov)
+		o := tx.e.router.ownerForRow(rt, row, tx.ov)
 		if cur, ok := tx.e.router.lookup(table, k, tx.ov); ok && cur != o {
 			// Fleet-wide PK uniqueness: the owning reldb only sees its own
 			// rows, so a cross-shard duplicate is the router's to reject.
@@ -88,7 +82,7 @@ func (tx *Tx) updateRow(rt *route, owner int, cur reldb.Row, set func(reldb.Row)
 	if len(next) != len(rt.def.Columns) {
 		return tx.hs[owner].Tx().UpdateByPK(rt.def.Name, pkVals(rt, cur), set)
 	}
-	newOwner := tx.e.router.ownerForRowRt(rt, next, tx.ov)
+	newOwner := tx.e.router.ownerForRow(rt, next, tx.ov)
 	oldKey := pkKeyOf(rt, cur)
 	if nk := pkKeyOf(rt, next); nk != oldKey {
 		// Fleet-wide PK uniqueness on PK moves: the destination shard's
@@ -303,26 +297,14 @@ func (tx *Tx) migrate(from, to int, rt *route, oldRow, newRow reldb.Row) error {
 // contract both demand it), the full overlay folds, and the first error
 // surfaces to the caller.
 func (tx *Tx) commit() error {
-	m := tx.e.om.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
 	for si, h := range tx.hs {
 		if err := h.Prepare(); err != nil {
 			tx.rollback()
 			return fmt.Errorf("shard %d prepare: %w", si, err)
 		}
 	}
-	if m != nil {
-		m.prepare.Since(t0)
-	}
 	if tx.barrier != nil {
 		tx.barrier()
-	}
-	var t1 time.Time
-	if m != nil {
-		t1 = time.Now()
 	}
 	var firstErr error
 	for si, h := range tx.hs {
@@ -331,10 +313,6 @@ func (tx *Tx) commit() error {
 		}
 	}
 	tx.e.router.commit(tx.ov)
-	if m != nil {
-		m.commit.Since(t1)
-	}
-	tx.span.End()
 	return firstErr
 }
 
@@ -343,8 +321,6 @@ func (tx *Tx) rollback() {
 	for _, h := range tx.hs {
 		_ = h.Rollback()
 	}
-	tx.span.SetAttr("aborted", "true")
-	tx.span.End()
 }
 
 // pkVals extracts the row's primary-key values.

@@ -52,31 +52,14 @@ func BuildShardedDir(p Params, mode core.Mode, n int, seed int64, dir string) (*
 		return nil, err
 	}
 	w := &ShardedSetup{Params: p, Schema: s, Engine: e, rng: rand.New(rand.NewSource(seed))}
-
-	topNames, levels := genRows(p, w.rng)
-	w.TopNames = topNames
-	for lvl, rows := range levels {
-		// Parents before children: the router's directory resolves each
-		// level's ownership from the level above.
-		if err := e.Insert(p.TableName(lvl), rows...); err != nil {
-			return nil, err
-		}
+	if w.TopNames, err = loadRows(p, w.rng, e); err != nil {
+		return nil, err
 	}
-
-	e.RegisterAction("notify", func(core.Invocation) error {
+	w.ViewSrc, err = install(e, p, w.TopNames, func(core.Invocation) error {
 		w.Notifications.Add(1)
 		return nil
 	})
-	w.ViewSrc = ViewSource(p)
-	if err := e.CreateView("doc", w.ViewSrc); err != nil {
-		return nil, err
-	}
-	for i := 0; i < p.NumTriggers; i++ {
-		if err := e.CreateTrigger(triggerSrc(topNames, i, min(p.NumSatisfied, p.NumTriggers))); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.Flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return w, nil

@@ -217,108 +217,19 @@ func GenStream(p Params, sp StreamParams, seed int64) ([]Op, error) {
 	return ops, nil
 }
 
-// TxWriter is the mutation surface a stream op needs; *reldb.Tx and
-// *shard.Tx both satisfy it.
-type TxWriter interface {
-	Insert(table string, rows ...reldb.Row) error
-	UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) reldb.Row) (bool, error)
-	DeleteByPK(table string, key ...xdm.Value) (bool, error)
-}
-
-// Applier abstracts the single and sharded engines for stream replay:
-// statement-level ops plus transactions.
-type Applier interface {
-	TxWriter
-	Batch(fn func(TxWriter) error) error
-}
-
-// Rebalancer is the optional Applier extension for engines that can move
-// routing groups; appliers without it (the single-engine oracle) skip
-// rebalance ops.
-type Rebalancer interface {
-	ApplyRebalance(table string, roots []int64, offset int) error
-}
-
-// SingleApplier adapts a core.Engine.
-type SingleApplier struct {
-	E *core.Engine
-}
-
-// Insert implements TxWriter.
-func (a SingleApplier) Insert(table string, rows ...reldb.Row) error {
-	return a.E.Insert(table, rows...)
-}
-
-// UpdateByPK implements TxWriter.
-func (a SingleApplier) UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) reldb.Row) (bool, error) {
-	return a.E.UpdateByPK(table, key, set)
-}
-
-// DeleteByPK implements TxWriter.
-func (a SingleApplier) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
-	return a.E.DeleteByPK(table, key...)
-}
-
-// Batch implements Applier.
-func (a SingleApplier) Batch(fn func(TxWriter) error) error {
-	return a.E.Batch(func(tx *reldb.Tx) error { return fn(tx) })
-}
-
-// ShardApplier adapts a shard.Engine.
-type ShardApplier struct {
-	E *shard.Engine
-}
-
-// Insert implements TxWriter.
-func (a ShardApplier) Insert(table string, rows ...reldb.Row) error {
-	return a.E.Insert(table, rows...)
-}
-
-// UpdateByPK implements TxWriter.
-func (a ShardApplier) UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) reldb.Row) (bool, error) {
-	return a.E.UpdateByPK(table, key, set)
-}
-
-// DeleteByPK implements TxWriter.
-func (a ShardApplier) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
-	return a.E.DeleteByPK(table, key...)
-}
-
-// Batch implements Applier.
-func (a ShardApplier) Batch(fn func(TxWriter) error) error {
-	return a.E.Batch(func(tx *shard.Tx) error { return fn(tx) })
-}
-
-// ApplyRebalance implements Rebalancer: each named root's group moves to
-// the shard offset slots past its current one, all in one plan.
-func (a ShardApplier) ApplyRebalance(table string, roots []int64, offset int) error {
-	n := a.E.NumShards()
-	if n < 2 {
-		return nil
-	}
-	plan := shard.Plan{}
-	for _, root := range roots {
-		key := shard.GroupKey(xdm.Int(root))
-		from := a.E.GroupOwner(table, xdm.Int(root))
-		plan.Moves = append(plan.Moves, shard.GroupMove{Table: table, Key: key, To: (from + offset) % n})
-	}
-	_, err := a.E.Rebalance(plan)
-	return err
-}
-
 // ApplyOp replays one stream op against an engine: a single statement for
 // len(Batch) == 1, one transaction otherwise. Identical streams applied
 // to the single and sharded engines must produce identical invocation
 // streams — that is the fuzzer's claim.
-func ApplyOp(a Applier, p Params, op Op) error {
+func ApplyOp[T reldb.Writer](e core.Surface[T], p Params, op Op) error {
 	if op.Rebalance != nil {
-		if rb, ok := a.(Rebalancer); ok {
-			return rb.ApplyRebalance(p.TableName(0), op.Rebalance.Roots, op.Rebalance.Offset)
+		if se, ok := any(e).(*shard.Engine); ok {
+			return rebalance(se, p.TableName(0), op.Rebalance)
 		}
 		return nil // the oracle: data movement is observationally invisible
 	}
 	leafTable := p.TableName(p.Depth - 1)
-	apply := func(w TxWriter, lo LeafOp) error {
+	apply := func(w reldb.Writer, lo LeafOp) error {
 		switch lo.Kind {
 		case OpUpdate:
 			_, err := w.UpdateByPK(leafTable, []xdm.Value{xdm.Int(lo.Leaf)}, func(r reldb.Row) reldb.Row {
@@ -342,14 +253,31 @@ func ApplyOp(a Applier, p Params, op Op) error {
 		}
 	}
 	if len(op.Batch) == 1 {
-		return apply(a, op.Batch[0])
+		return apply(e, op.Batch[0])
 	}
-	return a.Batch(func(w TxWriter) error {
+	return e.Batch(func(tx T) error {
 		for _, lo := range op.Batch {
-			if err := apply(w, lo); err != nil {
+			if err := apply(tx, lo); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// rebalance moves each of op's roots' groups to the shard op.Offset slots
+// past its current one, all in one plan.
+func rebalance(e *shard.Engine, table string, op *RebalanceOp) error {
+	n := e.NumShards()
+	if n < 2 {
+		return nil
+	}
+	plan := shard.Plan{}
+	for _, root := range op.Roots {
+		key := shard.GroupKey(xdm.Int(root))
+		from := e.GroupOwner(table, xdm.Int(root))
+		plan.Moves = append(plan.Moves, shard.GroupMove{Table: table, Key: key, To: (from + op.Offset) % n})
+	}
+	_, err := e.Rebalance(plan)
+	return err
 }

@@ -230,47 +230,50 @@ func Build(p Params, mode core.Mode, seed int64) (*Setup, error) {
 		return nil, err
 	}
 	w := &Setup{Params: p, Schema: s, DB: db, rng: rand.New(rand.NewSource(seed))}
-
-	topNames, levels := genRows(p, w.rng)
-	w.TopNames = topNames
-	for lvl, rows := range levels {
-		if err := db.Insert(p.TableName(lvl), rows...); err != nil {
-			return nil, err
-		}
+	if w.TopNames, err = loadRows(p, w.rng, db); err != nil {
+		return nil, err
 	}
-
-	// Engine, view, triggers.
-	e := core.NewEngine(db, mode)
-	w.Engine = e
-	e.RegisterAction("notify", func(core.Invocation) error {
+	w.Engine = core.NewEngine(db, mode)
+	w.ViewSrc, err = install(w.Engine, p, w.TopNames, func(core.Invocation) error {
 		w.Notifications++
 		return nil
 	})
-	w.ViewSrc = ViewSource(p)
-	if _, err := e.CreateView("doc", w.ViewSrc); err != nil {
-		return nil, err
-	}
-	if err := w.CreateTriggers(p.NumTriggers, p.NumSatisfied); err != nil {
-		return nil, err
-	}
-	if err := e.Flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// CreateTriggers populates n structurally similar UPDATE triggers on the
-// top-level element. numSatisfied of them use the name of top element 0
-// (the one the updates target); the rest use distinct other names, so each
-// update satisfies exactly numSatisfied triggers (Table 2's "number of
-// satisfied triggers").
-func (w *Setup) CreateTriggers(n, numSatisfied int) error {
-	for i := 0; i < n; i++ {
-		if err := w.Engine.CreateTrigger(triggerSrc(w.TopNames, i, min(numSatisfied, n))); err != nil {
-			return err
+// loadRows inserts every level's rows through w, parents before children
+// (a shard router resolves each level's owners from the level above), and
+// returns the top names.
+func loadRows(p Params, rng *rand.Rand, w reldb.Writer) ([]string, error) {
+	topNames, levels := genRows(p, rng)
+	for lvl, rows := range levels {
+		if err := w.Insert(p.TableName(lvl), rows...); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return topNames, nil
+}
+
+// install registers the notify action, the "doc" view and p's triggers on
+// e, flushes, and returns the view's source. numSatisfied of the
+// triggers watch the name of top element 0 (the one UpdateOneLeaf
+// targets); the rest use other names, so each update satisfies exactly
+// numSatisfied triggers (Table 2's "number of satisfied triggers").
+func install[T reldb.Writer](e core.Surface[T], p Params, topNames []string, notify core.ActionFunc) (string, error) {
+	e.RegisterAction("notify", notify)
+	src := ViewSource(p)
+	if err := e.CreateView("doc", src); err != nil {
+		return "", err
+	}
+	for i := 0; i < p.NumTriggers; i++ {
+		if err := e.CreateTrigger(triggerSrc(topNames, i, min(p.NumSatisfied, p.NumTriggers))); err != nil {
+			return "", err
+		}
+	}
+	return src, e.Flush()
 }
 
 // triggerSrc renders the i-th structurally similar trigger: the first

@@ -1322,16 +1322,3 @@ func (ctx *EvalContext) evalUnion(n *node) ([]Tuple, error) {
 	}
 	return ctx.mem.tuples.cut(out), nil
 }
-
-// SortedEval evaluates o and returns the tuples sorted by the given
-// columns (all columns when cols is nil) for deterministic comparison in
-// tests and oracles.
-func (ctx *EvalContext) SortedEval(o *Operator, cols []int) ([]Tuple, error) {
-	ts, err := ctx.Eval(o)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]Tuple(nil), ts...)
-	sortTuples(out, cols)
-	return out, nil
-}

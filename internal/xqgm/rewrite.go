@@ -72,21 +72,6 @@ func WithOldTable(root *Operator, table string) *Operator {
 	})
 }
 
-// PassthroughProjs builds Proj entries that copy the input's columns
-// [from, to) unchanged, preserving their names.
-func PassthroughProjs(in *Operator, from, to int) []Proj {
-	names := in.OutNames()
-	out := make([]Proj, 0, to-from)
-	for c := from; c < to; c++ {
-		name := ""
-		if c < len(names) {
-			name = names[c]
-		}
-		out = append(out, Proj{Name: name, E: Col(c)})
-	}
-	return out
-}
-
 // ProjectCols builds a Project over in that keeps exactly the given column
 // indexes (in order), preserving names.
 func ProjectCols(in *Operator, cols []int) *Operator {
