@@ -44,7 +44,8 @@ type row struct {
 
 // String names the row's subtest: mode, engine, style, then delivery and
 // injection flags, e.g. GROUPED+shards=2+batched+async+replayed. Select
-// rows by axis with -run 'TestGolden//shards', '//sqlite', '//abortfirst'.
+// rows by axis across the matrix with -run '(Golden|Differential)//shards'
+// (or //sqlite, //rebalance, //abortfirst).
 func (r row) String() string {
 	parts := []string{r.mode.String()}
 	if r.opts.Shards > 0 {
@@ -69,71 +70,122 @@ func (r row) String() string {
 	return strings.Join(parts, "+")
 }
 
-// matrix is every execution style the suite runs, each once. Every row
-// must reproduce the committed golden byte for byte: the single or
-// batched half, as the row batches. Sharding (routed statements and
-// distributed transactions), forced rebalances before every unit,
-// prepare failures injected before every batch, async delivery, the
-// replayed outbox and the SQL plan shadow must all be invisible.
-var matrix = []row{
+// matrix is every execution style the suite runs, each once, grouped by
+// the test function that runs the group. Every row must reproduce the
+// committed golden byte for byte: the single or batched half, as the row
+// batches. Sharding (routed statements and distributed transactions),
+// forced rebalances before every unit, prepare failures injected before
+// every batch, async delivery, the replayed outbox and the SQL plan
+// shadow must all be invisible.
+var matrix = []struct {
+	test string
+	rows []row
+}{
 	// The oracle, inline and through the worker pool and the outbox.
-	{mat, RunOpts{}}, {mat, RunOpts{Batched: true}},
-	{mat, RunOpts{Async: true}}, {mat, RunOpts{Batched: true, Async: true}},
-	{mat, RunOpts{Async: true, Replayed: true}}, {mat, RunOpts{Batched: true, Async: true, Replayed: true}},
+	{"TestGolden", []row{{mat, RunOpts{}}, {mat, RunOpts{Batched: true}}}},
+	{"TestGoldenAsync", []row{{mat, RunOpts{Async: true}}, {mat, RunOpts{Batched: true, Async: true}}}},
+	{"TestGoldenReplayed", []row{
+		{mat, RunOpts{Async: true, Replayed: true}}, {mat, RunOpts{Batched: true, Async: true, Replayed: true}},
+	}},
 	// The translations on one engine.
-	{ung, RunOpts{}}, {ung, RunOpts{Batched: true}},
-	{ung, RunOpts{Async: true}}, {ung, RunOpts{Batched: true, Async: true}},
-	{ung, RunOpts{Async: true, Replayed: true}}, {ung, RunOpts{Batched: true, Async: true, Replayed: true}},
-	{grp, RunOpts{}}, {grp, RunOpts{Batched: true}},
-	{grp, RunOpts{Async: true}}, {grp, RunOpts{Batched: true, Async: true}},
-	{grp, RunOpts{Async: true, Replayed: true}}, {grp, RunOpts{Batched: true, Async: true, Replayed: true}},
+	{"TestDifferential", []row{
+		{ung, RunOpts{}}, {ung, RunOpts{Batched: true}},
+		{ung, RunOpts{Async: true}}, {ung, RunOpts{Batched: true, Async: true}},
+		{ung, RunOpts{Async: true, Replayed: true}}, {ung, RunOpts{Batched: true, Async: true, Replayed: true}},
+		{grp, RunOpts{}}, {grp, RunOpts{Batched: true}},
+		{grp, RunOpts{Async: true}}, {grp, RunOpts{Batched: true, Async: true}},
+		{grp, RunOpts{Async: true, Replayed: true}}, {grp, RunOpts{Batched: true, Async: true, Replayed: true}},
+	}},
 	// Sharded fleets; one shard pins the degenerate fleet to one engine.
-	{mat, RunOpts{Shards: 1}}, {mat, RunOpts{Shards: 1, Batched: true}},
-	{mat, RunOpts{Shards: 2}}, {mat, RunOpts{Shards: 2, Batched: true}},
-	{mat, RunOpts{Shards: 4}}, {mat, RunOpts{Shards: 4, Batched: true}},
-	{ung, RunOpts{Shards: 1}}, {ung, RunOpts{Shards: 1, Batched: true}},
-	{ung, RunOpts{Shards: 1, Async: true}}, {ung, RunOpts{Shards: 1, Batched: true, Async: true, Replayed: true}},
-	{ung, RunOpts{Shards: 2}}, {ung, RunOpts{Shards: 2, Batched: true}},
-	{ung, RunOpts{Shards: 2, Async: true}}, {ung, RunOpts{Shards: 2, Batched: true, Async: true, Replayed: true}},
-	{ung, RunOpts{Shards: 4}}, {ung, RunOpts{Shards: 4, Batched: true}},
-	{ung, RunOpts{Shards: 4, Async: true}}, {ung, RunOpts{Shards: 4, Batched: true, Async: true, Replayed: true}},
-	{grp, RunOpts{Shards: 1}}, {grp, RunOpts{Shards: 1, Batched: true}},
-	{grp, RunOpts{Shards: 1, Async: true}}, {grp, RunOpts{Shards: 1, Batched: true, Async: true, Replayed: true}},
-	{grp, RunOpts{Shards: 2}}, {grp, RunOpts{Shards: 2, Batched: true}},
-	{grp, RunOpts{Shards: 2, Async: true}}, {grp, RunOpts{Shards: 2, Batched: true, Async: true, Replayed: true}},
-	{grp, RunOpts{Shards: 4}}, {grp, RunOpts{Shards: 4, Batched: true}},
-	{grp, RunOpts{Shards: 4, Async: true}}, {grp, RunOpts{Shards: 4, Batched: true, Async: true, Replayed: true}},
+	{"TestGoldenSharded", []row{
+		{mat, RunOpts{Shards: 1}}, {mat, RunOpts{Shards: 1, Batched: true}},
+		{mat, RunOpts{Shards: 2}}, {mat, RunOpts{Shards: 2, Batched: true}},
+		{mat, RunOpts{Shards: 4}}, {mat, RunOpts{Shards: 4, Batched: true}},
+	}},
+	{"TestShardedDifferential", []row{
+		{ung, RunOpts{Shards: 1}}, {ung, RunOpts{Shards: 1, Batched: true}},
+		{ung, RunOpts{Shards: 1, Async: true}}, {ung, RunOpts{Shards: 1, Batched: true, Async: true, Replayed: true}},
+		{ung, RunOpts{Shards: 2}}, {ung, RunOpts{Shards: 2, Batched: true}},
+		{ung, RunOpts{Shards: 2, Async: true}}, {ung, RunOpts{Shards: 2, Batched: true, Async: true, Replayed: true}},
+		{ung, RunOpts{Shards: 4}}, {ung, RunOpts{Shards: 4, Batched: true}},
+		{ung, RunOpts{Shards: 4, Async: true}}, {ung, RunOpts{Shards: 4, Batched: true, Async: true, Replayed: true}},
+		{grp, RunOpts{Shards: 1}}, {grp, RunOpts{Shards: 1, Batched: true}},
+		{grp, RunOpts{Shards: 1, Async: true}}, {grp, RunOpts{Shards: 1, Batched: true, Async: true, Replayed: true}},
+		{grp, RunOpts{Shards: 2}}, {grp, RunOpts{Shards: 2, Batched: true}},
+		{grp, RunOpts{Shards: 2, Async: true}}, {grp, RunOpts{Shards: 2, Batched: true, Async: true, Replayed: true}},
+		{grp, RunOpts{Shards: 4}}, {grp, RunOpts{Shards: 4, Batched: true}},
+		{grp, RunOpts{Shards: 4, Async: true}}, {grp, RunOpts{Shards: 4, Batched: true, Async: true, Replayed: true}},
+	}},
 	// One routing-group migration forced before every unit.
-	{ung, RunOpts{Shards: 2, Rebalance: true}}, {ung, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
-	{ung, RunOpts{Shards: 4, Rebalance: true}}, {ung, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
-	{grp, RunOpts{Shards: 2, Rebalance: true}}, {grp, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
-	{grp, RunOpts{Shards: 4, Rebalance: true}}, {grp, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
-	{mat, RunOpts{Shards: 2, Rebalance: true}}, {mat, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
-	{mat, RunOpts{Shards: 4, Rebalance: true}}, {mat, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+	{"TestGoldenShardedRebalance", []row{
+		{ung, RunOpts{Shards: 2, Rebalance: true}}, {ung, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
+		{ung, RunOpts{Shards: 4, Rebalance: true}}, {ung, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+		{grp, RunOpts{Shards: 2, Rebalance: true}}, {grp, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
+		{grp, RunOpts{Shards: 4, Rebalance: true}}, {grp, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+		{mat, RunOpts{Shards: 2, Rebalance: true}}, {mat, RunOpts{Shards: 2, Batched: true, Rebalance: true}},
+		{mat, RunOpts{Shards: 4, Rebalance: true}}, {mat, RunOpts{Shards: 4, Batched: true, Rebalance: true}},
+	}},
 	// Every batch first attempted with a prepare failure armed: the
 	// aborted attempt must leave no trace for the retry to trip over.
-	{mat, RunOpts{Batched: true, AbortFirst: true}},
-	{mat, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
-	{mat, RunOpts{Shards: 4, Batched: true, AbortFirst: true}},
-	{ung, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
-	{grp, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+	{"TestGoldenAbortFirst", []row{
+		{mat, RunOpts{Batched: true, AbortFirst: true}},
+		{mat, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+		{mat, RunOpts{Shards: 4, Batched: true, AbortFirst: true}},
+		{ung, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+		{grp, RunOpts{Shards: 2, Batched: true, AbortFirst: true}},
+	}},
 	// Every plan evaluation replayed as rendered SQL.
-	{ung, RunOpts{Backend: "sqlite"}}, {ung, RunOpts{Backend: "sqlite", Batched: true}},
-	{grp, RunOpts{Backend: "sqlite"}}, {grp, RunOpts{Backend: "sqlite", Batched: true}},
+	{"TestSQLiteBackendGoldens", []row{
+		{ung, RunOpts{Backend: "sqlite"}}, {ung, RunOpts{Backend: "sqlite", Batched: true}},
+		{grp, RunOpts{Backend: "sqlite"}}, {grp, RunOpts{Backend: "sqlite", Batched: true}},
+	}},
 }
 
-// TestGolden runs every scenario in every matrix row against the
-// committed golden file. -update rewrites the goldens from the
-// single-engine MATERIALIZED oracle, statement by statement and batched.
+// TestGolden runs the oracle's rows and checks the matrix itself: no row
+// listed twice, and every group run by a test of its name. -update
+// rewrites the goldens from the single-engine MATERIALIZED oracle,
+// statement by statement and batched, before any group reads them.
 func TestGolden(t *testing.T) {
 	seen := map[string]bool{}
-	for _, r := range matrix {
-		if seen[r.String()] {
-			t.Fatalf("matrix lists %s twice", r)
+	total := 0
+	for _, g := range matrix {
+		if seen[g.test] {
+			t.Fatalf("matrix lists group %s twice", g.test)
 		}
-		seen[r.String()] = true
+		seen[g.test] = true
+		for _, r := range g.rows {
+			if seen[r.String()] {
+				t.Fatalf("matrix lists %s twice", r)
+			}
+			seen[r.String()] = true
+			total++
+		}
 	}
-	t.Logf("%d rows per scenario", len(matrix))
+	t.Logf("%d rows per scenario in %d groups", total, len(matrix))
+	runMatrix(t)
+}
+
+func TestGoldenAsync(t *testing.T)            { runMatrix(t) }
+func TestGoldenReplayed(t *testing.T)         { runMatrix(t) }
+func TestDifferential(t *testing.T)           { runMatrix(t) }
+func TestGoldenSharded(t *testing.T)          { runMatrix(t) }
+func TestShardedDifferential(t *testing.T)    { runMatrix(t) }
+func TestGoldenShardedRebalance(t *testing.T) { runMatrix(t) }
+func TestGoldenAbortFirst(t *testing.T)       { runMatrix(t) }
+func TestSQLiteBackendGoldens(t *testing.T)   { runMatrix(t) }
+
+// runMatrix runs every scenario in every row of the matrix group named
+// after the calling test, comparing each against the committed golden.
+func runMatrix(t *testing.T) {
+	var rows []row
+	for _, g := range matrix {
+		if g.test == t.Name() {
+			rows = g.rows
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no matrix group for %s", t.Name())
+	}
 	for _, path := range scenarioFiles(t) {
 		name := scenarioName(path)
 		t.Run(name, func(t *testing.T) {
@@ -143,7 +195,7 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			goldenPath := filepath.Join("testdata", "golden", name+".golden")
-			if *update {
+			if *update && strings.HasPrefix(t.Name(), "TestGolden/") {
 				writeGolden(t, sc, goldenPath)
 			}
 			b, err := os.ReadFile(goldenPath)
@@ -157,7 +209,7 @@ func TestGolden(t *testing.T) {
 			if !strings.Contains(single, "notify ") || !strings.Contains(batched, "notify ") {
 				t.Error("the oracle fires no notifications in one style; the scenario exercises nothing")
 			}
-			for _, r := range matrix {
+			for _, r := range rows {
 				t.Run(r.String(), func(t *testing.T) {
 					want := single
 					if r.opts.Batched {
