@@ -99,9 +99,6 @@ func run() error {
 	if err := engine.CreateTrigger(notifyTrigger); err != nil {
 		return err
 	}
-	if err := engine.Flush(); err != nil {
-		return err
-	}
 	st := engine.Stats()
 	fmt.Printf("\ninstalled %d SQL trigger(s) for %d XML trigger(s)\n", st.SQLTriggers, st.XMLTriggers)
 

@@ -71,9 +71,6 @@ func main() {
 	if err := e.CreateTrigger(`CREATE TRIGGER WatchCatalog AFTER UPDATE ON view('catalog')/product DO notify(NEW_NODE)`); err != nil {
 		log.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		log.Fatal(err)
-	}
 
 	str := xdm.Str
 	must := func(err error) {

@@ -95,7 +95,6 @@ func main() {
 			  and count(NEW_NODE/stock[./@price < %d]) >= 1
 			DO notifyClient(NEW_NODE)`, i, sector, threshold)))
 	}
-	must(engine.Flush())
 	st := engine.Stats()
 	fmt.Printf("%d watch triggers translated into %d SQL trigger(s) in %d group(s)\n\n",
 		st.XMLTriggers, st.SQLTriggers, st.Groups)

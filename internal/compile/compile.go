@@ -76,9 +76,6 @@ func New(s *schema.Schema) *Compiler {
 	return &Compiler{schema: s, views: map[string]*ViewDef{}}
 }
 
-// Schema returns the compiler's schema.
-func (c *Compiler) Schema() *schema.Schema { return c.schema }
-
 // View returns a previously compiled view.
 func (c *Compiler) View(name string) (*ViewDef, bool) {
 	v, ok := c.views[name]

@@ -36,9 +36,6 @@ func backendPlanText(t *testing.T, sc *Scenario) string {
 				t.Fatalf("trigger: %v", err)
 			}
 		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		sh, err := relsql.NewShadow(db)
 		if err != nil {
 			t.Fatal(err)

@@ -178,9 +178,6 @@ func run[T reldb.Writer](sc *Scenario, e core.Surface[T], opts RunOpts) (string,
 			return "", fmt.Errorf("trigger: %w", err)
 		}
 	}
-	if err := e.Flush(); err != nil {
-		return "", err
-	}
 
 	var out strings.Builder
 	lastSeq := uint64(1) // first log sequence not yet attributed to a unit

@@ -235,9 +235,6 @@ func eventGroups(t *testing.T, numTriggers int, insertDelete bool) *workload.Set
 			t.Fatal(err)
 		}
 	}
-	if err := w.Engine.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	return w
 }
 

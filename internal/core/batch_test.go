@@ -37,9 +37,6 @@ func runScript(t *testing.T, mode Mode, batched bool, triggers []string, script 
 			t.Fatal(err)
 		}
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	var err error
 	if batched {
 		err = e.Batch(func(tx *reldb.Tx) error { return script(tx) })
@@ -120,9 +117,6 @@ func TestBatchFiresOncePerCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	before := e.Stats().Fires
 	err = e.Batch(func(tx *reldb.Tx) error {
 		for i, vendor := range []string{"Amazon", "Bestbuy", "Circuitcity"} {
@@ -158,9 +152,6 @@ func TestBatchMultiTableOldState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			// Rename the product AND reprice one of its vendors in one batch.
 			err = e.Batch(func(tx *reldb.Tx) error {
 				if _, err := tx.UpdateByPK("product", []xdm.Value{xdm.Str("P1")}, func(r reldb.Row) reldb.Row {
@@ -189,9 +180,6 @@ func TestBatchMultiTableOldState(t *testing.T) {
 			if err := oe.CreateTrigger(`
 				CREATE TRIGGER Watch AFTER UPDATE ON view('catalog')/product
 				WHERE OLD_NODE/@name = 'CRT 15' DO notifySmith(OLD_NODE/@name, NEW_NODE/@name)`); err != nil {
-				t.Fatal(err)
-			}
-			if err := oe.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			err = oe.Batch(func(tx *reldb.Tx) error {

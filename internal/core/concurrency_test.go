@@ -26,9 +26,6 @@ func TestConcurrentEvalViewAndBatchedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	const iters = 50
 	var wg sync.WaitGroup

@@ -64,9 +64,6 @@ func newTwoMarketEngine(t *testing.T, mode Mode) (*Engine, *atomic.Int64, *atomi
 	if err := e.CreateTrigger(`CREATE TRIGGER WB AFTER UPDATE ON view('vB')/qb DO actB(NEW_NODE)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	return e, &firedA, &firedB
 }
 
@@ -244,9 +241,6 @@ func newOrderedEngine(t *testing.T, lanes int) (*Engine, func() [][]int) {
 		if err := e.CreateTrigger(src); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	snapshot := func() [][]int {
 		mu.Lock()

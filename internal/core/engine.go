@@ -116,7 +116,6 @@ type Surface[T reldb.Writer] interface {
 	CreateView(name, src string) error
 	CreateTrigger(src string) error
 	DropTrigger(name string) error
-	Flush() error
 	EnableAsyncDispatch(cfg dispatch.Config) error
 	EnableOutbox(lg *outbox.Log, sink outbox.Sink) error
 	SetPrepareCheck(fn func([]Invocation) error)
@@ -161,19 +160,14 @@ type Engine struct {
 	groups   map[string]*group
 	sigBuf   []byte   // CreateTriggerSpec renders a signature here
 	order    []string // group signatures in creation order
-	dirty    bool
-	// dirtyGroups marks groups to compile at the next flush: new ones, and
-	// those whose plans change with their membership (every mode but a
-	// built GROUPED group's). The rest keep their plans across flushes.
-	dirtyGroups    map[string]bool
-	pendingDropSQL []string // SQL triggers of groups that were emptied
-	sqlSeq         int
+	sqlSeq   int
 
 	// Per-table lock manager. lockOrder is the global acquisition order;
 	// readSets maps a write target to the tables its installed trigger
-	// bodies may read (recomputed at flush); fkReads maps a write target
-	// to the tables its foreign-key validation reads (static, from the
-	// schema), which must be locked even when no trigger is installed.
+	// bodies may read (recomputed when a group comes or goes); fkReads
+	// maps a write target to the tables its foreign-key validation reads
+	// (static, from the schema), which must be locked even when no trigger
+	// is installed.
 	tableLocks map[string]*sync.RWMutex
 	lockOrder  []string
 	readSets   map[string][]string
@@ -263,13 +257,30 @@ type group struct {
 	cond    xquery.Expr
 	args    []xquery.Expr
 	members *grouping.Store
-	// built at flush:
-	built    bool
-	plans    []*installedPlan
-	sqlNames []string
-	// stats survive rebuilds: they are the group's history, not the
-	// current plan's.
-	stats groupStats
+	// Compiled when the group is created; an UNGROUPED member adds its own
+	// plans and SQL triggers when it joins and drops them when it leaves.
+	tables []tableGraph
+	plans  []*installedPlan
+	sql    []sqlTrigger
+	stats  groupStats
+}
+
+// tableGraph is one base table's share of a translated group: the events
+// that fire it, the affected-node graph, and the group's condition
+// template and action arguments over that graph's rows. A GROUPED plan
+// and each UNGROUPED member's plan for the table are built from it.
+type tableGraph struct {
+	table    string
+	events   []reldb.Event
+	an       *affected.ANGraph
+	template xqgm.Expr
+	args     []xqgm.Expr
+}
+
+// sqlTrigger is one installed SQL trigger of a group. member names the
+// UNGROUPED member whose plan it runs; "" is a trigger of the whole group.
+type sqlTrigger struct {
+	name, member string
 }
 
 // groupStats are the always-on per-group counters behind GroupStats and
@@ -284,13 +295,11 @@ type groupStats struct {
 	joinsSkipped atomic.Int64 // xqgm.EvalStats.JoinsSkipped summed likewise
 	nodesBuilt   atomic.Int64 // xqgm.EvalStats.NodesBuilt summed likewise
 	opsShared    atomic.Int64 // xqgm.EvalStats.OpsShared summed likewise
-	builds       atomic.Int64 // plan (re)compilations
 }
 
-// groupBuild is one group's compiled-but-not-installed translation: the
-// plans plus the SQL triggers to create. Compilation is side-effect-free
-// (nothing is registered with the database until installGroup), so a
-// failed compile leaves the group's previous plans installed.
+// groupBuild is a compiled translation not yet installed: plans plus the
+// SQL triggers to create. Compiling registers nothing with the database,
+// so a failed compile has nothing to undo there.
 type groupBuild struct {
 	plans    []*installedPlan
 	installs []pendingTrigger
@@ -305,7 +314,7 @@ type pendingTrigger struct {
 }
 
 // installedPlan is one compiled SQL-trigger body. Firings run without the
-// metadata lock: what a plan reads is immutable after flush, except a
+// metadata lock: what a plan reads is immutable once installed, except a
 // grouped plan's store, which the firing read-locks.
 type installedPlan struct {
 	table string
@@ -330,14 +339,13 @@ type installedPlan struct {
 // given translation mode.
 func NewEngine(db *reldb.DB, mode Mode) *Engine {
 	e := &Engine{
-		db:          db,
-		comp:        compile.New(db.Schema()),
-		mode:        mode,
-		triggers:    newTriggerTable(),
-		groups:      map[string]*group{},
-		dirtyGroups: map[string]bool{},
-		tableLocks:  map[string]*sync.RWMutex{},
-		readSets:    map[string][]string{},
+		db:         db,
+		comp:       compile.New(db.Schema()),
+		mode:       mode,
+		triggers:   newTriggerTable(),
+		groups:     map[string]*group{},
+		tableLocks: map[string]*sync.RWMutex{},
+		readSets:   map[string][]string{},
 	}
 	acts := map[string]ActionFunc{}
 	e.actions.Store(&acts)
@@ -442,8 +450,11 @@ func (e *Engine) recomputeReadSets() {
 			}
 			continue
 		}
-		for _, p := range g.plans {
-			add(p.table, xqgm.Tables(p.root))
+		// Every plan of a table reads what its affected-node graph reads: a
+		// GROUPED plan joins the constants table to it, an UNGROUPED one
+		// restricts it.
+		for _, tg := range g.tables {
+			add(tg.table, xqgm.Tables(tg.an.Root))
 		}
 	}
 	e.readSets = map[string][]string{}
@@ -939,9 +950,10 @@ func (e *Engine) stagedInvocations(b *reldb.BatchInfo) []Invocation {
 	return nil
 }
 
-// CreateTrigger parses and registers an XML trigger; installation of the
-// translated SQL triggers is deferred until Flush (or the next statement
-// through the engine's Exec helpers).
+// CreateTrigger parses and registers an XML trigger. It is live when
+// CreateTrigger returns: the first statement after it fires it. A trigger
+// whose translation fails to compile (a view with no canonical key, say)
+// returns the error and leaves the engine as it was.
 func (e *Engine) CreateTrigger(src string) error {
 	spec, err := trigger.Parse(src)
 	if err != nil {
@@ -950,8 +962,11 @@ func (e *Engine) CreateTrigger(src string) error {
 	return e.CreateTriggerSpec(spec)
 }
 
-// CreateTriggerSpec registers a pre-parsed trigger. One joining a built
-// GROUPED group is live on return, and neither compiles nor locks a table.
+// CreateTriggerSpec registers a pre-parsed trigger. A trigger of a new
+// group compiles and installs the group's translation, and an UNGROUPED
+// member its own plans, under every table's write lock. One joining a
+// GROUPED or MATERIALIZED group adds a row to its store, which the group's
+// plans read as they run: it compiles nothing and locks no table.
 func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -975,12 +990,8 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	e.sigBuf = appendSignature(e.sigBuf[:0], spec)
 	g, ok := e.groups[string(e.sigBuf)]
 	if !ok {
-		sig := string(e.sigBuf)
-		g = &group{sig: sig, event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
+		g = &group{sig: string(e.sigBuf), event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
 			cond: spec.Condition, args: spec.ActionArgs, members: grouping.NewStore(cond, cc.nCond)}
-		e.groups[sig] = g
-		e.order = append(e.order, sig)
-		e.triggers.addGroup(g)
 	}
 	// The store keeps copies: the spec's strings point into its source.
 	consts := make([]xdm.Value, len(cc.consts))
@@ -992,78 +1003,111 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	}
 	h, err := g.members.Add(strings.Clone(spec.Name), consts)
 	if err != nil {
-		if g.members.Len() == 0 {
-			e.dropGroup(g)
-		}
+		return err
+	}
+	if !ok {
+		e.groups[g.sig] = g
+		e.order = append(e.order, g.sig)
+		e.triggers.addGroup(g)
+	}
+	if err := e.join(g, h, !ok); err != nil {
+		e.leave(g, h)
 		return err
 	}
 	e.triggers.insert(g, h)
-	e.touched(g)
 	return nil
 }
 
-// touched records that g's membership changed: a built GROUPED group's
-// plans read it as they run, any other group's compile it in.
-func (e *Engine) touched(g *group) {
-	if !g.built || e.mode != ModeGrouped {
-		e.dirty = true
-		e.dirtyGroups[g.sig] = true
+// join installs what member h of g needs to fire: a new group's
+// translation, then an UNGROUPED member's own plans.
+func (e *Engine) join(g *group, h int32, isNew bool) error {
+	if !isNew && e.mode != ModeUngrouped {
+		return nil
 	}
+	// Installing SQL triggers changes what the write path fires, so it
+	// excludes every statement in flight.
+	unlock := e.acquireLocks(allOf(e.lockOrder), nil)
+	defer unlock()
+	if isNew {
+		b, err := e.compileGroup(g)
+		if err != nil {
+			return fmt.Errorf("core: building trigger group %q: %w", g.sig, err)
+		}
+		if err := e.install(g, b, ""); err != nil {
+			return fmt.Errorf("core: installing trigger group %q: %w", g.sig, err)
+		}
+		e.recomputeReadSets()
+	}
+	if e.mode != ModeUngrouped {
+		return nil
+	}
+	b, err := e.compileMember(g, h)
+	if err != nil {
+		return fmt.Errorf("core: building trigger %q: %w", g.members.Name(h), err)
+	}
+	if err := e.install(g, b, g.members.Name(h)); err != nil {
+		return fmt.Errorf("core: installing trigger %q: %w", g.members.Name(h), err)
+	}
+	return nil
 }
 
-// DropTrigger removes an XML trigger. With async dispatch enabled it then
-// drains the trigger's delivery lane, so deliveries already enqueued for it
-// complete before DropTrigger returns and the lane is released. First it
-// rebuilds what the drop changed (Flush semantics) and waits out every
-// statement and batch in flight: one that evaluated before the drop, or
-// staged an invocation, holds a table lock until it has enqueued. (In
-// synchronous mode the rebuild stays deferred to the next Flush.)
+// DropTrigger removes an XML trigger; it fires on no statement after
+// DropTrigger returns. An UNGROUPED member drops its SQL triggers, and the
+// last member of any group drops the group's, under every table's write
+// lock; leaving a GROUPED or MATERIALIZED group with members left removes
+// a row from its store and locks no table. With async dispatch enabled it
+// then waits out every statement and batch in flight — one that evaluated
+// before the drop, or staged an invocation, holds a table lock until it
+// has enqueued — and drains the trigger's delivery lane, so deliveries
+// already enqueued for it complete before DropTrigger returns and the lane
+// is released.
 func (e *Engine) DropTrigger(name string) error {
 	e.mu.Lock()
-	err := e.dropTriggerLocked(name)
-	d := e.dispatcher.Load()
-	var flushErr error
-	if err == nil && d != nil {
-		flushErr = e.flushLocked()
+	g, h, at := e.triggers.find(name)
+	if at >= 0 {
+		e.triggers.remove(at)
+		e.leave(g, h)
 	}
 	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if d != nil {
-		// Wait and drain outside the metadata lock: lane deliveries may take
-		// arbitrary time, and engine calls must not queue up behind the drop.
-		// The drain runs even when the flush failed: the trigger is already
-		// unregistered, and the next statement retries the rebuild.
-		e.lockAllForWrite()()
-		d.DrainTrigger(name)
-	}
-	return flushErr
-}
-
-func (e *Engine) dropTriggerLocked(name string) error {
-	g, h, at := e.triggers.find(name)
 	if at < 0 {
 		return fmt.Errorf("core: no trigger %q", name)
 	}
-	e.triggers.remove(at)
-	g.members.Remove(h)
-	if g.members.Len() > 0 {
-		e.touched(g)
-		return nil
+	if d := e.dispatcher.Load(); d != nil {
+		// Wait and drain outside the metadata lock: lane deliveries may take
+		// arbitrary time, and engine calls must not queue up behind the drop.
+		e.lockAllForWrite()()
+		d.DrainTrigger(name)
 	}
-	e.dropGroup(g)
 	return nil
 }
 
-// dropGroup unregisters g, which has no members left.
-func (e *Engine) dropGroup(g *group) {
+// leave removes member h from g, with what it installed: an UNGROUPED
+// member's plans and SQL triggers, and the group itself, with its SQL
+// triggers, when no member is left. Caller holds e.mu.
+func (e *Engine) leave(g *group, h int32) {
+	name := g.members.Name(h)
+	g.members.Remove(h)
+	last := g.members.Len() == 0
+	if !last && e.mode != ModeUngrouped {
+		return
+	}
+	unlock := e.acquireLocks(allOf(e.lockOrder), nil)
+	defer unlock()
+	g.sql = slices.DeleteFunc(g.sql, func(t sqlTrigger) bool {
+		if last || t.member == name {
+			_ = e.db.DropTrigger(t.name)
+			return true
+		}
+		return false
+	})
+	if !last {
+		g.plans = slices.DeleteFunc(g.plans, func(p *installedPlan) bool { return p.member == name })
+		return
+	}
 	e.triggers.dropGroup(g)
 	delete(e.groups, g.sig)
-	delete(e.dirtyGroups, g.sig)
-	e.pendingDropSQL = append(e.pendingDropSQL, g.sqlNames...)
 	e.order = slices.DeleteFunc(e.order, func(s string) bool { return s == g.sig })
-	e.dirty = true
+	e.recomputeReadSets()
 }
 
 // identityLayout is the view's row: NEW columns, then OLD (constant
@@ -1141,64 +1185,10 @@ func appendAbstract(b []byte, ex xquery.Expr) []byte {
 	return xquery.AppendAbstract(b, ex)
 }
 
-// Flush builds and installs the SQL triggers for all registered XML
-// triggers (Figure 6's Event Pushdown → Affected-Node Graph Generation →
-// Trigger Grouping → Trigger Pushdown pipeline). It is idempotent, and
-// compiled per-group plans are cached across flushes: only groups whose
-// membership changed since the last flush are rebuilt.
-func (e *Engine) Flush() error {
-	e.mu.RLock()
-	dirty := e.dirty
-	e.mu.RUnlock()
-	if !dirty {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.flushLocked()
-}
-
-func (e *Engine) flushLocked() error {
-	if !e.dirty {
-		return nil
-	}
-	// Installing/dropping SQL triggers mutates structures the write path
-	// iterates, so DDL excludes all in-flight statements.
-	unlock := e.acquireLocks(allOf(e.lockOrder), nil)
-	defer unlock()
-
-	for _, n := range e.pendingDropSQL {
-		_ = e.db.DropTrigger(n)
-	}
-	e.pendingDropSQL = nil
-
-	m := e.obsp.Load()
-	for _, sig := range e.order {
-		g := e.groups[sig]
-		if g.built && !e.dirtyGroups[sig] {
-			if m != nil {
-				m.planHits.Inc()
-			}
-			continue
-		}
-		if m != nil {
-			m.planMiss.Inc()
-		}
-		// Compile before dropping anything: a failed compile leaves the
-		// previous plans installed and the group still dirty.
-		b, err := e.compileGroup(g)
-		if err != nil {
-			return fmt.Errorf("core: building trigger group %q: %w", sig, err)
-		}
-		if err := e.installGroup(g, b); err != nil {
-			return fmt.Errorf("core: installing trigger group %q: %w", sig, err)
-		}
-	}
-	e.dirtyGroups = map[string]bool{}
-	e.recomputeReadSets()
-	e.dirty = false
-	return nil
-}
+// Flush does nothing: trigger DDL takes effect when CreateTrigger and
+// DropTrigger return. It remains for callers written when installation
+// waited for it.
+func (e *Engine) Flush() error { return nil }
 
 func allOf(names []string) map[string]bool {
 	out := make(map[string]bool, len(names))
@@ -1208,59 +1198,115 @@ func allOf(names []string) map[string]bool {
 	return out
 }
 
-// compileGroup compiles one trigger group in the engine's mode without
-// installing anything: no SQL triggers are created, no indexes built, no
-// engine state mutated. Caller holds e.mu and the table locks (a
+// compileGroup compiles a new group's translation without installing
+// anything: no SQL triggers are created, no indexes built. A translated
+// group keeps a tableGraph per base table whose events fire it; a GROUPED
+// group builds its one plan per table from it, an UNGROUPED group nothing
+// more until a member joins. Caller holds e.mu and the table locks (a
 // MATERIALIZED compile evaluates its initial snapshot).
 func (e *Engine) compileGroup(g *group) (*groupBuild, error) {
-	g.stats.builds.Add(1)
 	if e.mode == ModeMaterialized {
 		return e.compileMaterialized(g)
 	}
-	b := &groupBuild{}
-	srcEvents := events.GetSrcEvents(e.db.Schema(), g.nav.Op, g.event)
-	tables := map[string][]reldb.Event{}
-	var tableOrder []string
-	for _, te := range srcEvents {
-		if _, seen := tables[te.Table]; !seen {
-			tableOrder = append(tableOrder, te.Table)
+	at := map[string]int{}
+	for _, te := range events.GetSrcEvents(e.db.Schema(), g.nav.Op, g.event) {
+		i, seen := at[te.Table]
+		if !seen {
+			tg, err := e.compileTable(g, te.Table)
+			if err != nil {
+				return nil, err
+			}
+			i = len(g.tables)
+			at[te.Table] = i
+			g.tables = append(g.tables, tg)
 		}
-		tables[te.Table] = append(tables[te.Table], te.Event)
+		g.tables[i].events = append(g.tables[i].events, te.Event)
 	}
-
-	for _, table := range tableOrder {
-		plans, err := e.buildTablePlans(g, table)
-		if err != nil {
+	b := &groupBuild{}
+	if e.mode == ModeUngrouped {
+		return b, nil
+	}
+	// GROUPED: one plan per table joining the group's constants table,
+	// whose TrigIDs follows the affected-node graph's columns.
+	for _, tg := range g.tables {
+		plan := newInstalledPlan(g, tg)
+		plan.root = grouping.BuildGroupedPlan(g.members, tg.template, tg.an.Root)
+		plan.store, plan.trigIDsCol = g.members, tg.an.Root.OutWidth()
+		if err := xqgm.Prepare(plan.root); err != nil {
 			return nil, err
 		}
-		for _, plan := range plans {
-			b.plans = append(b.plans, plan)
-			for _, relEv := range tables[table] {
-				p := plan
-				b.installs = append(b.installs, pendingTrigger{
-					table: table, event: relEv, prefix: "xmlTrig",
-					body: func(ctx *reldb.FireContext) error { return e.fire(g, p, ctx) },
-				})
-			}
-		}
+		b.add(e, g, plan, tg.events)
 	}
 	return b, nil
 }
 
-// installGroup swaps a compiled build into the group: the old SQL
-// triggers drop, the new ones install, and the group adopts the build's
-// plans. Runs under e.mu and every table's write lock (flush), so no
-// statement ever observes a half-installed group.
-func (e *Engine) installGroup(g *group, b *groupBuild) error {
-	for _, n := range g.sqlNames {
-		_ = e.db.DropTrigger(n)
+// compileTable builds g's affected-node graph for one base table and
+// compiles the group's condition and arguments over its rows.
+func (e *Engine) compileTable(g *group, table string) (tableGraph, error) {
+	opts := affected.Options{Prune: true}
+	if affected.InjectiveFor(g.nav.Op, table) {
+		opts.SkipValueCompare = true
+	} else {
+		opts.CompareCols = []int{g.nav.NodeCol}
 	}
-	g.sqlNames = nil
-	g.plans = b.plans
-	for _, p := range b.plans {
-		if p.root != nil {
-			e.ensureIndexes(p.root)
+	an, err := affected.CreateANGraph(e.db.Schema(), g.event, g.nav.Op, table, opts)
+	if err != nil {
+		return tableGraph{}, err
+	}
+	cc := &condCompiler{nav: g.nav, layout: Layout{NewCol: an.NewCol, OldCol: an.OldCol}}
+	template, args, err := cc.template(g.cond, g.args)
+	if err != nil {
+		return tableGraph{}, err
+	}
+	return tableGraph{table: table, an: an, template: template, args: args}, nil
+}
+
+// compileMember builds UNGROUPED member h's plans, the paper's per-trigger
+// translation: one per table, over the group's shared affected-node graph
+// for it. The member's condition first filters the affected keys it can
+// hold for, so the shared graph builds nodes only for a firing it may
+// deliver.
+func (e *Engine) compileMember(g *group, h int32) (*groupBuild, error) {
+	b := &groupBuild{}
+	name, consts := g.members.Name(h), g.members.AppendConsts(nil, h)
+	for _, tg := range g.tables {
+		plan := newInstalledPlan(g, tg)
+		plan.member, plan.consts = name, consts
+		plan.root = tg.an.Root
+		if tg.template != nil {
+			bound := grouping.Bind(tg.template, consts)
+			plan.root = xqgm.NewSelect(tg.an.Restrict(bound), bound)
 		}
+		// One by one, not Prepare(roots...): an evaluation sizes its memo by
+		// the root's node id, and ids prepared together count every member's
+		// Select before this one.
+		if err := xqgm.Prepare(plan.root); err != nil {
+			return nil, err
+		}
+		b.add(e, g, plan, tg.events)
+	}
+	return b, nil
+}
+
+// add files plan with an SQL trigger per event that fires it.
+func (b *groupBuild) add(e *Engine, g *group, plan *installedPlan, evs []reldb.Event) {
+	b.plans = append(b.plans, plan)
+	for _, ev := range evs {
+		b.installs = append(b.installs, pendingTrigger{
+			table: plan.table, event: ev, prefix: "xmlTrig",
+			body: func(ctx *reldb.FireContext) error { return e.fire(g, plan, ctx) },
+		})
+	}
+}
+
+// install adds a compiled build to g: its plans, the indexes they probe,
+// and its SQL triggers, recorded as member's. Runs under e.mu and every
+// table's write lock, so no statement ever observes a half-installed
+// build; a failure leaves what it installed for the caller's leave.
+func (e *Engine) install(g *group, b *groupBuild, member string) error {
+	g.plans = append(g.plans, b.plans...)
+	for _, p := range b.plans {
+		e.ensureIndexes(p.root)
 	}
 	for _, pt := range b.installs {
 		e.sqlSeq++
@@ -1270,68 +1316,9 @@ func (e *Engine) installGroup(g *group, b *groupBuild) error {
 		}); err != nil {
 			return err
 		}
-		g.sqlNames = append(g.sqlNames, name)
+		g.sql = append(g.sql, sqlTrigger{name: name, member: member})
 	}
-	g.built = true
 	return nil
-}
-
-// buildTablePlans builds the affected-node graph and the plans for one
-// base table: one shared plan in GROUPED mode, one plan per member in
-// UNGROUPED mode.
-func (e *Engine) buildTablePlans(g *group, table string) ([]*installedPlan, error) {
-	opts := affected.Options{Prune: true}
-	if affected.InjectiveFor(g.nav.Op, table) {
-		opts.SkipValueCompare = true
-	} else {
-		opts.CompareCols = []int{g.nav.NodeCol}
-	}
-
-	an, err := affected.CreateANGraph(e.db.Schema(), g.event, g.nav.Op, table, opts)
-	if err != nil {
-		return nil, err
-	}
-	cc := &condCompiler{nav: g.nav, layout: Layout{NewCol: an.NewCol, OldCol: an.OldCol}}
-	template, args, err := cc.template(g.cond, g.args)
-	if err != nil {
-		return nil, err
-	}
-
-	if e.mode == ModeUngrouped {
-		// The paper's per-trigger translation: one plan per member, all
-		// sharing one ANGraph per table. A member's condition first filters
-		// the affected keys it can hold for, so the shared graph builds
-		// nodes only for a firing it may deliver.
-		members := g.members.Members()
-		plans := make([]*installedPlan, 0, len(members))
-		for _, m := range members {
-			plan := newInstalledPlan(g, table, an, args)
-			plan.member, plan.consts = g.members.Name(m), g.members.AppendConsts(nil, m)
-			plan.root = an.Root
-			if template != nil {
-				bound := grouping.Bind(template, plan.consts)
-				plan.root = xqgm.NewSelect(an.Restrict(bound), bound)
-			}
-			// One by one, not Prepare(roots...): an evaluation sizes its memo
-			// by the root's node id, and ids prepared together count every
-			// member's Select before this one.
-			if err := xqgm.Prepare(plan.root); err != nil {
-				return nil, err
-			}
-			plans = append(plans, plan)
-		}
-		return plans, nil
-	}
-
-	// GROUPED: one plan joining the group's constants table, whose TrigIDs
-	// follows the affected-node graph's columns.
-	plan := newInstalledPlan(g, table, an, args)
-	plan.root = grouping.BuildGroupedPlan(g.members, template, an.Root)
-	plan.store, plan.trigIDsCol = g.members, an.Root.OutWidth()
-	if err := xqgm.Prepare(plan.root); err != nil {
-		return nil, err
-	}
-	return []*installedPlan{plan}, nil
 }
 
 // fire is the body of an installed SQL trigger: evaluate the plan over the
@@ -1590,12 +1577,12 @@ func (p *installedPlan) sql() string {
 	return r.text
 }
 
-// newInstalledPlan starts a plan over an's rows for one base table of g.
-func newInstalledPlan(g *group, table string, an *affected.ANGraph, args []xqgm.Expr) *installedPlan {
-	p := &installedPlan{table: table, an: an, args: args}
+// newInstalledPlan starts a plan over tg's rows for one base table of g.
+func newInstalledPlan(g *group, tg tableGraph) *installedPlan {
+	p := &installedPlan{table: tg.table, an: tg.an, args: tg.args}
 	for _, kc := range g.nav.KeyCols {
-		p.keyCols[0] = append(p.keyCols[0], an.NewCol(kc))
-		p.keyCols[1] = append(p.keyCols[1], an.OldCol(kc))
+		p.keyCols[0] = append(p.keyCols[0], tg.an.NewCol(kc))
+		p.keyCols[1] = append(p.keyCols[1], tg.an.OldCol(kc))
 	}
 	return p
 }
@@ -1679,54 +1666,39 @@ func (e *Engine) SQLTexts() map[string]string {
 	return out
 }
 
-// --- statement helpers: auto-flush, lock the statement's table
-// footprint, then delegate to the database ---
+// --- statement helpers: lock the statement's table footprint, then
+// delegate to the database ---
 
-// Insert flushes pending trigger builds and inserts rows.
+// Insert inserts rows.
 func (e *Engine) Insert(table string, rows ...reldb.Row) error {
-	if err := e.Flush(); err != nil {
-		return err
-	}
 	unlock := e.lockForWrite(table)
 	defer unlock()
 	return e.db.Insert(table, rows...)
 }
 
-// Update flushes pending trigger builds and updates rows.
+// Update updates the rows pred selects.
 func (e *Engine) Update(table string, pred func(reldb.Row) bool, set func(reldb.Row) reldb.Row) (int, error) {
-	if err := e.Flush(); err != nil {
-		return 0, err
-	}
 	unlock := e.lockForWrite(table)
 	defer unlock()
 	return e.db.Update(table, pred, set)
 }
 
-// UpdateByPK flushes pending trigger builds and updates one row.
+// UpdateByPK updates one row.
 func (e *Engine) UpdateByPK(table string, key []xdm.Value, set func(reldb.Row) reldb.Row) (bool, error) {
-	if err := e.Flush(); err != nil {
-		return false, err
-	}
 	unlock := e.lockForWrite(table)
 	defer unlock()
 	return e.db.UpdateByPK(table, key, set)
 }
 
-// Delete flushes pending trigger builds and deletes rows.
+// Delete deletes the rows pred selects.
 func (e *Engine) Delete(table string, pred func(reldb.Row) bool) (int, error) {
-	if err := e.Flush(); err != nil {
-		return 0, err
-	}
 	unlock := e.lockForWrite(table)
 	defer unlock()
 	return e.db.Delete(table, pred)
 }
 
-// DeleteByPK flushes pending trigger builds and deletes one row.
+// DeleteByPK deletes one row.
 func (e *Engine) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
-	if err := e.Flush(); err != nil {
-		return false, err
-	}
 	unlock := e.lockForWrite(table)
 	defer unlock()
 	return e.db.DeleteByPK(table, key...)
@@ -1787,13 +1759,9 @@ type BatchHandle struct {
 	span *obs.Span
 }
 
-// BeginBatch flushes pending trigger builds, write-locks every table, and
-// begins a batched transaction. The caller must finish the handle with
+// BeginBatch write-locks every table and begins a batched transaction. The caller must finish the handle with
 // Commit or Rollback (or Run), or the engine stays locked.
 func (e *Engine) BeginBatch() (*BatchHandle, error) {
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
 	unlock := e.lockAllForWrite()
 	h := &BatchHandle{e: e, tx: e.db.Begin(), unlock: unlock}
 	if m := e.obsp.Load(); m != nil {
@@ -1988,9 +1956,6 @@ func (e *Engine) BatchTables(tables []string, fn func(*reldb.Tx) error) error {
 // foreign-key checks' read sets), and the transaction is restricted to
 // them, so handles with disjoint footprints run concurrently.
 func (e *Engine) BeginBatchTables(tables []string) (*BatchHandle, error) {
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
 	e.mu.RLock()
 	write := map[string]bool{}
 	for _, t := range tables {

@@ -60,6 +60,9 @@ func newCatalogEngine(t *testing.T, mode Mode) (*Engine, *[]notification) {
 	if err := e.CreateView("catalog", catalogSrc); err != nil {
 		t.Fatal(err)
 	}
+	if v, ok := e.View("catalog"); !ok || v.Nav.ElemName != "catalog" {
+		t.Fatal("View does not return the view CreateView registered")
+	}
 	return e, &log
 }
 
@@ -175,9 +178,6 @@ func TestGroupingSharesSQLTriggers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
 		}
 		st := e.Stats()
 		counts[mode] = st.SQLTriggers
@@ -410,13 +410,11 @@ func TestAllModesAgree(t *testing.T) {
 	}
 }
 
-// TestDropTrigger: dropped triggers stop firing; SQL triggers are removed.
+// TestDropTrigger: a dropped trigger's SQL triggers are gone when
+// DropTrigger returns, and it stops firing.
 func TestDropTrigger(t *testing.T) {
 	e, log := newCatalogEngine(t, ModeGrouped)
 	if err := e.CreateTrigger(`CREATE TRIGGER T1 AFTER UPDATE ON view('catalog')/product DO notifySmith(NEW_NODE)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().SQLTriggers == 0 {
@@ -424,6 +422,9 @@ func TestDropTrigger(t *testing.T) {
 	}
 	if err := e.DropTrigger("T1"); err != nil {
 		t.Fatal(err)
+	}
+	if got := e.Stats().SQLTriggers; got != 0 {
+		t.Errorf("SQL triggers after drop = %d, want 0", got)
 	}
 	if _, err := e.UpdateByPK("vendor", []xdm.Value{xdm.Str("Amazon"), xdm.Str("P1")}, func(r reldb.Row) reldb.Row {
 		r[2] = xdm.Float(42)
@@ -433,9 +434,6 @@ func TestDropTrigger(t *testing.T) {
 	}
 	if len(*log) != 0 {
 		t.Errorf("dropped trigger fired: %+v", *log)
-	}
-	if got := e.Stats().SQLTriggers; got != 0 {
-		t.Errorf("SQL triggers after drop = %d, want 0", got)
 	}
 	if err := e.DropTrigger("T1"); err == nil {
 		t.Error("double drop accepted")
@@ -472,9 +470,6 @@ func TestSQLTextRendering(t *testing.T) {
 	if err := e.CreateTrigger(`
 		CREATE TRIGGER Notify AFTER UPDATE ON view('catalog')/product
 		WHERE OLD_NODE/@name = 'CRT 15' DO notifySmith(NEW_NODE)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	texts := e.SQLTexts()

@@ -94,9 +94,6 @@ func TestNestedFiringsDeliverWhatFreshContextsDo(t *testing.T) {
 				if err := e.CreateTrigger(src); err != nil {
 					t.Fatal(err)
 				}
-				if err := e.Flush(); err != nil {
-					t.Fatal(err)
-				}
 			}
 			create(`CREATE TRIGGER First AFTER UPDATE ON view('catalog')/product DO notifySmith(NEW_NODE)`)
 			if err := e.DB().CreateTrigger(&reldb.SQLTrigger{Name: "cascade", Table: "vendor", Event: reldb.EvUpdate, Body: func(ctx *reldb.FireContext) error {

@@ -3,7 +3,7 @@ package core
 import "sort"
 
 // GroupStat is one trigger group's row in Stats.PerGroup. Counters are
-// cumulative since engine start and survive rebuilds.
+// cumulative since the group was created.
 type GroupStat struct {
 	Sig      string `json:"sig"`
 	Mode     Mode   `json:"mode"`
@@ -18,7 +18,6 @@ type GroupStat struct {
 	JoinsSkipped int64 `json:"joins_skipped"` // joins that left their right input unevaluated: the left one was empty
 	NodesBuilt   int64 `json:"nodes_built"`   // XML nodes the evaluations constructed
 	OpsShared    int64 `json:"ops_shared"`    // operator outputs taken from another group's evaluation
-	Builds       int64 `json:"builds"`        // plan (re)compilations
 }
 
 // GroupSigs returns all trigger-group signatures, sorted.
@@ -52,7 +51,6 @@ func (e *Engine) GroupStats() []GroupStat {
 			JoinsSkipped: g.stats.joinsSkipped.Load(),
 			NodesBuilt:   g.stats.nodesBuilt.Load(),
 			OpsShared:    g.stats.opsShared.Load(),
-			Builds:       g.stats.builds.Load(),
 		})
 	}
 	return stats

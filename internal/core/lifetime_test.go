@@ -75,9 +75,6 @@ func TestInvocationsOutliveTheirStatements(t *testing.T) {
 			if err := e.CreateTrigger(`CREATE TRIGGER keepAll AFTER UPDATE ON view('doc')/e0 DO keep(NEW_NODE/e1, NEW_NODE/@name)`); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			var lg *outbox.Log
 			switch mode {
 			case "async":

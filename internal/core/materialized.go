@@ -20,19 +20,12 @@ import (
 //
 // Like compileGroup's translated modes, nothing installs here: the
 // initial snapshot evaluates eagerly (the caller holds the table locks).
+// The body reads the group's members as it runs, so a member joins or
+// leaves by a row of the store, as under GROUPED.
 func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 	vw := g.nav.Op.OutWidth()
-	// The members are snapshotted here: the body runs without the metadata
-	// lock. Each evaluates the group's condition and arguments with its own
-	// constants as input 1.
-	type member struct {
-		name   string
-		consts []xdm.Value
-	}
-	var members []member
-	for _, m := range g.members.Members() {
-		members = append(members, member{g.members.Name(m), g.members.AppendConsts(nil, m)})
-	}
+	// Each member evaluates the group's condition and arguments with its
+	// own constants as input 1.
 	cc := &condCompiler{nav: g.nav, layout: identityLayout(g.nav)}
 	cond, args, err := cc.template(g.cond, g.args)
 	if err != nil {
@@ -84,28 +77,24 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		}
 		before := state.rows
 
-		type pair struct {
-			key      string
-			old, new xqgm.Tuple
-		}
-		var fired []pair
+		var fired []matPair
 		switch g.event {
 		case reldb.EvUpdate:
 			for k, nt := range after {
 				if ot, ok := before[k]; ok && !tuplesEqual(ot, nt) {
-					fired = append(fired, pair{k, ot, nt})
+					fired = append(fired, matPair{k, ot, nt})
 				}
 			}
 		case reldb.EvInsert:
 			for k, nt := range after {
 				if _, ok := before[k]; !ok {
-					fired = append(fired, pair{k, nullTuple(vw), nt})
+					fired = append(fired, matPair{k, nullTuple(vw), nt})
 				}
 			}
 		case reldb.EvDelete:
 			for k, ot := range before {
 				if _, ok := after[k]; !ok {
-					fired = append(fired, pair{k, ot, nullTuple(vw)})
+					fired = append(fired, matPair{k, ot, nullTuple(vw)})
 				}
 			}
 		}
@@ -114,42 +103,15 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		// before firing members.
 		sort.Slice(fired, func(i, j int) bool { return fired[i].key < fired[j].key })
 		g.stats.deltaRows.Add(int64(len(fired)))
+		invs, err := matInvocations(g, fired, cond, args, vw)
+		if err != nil {
+			return err
+		}
 		wave := e.firingWave(ctx)
-		for _, p := range fired {
-			row := make(xqgm.Tuple, 0, 2*vw)
-			row = append(row, p.new...)
-			row = append(row, p.old...)
-			env := &xqgm.Env{}
-			for _, m := range members {
-				env.In = [2][]xdm.Value{row, m.consts}
-				if cond != nil {
-					v, err := cond.Eval(env)
-					if err != nil {
-						return err
-					}
-					if v.IsNull() || !v.EffectiveBool() {
-						continue
-					}
-				}
-				avals := make([]xdm.Value, len(args))
-				for i, ae := range args {
-					v, err := ae.Eval(env)
-					if err != nil {
-						return err
-					}
-					avals[i] = v
-				}
-				g.stats.activations.Add(1)
-				inv := Invocation{
-					Trigger: m.name,
-					Event:   g.event,
-					Old:     p.old[g.nav.NodeCol].AsNode(),
-					New:     p.new[g.nav.NodeCol].AsNode(),
-					Args:    avals,
-				}
-				if err := e.stageOrDeliver(ctx, wave, g.actionFn, inv); err != nil {
-					return err
-				}
+		for _, inv := range invs {
+			g.stats.activations.Add(1)
+			if err := e.stageOrDeliver(ctx, wave, g.actionFn, inv); err != nil {
+				return err
 			}
 		}
 		if ctx.Stage == nil && wave != nil {
@@ -168,6 +130,64 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		}
 	}
 	return b, nil
+}
+
+// matPair is one view element a statement changed: its key, and its row
+// before and after.
+type matPair struct {
+	key      string
+	old, new xqgm.Tuple
+}
+
+// matInvocations returns the activations of g's members by the changed
+// elements fired, in delivery order: by element, then by member in join
+// order. It reads the members under the store's read lock and releases it
+// before anything is delivered, as activations does for a grouped plan.
+func matInvocations(g *group, fired []matPair, cond xqgm.Expr, args []xqgm.Expr, vw int) ([]Invocation, error) {
+	if len(fired) == 0 {
+		return nil, nil
+	}
+	st := g.members
+	st.RLock()
+	defer st.RUnlock()
+	var invs []Invocation
+	var consts []xdm.Value
+	members := st.Members()
+	env := &xqgm.Env{}
+	for _, p := range fired {
+		row := make(xqgm.Tuple, 0, 2*vw)
+		row = append(row, p.new...)
+		row = append(row, p.old...)
+		for _, m := range members {
+			consts = st.AppendConsts(consts[:0], m)
+			env.In = [2][]xdm.Value{row, consts}
+			if cond != nil {
+				v, err := cond.Eval(env)
+				if err != nil {
+					return nil, err
+				}
+				if v.IsNull() || !v.EffectiveBool() {
+					continue
+				}
+			}
+			avals := make([]xdm.Value, len(args))
+			for i, ae := range args {
+				v, err := ae.Eval(env)
+				if err != nil {
+					return nil, err
+				}
+				avals[i] = v
+			}
+			invs = append(invs, Invocation{
+				Trigger: st.Name(m),
+				Event:   g.event,
+				Old:     p.old[g.nav.NodeCol].AsNode(),
+				New:     p.new[g.nav.NodeCol].AsNode(),
+				Args:    avals,
+			})
+		}
+	}
+	return invs, nil
 }
 
 type matState struct {

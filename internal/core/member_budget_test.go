@@ -55,11 +55,6 @@ func registerMembers(t *testing.T, e *core.Engine, n int, constOf func(int) stri
 		if err := e.CreateTrigger(src); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			if err := e.Flush(); err != nil { // the rest join a built group
-				t.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -98,9 +93,6 @@ func TestMembersLeaveTheScannedHeap(t *testing.T) {
 	w := membershipSetup(t, core.ModeGrouped)
 	live0, scan0 := heapNow()
 	registerMembers(t, w.Engine, n, func(i int) string { return fmt.Sprintf("name %d", i%rows) }, nil)
-	if err := w.Engine.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	live1, scan1 := heapNow()
 	runtime.KeepAlive(w)
 	heap, scan := (live1-live0)/n, (scan1-scan0)/n

@@ -9,17 +9,15 @@ import (
 // instrumented path pays one atomic load and a branch — no clock reads,
 // no map lookups.
 type engineObs struct {
-	reg      *obs.Registry
-	fire     *obs.Histogram // quark_core_fire_ns: one trigger-plan evaluation + activation wave
-	planHits *obs.Counter   // quark_core_plan_cache_hits_total: groups reused across Flush
-	planMiss *obs.Counter   // quark_core_plan_cache_misses_total: groups (re)compiled at Flush
-	sink     *obs.Histogram // quark_outbox_sink_ns: one durable delivery (sink or action) incl. ack
+	reg  *obs.Registry
+	fire *obs.Histogram // quark_core_fire_ns: one trigger-plan evaluation + activation wave
+	sink *obs.Histogram // quark_outbox_sink_ns: one durable delivery (sink or action) incl. ack
 }
 
 // EnableObs attaches a metrics registry to the engine: trigger firing
-// latency, plan-cache hit/miss counters, sink delivery latency, the
-// relational layer's statement/prepare/commit histograms (DB.AttachObs),
-// and commit span traces on every BatchHandle. Counter totals
+// latency, sink delivery latency, the relational layer's
+// statement/prepare/commit histograms (DB.AttachObs), and commit span
+// traces on every BatchHandle. Counter totals
 // (quark_core_fires_total, quark_core_actions_total) are exported as
 // snapshot-time collectors over the engine's existing atomics. Passing
 // nil detaches. Idempotent; not safe to race with in-flight statements —
@@ -37,11 +35,9 @@ func (e *Engine) EnableObs(reg *obs.Registry) {
 		return
 	}
 	m := &engineObs{
-		reg:      reg,
-		fire:     reg.Histogram("quark_core_fire_ns", nil),
-		planHits: reg.Counter("quark_core_plan_cache_hits_total"),
-		planMiss: reg.Counter("quark_core_plan_cache_misses_total"),
-		sink:     reg.Histogram("quark_outbox_sink_ns", nil),
+		reg:  reg,
+		fire: reg.Histogram("quark_core_fire_ns", nil),
+		sink: reg.Histogram("quark_outbox_sink_ns", nil),
 	}
 	e.obsp.Store(m)
 	e.db.AttachObs(reg)

@@ -52,9 +52,6 @@ func newWatchedEngine(t *testing.T, n int) *Engine {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	return e
 }
 
@@ -456,9 +453,6 @@ func TestStatementWavesKeepLogOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	sink := outbox.NewPartitionedSink(2)
 	if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 4, QueueCap: 64, Policy: dispatch.Block}); err != nil {

@@ -21,9 +21,6 @@ func twoGroups(t *testing.T, e *Engine) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func cutAmazonP1(t *testing.T, e *Engine) {

@@ -1,110 +1,21 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"quark/internal/reldb"
+	"quark/internal/relsql"
 	"quark/internal/schema"
 	"quark/internal/sqlshim"
 	"quark/internal/xdm"
 	"quark/internal/xqgm"
 )
 
-// shimShadow is a test-local PlanShadow over the sqlshim engine directly
-// (no database/sql): every plan firing rebuilds a mirror of the store plus
-// the transition tables and requires the rendered SQL to reproduce the
-// evaluator's rows exactly. internal/relsql is the packaged form of the
-// same idea, through database/sql.
-type shimShadow struct {
-	db       *reldb.DB
-	verified int
-}
-
-func ddlForTable(t *schema.Table, name string, withPK bool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "CREATE TABLE %s (", name)
-	for i, c := range t.Columns {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s %s", c.Name, c.Type)
-	}
-	if withPK && t.HasPrimaryKey() {
-		fmt.Fprintf(&sb, ", PRIMARY KEY (%s)", strings.Join(t.PrimaryKey, ", "))
-	}
-	sb.WriteString(")")
-	return sb.String()
-}
-
-func loadShimTable(sdb *sqlshim.DB, name string, width int, rows []reldb.Row) error {
-	stmt := fmt.Sprintf("INSERT INTO %s VALUES (%s)",
-		name, strings.TrimSuffix(strings.Repeat("?, ", width), ", "))
-	for _, r := range rows {
-		if _, err := sdb.Exec(stmt, r...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *shimShadow) VerifyPlan(table, sqlText string, deltas map[string]*xqgm.Transition, rows []xqgm.Tuple) error {
-	sdb := sqlshim.NewDB()
-	for _, t := range s.db.Schema().Tables() {
-		if _, err := sdb.Exec(ddlForTable(t, t.Name, true)); err != nil {
-			return err
-		}
-		if _, err := sdb.Exec(ddlForTable(t, "INSERTED_"+t.Name, false)); err != nil {
-			return err
-		}
-		if _, err := sdb.Exec(ddlForTable(t, "DELETED_"+t.Name, false)); err != nil {
-			return err
-		}
-		var base []reldb.Row
-		if err := s.db.Scan(t.Name, func(r reldb.Row) bool {
-			base = append(base, r)
-			return true
-		}); err != nil {
-			return err
-		}
-		if err := loadShimTable(sdb, t.Name, len(t.Columns), base); err != nil {
-			return err
-		}
-		if d := deltas[t.Name]; d != nil {
-			if err := loadShimTable(sdb, "INSERTED_"+t.Name, len(t.Columns), d.Inserted); err != nil {
-				return err
-			}
-			if err := loadShimTable(sdb, "DELETED_"+t.Name, len(t.Columns), d.Deleted); err != nil {
-				return err
-			}
-		}
-	}
-	res, err := sdb.Exec(sqlText)
-	if err != nil {
-		return fmt.Errorf("execute rendered SQL on %s: %w", table, err)
-	}
-	counts := map[string]int{}
-	for _, r := range rows {
-		counts[xdm.TupleKey(r)]++
-	}
-	for _, r := range res.Rows {
-		counts[xdm.TupleKey(r)]--
-	}
-	for k, n := range counts {
-		if n != 0 {
-			return fmt.Errorf("plan on %s: SQL result diverges from evaluator (%+d of %q); evaluator %d rows, SQL %d rows",
-				table, -n, k, len(rows), len(res.Rows))
-		}
-	}
-	s.verified++
-	return nil
-}
-
 // TestRenderedSQLExecutesOnShim drives the paper's catalog triggers in every
-// translated mode with the shadow attached: each firing's rendered SQL must
-// parse, execute, and reproduce the evaluator's result multiset on real
-// INSERTED_/DELETED_ tables — per statement and per batched commit.
+// translated mode with relsql's shadow, over the sqlshim engine, attached:
+// each firing's rendered SQL must parse, execute, and reproduce the
+// evaluator's result multiset on real INSERTED_/DELETED_ tables — per
+// statement and per batched commit.
 func TestRenderedSQLExecutesOnShim(t *testing.T) {
 	for _, mode := range []Mode{ModeUngrouped, ModeGrouped} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -121,10 +32,11 @@ func TestRenderedSQLExecutesOnShim(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := e.Flush(); err != nil {
+			sh, err := relsql.NewShadow(e.db)
+			if err != nil {
 				t.Fatal(err)
 			}
-			sh := &shimShadow{db: e.db}
+			defer sh.Close()
 			e.SetPlanShadow(sh)
 
 			if _, err := e.UpdateByPK("vendor", []xdm.Value{xdm.Str("Amazon"), xdm.Str("P1")}, func(r reldb.Row) reldb.Row {
@@ -154,13 +66,13 @@ func TestRenderedSQLExecutesOnShim(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if sh.verified == 0 {
+			if sh.Verified() == 0 {
 				t.Fatal("shadow verified no plan evaluations")
 			}
 			if len(*log) == 0 {
 				t.Fatal("triggers delivered no notifications")
 			}
-			t.Logf("mode %s: %d plan evaluations verified on the SQL backend", mode, sh.verified)
+			t.Logf("mode %s: %d plan evaluations verified on the SQL backend", mode, sh.Verified())
 		})
 	}
 }

@@ -70,9 +70,6 @@ func TestBatchHandlePrepareCommitRollback(t *testing.T) {
 	if err := e.CreateTrigger(watchCRTTrigger); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Prepare + Rollback: nothing delivered, nothing applied.
 	h, err := e.BeginBatch()

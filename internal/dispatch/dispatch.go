@@ -222,9 +222,6 @@ func New(cfg Config) *Dispatcher {
 	return d
 }
 
-// Config returns the dispatcher's effective configuration.
-func (d *Dispatcher) Config() Config { return d.cfg }
-
 func (d *Dispatcher) laneOf(name string) *lane {
 	ln, ok := d.lanes[name]
 	if !ok {

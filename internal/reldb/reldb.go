@@ -1061,11 +1061,6 @@ func (db *DB) DropTrigger(name string) error {
 	return nil
 }
 
-// Triggers returns installed triggers in creation order.
-func (db *DB) Triggers() []*SQLTrigger {
-	return append([]*SQLTrigger(nil), db.triggers...)
-}
-
 // TriggerCount reports the number of installed SQL triggers.
 func (db *DB) TriggerCount() int { return len(db.triggers) }
 

@@ -51,18 +51,6 @@ func (s *Shadow) Close() error {
 // Verified reports how many plan evaluations this shadow has verified.
 func (s *Shadow) Verified() int64 { return s.verified.Load() }
 
-// DDL returns the CREATE TABLE statements the shadow issues for the source
-// schema: every base table plus its INSERTED_/DELETED_ transition tables.
-func DDL(sc *schema.Schema) []string {
-	var out []string
-	for _, t := range sc.Tables() {
-		out = append(out, createSQL(t.Name, t, true))
-		out = append(out, createSQL("INSERTED_"+t.Name, t, false))
-		out = append(out, createSQL("DELETED_"+t.Name, t, false))
-	}
-	return out
-}
-
 func createSQL(name string, t *schema.Table, withPK bool) string {
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE ")

@@ -54,9 +54,6 @@ func TestVerifyPlanBeforeAndAfterAMemberJoins(t *testing.T) {
 	}
 	create("a", 0)
 	create("b", 1)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	sh, err := relsql.NewShadow(e.DB())
 	if err != nil {
 		t.Fatal(err)

@@ -388,9 +388,6 @@ func TestShardModesLegacyFile(t *testing.T) {
 			if err := e.CreateTrigger(`CREATE TRIGGER watch AFTER UPDATE ON view('m')/p DO notify(NEW_NODE)`); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			if sigs := e.GroupSigs(); len(sigs) != 1 || sigs[0] != sig {
 				t.Fatalf("group signatures %q, want the one the legacy file names", sigs)
 			}

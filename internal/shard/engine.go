@@ -217,9 +217,10 @@ func (e *Engine) CreateView(name, src string) error {
 }
 
 // CreateTrigger parses the trigger once and registers it on every shard;
-// each shard compiles its own plans against its own store at Flush. On a
-// mid-fleet failure the already-registered shards are rolled back so the
-// fleet never disagrees about the trigger population.
+// each shard compiles its own plans against its own store before its
+// CreateTrigger returns. On a mid-fleet failure, a compile error included,
+// the already-registered shards are rolled back so the fleet never
+// disagrees about the trigger population.
 func (e *Engine) CreateTrigger(src string) error {
 	spec, err := trigger.Parse(src)
 	if err != nil {
@@ -264,17 +265,6 @@ func (e *Engine) DropTrigger(name string) error {
 	}
 	e.regMu.Unlock()
 	return first
-}
-
-// Flush builds and installs the translated SQL triggers on every shard.
-func (e *Engine) Flush() error {
-	engines, _ := e.fleet()
-	for _, ce := range engines {
-		if err := ce.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetPrepareCheck installs (or, with nil, clears) the transaction

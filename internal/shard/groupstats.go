@@ -40,7 +40,6 @@ func (e *Engine) GroupStats() []core.GroupStat {
 			a.JoinsSkipped += gs.JoinsSkipped
 			a.NodesBuilt += gs.NodesBuilt
 			a.OpsShared += gs.OpsShared
-			a.Builds += gs.Builds
 		}
 	}
 	sort.Slice(agg, func(i, j int) bool { return agg[i].Sig < agg[j].Sig })

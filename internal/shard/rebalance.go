@@ -227,9 +227,6 @@ func (e *Engine) Grow(n int) error {
 				return err
 			}
 		}
-		if err := ce.Flush(); err != nil {
-			return err
-		}
 		if e.d != nil {
 			if err := ce.AttachSharedDispatcher(e.d); err != nil {
 				return err

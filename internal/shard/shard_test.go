@@ -249,9 +249,6 @@ func TestTriggerFiresOnOwningShard(t *testing.T) {
 	if err := e.CreateTrigger(`CREATE TRIGGER watch AFTER UPDATE ON view('m')/p DO notify(NEW_NODE)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	mustInsert(t, e, "product",
 		row("P1", "CRT 15", "Samsung"), row("P2", "LCD 19", "Samsung"),
 		row("P3", "OLED 27", "LG"), row("P4", "Plasma 42", "Panasonic"))
@@ -291,9 +288,6 @@ func TestConcurrentRoutedWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.CreateTrigger(`CREATE TRIGGER watch AFTER UPDATE ON view('m')/p DO notify(NEW_NODE)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	const groups, perGroup = 8, 25

@@ -32,9 +32,6 @@ func newWatchedEngine(t *testing.T, n int) (*Engine, *[]string, *sync.Mutex) {
 	if err := e.CreateTrigger(`CREATE TRIGGER watch AFTER UPDATE ON view('m')/p DO notify(NEW_NODE)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	return e, &got, &mu
 }
 

@@ -7,13 +7,6 @@ import (
 	"quark/internal/xdm"
 )
 
-func negLit(l *LitE) *LitE {
-	if l.V.Kind() == xdm.KindInt {
-		return &LitE{V: xdm.Int(-l.V.AsInt())}
-	}
-	return &LitE{V: xdm.Float(-l.V.AsFloat())}
-}
-
 type parser struct {
 	toks   []token
 	i      int
@@ -727,7 +720,10 @@ func (p *parser) unaryExpr() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*LitE); ok && lit.V.IsNumeric() {
-			return negLit(lit), nil
+			if lit.V.Kind() == xdm.KindInt {
+				return &LitE{V: xdm.Int(-lit.V.AsInt())}, nil
+			}
+			return &LitE{V: xdm.Float(-lit.V.AsFloat())}, nil
 		}
 		return &UnaryE{Op: "-", E: e}, nil
 	}

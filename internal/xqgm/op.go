@@ -352,16 +352,6 @@ func (o *Operator) OutNames() []string {
 	}
 }
 
-// ColIndex returns the output position of the named column, or -1.
-func (o *Operator) ColIndex(name string) int {
-	for i, n := range o.OutNames() {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // DeriveKeys computes canonical keys bottom-up per paper Table 3 and stores
 // them in Key on every operator in the graph. It returns the root's key
 // (nil when the root has no canonical key). An operator below an Unnest, or

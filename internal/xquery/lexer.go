@@ -54,10 +54,6 @@ type Lexer struct {
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
-// Pos returns the current byte offset (used for error reporting and
-// constructor mode switching).
-func (l *Lexer) Pos() int { return l.pos }
-
 // SetPos rewinds/advances the raw position (constructor mode).
 func (l *Lexer) SetPos(p int) { l.pos = p }
 
