@@ -18,6 +18,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -172,6 +173,13 @@ type Engine struct {
 	lockOrder  []string
 	readSets   map[string][]string
 	fkReads    map[string][]string
+	// The lock plans of the fixed footprints, so a statement takes its
+	// locks without allocating: per table, a statement's (writePlans,
+	// rebuilt with readSets) and a read of it (readPlans); and every
+	// table's write lock (allPlan).
+	writePlans map[string]*lockPlan
+	readPlans  map[string]*lockPlan
+	allPlan    *lockPlan
 
 	// dispatcher, when non-nil, runs action callbacks asynchronously; nil
 	// means inline (synchronous) delivery with identical semantics to the
@@ -360,29 +368,51 @@ func NewEngine(db *reldb.DB, mode Mode) *Engine {
 		}
 	}
 	sort.Strings(e.lockOrder)
+	e.allPlan = e.planLocks(allOf(e.lockOrder), nil)
+	e.readPlans = make(map[string]*lockPlan, len(e.lockOrder))
+	for _, t := range e.lockOrder {
+		e.readPlans[t] = e.planLocks(nil, map[string]bool{t: true})
+	}
+	e.planWrites()
 	return e
 }
 
-// acquireLocks takes the listed table locks in global name order (write
-// wins when a table is in both sets) and returns the release function.
-func (e *Engine) acquireLocks(write, read map[string]bool) func() {
-	held := make([]func(), 0, len(write)+len(read))
+// lockPlan is one footprint's table locks in global name order (write wins
+// when a table is in both sets) and the function that releases them.
+type lockPlan struct {
+	take    []func()
+	release func()
+}
+
+// noLocks is the plan of an empty footprint.
+var noLocks = &lockPlan{release: func() {}}
+
+// planLocks builds the plan that write-locks the tables of write and
+// read-locks those of read.
+func (e *Engine) planLocks(write, read map[string]bool) *lockPlan {
+	var take, undo []func()
 	for _, t := range e.lockOrder {
 		l := e.tableLocks[t]
 		switch {
 		case write[t]:
-			l.Lock()
-			held = append(held, l.Unlock)
+			take, undo = append(take, l.Lock), append(undo, l.Unlock)
 		case read[t]:
-			l.RLock()
-			held = append(held, l.RUnlock)
+			take, undo = append(take, l.RLock), append(undo, l.RUnlock)
 		}
 	}
-	return func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i]()
+	return &lockPlan{take: take, release: func() {
+		for i := len(undo) - 1; i >= 0; i-- {
+			undo[i]()
 		}
+	}}
+}
+
+// acquireLocks takes the plan's locks and returns the release function.
+func (e *Engine) acquireLocks(p *lockPlan) func() {
+	for _, lock := range p.take {
+		lock()
 	}
+	return p.release
 }
 
 // lockForWrite locks one statement's footprint: the target table for
@@ -391,8 +421,11 @@ func (e *Engine) acquireLocks(write, read map[string]bool) func() {
 // referenced table's rows even when no trigger is installed on it).
 func (e *Engine) lockForWrite(table string) func() {
 	e.mu.RLock()
-	write := map[string]bool{table: true}
-	unlock := e.acquireLocks(write, e.readFootprint(write))
+	p, ok := e.writePlans[table]
+	if !ok {
+		p = noLocks // an unknown table: the statement fails on its own
+	}
+	unlock := e.acquireLocks(p)
 	e.mu.RUnlock()
 	return unlock
 }
@@ -422,9 +455,19 @@ func (e *Engine) readFootprint(write map[string]bool) map[string]bool {
 // footprint is unknown until the callback runs).
 func (e *Engine) lockAllForWrite() func() {
 	e.mu.RLock()
-	unlock := e.acquireLocks(allOf(e.lockOrder), nil)
+	unlock := e.acquireLocks(e.allPlan)
 	e.mu.RUnlock()
 	return unlock
+}
+
+// planWrites rebuilds every table's statement plan from the read sets.
+// Caller holds e.mu for writing.
+func (e *Engine) planWrites() {
+	e.writePlans = make(map[string]*lockPlan, len(e.lockOrder))
+	for _, t := range e.lockOrder {
+		write := map[string]bool{t: true}
+		e.writePlans[t] = e.planLocks(write, e.readFootprint(write))
+	}
 }
 
 // recomputeReadSets derives, per write-target table, the union of tables
@@ -466,6 +509,7 @@ func (e *Engine) recomputeReadSets() {
 		sort.Strings(out)
 		e.readSets[target] = out
 	}
+	e.planWrites()
 }
 
 // DB returns the underlying relational database.
@@ -893,32 +937,53 @@ func (e *Engine) firingWave(ctx *reldb.FireContext) *deliveryWave {
 	return st.wave
 }
 
-// stageOrDeliver routes one activation of a firing whose wave (see
-// firingWave) is wave: durable deliveries collect on the wave; without an
-// outbox a statement-level firing delivers immediately and a staged one
-// stages its own thunk, preserving activation order either way.
-func (e *Engine) stageOrDeliver(ctx *reldb.FireContext, wave *deliveryWave, fnName string, inv Invocation) error {
-	if ctx.Batch != nil && ctx.Batch.Silent {
+// deliverAll routes a firing's activations of g's action, in order. A
+// statement-level firing delivers them, through one wave (see firingWave)
+// when the outbox is enabled. A staged firing adds them to the commit's
+// staged invocations and stages them with the transaction: on the commit's
+// wave, or as one thunk that delivers this firing's share.
+func (e *Engine) deliverAll(ctx *reldb.FireContext, g *group, invs []Invocation) error {
+	if len(invs) == 0 || ctx.Batch != nil && ctx.Batch.Silent {
 		// Defense in depth: no activation of a silent wave may ever reach a
 		// sink, whatever body produced it.
 		return nil
 	}
+	wave, fnName := e.firingWave(ctx), g.actionFn
 	if ctx.Stage == nil {
-		if wave != nil {
-			wave.add(fnName, inv)
-			return nil
+		for _, inv := range invs {
+			g.stats.activations.Add(1)
+			if wave != nil {
+				wave.add(fnName, inv)
+			} else if err := e.deliver(fnName, inv); err != nil {
+				return err
+			}
 		}
-		return e.deliver(fnName, inv)
-	}
-	st := batchStateOf(ctx.Batch)
-	st.staged = append(st.staged, inv)
-	if wave != nil {
-		if wave.add(fnName, inv) {
-			ctx.Stage(wave.run)
+		if wave != nil {
+			return wave.run()
 		}
 		return nil
 	}
-	ctx.Stage(func() error { return e.deliver(fnName, inv) })
+	st := batchStateOf(ctx.Batch)
+	lo := len(st.staged)
+	st.staged = append(st.staged, invs...)
+	g.stats.activations.Add(int64(len(invs)))
+	if wave != nil {
+		for _, inv := range invs {
+			if wave.add(fnName, inv) {
+				ctx.Stage(wave.run)
+			}
+		}
+		return nil
+	}
+	staged := st.staged[lo:]
+	ctx.Stage(func() error {
+		for _, inv := range staged {
+			if err := e.deliver(fnName, inv); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	return nil
 }
 
@@ -1026,7 +1091,7 @@ func (e *Engine) join(g *group, h int32, isNew bool) error {
 	}
 	// Installing SQL triggers changes what the write path fires, so it
 	// excludes every statement in flight.
-	unlock := e.acquireLocks(allOf(e.lockOrder), nil)
+	unlock := e.acquireLocks(e.allPlan)
 	defer unlock()
 	if isNew {
 		b, err := e.compileGroup(g)
@@ -1091,7 +1156,7 @@ func (e *Engine) leave(g *group, h int32) {
 	if !last && e.mode != ModeUngrouped {
 		return
 	}
-	unlock := e.acquireLocks(allOf(e.lockOrder), nil)
+	unlock := e.acquireLocks(e.allPlan)
 	defer unlock()
 	g.sql = slices.DeleteFunc(g.sql, func(t sqlTrigger) bool {
 		if last || t.member == name {
@@ -1400,17 +1465,8 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 // plans of one commit via the batch state riding on ctx.Batch.
 func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *reldb.FireContext) error {
 	invs, err := e.activations(g, plan, es, ctx)
-	if err == nil && len(invs) > 0 {
-		wave := e.firingWave(ctx)
-		for _, inv := range invs {
-			g.stats.activations.Add(1)
-			if err = e.stageOrDeliver(ctx, wave, g.actionFn, inv); err != nil {
-				break
-			}
-		}
-		if err == nil && ctx.Stage == nil && wave != nil {
-			err = wave.run()
-		}
+	if err == nil {
+		err = e.deliverAll(ctx, g, invs)
 	}
 	clear(invs) // what was delivered is the actions' now, not the context's
 	return err
@@ -1429,7 +1485,6 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 	if ctx.Batch != nil {
 		seen = batchStateOf(ctx.Batch).seen
 	}
-	an := plan.an
 	// The plan takes what another group's plan computed in this context
 	// (an UNGROUPED group's members are one owner: each evaluates its own
 	// plan), but only while the database is as it was then: an action an
@@ -1455,44 +1510,22 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	// Sorted activation (the ORDER BY of Figure 16): by TrigIDs then by the
-	// row. The leading affected-key columns decide that order whenever they
-	// differ (TupleKey length-prefixes each column), and affected keys are
-	// unique per row and TrigIDs, so the rest of the row — which serialises
-	// its OLD and NEW nodes — is keyed only to break a tie: the rows of a
-	// DELETE graph, whose leading key is NULL.
 	if len(rows) > 1 {
-		type keyed struct {
-			key, full string
-			row       xqgm.Tuple
-		}
-		ks := make([]keyed, len(rows))
-		for i, row := range rows {
-			ks[i] = keyed{key: xdm.TupleKey(row[:an.KeyWidth()]), row: row}
-		}
-		full := func(k *keyed) string {
-			if k.full == "" {
-				k.full = xdm.TupleKey(k.row)
-			}
-			return k.full
-		}
-		sort.SliceStable(ks, func(i, j int) bool {
-			if plan.store != nil {
-				if c := plan.store.CompareIDs(ks[i].row[plan.trigIDsCol], ks[j].row[plan.trigIDsCol]); c != 0 {
-					return c < 0
-				}
-			}
-			if ks[i].key != ks[j].key {
-				return ks[i].key < ks[j].key
-			}
-			return full(&ks[i]) < full(&ks[j])
-		})
-		rows = make([]xqgm.Tuple, len(ks))
-		for i := range ks {
-			rows[i] = ks[i].row
-		}
+		rows = es.sortRows(plan, rows)
 	}
-	es.invs = es.invs[:0]
+	// The arguments of every activation come from one slab, cut in turn: at
+	// most one activation per row and member.
+	es.invs, es.args = es.invs[:0], nil
+	if len(plan.args) > 0 {
+		n := len(rows)
+		if plan.store != nil {
+			n = 0
+			for _, row := range rows {
+				n += len(plan.store.RowMembers(row[plan.trigIDsCol]))
+			}
+		}
+		es.args = make([]xdm.Value, n*len(plan.args))
+	}
 	for _, row := range rows {
 		if plan.store == nil {
 			if err := es.invoke(g, plan, seen, row, plan.member, plan.consts); err != nil {
@@ -1509,11 +1542,68 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 			}
 		}
 	}
+	clear(es.sorted)
+	es.args = nil
 	return es.invs, nil
 }
 
+// rowKey is a plan's result row and where its sort keys are in
+// evalState.sortBuf: the TupleKey of its affected-key columns, and of the
+// whole row once a tie needed it (full[1] is 0 until then).
+type rowKey struct {
+	row       xqgm.Tuple
+	key, full [2]int32
+}
+
+// sortRows returns the plan's rows in activation order (the ORDER BY of
+// Figure 16): by TrigIDs, then by the row, in es.sorted. The leading
+// affected-key columns decide that order whenever they differ (TupleKey
+// length-prefixes each column), and affected keys are unique per row and
+// TrigIDs, so the rest of the row — which serialises its OLD and NEW
+// nodes — is keyed only to break a tie: the rows of a DELETE graph, whose
+// leading key is NULL. The keys are bytes in one buffer, which the state
+// keeps with the key and order slices for the next firing.
+func (es *evalState) sortRows(plan *installedPlan, rows []xqgm.Tuple) []xqgm.Tuple {
+	ks, ord, buf := es.sortKeys[:0], es.sortOrd[:0], es.sortBuf[:0]
+	w := plan.an.KeyWidth()
+	for i, row := range rows {
+		lo := len(buf)
+		buf = xdm.AppendTupleKey(buf, row[:w])
+		ks = append(ks, rowKey{row: row, key: [2]int32{int32(lo), int32(len(buf))}})
+		ord = append(ord, int32(i))
+	}
+	full := func(k *rowKey) []byte {
+		if k.full[1] == 0 {
+			lo := len(buf)
+			buf = xdm.AppendTupleKey(buf, k.row)
+			k.full = [2]int32{int32(lo), int32(len(buf))}
+		}
+		return buf[k.full[0]:k.full[1]]
+	}
+	slices.SortStableFunc(ord, func(i, j int32) int {
+		a, b := &ks[i], &ks[j]
+		if plan.store != nil {
+			if c := plan.store.CompareIDs(a.row[plan.trigIDsCol], b.row[plan.trigIDsCol]); c != 0 {
+				return c
+			}
+		}
+		if c := bytes.Compare(buf[a.key[0]:a.key[1]], buf[b.key[0]:b.key[1]]); c != 0 {
+			return c
+		}
+		return bytes.Compare(full(a), full(b))
+	})
+	sorted := es.sorted[:0]
+	for _, i := range ord {
+		sorted = append(sorted, ks[i].row)
+	}
+	clear(ks)
+	es.sortKeys, es.sortOrd, es.sortBuf, es.sorted = ks, ord, buf, sorted
+	return sorted
+}
+
 // invoke appends to es.invs the activation of the trigger named name, whose
-// constants are consts, by a row of plan's result, unless seen has it.
+// constants are consts, by a row of plan's result, unless seen has it. Its
+// arguments are cut from es.args.
 func (es *evalState) invoke(g *group, plan *installedPlan, seen map[activation]struct{}, row xqgm.Tuple, name string, consts []xdm.Value) error {
 	if seen != nil {
 		k := activation{g, name, xdm.ColsKey(row, plan.keyCols[0]), xdm.ColsKey(row, plan.keyCols[1])}
@@ -1523,8 +1613,8 @@ func (es *evalState) invoke(g *group, plan *installedPlan, seen map[activation]s
 		seen[k] = struct{}{}
 	}
 	var args []xdm.Value
-	if len(plan.args) > 0 {
-		args = make([]xdm.Value, len(plan.args))
+	if n := len(plan.args); n > 0 {
+		args, es.args = es.args[:n:n], es.args[n:]
 		es.env.In = [2][]xdm.Value{row, consts}
 		for i, ae := range plan.args {
 			v, err := ae.Eval(&es.env)
@@ -1714,7 +1804,7 @@ func (e *Engine) GetByPK(table string, key ...xdm.Value) (reldb.Row, bool, error
 		e.mu.RUnlock()
 		return nil, false, fmt.Errorf("core: unknown table %q", table)
 	}
-	unlock := e.acquireLocks(nil, map[string]bool{table: true})
+	unlock := e.acquireLocks(e.readPlans[table])
 	e.mu.RUnlock()
 	defer unlock()
 	r, found, err := e.db.GetByPK(table, key...)
@@ -1965,7 +2055,7 @@ func (e *Engine) BeginBatchTables(tables []string) (*BatchHandle, error) {
 		}
 		write[t] = true
 	}
-	unlock := e.acquireLocks(write, e.readFootprint(write))
+	unlock := e.acquireLocks(e.planLocks(write, e.readFootprint(write)))
 	e.mu.RUnlock()
 	tx := e.db.Begin()
 	tx.Restrict(tables)
@@ -1986,8 +2076,7 @@ func (e *Engine) EvalView(name string) (*xdm.Node, error) {
 		e.mu.RUnlock()
 		return nil, fmt.Errorf("core: unknown view %q", name)
 	}
-	read := allOf(xqgm.Tables(v.Root))
-	unlock := e.acquireLocks(nil, read)
+	unlock := e.acquireLocks(e.planLocks(nil, allOf(xqgm.Tables(v.Root))))
 	e.mu.RUnlock()
 	defer unlock()
 	ectx := xqgm.NewEvalContext(e.db, nil)

@@ -21,6 +21,14 @@ type evalState struct {
 	deltas map[string]*xqgm.Transition
 	trs    []xqgm.Transition // what deltas points at
 	invs   []Invocation      // a firing's activations, until it delivers them
+	// A firing's rows in activation order, with the keys and order they
+	// were sorted by (see sortRows); and the slab its activations'
+	// arguments are cut from, while it cuts them.
+	sorted   []xqgm.Tuple
+	sortKeys []rowKey
+	sortOrd  []int32
+	sortBuf  []byte
+	args     []xdm.Value
 	// A grouped member's constants and the environment its action's
 	// arguments evaluate in, while they do.
 	consts []xdm.Value
@@ -93,6 +101,8 @@ func (es *evalState) bind() {
 func (es *evalState) Release() {
 	clear(es.deltas)
 	clear(es.trs)
+	clear(es.sorted)
+	es.args = nil
 	es.Rebind(nil)
 	p := es.pool
 	p.mu.Lock()

@@ -202,7 +202,11 @@ func TestConcurrentWritersNeverShareAContext(t *testing.T) {
 
 // A commit that needs far more memory for its outputs than a context keeps
 // leaves the context it borrowed, and the statement after it, at most
-// maxKeptBytes.
+// maxKeptBytes: output arenas, Δ-key and ∇ indexes and pruning scratch
+// together (xqgm's TestRebindKeepsIndexesWithinTheCap holds the indexes
+// alone to it, reldb's TestTableScratchIsCapped the net-delta scratch, and
+// TestPointWriteAfterAHugeCommit the point write after it to the firing
+// budgets).
 func TestKeptMemoryIsCapped(t *testing.T) {
 	const maxKept = 1 << 20 // xqgm's maxKeptBytes
 	e, firedA, _ := newTwoMarketEngine(t, ModeGrouped)

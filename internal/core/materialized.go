@@ -107,17 +107,7 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		if err != nil {
 			return err
 		}
-		wave := e.firingWave(ctx)
-		for _, inv := range invs {
-			g.stats.activations.Add(1)
-			if err := e.stageOrDeliver(ctx, wave, g.actionFn, inv); err != nil {
-				return err
-			}
-		}
-		if ctx.Stage == nil && wave != nil {
-			return wave.run()
-		}
-		return nil
+		return e.deliverAll(ctx, g, invs)
 	}
 
 	// Fire on every event of every table the view reads.

@@ -9,9 +9,10 @@ import (
 // Engine concurrency-model comment in internal/core/engine.go):
 //
 //  1. Per-table locks are acquired only through acquireLocks, which
-//     walks lockOrder so acquisition order is globally fixed and
-//     deadlock-free. Any direct Lock/RLock/Unlock/RUnlock on an entry
-//     of the tableLocks map outside acquireLocks is a finding.
+//     takes a lock plan built by walking lockOrder, so acquisition order
+//     is globally fixed and deadlock-free. Any direct
+//     Lock/RLock/Unlock/RUnlock on an entry of the tableLocks map
+//     outside acquireLocks is a finding.
 //
 //  2. The metadata mutex e.mu is ordered BEFORE table locks: a
 //     function that has taken table locks (via acquireLocks,

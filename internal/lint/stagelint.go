@@ -33,7 +33,7 @@ import (
 //     (staged thunks: `ctx.Stage(func() error { ... deliver ... })`)
 //   - calls dominated by a branch that checked `ctx.Stage == nil` or
 //     `ctx == nil` (the statement-level immediate-delivery path, as in
-//     stageOrDeliver)
+//     deliverAll)
 var StageLint = &Analyzer{
 	Name:    "stagelint",
 	Doc:     "prepare-phase code must stage deliveries via FireContext.Stage, never deliver or append directly",

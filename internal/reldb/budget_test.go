@@ -1,6 +1,7 @@
 package reldb
 
 import (
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -106,10 +107,11 @@ func TestStoredRowsLeaveTheScannedHeap(t *testing.T) {
 	}
 }
 
-// TestUpdateByPKAllocs pins what a non-key point update allocates: the two
-// one-row transition tables handed to fire. set edits a scratch copy and
-// the new version is carved from a slab, whose allocation a slab's worth of
-// updates share; no key string is formatted and no index is touched.
+// TestUpdateByPKAllocs pins what a non-key point update allocates: nothing.
+// The one-row transition tables handed to fire are the table's firing frame,
+// set edits a scratch copy and the new version is carved from a slab, whose
+// allocation a slab's worth of updates share; no key string is formatted and
+// no index is touched.
 func TestUpdateByPKAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -123,7 +125,56 @@ func TestUpdateByPKAllocs(t *testing.T) {
 			t.Fatal(found, err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("a non-key UpdateByPK allocates %.0f objects, want at most 2 (the Δ/∇ tables)", allocs)
+	if allocs > 0.1 { // a slab fills every few hundred updates
+		t.Errorf("a non-key UpdateByPK allocates %.2f objects, want none", allocs)
+	}
+}
+
+// TestTableScratchIsCapped: a 10,000-row commit grows the table scratch its
+// net change is sorted in (keyBuf, keyed), but the table keeps at most
+// maxScratchBytes of each, and neither it nor a firing frame holds a row
+// once the commit is done.
+func TestTableScratchIsCapped(t *testing.T) {
+	db := leafDB(t, 10_000)
+	fired := 0
+	if err := db.CreateTrigger(&SQLTrigger{Name: "u", Table: "vendor", Event: EvUpdate, Body: func(ctx *FireContext) error {
+		fired += len(ctx.Inserted)
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{10_000, 100} {
+		tx := db.Begin()
+		for i := int64(0); i < n; i++ {
+			if _, err := tx.UpdateByPK("vendor", []xdm.Value{xdm.Int(i)}, func(r Row) Row { r[2] = xdm.Float(-r[2].AsFloat() - 1); return r }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		td := db.tables["vendor"]
+		if b := cap(td.keyBuf); b > maxScratchBytes {
+			t.Errorf("after a %d-row commit the table keeps %d bytes of sort keys, cap %d", n, b, maxScratchBytes)
+		}
+		if b := cap(td.keyed) * int(reflect.TypeFor[keyedRow]().Size()); b > maxScratchBytes {
+			t.Errorf("after a %d-row commit the table keeps %d bytes of keyed rows, cap %d", n, b, maxScratchBytes)
+		}
+		for _, kr := range td.keyed[:cap(td.keyed)] {
+			if kr.row != nil {
+				t.Fatalf("after a %d-row commit the table's keyed scratch still holds a row", n)
+			}
+		}
+		for d, fr := range td.frames {
+			if fr.ctx.Inserted != nil || fr.ins[0] != nil || fr.del[0] != nil || fr.ctx.Batch != nil {
+				t.Errorf("after a %d-row commit the firing frame of depth %d still holds the commit", n, d+1)
+			}
+		}
+		if n == 100 && cap(td.keyBuf) == 0 {
+			t.Error("a 100-row commit's sort keys were not kept for the next")
+		}
+	}
+	if fired != 10_100 {
+		t.Fatalf("the commits reported %d updated rows, want 10,100", fired)
 	}
 }

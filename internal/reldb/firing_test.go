@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,10 +103,11 @@ func TestBodiesShareTheStatementsFireContext(t *testing.T) {
 	db := pvDB(t)
 	loadPaperData(t, db)
 	got := map[string]*FireContext{}
-	state := map[string]any{} // EngineState as each body found it
+	state := map[string]any{}        // EngineState as each body found it
+	seen := map[string]FireContext{} // the fields as each body found them: reldb reuses a FireContext once its bodies are done
 	body := func(name string, then func(*FireContext) error) func(*FireContext) error {
 		return func(ctx *FireContext) error {
-			got[name], state[name] = ctx, ctx.EngineState
+			got[name], state[name], seen[name] = ctx, ctx.EngineState, *ctx
 			ctx.EngineState = name
 			if then != nil {
 				return then(ctx)
@@ -138,8 +140,8 @@ func TestBodiesShareTheStatementsFireContext(t *testing.T) {
 	if got["A"] != got["B"] || got["N1"] != got["N2"] {
 		t.Errorf("bodies of one statement got different FireContexts: A %p B %p, N1 %p N2 %p", got["A"], got["B"], got["N1"], got["N2"])
 	}
-	if got["A"] == got["N1"] || got["N1"].Depth != 2 || got["N1"].Table != "product" {
-		t.Errorf("the nested statement's FireContext: %p (outer %p), depth %d, table %s", got["N1"], got["A"], got["N1"].Depth, got["N1"].Table)
+	if got["A"] == got["N1"] || seen["N1"].Depth != 2 || seen["N1"].Table != "product" {
+		t.Errorf("the nested statement's FireContext: %p (outer %p), depth %d, table %s", got["N1"], got["A"], seen["N1"].Depth, seen["N1"].Table)
 	}
 	want := map[string]any{"A": nil, "N1": nil, "N2": "N1", "B": "A"}
 	for name, w := range want {
@@ -313,6 +315,124 @@ func TestTransitionOrderDeterministic(t *testing.T) {
 	if parts[0] != parts[1] {
 		t.Fatalf("UPDATE pairs misaligned: Δ %q vs ∇ %q", parts[0], parts[1])
 	}
+}
+
+// TestReportOrderIsTupleKeyOrder pins what ordering the transition tables by
+// their keys' xdm.TupleKey strings guaranteed, now that the keys are bytes
+// in one buffer: the rows an UPDATE or DELETE statement matched and a commit's
+// net change come in ascending TupleKey order of the primary key.
+// That order is not numeric — a key's length prefix leads, so 9 sorts before
+// -1 and 10, and 100 after both — and it must hold for int, string and float
+// keys, composite ones, single statements and a commit's net change.
+func TestReportOrderIsTupleKeyOrder(t *testing.T) {
+	ints := []xdm.Value{xdm.Int(100), xdm.Int(-1), xdm.Int(10), xdm.Int(9), xdm.Int(0), xdm.Int(-10), xdm.Int(1234567890123)}
+	strs := []xdm.Value{xdm.Str("b"), xdm.Str("a"), xdm.Str("ab"), xdm.Str(""), xdm.Str("aaaaaaaaaa"), xdm.Str("Z")}
+	floats := []xdm.Value{xdm.Float(2.5), xdm.Float(-0.5), xdm.Float(10), xdm.Float(9.75), xdm.Float(1e20), xdm.Float(-3)}
+	for _, tc := range []struct {
+		name string
+		typ  schema.ColType
+		keys []xdm.Value
+		pair bool // a second key column, the same for every row but one
+	}{
+		{"int", schema.TInt, ints, false},
+		{"string", schema.TString, strs, false},
+		{"float", schema.TFloat, floats, false},
+		{"int+int", schema.TInt, ints, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cols := []schema.Column{{Name: "k", Type: tc.typ}, {Name: "k2", Type: schema.TInt}, {Name: "v", Type: schema.TInt}}
+			pk := []string{"k"}
+			if tc.pair {
+				pk = []string{"k2", "k"}
+			}
+			s := schema.New()
+			s.MustAddTable(&schema.Table{Name: "t", Columns: cols, PrimaryKey: pk})
+			db, err := Open(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := func(i int, v int64) Row {
+				k2 := int64(7)
+				if tc.pair && i == 0 {
+					k2 = 70
+				}
+				return Row{tc.keys[i], xdm.Int(k2), xdm.Int(v)}
+			}
+			want := func(rows []Row) string {
+				keys := keysOf(rows, tc.pair)
+				slices.Sort(keys)
+				return fmt.Sprintf("%q", keys)
+			}
+			got := map[Event][2]string{}
+			for _, ev := range []Event{EvInsert, EvUpdate, EvDelete} {
+				if err := db.CreateTrigger(&SQLTrigger{Name: ev.String(), Table: "t", Event: ev, Body: func(ctx *FireContext) error {
+					got[ctx.Event] = [2]string{fmt.Sprintf("%q", keysOf(ctx.Inserted, tc.pair)), fmt.Sprintf("%q", keysOf(ctx.Deleted, tc.pair))}
+					return nil
+				}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(what string, ev Event, ins, del []Row) {
+				t.Helper()
+				if g := got[ev]; g[0] != want(ins) || g[1] != want(del) {
+					t.Errorf("%s: Δ %q ∇ %q\nwant Δ %q ∇ %q", what, g[0], g[1], want(ins), want(del))
+				}
+				delete(got, ev)
+			}
+			var rows []Row
+			for i := range tc.keys {
+				rows = append(rows, row(i, 1))
+			}
+			if err := db.Insert("t", rows...); err != nil {
+				t.Fatal(err)
+			}
+			delete(got, EvInsert) // a statement's INSERT reports its rows as given
+			if _, err := db.Update("t", func(Row) bool { return true }, func(r Row) Row { r[2] = xdm.Int(2); return r }); err != nil {
+				t.Fatal(err)
+			}
+			check("UPDATE", EvUpdate, rows, rows)
+			// A commit touching the keys in reverse: one update, one delete
+			// and one re-insert per key, netting to updates.
+			tx := db.Begin()
+			for i := len(rows) - 1; i >= 0; i-- {
+				key := []xdm.Value{rows[i][0]}
+				if tc.pair {
+					key = []xdm.Value{rows[i][1], rows[i][0]}
+				}
+				if _, err := tx.UpdateByPK("t", key, func(r Row) Row { r[2] = xdm.Int(3); return r }); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.DeleteByPK("t", key...); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Insert("t", row(i, 4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			check("commit", EvUpdate, rows, rows)
+			if _, err := db.Delete("t", func(Row) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			check("DELETE", EvDelete, nil, rows)
+		})
+	}
+}
+
+// keysOf returns the TupleKeys of rows' primary keys, in report order: the
+// column k, or the columns (k2, k) when pair is set.
+func keysOf(rows []Row, pair bool) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		if pair {
+			keys[i] = xdm.TupleKey([]xdm.Value{r[1], r[0]})
+		} else {
+			keys[i] = xdm.TupleKey(r[:1])
+		}
+	}
+	return keys
 }
 
 // noPKSchema builds one table without a primary key (synthetic rowids).

@@ -22,9 +22,10 @@
 package reldb
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -112,7 +113,11 @@ func (e Event) String() string {
 // statement's goroutine. A body must not change the fields reldb set; it may
 // keep per-statement state in EngineState for the bodies after it. A
 // statement a body executes is a statement of its own, with its own
-// FireContext.
+// FireContext. The FireContext, and a point update's one-row Inserted and
+// Deleted slices, are reldb's scratch (see fireFrame): valid until the
+// statement's last body returns, cleared then and reused by the table's next
+// statement. A body that needs them later copies them; the rows themselves
+// it may keep.
 type FireContext struct {
 	DB       *DB
 	Table    string
@@ -264,7 +269,14 @@ type tableData struct {
 	free  []uint32
 	// scratch is the copy of a row an update's set function edits; the
 	// edited row is carved into store before set runs again.
-	scratch     Row
+	scratch Row
+	// keyBuf holds the TupleKeys sortKeyed orders by, and keyed the rows
+	// Tx.net orders; frames holds each cascade depth's firing scratch (see
+	// fireFrame). Like scratch they are reused from statement to statement,
+	// which the engine's per-table write lock serializes.
+	keyBuf      []byte
+	keyed       []keyedRow
+	frames      []*fireFrame
 	compactions int // of store, for tests
 	// pk maps a row's storage key to its slot: the key columns' CompKey, or
 	// for a table without a primary key the synthetic rowid's. On a
@@ -606,13 +618,13 @@ func (td *tableData) vacate(s uint32, k xdm.CompKey) {
 	td.free = append(td.free, s)
 }
 
-// keyedRow pairs a stored row with its storage key and slot. name is set
-// only by sortKeyed.
+// keyedRow pairs a stored row with its storage key and slot. lo and hi,
+// set only by sortKeyed, delimit the row's TupleKey in the table's keyBuf.
 type keyedRow struct {
-	key  xdm.CompKey
-	row  Row
-	slot uint32
-	name string
+	key    xdm.CompKey
+	row    Row
+	slot   uint32
+	lo, hi int32
 }
 
 // updateChange records one row rewrite: the storage keys before and after
@@ -660,24 +672,41 @@ func (td *tableData) refile(c *updateChange) {
 }
 
 // sortKeyed puts rows into the order Δ/∇ rows are reported in: ascending
-// xdm.TupleKey string of the primary key (the storage-key order the
-// goldens pin), rowid order for a table without a primary key.
+// xdm.TupleKey of the primary key (the storage-key order the goldens pin),
+// rowid order for a table without a primary key. The keys are written one
+// after another into the table's keyBuf, not into a string per row.
 func (td *tableData) sortKeyed(krs []keyedRow) {
 	if len(krs) < 2 {
 		return
 	}
 	if len(td.pkIdx) == 0 {
-		sort.Slice(krs, func(i, j int) bool { return krs[i].key.Compare(krs[j].key) < 0 })
+		slices.SortFunc(krs, func(a, b keyedRow) int { return a.key.Compare(b.key) })
 		return
 	}
-	ks := make([]xdm.Value, len(td.pkIdx))
+	buf := td.keyBuf[:0]
 	for i := range krs {
-		for j, c := range td.pkIdx {
-			ks[j] = krs[i].row[c]
+		lo := len(buf)
+		for _, c := range td.pkIdx {
+			buf = xdm.AppendTupleKey(buf, krs[i].row[c:c+1])
 		}
-		krs[i].name = xdm.TupleKey(ks)
+		krs[i].lo, krs[i].hi = int32(lo), int32(len(buf))
 	}
-	sort.Slice(krs, func(i, j int) bool { return krs[i].name < krs[j].name })
+	slices.SortFunc(krs, func(a, b keyedRow) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	td.keyBuf = keepScratch(buf)
+}
+
+// maxScratchBytes caps what a table keeps of its sort scratch (keyBuf,
+// keyed): one huge statement does not pin its scratch for the table's
+// lifetime.
+const maxScratchBytes = 64 << 10
+
+// keepScratch returns s emptied for the next statement, or nil when it grew
+// past maxScratchBytes.
+func keepScratch[T any](s []T) []T {
+	if cap(s)*int(reflect.TypeFor[T]().Size()) > maxScratchBytes {
+		return nil
+	}
+	return s[:0]
 }
 
 // match returns the rows satisfying pred, in sortKeyed order.
@@ -954,7 +983,7 @@ func (db *DB) applyUpdateByPK(table string, key []xdm.Value, set func(Row) Row) 
 }
 
 // UpdateByPK rewrites the single row with the given primary key; set is as
-// in Update.
+// in Update. Its one-row transition tables are the firing frame's.
 func (db *DB) UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool, error) {
 	if m := db.obs.Load(); m != nil {
 		defer m.stmt.Since(time.Now())
@@ -963,23 +992,49 @@ func (db *DB) UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool
 	if err != nil || !found {
 		return false, err
 	}
-	return true, db.fire(table, EvUpdate, []Row{c.new}, []Row{c.old}, nil, nil)
+	td := db.tables[table]
+	fr := td.frame(td.fireDepth.Load() + 1) // the frame fire takes below
+	fr.ins[0], fr.del[0] = c.new, c.old
+	return true, db.fire(table, EvUpdate, fr.ins[:], fr.del[:], nil, nil)
+}
+
+// fireFrame is what one cascade depth's firings on a table reuse from
+// statement to statement: the FireContext a statement's bodies share and a
+// point update's one-row transition tables. A statement a body executes on
+// the same table fires one depth down, in a frame of its own; one on another
+// table uses that table's frames. fire clears the frame when the statement's
+// bodies are done, so it keeps no row alive.
+type fireFrame struct {
+	ctx      FireContext
+	ins, del [1]Row
+}
+
+// frame returns the frame of the firings at cascade depth d (1 for a
+// statement no trigger body executed), building it on first use.
+func (td *tableData) frame(d int32) *fireFrame {
+	for int(d) > len(td.frames) {
+		td.frames = append(td.frames, &fireFrame{})
+	}
+	return td.frames[d-1]
 }
 
 // fire activates the AFTER triggers for (table, ev). The cascade guard is
-// a per-table counter (see tableData.fireDepth). stage, when non-nil,
-// makes this a staging pass: it is handed to the bodies via
-// FireContext.Stage so their deliveries defer to Tx.Commit.
+// a per-table counter (see tableData.fireDepth), which also picks the
+// statement's fireFrame. stage, when non-nil, makes this a staging pass: it
+// is handed to the bodies via FireContext.Stage so their deliveries defer to
+// Tx.Commit.
 func (db *DB) fire(table string, ev Event, inserted, deleted []Row, batch *BatchInfo, stage func(func() error)) error {
 	td, err := db.table(table)
 	if err != nil {
 		return err
 	}
-	if d := td.fireDepth.Add(1); d > maxTriggerDepth {
-		td.fireDepth.Add(-1)
+	d := td.fireDepth.Add(1)
+	defer td.fireDepth.Add(-1)
+	fr := td.frame(d)
+	defer func() { *fr = fireFrame{} }()
+	if d > maxTriggerDepth {
 		return fmt.Errorf("reldb: trigger cascade exceeds depth %d on %s", maxTriggerDepth, table)
 	}
-	defer td.fireDepth.Add(-1)
 	depth := db.nesting.Add(1)
 	defer db.nesting.Add(-1)
 	// Snapshot the trigger list: a trigger body may call CreateTrigger or
@@ -1002,7 +1057,8 @@ func (db *DB) fire(table string, ev Event, inserted, deleted []Row, batch *Batch
 		}
 		db.stats.triggerFires.Add(1)
 		if ctx == nil {
-			ctx = &FireContext{
+			ctx = &fr.ctx
+			*ctx = FireContext{
 				DB:       db,
 				Table:    table,
 				Event:    ev,

@@ -3,6 +3,7 @@ package reldb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -328,7 +329,14 @@ func TestTriggerTransitionTables(t *testing.T) {
 	var got []*FireContext
 	err := db.CreateTrigger(&SQLTrigger{
 		Name: "t1", Table: "vendor", Event: EvUpdate,
-		Body: func(ctx *FireContext) error { got = append(got, ctx); return nil },
+		// A copy: reldb reuses the FireContext and a point update's
+		// transition tables once the statement's bodies are done.
+		Body: func(ctx *FireContext) error {
+			c := *ctx
+			c.Inserted, c.Deleted = slices.Clone(ctx.Inserted), slices.Clone(ctx.Deleted)
+			got = append(got, &c)
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

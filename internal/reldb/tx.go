@@ -334,10 +334,19 @@ func rowsEqual(a, b Row) bool {
 	return true
 }
 
-// netChange is the coalesced per-table outcome of a transaction.
+// netChange is the coalesced per-table outcome of a transaction: Δ holds the
+// inserted rows, then the updates' new versions; ∇ the deleted rows, then
+// the updates' pre-images, index-aligned with the new versions.
 type netChange struct {
-	ins, del       []Row
-	updOld, updNew []Row // index-aligned update pairs
+	inserted, deleted []Row
+	ins, del          int // how many rows of Δ are inserts, of ∇ deletes
+}
+
+func (nc netChange) empty() bool { return len(nc.inserted)+len(nc.deleted) == 0 }
+
+// updates returns the update pairs: the new versions and their pre-images.
+func (nc netChange) updates() (updNew, updOld []Row) {
+	return nc.inserted[nc.ins:], nc.deleted[nc.del:]
 }
 
 // net computes the coalesced change of one table by diffing the
@@ -352,7 +361,7 @@ func (tx *Tx) net(table string) netChange {
 	// Each touched key is ordered by the key columns of a row filed under
 	// it: its pre-image, else its current occupant. A key vacant at both
 	// ends nets to nothing and is dropped here.
-	keys := make([]keyedRow, 0, len(m))
+	keys := td.keyed[:0]
 	for k, pre := range m { //quark:sorted sortKeyed orders the keys below
 		row := pre.row
 		if row == nil {
@@ -364,17 +373,32 @@ func (tx *Tx) net(table string) netChange {
 		}
 		keys = append(keys, keyedRow{key: k, row: row})
 	}
+	defer func() { clear(keys); td.keyed = keepScratch(keys) }()
+	if len(keys) == 0 {
+		return netChange{}
+	}
 	td.sortKeyed(keys)
-	var nc netChange
+	// A key adds at most one row to Δ and a pre-image at most one to ∇, so
+	// one array of twice the keys holds both. Inserts and deletes fill each
+	// half from the front, update pairs from the back; the pairs move down
+	// behind them at the end.
+	n := len(keys)
+	rows := make([]Row, 2*n)
+	ins, del := rows[:n:n], rows[n:]
+	ni, nd, nu := 0, 0, 0
 	// Keys claimed as a moved row's origin: their pre-image belongs to
 	// that row (paired at its current key), not to whatever occupies the
 	// key now — a fresh insert into a vacated key must not adopt it.
-	claimed := map[xdm.CompKey]bool{}
-	for _, origin := range mv {
-		claimed[origin] = true
+	// Without moves no key is claimed, and a pre-image is consumed exactly
+	// when its own key's occupant is, which pass 2 tells by itself.
+	var claimed, consumed map[xdm.CompKey]bool
+	if len(mv) > 0 {
+		claimed, consumed = map[xdm.CompKey]bool{}, map[xdm.CompKey]bool{}
+		for _, origin := range mv {
+			claimed[origin] = true
+		}
 	}
 	// Pass 1: current occupants, paired with their identity's pre-image.
-	consumed := map[xdm.CompKey]bool{} // origin keys whose pre-image was paired
 	for _, kr := range keys {
 		k := kr.key
 		s, exists := td.pk.get(k)
@@ -392,13 +416,18 @@ func (tx *Tx) net(table string) netChange {
 		}
 		switch {
 		case pre == nil:
-			nc.ins = append(nc.ins, cur)
+			ins[ni] = cur
+			ni++
 		case origin != k || !rowsEqual(pre, cur):
-			nc.updOld = append(nc.updOld, pre)
-			nc.updNew = append(nc.updNew, cur)
-			consumed[origin] = true
+			nu++
+			ins[n-nu], del[n-nu] = cur, pre
+			if consumed != nil {
+				consumed[origin] = true
+			}
 		default:
-			consumed[origin] = true // net no-op; pre-image accounted for
+			if consumed != nil {
+				consumed[origin] = true // net no-op; pre-image accounted for
+			}
 		}
 	}
 	// Pass 2: pre-images whose row vanished (deleted, or displaced by a
@@ -415,9 +444,14 @@ func (tx *Tx) net(table string) netChange {
 				continue
 			}
 		}
-		nc.del = append(nc.del, pre)
+		del[nd] = pre
+		nd++
 	}
-	return nc
+	slices.Reverse(ins[n-nu:])
+	slices.Reverse(del[n-nu:])
+	copy(ins[ni:], ins[n-nu:])
+	copy(del[nd:], del[n-nu:])
+	return netChange{inserted: ins[: ni+nu : ni+nu], deleted: del[: nd+nu : nd+nu], ins: ni, del: nd}
 }
 
 // Prepare runs the prepare phase of a two-phase commit: it computes the
@@ -455,40 +489,33 @@ func (tx *Tx) prepare() error {
 	tables := append([]string(nil), tx.order...)
 	sort.Strings(tables)
 	batch := &BatchInfo{Seq: tx.db.batchSeq.Add(1), Deltas: map[string]*NetDelta{}, Silent: tx.silent, Obs: tx.obsTok}
-	nets := make(map[string]netChange, len(tables))
-	for _, t := range tables {
-		nc := tx.net(t)
-		if len(nc.ins)+len(nc.del)+len(nc.updOld) == 0 {
-			continue
+	nets := make([]netChange, len(tables))
+	for i, t := range tables {
+		nets[i] = tx.net(t)
+		if !nets[i].empty() {
+			batch.Deltas[t] = &NetDelta{Inserted: nets[i].inserted, Deleted: nets[i].deleted}
 		}
-		nets[t] = nc
-		nd := &NetDelta{}
-		nd.Inserted = append(append(nd.Inserted, nc.ins...), nc.updNew...)
-		nd.Deleted = append(append(nd.Deleted, nc.del...), nc.updOld...)
-		batch.Deltas[t] = nd
 	}
 	tx.batch = batch
 	defer func() { release(batch.EngineState) }()
 	stage := func(deliver func() error) {
 		tx.staged = append(tx.staged, deliver)
 	}
-	for _, t := range tables {
-		nc, ok := nets[t]
-		if !ok {
-			continue
-		}
-		if len(nc.ins) > 0 {
-			if err := tx.db.fire(t, EvInsert, nc.ins, nil, batch, stage); err != nil {
+	for i, t := range tables {
+		nc := nets[i]
+		updNew, updOld := nc.updates()
+		if nc.ins > 0 {
+			if err := tx.db.fire(t, EvInsert, nc.inserted[:nc.ins:nc.ins], nil, batch, stage); err != nil {
 				return err
 			}
 		}
-		if len(nc.updNew) > 0 {
-			if err := tx.db.fire(t, EvUpdate, nc.updNew, nc.updOld, batch, stage); err != nil {
+		if len(updNew) > 0 {
+			if err := tx.db.fire(t, EvUpdate, updNew, updOld, batch, stage); err != nil {
 				return err
 			}
 		}
-		if len(nc.del) > 0 {
-			if err := tx.db.fire(t, EvDelete, nil, nc.del, batch, stage); err != nil {
+		if nc.del > 0 {
+			if err := tx.db.fire(t, EvDelete, nil, nc.deleted[:nc.del:nc.del], batch, stage); err != nil {
 				return err
 			}
 		}

@@ -107,9 +107,11 @@ func FuzzValueRoundTrip(f *testing.F) {
 		// and come back out of it unchanged.
 		n := Elem("e", TextNd(s))
 		free := []Value{Null, True, Int(i), Float(fl), Str("")}
-		if a.PointerFree() != (s == "") || NodeVal(n).PointerFree() || Seq(nil).PointerFree() {
+		if a.PointerFree() != (s == "") || NodeVal(n).PointerFree() || Seq([]Value{a}).PointerFree() {
 			t.Fatalf("PointerFree is wrong for %q, a node or a sequence", s)
 		}
+		// The nil sequence, like the empty string, points at nothing.
+		free = append(free, Seq(nil))
 		slab := PointerFreeValues(len(free))
 		for j, v := range free {
 			if !v.PointerFree() {

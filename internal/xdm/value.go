@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -59,9 +60,10 @@ func (k Kind) String() string {
 // bool, the int64 bits for int, the IEEE bits for float, the byte length for
 // a string). A value refers to at most one thing on the heap, so there is
 // one pointer, and kind says what it points to: a string's bytes, a *Node,
-// or a *[]Value (a pointer, so the slice header is not paid by the scalars
-// that make up nearly all tuples). ptr is nil for every other kind and for
-// the empty string, which therefore pins nothing.
+// or a sequence's first element. A string and a sequence keep their length
+// in num, so neither boxes a header on the heap. ptr is nil for every other
+// kind and for the empty string and the nil sequence, which therefore pin
+// nothing.
 //
 // The casts that recover the typed pointer are the only unsafe code in the
 // module: the constructors Str, NodeVal and Seq store ptr, the accessors
@@ -121,8 +123,12 @@ func NodeVal(n *Node) Value {
 	return Value{kind: KindNode, ptr: unsafe.Pointer(n)}
 }
 
-// Seq returns a sequence Value over vs. The slice is not copied.
-func Seq(vs []Value) Value { return Value{kind: KindSeq, ptr: unsafe.Pointer(&vs)} }
+// Seq returns a sequence Value over vs. The slice is not copied; its spare
+// capacity is not kept, so an append to what AsSeq returns never writes into
+// vs.
+func Seq(vs []Value) Value {
+	return Value{kind: KindSeq, num: uint64(len(vs)), ptr: unsafe.Pointer(unsafe.SliceData(vs))}
+}
 
 // str returns the string content. Invariant: kind == KindString, so Str
 // stored ptr and num as the data pointer and length of one string (nil and
@@ -133,9 +139,10 @@ func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.num)) }
 // ptr from a non-nil *Node.
 func (v Value) node() *Node { return (*Node)(v.ptr) }
 
-// seq returns the sequence. Invariant: kind == KindSeq, so Seq stored
-// ptr from a *[]Value.
-func (v Value) seq() []Value { return *(*[]Value)(v.ptr) }
+// seq returns the sequence. Invariant: kind == KindSeq, so Seq stored ptr
+// and num as the data pointer and length of one slice (nil and 0 for a nil
+// one, which comes back nil).
+func (v Value) seq() []Value { return unsafe.Slice((*Value)(v.ptr), int(v.num)) }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -415,24 +422,6 @@ func Equal(a, b Value) bool {
 // serialized form.
 func (v Value) Key() string {
 	switch v.kind {
-	case KindNull:
-		return "\x00N"
-	case KindBool:
-		if v.b() {
-			return "\x00T"
-		}
-		return "\x00F"
-	case KindInt:
-		return "\x00i" + strconv.FormatInt(v.i(), 10)
-	case KindFloat:
-		if i, ok := floatAsInt(v.f()); ok {
-			// Integral floats key identically to ints so that numeric
-			// promotion in Equal matches Key-based grouping.
-			return "\x00i" + strconv.FormatInt(i, 10)
-		}
-		return "\x00f" + strconv.FormatFloat(v.f(), 'b', -1, 64)
-	case KindString:
-		return "\x00s" + v.str()
 	case KindNode:
 		return "\x00n" + v.node().Serialize(false)
 	case KindSeq:
@@ -445,8 +434,35 @@ func (v Value) Key() string {
 			sb.WriteString(k)
 		}
 		return sb.String()
+	case KindString:
+		return "\x00s" + v.str()
+	}
+	var buf [40]byte
+	return string(v.appendScalarKey(buf[:0]))
+}
+
+// appendScalarKey appends Key of a value that is neither a string, a node nor
+// a sequence; at most 32 bytes.
+func (v Value) appendScalarKey(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return append(dst, "\x00N"...)
+	case KindBool:
+		if v.b() {
+			return append(dst, "\x00T"...)
+		}
+		return append(dst, "\x00F"...)
+	case KindInt:
+		return strconv.AppendInt(append(dst, "\x00i"...), v.i(), 10)
+	case KindFloat:
+		if i, ok := floatAsInt(v.f()); ok {
+			// Integral floats key identically to ints so that numeric
+			// promotion in Equal matches Key-based grouping.
+			return strconv.AppendInt(append(dst, "\x00i"...), i, 10)
+		}
+		return strconv.AppendFloat(append(dst, "\x00f"...), v.f(), 'b', -1, 64)
 	default:
-		return "\x00?"
+		return append(dst, "\x00?"...)
 	}
 }
 
@@ -461,16 +477,35 @@ func floatAsInt(f float64) (int64, bool) {
 	return 0, false
 }
 
-// TupleKey concatenates the Keys of vs into a single composite map key.
+// TupleKey concatenates the Keys of vs into a single composite map key: each
+// one's length in decimal, a colon, the Key.
 func TupleKey(vs []Value) string {
-	var sb strings.Builder
+	var buf [64]byte
+	return string(AppendTupleKey(buf[:0], vs))
+}
+
+// AppendTupleKey appends TupleKey(vs) to dst. Only a node or a sequence
+// formats a string of its own on the way; a caller that orders rows by their
+// TupleKey can keep every row's key in one buffer.
+func AppendTupleKey(dst []byte, vs []Value) []byte {
 	for _, v := range vs {
-		k := v.Key()
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
+		switch v.kind {
+		case KindString:
+			s := v.str()
+			dst = strconv.AppendInt(dst, int64(len(s)+2), 10)
+			dst = append(append(dst, ":\x00s"...), s...)
+		case KindNode, KindSeq:
+			k := v.Key()
+			dst = strconv.AppendInt(dst, int64(len(k)), 10)
+			dst = append(append(dst, ':'), k...)
+		default:
+			var buf [40]byte
+			k := v.appendScalarKey(buf[:0])
+			dst = strconv.AppendInt(dst, int64(len(k)), 10)
+			dst = append(append(dst, ':'), k...)
+		}
 	}
-	return sb.String()
+	return dst
 }
 
 // CompKey is a comparable image of a tuple's key columns, for use as a Go
@@ -524,6 +559,31 @@ type NumKey struct {
 // numeric kinds.
 func (k CompKey) NumKey() (NumKey, bool) {
 	return NumKey{kind: k.kind, num: k.num}, k.str == ""
+}
+
+// FoldKey folds the CompKey of v into the running hash h: values whose
+// CompKeys are equal fold equally, so a hash of a tuple's key columns can file
+// the tuple in a table that confirms a match by comparing the CompKeys. It
+// allocates nothing for the scalar kinds.
+func FoldKey(h uint64, v Value) uint64 {
+	k := v.CompKey()
+	h = mix64(h ^ uint64(k.kind)<<56 ^ mix64(k.num))
+	if k.str != "" {
+		h ^= maphash.String(keySeed, k.str)
+	}
+	return h
+}
+
+// keySeed seeds FoldKey's string hashing; a hash never reaches an output.
+var keySeed = maphash.MakeSeed()
+
+// mix64 is a 64-bit finalizer: every input bit moves every output bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // RowKey returns the key of the whole tuple t.

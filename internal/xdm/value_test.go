@@ -319,6 +319,81 @@ func TestSeqHelpers(t *testing.T) {
 	}
 }
 
+// A sequence keeps its elements' pointer and count, as a string does: the nil
+// sequence reads back nil and pins nothing, an empty one reads back empty,
+// and a nested sequence reads back the inner value itself.
+func TestSeqRoundTrip(t *testing.T) {
+	if s := Seq(nil); s.Kind() != KindSeq || s.AsSeq() != nil || s.SeqLen() != 0 || !s.PointerFree() {
+		t.Errorf("Seq(nil) = %v kind %s, AsSeq %v, PointerFree %v", s, s.Kind(), s.AsSeq(), s.PointerFree())
+	}
+	if s := Seq([]Value{}); s.Kind() != KindSeq || s.AsSeq() == nil || s.SeqLen() != 0 || s.EffectiveBool() {
+		t.Errorf("Seq([]Value{}) reads back %#v", s.AsSeq())
+	}
+	if !Equal(Seq(nil), Seq([]Value{})) || Seq(nil).Key() != Seq([]Value{}).Key() {
+		t.Error("the nil and the empty sequence differ")
+	}
+	inner := []Value{Int(1), Str("two")}
+	backing := []Value{Seq(inner), Float(3.5), Int(7)}
+	outer := Seq(backing[:2])
+	got := outer.AsSeq()
+	if len(got) != 2 || cap(got) != 2 || &got[0] != &backing[0] {
+		t.Fatalf("Seq(outer) reads back len %d cap %d over another array", len(got), cap(got))
+	}
+	if in := got[0].AsSeq(); len(in) != 2 || &in[0] != &inner[0] || !Equal(in[1], Str("two")) {
+		t.Errorf("nested sequence reads back %v", in)
+	}
+	if outer.String() != `((1, "two"), 3.5)` || outer.Lexical() != "1two3.5" {
+		t.Errorf("nested sequence prints %s / %s", outer.String(), outer.Lexical())
+	}
+	// An append to what AsSeq returned never writes into the backing array.
+	_ = append(got, Null)
+	if !Equal(backing[2], Int(7)) {
+		t.Error("append wrote past the sequence")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Seq(inner).SeqLen() }); n != 0 {
+		t.Errorf("Seq allocates %.0f objects", n)
+	}
+}
+
+// tupleKeyRef is TupleKey as it was first written: each value's Key, length
+// prefixed, concatenated.
+func tupleKeyRef(vs []Value) string {
+	var b []byte
+	for _, v := range vs {
+		k := v.Key()
+		b = append(append(strconv.AppendInt(b, int64(len(k)), 10), ':'), k...)
+	}
+	return string(b)
+}
+
+// AppendTupleKey writes exactly TupleKey's bytes, for every kind, and without
+// allocating for the scalar ones.
+func TestAppendTupleKey(t *testing.T) {
+	vals := []Value{Null, True, False, Int(-1), Int(9), Int(10), Int(100), Int(math.MinInt64),
+		Float(2.5), Float(-0.0), Float(1e300), Float(math.NaN()), Float(math.Inf(-1)), Float(0x1p63),
+		Str(""), Str("x"), Str("a\x00b"), Str(string(make([]byte, 300))),
+		NodeVal(Elem("e", TextNd("t"))), Seq([]Value{Int(1), Str("s")}), Seq(nil)}
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 500; round++ {
+		tup := make([]Value, r.Intn(4))
+		for i := range tup {
+			tup[i] = vals[r.Intn(len(vals))]
+		}
+		want := tupleKeyRef(tup)
+		if got := string(AppendTupleKey([]byte("pre"), tup)); got != "pre"+want {
+			t.Fatalf("AppendTupleKey(%v) = %q, want %q", tup, got, want)
+		}
+		if got := TupleKey(tup); got != want {
+			t.Fatalf("TupleKey(%v) = %q, want %q", tup, got, want)
+		}
+	}
+	scalars := []Value{Int(-12345), Float(2.5), Str("abc"), Null, True}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendTupleKey(buf[:0], scalars) }); n != 0 {
+		t.Errorf("AppendTupleKey of scalars allocates %.0f objects", n)
+	}
+}
+
 // randomScalar builds an arbitrary scalar value from a rand source.
 func randomScalar(r *rand.Rand) Value {
 	switch r.Intn(5) {

@@ -76,11 +76,18 @@ type EvalStats struct {
 // A rebound context cuts its operators' outputs — tuple cells, output arrays,
 // GroupBy's row permutation, the trails' positions — from blocks it keeps,
 // and the next Rebind clears them and cuts the next statement's outputs from
-// them again, keeping at most maxKeptBytes. So the tuples EvalFor returns are
-// valid until the next Rebind, and whatever outlives the statement — a node,
-// an aggregate's item sequence, a value copied out of a tuple — must not be a
-// tuple. A context that is never rebound allocates every output on its own
-// and keeps nothing: its tuples live as long as they are referenced.
+// them again. What it builds from the transition tables is reused the same
+// way: the Δ-key and ∇ indexes and the index a pruned table or a keyless
+// B_old is computed with are open-addressed tables of row positions
+// (keyIndex), whose slices the next statement builds its own in; the memo,
+// the trails, the caches' maps and the join scratch are cleared, not
+// remade. Across a Rebind the context keeps no row, tuple or node of the
+// last statement, and at most maxKeptBytes of outputs and indexes together
+// (KeptBytes). So the tuples EvalFor returns are valid until the next
+// Rebind, and whatever outlives the statement — a node, an aggregate's item
+// sequence, a value copied out of a tuple — must not be a tuple. A context
+// that is never rebound allocates every output on its own and keeps
+// nothing: its tuples live as long as they are referenced.
 type EvalContext struct {
 	DB     *reldb.DB
 	Deltas map[string]*Transition
@@ -99,13 +106,20 @@ type EvalContext struct {
 	// Prepare. They live in the context, not on the Operator, so evaluation
 	// never writes to a graph another goroutine may be evaluating.
 	adhoc map[*Operator]*node
-	// oldExcl caches, per table, the Δ primary-key set used to mask
-	// current rows when probing B_old; delIdx caches ∇ rows bucketed by a
-	// probe column. Both depend only on the (fixed) transition tables, and
-	// without them every SrcOld index probe would rescan Δ and ∇ — O(|Δ|)
-	// per probe, quadratic over a large batched transaction.
-	oldExcl map[string]map[xdm.CompKey]struct{}
-	delIdx  map[tableCol]map[xdm.CompKey][]reldb.Row
+	// oldExcl indexes, per table, Δ by primary key: the rows B_old masks
+	// out of the current table. delIdx indexes ∇ by a probe column. Both
+	// depend only on the (fixed) transition tables, and without them every
+	// SrcOld index probe would rescan Δ and ∇ — O(|Δ|) per probe, quadratic
+	// over a large batched transaction.
+	oldExcl map[string]*keyIndex
+	delIdx  map[tableCol]*keyIndex
+	// spare holds the indexes of earlier statements, emptied, for the next
+	// ones to build in. prune is the index a pruned transition table or a
+	// keyless B_old scan builds and is done with, and used marks the rows of
+	// prune a match took.
+	spare []*keyIndex
+	prune keyIndex
+	used  []bool
 	// trans caches the transition tables read as tuples — Δ, ∇ and their
 	// pruned forms — by table and source.
 	trans map[tableCol][]Tuple
@@ -278,21 +292,58 @@ func (ctx *EvalContext) Reset() {
 // and what it built from the last statement's transition tables, then clears
 // the memory the outputs were cut from and cuts the next statement's from it
 // (see EvalContext): the tuples EvalFor returned before are invalid from
-// here on. Memory past maxKeptBytes is dropped.
+// here on. The indexes it built keep their slices for the next statement's;
+// memory past maxKeptBytes, indexes first, is dropped.
 func (ctx *EvalContext) Rebind(deltas map[string]*Transition) {
 	ctx.Reset()
 	ctx.Deltas = deltas
 	ctx.plan, ctx.owner = nil, nil
 	clear(ctx.trans)
-	clear(ctx.oldExcl)
-	clear(ctx.delIdx)
-	ctx.mem.reset()
+	budget := maxKeptBytes
+	ctx.recycle(&budget)
+	ctx.mem.reset(&budget)
 	ctx.hits, ctx.matches = scratch(ctx.hits), scratch(ctx.matches)
 }
 
-// KeptBytes reports the memory the context keeps for its outputs across
-// Rebind: at most maxKeptBytes right after one.
-func (ctx *EvalContext) KeptBytes() int { return ctx.mem.bytes() }
+// recycle empties the last statement's indexes into spare and keeps, of them
+// and the pruning scratch, what fits in budget, charging it.
+func (ctx *EvalContext) recycle(budget *int) {
+	for _, ix := range ctx.oldExcl { // which index is kept where reaches no output
+		ctx.spare = append(ctx.spare, ix)
+	}
+	for _, ix := range ctx.delIdx {
+		ctx.spare = append(ctx.spare, ix)
+	}
+	clear(ctx.oldExcl)
+	clear(ctx.delIdx)
+	kept := ctx.spare[:0]
+	for _, ix := range ctx.spare {
+		ix.release()
+		if b := ix.bytes(); b <= *budget {
+			*budget -= b
+			kept = append(kept, ix)
+		}
+	}
+	clear(ctx.spare[len(kept):])
+	ctx.spare = kept
+	ctx.prune.release()
+	if b := ctx.prune.bytes() + cap(ctx.used); b <= *budget {
+		*budget -= b
+	} else {
+		ctx.prune, ctx.used = keyIndex{}, nil
+	}
+}
+
+// KeptBytes reports the memory the context keeps across Rebind for its
+// outputs and its transition tables' indexes: at most maxKeptBytes right
+// after one.
+func (ctx *EvalContext) KeptBytes() int {
+	n := ctx.mem.bytes() + ctx.prune.bytes() + cap(ctx.used)
+	for _, ix := range ctx.spare {
+		n += ix.bytes()
+	}
+	return n
+}
 
 // forget clears the memo and the trails, keeping their capacity. Entries past
 // the memo's length are already clear: every forget clears the whole length.
@@ -586,7 +637,7 @@ func (ctx *EvalContext) evalTable(o *Operator) ([]Tuple, error) {
 		})
 		return out, err
 	case SrcDelta, SrcNabla, SrcDeltaPruned, SrcNablaPruned:
-		return ctx.transitionTuples(o.Table, o.Source, tr), nil
+		return ctx.transitionTuples(o, tr), nil
 	case SrcOld:
 		return ctx.evalOldTable(o, tr)
 	default:
@@ -596,23 +647,22 @@ func (ctx *EvalContext) evalTable(o *Operator) ([]Tuple, error) {
 
 // transitionTuples returns (building once per context) one of a table's
 // transition tables as tuples.
-func (ctx *EvalContext) transitionTuples(table string, src TableSource, tr *Transition) []Tuple {
-	key := tableCol{table, int(src)}
+func (ctx *EvalContext) transitionTuples(o *Operator, tr *Transition) []Tuple {
+	key := tableCol{o.Table, int(o.Source)}
 	if ts, ok := ctx.trans[key]; ok {
 		return ts
 	}
-	var rows []reldb.Row
-	switch src {
+	var ts []Tuple
+	switch o.Source {
 	case SrcDelta:
-		rows = tr.Inserted
+		ts = ctx.rowsToTuples(tr.Inserted)
 	case SrcNabla:
-		rows = tr.Deleted
+		ts = ctx.rowsToTuples(tr.Deleted)
 	case SrcDeltaPruned:
-		rows = pruneRows(tr.Inserted, tr.Deleted)
+		ts = ctx.pruned(tr.Inserted, tr.Deleted, o.TablePK)
 	default:
-		rows = pruneRows(tr.Deleted, tr.Inserted)
+		ts = ctx.pruned(tr.Deleted, tr.Inserted, o.TablePK)
 	}
-	ts := ctx.rowsToTuples(rows)
 	if ctx.trans == nil {
 		ctx.trans = map[tableCol][]Tuple{}
 	}
@@ -620,26 +670,44 @@ func (ctx *EvalContext) transitionTuples(table string, src TableSource, tr *Tran
 	return ts
 }
 
-// pruneRows implements the pruned transition tables of Definition 8:
-// rows of a that also appear (as full rows) in b are removed.
-func pruneRows(a, b []reldb.Row) []reldb.Row {
+// pruned implements the pruned transition tables of Definition 8: the
+// tuples of a less the rows that also appear, as full rows, in b. It is a
+// bag difference: one row of b cancels one equal row of a. b is indexed by
+// the table's primary key pk (by the whole row for a keyless table), and a
+// row found under a's key cancels it only if all its columns are equal.
+func (ctx *EvalContext) pruned(a, b []reldb.Row, pk []int) []Tuple {
 	if len(a) == 0 || len(b) == 0 {
-		return a
+		return ctx.rowsToTuples(a)
 	}
-	drop := make(map[xdm.CompKey]int, len(b))
-	for _, r := range b {
-		drop[xdm.RowKey(r)]++
-	}
-	var out []reldb.Row
+	ix := ctx.bag(b, pk)
+	out := ctx.mem.tuples.take(len(a))[:0]
 	for _, r := range a {
-		k := xdm.RowKey(r)
-		if n := drop[k]; n > 0 {
-			drop[k] = n - 1
-			continue
+		if !ctx.takeEqual(ix, r, pk) {
+			out = append(out, Tuple(r))
 		}
-		out = append(out, r)
 	}
+	ix.release()
 	return out
+}
+
+// bag indexes rows by cols in the pruning scratch, none of them taken yet.
+func (ctx *EvalContext) bag(rows []reldb.Row, cols []int) *keyIndex {
+	ctx.prune.build(rows, cols)
+	ctx.used = resized(ctx.used, len(rows))
+	return &ctx.prune
+}
+
+// takeEqual takes the first row of bag ix equal to t in every column and
+// not taken yet, looking it up by t's columns cols; it reports whether
+// there was one.
+func (ctx *EvalContext) takeEqual(ix *keyIndex, t []xdm.Value, cols []int) bool {
+	for p := ix.first(t, cols); p != 0; p = ix.next[p-1] {
+		if !ctx.used[p-1] && sameKey(ix.rows[p-1], nil, t, nil) {
+			ctx.used[p-1] = true
+			return true
+		}
+	}
+	return false
 }
 
 // evalOldTable reconstructs B_old = (B EXCEPT ALL ΔB) UNION ALL ∇B (paper
@@ -652,28 +720,20 @@ func (ctx *EvalContext) evalOldTable(o *Operator, tr *Transition) ([]Tuple, erro
 	if len(o.TablePK) > 0 {
 		exclude := ctx.oldExclFor(o.Table, o.TablePK)
 		err = ctx.DB.Scan(o.Table, func(r reldb.Row) bool {
-			if len(exclude) > 0 {
-				if _, masked := exclude[xdm.ColsKey(r, o.TablePK)]; masked {
-					return true
-				}
+			if !exclude.has(r, o.TablePK) {
+				out = append(out, Tuple(r))
 			}
-			out = append(out, Tuple(r))
 			return true
 		})
 	} else {
-		remain := make(map[xdm.CompKey]int, len(tr.Inserted))
-		for _, r := range tr.Inserted {
-			remain[xdm.RowKey(r)]++
-		}
+		remain := ctx.bag(tr.Inserted, nil)
 		err = ctx.DB.Scan(o.Table, func(r reldb.Row) bool {
-			k := xdm.RowKey(r)
-			if n := remain[k]; n > 0 {
-				remain[k] = n - 1
-				return true
+			if !ctx.takeEqual(remain, r, nil) {
+				out = append(out, Tuple(r))
 			}
-			out = append(out, Tuple(r))
 			return true
 		})
+		remain.release()
 	}
 	if err != nil {
 		return nil, err
@@ -763,7 +823,7 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var excl map[xdm.CompKey]struct{}
+	var excl *keyIndex
 	if twinHits != nil && bp.src == SrcOld {
 		excl = ctx.oldExclFor(bp.table, bp.pk)
 	}
@@ -812,10 +872,8 @@ func (ctx *EvalContext) indexJoin(n *node, outer int) ([]Tuple, bool, error) {
 		} else {
 			i, _ := slices.BinarySearchFunc(twinHits, int32(k), func(h hit, k int32) int { return int(h.outer - k) })
 			for ; i < len(twinHits) && int(twinHits[i].outer) == k; i++ {
-				if len(excl) > 0 {
-					if _, masked := excl[xdm.ColsKey(twinHits[i].row, bp.pk)]; masked {
-						continue
-					}
+				if excl.has(twinHits[i].row, bp.pk) {
+					continue
 				}
 				hits = append(hits, hit{twinHits[i].row, int32(oi), int32(i)})
 				reused++
@@ -896,45 +954,55 @@ func (ctx *EvalContext) twinProbe(n *node, outer, pi int) (hits []hit, out []Tup
 	return nil, nil, nil, nil
 }
 
-// oldExclFor returns (building once per context) the Δ primary-key set of
-// a table, used to mask already-updated rows out of B_old.
-func (ctx *EvalContext) oldExclFor(table string, pk []int) map[xdm.CompKey]struct{} {
+// oldExclFor returns (building once per context) Δ of a table indexed by its
+// primary key pk, which masks already-updated rows out of B_old; nil when Δ
+// is empty.
+func (ctx *EvalContext) oldExclFor(table string, pk []int) *keyIndex {
 	tr := ctx.transition(table)
 	if len(tr.Inserted) == 0 {
 		return nil
 	}
-	if m, ok := ctx.oldExcl[table]; ok {
-		return m
+	if ix, ok := ctx.oldExcl[table]; ok {
+		return ix
 	}
-	m := make(map[xdm.CompKey]struct{}, len(tr.Inserted))
-	for _, r := range tr.Inserted {
-		m[xdm.ColsKey(r, pk)] = struct{}{}
-	}
+	ix := ctx.index()
+	ix.build(tr.Inserted, pk)
 	if ctx.oldExcl == nil {
-		ctx.oldExcl = map[string]map[xdm.CompKey]struct{}{}
+		ctx.oldExcl = map[string]*keyIndex{}
 	}
-	ctx.oldExcl[table] = m
-	return m
+	ctx.oldExcl[table] = ix
+	return ix
 }
 
+// has reports whether a row of ix has the key of t's columns cols; a nil ix
+// has none.
+func (ix *keyIndex) has(t []xdm.Value, cols []int) bool { return ix != nil && ix.first(t, cols) != 0 }
+
 // deletedByCol returns (building once per context) the table's ∇ rows
-// bucketed by the given column's value.
-func (ctx *EvalContext) deletedByCol(table string, col int) map[xdm.CompKey][]reldb.Row {
+// indexed by the given column.
+func (ctx *EvalContext) deletedByCol(table string, col int) *keyIndex {
 	key := tableCol{table, col}
-	if m, ok := ctx.delIdx[key]; ok {
-		return m
+	if ix, ok := ctx.delIdx[key]; ok {
+		return ix
 	}
-	tr := ctx.transition(table)
-	m := make(map[xdm.CompKey][]reldb.Row, len(tr.Deleted))
-	for _, r := range tr.Deleted {
-		k := r[col].CompKey()
-		m[k] = append(m[k], r)
-	}
+	ix := ctx.index()
+	ix.col[0] = col
+	ix.build(ctx.transition(table).Deleted, ix.col[:])
 	if ctx.delIdx == nil {
-		ctx.delIdx = map[tableCol]map[xdm.CompKey][]reldb.Row{}
+		ctx.delIdx = map[tableCol]*keyIndex{}
 	}
-	ctx.delIdx[key] = m
-	return m
+	ctx.delIdx[key] = ix
+	return ix
+}
+
+// index returns an index to build: a spare one, else a new one.
+func (ctx *EvalContext) index() *keyIndex {
+	if n := len(ctx.spare); n > 0 {
+		ix := ctx.spare[n-1]
+		ctx.spare[n-1], ctx.spare = nil, ctx.spare[:n-1]
+		return ix
+	}
+	return &keyIndex{}
 }
 
 // lookupPath probes a base-path by the index on base column col. For SrcOld
@@ -948,10 +1016,8 @@ func (ctx *EvalContext) lookupPath(bp *basePath, col int, v xdm.Value, fn func(r
 	excl := ctx.oldExclFor(bp.table, bp.pk)
 	stop := false
 	err := ctx.DB.Lookup(bp.table, bp.cols[col], v, func(r reldb.Row) bool {
-		if len(excl) > 0 {
-			if _, masked := excl[xdm.ColsKey(r, bp.pk)]; masked {
-				return true
-			}
+		if excl.has(r, bp.pk) {
+			return true
 		}
 		stop = !fn(r)
 		return !stop
@@ -968,8 +1034,10 @@ func (ctx *EvalContext) lookupDeleted(bp *basePath, col int, v xdm.Value, fn fun
 	if len(ctx.transition(bp.table).Deleted) == 0 {
 		return
 	}
-	for _, r := range ctx.deletedByCol(bp.table, col)[v.CompKey()] {
-		if !fn(r) {
+	ix := ctx.deletedByCol(bp.table, col)
+	probe := [1]xdm.Value{v}
+	for p := ix.first(probe[:], nil); p != 0; p = ix.next[p-1] {
+		if !fn(ix.rows[p-1]) {
 			return
 		}
 	}

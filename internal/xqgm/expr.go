@@ -228,13 +228,14 @@ type Call struct {
 
 // Eval implements Expr.
 func (e *Call) Eval(env *Env) (xdm.Value, error) {
-	vals := make([]xdm.Value, len(e.Args))
-	for i, a := range e.Args {
+	var buf [4]xdm.Value // the arguments of every call but a long concat
+	vals := buf[:0]
+	for _, a := range e.Args {
 		v, err := a.Eval(env)
 		if err != nil {
 			return xdm.Null, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
 	switch e.Name {
 	case "data":

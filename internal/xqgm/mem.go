@@ -33,15 +33,14 @@ type outMem struct {
 	groups arena[groupAt]
 }
 
-// reset clears what the last statement cut, keeps blocks up to maxKeptBytes
-// and turns the arenas on.
-func (m *outMem) reset() {
-	budget := maxKeptBytes
-	m.cells.reset(&budget)
-	m.tuples.reset(&budget)
-	m.ints.reset(&budget)
-	m.hits.reset(&budget)
-	m.groups.reset(&budget)
+// reset clears what the last statement cut, keeps blocks up to budget, which
+// it charges for them, and turns the arenas on.
+func (m *outMem) reset(budget *int) {
+	m.cells.reset(budget)
+	m.tuples.reset(budget)
+	m.ints.reset(budget)
+	m.hits.reset(budget)
+	m.groups.reset(budget)
 }
 
 // bytes reports the memory the arenas keep.
