@@ -342,13 +342,6 @@ type netChange struct {
 	ins, del          int // how many rows of Δ are inserts, of ∇ deletes
 }
 
-func (nc netChange) empty() bool { return len(nc.inserted)+len(nc.deleted) == 0 }
-
-// updates returns the update pairs: the new versions and their pre-images.
-func (nc netChange) updates() (updNew, updOld []Row) {
-	return nc.inserted[nc.ins:], nc.deleted[nc.del:]
-}
-
 // net computes the coalesced change of one table by diffing the
 // first-touch snapshot against the table's current contents, in storage-key
 // order (sortKeyed) for deterministic firing. The moved-identity chains
@@ -492,7 +485,7 @@ func (tx *Tx) prepare() error {
 	nets := make([]netChange, len(tables))
 	for i, t := range tables {
 		nets[i] = tx.net(t)
-		if !nets[i].empty() {
+		if len(nets[i].inserted)+len(nets[i].deleted) > 0 {
 			batch.Deltas[t] = &NetDelta{Inserted: nets[i].inserted, Deleted: nets[i].deleted}
 		}
 	}
@@ -503,7 +496,7 @@ func (tx *Tx) prepare() error {
 	}
 	for i, t := range tables {
 		nc := nets[i]
-		updNew, updOld := nc.updates()
+		updNew, updOld := nc.inserted[nc.ins:], nc.deleted[nc.del:]
 		if nc.ins > 0 {
 			if err := tx.db.fire(t, EvInsert, nc.inserted[:nc.ins:nc.ins], nil, batch, stage); err != nil {
 				return err
