@@ -151,6 +151,47 @@ func TestBodiesShareTheStatementsFireContext(t *testing.T) {
 	}
 }
 
+// TestNestedPointUpdateHasItsOwnFrame: a point update a body executes on its
+// own table fires one cascade depth down, in a firing frame of its own, so
+// the outer statement's FireContext and one-row transition tables are as
+// they were when the nested statement returns, and cleared once the outer
+// statement's bodies are done.
+func TestNestedPointUpdateHasItsOwnFrame(t *testing.T) {
+	db := pvDB(t)
+	loadPaperData(t, db)
+	var outer *FireContext
+	var nestedSeen FireContext
+	price := func(p float64) func(Row) Row { return func(r Row) Row { r[2] = xdm.Float(p); return r } }
+	if err := db.CreateTrigger(&SQLTrigger{Name: "nest", Table: "vendor", Event: EvUpdate, Body: func(ctx *FireContext) error {
+		if ctx.Depth > 1 {
+			nestedSeen = *ctx
+			nestedSeen.Inserted = slices.Clone(ctx.Inserted) // the frame's, cleared on return
+			return nil
+		}
+		outer = ctx
+		before := *ctx
+		if _, err := db.UpdateByPK("vendor", []xdm.Value{xdm.Str("Bestbuy"), xdm.Str("P1")}, price(121)); err != nil {
+			return err
+		}
+		if ctx.Depth != 1 || ctx.Table != "vendor" || len(ctx.Inserted) != 1 || &ctx.Inserted[0] != &before.Inserted[0] ||
+			!xdm.Equal(ctx.Inserted[0][2], xdm.Float(75)) || !xdm.Equal(ctx.Deleted[0][2], xdm.Float(100)) {
+			t.Errorf("after the nested statement the outer FireContext reads depth %d, Δ %v, ∇ %v", ctx.Depth, ctx.Inserted, ctx.Deleted)
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.UpdateByPK("vendor", []xdm.Value{xdm.Str("Amazon"), xdm.Str("P1")}, price(75)); err != nil {
+		t.Fatal(err)
+	}
+	if nestedSeen.Depth != 2 || len(nestedSeen.Inserted) != 1 || !xdm.Equal(nestedSeen.Inserted[0][2], xdm.Float(121)) {
+		t.Errorf("the nested statement's FireContext read depth %d, Δ %v", nestedSeen.Depth, nestedSeen.Inserted)
+	}
+	if outer == nil || outer.Inserted != nil || outer.Batch != nil {
+		t.Errorf("the outer FireContext is not cleared after its statement: %+v", outer)
+	}
+}
+
 // TestTriggerBodyMutatingTriggers: a body that drops a later trigger and
 // creates a new one must not make the firing wave skip or double-fire
 // neighbors — the wave runs the statement-time snapshot exactly once
