@@ -27,7 +27,6 @@ type NavNode struct {
 	NodeCol  int            // column carrying the constructed element
 	KeyCols  []int          // canonical key of the element (within Op output)
 	Attrs    map[string]int // attribute name -> scalar column
-	Fields   map[string]int // scalar child element name -> column
 	Children []*NavNode
 }
 
@@ -137,10 +136,9 @@ type binding struct {
 	// scalar: a single column of ctx.op.
 	scalarCol int
 	isScalar  bool
-	// row: a contiguous column range of ctx.op mapping a table's columns.
+	// row: a table's columns, from column start of ctx.op on.
 	table string
 	start int
-	width int
 	isRow bool
 	// set: a deferred let-bound table path.
 	set *setDef
@@ -155,7 +153,6 @@ type setDef struct {
 	// realized tracks, per compilation context, where the set's row
 	// binding landed after realization.
 	realizedStart int
-	realizedWidth int
 	realized      bool
 }
 
@@ -182,7 +179,7 @@ func (cx *ctx) clone() *ctx {
 // compileDocCtor compiles the document element: scalar content is inlined;
 // FLWOR content is compiled, aggregated with aggXMLFrag, and spliced.
 func (c *Compiler) compileDocCtor(ctor *xquery.ElemCtor) (*xqgm.Operator, *NavNode, error) {
-	nav := &NavNode{ElemName: ctor.Name, Attrs: map[string]int{}, Fields: map[string]int{}}
+	nav := &NavNode{ElemName: ctor.Name, Attrs: map[string]int{}}
 	var childExprs []xqgm.Expr
 	var cur *xqgm.Operator // aggregated child fragments joined cross-wise
 	fragCols := 0
@@ -198,13 +195,13 @@ func (c *Compiler) compileDocCtor(ctor *xquery.ElemCtor) (*xqgm.Operator, *NavNo
 			childExprs = append(childExprs, xqgm.LitOf(lit.V))
 			continue
 		}
-		child, childNav, err := c.compileFLWOR(fl, nil)
+		child, err := c.compileFLWOR(fl, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		// Aggregate all rows into one fragment.
-		g := xqgm.NewGroupBy(child.op, nil,
-			xqgm.Agg{Name: "frag", Func: xqgm.AggXMLFrag, Arg: xqgm.Col(child.nodeCol)})
+		g := xqgm.NewGroupBy(child.Op, nil,
+			xqgm.Agg{Name: "frag", Func: xqgm.AggXMLFrag, Arg: xqgm.Col(child.NodeCol)})
 		if cur == nil {
 			cur = g
 		} else {
@@ -212,9 +209,7 @@ func (c *Compiler) compileDocCtor(ctor *xquery.ElemCtor) (*xqgm.Operator, *NavNo
 		}
 		childExprs = append(childExprs, xqgm.Col(fragCols))
 		fragCols++
-		if childNav != nil {
-			nav.Children = append(nav.Children, childNav)
-		}
+		nav.Children = append(nav.Children, child)
 	}
 	if cur == nil {
 		// Constant document.
@@ -235,17 +230,11 @@ func (c *Compiler) compileDocCtor(ctor *xquery.ElemCtor) (*xqgm.Operator, *NavNo
 	return root, nav, nil
 }
 
-// flResult is the compilation result of one FLWOR level: op produces one
-// row per iteration with the constructed node.
-type flResult struct {
-	op      *xqgm.Operator
-	nodeCol int
-	keyCols []int // keys identifying each produced node (incl. parent keys)
-}
-
-// compileFLWOR compiles a FLWOR whose return is an element constructor.
+// compileFLWOR compiles a FLWOR whose return is an element constructor to
+// its navigation node, whose operator produces one row per iteration with
+// the constructed node and the keys identifying it (parent keys first).
 // parent supplies the outer iteration (nil at the document level).
-func (c *Compiler) compileFLWOR(f *xquery.FLWOR, parent *ctx) (*flResult, *NavNode, error) {
+func (c *Compiler) compileFLWOR(f *xquery.FLWOR, parent *ctx) (*NavNode, error) {
 	cx := &ctx{vars: map[string]*binding{}}
 	if parent != nil {
 		cx = parent.clone()
@@ -256,51 +245,52 @@ func (c *Compiler) compileFLWOR(f *xquery.FLWOR, parent *ctx) (*flResult, *NavNo
 		switch cl := cl.(type) {
 		case xquery.ForClause:
 			if err := c.compileForClause(cx, cl); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		case xquery.LetClause:
-			sd, err := c.parseSetDef(cl)
+			sd, err := c.parseSetDef(cl.Var, cl.Seq)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			cx.vars[cl.Var] = &binding{set: sd}
 		}
 	}
 	if cx.op == nil {
-		return nil, nil, fmt.Errorf("FLWOR has no iteration source")
+		return nil, fmt.Errorf("FLWOR has no iteration source")
 	}
 
 	ctor, ok := f.Return.(*xquery.ElemCtor)
 	if !ok {
-		return nil, nil, fmt.Errorf("FLWOR return must be an element constructor, got %s", xquery.String(f.Return))
+		return nil, fmt.Errorf("FLWOR return must be an element constructor, got %s", xquery.String(f.Return))
 	}
 
-	nav := &NavNode{ElemName: ctor.Name, Attrs: map[string]int{}, Fields: map[string]int{}}
+	nav := &NavNode{ElemName: ctor.Name, Attrs: map[string]int{}}
 
 	// Compile nested content (FLWORs over sets/paths) and where-clause
 	// aggregates. Nested children are grouped by the current keys and
 	// joined back with a left-outer join; count() predicates reuse the same
 	// group when they range over the same set.
-	fragBySet := map[string]*childFragRef{}
+	countOf := map[string]int{} // a nested set's count column
+	var sets []string           // countOf's keys, in content order
 	var contentExprs []xqgm.Expr
 
 	for _, item := range ctor.Content {
 		switch item := item.(type) {
 		case *xquery.FLWOR:
 			setName := nestedSetName(item)
-			child, childNav, err := c.compileFLWOR(item, cx.clone())
+			child, err := c.compileFLWOR(item, cx.clone())
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			// Group child nodes by this level's keys. The return constructor
 			// yields one node per child row, so the count is count(*): counting
 			// the node column would construct every child just to count it.
 			aggs := []xqgm.Agg{
-				{Name: "frag", Func: xqgm.AggXMLFrag, Arg: xqgm.Col(child.nodeCol)},
+				{Name: "frag", Func: xqgm.AggXMLFrag, Arg: xqgm.Col(child.NodeCol)},
 				{Name: "cnt", Func: xqgm.AggCount},
 			}
-			parentKeyInChild := child.keyCols[:len(cx.keyCols)]
-			g := xqgm.NewGroupBy(child.op, parentKeyInChild, aggs...)
+			parentKeyInChild := child.KeyCols[:len(cx.keyCols)]
+			g := xqgm.NewGroupBy(child.Op, parentKeyInChild, aggs...)
 			// Left-outer join back: childless parents keep empty content.
 			on := make([]xqgm.JoinEq, len(cx.keyCols))
 			for i, kc := range cx.keyCols {
@@ -308,59 +298,61 @@ func (c *Compiler) compileFLWOR(f *xquery.FLWOR, parent *ctx) (*flResult, *NavNo
 			}
 			w := cx.op.OutWidth()
 			cx.op = xqgm.NewJoin(xqgm.JoinLeftOuter, cx.op, g, on, nil)
-			frag := &childFragRef{col: w + len(cx.keyCols), countCol: w + len(cx.keyCols) + 1}
+			frag := w + len(cx.keyCols) // then the count
 			if setName != "" {
-				fragBySet[setName] = frag
+				if _, ok := countOf[setName]; !ok {
+					sets = append(sets, setName)
+				}
+				countOf[setName] = frag + 1
 			}
-			contentExprs = append(contentExprs, xqgm.Col(frag.col))
-			if childNav != nil {
-				nav.Children = append(nav.Children, childNav)
-			}
-		case *xquery.Lit:
-			contentExprs = append(contentExprs, xqgm.LitOf(item.V))
+			contentExprs = append(contentExprs, xqgm.Col(frag))
+			nav.Children = append(nav.Children, child)
 		default:
-			e, fieldName, err := c.compileContentExpr(cx, item)
+			e, err := c.compileContentExpr(cx, item)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			contentExprs = append(contentExprs, e)
-			_ = fieldName
 		}
 	}
 
-	// Where clause.
-	if f.Where != nil {
-		for _, conj := range conjuncts(f.Where) {
-			pred, err := c.compileWhereConj(cx, conj, fragBySet)
-			if err != nil {
-				return nil, nil, err
-			}
-			cx.op = xqgm.NewSelect(cx.op, pred)
+	// Where clause: count($set) reads the count column of the set's child
+	// aggregation when there is one.
+	scalar := c.scalar(cx)
+	where := func(e xquery.Expr) (xqgm.Expr, error) {
+		if col, ok := countRef(e, countOf); ok {
+			return xqgm.Col(col), nil
 		}
+		return scalar(e)
+	}
+	for _, conj := range conjuncts(f.Where) {
+		pred, err := Translate(conj, where)
+		if err != nil {
+			return nil, err
+		}
+		cx.op = xqgm.NewSelect(cx.op, pred)
 	}
 
 	// Build the node constructor.
 	elem := &xqgm.ElemCtor{Name: ctor.Name, Children: contentExprs}
 	for _, a := range ctor.Attrs {
-		e, err := c.compileScalar(cx, a.Val)
+		e, err := Translate(a.Val, scalar)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		elem.Attrs = append(elem.Attrs, xqgm.AttrSpec{Name: a.Name, E: e})
 	}
 
-	// Final projection: node, keys, and useful scalars (attr sources and
-	// counts) for condition pushdown.
+	// Final projection: node, keys, the attribute sources condition
+	// pushdown reads, and the nested sets' counts.
 	projs := []xqgm.Proj{{Name: ctor.Name, E: elem}}
-	nodeCol := 0
 	var outKeys []int
 	for i, kc := range cx.keyCols {
 		projs = append(projs, xqgm.Proj{Name: fmt.Sprintf("k%d", i), E: xqgm.Col(kc)})
 		outKeys = append(outKeys, len(projs)-1)
 	}
-	for _, a := range ctor.Attrs {
-		e, _ := c.compileScalar(cx, a.Val)
-		if cr, ok := e.(*xqgm.ColRef); ok && cr.Input == 0 {
+	for _, a := range elem.Attrs {
+		if cr, ok := a.E.(*xqgm.ColRef); ok && cr.Input == 0 {
 			// Reuse a key projection when it is the same column.
 			pos := -1
 			for pi := 1; pi < len(projs); pi++ {
@@ -370,21 +362,19 @@ func (c *Compiler) compileFLWOR(f *xquery.FLWOR, parent *ctx) (*flResult, *NavNo
 				}
 			}
 			if pos < 0 {
-				projs = append(projs, xqgm.Proj{Name: "a_" + a.Name, E: e})
+				projs = append(projs, xqgm.Proj{Name: "a_" + a.Name, E: cr})
 				pos = len(projs) - 1
 			}
 			nav.Attrs[a.Name] = pos
 		}
 	}
-	for setName, fr := range fragBySet {
-		projs = append(projs, xqgm.Proj{Name: "cnt_" + setName, E: xqgm.Col(fr.countCol)})
-		nav.Fields["count("+setName+")"] = len(projs) - 1
+	for _, setName := range sets {
+		projs = append(projs, xqgm.Proj{Name: "cnt_" + setName, E: xqgm.Col(countOf[setName])})
 	}
 	top := xqgm.NewProject(cx.op, projs...)
 	nav.Op = top
-	nav.NodeCol = nodeCol
 	nav.KeyCols = outKeys
-	return &flResult{op: top, nodeCol: nodeCol, keyCols: outKeys}, nav, nil
+	return nav, nil
 }
 
 // nestedSetName returns the set variable a nested FLWOR iterates over, or
@@ -402,6 +392,9 @@ func nestedSetName(f *xquery.FLWOR) string {
 }
 
 func conjuncts(e xquery.Expr) []xquery.Expr {
+	if e == nil {
+		return nil
+	}
 	if l, ok := e.(*xquery.Logic); ok && l.Op == "and" {
 		var out []xquery.Expr
 		for _, a := range l.Args {
@@ -414,9 +407,8 @@ func conjuncts(e xquery.Expr) []xquery.Expr {
 
 // compileForClause extends the context with one iteration source.
 func (c *Compiler) compileForClause(cx *ctx, fc xquery.ForClause) error {
-	switch seq := fc.Seq.(type) {
-	case *xquery.FnCall:
-		if seq.Name != "distinct" && seq.Name != "distinct-values" {
+	if seq, ok := fc.Seq.(*xquery.FnCall); ok {
+		if seq.Name != "distinct" && seq.Name != "distinct-values" || len(seq.Args) != 1 {
 			return fmt.Errorf("unsupported for-source %s", xquery.String(fc.Seq))
 		}
 		tp, err := c.parseTablePath(seq.Args[0])
@@ -434,7 +426,7 @@ func (c *Compiler) compileForClause(cx *ctx, fc xquery.ForClause) error {
 		src := xqgm.NewTable(def, xqgm.SrcBase)
 		var op *xqgm.Operator = src
 		if len(tp.preds) > 0 {
-			pred, _, err := c.compileRowPreds(cx, tp.preds, tp.table, 0, src.OutWidth(), nil)
+			pred, _, err := c.compileRowPreds(cx, tp.preds, tp.table, 0, nil)
 			if err != nil {
 				return err
 			}
@@ -447,42 +439,29 @@ func (c *Compiler) compileForClause(cx *ctx, fc xquery.ForClause) error {
 		cx.vars[fc.Var] = &binding{isScalar: true, scalarCol: col}
 		cx.keyCols = append(cx.keyCols, col)
 		return nil
-	case *xquery.VarRef:
-		// for $v in $set
-		b, ok := cx.vars[seq.Name]
-		if !ok || b.set == nil {
-			return fmt.Errorf("for over unknown set $%s", seq.Name)
-		}
-		start, width, err := c.realizeSet(cx, b.set)
-		if err != nil {
-			return err
-		}
-		cx.vars[fc.Var] = &binding{isRow: true, table: b.set.table, start: start, width: width}
-		def, _ := c.schema.Table(b.set.table)
-		for _, pk := range def.PKIndexes() {
-			cx.keyCols = append(cx.keyCols, start+pk)
-		}
-		return nil
-	default:
-		tp, err := c.parseTablePath(fc.Seq)
-		if err != nil {
-			return fmt.Errorf("unsupported for-source %s: %w", xquery.String(fc.Seq), err)
-		}
-		if tp.field != "" {
-			return fmt.Errorf("for over a column path requires distinct()")
-		}
-		sd := &setDef{name: fc.Var, table: tp.table, preds: tp.preds}
-		start, width, err := c.realizeSet(cx, sd)
-		if err != nil {
-			return err
-		}
-		cx.vars[fc.Var] = &binding{isRow: true, table: tp.table, start: start, width: width}
-		def, _ := c.schema.Table(tp.table)
-		for _, pk := range def.PKIndexes() {
-			cx.keyCols = append(cx.keyCols, start+pk)
-		}
-		return nil
 	}
+	// for $v in $set, or over a table path: a row per iteration.
+	var sd *setDef
+	var err error
+	if vr, ok := fc.Seq.(*xquery.VarRef); ok {
+		b, ok := cx.vars[vr.Name]
+		if !ok || b.set == nil {
+			return fmt.Errorf("for over unknown set $%s", vr.Name)
+		}
+		sd = b.set
+	} else if sd, err = c.parseSetDef(fc.Var, fc.Seq); err != nil {
+		return err
+	}
+	start, err := c.realizeSet(cx, sd)
+	if err != nil {
+		return err
+	}
+	cx.vars[fc.Var] = &binding{isRow: true, table: sd.table, start: start}
+	def, _ := c.schema.Table(sd.table)
+	for _, pk := range def.PKIndexes() {
+		cx.keyCols = append(cx.keyCols, start+pk)
+	}
+	return nil
 }
 
 // joinInto cross/equi-joins an operator into the context.
@@ -530,34 +509,38 @@ func (c *Compiler) parseTablePath(e xquery.Expr) (*tablePath, error) {
 	return tp, nil
 }
 
-func (c *Compiler) parseSetDef(cl xquery.LetClause) (*setDef, error) {
-	tp, err := c.parseTablePath(cl.Seq)
+// parseSetDef parses the table path $name ranges over, let- or for-bound.
+func (c *Compiler) parseSetDef(name string, e xquery.Expr) (*setDef, error) {
+	tp, err := c.parseTablePath(e)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("unsupported source of $%s: %w", name, err)
 	}
 	if tp.field != "" {
-		return nil, fmt.Errorf("let-bound sets must bind rows, not columns")
+		return nil, fmt.Errorf("$%s must range over rows: a column path requires distinct()", name)
 	}
-	return &setDef{name: cl.Var, table: tp.table, preds: tp.preds}, nil
+	return &setDef{name: name, table: tp.table, preds: tp.preds}, nil
 }
 
 // realizeSet joins the set's table (and, transitively, the sets it
-// references) into the context, returning the column range of the set's
-// rows. Already-realized sets are reused.
-func (c *Compiler) realizeSet(cx *ctx, sd *setDef) (int, int, error) {
+// references) into the context, returning the column the set's rows start
+// at. Already-realized sets are reused.
+func (c *Compiler) realizeSet(cx *ctx, sd *setDef) (int, error) {
 	if sd.realized {
-		return sd.realizedStart, sd.realizedWidth, nil
+		return sd.realizedStart, nil
 	}
 	// Realize referenced sets first.
+	var err error
 	for _, p := range sd.preds {
-		for _, ref := range setRefs(p, cx) {
-			if ref != sd.name {
-				if b := cx.vars[ref]; b != nil && b.set != nil && !b.set.realized {
-					if _, _, err := c.realizeSet(cx, b.set); err != nil {
-						return 0, 0, err
-					}
+		xquery.Walk(p, func(x xquery.Expr) bool {
+			if vr, ok := x.(*xquery.VarRef); ok && vr.Name != sd.name {
+				if b := cx.vars[vr.Name]; b != nil && b.set != nil && !b.set.realized {
+					_, err = c.realizeSet(cx, b.set)
 				}
 			}
+			return err == nil
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
 	def, _ := c.schema.Table(sd.table)
@@ -566,62 +549,17 @@ func (c *Compiler) realizeSet(cx *ctx, sd *setDef) (int, int, error) {
 	if cx.op != nil {
 		start = cx.op.OutWidth()
 	}
-	pred, eqs, err := c.compileRowPreds(cx, sd.preds, sd.table, start, len(def.Columns), cx.op)
+	pred, eqs, err := c.compileRowPreds(cx, sd.preds, sd.table, start, cx.op)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	if cx.op == nil {
-		cx.op = tbl
-		if pred != nil {
-			cx.op = xqgm.NewSelect(cx.op, pred)
-		}
-	} else {
-		cx.op = xqgm.NewJoin(xqgm.JoinInner, cx.op, tbl, eqs, nil)
-		if pred != nil {
-			cx.op = xqgm.NewSelect(cx.op, pred)
-		}
+	c.joinInto(cx, tbl, eqs)
+	if pred != nil {
+		cx.op = xqgm.NewSelect(cx.op, pred)
 	}
 	sd.realized = true
 	sd.realizedStart = start
-	sd.realizedWidth = len(def.Columns)
-	return start, len(def.Columns), nil
-}
-
-// setRefs lists set variables referenced in a predicate.
-func setRefs(e xquery.Expr, cx *ctx) []string {
-	var out []string
-	var walk func(x xquery.Expr)
-	walk = func(x xquery.Expr) {
-		switch x := x.(type) {
-		case *xquery.VarRef:
-			if b, ok := cx.vars[x.Name]; ok && b.set != nil {
-				out = append(out, x.Name)
-			}
-		case *xquery.Path:
-			walk(x.Base)
-			for _, s := range x.Steps {
-				for _, p := range s.Preds {
-					walk(p)
-				}
-			}
-		case *xquery.Cmp:
-			walk(x.L)
-			walk(x.R)
-		case *xquery.Arith:
-			walk(x.L)
-			walk(x.R)
-		case *xquery.Logic:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *xquery.FnCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return out
+	return start, nil
 }
 
 // compileRowPreds compiles the predicates of a table path. Context items
@@ -630,20 +568,27 @@ func setRefs(e xquery.Expr, cx *ctx) []string {
 // equi-join pairs (returned separately) when joining; everything else goes
 // into the residual predicate. When outer is nil, all predicates become a
 // residual over the standalone table (rowStart is then 0).
-func (c *Compiler) compileRowPreds(cx *ctx, preds []xquery.Expr, table string, rowStart, rowWidth int, outer *xqgm.Operator) (xqgm.Expr, []xqgm.JoinEq, error) {
+func (c *Compiler) compileRowPreds(cx *ctx, preds []xquery.Expr, table string, rowStart int, outer *xqgm.Operator) (xqgm.Expr, []xqgm.JoinEq, error) {
 	def, _ := c.schema.Table(table)
+	scalar := c.scalar(cx)
+	row := func(e xquery.Expr) (xqgm.Expr, error) {
+		if col, ok := contextField(e, def); ok {
+			return xqgm.Col(rowStart + col), nil
+		}
+		return scalar(e)
+	}
 	var residual []xqgm.Expr
 	var eqs []xqgm.JoinEq
 	for _, p := range preds {
 		for _, conj := range conjuncts(p) {
 			// Try the equi-join form: ./col = outerScalar (either order).
 			if outer != nil {
-				if eq, ok2 := c.tryEquiPred(cx, conj, def, rowStart); ok2 {
+				if eq, ok2 := c.tryEquiPred(cx, conj, def); ok2 {
 					eqs = append(eqs, eq)
 					continue
 				}
 			}
-			e, err := c.compilePredExpr(cx, conj, def, rowStart)
+			e, err := Translate(conj, row)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -660,7 +605,7 @@ func (c *Compiler) compileRowPreds(cx *ctx, preds []xquery.Expr, table string, r
 }
 
 // tryEquiPred recognizes ./col = <outer scalar> forms.
-func (c *Compiler) tryEquiPred(cx *ctx, e xquery.Expr, def *schema.Table, rowStart int) (xqgm.JoinEq, bool) {
+func (c *Compiler) tryEquiPred(cx *ctx, e xquery.Expr, def *schema.Table) (xqgm.JoinEq, bool) {
 	cmp, ok := e.(*xquery.Cmp)
 	if !ok || cmp.Op != "=" {
 		return xqgm.JoinEq{}, false
@@ -670,7 +615,7 @@ func (c *Compiler) tryEquiPred(cx *ctx, e xquery.Expr, def *schema.Table, rowSta
 		if !ok {
 			return xqgm.JoinEq{}, false
 		}
-		oe, err := c.compileScalar(cx, outerSide)
+		oe, err := Translate(outerSide, c.scalar(cx))
 		if err != nil {
 			return xqgm.JoinEq{}, false
 		}
@@ -708,209 +653,94 @@ func contextField(e xquery.Expr, def *schema.Table) (int, bool) {
 	return ci, true
 }
 
-// compilePredExpr compiles a predicate where "." refers to the new table's
-// row (columns offset by rowStart) and variables come from scope.
-func (c *Compiler) compilePredExpr(cx *ctx, e xquery.Expr, def *schema.Table, rowStart int) (xqgm.Expr, error) {
-	switch x := e.(type) {
-	case *xquery.Lit:
-		return xqgm.LitOf(x.V), nil
-	case *xquery.Cmp:
-		l, err := c.compilePredExpr(cx, x.L, def, rowStart)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compilePredExpr(cx, x.R, def, rowStart)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Cmp{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Arith:
-		l, err := c.compilePredExpr(cx, x.L, def, rowStart)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compilePredExpr(cx, x.R, def, rowStart)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Arith{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Logic:
-		args := make([]xqgm.Expr, len(x.Args))
-		for i, a := range x.Args {
-			e, err := c.compilePredExpr(cx, a, def, rowStart)
+// scalar is the Resolver of a view expression over cx's variables: $v
+// bound to a distinct value, and $r/field of a bound row.
+func (c *Compiler) scalar(cx *ctx) Resolver {
+	return func(e xquery.Expr) (xqgm.Expr, error) {
+		switch x := e.(type) {
+		case *xquery.VarRef:
+			b, ok := cx.vars[x.Name]
+			if !ok {
+				return nil, fmt.Errorf("unbound variable $%s", x.Name)
+			}
+			if !b.isScalar {
+				return nil, fmt.Errorf("variable $%s is not scalar here", x.Name)
+			}
+			return xqgm.Col(b.scalarCol), nil
+		case *xquery.Path:
+			b, name, err := cx.rowStep(x)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = e
+			col, err := c.column(b, name)
+			if err != nil {
+				return nil, err
+			}
+			return xqgm.Col(col), nil
 		}
-		return &xqgm.Logic{Op: x.Op, Args: args}, nil
-	case *xquery.Path:
-		if col, ok := contextField(x, def); ok {
-			return xqgm.Col(rowStart + col), nil
-		}
-		return c.compileScalar(cx, e)
-	default:
-		return c.compileScalar(cx, e)
+		return nil, nil
 	}
 }
 
-// compileScalar compiles an expression over in-scope variables to a scalar
-// xqgm expression against the context operator.
-func (c *Compiler) compileScalar(cx *ctx, e xquery.Expr) (xqgm.Expr, error) {
-	switch x := e.(type) {
-	case *xquery.Lit:
-		return xqgm.LitOf(x.V), nil
-	case *xquery.VarRef:
-		b, ok := cx.vars[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("unbound variable $%s", x.Name)
-		}
-		if b.isScalar {
-			return xqgm.Col(b.scalarCol), nil
-		}
-		return nil, fmt.Errorf("variable $%s is not scalar here", x.Name)
-	case *xquery.Path:
-		// $rowVar/field or $setVar/field (the set must be realized).
-		vr, ok := x.Base.(*xquery.VarRef)
-		if !ok {
-			return nil, fmt.Errorf("unsupported scalar path %s", xquery.String(e))
-		}
-		b, ok := cx.vars[vr.Name]
-		if !ok {
-			return nil, fmt.Errorf("unbound variable $%s", vr.Name)
-		}
-		if b.set != nil && b.set.realized {
-			b = &binding{isRow: true, table: b.set.table, start: b.set.realizedStart, width: b.set.realizedWidth}
-		}
-		if !b.isRow {
-			return nil, fmt.Errorf("$%s/%s: $%s does not bind rows", vr.Name, x.Steps[0].Name, vr.Name)
-		}
-		if len(x.Steps) != 1 || x.Steps[0].Axis != "child" {
-			return nil, fmt.Errorf("unsupported path %s", xquery.String(e))
-		}
-		def, _ := c.schema.Table(b.table)
-		ci := def.ColIndex(x.Steps[0].Name)
-		if ci < 0 {
-			return nil, fmt.Errorf("unknown column %s.%s", b.table, x.Steps[0].Name)
-		}
-		return xqgm.Col(b.start + ci), nil
-	case *xquery.Cmp:
-		l, err := c.compileScalar(cx, x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileScalar(cx, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Cmp{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Arith:
-		l, err := c.compileScalar(cx, x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileScalar(cx, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Arith{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Logic:
-		args := make([]xqgm.Expr, len(x.Args))
-		for i, a := range x.Args {
-			ce, err := c.compileScalar(cx, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
-		return &xqgm.Logic{Op: x.Op, Args: args}, nil
-	case *xquery.FnCall:
-		if x.Name == "data" || x.Name == "string" {
-			inner, err := c.compileScalar(cx, x.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			return &xqgm.Call{Name: x.Name, Args: []xqgm.Expr{inner}}, nil
-		}
-		return nil, fmt.Errorf("unsupported function %s in scalar context", x.Name)
-	default:
-		return nil, fmt.Errorf("unsupported scalar expression %s", xquery.String(e))
+// rowStep matches $r/name, one child step without predicates over a row
+// $r binds: a for-bound row or a realized set.
+func (cx *ctx) rowStep(e xquery.Expr) (*binding, string, error) {
+	p, ok := e.(*xquery.Path)
+	if !ok {
+		return nil, "", fmt.Errorf("not a path: %s", xquery.String(e))
 	}
+	vr, ok := p.Base.(*xquery.VarRef)
+	if !ok || len(p.Steps) != 1 || p.Steps[0].Axis != "child" || len(p.Steps[0].Preds) > 0 {
+		return nil, "", fmt.Errorf("unsupported path %s", xquery.String(e))
+	}
+	b, ok := cx.vars[vr.Name]
+	if !ok {
+		return nil, "", fmt.Errorf("unbound variable $%s", vr.Name)
+	}
+	if b.set != nil && b.set.realized {
+		b = &binding{isRow: true, table: b.set.table, start: b.set.realizedStart}
+	}
+	if !b.isRow {
+		return nil, "", fmt.Errorf("%s: $%s does not bind rows", xquery.String(e), vr.Name)
+	}
+	return b, p.Steps[0].Name, nil
+}
+
+// column returns the column of b's row holding its table's column name.
+func (c *Compiler) column(b *binding, name string) (int, error) {
+	def, _ := c.schema.Table(b.table)
+	ci := def.ColIndex(name)
+	if ci < 0 {
+		return 0, fmt.Errorf("unknown column %s.%s", b.table, name)
+	}
+	return b.start + ci, nil
 }
 
 // compileContentExpr compiles non-FLWOR element content: $var/* expands a
-// row into its field elements; $var/field produces a single field element;
-// scalars embed as text.
-func (c *Compiler) compileContentExpr(cx *ctx, e xquery.Expr) (xqgm.Expr, string, error) {
-	if p, ok := e.(*xquery.Path); ok {
-		if vr, ok := p.Base.(*xquery.VarRef); ok && len(p.Steps) == 1 && p.Steps[0].Axis == "child" {
-			b, ok2 := cx.vars[vr.Name]
-			if ok2 && b.set != nil && b.set.realized {
-				b = &binding{isRow: true, table: b.set.table, start: b.set.realizedStart, width: b.set.realizedWidth}
-			}
-			if ok2 && b.isRow {
-				def, _ := c.schema.Table(b.table)
-				if p.Steps[0].Name == "*" {
-					// All fields as child elements, in column order.
-					var kids []xqgm.Expr
-					for ci, col := range def.Columns {
-						kids = append(kids, &xqgm.ElemCtor{
-							Name:     col.Name,
-							Children: []xqgm.Expr{xqgm.Col(b.start + ci)},
-						})
-					}
-					// A sequence splice: wrap in a constructor-less seq via
-					// nested expression list. Use a synthetic ElemCtor-free
-					// approach: return children as a Call "seq"? Simplest:
-					// return an expression list via chained ctor is wrong;
-					// instead inline each field separately.
-					return seqExpr(kids), "", nil
-				}
-				ci := def.ColIndex(p.Steps[0].Name)
-				if ci < 0 {
-					return nil, "", fmt.Errorf("unknown column %s.%s", b.table, p.Steps[0].Name)
-				}
-				return &xqgm.ElemCtor{Name: p.Steps[0].Name, Children: []xqgm.Expr{xqgm.Col(b.start + ci)}}, p.Steps[0].Name, nil
-			}
-		}
-	}
-	se, err := c.compileScalar(cx, e)
+// row into its field elements, in column order; $var/field produces a
+// single field element; scalars embed as text.
+func (c *Compiler) compileContentExpr(cx *ctx, e xquery.Expr) (xqgm.Expr, error) {
+	b, name, err := cx.rowStep(e)
 	if err != nil {
-		return nil, "", err
+		return Translate(e, c.scalar(cx))
 	}
-	return se, "", nil
-}
-
-// compileWhereConj compiles one where-conjunct; count($set) predicates
-// resolve to the count column of the set's child aggregation when present.
-func (c *Compiler) compileWhereConj(cx *ctx, e xquery.Expr, frags map[string]*childFragRef) (xqgm.Expr, error) {
-	if cmp, ok := e.(*xquery.Cmp); ok {
-		if col, ok2 := countRef(cmp.L, frags); ok2 {
-			r, err := c.compileScalar(cx, cmp.R)
-			if err != nil {
-				return nil, err
-			}
-			return &xqgm.Cmp{Op: cmp.Op, L: xqgm.Col(col), R: r}, nil
+	if name == "*" {
+		def, _ := c.schema.Table(b.table)
+		items := make([]xqgm.Expr, len(def.Columns))
+		for ci, col := range def.Columns {
+			items[ci] = &xqgm.ElemCtor{Name: col.Name, Children: []xqgm.Expr{xqgm.Col(b.start + ci)}}
 		}
-		if col, ok2 := countRef(cmp.R, frags); ok2 {
-			l, err := c.compileScalar(cx, cmp.L)
-			if err != nil {
-				return nil, err
-			}
-			return &xqgm.Cmp{Op: cmp.Op, L: l, R: xqgm.Col(col)}, nil
-		}
+		return &xqgm.SeqCtor{Items: items}, nil
 	}
-	return c.compileScalar(cx, e)
+	col, err := c.column(b, name)
+	if err != nil {
+		return nil, err
+	}
+	return &xqgm.ElemCtor{Name: name, Children: []xqgm.Expr{xqgm.Col(col)}}, nil
 }
 
-// childFragRef records where a nested child's fragment and count columns
-// landed in the enclosing context.
-type childFragRef struct {
-	col      int
-	countCol int
-}
-
-func countRef(e xquery.Expr, frags map[string]*childFragRef) (int, bool) {
+// countRef matches count($set) of a set with a count column in countOf.
+func countRef(e xquery.Expr, countOf map[string]int) (int, bool) {
 	fc, ok := e.(*xquery.FnCall)
 	if !ok || fc.Name != "count" || len(fc.Args) != 1 {
 		return 0, false
@@ -919,49 +749,6 @@ func countRef(e xquery.Expr, frags map[string]*childFragRef) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	f, ok := frags[vr.Name]
-	if !ok {
-		return 0, false
-	}
-	return f.countCol, true
-}
-
-// seqExpr builds an expression evaluating to a sequence of the given
-// expressions' values (used for $var/* expansion).
-func seqExpr(items []xqgm.Expr) xqgm.Expr {
-	return &seqCtor{items: items}
-}
-
-// seqCtor is an internal expression assembling a sequence value.
-type seqCtor struct {
-	items []xqgm.Expr
-}
-
-// Eval implements xqgm.Expr.
-func (s *seqCtor) Eval(env *xqgm.Env) (xdm.Value, error) {
-	out := make([]xdm.Value, 0, len(s.items))
-	for _, it := range s.items {
-		v, err := it.Eval(env)
-		if err != nil {
-			return xdm.Null, err
-		}
-		out = append(out, v)
-	}
-	return xdm.Seq(out), nil
-}
-
-// SeqItems exposes the assembled expressions so SQL rendering (core.RenderSQL)
-// can emit the sequence as an executable xml_concat call without depending on
-// this unexported type.
-func (s *seqCtor) SeqItems() []xqgm.Expr { return s.items }
-
-func (s *seqCtor) String() string {
-	out := "("
-	for i, it := range s.items {
-		if i > 0 {
-			out += ", "
-		}
-		out += it.String()
-	}
-	return out + ")"
+	col, ok := countOf[vr.Name]
+	return col, ok
 }

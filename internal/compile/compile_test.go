@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,8 +84,8 @@ func TestNavigationTree(t *testing.T) {
 	if _, ok := prod.Attrs["name"]; !ok {
 		t.Error("product @name binding missing")
 	}
-	if _, ok := prod.Fields["count(vendors)"]; !ok {
-		t.Errorf("count binding missing: %v", prod.Fields)
+	if !slices.ContainsFunc(prod.Op.Projs, func(p xqgm.Proj) bool { return p.Name == "cnt_vendors" }) {
+		t.Errorf("count column missing: %v", prod.Op.Projs)
 	}
 	// The product producer evaluates to the two qualifying products.
 	ctx := xqgm.NewEvalContext(db, nil)

@@ -10,20 +10,26 @@ import (
 	"quark/internal/xquery"
 )
 
-// Layout abstracts where the old/new versions of the view's columns live in
-// a plan's output row, so conditions and action arguments compile against
-// both the translated-trigger plans (ANGraph layout) and the materialized
-// baseline (tuple-pair layout).
+// Layout is where a plan row holds the view's columns: the NEW version's
+// from column New on, the OLD version's from column Old on. Conditions and
+// action arguments compile against both the translated-trigger plans
+// (ANGraph layout) and the materialized baseline (tuple-pair layout).
 type Layout struct {
-	NewCol func(i int) int
-	OldCol func(i int) int
+	New, Old int
+}
+
+func (l Layout) col(old bool, i int) int {
+	if old {
+		return l.Old + i
+	}
+	return l.New + i
 }
 
 // condCompiler translates trigger Condition / Action-argument expressions
 // (over OLD_NODE / NEW_NODE) into xqgm expressions over a plan row,
 // performing condition pushdown where the navigation tree provides scalar
-// bindings (attributes, counts) and falling back to generic path
-// navigation over the constructed node values otherwise.
+// bindings (attributes) and falling back to generic path navigation over
+// the constructed node values otherwise.
 type condCompiler struct {
 	nav    *compile.NavNode
 	layout Layout
@@ -38,17 +44,18 @@ type condCompiler struct {
 // constants follow the condition's. The arguments read theirs from input 1,
 // where activation puts a member's Consts.
 func (cc *condCompiler) template(cond xquery.Expr, args []xquery.Expr) (xqgm.Expr, []xqgm.Expr, error) {
+	top := condScope{cc: cc}.resolve
 	var c xqgm.Expr
 	if cond != nil {
 		var err error
-		if c, err = cc.compile(cond); err != nil {
+		if c, err = compile.Translate(cond, top); err != nil {
 			return nil, nil, err
 		}
 	}
 	cc.nCond = len(cc.consts)
 	out := make([]xqgm.Expr, len(args))
 	for i, a := range args {
-		ce, err := cc.compile(a)
+		ce, err := compile.Translate(a, top)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -57,230 +64,123 @@ func (cc *condCompiler) template(cond xquery.Expr, args []xquery.Expr) (xqgm.Exp
 	return c, out, nil
 }
 
-func (cc *condCompiler) lit(v xdm.Value) xqgm.Expr {
-	cc.consts = append(cc.consts, v)
-	return &grouping.ConstRef{Idx: len(cc.consts) - 1}
-}
-
-func (cc *condCompiler) nodeCol(old bool) int {
-	if old {
-		return cc.layout.OldCol(cc.nav.NodeCol)
+// appendLits appends the literals of a trigger's condition and then of its
+// action arguments to b, in the order template numbers its constants:
+// Translate meets them in the order xquery.Walk does.
+func appendLits(b []xdm.Value, cond xquery.Expr, args []xquery.Expr) []xdm.Value {
+	lits := func(x xquery.Expr) bool {
+		if l, ok := x.(*xquery.Lit); ok {
+			b = append(b, l.V)
+		}
+		return true
 	}
-	return cc.layout.NewCol(cc.nav.NodeCol)
+	xquery.Walk(cond, lits)
+	for _, a := range args {
+		xquery.Walk(a, lits)
+	}
+	return b
 }
 
-// compile translates a trigger expression.
-func (cc *condCompiler) compile(e xquery.Expr) (xqgm.Expr, error) {
+// condScope is the compile.Resolver of a trigger expression. At the top
+// level OLD_NODE and NEW_NODE are the plan row's node columns; inside a
+// step predicate or a quantifier's condition (item) the step item ".", and
+// the quantifier's variable itemVar, are column 0 of the predicate's input,
+// and the plan row is out of reach. Literals are the template's constants.
+type condScope struct {
+	cc      *condCompiler
+	item    bool
+	itemVar string
+}
+
+func (s condScope) resolve(e xquery.Expr) (xqgm.Expr, error) {
 	switch x := e.(type) {
 	case *xquery.Lit:
-		return cc.lit(x.V), nil
+		s.cc.consts = append(s.cc.consts, x.V)
+		return &grouping.ConstRef{Idx: len(s.cc.consts) - 1}, nil
 	case *xquery.NodeRef:
-		return xqgm.Col(cc.nodeCol(x.Old)), nil
+		if s.item {
+			return nil, fmt.Errorf("%s inside a predicate is not supported", xquery.String(e))
+		}
+		return xqgm.Col(s.cc.layout.col(x.Old, s.cc.nav.NodeCol)), nil
+	case *xquery.ContextItem:
+		if !s.item {
+			return nil, fmt.Errorf(`"." outside a predicate`)
+		}
+		return xqgm.Col(0), nil
+	case *xquery.VarRef:
+		if !s.item || x.Name != s.itemVar {
+			return nil, fmt.Errorf("unbound variable $%s in trigger expression", x.Name)
+		}
+		return xqgm.Col(0), nil
 	case *xquery.Path:
-		return cc.compilePath(x)
-	case *xquery.Cmp:
-		l, err := cc.compile(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.compile(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Cmp{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Arith:
-		l, err := cc.compile(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.compile(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Arith{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Logic:
-		args := make([]xqgm.Expr, len(x.Args))
-		for i, a := range x.Args {
-			ce, err := cc.compile(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
-		return &xqgm.Logic{Op: x.Op, Args: args}, nil
-	case *xquery.FnCall:
-		switch x.Name {
-		case "count", "empty", "exists", "data", "string", "not", "abs":
-			args := make([]xqgm.Expr, len(x.Args))
-			for i, a := range x.Args {
-				ce, err := cc.compile(a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = ce
-			}
-			return &xqgm.Call{Name: x.Name, Args: args}, nil
-		default:
-			return nil, fmt.Errorf("core: unsupported function %q in trigger expression", x.Name)
-		}
+		return s.path(x)
 	case *xquery.Quantified:
-		// some/every $v in <path> satisfies p  ==>  count(path[p']) >/= 0.
-		seq, err := cc.compile(x.Seq)
-		if err != nil {
-			return nil, err
-		}
-		sat, err := cc.compileItemPred(x.Sat, x.Var)
-		if err != nil {
-			return nil, err
-		}
-		step, ok := seq.(*xqgm.PathStep)
-		if !ok {
-			return nil, fmt.Errorf("core: quantified expression requires a path source")
-		}
-		filtered := &xqgm.PathStep{In: step.In, Axis: step.Axis, Name: step.Name, Predicate: andPreds(step.Predicate, sat)}
-		cnt := &xqgm.Call{Name: "count", Args: []xqgm.Expr{filtered}}
-		if x.Every {
-			total := &xqgm.Call{Name: "count", Args: []xqgm.Expr{step}}
-			return &xqgm.Cmp{Op: "=", L: cnt, R: total}, nil
-		}
-		return &xqgm.Cmp{Op: ">", L: cnt, R: xqgm.LitOf(xdm.Int(0))}, nil
-	default:
-		return nil, fmt.Errorf("core: unsupported trigger expression %s", xquery.String(e))
+		return s.quantified(x)
 	}
+	return nil, nil
 }
 
-func andPreds(a, b xqgm.Expr) xqgm.Expr {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &xqgm.Logic{Op: "and", Args: []xqgm.Expr{a, b}}
-}
-
-// compilePath translates OLD_NODE/NEW_NODE paths. Attribute access on the
-// path's top element is pushed down to the scalar column recorded in the
-// navigation tree (condition pushdown); anything else navigates the
-// constructed node value.
-func (cc *condCompiler) compilePath(p *xquery.Path) (xqgm.Expr, error) {
-	nr, ok := p.Base.(*xquery.NodeRef)
-	if !ok {
-		return nil, fmt.Errorf("core: trigger paths must start at OLD_NODE or NEW_NODE, got %s", xquery.String(p))
-	}
-	// Pushdown: NODE/@attr with a recorded scalar binding.
-	if len(p.Steps) == 1 && p.Steps[0].Axis == "attribute" && len(p.Steps[0].Preds) == 0 {
-		if col, ok := cc.nav.Attrs[p.Steps[0].Name]; ok {
-			if nr.Old {
-				return xqgm.Col(cc.layout.OldCol(col)), nil
+// path translates a path from OLD_NODE, NEW_NODE, "." or the quantifier's
+// variable. OLD_NODE/@attr or NEW_NODE/@attr with a scalar column recorded
+// in the navigation tree reads that column (condition pushdown); anything
+// else navigates the constructed node value.
+func (s condScope) path(p *xquery.Path) (xqgm.Expr, error) {
+	switch b := p.Base.(type) {
+	case *xquery.NodeRef:
+		if st := p.Steps[0]; !s.item && len(p.Steps) == 1 && st.Axis == "attribute" && len(st.Preds) == 0 {
+			if col, ok := s.cc.nav.Attrs[st.Name]; ok {
+				return xqgm.Col(s.cc.layout.col(b.Old, col)), nil
 			}
-			return xqgm.Col(cc.layout.NewCol(col)), nil
 		}
+	case *xquery.ContextItem, *xquery.VarRef:
+	default:
+		return nil, fmt.Errorf("trigger paths must start at OLD_NODE, NEW_NODE or a predicate's item, got %s", xquery.String(p))
 	}
-	// Generic navigation over the node value.
-	var cur xqgm.Expr = xqgm.Col(cc.nodeCol(nr.Old))
+	cur, err := s.resolve(p.Base)
+	if err != nil {
+		return nil, err
+	}
+	pred := condScope{cc: s.cc, item: true}.resolve
 	for _, st := range p.Steps {
-		axis := st.Axis
-		if axis == "self" {
+		if st.Axis == "self" {
+			if len(st.Preds) > 0 {
+				return nil, fmt.Errorf("predicates on a self step are not supported: %s", xquery.String(p))
+			}
 			continue
 		}
-		step := &xqgm.PathStep{In: cur, Axis: axis, Name: st.Name}
+		step := &xqgm.PathStep{In: cur, Axis: st.Axis, Name: st.Name}
 		for _, pd := range st.Preds {
-			pe, err := cc.compileItemPred(pd, "")
+			pe, err := compile.Translate(pd, pred)
 			if err != nil {
 				return nil, err
 			}
-			step.Predicate = andPreds(step.Predicate, pe)
+			step.Predicate = xqgm.And(step.Predicate, pe)
 		}
 		cur = step
 	}
 	return cur, nil
 }
 
-// compileItemPred compiles a predicate evaluated per step item: the context
-// item "." (and the quantifier variable when itemVar is set) becomes column
-// 0 of the predicate environment.
-func (cc *condCompiler) compileItemPred(e xquery.Expr, itemVar string) (xqgm.Expr, error) {
-	switch x := e.(type) {
-	case *xquery.Lit:
-		return cc.lit(x.V), nil
-	case *xquery.ContextItem:
-		return xqgm.Col(0), nil
-	case *xquery.VarRef:
-		if x.Name == itemVar {
-			return xqgm.Col(0), nil
-		}
-		return nil, fmt.Errorf("core: unbound variable $%s in trigger predicate", x.Name)
-	case *xquery.Path:
-		var in xqgm.Expr
-		steps := x.Steps
-		switch b := x.Base.(type) {
-		case *xquery.ContextItem:
-			in = xqgm.Col(0)
-		case *xquery.VarRef:
-			if b.Name != itemVar {
-				return nil, fmt.Errorf("core: unbound variable $%s in trigger predicate", b.Name)
-			}
-			in = xqgm.Col(0)
-		case *xquery.NodeRef:
-			return cc.compilePath(x)
-		default:
-			return nil, fmt.Errorf("core: unsupported predicate path %s", xquery.String(x))
-		}
-		cur := in
-		for _, st := range steps {
-			step := &xqgm.PathStep{In: cur, Axis: st.Axis, Name: st.Name}
-			for _, pd := range st.Preds {
-				pe, err := cc.compileItemPred(pd, itemVar)
-				if err != nil {
-					return nil, err
-				}
-				step.Predicate = andPreds(step.Predicate, pe)
-			}
-			cur = step
-		}
-		return cur, nil
-	case *xquery.Cmp:
-		l, err := cc.compileItemPred(x.L, itemVar)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.compileItemPred(x.R, itemVar)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Cmp{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Arith:
-		l, err := cc.compileItemPred(x.L, itemVar)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.compileItemPred(x.R, itemVar)
-		if err != nil {
-			return nil, err
-		}
-		return &xqgm.Arith{Op: x.Op, L: l, R: r}, nil
-	case *xquery.Logic:
-		args := make([]xqgm.Expr, len(x.Args))
-		for i, a := range x.Args {
-			ce, err := cc.compileItemPred(a, itemVar)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
-		return &xqgm.Logic{Op: x.Op, Args: args}, nil
-	case *xquery.FnCall:
-		args := make([]xqgm.Expr, len(x.Args))
-		for i, a := range x.Args {
-			ce, err := cc.compileItemPred(a, itemVar)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ce
-		}
-		return &xqgm.Call{Name: x.Name, Args: args}, nil
-	default:
-		return nil, fmt.Errorf("core: unsupported predicate expression %s", xquery.String(e))
+// quantified translates some/every $v in path satisfies p to
+// count(path[p']) > 0, or = count(path).
+func (s condScope) quantified(q *xquery.Quantified) (xqgm.Expr, error) {
+	seq, err := compile.Translate(q.Seq, s.resolve)
+	if err != nil {
+		return nil, err
 	}
+	sat, err := compile.Translate(q.Sat, condScope{cc: s.cc, item: true, itemVar: q.Var}.resolve)
+	if err != nil {
+		return nil, err
+	}
+	step, ok := seq.(*xqgm.PathStep)
+	if !ok {
+		return nil, fmt.Errorf("quantified expression requires a path source")
+	}
+	filtered := &xqgm.PathStep{In: step.In, Axis: step.Axis, Name: step.Name, Predicate: xqgm.And(step.Predicate, sat)}
+	cnt := &xqgm.Call{Name: "count", Args: []xqgm.Expr{filtered}}
+	if q.Every {
+		total := &xqgm.Call{Name: "count", Args: []xqgm.Expr{step}}
+		return &xqgm.Cmp{Op: "=", L: cnt, R: total}, nil
+	}
+	return &xqgm.Cmp{Op: ">", L: cnt, R: xqgm.LitOf(xdm.Int(0))}, nil
 }

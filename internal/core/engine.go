@@ -1045,26 +1045,27 @@ func (e *Engine) CreateTriggerSpec(spec *trigger.Spec) error {
 	if err != nil {
 		return err
 	}
-	// Collect the trigger's constants (traversal order matches the
-	// abstracted template used for grouping).
-	cc := &condCompiler{nav: nav, layout: identityLayout(nav)}
-	cond, _, err := cc.template(spec.Condition, spec.ActionArgs)
-	if err != nil {
-		return err
-	}
 	e.sigBuf = appendSignature(e.sigBuf[:0], spec)
 	g, ok := e.groups[string(e.sigBuf)]
 	if !ok {
+		// The group's first member checks that its shape translates; the
+		// template tells the store which constants its plans probe by.
+		cc := &condCompiler{nav: nav, layout: identityLayout(nav)}
+		cond, _, err := cc.template(spec.Condition, spec.ActionArgs)
+		if err != nil {
+			return fmt.Errorf("core: trigger %s: %w", spec.Name, err)
+		}
 		g = &group{sig: string(e.sigBuf), event: spec.Event, view: spec.ViewName, nav: nav, actionFn: spec.ActionFn,
 			cond: spec.Condition, args: spec.ActionArgs, members: grouping.NewStore(cond, cc.nCond)}
 	}
-	// The store keeps copies: the spec's strings point into its source.
-	consts := make([]xdm.Value, len(cc.consts))
-	for i, v := range cc.consts {
+	// A member has its group's shape, so its literals are the template's
+	// constants in order. The store keeps copies: the spec's strings point
+	// into its source.
+	consts := appendLits(nil, spec.Condition, spec.ActionArgs)
+	for i, v := range consts {
 		if v.Kind() == xdm.KindString {
-			v = xdm.Str(strings.Clone(v.AsString()))
+			consts[i] = xdm.Str(strings.Clone(v.AsString()))
 		}
-		consts[i] = v
 	}
 	h, err := g.members.Add(strings.Clone(spec.Name), consts)
 	if err != nil {
@@ -1175,11 +1176,10 @@ func (e *Engine) leave(g *group, h int32) {
 	e.recomputeReadSets()
 }
 
-// identityLayout is the view's row: NEW columns, then OLD (constant
-// collection, MATERIALIZED's tuple pairs).
+// identityLayout is the view's row: NEW columns, then OLD (a new group's
+// store, MATERIALIZED's tuple pairs).
 func identityLayout(nav *compile.NavNode) Layout {
-	w := nav.Op.OutWidth()
-	return Layout{NewCol: func(i int) int { return i }, OldCol: func(i int) int { return w + i }}
+	return Layout{New: 0, Old: nav.Op.OutWidth()}
 }
 
 // resolvePath composes the trigger Path with the view (Section 3.3): the
@@ -1242,7 +1242,7 @@ func appendSignature(b []byte, spec *trigger.Spec) []byte {
 }
 
 // appendAbstract appends the shape of an expression: its AST rendered with
-// "?" for each literal, met in the order condCompiler collects them.
+// "?" for each literal, met in the order appendLits collects them.
 func appendAbstract(b []byte, ex xquery.Expr) []byte {
 	if ex == nil {
 		return append(b, "<none>"...)
@@ -1318,7 +1318,7 @@ func (e *Engine) compileTable(g *group, table string) (tableGraph, error) {
 	if err != nil {
 		return tableGraph{}, err
 	}
-	cc := &condCompiler{nav: g.nav, layout: Layout{NewCol: an.NewCol, OldCol: an.OldCol}}
+	cc := &condCompiler{nav: g.nav, layout: Layout{New: an.NewCol(0), Old: an.OldCol(0)}}
 	template, args, err := cc.template(g.cond, g.args)
 	if err != nil {
 		return tableGraph{}, err

@@ -405,19 +405,6 @@ type exprCtx struct {
 	inPath  bool // inside a path-step predicate: input 0 column 0 is ITEM
 }
 
-// sqlCallNames maps evaluator function names to the backend's UDF names.
-var sqlCallNames = map[string]string{
-	"data":       "xml_data",
-	"string":     "xml_string",
-	"count":      "seq_count",
-	"empty":      "seq_empty",
-	"exists":     "seq_exists",
-	"concat":     "concat",
-	"abs":        "ABS",
-	"coalesce":   "COALESCE",
-	"deep-equal": "deep_equal",
-}
-
 func (r *sqlRenderer) renderExpr(e xqgm.Expr, c exprCtx) string {
 	switch x := e.(type) {
 	case *xqgm.ColRef:
@@ -478,9 +465,9 @@ func (r *sqlRenderer) renderExpr(e xqgm.Expr, c exprCtx) string {
 		for i, a := range x.Args {
 			args[i] = r.renderExpr(a, c)
 		}
-		name := sqlCallNames[x.Name]
-		if name == "" {
-			name = sqlIdent(x.Name)
+		name := sqlIdent(x.Name)
+		if f, ok := xqgm.LookupFunc(x.Name); ok {
+			name = f.SQL
 		}
 		return name + "(" + strings.Join(args, ", ") + ")"
 	case *xqgm.ElemCtor:
@@ -500,15 +487,13 @@ func (r *sqlRenderer) renderExpr(e xqgm.Expr, c exprCtx) string {
 			args = append(args, r.renderExpr(x.Predicate, pc))
 		}
 		return "path_step(" + strings.Join(args, ", ") + ")"
-	default:
-		if sq, ok := e.(interface{ SeqItems() []xqgm.Expr }); ok {
-			items := sq.SeqItems()
-			parts := make([]string, len(items))
-			for i, it := range items {
-				parts[i] = r.renderExpr(it, c)
-			}
-			return "xml_concat(" + strings.Join(parts, ", ") + ")"
+	case *xqgm.SeqCtor:
+		parts := make([]string, len(x.Items))
+		for i, it := range x.Items {
+			parts[i] = r.renderExpr(it, c)
 		}
+		return "xml_concat(" + strings.Join(parts, ", ") + ")"
+	default:
 		return e.String()
 	}
 }

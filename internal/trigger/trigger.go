@@ -148,20 +148,15 @@ func Parse(src string) (*Spec, error) {
 	// Event/node-variable consistency (Section 2.2): INSERT triggers may
 	// reference only NEW_NODE, DELETE only OLD_NODE.
 	check := func(e xquery.Expr, what string) error {
-		if e == nil {
-			return nil
-		}
-		var bad string
-		walkNodeRefs(e, func(old bool) {
-			if ev == reldb.EvInsert && old {
-				bad = "OLD_NODE in an INSERT trigger"
+		var bad *xquery.NodeRef
+		xquery.Walk(e, func(x xquery.Expr) bool {
+			if nr, ok := x.(*xquery.NodeRef); ok && ev != reldb.EvUpdate && nr.Old == (ev == reldb.EvInsert) {
+				bad = nr
 			}
-			if ev == reldb.EvDelete && !old {
-				bad = "NEW_NODE in a DELETE trigger"
-			}
+			return bad == nil
 		})
-		if bad != "" {
-			return fmt.Errorf("trigger: %s (%s)", bad, what)
+		if bad != nil {
+			return fmt.Errorf("trigger: %s in an %s trigger (%s)", xquery.String(bad), ev, what)
 		}
 		return nil
 	}
@@ -174,42 +169,6 @@ func Parse(src string) (*Spec, error) {
 		}
 	}
 	return spec, nil
-}
-
-// walkNodeRefs visits OLD_NODE/NEW_NODE references in an expression.
-func walkNodeRefs(e xquery.Expr, fn func(old bool)) {
-	switch x := e.(type) {
-	case *xquery.NodeRef:
-		fn(x.Old)
-	case *xquery.Path:
-		walkNodeRefs(x.Base, fn)
-		for _, s := range x.Steps {
-			for _, p := range s.Preds {
-				walkNodeRefs(p, fn)
-			}
-		}
-	case *xquery.Cmp:
-		walkNodeRefs(x.L, fn)
-		walkNodeRefs(x.R, fn)
-	case *xquery.Arith:
-		walkNodeRefs(x.L, fn)
-		walkNodeRefs(x.R, fn)
-	case *xquery.Logic:
-		for _, a := range x.Args {
-			walkNodeRefs(a, fn)
-		}
-	case *xquery.FnCall:
-		for _, a := range x.Args {
-			walkNodeRefs(a, fn)
-		}
-	case *xquery.Quantified:
-		walkNodeRefs(x.Seq, fn)
-		walkNodeRefs(x.Sat, fn)
-	case *xquery.IfExpr:
-		walkNodeRefs(x.Cond, fn)
-		walkNodeRefs(x.Then, fn)
-		walkNodeRefs(x.Else, fn)
-	}
 }
 
 // PathString renders the trigger's path for diagnostics.

@@ -218,9 +218,71 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// Call is a scalar function call. Supported: data, string, count, not,
-// concat, abs, empty, exists. count/empty/exists apply to a sequence-valued
-// argument (typically an aggXMLFrag column).
+// Func is one entry of the function table: a function a view or trigger
+// expression may call. The translator (compile.Translate) checks a call's
+// name and argument count here when the view or trigger is created;
+// Call.Eval computes it, and plan SQL calls the backend function SQL.
+type Func struct {
+	Min, Max int // argument count; Max < 0: Min or more
+	SQL      string
+	op       funcOp
+}
+
+type funcOp uint8
+
+const (
+	fnData funcOp = iota
+	fnString
+	fnCount
+	fnEmpty
+	fnExists
+	fnNot
+	fnConcat
+	fnAbs
+	fnCoalesce
+	fnDeepEqual
+)
+
+// funcs is the function table. count, empty and exists apply to a
+// sequence-valued argument (typically an aggXMLFrag column); deep-equal is
+// the tagger-level OLD_NODE = NEW_NODE comparison of Appendix E.1.
+var funcs = map[string]Func{
+	"data":       {1, 1, "xml_data", fnData},
+	"string":     {1, 1, "xml_string", fnString},
+	"count":      {1, 1, "seq_count", fnCount},
+	"empty":      {1, 1, "seq_empty", fnEmpty},
+	"exists":     {1, 1, "seq_exists", fnExists},
+	"not":        {1, 1, "NOT", fnNot},
+	"concat":     {2, -1, "concat", fnConcat},
+	"abs":        {1, 1, "ABS", fnAbs},
+	"coalesce":   {1, -1, "COALESCE", fnCoalesce},
+	"deep-equal": {2, 2, "deep_equal", fnDeepEqual},
+}
+
+// LookupFunc returns the function table's entry for name.
+func LookupFunc(name string) (Func, bool) {
+	f, ok := funcs[name]
+	return f, ok
+}
+
+// CheckCall returns an error unless the function table has name, taking n
+// arguments.
+func CheckCall(name string, n int) error {
+	f, ok := funcs[name]
+	return f.check(name, ok, n)
+}
+
+func (f Func) check(name string, known bool, n int) error {
+	if !known {
+		return fmt.Errorf("xqgm: unknown function %q", name)
+	}
+	if n < f.Min || f.Max >= 0 && n > f.Max {
+		return fmt.Errorf("xqgm: %s() does not take %d argument(s)", name, n)
+	}
+	return nil
+}
+
+// Call calls a function of the function table.
 type Call struct {
 	Name string
 	Args []Expr
@@ -228,6 +290,10 @@ type Call struct {
 
 // Eval implements Expr.
 func (e *Call) Eval(env *Env) (xdm.Value, error) {
+	f, ok := funcs[e.Name]
+	if err := f.check(e.Name, ok, len(e.Args)); err != nil {
+		return xdm.Null, err
+	}
 	var buf [4]xdm.Value // the arguments of every call but a long concat
 	vals := buf[:0]
 	for _, a := range e.Args {
@@ -237,29 +303,29 @@ func (e *Call) Eval(env *Env) (xdm.Value, error) {
 		}
 		vals = append(vals, v)
 	}
-	switch e.Name {
-	case "data":
+	switch f.op {
+	case fnData:
 		return xdm.Atomize(vals[0]), nil
-	case "string":
+	case fnString:
 		return xdm.Str(vals[0].AsString()), nil
-	case "count":
+	case fnCount:
 		return xdm.Int(int64(vals[0].SeqLen())), nil
-	case "empty":
+	case fnEmpty:
 		return xdm.Bool(vals[0].SeqLen() == 0), nil
-	case "exists":
+	case fnExists:
 		return xdm.Bool(vals[0].SeqLen() > 0), nil
-	case "not":
+	case fnNot:
 		if vals[0].IsNull() {
 			return xdm.Null, nil
 		}
 		return xdm.Bool(!vals[0].EffectiveBool()), nil
-	case "concat":
+	case fnConcat:
 		var sb strings.Builder
 		for _, v := range vals {
 			sb.WriteString(v.AsString())
 		}
 		return xdm.Str(sb.String()), nil
-	case "abs":
+	case fnAbs:
 		v := xdm.Atomize(vals[0])
 		if v.IsNull() {
 			return xdm.Null, nil
@@ -271,24 +337,20 @@ func (e *Call) Eval(env *Env) (xdm.Value, error) {
 			}
 			return xdm.Int(i), nil
 		}
-		f := v.AsFloat()
-		if f < 0 {
-			f = -f
+		x := v.AsFloat()
+		if x < 0 {
+			x = -x
 		}
-		return xdm.Float(f), nil
-	case "coalesce":
+		return xdm.Float(x), nil
+	case fnCoalesce:
 		for _, v := range vals {
 			if !v.IsNull() {
 				return v, nil
 			}
 		}
 		return xdm.Null, nil
-	case "deep-equal":
-		// Deep structural equality, including node values; this is the
-		// tagger-level OLD_NODE = NEW_NODE comparison of Appendix E.1.
+	default: // fnDeepEqual: structural equality, node values included
 		return xdm.Bool(xdm.Equal(vals[0], vals[1])), nil
-	default:
-		return xdm.Null, fmt.Errorf("xqgm: unknown function %q", e.Name)
 	}
 }
 
@@ -382,6 +444,33 @@ func (e *ElemCtor) String() string {
 	sb.WriteString(e.Name)
 	sb.WriteByte('>')
 	return sb.String()
+}
+
+// SeqCtor assembles the sequence of its items' values: the field
+// elements a view's $row/* content expands to.
+type SeqCtor struct {
+	Items []Expr
+}
+
+// Eval implements Expr.
+func (e *SeqCtor) Eval(env *Env) (xdm.Value, error) {
+	out := make([]xdm.Value, 0, len(e.Items))
+	for _, it := range e.Items {
+		v, err := it.Eval(env)
+		if err != nil {
+			return xdm.Null, err
+		}
+		out = append(out, v)
+	}
+	return xdm.Seq(out), nil
+}
+
+func (e *SeqCtor) String() string {
+	parts := make([]string, len(e.Items))
+	for i, it := range e.Items {
+		parts[i] = it.String()
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // PathStep navigates within a node-valued expression: child element access,
@@ -516,6 +605,12 @@ func RewriteExpr(e Expr, fn func(Expr) Expr) Expr {
 			kids[i] = RewriteExpr(c, fn)
 		}
 		return fn(&ElemCtor{Name: x.Name, Attrs: attrs, Children: kids})
+	case *SeqCtor:
+		items := make([]Expr, len(x.Items))
+		for i, it := range x.Items {
+			items[i] = RewriteExpr(it, fn)
+		}
+		return fn(&SeqCtor{Items: items})
 	case *PathStep:
 		return fn(&PathStep{In: RewriteExpr(x.In, fn), Axis: x.Axis, Name: x.Name, Predicate: RewriteExpr(x.Predicate, fn)})
 	default:

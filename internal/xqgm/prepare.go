@@ -334,7 +334,7 @@ func (n *node) demand() {
 				if x.Input < len(n.in) && x.Col >= 0 && x.Col < int(n.in[x.Input].width) {
 					n.in[x.Input].live[x.Col] = true
 				}
-			case *Lit, *Cmp, *Arith, *Logic, *Call, *IsNullExpr, *ElemCtor, *PathStep:
+			case *Lit, *Cmp, *Arith, *Logic, *Call, *IsNullExpr, *ElemCtor, *SeqCtor, *PathStep:
 			default:
 				for k := range n.in {
 					all(k)

@@ -606,6 +606,17 @@ func TestExpressionErrors(t *testing.T) {
 	if _, err := ctx.Eval(bad); err == nil {
 		t.Error("unknown function should error")
 	}
+	// A call built with the wrong number of arguments errors when it
+	// evaluates, as the translator rejects it when it compiles.
+	for _, c := range []*xqgm.Call{{Name: "count"}, {Name: "deep-equal", Args: []xqgm.Expr{xqgm.Col(0)}}, {Name: "concat", Args: []xqgm.Expr{xqgm.Col(0)}}} {
+		if err := xqgm.CheckCall(c.Name, len(c.Args)); err == nil {
+			t.Errorf("CheckCall accepts %s", c)
+		}
+		arity := xqgm.NewProject(prod, xqgm.Proj{Name: "x", E: c})
+		if _, err := xqgm.NewEvalContext(db, nil).Eval(arity); err == nil || !strings.Contains(err.Error(), "argument") {
+			t.Errorf("%s evaluated: %v", c, err)
+		}
+	}
 	oob := xqgm.NewProject(prod, xqgm.Proj{Name: "x", E: xqgm.Col(99)})
 	ctx2 := xqgm.NewEvalContext(db, nil)
 	if _, err := ctx2.Eval(oob); err == nil {

@@ -177,8 +177,8 @@ func (e *Logic) render(r *renderer) {
 	r.WriteString(")")
 }
 
-// FnCall is a function call (count, min, max, sum, avg, distinct, data,
-// string, not, empty, exists, concat).
+// FnCall is a function call: one of xqgm's function table, or distinct()
+// as a view's for-source.
 type FnCall struct {
 	Name string
 	Args []Expr
@@ -237,8 +237,7 @@ type LetClause struct {
 
 // FLWOR is a for/let/where/return expression.
 type FLWOR struct {
-	Fors    []ForClause // interleaved order preserved in Clauses
-	Clauses []any       // ForClause | LetClause, in source order
+	Clauses []any // ForClause | LetClause, in source order
 	Where   Expr
 	Return  Expr
 }
@@ -303,6 +302,54 @@ func String(e Expr) string {
 	var r renderer
 	e.render(&r)
 	return string(r.b)
+}
+
+// Walk calls fn on e and, while fn returns true, on each of its
+// subexpressions in the order String renders them: the literals Walk meets
+// come in the order of AppendAbstract's "?"s.
+func Walk(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	walkAll := func(es ...Expr) {
+		for _, x := range es {
+			Walk(x, fn)
+		}
+	}
+	switch x := e.(type) {
+	case *Path:
+		Walk(x.Base, fn)
+		for _, s := range x.Steps {
+			walkAll(s.Preds...)
+		}
+	case *Cmp:
+		walkAll(x.L, x.R)
+	case *Arith:
+		walkAll(x.L, x.R)
+	case *Logic:
+		walkAll(x.Args...)
+	case *FnCall:
+		walkAll(x.Args...)
+	case *Quantified:
+		walkAll(x.Seq, x.Sat)
+	case *IfExpr:
+		walkAll(x.Cond, x.Then, x.Else)
+	case *FLWOR:
+		for _, c := range x.Clauses {
+			switch c := c.(type) {
+			case ForClause:
+				Walk(c.Seq, fn)
+			case LetClause:
+				Walk(c.Seq, fn)
+			}
+		}
+		walkAll(x.Where, x.Return)
+	case *ElemCtor:
+		for _, a := range x.Attrs {
+			Walk(a.Val, fn)
+		}
+		walkAll(x.Content...)
+	}
 }
 
 // AppendAbstract appends e's text with every literal replaced by "?", in

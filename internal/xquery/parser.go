@@ -142,9 +142,7 @@ func (p *Parser) parseFLWOR() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				fc := ForClause{Var: v, Seq: seq}
-				f.Fors = append(f.Fors, fc)
-				f.Clauses = append(f.Clauses, fc)
+				f.Clauses = append(f.Clauses, ForClause{Var: v, Seq: seq})
 				if p.isSymbol(",") {
 					if err := p.advance(); err != nil {
 						return nil, err

@@ -263,3 +263,38 @@ func TestASTStringRoundStable(t *testing.T) {
 		t.Error("typed number literal")
 	}
 }
+
+// Walk meets an expression's literals in AppendAbstract's "?" order, in
+// every kind of node: filling the "?"s with them in that order gives the
+// source text back.
+func TestWalkMeetsLiteralsInAbstractOrder(t *testing.T) {
+	for _, src := range []string{
+		catalogSrc,
+		`some $v in NEW_NODE/vendor[./price > 5] satisfies $v/price * 2 - 1 < 100 and $v/vid = 'a'`,
+		`if (count(OLD_NODE/x[. = 1]) > 2) then concat('a', 3) else not(4 div 5 = 6)`,
+		`every $v in $s satisfies ($v = 7 or $v = 8)`,
+		`<a x={1 + 2}>{'t'}{for $i in view('default')/t/row[./c = 9] let $j := 10 where $i/d != 11 return <b>{12}</b>}</a>`,
+	} {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		filled := string(AppendAbstract(nil, e))
+		n := 0
+		Walk(e, func(x Expr) bool {
+			if l, ok := x.(*Lit); ok {
+				filled = strings.Replace(filled, "?", l.V.String(), 1)
+				n++
+			}
+			return true
+		})
+		if filled != String(e) || n == 0 {
+			t.Errorf("%s: %d literals fill the abstract text to\n%s\nwant\n%s", src, n, filled, String(e))
+		}
+		visits := 0
+		Walk(e, func(Expr) bool { visits++; return false })
+		if visits != 1 {
+			t.Errorf("%s: Walk went on past a false after %d visits", src, visits)
+		}
+	}
+}
