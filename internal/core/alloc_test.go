@@ -601,21 +601,25 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 // durableFiringAllocBudget caps the heap allocations of one leaf update
 // whose firing notifies 20 triggers durably — one group append, 20
 // enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
-// measured 100, most of them the delivery path's records, enqueues and
-// acks (146 while the statement's bookkeeping and each activation's
-// arguments were allocated per statement, 258 while every statement
-// allocated its operators' outputs). Per-record appends and the reflective
-// JSON encoder needed about 3,900 here; a change that raises the count past
-// the budget is encoding, framing or writing per record again. Its passes
-// construct for eight tuples at most and most of them for one, so
-// durableFiringBytesBudget — about 5 % above the measured 11,424 bytes
-// (13,937 to 13,945 while the bookkeeping was built per statement, 27,330
-// to 27,460 while every statement allocated its operators' outputs, 32,100
-// while the evaluation context kept its memo and trails in maps) — is where
-// a chunk allocator that costs a short pass anything shows.
+// measured 34, most of them the delivered nodes. The delivery path costs
+// a few objects per wave: the staged items, one slab of tasks holding the
+// records, and the pointers the group append reads (100 while every
+// activation had its own record, delivery closure and lane array, 146
+// while the statement's bookkeeping and each activation's arguments were
+// allocated per statement, 258 while every statement allocated its
+// operators' outputs). Per-record appends and the reflective JSON encoder
+// needed about 3,900 here; a change that raises the count past the budget
+// is allocating per activation again, or encoding, framing or writing per
+// record. Its passes construct for eight tuples at most and most of them
+// for one, so durableFiringBytesBudget — about 5 % above the measured
+// 9,278 bytes (11,424 while every activation had its own record and
+// closure, 13,937 to 13,945 while the bookkeeping was built per statement,
+// 27,330 to 27,460 while every statement allocated its operators' outputs,
+// 32,100 while the evaluation context kept its memo and trails in maps) —
+// is where a chunk allocator that costs a short pass anything shows.
 const (
-	durableFiringAllocBudget = 110
-	durableFiringBytesBudget = 12_000
+	durableFiringAllocBudget = 37
+	durableFiringBytesBudget = 9_750
 )
 
 func TestDurableFiringAllocBudget(t *testing.T) {

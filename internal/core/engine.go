@@ -692,34 +692,50 @@ func (e *Engine) EnableOutboxShared(lg *outbox.Log, sink outbox.Sink, stripes *D
 // OutboxEnabled reports whether durable delivery is enabled.
 func (e *Engine) OutboxEnabled() bool { return e.ob.Load() != nil }
 
-// deliver hands one activation of an engine without an outbox to the
-// action function: inline in synchronous mode (errors abort the firing
-// statement, AFTER-trigger style), or enqueued on the dispatcher in async
-// mode. The Invocation is an immutable snapshot — node bindings and
-// argument values are materialized XDM values, so workers never touch live
-// engine or database state. Async action errors cannot reach the writer
-// (its statement already returned); they are counted by the dispatcher and
-// reported to its OnError hook. Enqueue errors (Error-policy backpressure,
-// closed dispatcher) do surface to the writer. With an outbox, deliveries
-// go through a deliveryWave instead.
-func (e *Engine) deliver(fnName string, inv Invocation) error {
+// deliver hands one firing's activations, on an engine without an outbox,
+// to the action function: inline in synchronous mode (errors abort the
+// firing statement, AFTER-trigger style), or enqueued on the dispatcher in
+// async mode as tasks cut from one slab per call. Each Invocation is an
+// immutable snapshot — node bindings and argument values are materialized
+// XDM values, so workers never touch live engine or database state. Async
+// action errors cannot reach the writer (its statement already returned);
+// they are counted by the dispatcher and reported to its OnError hook.
+// Enqueue errors (Error-policy backpressure, closed dispatcher) do surface
+// to the writer. With an outbox, deliveries go through a deliveryWave
+// instead.
+func (e *Engine) deliver(fnName string, invs []Invocation) error {
 	fn := e.action(fnName)
 	d := e.dispatcher.Load()
 	if d == nil {
-		e.actsRun.Add(1)
-		if err := fn(inv); err != nil {
-			return fmt.Errorf("core: action %s of trigger %s: %w", fnName, inv.Trigger, err)
+		for _, inv := range invs {
+			e.actsRun.Add(1)
+			if err := fn(inv); err != nil {
+				return fmt.Errorf("core: action %s of trigger %s: %w", fnName, inv.Trigger, err)
+			}
 		}
 		return nil
 	}
-	err := d.Enqueue(dispatch.Delivery{Trigger: inv.Trigger, Run: func() error {
-		e.actsRun.Add(1)
-		return fn(inv)
-	}})
-	if err != nil {
-		return fmt.Errorf("core: dispatching action %s of trigger %s: %w", fnName, inv.Trigger, err)
+	tasks := make([]actionTask, len(invs))
+	for i, inv := range invs {
+		tasks[i] = actionTask{e: e, fn: fn, inv: inv}
+		if err := d.Enqueue(dispatch.Delivery{Trigger: inv.Trigger, Task: &tasks[i]}); err != nil {
+			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", fnName, inv.Trigger, err)
+		}
 	}
 	return nil
+}
+
+// actionTask is one async activation of an engine without an outbox.
+type actionTask struct {
+	e   *Engine
+	fn  ActionFunc
+	inv Invocation
+}
+
+// Run implements dispatch.Task.
+func (t *actionTask) Run() error {
+	t.e.actsRun.Add(1)
+	return t.fn(t.inv)
 }
 
 // obStripeIdx returns the trigger's stripe index.
@@ -729,42 +745,6 @@ func (e *Engine) obStripeIdx(trigger string) int {
 		h = (h ^ uint32(trigger[i])) * 16777619 // FNV-1a
 	}
 	return int(h % uint32(len(e.obStripes.mu)))
-}
-
-// durableRun builds the delivery closure of one durable record: sink (or
-// registered action), then ack. A failed delivery leaves the record
-// unacknowledged — due for replay — and counts against its dead-letter
-// retry budget (outbox Options.RetryLimit), so a permanently failing
-// record eventually moves to the dead-letter file instead of pinning the
-// watermark forever.
-func (e *Engine) durableRun(ob *outboxState, fn ActionFunc, rec *wire.Record) func() error {
-	return func() error {
-		e.actsRun.Add(1)
-		var start time.Time
-		m := e.obsp.Load()
-		if m != nil {
-			start = time.Now()
-		}
-		var err error
-		if ob.sink != nil {
-			err = ob.sink.Deliver(rec)
-		} else {
-			err = fn(Invocation{Trigger: rec.Trigger, Event: rec.Event, Old: rec.Old, New: rec.New, Args: rec.Args})
-		}
-		if m != nil {
-			m.sink.Since(start)
-		}
-		if err != nil {
-			if _, dlErr := ob.log.NoteFailure(rec); dlErr != nil {
-				// A failing dead-letter file must not silently disable the
-				// policy: surface it alongside the delivery error so the
-				// operator learns the record cannot be quarantined.
-				return fmt.Errorf("%w (dead-letter quarantine failed: %v)", err, dlErr)
-			}
-			return err
-		}
-		return ob.log.Ack(rec.Seq)
-	}
 }
 
 // batchState is the engine's per-commit scratch riding on
@@ -813,7 +793,52 @@ func batchStateOf(b *reldb.BatchInfo) *batchState {
 type waveItem struct {
 	fnName string
 	fn     ActionFunc
-	rec    *wire.Record
+	inv    Invocation
+}
+
+// durableTask is one durable delivery of a running wave: its record and
+// what delivering it takes. A wave cuts all its tasks from one slab, and
+// the records it appends and hands to the sink are the slab's.
+type durableTask struct {
+	rec wire.Record
+	e   *Engine
+	ob  *outboxState
+	fn  ActionFunc
+}
+
+// Run delivers the record through the sink (or the registered action),
+// then acknowledges it. A failed delivery leaves the record
+// unacknowledged — due for replay — and counts against its dead-letter
+// retry budget (outbox Options.RetryLimit), so a permanently failing
+// record eventually moves to the dead-letter file instead of pinning the
+// watermark forever.
+func (t *durableTask) Run() error {
+	e, ob, rec := t.e, t.ob, &t.rec
+	e.actsRun.Add(1)
+	var start time.Time
+	m := e.obsp.Load()
+	if m != nil {
+		start = time.Now()
+	}
+	var err error
+	if ob.sink != nil {
+		err = ob.sink.Deliver(rec)
+	} else {
+		err = t.fn(Invocation{Trigger: rec.Trigger, Event: rec.Event, Old: rec.Old, New: rec.New, Args: rec.Args})
+	}
+	if m != nil {
+		m.sink.Since(start)
+	}
+	if err != nil {
+		if _, dlErr := ob.log.NoteFailure(rec); dlErr != nil {
+			// A failing dead-letter file must not silently disable the
+			// policy: surface it alongside the delivery error so the
+			// operator learns the record cannot be quarantined.
+			return fmt.Errorf("%w (dead-letter quarantine failed: %v)", err, dlErr)
+		}
+		return err
+	}
+	return ob.log.Ack(rec.Seq)
 }
 
 // deliveryWave is the one path a durable delivery takes: the activations
@@ -832,6 +857,12 @@ type waveItem struct {
 // forbidden, see the Engine doc) deadlocks on its stripe instead of
 // racing. The cost is that a wave parked in Block-policy backpressure
 // holds its stripes a little longer.
+//
+// The wave stages Invocations, growing its items once per firing. Running
+// it allocates per wave, not per activation: one slab of durableTasks,
+// which the log appends and the dispatcher queues by pointer. Nothing
+// recycles a slab, so a record a sink retains stays valid (and keeps its
+// wave's slab alive).
 type deliveryWave struct {
 	e     *Engine
 	ob    *outboxState
@@ -841,12 +872,16 @@ type deliveryWave struct {
 	span *obs.Span
 }
 
-// add stages one delivery; it reports whether this was the wave's first
-// item (a commit's wave is then staged with the transaction).
-func (w *deliveryWave) add(fnName string, inv Invocation) bool {
-	w.items = append(w.items, waveItem{fnName: fnName, fn: w.e.action(fnName),
-		rec: &wire.Record{Trigger: inv.Trigger, Event: inv.Event, Old: inv.Old, New: inv.New, Args: inv.Args}})
-	return len(w.items) == 1
+// add stages one firing's deliveries; it reports whether they are the
+// wave's first (a commit's wave is then staged with the transaction).
+func (w *deliveryWave) add(fnName string, invs []Invocation) bool {
+	first := len(w.items) == 0
+	fn := w.e.action(fnName)
+	w.items = slices.Grow(w.items, len(invs))
+	for _, inv := range invs {
+		w.items = append(w.items, waveItem{fnName: fnName, fn: fn, inv: inv})
+	}
+	return first
 }
 
 // run group-appends the wave, then delivers (or enqueues) each item in
@@ -859,10 +894,14 @@ func (w *deliveryWave) run() error {
 	}
 	e, ob := w.e, w.ob
 	var stripes uint64 // bit i set: the wave holds e.obStripes.mu[i]
+	tasks := make([]durableTask, len(w.items))
 	recs := make([]*wire.Record, len(w.items))
 	for i, it := range w.items {
-		recs[i] = it.rec
-		stripes |= 1 << e.obStripeIdx(it.rec.Trigger)
+		inv := it.inv
+		tasks[i] = durableTask{e: e, ob: ob, fn: it.fn,
+			rec: wire.Record{Trigger: inv.Trigger, Event: inv.Event, Old: inv.Old, New: inv.New, Args: inv.Args}}
+		recs[i] = &tasks[i].rec
+		stripes |= 1 << e.obStripeIdx(inv.Trigger)
 	}
 	for s := stripes; s != 0; s &= s - 1 {
 		e.obStripes.mu[bits.TrailingZeros64(s)].Lock()
@@ -876,45 +915,37 @@ func (w *deliveryWave) run() error {
 	if asp != nil {
 		asp.SetAttr("records", strconv.Itoa(len(recs)))
 	}
-	if _, err := e.obAppendBatch(ob, recs); err != nil {
+	if _, err := ob.log.AppendBatch(recs); err != nil {
+		err = fmt.Errorf("core: outbox group append of %d records: %w", len(recs), err)
 		asp.SetAttr("err", err.Error())
 		asp.End()
 		return err
 	}
 	asp.End()
 	d := e.dispatcher.Load()
-	for _, it := range w.items {
-		run := e.durableRun(ob, it.fn, it.rec)
+	for i := range tasks {
+		t, fnName := &tasks[i], w.items[i].fnName
 		if d == nil {
 			// Synchronous durable delivery (sink + ack) traces inline; the
 			// async path's latency lives in the dispatch histograms instead,
 			// since the delivery outlives the commit span.
 			dsp := w.span.Child("deliver")
-			dsp.SetAttr("trigger", it.rec.Trigger)
-			err := run()
+			dsp.SetAttr("trigger", t.rec.Trigger)
+			err := t.Run()
 			if err != nil {
 				dsp.SetAttr("err", err.Error())
 			}
 			dsp.End()
 			if err != nil {
-				return fmt.Errorf("core: action %s of trigger %s: %w", it.fnName, it.rec.Trigger, err)
+				return fmt.Errorf("core: action %s of trigger %s: %w", fnName, t.rec.Trigger, err)
 			}
 			continue
 		}
-		if err := d.Enqueue(dispatch.Delivery{Trigger: it.rec.Trigger, Run: run}); err != nil {
-			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", it.fnName, it.rec.Trigger, err)
+		if err := d.Enqueue(dispatch.Delivery{Trigger: t.rec.Trigger, Task: t}); err != nil {
+			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", fnName, t.rec.Trigger, err)
 		}
 	}
 	return nil
-}
-
-// obAppendBatch group-appends the wave's records.
-func (e *Engine) obAppendBatch(ob *outboxState, recs []*wire.Record) (uint64, error) {
-	first, err := ob.log.AppendBatch(recs)
-	if err != nil {
-		return 0, fmt.Errorf("core: outbox group append of %d records: %w", len(recs), err)
-	}
-	return first, nil
 }
 
 // firingWave returns the wave a firing's durable deliveries collect on, or
@@ -949,41 +980,25 @@ func (e *Engine) deliverAll(ctx *reldb.FireContext, g *group, invs []Invocation)
 		return nil
 	}
 	wave, fnName := e.firingWave(ctx), g.actionFn
+	g.stats.activations.Add(int64(len(invs)))
 	if ctx.Stage == nil {
-		for _, inv := range invs {
-			g.stats.activations.Add(1)
-			if wave != nil {
-				wave.add(fnName, inv)
-			} else if err := e.deliver(fnName, inv); err != nil {
-				return err
-			}
-		}
 		if wave != nil {
+			wave.add(fnName, invs)
 			return wave.run()
 		}
-		return nil
+		return e.deliver(fnName, invs)
 	}
 	st := batchStateOf(ctx.Batch)
 	lo := len(st.staged)
 	st.staged = append(st.staged, invs...)
-	g.stats.activations.Add(int64(len(invs)))
 	if wave != nil {
-		for _, inv := range invs {
-			if wave.add(fnName, inv) {
-				ctx.Stage(wave.run)
-			}
+		if wave.add(fnName, invs) {
+			ctx.Stage(wave.run)
 		}
 		return nil
 	}
 	staged := st.staged[lo:]
-	ctx.Stage(func() error {
-		for _, inv := range staged {
-			if err := e.deliver(fnName, inv); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	ctx.Stage(func() error { return e.deliver(fnName, staged) })
 	return nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -481,5 +482,81 @@ func TestStatementWavesKeepLogOrder(t *testing.T) {
 	}
 	if got, want := checkDeliveryOrderIsLogOrder(t, lg, sink), 2*(perSide+1)*updates; got != want {
 		t.Fatalf("log holds %d records, want %d", got, want)
+	}
+}
+
+// TestRetainedRecordSurvivesLaterWaves: a sink may keep the record it was
+// handed. A wave's records live in the wave's task slab, and no later wave
+// reuses that slab, so a kept record still reads its own trigger, sequence,
+// node and arguments after many more waves and collections.
+func TestRetainedRecordSurvivesLaterWaves(t *testing.T) {
+	const triggers = 3
+	lg, err := outbox.Open(t.TempDir(), outbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	e := newWatchedEngine(t, triggers)
+	defer e.Close()
+	if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 2, QueueCap: 64, Policy: dispatch.Block}); err != nil {
+		t.Fatal(err)
+	}
+	// content is what a record reads; kept pairs a first-wave record with
+	// what it read when the sink was handed it.
+	type content struct {
+		trigger    string
+		seq        uint64
+		node, args string
+	}
+	read := func(r *wire.Record) content {
+		var args []string
+		for _, a := range r.Args {
+			args = append(args, a.Lexical())
+		}
+		return content{r.Trigger, r.Seq, r.New.Serialize(false), strings.Join(args, ",")}
+	}
+	type kept struct {
+		rec  *wire.Record
+		then content
+	}
+	var mu sync.Mutex
+	var first []kept
+	sink := outbox.SinkFunc(func(r *wire.Record) error {
+		if r.Seq <= triggers {
+			mu.Lock()
+			first = append(first, kept{r, read(r)})
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err := e.EnableOutbox(lg, sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := bumpPrice(e, "QRK", 1.5); err != nil {
+		t.Fatal(err)
+	}
+	e.Drain()
+	for i := 0; i < 200; i++ {
+		sym := []string{"QRK", "XML"}[i%2]
+		if err := bumpPrice(e, sym, 1000+float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			e.Drain()
+			runtime.GC()
+		}
+	}
+	e.Drain()
+	runtime.GC()
+	if len(first) != triggers {
+		t.Fatalf("the sink kept %d first-wave records, want %d", len(first), triggers)
+	}
+	for _, k := range first {
+		if !strings.Contains(k.then.node, `price="1.5"`) {
+			t.Fatalf("first-wave record %d read %s when delivered, want the first update's node", k.then.seq, k.then.node)
+		}
+		if now := read(k.rec); now != k.then {
+			t.Errorf("kept record changed after later waves:\nthen %+v\nnow  %+v", k.then, now)
+		}
 	}
 }

@@ -13,7 +13,12 @@
 // deliveries for distinct triggers fan out across the worker pool.
 //
 // Backpressure: the queue capacity bounds the total number of queued
-// deliveries across all lanes, and LaneQuota (optional) bounds each
+// deliveries across all lanes — and with it the queue's memory: queued
+// deliveries live in one dispatcher-wide slot array that grows to the
+// high-water queue depth and never past QueueCap, however many lanes there
+// are. Each lane is a FIFO threaded through that array, and a slot freed by
+// a worker is reused by the next enqueue, so a warmed queue enqueues
+// without allocating. LaneQuota (optional) bounds each
 // trigger's lane so one flooding trigger cannot consume the shared
 // capacity and starve every other trigger. When either bound is hit,
 // Enqueue applies the configured Policy: Block (wait for space — writers
@@ -75,14 +80,31 @@ var (
 	ErrClosed    = errors.New("dispatch: dispatcher closed")
 )
 
+// Task is the body of a delivery: Run invokes the action. A pointer into a
+// caller's slab of tasks satisfies it without allocating per delivery.
+type Task interface {
+	Run() error
+}
+
+// Func adapts a function to Task.
+type Func func() error
+
+// Run implements Task.
+func (f Func) Run() error { return f() }
+
 // Delivery is one fired trigger activation: the trigger it belongs to (the
-// FIFO lane key) and the closure that invokes the action. Run must be
-// self-contained: it captures an immutable snapshot of everything the
-// action needs (node bindings, evaluated arguments), so workers never
-// touch engine or database state.
+// FIFO lane key) and the task that invokes the action. The task must be
+// self-contained: it holds an immutable snapshot of everything the action
+// needs (node bindings, evaluated arguments), so workers never touch
+// engine or database state.
 type Delivery struct {
 	Trigger string
-	Run     func() error
+	Task    Task
+	// Run is the function form of the body, for callers written before
+	// Task: Enqueue turns it into a Func task when Task is nil.
+	//
+	// Deprecated: set Task; Func adapts a function.
+	Run func() error
 	// at is the enqueue timestamp, stamped by Enqueue only while
 	// observability is attached; the worker turns it into the queue-wait
 	// histogram. Unstamped (zero) deliveries record nothing.
@@ -136,16 +158,28 @@ type LaneStats struct {
 	MaxDepth     int64
 }
 
-// lane is one trigger's FIFO delivery queue. Invariants (under d.mu):
-// inRunq implies len(pending) > 0; at most one worker has active set, so
-// a lane's deliveries never run concurrently.
+// lane is one trigger's FIFO delivery queue: a list of slots from head to
+// tail, linked through slot.next. Invariants (under d.mu): inRunq implies
+// n > 0; at most one worker has active set, so a lane's deliveries never
+// run concurrently.
 type lane struct {
-	name    string
-	pending []Delivery
-	active  bool
-	inRunq  bool
-	stats   LaneStats
+	name       string
+	head, tail int32 // slot indexes, meaningful while n > 0
+	n          int   // queued deliveries
+	active     bool
+	inRunq     bool
+	stats      LaneStats
 }
+
+// slot holds one queued delivery. next links the slot to the next one in
+// its lane, or, while the slot is free, to the next free slot.
+type slot struct {
+	dl   Delivery
+	next int32
+}
+
+// noSlot ends a lane and the free list.
+const noSlot = -1
 
 // Dispatcher runs deliveries on a worker pool with per-trigger FIFO
 // ordering and a bounded global queue. All methods are safe for
@@ -158,8 +192,15 @@ type Dispatcher struct {
 	space *sync.Cond // queue space freed (Block-policy enqueuers wait here)
 	idle  *sync.Cond // a delivery completed (Drain/DrainTrigger wait here)
 
-	lanes   map[string]*lane
-	runq    []*lane // runnable lanes, round-robin
+	lanes map[string]*lane
+	slots []slot // queued deliveries of every lane; len ≤ QueueCap
+	free  int32  // head of the free slot list
+	// runq is a ring of the runnable lanes, served round-robin: rqLen of
+	// them from rqHead on. A runnable lane has a queued delivery, so the
+	// ring, like slots, holds at most QueueCap.
+	runq    []*lane
+	rqHead  int
+	rqLen   int
 	queued  int
 	running int
 	closed  bool
@@ -211,7 +252,7 @@ func New(cfg Config) *Dispatcher {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1024
 	}
-	d := &Dispatcher{cfg: cfg, lanes: map[string]*lane{}}
+	d := &Dispatcher{cfg: cfg, lanes: map[string]*lane{}, free: noSlot}
 	d.work = sync.NewCond(&d.mu)
 	d.space = sync.NewCond(&d.mu)
 	d.idle = sync.NewCond(&d.mu)
@@ -231,6 +272,61 @@ func (d *Dispatcher) laneOf(name string) *lane {
 	return ln
 }
 
+// grownCap is the capacity a full slot array or run queue of capacity n
+// grows to: double, never past QueueCap, which bounds both.
+func (d *Dispatcher) grownCap(n int) int { return min(max(2*n, 8), d.cfg.QueueCap) }
+
+// push queues dl at the tail of ln in a free slot, taking a new one only
+// when none is free.
+func (d *Dispatcher) push(ln *lane, dl Delivery) {
+	i := d.free
+	if i != noSlot {
+		d.free = d.slots[i].next
+	} else {
+		if len(d.slots) == cap(d.slots) {
+			d.slots = append(make([]slot, 0, d.grownCap(cap(d.slots))), d.slots...)
+		}
+		i = int32(len(d.slots))
+		d.slots = append(d.slots, slot{})
+	}
+	d.slots[i] = slot{dl: dl, next: noSlot}
+	if ln.n == 0 {
+		ln.head = i
+	} else {
+		d.slots[ln.tail].next = i
+	}
+	ln.tail = i
+	ln.n++
+}
+
+// pop removes and returns the delivery at the head of ln (which has one)
+// and frees its slot.
+func (d *Dispatcher) pop(ln *lane) Delivery {
+	i := ln.head
+	s := &d.slots[i]
+	dl := s.dl
+	ln.head = s.next
+	ln.n--
+	*s = slot{next: d.free} // drop the task so it can be collected
+	d.free = i
+	return dl
+}
+
+// makeRunnable appends ln to the run queue and wakes a worker.
+func (d *Dispatcher) makeRunnable(ln *lane) {
+	if d.rqLen == len(d.runq) {
+		// The ring is full: unroll it into a larger one.
+		rq := make([]*lane, d.grownCap(len(d.runq)))
+		n := copy(rq, d.runq[d.rqHead:])
+		copy(rq[n:], d.runq[:d.rqHead])
+		d.runq, d.rqHead = rq, 0
+	}
+	d.runq[(d.rqHead+d.rqLen)%len(d.runq)] = ln
+	d.rqLen++
+	ln.inRunq = true
+	d.work.Signal()
+}
+
 // Enqueue appends a delivery to its trigger's lane. When the shared queue
 // is full, or the lane is at its LaneQuota, it applies the configured
 // policy; the returned error is nil unless the policy is Error
@@ -241,6 +337,9 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 		// full queue is queue pressure and belongs in the wait histogram.
 		dl.at = time.Now()
 	}
+	if dl.Task == nil && dl.Run != nil {
+		dl.Task, dl.Run = Func(dl.Run), nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -249,7 +348,7 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 		}
 		ln := d.laneOf(dl.Trigger)
 		overShared := d.queued >= d.cfg.QueueCap
-		overQuota := d.cfg.LaneQuota > 0 && len(ln.pending) >= d.cfg.LaneQuota
+		overQuota := d.cfg.LaneQuota > 0 && ln.n >= d.cfg.LaneQuota
 		if !overShared && !overQuota {
 			break
 		}
@@ -263,7 +362,7 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 			ln.stats.Dropped++
 			return ErrQueueFull
 		case DropOldest:
-			if len(ln.pending) == 0 {
+			if ln.n == 0 {
 				// Shared queue full of other triggers' work: nothing of
 				// ours to displace, and another lane's delivery is not
 				// ours to drop.
@@ -274,8 +373,8 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 			// Displace our oldest queued delivery; the swap keeps both
 			// the shared depth and the lane depth constant, so the lane's
 			// inRunq/active invariants are untouched.
-			ln.pending = ln.pending[1:]
-			ln.pending = append(ln.pending, dl)
+			d.pop(ln)
+			d.push(ln, dl)
 			d.stats.Dropped++
 			d.stats.Enqueued++
 			ln.stats.Dropped++
@@ -286,9 +385,9 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 		}
 	}
 	ln := d.laneOf(dl.Trigger)
-	ln.pending = append(ln.pending, dl)
+	d.push(ln, dl)
 	ln.stats.Enqueued++
-	if q := int64(len(ln.pending)); q > ln.stats.MaxDepth {
+	if q := int64(ln.n); q > ln.stats.MaxDepth {
 		ln.stats.MaxDepth = q
 	}
 	d.queued++
@@ -297,9 +396,7 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 		d.stats.MaxDepth = int64(d.queued)
 	}
 	if !ln.active && !ln.inRunq {
-		d.runq = append(d.runq, ln)
-		ln.inRunq = true
-		d.work.Signal()
+		d.makeRunnable(ln)
 	}
 	return nil
 }
@@ -312,21 +409,19 @@ func (d *Dispatcher) worker() {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
-		for len(d.runq) == 0 && !d.closed {
+		for d.rqLen == 0 && !d.closed {
 			d.work.Wait()
 		}
-		if len(d.runq) == 0 { // closed and drained
+		if d.rqLen == 0 { // closed and drained
 			d.mu.Unlock()
 			return
 		}
-		ln := d.runq[0]
-		d.runq = d.runq[1:]
+		ln := d.runq[d.rqHead]
+		d.runq[d.rqHead] = nil
+		d.rqHead = (d.rqHead + 1) % len(d.runq)
+		d.rqLen--
 		ln.inRunq = false
-		dl := ln.pending[0]
-		ln.pending = ln.pending[1:]
-		if len(ln.pending) == 0 {
-			ln.pending = nil // release the drained backing array
-		}
+		dl := d.pop(ln)
 		ln.active = true
 		d.queued--
 		d.running++
@@ -369,10 +464,8 @@ func (d *Dispatcher) worker() {
 			ln.stats.Panics++
 		}
 		ln.active = false
-		if len(ln.pending) > 0 {
-			d.runq = append(d.runq, ln)
-			ln.inRunq = true
-			d.work.Signal()
+		if ln.n > 0 {
+			d.makeRunnable(ln)
 		}
 		d.idle.Broadcast()
 		d.mu.Unlock()
@@ -391,7 +484,7 @@ func runDelivery(dl Delivery) (panicked bool, err error) {
 			panicked = true
 		}
 	}()
-	return false, dl.Run()
+	return false, dl.Task.Run()
 }
 
 // Drain blocks until every queued delivery has completed and no delivery
@@ -419,7 +512,7 @@ func (d *Dispatcher) DrainTrigger(name string) LaneStats {
 		if !ok {
 			return LaneStats{}
 		}
-		if len(ln.pending) == 0 && !ln.active {
+		if ln.n == 0 && !ln.active {
 			delete(d.lanes, name)
 			return ln.stats
 		}
@@ -466,6 +559,6 @@ func (d *Dispatcher) TriggerStats(name string) (LaneStats, bool) {
 		return LaneStats{}, false
 	}
 	st := ln.stats
-	st.Queued = int64(len(ln.pending))
+	st.Queued = int64(ln.n)
 	return st, true
 }

@@ -18,12 +18,12 @@ func TestLaneFIFO(t *testing.T) {
 	const n = 500
 	for i := 0; i < n; i++ {
 		i := i
-		if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error {
+		if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
 			return nil
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,14 +57,14 @@ func TestLaneExclusive(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		lane := fmt.Sprintf("lane%d", i%8)
 		mine := lane == "lane0"
-		if err := d.Enqueue(Delivery{Trigger: lane, Run: func() error {
+		if err := d.Enqueue(Delivery{Trigger: lane, Task: Func(func() error {
 			defer track(&inAll, &maxInAll)()
 			if mine {
 				defer track(&inLane, &maxInLane)()
 			}
 			time.Sleep(200 * time.Microsecond)
 			return nil
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,16 +84,16 @@ func TestPolicyError(t *testing.T) {
 	defer d.Close()
 	gate := make(chan struct{})
 	// Occupy the single worker so subsequent enqueues stay queued.
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
 	for i := 0; i < 2; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { return nil }}); err != nil {
+		if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := d.Enqueue(Delivery{Trigger: "b", Run: func() error { return nil }})
+	err := d.Enqueue(Delivery{Trigger: "b", Task: Func(func() error { return nil })})
 	if err != ErrQueueFull {
 		t.Fatalf("enqueue on full queue = %v, want ErrQueueFull", err)
 	}
@@ -114,14 +114,14 @@ func TestPolicyDropNewest(t *testing.T) {
 	defer d.Close()
 	gate := make(chan struct{})
 	var ran atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { ran.Add(1); return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { ran.Add(1); return nil })}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { ran.Add(1); return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { ran.Add(1); return nil })}); err != nil {
 		t.Fatal(err) // dropped, not an error
 	}
 	close(gate)
@@ -139,16 +139,16 @@ func TestPolicyBlock(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 1, Policy: Block})
 	defer d.Close()
 	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- d.Enqueue(Delivery{Trigger: "a", Run: func() error { return nil }})
+		done <- d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })})
 	}()
 	select {
 	case <-done:
@@ -172,16 +172,16 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 1, Policy: Block})
 	gate := make(chan struct{})
 	var ran atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { <-gate; ran.Add(1); return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; ran.Add(1); return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { ran.Add(1); return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { ran.Add(1); return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
 	go func() {
-		blocked <- d.Enqueue(Delivery{Trigger: "a", Run: func() error { ran.Add(1); return nil }})
+		blocked <- d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { ran.Add(1); return nil })})
 	}()
 	time.Sleep(10 * time.Millisecond)
 	closed := make(chan struct{})
@@ -197,7 +197,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if got := ran.Load(); got != 2 {
 		t.Errorf("Close ran %d queued deliveries, want 2", got)
 	}
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { return nil }}); err != ErrClosed {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })}); err != ErrClosed {
 		t.Errorf("enqueue after Close = %v, want ErrClosed", err)
 	}
 	if err := d.Close(); err != nil {
@@ -212,11 +212,11 @@ func TestDrainTrigger(t *testing.T) {
 	gate := make(chan struct{})
 	var ran atomic.Int32
 	for i := 0; i < 3; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error {
+		if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error {
 			<-gate
 			ran.Add(1)
 			return nil
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,13 +249,13 @@ func TestActionErrorsAndPanics(t *testing.T) {
 		}
 	}})
 	defer d.Close()
-	if err := d.Enqueue(Delivery{Trigger: "bad", Run: func() error { return fmt.Errorf("sink down") }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "bad", Task: Func(func() error { return fmt.Errorf("sink down") })}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Enqueue(Delivery{Trigger: "bad", Run: func() error { panic("boom") }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "bad", Task: Func(func() error { panic("boom") })}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Enqueue(Delivery{Trigger: "ok", Run: func() error { return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "ok", Task: Func(func() error { return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	d.Drain()
@@ -277,12 +277,12 @@ func TestMaxDepth(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 64})
 	defer d.Close()
 	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
 	for i := 0; i < 5; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error { return nil }}); err != nil {
+		if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { return nil })}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,14 +313,14 @@ func TestLaneQuotaPreventsStarvation(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 8, LaneQuota: 2, Policy: DropNewest})
 	defer d.Close()
 	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "hold", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "hold", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
 	// The flooder tries to queue 20; only LaneQuota=2 may sit queued.
 	var flooded atomic.Int32
 	for i := 0; i < 20; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "flood", Run: func() error { flooded.Add(1); return nil }}); err != nil {
+		if err := d.Enqueue(Delivery{Trigger: "flood", Task: Func(func() error { flooded.Add(1); return nil })}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestLaneQuotaPreventsStarvation(t *testing.T) {
 	// A well-behaved trigger still gets in: the flooder did not own the
 	// shared queue.
 	var quiet atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "quiet", Run: func() error { quiet.Add(1); return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "quiet", Task: Func(func() error { quiet.Add(1); return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)
@@ -346,7 +346,7 @@ func TestPolicyDropOldest(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 64, LaneQuota: 3, Policy: DropOldest})
 	defer d.Close()
 	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
@@ -354,12 +354,12 @@ func TestPolicyDropOldest(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error {
+		if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
 			return nil
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,18 +382,18 @@ func TestDropOldestNeverDisplacesOtherLanes(t *testing.T) {
 	defer d.Close()
 	gate := make(chan struct{})
 	var aRan atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
 	for i := 0; i < 2; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "a", Run: func() error { aRan.Add(1); return nil }}); err != nil {
+		if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { aRan.Add(1); return nil })}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Queue full with a's work; b has nothing queued to displace.
 	var bRan atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "b", Run: func() error { bRan.Add(1); return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "b", Task: Func(func() error { bRan.Add(1); return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)
@@ -413,16 +413,16 @@ func TestBlockWakesLaneQuotaWaiters(t *testing.T) {
 	d := New(Config{Workers: 2, QueueCap: 1024, LaneQuota: 1, Policy: Block})
 	defer d.Close()
 	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error { <-gate; return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { <-gate; return nil })}); err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, d, 1)
-	if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error { return nil }}); err != nil {
+	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { return nil })}); err != nil {
 		t.Fatal(err) // fills the quota-1 lane
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- d.Enqueue(Delivery{Trigger: "t", Run: func() error { return nil }})
+		done <- d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { return nil })})
 	}()
 	select {
 	case err := <-done:

@@ -1,0 +1,198 @@
+package dispatch
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// countTask counts its runs; a pointer to one is a Task that costs no
+// allocation to enqueue.
+type countTask struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *countTask) Run() error {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	return nil
+}
+
+// TestEnqueueAllocatesNothing: once a lane has run a delivery, enqueueing
+// the next one and a worker picking it up reuse the freed slot and the run
+// queue's ring, so the round trip allocates nothing.
+func TestEnqueueAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	d := New(Config{Workers: 2, QueueCap: 16})
+	defer d.Close()
+	task := new(countTask)
+	enqueue := func() {
+		if err := d.Enqueue(Delivery{Trigger: "t", Task: task}); err != nil {
+			t.Fatal(err)
+		}
+		d.Drain()
+	}
+	enqueue() // warm the lane, the slot array and the run queue
+	if allocs := testing.AllocsPerRun(200, enqueue); allocs != 0 {
+		t.Errorf("enqueue plus worker pickup allocates %.2f objects, want 0", allocs)
+	}
+	if task.n != 202 { // AllocsPerRun warms up with one extra call
+		t.Errorf("task ran %d times, want 202", task.n)
+	}
+}
+
+// laneLog records, per lane, the labels of the deliveries that ran.
+type laneLog struct {
+	mu  sync.Mutex
+	ran map[string][]string
+}
+
+func (l *laneLog) task(lane, label string) Task {
+	return Func(func() error {
+		l.mu.Lock()
+		l.ran[lane] = append(l.ran[lane], label)
+		l.mu.Unlock()
+		return nil
+	})
+}
+
+// TestInterleavedLanesRecycleSlots: three lanes under a lane quota with
+// DropOldest, enqueued interleaved while the only worker is held. The
+// worker frees their slots round-robin across the lanes, so the second
+// round reuses slots in an order unrelated to the lanes that now hold
+// them. Every lane must still run exactly its newest deliveries in
+// enqueue order, count its drops, and the slot array must not grow past
+// the first round's high water.
+func TestInterleavedLanesRecycleSlots(t *testing.T) {
+	d := New(Config{Workers: 1, QueueCap: 16, LaneQuota: 3, Policy: DropOldest})
+	defer d.Close()
+	ran := &laneLog{ran: map[string][]string{}}
+	// round holds the worker, enqueues lanes[i] for each i, checks the
+	// queued depths and releases the worker.
+	round := func(lanes string, queued map[string]int64) {
+		t.Helper()
+		gate := make(chan struct{})
+		if err := d.Enqueue(Delivery{Trigger: "hold", Task: Func(func() error { <-gate; return nil })}); err != nil {
+			t.Fatal(err)
+		}
+		waitRunning(t, d, 1)
+		for _, c := range lanes {
+			lane := string(c)
+			ls, _ := d.TriggerStats(lane)
+			label := fmt.Sprintf("%s%d", lane, ls.Enqueued)
+			if err := d.Enqueue(Delivery{Trigger: lane, Task: ran.task(lane, label)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for lane, want := range queued {
+			if ls, _ := d.TriggerStats(lane); ls.Queued != want {
+				t.Fatalf("lane %s queues %d deliveries, want %d", lane, ls.Queued, want)
+			}
+		}
+		close(gate)
+		d.Drain()
+	}
+	// Round 1: a gets 5 (drops 2), b 4 (drops 1), c 2.
+	round("abcabcababa", map[string]int64{"a": 3, "b": 3, "c": 2})
+	d.mu.Lock()
+	highWater := len(d.slots)
+	d.mu.Unlock()
+	if highWater != 8 { // 3 + 3 + 2 queued; the hold delivery's slot was freed first
+		t.Fatalf("slot array holds %d slots after round 1, want 8", highWater)
+	}
+	// Round 2: c gets 5 (drops 2), b 4 (drops 1), a 1.
+	round("cbcbcbcbac", map[string]int64{"a": 1, "b": 3, "c": 3})
+
+	want := map[string][]string{
+		"a": {"a2", "a3", "a4", "a5"},
+		"b": {"b1", "b2", "b3", "b5", "b6", "b7"},
+		"c": {"c0", "c1", "c4", "c5", "c6"},
+	}
+	dropped := map[string]int64{"a": 2, "b": 2, "c": 2}
+	for lane, seq := range want {
+		if got := ran.ran[lane]; !slices.Equal(got, seq) {
+			t.Errorf("lane %s ran %v, want %v", lane, got, seq)
+		}
+		ls, _ := d.TriggerStats(lane)
+		if ls.Dropped != dropped[lane] || ls.Queued != 0 || ls.Completed != int64(len(seq)) {
+			t.Errorf("lane %s = %+v, want Dropped=%d Queued=0 Completed=%d", lane, ls, dropped[lane], len(seq))
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.slots) != highWater {
+		t.Errorf("slot array grew to %d slots in round 2, want the round-1 high water %d", len(d.slots), highWater)
+	}
+}
+
+// TestSlotsStayWithinQueueCap: the slot array and the run queue grow
+// lazily with the queue depth, not with the number of lanes, and never
+// past QueueCap, however many lanes bursts spread over.
+func TestSlotsStayWithinQueueCap(t *testing.T) {
+	const queueCap = 20
+	d := New(Config{Workers: 2, QueueCap: queueCap, Policy: Block})
+	defer d.Close()
+	capacities := func() (slots, runq int) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return cap(d.slots), cap(d.runq)
+	}
+	if s, r := capacities(); s != 0 || r != 0 {
+		t.Fatalf("a new dispatcher holds %d slots and a run queue of %d, want none", s, r)
+	}
+	task := new(countTask)
+	if err := d.Enqueue(Delivery{Trigger: "first", Task: task}); err != nil {
+		t.Fatal(err)
+	}
+	d.Drain()
+	if s, _ := capacities(); s > 8 {
+		t.Fatalf("one delivery grew the slot array to %d slots, want at most 8", s)
+	}
+	for burst := 0; burst < 5; burst++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					lane := fmt.Sprintf("lane%d", (burst*800+w*200+i)%150)
+					if err := d.Enqueue(Delivery{Trigger: lane, Task: task}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		d.Drain()
+		if s, r := capacities(); s > queueCap || r > queueCap {
+			t.Fatalf("burst %d: %d slots and a run queue of %d, want both at most QueueCap %d", burst, s, r, queueCap)
+		}
+	}
+	if st := d.Stats(); st.Completed != 4001 || st.MaxDepth > queueCap {
+		t.Errorf("stats = %+v, want Completed=4001 and MaxDepth at most %d", st, queueCap)
+	}
+}
+
+// TestRunFieldStillDelivers: a delivery that sets the deprecated Run
+// function instead of Task runs it as its task.
+func TestRunFieldStillDelivers(t *testing.T) {
+	d := New(Config{Workers: 1})
+	defer d.Close()
+	ran := 0
+	if err := d.Enqueue(Delivery{Trigger: "t", Run: func() error { ran++; return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	d.Drain()
+	if st := d.Stats(); ran != 1 || st.Completed != 1 || st.ActionErrors != 0 {
+		t.Errorf("ran %d times, stats %+v; want one clean completion", ran, st)
+	}
+}

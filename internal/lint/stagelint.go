@@ -22,7 +22,6 @@ import (
 //   - core.(*Engine).deliver (sink or dispatcher)
 //   - core.(*deliveryWave).run (durable delivery: group append, then
 //     sink or dispatcher)
-//   - core.(*Engine).obAppendBatch (outbox group append)
 //   - outbox.(*Log).Append / AppendBatch
 //   - dispatch.(*Dispatcher).Enqueue
 //   - outbox.Sink.Deliver
@@ -51,7 +50,6 @@ type stageBanned struct {
 var stageBannedSet = []stageBanned{
 	{"internal/core", "Engine", "deliver", "sink/dispatcher delivery"},
 	{"internal/core", "deliveryWave", "run", "durable delivery wave"},
-	{"internal/core", "Engine", "obAppendBatch", "outbox group append"},
 	{"internal/outbox", "Log", "Append", "outbox append"},
 	{"internal/outbox", "Log", "AppendBatch", "outbox append"},
 	{"internal/dispatch", "Dispatcher", "Enqueue", "dispatcher enqueue"},

@@ -81,7 +81,7 @@ func TestSharedNodesEncodeAsReference(t *testing.T) {
 		}
 		for _, rec := range wave {
 			rec := rec
-			if err := d.Enqueue(dispatch.Delivery{Trigger: rec.Trigger, Run: func() error { return sink.Deliver(rec) }}); err != nil {
+			if err := d.Enqueue(dispatch.Delivery{Trigger: rec.Trigger, Task: dispatch.Func(func() error { return sink.Deliver(rec) })}); err != nil {
 				t.Fatal(err)
 			}
 		}

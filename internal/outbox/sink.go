@@ -12,6 +12,10 @@ import (
 // Sink consumes invocation records. Implementations must be safe for
 // concurrent Deliver calls from distinct triggers; the engine guarantees
 // records of the same trigger are delivered one at a time, in order.
+//
+// A sink may keep the record it is handed: the engine never reuses it.
+// The engine cuts the records of one firing wave from one slab, so a kept
+// record keeps its whole wave's slab (about 100 bytes a record) alive.
 type Sink interface {
 	Deliver(rec *wire.Record) error
 }
