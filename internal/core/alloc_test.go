@@ -15,7 +15,7 @@ import (
 )
 
 // firingAllocBudget caps the heap allocations of one single-row leaf update
-// that fires a grouped trigger plan: about 10 % above the measured 33.
+// that fires a grouped trigger plan: about 10 % above the measured 13.
 // The count is what the evaluator's prepare-once / allocation-lean design
 // buys (the interpretive evaluator it replaced needed 4,183 here), what
 // building the OLD side as an edit of the NEW side buys on top (1,229 with
@@ -24,29 +24,35 @@ import (
 // children of the NEW side cost 8 objects each before, and now cost the
 // first child's 8 and four chunks), and what cutting the operators' outputs
 // from the memory the engine's kept evaluation context reuses buys on top
-// of that (63), and reusing the statement's bookkeeping buys last (33: the
-// Δ-key set and ∇ index, reldb's FireContext and one-row transition tables,
-// the lock footprint and the arguments' slices each cost an object or more
-// per statement before). What is left is what the firing delivers: the
-// <e0> and <e1> nodes, their attribute and child lists and lexical strings,
-// cut from chunks (about 30 objects), the two aggregate item sequences and
-// one slab of the four activations' arguments. A change that raises the
+// of that (63), and reusing the statement's bookkeeping buys on top of that
+// (33: the Δ-key set and ∇ index, reldb's FireContext and one-row transition
+// tables, the lock footprint and the arguments' slices each cost an object
+// or more per statement before), and cutting each pass's first block to the
+// footprint Prepare recorded buys last (13: a pass's first tuple built
+// object by object before, the OLD side's one tuple and each <e0> all of
+// theirs). What is left is what the firing delivers: the <e0> and <e1>
+// nodes, their lists and lexical strings, cut from one block per pass (ten
+// chunks over four passes), the two aggregate item sequences and one slab of
+// the four activations' arguments. A change that raises the
 // count past the budget is paying per-tuple or per-node garbage again,
 // building the 63 children the statement did not touch a second time,
 // allocating operator outputs on the heap again, or building per statement
 // what the engine, reldb or the evaluation context keeps for the next.
 //
-// firingBytesBudget is the other half, about 5 % above the measured 30,450
-// bytes, 24 KB of it the delivered <e0> and <e1> nodes (32,800 while the
-// statement's bookkeeping was built per statement, 73,870 while every
+// firingBytesBudget is the other half, about 5 % above the measured 25,984
+// bytes, 17 KB of it the delivered <e0> and <e1> nodes, and above the 27,136
+// a firing takes when payloads are not integral, whose digits are reserved
+// at their longest (30,450 while a node was 88 bytes and a pass's first
+// tuple built object by object, 32,800 while the statement's bookkeeping
+// was built per statement, 73,870 while every
 // statement allocated its operators' outputs, 78,640 while the evaluation
 // context kept its memo and trails in maps, 97,072 while a tuple cell was
 // 48 bytes, not 24). A chunk allocator that rounds passes up, or pays for
 // itself per pass, lowers the count and raises this; so does anything that
 // widens xdm.Value.
 const (
-	firingAllocBudget = 36
-	firingBytesBudget = 32_000
+	firingAllocBudget = 15
+	firingBytesBudget = 27_300
 )
 
 // raceEnabled is set by race_test.go: the race detector's instrumentation
@@ -160,21 +166,22 @@ func TestPointWriteAfterAHugeCommit(t *testing.T) {
 
 // ungroupedAllocBudget and ungroupedBytesBudget cap one leaf update under
 // 100 UNGROUPED members of which one is satisfied, about 10 % and 5 % above
-// the measured 33 objects and 30,376 bytes: what the satisfied member's
+// the measured 13 objects and 25,912 bytes: what the satisfied member's
 // firing delivers, as in firingAllocBudget. Each member's condition filters
 // the affected keys before anything is built, so the 99 others cost their
 // key filter, whose outputs take memory the statement's evaluation context
 // reuses from the statement before (see rejectedMemberAllocBudget). It read
-// 59 objects and 32,664 bytes while the statement's bookkeeping was built
-// per statement; 4,338 objects and 242,130 bytes while every statement
-// allocated its
-// operators' outputs; 8,029 objects and 1.23 MB while every member built its
+// 33 objects and 30,376 bytes while a node was 88 bytes and a pass's first
+// tuple built object by object; 59 objects and 32,664 bytes while the
+// statement's bookkeeping was built per statement; 4,338 objects and
+// 242,130 bytes while every statement allocated its operators' outputs;
+// 8,029 objects and 1.23 MB while every member built its
 // own evaluation context and, in it, the statement's transition-table
 // indexes; ≈ 18,850 objects and 7.8 MB while every member built the updated
 // element and dropped it.
 const (
-	ungroupedAllocBudget = 36
-	ungroupedBytesBudget = 31_900
+	ungroupedAllocBudget = 15
+	ungroupedBytesBudget = 27_250
 )
 
 func TestUngroupedFiringAllocationBudget(t *testing.T) {
@@ -375,10 +382,16 @@ func TestEventGraphsShareTheCommitsWork(t *testing.T) {
 // batched commit under the UPDATE group: 1.1 times its bytes. The two
 // deliver nothing here, and the operators their graphs share with the UPDATE
 // graph — affected keys, both view sides — they take from it. Evaluating
-// them afresh cost about 1.6 times. The ratio measured 1.01 (321,479 bytes
-// per commit against 318,790), and 1.02 (650,948 against 638,833) while
-// every commit allocated its operators' outputs.
-const eventGraphsBytesRatio = 1.1
+// them afresh cost about 1.6 times. The ratio measured 1.01 (248,578 bytes
+// per commit against 245,888; 286,317 against 283,632 while a node was 88
+// bytes and a pass's first tuple built object by object; 321,479 against
+// 318,790 before that), and 1.02 (650,948 against 638,833) while every
+// commit allocated its operators' outputs. eventGraphsBytesBudget caps the
+// commit with all three groups, about 5 % above the measured 248,578.
+const (
+	eventGraphsBytesRatio  = 1.1
+	eventGraphsBytesBudget = 261_000
+)
 
 func TestEventGraphsAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -399,21 +412,25 @@ func TestEventGraphsAllocationBudget(t *testing.T) {
 	if ratio > eventGraphsBytesRatio {
 		t.Errorf("the INSERT and DELETE groups make a commit allocate %.2fx the bytes, budget %.2fx", ratio, eventGraphsBytesRatio)
 	}
+	if bytes[1] > eventGraphsBytesBudget {
+		t.Errorf("a commit under the three groups allocates %.0f bytes, budget %d", bytes[1], eventGraphsBytesBudget)
+	}
 }
 
 // commitAllocBudget caps the heap allocations of one batched commit shaped
 // like the batch-mixed benchmark's — 32 leaf writes under 8 top elements
 // (mixedCommit) under the UPDATE group of 512 grouped triggers, of which 16
 // notify, and the INSERT and DELETE groups beside it — about 10 % above the
-// measured 250. What is left is what the commit delivers and what its
+// measured 116. What is left is what the commit delivers and what its
 // writes are: the 16 notified elements' nodes, lists, lexical strings and
 // aggregate item sequences; one argument slab per firing; the transaction's
 // touched-key maps and net-delta array; the activation dedup set; and the
-// test's own writes (a row, a key and an update closure each). It was 671
+// test's own writes (a row, a key and an update closure each). It was 250
+// while a pass's first tuple built its nodes object by object, and 671
 // while every row's sort key was a string, Definition 8 pruning keyed each
 // row by a packed string, ∇ was bucketed into a slice per key and every
 // staged activation and its arguments were allocated one by one.
-const commitAllocBudget = 275
+const commitAllocBudget = 128
 
 func TestCommitAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -457,16 +474,16 @@ func TestOldNodeSharesUntouchedChildren(t *testing.T) {
 		t.Fatalf("invocations = %d, want 4", len(got))
 	}
 	old, new := got[0].Old, got[0].New
-	if len(old.Children) != 64 || len(new.Children) != 64 {
-		t.Fatalf("children: old %d, new %d, want 64 each", len(old.Children), len(new.Children))
+	if len(old.Children()) != 64 || len(new.Children()) != 64 {
+		t.Fatalf("children: old %d, new %d, want 64 each", len(old.Children()), len(new.Children()))
 	}
-	for i := range old.Children {
-		switch o, n := old.Children[i], new.Children[i]; {
+	for i := range old.Children() {
+		switch o, n := old.Children()[i], new.Children()[i]; {
 		case i != leaf && o != n:
 			t.Errorf("child %d: OLD and NEW hold different nodes, want one shared node", i)
 		case i == leaf && (o == n || o.DeepEqual(n)):
 			t.Errorf("child %d was updated: OLD %s, NEW %s", i, o.Serialize(false), n.Serialize(false))
-		case i == leaf && (o.Name != n.Name || !o.Attrs[0].DeepEqual(n.Attrs[0])):
+		case i == leaf && (o.Name != n.Name || !o.Attrs()[0].DeepEqual(n.Attrs()[0])):
 			t.Errorf("child %d must differ in content only: OLD %s, NEW %s", i, o.Serialize(false), n.Serialize(false))
 		}
 	}
@@ -477,22 +494,22 @@ func TestOldNodeSharesUntouchedChildren(t *testing.T) {
 	}
 }
 
-// lists collects, by node, copies of the attribute and child lists of every
+// lists collects, by node, copies of the attributes and children of every
 // node of the subtrees.
 func lists(into map[*xdm.Node][2][]*xdm.Node, roots ...*xdm.Node) map[*xdm.Node][2][]*xdm.Node {
 	for _, n := range roots {
 		if _, seen := into[n]; seen {
 			continue
 		}
-		into[n] = [2][]*xdm.Node{slices.Clone(n.Attrs), slices.Clone(n.Children)}
-		lists(into, n.Attrs...)
-		lists(into, n.Children...)
+		into[n] = [2][]*xdm.Node{slices.Clone(n.Attrs()), slices.Clone(n.Children())}
+		lists(into, n.Attrs()...)
+		lists(into, n.Children()...)
 	}
 	return into
 }
 
-// The attribute and child lists of a firing's nodes are cut from shared
-// chunks, each with no spare capacity. Appending to a delivered node — a
+// The lists of a firing's nodes — attributes, then children — are cut from
+// shared chunks, each with no spare capacity. Appending to a delivered node — a
 // breach of the contract that delivered nodes are immutable — therefore
 // moves that node's list and writes into nobody else's: every other list of
 // OLD_NODE and NEW_NODE holds the nodes it held. (OLD and NEW share 63 of
@@ -510,36 +527,36 @@ func TestChunkListsDoNotAlias(t *testing.T) {
 		t.Fatalf("invocations = %d, want 4", len(got))
 	}
 	old, new := got[0].Old, got[0].New
-	if len(old.Children) != 64 || len(new.Children) != 64 {
-		t.Fatalf("children: old %d, new %d, want 64 each", len(old.Children), len(new.Children))
+	if len(old.Children()) != 64 || len(new.Children()) != 64 {
+		t.Fatalf("children: old %d, new %d, want 64 each", len(old.Children()), len(new.Children()))
 	}
 	before := lists(map[*xdm.Node][2][]*xdm.Node{}, old, new)
 	for n := range before {
-		if cap(n.Attrs) != len(n.Attrs) || cap(n.Children) != len(n.Children) {
-			t.Errorf("<%s>: Attrs len %d cap %d, Children len %d cap %d, want no spare capacity",
-				n.Name, len(n.Attrs), cap(n.Attrs), len(n.Children), cap(n.Children))
+		// Children is the tail of the node's list: its capacity is the list's.
+		if kids := n.Children(); cap(kids) != len(kids) {
+			t.Errorf("<%s>: %d children, capacity %d: want no spare capacity", n.Name, len(kids), cap(kids))
 			break
 		}
 	}
 	const victim = 20
-	appended := []*xdm.Node{new.Children[victim], new.Children[victim].Children[0], new}
+	appended := []*xdm.Node{new.Children()[victim], new.Children()[victim].Children()[0], new}
 	for _, n := range appended {
 		n.AppendChild(xdm.Attr("late", "x")).AppendChild(xdm.TextNd("late"))
 	}
 	for n, was := range before {
 		if slices.Contains(appended, n) {
-			if len(n.Attrs) != len(was[0])+1 || len(n.Children) != len(was[1])+1 {
+			if len(n.Attrs()) != len(was[0])+1 || len(n.Children()) != len(was[1])+1 {
 				t.Errorf("<%s> appended to: %d attributes and %d children, want one more of each than %d and %d",
-					n.Name, len(n.Attrs), len(n.Children), len(was[0]), len(was[1]))
+					n.Name, len(n.Attrs()), len(n.Children()), len(was[0]), len(was[1]))
 			}
 			continue
 		}
-		if !slices.Equal(n.Attrs, was[0]) || !slices.Equal(n.Children, was[1]) {
+		if !slices.Equal(n.Attrs(), was[0]) || !slices.Equal(n.Children(), was[1]) {
 			t.Errorf("a list of %s changed when other nodes were appended to", n.Serialize(false))
 		}
 	}
-	if len(old.Children) != 64 || old.Children[victim] != new.Children[victim] {
-		t.Errorf("OLD_NODE's child list changed: %d children", len(old.Children))
+	if len(old.Children()) != 64 || old.Children()[victim] != new.Children()[victim] {
+		t.Errorf("OLD_NODE's child list changed: %d children", len(old.Children()))
 	}
 }
 
@@ -566,11 +583,11 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 		if inv.New == last {
 			return nil // the firing's other three triggers: same nodes
 		}
-		if last = inv.New; len(last.Children) != fanout {
-			t.Errorf("NEW_NODE has %d children, want %d", len(last.Children), fanout)
+		if last = inv.New; len(last.Children()) != fanout {
+			t.Errorf("NEW_NODE has %d children, want %d", len(last.Children()), fanout)
 		}
 		if len(kept) < cap(kept) {
-			kept = append(kept, last.Children[(37*len(kept))%fanout])
+			kept = append(kept, last.Children()[(37*len(kept))%fanout])
 		}
 		return nil
 	})
@@ -601,8 +618,9 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 // durableFiringAllocBudget caps the heap allocations of one leaf update
 // whose firing notifies 20 triggers durably — one group append, 20
 // enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
-// measured 34, most of them the delivered nodes. The delivery path costs
-// a few objects per wave: the staged items, one slab of tasks holding the
+// measured 17, most of them the chunks the delivered nodes are cut from
+// (34 while a pass's first tuple built object by object). The delivery
+// path costs a few objects per wave: the staged items, one slab of tasks holding the
 // records, and the pointers the group append reads (100 while every
 // activation had its own record, delivery closure and lane array, 146
 // while the statement's bookkeeping and each activation's arguments were
@@ -612,14 +630,14 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 // is allocating per activation again, or encoding, framing or writing per
 // record. Its passes construct for eight tuples at most and most of them
 // for one, so durableFiringBytesBudget — about 5 % above the measured
-// 9,278 bytes (11,424 while every activation had its own record and
-// closure, 13,937 to 13,945 while the bookkeeping was built per statement,
+// 8,254 bytes (9,278 while a node was 88 bytes, 11,424 while every
+// activation had its own record and closure, 13,937 to 13,945 while the bookkeeping was built per statement,
 // 27,330 to 27,460 while every statement allocated its operators' outputs,
 // 32,100 while the evaluation context kept its memo and trails in maps) —
 // is where a chunk allocator that costs a short pass anything shows.
 const (
-	durableFiringAllocBudget = 37
-	durableFiringBytesBudget = 9_750
+	durableFiringAllocBudget = 19
+	durableFiringBytesBudget = 8_700
 )
 
 func TestDurableFiringAllocBudget(t *testing.T) {

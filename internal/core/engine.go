@@ -303,6 +303,8 @@ type groupStats struct {
 	joinsSkipped atomic.Int64 // xqgm.EvalStats.JoinsSkipped summed likewise
 	nodesBuilt   atomic.Int64 // xqgm.EvalStats.NodesBuilt summed likewise
 	opsShared    atomic.Int64 // xqgm.EvalStats.OpsShared summed likewise
+	opsEvaluated atomic.Int64 // xqgm.EvalStats.OpsEvaluated summed likewise
+	rowsProduced atomic.Int64 // xqgm.EvalStats.RowsProduced summed likewise
 }
 
 // groupBuild is a compiled translation not yet installed: plans plus the
@@ -1517,6 +1519,8 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 	g.stats.joinsSkipped.Add(int64(es.Stats.JoinsSkipped))
 	g.stats.nodesBuilt.Add(int64(es.Stats.NodesBuilt))
 	g.stats.opsShared.Add(int64(es.Stats.OpsShared))
+	g.stats.opsEvaluated.Add(int64(es.Stats.OpsEvaluated))
+	g.stats.rowsProduced.Add(int64(es.Stats.RowsProduced))
 	if sh := e.shadow.Load(); sh != nil {
 		if err := (*sh).VerifyPlan(plan.table, plan.sql(), es.Deltas, plan.labelled(rows)); err != nil {
 			return nil, fmt.Errorf("core: plan shadow: %w", err)

@@ -18,6 +18,8 @@ type GroupStat struct {
 	JoinsSkipped int64 `json:"joins_skipped"` // joins that left their right input unevaluated: the left one was empty
 	NodesBuilt   int64 `json:"nodes_built"`   // XML nodes the evaluations constructed
 	OpsShared    int64 `json:"ops_shared"`    // operator outputs taken from another group's evaluation
+	OpsEvaluated int64 `json:"ops_evaluated"` // operators the evaluations ran
+	RowsProduced int64 `json:"rows_produced"` // rows those operators produced
 }
 
 // GroupSigs returns all trigger-group signatures, sorted.
@@ -51,6 +53,8 @@ func (e *Engine) GroupStats() []GroupStat {
 			JoinsSkipped: g.stats.joinsSkipped.Load(),
 			NodesBuilt:   g.stats.nodesBuilt.Load(),
 			OpsShared:    g.stats.opsShared.Load(),
+			OpsEvaluated: g.stats.opsEvaluated.Load(),
+			RowsProduced: g.stats.rowsProduced.Load(),
 		})
 	}
 	return stats

@@ -40,6 +40,8 @@ func (e *Engine) GroupStats() []core.GroupStat {
 			a.JoinsSkipped += gs.JoinsSkipped
 			a.NodesBuilt += gs.NodesBuilt
 			a.OpsShared += gs.OpsShared
+			a.OpsEvaluated += gs.OpsEvaluated
+			a.RowsProduced += gs.RowsProduced
 		}
 	}
 	sort.Slice(agg, func(i, j int) bool { return agg[i].Sig < agg[j].Sig })

@@ -143,6 +143,8 @@ func TestGroupStatsSumsTheFleet(t *testing.T) {
 		want.JoinsSkipped += gs[0].JoinsSkipped
 		want.NodesBuilt += gs[0].NodesBuilt
 		want.OpsShared += gs[0].OpsShared
+		want.OpsEvaluated += gs[0].OpsEvaluated
+		want.RowsProduced += gs[0].RowsProduced
 	}
 	got := fleet[0]
 	got.Sig, got.Mode, got.ModeName, got.Members = "", 0, "", 0

@@ -67,9 +67,8 @@ func callScalar(name string, vals []xdm.Value) (xdm.Value, error) {
 	case "xml_attr":
 		return xdm.NodeVal(xdm.Attr(vals[0].AsString(), vals[1].Lexical())), nil
 	case "xml_element":
-		n := xdm.Elem(vals[0].AsString())
-		n.AppendContent(new(xdm.Chunks), vals[1:]...) // the evaluator's own content assembly
-		return xdm.NodeVal(n), nil
+		// The evaluator's own content assembly, object by object.
+		return xdm.NodeVal(new(xdm.Chunks).Elem(vals[0].AsString(), vals[1:]...)), nil
 	default:
 		return xdm.Null, fmt.Errorf("sqlshim: unknown function %s", name)
 	}
@@ -108,7 +107,7 @@ func evalPathStep(en *env, x *CallE) (xdm.Value, error) {
 			}
 		case "attribute":
 			if name == "*" {
-				for _, a := range n.Attrs {
+				for _, a := range n.Attrs() {
 					out = append(out, xdm.ParseTyped(a.Text))
 				}
 			} else if av, ok := n.Attribute(name); ok {

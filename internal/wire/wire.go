@@ -175,13 +175,13 @@ func appendNode(dst []byte, n *xdm.Node) []byte {
 	case xdm.ElementNode:
 		dst = append(dst, tagElem)
 		dst = appendString(dst, n.Name)
-		dst = binary.AppendUvarint(dst, uint64(len(n.Attrs)))
-		for _, a := range n.Attrs {
+		dst = binary.AppendUvarint(dst, uint64(len(n.Attrs())))
+		for _, a := range n.Attrs() {
 			dst = appendString(dst, a.Name)
 			dst = appendString(dst, a.Text)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
-		for _, c := range n.Children {
+		dst = binary.AppendUvarint(dst, uint64(len(n.Children())))
+		for _, c := range n.Children() {
 			dst = appendNode(dst, c)
 		}
 		return dst
@@ -369,8 +369,8 @@ func (d *decoder) node() (*xdm.Node, error) {
 	}
 	switch tag {
 	case tagElem:
-		n := &xdm.Node{Kind: xdm.ElementNode}
-		if n.Name, err = d.string(); err != nil {
+		name, err := d.string()
+		if err != nil {
 			return nil, err
 		}
 		na, err := d.uvarint()
@@ -380,6 +380,7 @@ func (d *decoder) node() (*xdm.Node, error) {
 		if na > uint64(len(d.b)-d.pos) {
 			return nil, fmt.Errorf("wire: attribute count %d exceeds input", na)
 		}
+		var content []*xdm.Node // the attributes, then the children
 		for i := uint64(0); i < na; i++ {
 			name, err := d.string()
 			if err != nil {
@@ -389,7 +390,7 @@ func (d *decoder) node() (*xdm.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.Attrs = append(n.Attrs, xdm.Attr(name, text))
+			content = append(content, xdm.Attr(name, text))
 		}
 		nc, err := d.uvarint()
 		if err != nil {
@@ -403,9 +404,9 @@ func (d *decoder) node() (*xdm.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.Children = append(n.Children, c)
+			content = append(content, c)
 		}
-		return n, nil
+		return xdm.NewNode(xdm.ElementNode, name, "", int(na), content), nil
 	case tagAttr:
 		n := &xdm.Node{Kind: xdm.AttributeNode}
 		if n.Name, err = d.string(); err != nil {
@@ -457,17 +458,17 @@ func nodeEqual(a, b *xdm.Node) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.Kind != b.Kind || a.Name != b.Name || a.Text != b.Text ||
-		len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
+	aa, ba, ac, bc := a.Attrs(), b.Attrs(), a.Children(), b.Children()
+	if a.Kind != b.Kind || a.Name != b.Name || a.Text != b.Text || len(aa) != len(ba) || len(ac) != len(bc) {
 		return false
 	}
-	for i := range a.Attrs {
-		if a.Attrs[i].Name != b.Attrs[i].Name || a.Attrs[i].Text != b.Attrs[i].Text {
+	for i := range aa {
+		if aa[i].Name != ba[i].Name || aa[i].Text != ba[i].Text {
 			return false
 		}
 	}
-	for i := range a.Children {
-		if !nodeEqual(a.Children[i], b.Children[i]) {
+	for i := range ac {
+		if !nodeEqual(ac[i], bc[i]) {
 			return false
 		}
 	}
@@ -598,9 +599,9 @@ func appendJSONNode(dst []byte, n *xdm.Node) []byte {
 		dst = append(dst, `,"text":`...)
 		dst = appendJSONString(dst, n.Text)
 	}
-	if len(n.Attrs) > 0 {
+	if len(n.Attrs()) > 0 {
 		dst = append(dst, `,"attrs":[`...)
-		for i, a := range n.Attrs {
+		for i, a := range n.Attrs() {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -612,9 +613,9 @@ func appendJSONNode(dst []byte, n *xdm.Node) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	if len(n.Children) > 0 {
+	if len(n.Children()) > 0 {
 		dst = append(dst, `,"children":[`...)
-		for i, c := range n.Children {
+		for i, c := range n.Children() {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -772,28 +773,29 @@ func fromJSONNode(jn *jsonNode) (*xdm.Node, error) {
 	if jn == nil {
 		return nil, nil
 	}
-	n := &xdm.Node{Name: jn.Name, Text: jn.Text}
+	var k xdm.NodeKind
 	switch jn.Kind {
 	case "elem":
-		n.Kind = xdm.ElementNode
+		k = xdm.ElementNode
 	case "attr":
-		n.Kind = xdm.AttributeNode
+		k = xdm.AttributeNode
 	case "text":
-		n.Kind = xdm.TextNode
+		k = xdm.TextNode
 	default:
 		return nil, fmt.Errorf("wire: unknown node kind %q", jn.Kind)
 	}
+	content := make([]*xdm.Node, 0, len(jn.Attrs)+len(jn.Children)) // the attributes, then the children
 	for _, a := range jn.Attrs {
-		n.Attrs = append(n.Attrs, xdm.Attr(a[0], a[1]))
+		content = append(content, xdm.Attr(a[0], a[1]))
 	}
 	for _, jc := range jn.Children {
 		c, err := fromJSONNode(jc)
 		if err != nil {
 			return nil, err
 		}
-		n.Children = append(n.Children, c)
+		content = append(content, c)
 	}
-	return n, nil
+	return xdm.NewNode(k, jn.Name, jn.Text, len(jn.Attrs), content), nil
 }
 
 func fromJSONValues(js []jsonValue) ([]xdm.Value, error) {

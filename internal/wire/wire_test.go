@@ -242,10 +242,10 @@ func toJSONNode(n *xdm.Node) *jsonNode {
 	default:
 		jn.Kind = "text"
 	}
-	for _, a := range n.Attrs {
+	for _, a := range n.Attrs() {
 		jn.Attrs = append(jn.Attrs, [2]string{a.Name, a.Text})
 	}
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		jn.Children = append(jn.Children, toJSONNode(c))
 	}
 	return jn
@@ -366,9 +366,8 @@ func TestAppendJSONMatchesReference(t *testing.T) {
 	}
 	// Shapes only hand-built trees have: an element carrying text, an
 	// attribute carrying children, a nil child, an event outside the enum.
-	odd := &xdm.Node{Kind: xdm.AttributeNode, Name: "a", Text: "t",
-		Attrs:    []*xdm.Node{xdm.Attr("k", "v")},
-		Children: []*xdm.Node{{Kind: xdm.ElementNode, Name: "e", Text: "elem text"}, nil}}
+	odd := xdm.NewNode(xdm.AttributeNode, "a", "t", 1,
+		[]*xdm.Node{xdm.Attr("k", "v"), xdm.NewNode(xdm.ElementNode, "e", "elem text", 0, nil), nil})
 	if want, err := referenceJSON(&Record{Event: 9, Old: odd}); err != nil {
 		t.Fatal(err)
 	} else if got := AppendJSON(nil, &Record{Event: 9, Old: odd}); !bytes.Equal(got, want) {

@@ -1,25 +1,29 @@
 package xdm
 
 import (
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
 
 // Chunks is the allocator an operator pass constructs XML from. Node structs
-// are carved from a []Node, attribute and child lists from one []*Node, and
-// the lexical forms of numbers from one strings.Builder whose String()
-// substrings share its buffer, so a pass that constructs a thousand elements
-// makes a few dozen heap objects instead of eight thousand. The zero value is
-// ready to use and builds object by object, exactly as Elem, Attr and TextNd
-// do; a pass that calls Tuple before each tuple it constructs for gets chunks.
+// are carved from a []Node, element lists from one []*Node, and the lexical
+// forms of numbers from one strings.Builder whose String() substrings share
+// its buffer, so a pass that constructs a thousand elements makes a few
+// dozen heap objects instead of five thousand. The zero value is ready to
+// use and builds object by object, exactly as Elem, Attr and TextNd do; a
+// pass that calls Cut before the tuples it constructs for gets chunks.
 //
-// Sizing: a pass's first tuple takes each object on its own; from the second
-// on, Tuple cuts a block — one chunk of nodes, one of lists, one of text —
-// for what a tuple has taken so far in the pass, on average, times the tuples
-// still to come, within the chunk bounds. A pass of one tuple therefore
-// allocates what it would without a Chunks, and no pass reserves room for
-// tuples it does not have. A tuple that needs more than its block has left
-// takes the excess object by object, as the first tuple does.
+// Sizing: the pass knows what each tuple takes before constructing it — a
+// Project operator's constructors have a fixed Footprint, recorded when the
+// plan is prepared, plus the content of the sequences they splice and the
+// digits of the numbers they format, read from the tuple — so it cuts a
+// block exactly the size of the tuples it is for: as many of the tuples to
+// come as fit the block bounds, at least one. A pass that fits the bounds,
+// one tuple or forty, allocates one block: three objects. Where a tuple
+// takes more than its footprint said (an expression whose result the plan
+// cannot size), the excess is allocated object by object.
 //
 // Rules, for whoever changes this:
 //
@@ -47,61 +51,121 @@ type Chunks struct {
 	nodes []Node          // unused tail of the block's node chunk
 	lists []*Node         // unused tail of the block's list chunk
 	chars strings.Builder // the block's text chunk, filled so far
-
-	used   usage // taken so far, by every tuple of the pass
-	tuples int   // tuples begun
-	room   int   // tuples the block was cut for and has not seen begin
+	built int             // nodes constructed
 }
 
-// usage counts nodes, list slots and bytes of text.
-type usage struct{ nodes, slots, bytes int }
+// Footprint is what constructing takes from a Chunks: nodes, list slots and
+// bytes of number text.
+type Footprint struct{ Nodes, Slots, Bytes int }
 
-// Chunk bounds. A Node is 88 bytes: 247 of them fill Go's 21,760-byte size
-// class (256 would spill into the 24,576-byte one and waste a tenth of it).
+// Add returns the footprint of f and g together.
+func (f Footprint) Add(g Footprint) Footprint {
+	return Footprint{f.Nodes + g.Nodes, f.Slots + g.Slots, f.Bytes + g.Bytes}
+}
+
+// Fits reports whether f fits in one block.
+func (f Footprint) Fits() bool {
+	return f.Nodes <= maxChunkNodes && f.Slots <= maxChunkSlots && f.Bytes <= maxChunkText
+}
+
+// ContentFootprint is what AppendContent takes from a Chunks to add v to an
+// element: a list slot per node it adds, and for an atomic value a text node
+// and the bytes of its digits.
+func ContentFootprint(v Value) Footprint {
+	switch v.kind {
+	case KindNull:
+		return Footprint{}
+	case KindNode:
+		if v.node() == nil {
+			return Footprint{}
+		}
+		return Footprint{Slots: 1}
+	case KindSeq:
+		var f Footprint
+		for _, x := range v.seq() {
+			if x.kind == KindNode && x.node() != nil { // the common item: no call
+				f.Slots++
+			} else {
+				f = f.Add(ContentFootprint(x))
+			}
+		}
+		return f
+	}
+	return Footprint{Nodes: 1, Slots: 1, Bytes: TextBytes(v)}
+}
+
+// TextBytes bounds the bytes v's lexical form takes in a text chunk: the
+// digits of a number — exactly for an integer or an integral float, at most
+// MaxNumberBytes for any other float — and nothing for an integer in 0..99
+// or a value that is not a number, whose lexical form needs no formatting.
+func TextBytes(v Value) int {
+	switch v.kind {
+	case KindInt:
+		if i := v.i(); i < 0 || i >= 100 {
+			return intLen(i)
+		}
+	case KindFloat:
+		// appendNumber's integral case, without a call to math.Trunc.
+		if f := v.f(); -1e15 < f && f < 1e15 {
+			if i := int64(f); float64(i) == f {
+				if i == 0 && math.Signbit(f) {
+					return len("-0.00")
+				}
+				return intLen(i) + len(".00")
+			}
+		}
+		return MaxNumberBytes
+	}
+	return 0
+}
+
+// intLen is the length of i in decimal, sign included.
+func intLen(i int64) int {
+	n, u := 0, uint64(i)
+	if i < 0 {
+		n, u = 1, -u
+	}
+	// u has d digits if it is below 10^d, else d+1 (1233/4096 ≈ log10 2).
+	u |= 1
+	d := bits.Len64(u) * 1233 >> 12
+	if u < pow10[d] {
+		return n + d
+	}
+	return n + d + 1
+}
+
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// MaxNumberBytes is the most text TextBytes reports for one value: the
+// longest float appendNumber writes, "-1.2345678901234567e-308".
+const MaxNumberBytes = 24
+
+// Chunk bounds. A Node is 64 bytes: 340 of them fill Go's 21,760-byte size
+// class exactly. A float's digits may be reserved at MaxNumberBytes, so the
+// text chunk has room for 170 of them; the three chunks come to 29,952
+// bytes.
 const (
-	maxChunkNodes = 247
+	maxChunkNodes = 340
 	maxChunkSlots = 512 // 4 KB of list
-	maxChunkText  = 1024
+	maxChunkText  = 4096
 )
 
-// Tuple announces that construction for the next tuple begins and that left
-// tuples, this one included, are still to come in the pass.
-func (c *Chunks) Tuple(left int) {
-	if c.tuples++; c.tuples == 1 {
-		return // nothing to size a block from: the first tuple builds object by object
-	}
-	if c.room == 0 {
-		c.cut(left)
-	}
-	c.room--
-}
-
-// cut starts a block for as many of the left tuples to come as the bounds
-// allow, sized from what the tuples before them took between them.
-func (c *Chunks) cut(left int) {
-	done, n := c.tuples-1, left
-	fit := func(used, limit int) {
-		if used > 0 {
-			n = min(n, limit*done/used)
-		}
-	}
-	fit(c.used.nodes, maxChunkNodes)
-	fit(c.used.slots, maxChunkSlots)
-	fit(c.used.bytes, maxChunkText)
-	n = max(n, 1)
-	share := func(used int) int { return (used*n + done - 1) / done }
-	c.nodes = make([]Node, share(c.used.nodes))
-	c.lists = make([]*Node, share(c.used.slots))
-	c.chars = strings.Builder{} // the strings cut from the old buffer keep it
-	c.chars.Grow(share(c.used.bytes))
-	c.room = n
+// Cut starts a block sized for f: the tuples about to be constructed, as
+// the caller has measured them. The chunks of the last block live on in the
+// nodes cut from them.
+func (c *Chunks) Cut(f Footprint) {
+	c.nodes = make([]Node, f.Nodes)
+	c.lists = make([]*Node, f.Slots)
+	c.chars = strings.Builder{}
+	c.chars.Grow(f.Bytes)
 }
 
 // Built reports how many nodes have been constructed from c.
-func (c *Chunks) Built() int { return c.used.nodes }
+func (c *Chunks) Built() int { return c.built }
 
 func (c *Chunks) node() *Node {
-	c.used.nodes++
+	c.built++
 	if len(c.nodes) == 0 {
 		return new(Node)
 	}
@@ -115,21 +179,12 @@ func (c *Chunks) list(k int) []*Node {
 	if k == 0 {
 		return nil
 	}
-	c.used.slots += k
 	if len(c.lists) < k {
 		return make([]*Node, k)
 	}
 	l := c.lists[:k:k]
 	c.lists = c.lists[k:]
 	return l
-}
-
-// grow returns l with room for exactly extra more nodes.
-func (c *Chunks) grow(l []*Node, extra int) []*Node {
-	if extra == 0 {
-		return l
-	}
-	return append(c.list(len(l) + extra)[:0], l...)
 }
 
 // lexical is v.Lexical() with the digits of a number written into the text
@@ -143,7 +198,6 @@ func (c *Chunks) lexical(v Value) string {
 	}
 	var buf [32]byte
 	b := v.appendNumber(buf[:0])
-	c.used.bytes += len(b)
 	if c.chars.Cap()-c.chars.Len() < len(b) {
 		return string(b)
 	}
@@ -152,11 +206,12 @@ func (c *Chunks) lexical(v Value) string {
 	return c.chars.String()[at:]
 }
 
-// Elem constructs an element with room for attrs attributes, which the
-// caller sets by index.
-func (c *Chunks) Elem(name string, attrs int) *Node {
+// Elem constructs an element whose content is vs, assembled as AppendContent
+// assembles it.
+func (c *Chunks) Elem(name string, vs ...Value) *Node {
 	n := c.node()
-	n.Kind, n.Name, n.Attrs = ElementNode, name, c.list(attrs)
+	n.Kind, n.Name = ElementNode, name
+	n.AppendContent(c, vs...)
 	return n
 }
 

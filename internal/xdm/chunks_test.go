@@ -1,21 +1,23 @@
 package xdm
 
 import (
-	"reflect"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // build constructs <e id={i} v={f}><k>{i}</k>{f}</e> from c, the shape of a
-// view's leaf element: six nodes, three lists and four numbers.
+// view's leaf element: six nodes, two lists and four numbers.
 func build(c *Chunks, i int64, f float64) *Node {
-	k := c.Elem("k", 0)
-	k.AppendContent(c, Int(i))
-	e := c.Elem("e", 2)
-	e.Attrs[0] = c.Attr("id", Int(i))
-	e.Attrs[1] = c.Attr("v", Float(f))
-	e.AppendContent(c, NodeVal(k), Float(f))
-	return e
+	k := c.Elem("k", Int(i))
+	return c.Elem("e", NodeVal(c.Attr("id", Int(i))), NodeVal(c.Attr("v", Float(f))), NodeVal(k), Float(f))
+}
+
+// buildFootprint is what build takes.
+func buildFootprint(i int64, f float64) Footprint {
+	return Footprint{Nodes: 6, Slots: 5, Bytes: 2*TextBytes(Int(i)) + 2*TextBytes(Float(f))}
 }
 
 func reference(i int64, f float64) *Node {
@@ -23,21 +25,51 @@ func reference(i int64, f float64) *Node {
 		Elem("k", TextNd(Int(i).Lexical())), TextNd(Float(f).Lexical()))
 }
 
-// What comes out of chunks is what the object-at-a-time constructors build,
-// across every chunk boundary, and stays that way while later tuples are
-// carved from the same chunks and from their successors.
-func TestChunksBuildTheSameNodes(t *testing.T) {
-	const tuples = 3 * maxChunkNodes // several node, list and text chunks
-	var c Chunks
-	got := make([]*Node, tuples)
-	for i := range got {
-		c.Tuple(tuples - i)
-		got[i] = build(&c, int64(i)*977, float64(i)*1e5+0.5*float64(i%2))
+// buildPass constructs build's element for each argument pair from c the
+// way a Project pass does: before a tuple that its block was not cut for,
+// it cuts one for as many of the tuples ahead as fit.
+func buildPass(c *Chunks, is []int64, fs []float64) []*Node {
+	out := make([]*Node, len(is))
+	block := 0
+	for t := range is {
+		if block == 0 {
+			var b Footprint
+			for u := t; u < len(is); u++ {
+				next := b.Add(buildFootprint(is[u], fs[u]))
+				if block > 0 && !next.Fits() {
+					break
+				}
+				b, block = next, block+1
+			}
+			c.Cut(b)
+		}
+		block--
+		out[t] = build(c, is[t], fs[t])
 	}
-	for i, n := range got {
-		want := reference(int64(i)*977, float64(i)*1e5+0.5*float64(i%2))
-		if !n.DeepEqual(want) {
-			t.Fatalf("tuple %d: %s, want %s", i, n.Serialize(false), want.Serialize(false))
+	return out
+}
+
+func args(n int, i func(int) int64, f func(int) float64) ([]int64, []float64) {
+	is, fs := make([]int64, n), make([]float64, n)
+	for k := range is {
+		is[k], fs[k] = i(k), f(k)
+	}
+	return is, fs
+}
+
+// What comes out of chunks is what the object-at-a-time constructors build,
+// across every block boundary, and stays that way while later tuples are
+// carved from the same block and from its successors.
+func TestChunksBuildTheSameNodes(t *testing.T) {
+	const tuples = 3 * maxChunkNodes // several blocks
+	is, fs := args(tuples, func(k int) int64 { return int64(k) * 977 },
+		func(k int) float64 { return float64(k)*1e5 + 0.5*float64(k%2) })
+	var c Chunks
+	got := buildPass(&c, is, fs)
+	for k, n := range got {
+		want := reference(is[k], fs[k])
+		if !n.DeepEqual(want) || n.Serialize(false) != want.Serialize(false) {
+			t.Fatalf("tuple %d: %s, want %s", k, n.Serialize(false), want.Serialize(false))
 		}
 	}
 }
@@ -45,17 +77,13 @@ func TestChunksBuildTheSameNodes(t *testing.T) {
 // Every list a Chunks hands out is full: appending to a finished node's list
 // moves that list and leaves the lists carved next to it alone.
 func TestChunksListsHaveNoSpareCapacity(t *testing.T) {
+	is, fs := args(50, func(k int) int64 { return int64(1000 + k) }, func(int) float64 { return 1 })
 	var c Chunks
-	nodes := make([]*Node, 50)
-	for i := range nodes {
-		c.Tuple(len(nodes) - i)
-		nodes[i] = build(&c, int64(1000+i), 1)
-	}
-	lists := func(n *Node) [][]*Node { return [][]*Node{n.Attrs, n.Children, n.Children[0].Children} }
+	nodes := buildPass(&c, is, fs)
 	for i, n := range nodes {
-		for _, l := range lists(n) {
-			if cap(l) != len(l) {
-				t.Fatalf("tuple %d: a list of %d has capacity %d", i, len(l), cap(l))
+		for _, x := range []*Node{n, n.Children()[0]} {
+			if cap(x.content) != len(x.content) {
+				t.Fatalf("tuple %d: a list of %d has capacity %d", i, len(x.content), cap(x.content))
 			}
 		}
 	}
@@ -64,7 +92,7 @@ func TestChunksListsHaveNoSpareCapacity(t *testing.T) {
 		before[i] = n.Serialize(false)
 	}
 	nodes[20].AppendChild(Attr("late", "x")).AppendChild(TextNd("late"))
-	nodes[20].Children[0].AppendChild(TextNd("late"))
+	nodes[20].Children()[0].AppendChild(TextNd("late"))
 	for i, n := range nodes {
 		if got := n.Serialize(false); i != 20 && got != before[i] {
 			t.Errorf("tuple %d changed when tuple 20 was appended to: %s, was %s", i, got, before[i])
@@ -75,34 +103,36 @@ func TestChunksListsHaveNoSpareCapacity(t *testing.T) {
 	}
 }
 
-// A pass of one tuple — and any use of the zero value — allocates what the
-// object-at-a-time constructors allocate; a pass of many allocates a few
-// chunks.
+// A pass cut for its footprint allocates one block — a chunk of nodes, of
+// lists and of text — and nothing else: one tuple or forty (240 nodes, one
+// block). The zero value allocates object by object, no more than the
+// object-at-a-time constructors.
 func TestChunksAllocations(t *testing.T) {
 	var sink *Node
 	plain := testing.AllocsPerRun(100, func() { sink = reference(123456, 7) })
+	zero := testing.AllocsPerRun(100, func() { sink = build(new(Chunks), 123456, 7) })
+	if zero > plain {
+		t.Errorf("zero value: %.0f allocations, constructors %.0f", zero, plain)
+	}
 	one := testing.AllocsPerRun(100, func() {
 		var c Chunks
-		c.Tuple(1)
+		c.Cut(buildFootprint(123456, 7))
 		sink = build(&c, 123456, 7)
 	})
-	// reference formats each number twice and lets Elem grow its lists by
-	// appending; the exact count is build's with a zero Chunks.
-	zero := testing.AllocsPerRun(100, func() { sink = build(new(Chunks), 123456, 7) })
-	if one != zero || one > plain {
-		t.Errorf("one-tuple pass: %.0f allocations, zero value %.0f, constructors %.0f", one, zero, plain)
+	if one > 3 {
+		t.Errorf("one-tuple pass: %.0f allocations, want at most 3 (one block)", one)
 	}
-	const tuples = 40 // 234 nodes after the first tuple's: one chunk
+	const tuples = 40
+	fp := buildFootprint(123456, 7)
 	many := testing.AllocsPerRun(100, func() {
 		var c Chunks
+		c.Cut(Footprint{tuples * fp.Nodes, tuples * fp.Slots, tuples * fp.Bytes})
 		for i := 0; i < tuples; i++ {
-			c.Tuple(tuples - i)
 			sink = build(&c, 123456, 7)
 		}
 	})
-	// The measured first tuple, then one chunk of nodes, of lists and of text.
-	if many > one+3 {
-		t.Errorf("%d tuples: %.0f allocations, want the first tuple's %.0f and 3 chunks", tuples, many, one)
+	if many > 3 {
+		t.Errorf("%d-tuple pass: %.0f allocations, want at most 3 (one block)", tuples, many)
 	}
 	_ = sink
 }
@@ -112,19 +142,15 @@ func TestChunksAllocations(t *testing.T) {
 // holds nodes of two node chunks for the collector to follow from one block
 // into the next.
 func TestChunksRetainedTuplePinsOneBlock(t *testing.T) {
-	const passes, tuples = 50, 5000 // a pass constructs about 2.5 MB
+	const passes, tuples = 50, 5000 // a pass constructs about 2 MB
 	kept := make([]*Node, 0, passes)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for p := 0; p < passes; p++ {
+		is, fs := args(tuples, func(i int) int64 { return int64(1000*p + i) }, func(i int) float64 { return float64(i) })
 		var c Chunks
-		for i := 0; i < tuples; i++ {
-			c.Tuple(tuples - i)
-			if n := build(&c, int64(1000*p+i), float64(i)); i == 97*p {
-				kept = append(kept, n)
-			}
-		}
+		kept = append(kept, buildPass(&c, is, fs)[97*p])
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -136,30 +162,54 @@ func TestChunksRetainedTuplePinsOneBlock(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
-// The bounds are what the godoc says: a chunk of nodes fills the
-// 21,760-byte size class, and the three chunks a node can pin fit in 32 KB.
+// The bounds are what the godoc says: a node is 64 bytes, a chunk of nodes
+// fills the 21,760-byte size class exactly, and the three chunks a node can
+// pin fit in 32 KB.
 func TestChunkBounds(t *testing.T) {
-	node := int(reflect.TypeOf(Node{}).Size())
-	if got := maxChunkNodes * node; got > 21760 || got+node <= 21760 {
-		t.Errorf("%d nodes of %d bytes = %d: not the fill of the 21,760-byte class", maxChunkNodes, node, got)
+	if got := unsafe.Sizeof(Node{}); got != 64 {
+		t.Errorf("a Node is %d bytes, want 64", got)
+	}
+	if got := maxChunkNodes * int(unsafe.Sizeof(Node{})); got != 21760 {
+		t.Errorf("a chunk of %d nodes is %d bytes, want the 21,760-byte size class filled", maxChunkNodes, got)
 	}
 	if total := 21760 + 8*maxChunkSlots + maxChunkText; total > 32<<10 {
 		t.Errorf("a node can pin %d bytes of chunks, want at most 32 KB", total)
 	}
 }
 
-// lexical is Lexical, whichever way the digits are stored.
+// lexical is Lexical, whichever way the digits are stored, and TextBytes
+// makes room for them: exactly for integers and integral floats.
 func TestChunksLexical(t *testing.T) {
-	var c Chunks
-	c.Tuple(2)
-	vals := []Value{Int(0), Int(99), Int(100), Int(-1), Int(-1 << 63), Float(0), Float(-0.0 * -1), Float(2.5),
-		Float(1e15), Float(-123456789), Float(1.7976931348623157e308), Str("s"), True, Null, NodeVal(Elem("n"))}
-	for round := 0; round < 3; round++ {
-		c.Tuple(2 - round%2)
+	vals := []Value{Int(0), Int(99), Int(100), Int(-1), Int(-1 << 63), Int(1<<63 - 1), Float(0), Float(math.Copysign(0, -1)),
+		Float(7), Float(-7), Float(2.5), Float(1e15), Float(999999999999999), Float(-999999999999999), Float(-123456789),
+		Float(1.7976931348623157e308), Float(-2.2250738585072014e-308), Float(0.00012345678901234567), Float(math.NaN()),
+		Float(math.Inf(-1)), Str("s"), True, Null, NodeVal(Elem("n"))}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, Int(r.Int63()>>r.Intn(63)-1<<40), Float(r.NormFloat64()*math.Pow(10, float64(r.Intn(40)-20))),
+			Float(math.Trunc(r.NormFloat64()*math.Pow(10, float64(r.Intn(16))))))
+	}
+	var want Footprint
+	for _, v := range vals {
+		want.Bytes += TextBytes(v)
+	}
+	for _, c := range []*Chunks{new(Chunks), new(Chunks)} {
+		c.Cut(want)
 		for _, v := range vals {
 			if got, want := c.lexical(v), v.Lexical(); got != want {
-				t.Errorf("round %d: lexical(%v) = %q, want %q", round, v, got, want)
+				t.Errorf("lexical(%v) = %q, want %q", v, got, want)
+			}
+			b := v.appendNumber(nil)
+			exact := v.kind == KindInt || v.kind == KindFloat && v.f() == math.Trunc(v.f()) && math.Abs(v.f()) < 1e15
+			switch n := TextBytes(v); {
+			case !v.IsNumeric() || v.kind == KindInt && 0 <= v.i() && v.i() < 100:
+				if n != 0 {
+					t.Errorf("TextBytes(%v) = %d, want 0: nothing is formatted", v, n)
+				}
+			case exact && n != len(b), n < len(b) || n > MaxNumberBytes:
+				t.Errorf("TextBytes(%v) = %d for %q", v, n, b)
 			}
 		}
+		want = Footprint{} // the second Chunks has no text chunk: every number allocates on its own
 	}
 }

@@ -18,9 +18,12 @@ const (
 	TextNode
 )
 
-// Node is an XML node. Elements have a Name, Attrs, and Children; attribute
-// and text nodes carry their string content in Text. Nodes form trees; the
-// model is ordered (document order = slice order).
+// Node is an XML node. Elements have a Name and content: attribute nodes
+// (Attrs) and child element and text nodes (Children), kept in one list
+// with the attributes first, their count stored next to Kind. Attribute and
+// text nodes carry their string content in Text. Nodes form trees; the
+// model is ordered (document order = list order). The layout keeps a node
+// at 64 bytes, so a block of Chunks holds 340 of them.
 //
 // A node is immutable once the code that constructed it hands it out:
 // AppendChild/AppendContent are for the constructor that still owns the
@@ -29,25 +32,56 @@ const (
 // operators' outputs, may point into the same subtrees), and nodes cross
 // goroutines through the dispatcher without synchronisation.
 type Node struct {
-	Kind     NodeKind
-	Name     string  // element/attribute name; empty for text nodes
-	Text     string  // attribute value or text content
-	Attrs    []*Node // attribute nodes, for elements
-	Children []*Node // child element/text nodes, for elements
+	Kind    NodeKind
+	nattrs  uint32 // content[:nattrs] are the attributes
+	Name    string // element/attribute name; empty for text nodes
+	Text    string // attribute value or text content
+	content []*Node
 }
 
+// NewNode returns a node of kind k whose first attrs content nodes are its
+// attributes and the rest its children, whatever their kinds: the
+// constructor of decoders, which rebuild a node as it was encoded. The node
+// keeps content as its list.
+func NewNode(k NodeKind, name, text string, attrs int, content []*Node) *Node {
+	return &Node{Kind: k, nattrs: uint32(attrs), Name: name, Text: text, content: content}
+}
+
+// Attrs returns the attribute nodes of an element. The slice has no spare
+// capacity, so appending to it never writes over the children.
+func (n *Node) Attrs() []*Node { return n.content[:n.nattrs:n.nattrs] }
+
+// Children returns the child element and text nodes of an element.
+func (n *Node) Children() []*Node { return n.content[n.nattrs:] }
+
 // Elem constructs an element node with the given children. Attribute nodes
-// in children are routed to Attrs; everything else becomes child content.
+// in children become its attributes, in order; everything else becomes
+// child content. Nil children are skipped.
 func Elem(name string, children ...*Node) *Node {
 	e := &Node{Kind: ElementNode, Name: name}
+	k := 0
 	for _, c := range children {
-		if c == nil {
-			continue
+		if c != nil {
+			k++
+			if c.Kind == AttributeNode {
+				e.nattrs++
+			}
 		}
-		if c.Kind == AttributeNode {
-			e.Attrs = append(e.Attrs, c)
-		} else {
-			e.Children = append(e.Children, c)
+	}
+	if k == 0 {
+		return e
+	}
+	e.content = make([]*Node, k)
+	a, i := 0, int(e.nattrs)
+	for _, c := range children {
+		switch {
+		case c == nil:
+		case c.Kind == AttributeNode:
+			e.content[a] = c
+			a++
+		default:
+			e.content[i] = c
+			i++
 		}
 	}
 	return e
@@ -70,48 +104,67 @@ func (n *Node) AppendChild(c *Node) *Node {
 		return n
 	}
 	if c.Kind == AttributeNode {
-		n.Attrs = append(n.Attrs, c)
+		n.content = slices.Insert(n.content, int(n.nattrs), c)
+		n.nattrs++
 	} else {
-		n.Children = append(n.Children, c)
+		n.content = append(n.content, c)
 	}
 	return n
 }
 
 // AppendContent appends vs to the element under construction the way an XML
 // element constructor does: Null adds nothing, a node is shared (not
-// copied; attribute nodes route to Attrs), a sequence is spliced item by
-// item, and any other value becomes a text node of its lexical form. It is
-// the one definition of element-content assembly, used by the evaluator's
-// constructor and by the SQL shim's xml_element alike. The lists are grown
-// once, to exactly the new length, and they and the text nodes come from c
-// (a zero Chunks allocates each on its own).
+// copied; attribute nodes join the attributes), a sequence is spliced item
+// by item, and any other value becomes a text node of its lexical form. It
+// is the one definition of element-content assembly, used by the
+// evaluator's constructor and by the SQL shim's xml_element alike. The
+// element's list is replaced once, by one of exactly the new length, and it
+// and the text nodes come from c (a zero Chunks allocates each on its own).
 func (n *Node) AppendContent(c *Chunks, vs ...Value) {
 	attrs, children := contentLen(vs)
-	n.Attrs = c.grow(n.Attrs, attrs)
-	n.Children = c.grow(n.Children, children)
-	n.appendValues(c, vs)
+	if attrs+children == 0 {
+		return
+	}
+	na := int(n.nattrs)
+	l := c.list(len(n.content) + attrs + children)
+	copy(l, n.content[:na])
+	copy(l[na+attrs:], n.content[na:])
+	a, k := na, len(n.content)+attrs // where the new attributes and children go
+	n.content, n.nattrs = l, uint32(na+attrs)
+	n.fill(c, vs, &a, &k)
 }
 
-func (n *Node) appendValues(c *Chunks, vs []Value) {
+// fill stores the content vs makes in n's list at *a (attributes) and *k
+// (the rest), advancing them.
+func (n *Node) fill(c *Chunks, vs []Value, a, k *int) {
 	for _, v := range vs {
+		var x *Node
 		switch v.kind {
 		case KindNull:
-		case KindNode:
-			n.AppendChild(v.node())
 		case KindSeq:
-			n.appendValues(c, v.seq())
+			n.fill(c, v.seq(), a, k)
+		case KindNode:
+			x = v.node()
 		default:
-			n.AppendChild(c.text(v))
+			x = c.text(v)
+		}
+		switch {
+		case x == nil:
+		case x.Kind == AttributeNode:
+			n.content[*a] = x
+			*a++
+		default:
+			n.content[*k] = x
+			*k++
 		}
 	}
 }
 
-// contentLen counts the attributes and the children appendValues will add
-// for vs.
+// contentLen counts the attributes and the other nodes fill adds for vs.
 func contentLen(vs []Value) (attrs, children int) {
 	for _, v := range vs {
 		switch {
-		case v.kind == KindNull:
+		case v.kind == KindNull || v.kind == KindNode && v.node() == nil:
 		case v.kind == KindSeq:
 			a, c := contentLen(v.seq())
 			attrs, children = attrs+a, children+c
@@ -126,7 +179,7 @@ func contentLen(vs []Value) (attrs, children int) {
 
 // Attribute returns the value of the named attribute and whether it exists.
 func (n *Node) Attribute(name string) (string, bool) {
-	for _, a := range n.Attrs {
+	for _, a := range n.Attrs() {
 		if a.Name == name {
 			return a.Text, true
 		}
@@ -138,7 +191,7 @@ func (n *Node) Attribute(name string) (string, bool) {
 // all element children.
 func (n *Node) ChildElements(name string) []*Node {
 	var out []*Node
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		if c.Kind == ElementNode && (name == "*" || c.Name == name) {
 			out = append(out, c)
 		}
@@ -149,7 +202,7 @@ func (n *Node) ChildElements(name string) []*Node {
 // Descendants appends to out all descendant elements (excluding n itself)
 // matching name ("*" for any), in document order.
 func (n *Node) Descendants(name string, out []*Node) []*Node {
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		if c.Kind != ElementNode {
 			continue
 		}
@@ -177,7 +230,7 @@ func (n *Node) TextContent() string {
 }
 
 func (n *Node) writeText(sb *strings.Builder) {
-	for _, c := range n.Children {
+	for _, c := range n.Children() {
 		switch c.Kind {
 		case TextNode:
 			sb.WriteString(c.Text)
@@ -198,17 +251,19 @@ func (n *Node) DeepEqual(m *Node) bool {
 	if n.Kind != m.Kind || n.Name != m.Name || n.Text != m.Text {
 		return false
 	}
-	if len(n.Attrs) != len(m.Attrs) || len(n.Children) != len(m.Children) {
+	if n.nattrs != m.nattrs || len(n.content) != len(m.content) {
 		return false
 	}
 	// Attribute lists are short: a nested loop, no map.
-	for _, b := range m.Attrs {
-		if i := slices.IndexFunc(n.Attrs, func(a *Node) bool { return a.Name == b.Name }); i < 0 || n.Attrs[i].Text != b.Text {
+	attrs := n.Attrs()
+	for _, b := range m.Attrs() {
+		if i := slices.IndexFunc(attrs, func(a *Node) bool { return a.Name == b.Name }); i < 0 || attrs[i].Text != b.Text {
 			return false
 		}
 	}
-	for i := range n.Children {
-		if !n.Children[i].DeepEqual(m.Children[i]) {
+	kids := m.Children()
+	for i, c := range n.Children() {
+		if !c.DeepEqual(kids[i]) {
 			return false
 		}
 	}
@@ -253,7 +308,7 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 		sb.WriteByte('<')
 		sb.WriteString(n.Name)
 		// Stable attribute order for deterministic serialization.
-		attrs := n.Attrs
+		attrs := n.Attrs()
 		if len(attrs) > 1 {
 			attrs = append([]*Node(nil), attrs...)
 			sort.SliceStable(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
@@ -265,7 +320,8 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 			escapeAttr(sb, a.Text)
 			sb.WriteString(`"`)
 		}
-		if len(n.Children) == 0 {
+		kids := n.Children()
+		if len(kids) == 0 {
 			sb.WriteString("/>")
 			if indent {
 				sb.WriteByte('\n')
@@ -274,7 +330,7 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 		}
 		sb.WriteByte('>')
 		onlyText := true
-		for _, c := range n.Children {
+		for _, c := range kids {
 			if c.Kind != TextNode {
 				onlyText = false
 				break
@@ -282,12 +338,12 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 		}
 		if indent && !onlyText {
 			sb.WriteByte('\n')
-			for _, c := range n.Children {
+			for _, c := range kids {
 				c.serialize(sb, true, depth+1)
 			}
 			sb.WriteString(pad)
 		} else {
-			for _, c := range n.Children {
+			for _, c := range kids {
 				c.serialize(sb, false, 0)
 			}
 		}
@@ -420,7 +476,8 @@ func (p *xmlParser) parseElement() (*Node, error) {
 		if p.pos >= len(p.src) {
 			return nil, fmt.Errorf("xdm: unterminated attribute value for %q", an)
 		}
-		e.Attrs = append(e.Attrs, Attr(an, unescape(p.src[start:p.pos])))
+		e.content = append(e.content, Attr(an, unescape(p.src[start:p.pos])))
+		e.nattrs++
 		p.pos++
 	}
 	// Content.
@@ -447,7 +504,7 @@ func (p *xmlParser) parseElement() (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.Children = append(e.Children, c)
+			e.content = append(e.content, c)
 			continue
 		}
 		start := p.pos
@@ -456,7 +513,7 @@ func (p *xmlParser) parseElement() (*Node, error) {
 		}
 		txt := unescape(p.src[start:p.pos])
 		if strings.TrimSpace(txt) != "" {
-			e.Children = append(e.Children, TextNd(txt))
+			e.content = append(e.content, TextNd(txt))
 		}
 	}
 }

@@ -44,11 +44,11 @@ func TestElemConstruction(t *testing.T) {
 
 func TestAttrRoutedToAttrs(t *testing.T) {
 	n := Elem("e", Attr("a", "1"), TextNd("x"))
-	if len(n.Attrs) != 1 || len(n.Children) != 1 {
-		t.Fatalf("attrs=%d children=%d", len(n.Attrs), len(n.Children))
+	if len(n.Attrs()) != 1 || len(n.Children()) != 1 {
+		t.Fatalf("attrs=%d children=%d", len(n.Attrs()), len(n.Children()))
 	}
 	n.AppendChild(Attr("b", "2"))
-	if len(n.Attrs) != 2 {
+	if len(n.Attrs()) != 2 {
 		t.Error("AppendChild should route attribute nodes to Attrs")
 	}
 }
@@ -97,13 +97,13 @@ func TestAppendContent(t *testing.T) {
 		t.Errorf("content = %s, want %s", got, want)
 	}
 	// Nodes are immutable once constructed, so content is shared, not copied.
-	if e.Children[0] != child || e.Children[2] != child {
+	if e.Children()[0] != child || e.Children()[2] != child {
 		t.Error("node content was copied instead of shared")
 	}
 }
 
 // Attributes arriving as content are counted as attributes, not among the
-// children: both lists come out exactly full, whatever the mix.
+// children: the element's list comes out exactly full, whatever the mix.
 func TestAppendContentSizesListsExactly(t *testing.T) {
 	child := Elem("c")
 	mixed := []Value{
@@ -114,14 +114,13 @@ func TestAppendContentSizesListsExactly(t *testing.T) {
 		"empty element":     Elem("e"),
 		"element with both": Elem("e", Attr("z", "0"), TextNd("first")),
 	} {
-		attrs, children := len(e.Attrs), len(e.Children)
+		attrs, children := len(e.Attrs()), len(e.Children())
 		e.AppendContent(new(Chunks), mixed...)
-		if len(e.Attrs) != attrs+2 || len(e.Children) != children+4 {
-			t.Errorf("%s: %d attributes and %d children, want %d and %d", name, len(e.Attrs), len(e.Children), attrs+2, children+4)
+		if len(e.Attrs()) != attrs+2 || len(e.Children()) != children+4 {
+			t.Errorf("%s: %d attributes and %d children, want %d and %d", name, len(e.Attrs()), len(e.Children()), attrs+2, children+4)
 		}
-		if cap(e.Attrs) != len(e.Attrs) || cap(e.Children) != len(e.Children) {
-			t.Errorf("%s: Attrs len %d cap %d, Children len %d cap %d, want no spare capacity",
-				name, len(e.Attrs), cap(e.Attrs), len(e.Children), cap(e.Children))
+		if cap(e.content) != len(e.content) {
+			t.Errorf("%s: list len %d cap %d, want no spare capacity", name, len(e.content), cap(e.content))
 		}
 	}
 }

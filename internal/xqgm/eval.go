@@ -556,16 +556,20 @@ func (ctx *EvalContext) evalUnary(n *node, in []Tuple) ([]Tuple, error) {
 			ctx.leave(n, trail{from: from})
 		}
 		// The pass's fresh tuples come from one slab, and the nodes their
-		// constructors build from one set of chunks, cut for what the tuples
-		// so far took and the number still to come.
+		// constructors build from blocks cut for exactly the tuples ahead.
 		sl, env := ctx.slab(len(o.Projs), fresh), ctx.passEnv()
+		block := 0 // tuples the block was cut for and has not begun
 		for i, t := range in {
 			if out[i] != nil {
 				continue
 			}
+			if n.ctor != nil {
+				if block == 0 {
+					block = n.ctor.cut(&env.nodes, in[i:], out[i:])
+				}
+				block--
+			}
 			env.In[0] = t
-			env.nodes.Tuple(fresh)
-			fresh--
 			nt := sl.next()
 			for j, p := range o.Projs {
 				if !n.live[j] {

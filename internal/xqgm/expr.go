@@ -405,16 +405,15 @@ type ElemCtor struct {
 
 // Eval implements Expr.
 func (e *ElemCtor) Eval(env *Env) (xdm.Value, error) {
-	n := env.nodes.Elem(e.Name, len(e.Attrs))
-	for i, a := range e.Attrs {
+	var buf [8]xdm.Value
+	content := buf[:0] // the attributes, then the children's values
+	for _, a := range e.Attrs {
 		v, err := a.E.Eval(env)
 		if err != nil {
 			return xdm.Null, err
 		}
-		n.Attrs[i] = env.nodes.Attr(a.Name, v)
+		content = append(content, xdm.NodeVal(env.nodes.Attr(a.Name, v)))
 	}
-	var buf [4]xdm.Value
-	content := buf[:0]
 	for _, c := range e.Children {
 		v, err := c.Eval(env)
 		if err != nil {
@@ -422,8 +421,7 @@ func (e *ElemCtor) Eval(env *Env) (xdm.Value, error) {
 		}
 		content = append(content, v)
 	}
-	n.AppendContent(&env.nodes, content...)
-	return xdm.NodeVal(n), nil
+	return xdm.NodeVal(env.nodes.Elem(e.Name, content...)), nil
 }
 
 func (e *ElemCtor) String() string {
@@ -506,7 +504,7 @@ func (e *PathStep) Eval(env *Env) (xdm.Value, error) {
 			// Attribute values atomize to untyped atomics: parse numerics
 			// so comparisons against numbers behave numerically.
 			if e.Name == "*" {
-				for _, a := range n.Attrs {
+				for _, a := range n.Attrs() {
 					out = append(out, xdm.ParseTyped(a.Text))
 				}
 			} else if av, ok := n.Attribute(e.Name); ok {

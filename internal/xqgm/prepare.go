@@ -38,7 +38,8 @@ type node struct {
 	slot    int32
 	plan    *planShape // on a root: the plan it belongs to
 
-	join *joinPlan // Join: see joinPlan
+	join *joinPlan  // Join: see joinPlan
+	ctor *footprint // Project: what its constructors take per tuple; nil if they build nothing
 }
 
 // joinPlan is what Prepare freezes for a Join. It hangs off the node
@@ -71,7 +72,8 @@ type probe struct {
 
 // Prepare freezes, for the graphs rooted at roots, everything evaluation
 // needs that depends only on the plan: join access paths and key column
-// lists, which columns are read at all, and which subgraphs are
+// lists, which columns are read at all, what each Project's element
+// constructors take per tuple (see footprint), and which subgraphs are
 // structurally identical and so evaluated once. It also pairs every
 // operator over B_old with its twin over the current tables — an
 // affected-node graph holds the view twice, as G and as G_old, and G_old
@@ -140,6 +142,7 @@ func plan(roots []*Operator) ([]*node, error) {
 	for i := len(p.nodes) - 1; i >= 0; i-- {
 		p.nodes[i].demand()
 	}
+	footprints(p.nodes)
 	shape := &planShape{nodes: len(p.nodes), pairs: p.pairTwins()}
 	for _, n := range out {
 		n.plan = shape
