@@ -19,8 +19,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -38,7 +38,6 @@ import (
 	"quark/internal/outbox"
 	"quark/internal/reldb"
 	"quark/internal/trigger"
-	"quark/internal/wire"
 	"quark/internal/xdm"
 	"quark/internal/xqgm"
 	"quark/internal/xquery"
@@ -84,13 +83,15 @@ type Invocation struct {
 // action is a call to an external function").
 type ActionFunc func(inv Invocation) error
 
-// Stats reports engine state and activity. Async and Dispatch are only
+// Stats reports engine state and activity. Actions counts the deliveries
+// run, inline or by a dispatcher worker. Async and Dispatch are only
 // meaningful after EnableAsyncDispatch: Dispatch carries the dispatcher's
 // queue counters (enqueued, completed, dropped, max depth, action errors).
 // Outbox and OutboxLog are only meaningful after EnableOutbox: OutboxLog
-// carries the durable log's append/ack counters. DB folds in the
-// relational layer's statement and access-path counters, so one Stats
-// call covers every layer under the engine.
+// carries the durable log's append/ack counters. Engines sharing one
+// delivery (ShareDelivery) report the same Dispatch and OutboxLog. DB
+// folds in the relational layer's statement and access-path counters, so
+// one Stats call covers every layer under the engine.
 type Stats struct {
 	XMLTriggers int
 	SQLTriggers int
@@ -140,13 +141,17 @@ var _ Surface[*reldb.Tx] = (*Engine)(nil)
 // acquisition always follows the global table-name order, which makes
 // cycles (and hence deadlocks) impossible.
 //
-// Action delivery: by default (synchronous mode) action callbacks run
-// inline while the firing statement's locks are held. After
-// EnableAsyncDispatch, trigger *detection* still runs inline under the
-// statement's locks, but the action callbacks are handed to a bounded
-// worker pool (internal/dispatch) with per-trigger FIFO ordering, so a
-// slow sink no longer stalls the writer. In either mode action callbacks
-// must not call back into the engine.
+// Action delivery (delivery.go): every activation goes through one wave —
+// a statement-level firing's, run when the firing ends, or a commit's, run
+// at commit. Running a wave has two independent steps: with an outbox
+// (EnableOutbox) it first appends the wave's records in one group write,
+// and each delivery acknowledges its own; then, after EnableAsyncDispatch,
+// it queues the deliveries on a bounded worker pool (internal/dispatch)
+// with per-trigger FIFO ordering, so a slow sink no longer stalls the
+// writer, and by default it runs them inline while the firing statement's
+// locks are held. Trigger *detection* always runs inline under the
+// statement's locks. In either mode action callbacks must not call back
+// into the engine.
 type Engine struct {
 	mu   sync.RWMutex
 	db   *reldb.DB
@@ -181,31 +186,10 @@ type Engine struct {
 	readPlans  map[string]*lockPlan
 	allPlan    *lockPlan
 
-	// dispatcher, when non-nil, runs action callbacks asynchronously; nil
-	// means inline (synchronous) delivery with identical semantics to the
-	// pre-dispatch engine.
-	dispatcher atomic.Pointer[dispatch.Dispatcher]
-
-	// ob, when non-nil, makes delivery durable: every activation is
-	// appended to the outbox log before it is delivered (inline or via the
-	// dispatcher) and acknowledged only after the sink accepted it.
-	// obStripes stripes a per-trigger mutex (by name hash) held across
-	// append+enqueue so log order always agrees with lane order for any
-	// one trigger; without it two statements on disjoint tables activating
-	// the same trigger could enqueue in the opposite order of their
-	// appends, and a replay would then reorder that trigger's deliveries.
-	// Striping (rather than one global mutex) keeps a writer parked in
-	// Block-policy backpressure from stalling unrelated triggers' durable
-	// deliveries — cross-trigger order carries no guarantee anyway. The
-	// stripe set is per-engine by default; engines sharing one outbox log
-	// (shards) share one stripe set via EnableOutboxShared, extending the
-	// invariant across engines.
-	ob        atomic.Pointer[outboxState]
-	obStripes *DeliveryStripes
-
-	// dispShared marks the dispatcher as externally owned (attached via
-	// AttachSharedDispatcher): Close drains it but must not stop it.
-	dispShared atomic.Bool
+	// dl is where activations go once detected (delivery.go): the
+	// dispatcher, the outbox and their stripes, shared by every engine of a
+	// fleet (ShareDelivery).
+	dl *delivery
 
 	// prepCheck, when set, vets every batch transaction at the end of its
 	// prepare phase (BatchHandle.Prepare) with the staged invocation set.
@@ -231,24 +215,6 @@ type Engine struct {
 	// any result divergence (SetPlanShadow). Nil means disabled: the firing
 	// path pays one atomic load and a branch.
 	shadow atomic.Pointer[PlanShadow]
-}
-
-// DeliveryStripes is the per-trigger mutex set serializing outbox append
-// with dispatcher enqueue. Engines that share one outbox log must also
-// share one DeliveryStripes so the log-order = lane-order invariant holds
-// for a trigger firing on several engines concurrently (the sharded
-// engine's case).
-type DeliveryStripes struct {
-	mu [64]sync.Mutex // at most 64: a deliveryWave tracks the stripes it holds in one uint64
-}
-
-// NewDeliveryStripes allocates a stripe set for engines sharing an outbox.
-func NewDeliveryStripes() *DeliveryStripes { return &DeliveryStripes{} }
-
-// outboxState pairs the durable log with the sink consuming it.
-type outboxState struct {
-	log  *outbox.Log
-	sink outbox.Sink // nil: deliver to the registered action functions
 }
 
 // group is the set of triggers with one structural signature, translated
@@ -356,10 +322,10 @@ func NewEngine(db *reldb.DB, mode Mode) *Engine {
 		groups:     map[string]*group{},
 		tableLocks: map[string]*sync.RWMutex{},
 		readSets:   map[string][]string{},
+		dl:         &delivery{},
 	}
 	acts := map[string]ActionFunc{}
 	e.actions.Store(&acts)
-	e.obStripes = NewDeliveryStripes()
 	e.evals.db, e.evals.idle = db, maxIdleEvals
 	e.fkReads = map[string][]string{}
 	for _, t := range db.Schema().Tables() {
@@ -550,222 +516,31 @@ func (e *Engine) action(name string) ActionFunc {
 	return (*e.actions.Load())[name]
 }
 
-// EnableAsyncDispatch switches action delivery to a bounded-queue worker
-// pool: trigger detection keeps running inline under the firing
-// statement's locks, but each activation is enqueued as a delivery
-// (per-trigger FIFO; distinct triggers fan out across workers) instead of
-// invoked inline. cfg selects the queue capacity, worker count, and the
-// backpressure policy applied to writers when the queue is full. Call
-// Drain to wait for all queued deliveries (a barrier, e.g. before
-// asserting on side effects) and Close to shut the pool down. Returns an
-// error if async dispatch is already enabled.
-func (e *Engine) EnableAsyncDispatch(cfg dispatch.Config) error {
-	d := dispatch.New(cfg)
-	if !e.dispatcher.CompareAndSwap(nil, d) {
-		_ = d.Close() // lost the race: stop the freshly started pool
-		return fmt.Errorf("core: async dispatch already enabled")
-	}
-	e.dispShared.Store(false)
-	if m := e.obsp.Load(); m != nil {
-		d.AttachObs(m.reg)
-	}
-	return nil
-}
-
-// AttachSharedDispatcher enables async delivery through a dispatcher the
-// caller owns (and may have attached to other engines — the sharded
-// engine's shared pool, which gives per-trigger FIFO lanes spanning every
-// shard). Close drains deliveries this engine handed to the pool but does
-// not stop it; stopping is the owner's job, after every attached engine
-// has closed. Returns an error if async dispatch is already enabled.
-func (e *Engine) AttachSharedDispatcher(d *dispatch.Dispatcher) error {
-	if d == nil {
-		return fmt.Errorf("core: AttachSharedDispatcher requires a dispatcher")
-	}
-	// CAS before marking shared: a failed attach must not flip an already
-	// owned dispatcher into drain-only Close semantics. Attaching must not
-	// race Close (both are setup/teardown-time calls).
-	if !e.dispatcher.CompareAndSwap(nil, d) {
-		return fmt.Errorf("core: async dispatch already enabled")
-	}
-	e.dispShared.Store(true)
-	if m := e.obsp.Load(); m != nil {
-		d.AttachObs(m.reg)
-	}
-	return nil
-}
-
-// AsyncDispatch reports whether async delivery is enabled.
-func (e *Engine) AsyncDispatch() bool { return e.dispatcher.Load() != nil }
-
-// Drain blocks until every queued async delivery has completed; it is a
-// no-op in synchronous mode. With a quiesced writer side, the engine's
-// observable side effects after Drain are identical to synchronous mode.
-func (e *Engine) Drain() {
-	if d := e.dispatcher.Load(); d != nil {
-		d.Drain()
-	}
-}
-
-// Close drains and stops the async dispatcher, reverting the engine to
-// inline delivery. The dispatcher is closed *before* the engine reverts
-// to inline mode, so a statement racing with Close either enqueues (and
-// its delivery drains), observes a delivery rejection (ErrClosed) as its
-// statement error, or — once the pool has fully drained and stopped —
-// delivers inline; per-trigger exclusivity is never violated. Safe to
-// call on a synchronous engine; idempotent. A shared dispatcher
-// (AttachSharedDispatcher) is drained and detached but left running: its
-// owner stops it once every attached engine has closed.
-func (e *Engine) Close() error {
-	d := e.dispatcher.Load()
-	if d == nil {
-		return nil
-	}
-	if e.dispShared.Load() {
-		d.Drain()
-		e.dispatcher.CompareAndSwap(d, nil)
-		return nil
-	}
-	err := d.Close() // blocks until queued deliveries drain and workers exit
-	e.dispatcher.CompareAndSwap(d, nil)
-	return err
-}
-
-// TriggerDispatchStats returns the per-trigger delivery counters of the
-// async dispatcher (zero values and false in synchronous mode or for
-// triggers that never had a delivery).
-func (e *Engine) TriggerDispatchStats(name string) (dispatch.LaneStats, bool) {
-	if d := e.dispatcher.Load(); d != nil {
-		return d.TriggerStats(name)
-	}
-	return dispatch.LaneStats{}, false
-}
-
-// EnableOutbox makes action delivery durable (transactional-outbox
-// pattern): every activation is serialized through the wire codec and
-// appended to lg *before* it is delivered, and acknowledged only after
-// delivery succeeded. A crash — queued deliveries lost with the process,
-// a sink outage, a statement aborted by an inline delivery error — leaves
-// the unacknowledged records in the log, and outbox.(*Log).Replay on the
-// next start re-drives exactly those through the sink in log order, so
-// delivery is at-least-once with per-trigger FIFO preserved end to end.
-//
-// sink is the consumer: an outbox.SinkFunc, FileSink, PartitionedSink, or
-// any external transport. A nil sink delivers to the registered action
-// functions, making the outbox a durability layer under the existing
-// in-process actions. With a drop policy (DropNewest/DropOldest) the
-// dispatcher sheds live-queue load, but the shed records stay in the log
-// unacknowledged — durable completeness behind a freshness-first queue.
-//
-// The engine does not own lg: the caller opens it (recovering any
-// previous run's records), replays, enables, and closes it after
-// Engine.Close. Returns an error if an outbox is already enabled.
-func (e *Engine) EnableOutbox(lg *outbox.Log, sink outbox.Sink) error {
-	return e.EnableOutboxShared(lg, sink, nil)
-}
-
-// EnableOutboxShared is EnableOutbox for engines sharing one log: stripes,
-// when non-nil, replaces this engine's per-trigger append+enqueue stripe
-// set with a shared one, so the log-order = lane-order invariant holds for
-// a trigger firing concurrently on several engines over the same log (the
-// sharded engine attaches the same log, sink, and stripe set to every
-// shard). Must be called before any statement can fire — it swaps the
-// stripe set unsynchronized.
-func (e *Engine) EnableOutboxShared(lg *outbox.Log, sink outbox.Sink, stripes *DeliveryStripes) error {
-	if lg == nil {
-		return fmt.Errorf("core: EnableOutbox requires a log")
-	}
-	st := &outboxState{log: lg, sink: sink}
-	if !e.ob.CompareAndSwap(nil, st) {
-		// Fail without touching the stripe set: swapping it under an
-		// already-active outbox would let one trigger's append+enqueue
-		// proceed under two different stripes.
-		return fmt.Errorf("core: outbox already enabled")
-	}
-	if stripes != nil {
-		e.obStripes = stripes
-	}
-	if m := e.obsp.Load(); m != nil {
-		lg.AttachObs(m.reg)
-	}
-	return nil
-}
-
-// OutboxEnabled reports whether durable delivery is enabled.
-func (e *Engine) OutboxEnabled() bool { return e.ob.Load() != nil }
-
-// deliver hands one firing's activations, on an engine without an outbox,
-// to the action function: inline in synchronous mode (errors abort the
-// firing statement, AFTER-trigger style), or enqueued on the dispatcher in
-// async mode as tasks cut from one slab per call. Each Invocation is an
-// immutable snapshot — node bindings and argument values are materialized
-// XDM values, so workers never touch live engine or database state. Async
-// action errors cannot reach the writer (its statement already returned);
-// they are counted by the dispatcher and reported to its OnError hook.
-// Enqueue errors (Error-policy backpressure, closed dispatcher) do surface
-// to the writer. With an outbox, deliveries go through a deliveryWave
-// instead.
-func (e *Engine) deliver(fnName string, invs []Invocation) error {
-	fn := e.action(fnName)
-	d := e.dispatcher.Load()
-	if d == nil {
-		for _, inv := range invs {
-			e.actsRun.Add(1)
-			if err := fn(inv); err != nil {
-				return fmt.Errorf("core: action %s of trigger %s: %w", fnName, inv.Trigger, err)
-			}
-		}
-		return nil
-	}
-	tasks := make([]actionTask, len(invs))
-	for i, inv := range invs {
-		tasks[i] = actionTask{e: e, fn: fn, inv: inv}
-		if err := d.Enqueue(dispatch.Delivery{Trigger: inv.Trigger, Task: &tasks[i]}); err != nil {
-			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", fnName, inv.Trigger, err)
-		}
-	}
-	return nil
-}
-
-// actionTask is one async activation of an engine without an outbox.
-type actionTask struct {
-	e   *Engine
-	fn  ActionFunc
-	inv Invocation
-}
-
-// Run implements dispatch.Task.
-func (t *actionTask) Run() error {
-	t.e.actsRun.Add(1)
-	return t.fn(t.inv)
-}
-
-// obStripeIdx returns the trigger's stripe index.
-func (e *Engine) obStripeIdx(trigger string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(trigger); i++ {
-		h = (h ^ uint32(trigger[i])) * 16777619 // FNV-1a
-	}
-	return int(h % uint32(len(e.obStripes.mu)))
-}
-
 // batchState is the engine's per-commit scratch riding on
 // BatchInfo.EngineState: activation dedup across the commit's plans, the
-// staged invocation set (inspected by the prepare check), the group-commit
-// wave when the outbox is enabled, and the one evaluation context over the
-// commit's net deltas that every plan it fires evaluates in, borrowed until
-// the prepare phase ends. All firing waves of one commit run on the
-// committing goroutine, so no locking is needed.
+// commit's wave (whose invocations the prepare check inspects), and the
+// one evaluation context over the commit's net deltas that every plan it
+// fires evaluates in, borrowed until the prepare phase ends. All firing
+// waves of one commit run on the committing goroutine, so no locking is
+// needed.
 type batchState struct {
-	seen   map[activation]struct{}
-	staged []Invocation
-	wave   *deliveryWave
-	eval   *evalState
+	seen map[activation]struct{}
+	wave wave
+	eval *evalState
+}
+
+// stagedState returns a prepared transaction's batch state, or nil when
+// no trigger fired.
+func stagedState(tx *reldb.Tx) *batchState {
+	if b := tx.Staged(); b != nil {
+		st, _ := b.EngineState.(*batchState)
+		return st
+	}
+	return nil
 }
 
 // Release returns the commit's evaluation context when its prepare phase
-// is done: the staged invocations and the wave hold nodes and values, never
-// the context's tuples.
+// is done: the wave holds nodes and values, never the context's tuples.
 func (st *batchState) Release() {
 	if st.eval != nil {
 		st.eval.Release()
@@ -791,219 +566,6 @@ func batchStateOf(b *reldb.BatchInfo) *batchState {
 	return st
 }
 
-// waveItem is one staged durable delivery.
-type waveItem struct {
-	fnName string
-	fn     ActionFunc
-	inv    Invocation
-}
-
-// durableTask is one durable delivery of a running wave: its record and
-// what delivering it takes. A wave cuts all its tasks from one slab, and
-// the records it appends and hands to the sink are the slab's.
-type durableTask struct {
-	rec wire.Record
-	e   *Engine
-	ob  *outboxState
-	fn  ActionFunc
-}
-
-// Run delivers the record through the sink (or the registered action),
-// then acknowledges it. A failed delivery leaves the record
-// unacknowledged — due for replay — and counts against its dead-letter
-// retry budget (outbox Options.RetryLimit), so a permanently failing
-// record eventually moves to the dead-letter file instead of pinning the
-// watermark forever.
-func (t *durableTask) Run() error {
-	e, ob, rec := t.e, t.ob, &t.rec
-	e.actsRun.Add(1)
-	var start time.Time
-	m := e.obsp.Load()
-	if m != nil {
-		start = time.Now()
-	}
-	var err error
-	if ob.sink != nil {
-		err = ob.sink.Deliver(rec)
-	} else {
-		err = t.fn(Invocation{Trigger: rec.Trigger, Event: rec.Event, Old: rec.Old, New: rec.New, Args: rec.Args})
-	}
-	if m != nil {
-		m.sink.Since(start)
-	}
-	if err != nil {
-		if _, dlErr := ob.log.NoteFailure(rec); dlErr != nil {
-			// A failing dead-letter file must not silently disable the
-			// policy: surface it alongside the delivery error so the
-			// operator learns the record cannot be quarantined.
-			return fmt.Errorf("%w (dead-letter quarantine failed: %v)", err, dlErr)
-		}
-		return err
-	}
-	return ob.log.Ack(rec.Seq)
-}
-
-// deliveryWave is the one path a durable delivery takes: the activations
-// of one commit — or, for a statement-level write, of one plan firing —
-// are appended to the outbox as ONE contiguous write (and at most one
-// fsync), then delivered in staging order, so a wave's records reach the
-// log all or none. The whole wave runs under the stripe locks of every
-// trigger it touches, taken in index order so concurrent waves can never
-// deadlock. Holding a trigger's stripe across append and enqueue keeps
-// the log's sequence order and the dispatcher's lane order in agreement —
-// the property that makes a replay reproduce live per-trigger order. In
-// inline (no-dispatcher) mode the stripes are held across the deliveries
-// themselves: concurrent disjoint-table statements can activate the same
-// trigger, and the Sink contract (one at a time, in log order, per
-// trigger) must hold there too; a callback re-entering the engine (always
-// forbidden, see the Engine doc) deadlocks on its stripe instead of
-// racing. The cost is that a wave parked in Block-policy backpressure
-// holds its stripes a little longer.
-//
-// The wave stages Invocations, growing its items once per firing. Running
-// it allocates per wave, not per activation: one slab of durableTasks,
-// which the log appends and the dispatcher queues by pointer. Nothing
-// recycles a slab, so a record a sink retains stays valid (and keeps its
-// wave's slab alive).
-type deliveryWave struct {
-	e     *Engine
-	ob    *outboxState
-	items []waveItem
-	// span, when non-nil, is the committing handle's "commit" phase span:
-	// the wave's group append and deliveries trace as its children.
-	span *obs.Span
-}
-
-// add stages one firing's deliveries; it reports whether they are the
-// wave's first (a commit's wave is then staged with the transaction).
-func (w *deliveryWave) add(fnName string, invs []Invocation) bool {
-	first := len(w.items) == 0
-	fn := w.e.action(fnName)
-	w.items = slices.Grow(w.items, len(invs))
-	for _, inv := range invs {
-		w.items = append(w.items, waveItem{fnName: fnName, fn: fn, inv: inv})
-	}
-	return first
-}
-
-// run group-appends the wave, then delivers (or enqueues) each item in
-// staging order. A delivery error aborts the rest of the wave; its records
-// are already durable and unacknowledged, so a replay finishes what the
-// aborted wave did not.
-func (w *deliveryWave) run() error {
-	if len(w.items) == 0 {
-		return nil
-	}
-	e, ob := w.e, w.ob
-	var stripes uint64 // bit i set: the wave holds e.obStripes.mu[i]
-	tasks := make([]durableTask, len(w.items))
-	recs := make([]*wire.Record, len(w.items))
-	for i, it := range w.items {
-		inv := it.inv
-		tasks[i] = durableTask{e: e, ob: ob, fn: it.fn,
-			rec: wire.Record{Trigger: inv.Trigger, Event: inv.Event, Old: inv.Old, New: inv.New, Args: inv.Args}}
-		recs[i] = &tasks[i].rec
-		stripes |= 1 << e.obStripeIdx(inv.Trigger)
-	}
-	for s := stripes; s != 0; s &= s - 1 {
-		e.obStripes.mu[bits.TrailingZeros64(s)].Lock()
-	}
-	defer func() {
-		for s := stripes; s != 0; s &= s - 1 {
-			e.obStripes.mu[bits.TrailingZeros64(s)].Unlock()
-		}
-	}()
-	asp := w.span.Child("outbox-append")
-	if asp != nil {
-		asp.SetAttr("records", strconv.Itoa(len(recs)))
-	}
-	if _, err := ob.log.AppendBatch(recs); err != nil {
-		err = fmt.Errorf("core: outbox group append of %d records: %w", len(recs), err)
-		asp.SetAttr("err", err.Error())
-		asp.End()
-		return err
-	}
-	asp.End()
-	d := e.dispatcher.Load()
-	for i := range tasks {
-		t, fnName := &tasks[i], w.items[i].fnName
-		if d == nil {
-			// Synchronous durable delivery (sink + ack) traces inline; the
-			// async path's latency lives in the dispatch histograms instead,
-			// since the delivery outlives the commit span.
-			dsp := w.span.Child("deliver")
-			dsp.SetAttr("trigger", t.rec.Trigger)
-			err := t.Run()
-			if err != nil {
-				dsp.SetAttr("err", err.Error())
-			}
-			dsp.End()
-			if err != nil {
-				return fmt.Errorf("core: action %s of trigger %s: %w", fnName, t.rec.Trigger, err)
-			}
-			continue
-		}
-		if err := d.Enqueue(dispatch.Delivery{Trigger: t.rec.Trigger, Task: t}); err != nil {
-			return fmt.Errorf("core: dispatching action %s of trigger %s: %w", fnName, t.rec.Trigger, err)
-		}
-	}
-	return nil
-}
-
-// firingWave returns the wave a firing's durable deliveries collect on, or
-// nil when no outbox is enabled: the commit's shared wave (run by the
-// transaction at commit) for a staged firing, a fresh one — which the
-// caller runs when the firing's activation loop ends — for a
-// statement-level firing.
-func (e *Engine) firingWave(ctx *reldb.FireContext) *deliveryWave {
-	ob := e.ob.Load()
-	if ob == nil {
-		return nil
-	}
-	if ctx.Stage == nil {
-		return &deliveryWave{e: e, ob: ob}
-	}
-	st := batchStateOf(ctx.Batch)
-	if st.wave == nil {
-		st.wave = &deliveryWave{e: e, ob: ob}
-	}
-	return st.wave
-}
-
-// deliverAll routes a firing's activations of g's action, in order. A
-// statement-level firing delivers them, through one wave (see firingWave)
-// when the outbox is enabled. A staged firing adds them to the commit's
-// staged invocations and stages them with the transaction: on the commit's
-// wave, or as one thunk that delivers this firing's share.
-func (e *Engine) deliverAll(ctx *reldb.FireContext, g *group, invs []Invocation) error {
-	if len(invs) == 0 || ctx.Batch != nil && ctx.Batch.Silent {
-		// Defense in depth: no activation of a silent wave may ever reach a
-		// sink, whatever body produced it.
-		return nil
-	}
-	wave, fnName := e.firingWave(ctx), g.actionFn
-	g.stats.activations.Add(int64(len(invs)))
-	if ctx.Stage == nil {
-		if wave != nil {
-			wave.add(fnName, invs)
-			return wave.run()
-		}
-		return e.deliver(fnName, invs)
-	}
-	st := batchStateOf(ctx.Batch)
-	lo := len(st.staged)
-	st.staged = append(st.staged, invs...)
-	if wave != nil {
-		if wave.add(fnName, invs) {
-			ctx.Stage(wave.run)
-		}
-		return nil
-	}
-	staged := st.staged[lo:]
-	ctx.Stage(func() error { return e.deliver(fnName, staged) })
-	return nil
-}
-
 // SetPrepareCheck installs (or, with nil, clears) the transaction
 // admission check: fn runs at the end of every batch transaction's
 // prepare phase with the invocation set the transaction staged, and an
@@ -1018,18 +580,6 @@ func (e *Engine) SetPrepareCheck(fn func([]Invocation) error) {
 		return
 	}
 	e.prepCheck.Store(&fn)
-}
-
-// stagedInvocations extracts the invocation set a prepared transaction
-// staged (empty when no trigger fired).
-func (e *Engine) stagedInvocations(b *reldb.BatchInfo) []Invocation {
-	if b == nil {
-		return nil
-	}
-	if st, ok := b.EngineState.(*batchState); ok {
-		return st.staged
-	}
-	return nil
 }
 
 // CreateTrigger parses and registers an XML trigger. It is live when
@@ -1155,7 +705,7 @@ func (e *Engine) DropTrigger(name string) error {
 	if at < 0 {
 		return fmt.Errorf("core: no trigger %q", name)
 	}
-	if d := e.dispatcher.Load(); d != nil {
+	if d := e.dl.dispatcher.Load(); d != nil {
 		// Wait and drain outside the metadata lock: lane deliveries may take
 		// arbitrary time, and engine calls must not queue up behind the drop.
 		e.lockAllForWrite()()
@@ -1431,15 +981,20 @@ func (e *Engine) fire(g *group, plan *installedPlan, ctx *reldb.FireContext) err
 	if m := e.obsp.Load(); m != nil {
 		defer m.fire.Since(time.Now())
 	}
-	// Every plan that fires for the statement evaluates in one context over
-	// its transition tables, borrowed until reldb releases the statement
-	// (see reldb.FireContext's sharing contract).
+	return e.activate(g, plan, e.statementEval(ctx), ctx)
+}
+
+// statementEval returns the statement's evaluation context: every plan
+// that fires for the statement evaluates in one context over its
+// transition tables, and stages on its wave, borrowed until reldb releases
+// the statement (see reldb.FireContext's sharing contract).
+func (e *Engine) statementEval(ctx *reldb.FireContext) *evalState {
 	es, ok := ctx.EngineState.(*evalState)
 	if !ok {
 		es = e.evals.statement(ctx.Table, ctx.Inserted, ctx.Deleted)
 		ctx.EngineState = es
 	}
-	return e.activate(g, plan, es, ctx)
+	return es
 }
 
 // fireBatch runs the plan once for a whole committed transaction.
@@ -1483,7 +1038,7 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 func (e *Engine) activate(g *group, plan *installedPlan, es *evalState, ctx *reldb.FireContext) error {
 	invs, err := e.activations(g, plan, es, ctx)
 	if err == nil {
-		err = e.deliverAll(ctx, g, invs)
+		err = e.stage(ctx, g, invs)
 	}
 	clear(invs) // what was delivered is the actions' now, not the context's
 	return err
@@ -1743,11 +1298,11 @@ func (e *Engine) Stats() Stats {
 	}
 	e.mu.RUnlock()
 	st.DB = e.db.Stats()
-	if d := e.dispatcher.Load(); d != nil {
+	if d := e.dl.dispatcher.Load(); d != nil {
 		st.Async = true
 		st.Dispatch = d.Stats()
 	}
-	if ob := e.ob.Load(); ob != nil {
+	if ob := e.dl.ob.Load(); ob != nil {
 		st.Outbox = true
 		st.OutboxLog = ob.log.Stats()
 	}
@@ -1920,15 +1475,16 @@ func (h *BatchHandle) Prepare() error {
 		sp.End()
 		return err
 	}
-	if h.span != nil {
-		if b := h.tx.Staged(); b != nil {
-			if st, ok := b.EngineState.(*batchState); ok {
-				sp.SetAttr("staged", fmt.Sprint(len(st.staged)))
-			}
-		}
+	st := stagedState(h.tx)
+	if st != nil && h.span != nil {
+		sp.SetAttr("staged", strconv.Itoa(len(st.wave.tasks)))
 	}
 	if chk := h.e.prepCheck.Load(); chk != nil {
-		if err := (*chk)(h.e.stagedInvocations(h.tx.Staged())); err != nil {
+		var staged []Invocation
+		if st != nil {
+			staged = st.wave.invocations()
+		}
+		if err := (*chk)(staged); err != nil {
 			sp.SetAttr("err", err.Error())
 			sp.End()
 			return err
@@ -1955,15 +1511,10 @@ func (h *BatchHandle) Commit() error {
 	h.done = true
 	defer h.unlock()
 	sp := h.span.Child("commit")
-	if h.span != nil {
-		// Hand the commit span to the delivery wave (if any trigger staged
-		// one): the group-commit outbox append and synchronous deliveries
-		// trace as its children.
-		if b := h.tx.Staged(); b != nil {
-			if st, ok := b.EngineState.(*batchState); ok && st.wave != nil {
-				st.wave.span = sp
-			}
-		}
+	if st := stagedState(h.tx); st != nil {
+		// Hand the commit span to the commit's wave: its group append and
+		// inline deliveries trace as its children.
+		st.wave.span = sp
 	}
 	err := h.tx.Commit()
 	if err != nil {
@@ -1992,7 +1543,15 @@ func (h *BatchHandle) Rollback() error {
 	return err
 }
 
-// Run drives fn to commit or rollback with the panic safety of Batch.
+// errEscalate is what Run returns for a handle with a declared footprint
+// whose callback touched an undeclared table: the attempt rolled back, and
+// BatchTables re-runs the callback under Batch.
+var errEscalate = errors.New("core: batch touched an undeclared table")
+
+// Run drives fn to commit or rollback with the panic safety of Batch. On a
+// handle with a declared footprint (BeginBatchTables), a callback that
+// touched an undeclared table rolls the handle back and Run says so;
+// BatchTables then re-runs the callback under Batch.
 func (h *BatchHandle) Run(fn func(*reldb.Tx) error) error {
 	finished := false
 	defer func() {
@@ -2000,14 +1559,25 @@ func (h *BatchHandle) Run(fn func(*reldb.Tx) error) error {
 			_ = h.Rollback()
 		}
 	}()
-	if err := fn(h.tx); err != nil {
-		finished = true
+	err := fn(h.tx)
+	finished = true
+	if h.tx.NeedsEscalation() {
+		// The declared footprint was too small. The handle's mutations are
+		// partial (the undeclared statement was refused), so the whole
+		// attempt rolls back. Checked on the handle, not on fn's error: a
+		// callback that swallowed the refusal and returned nil must not
+		// commit its partial declared-table mutations.
+		if rbErr := h.Rollback(); rbErr != nil {
+			return fmt.Errorf("core: lock escalation rollback failed: %w", rbErr)
+		}
+		return errEscalate
+	}
+	if err != nil {
 		if rbErr := h.Rollback(); rbErr != nil {
 			return fmt.Errorf("%w (rollback failed: %v)", err, rbErr)
 		}
 		return err
 	}
-	finished = true
 	return h.Commit()
 }
 
@@ -2029,35 +1599,10 @@ func (e *Engine) BatchTables(tables []string, fn func(*reldb.Tx) error) error {
 	if err != nil {
 		return err
 	}
-	finished := false
-	defer func() {
-		if !finished {
-			_ = h.Rollback()
-		}
-	}()
-	err = fn(h.tx)
-	if h.tx.NeedsEscalation() {
-		// The declared footprint was too small. The handle's mutations are
-		// partial (the undeclared statement was refused), so the whole
-		// attempt rolls back and the batch restarts with every table
-		// locked. Checked on the handle, not on fn's error: a callback
-		// that swallowed the refusal and returned nil must not commit its
-		// partial declared-table mutations.
-		finished = true
-		if rbErr := h.Rollback(); rbErr != nil {
-			return fmt.Errorf("core: lock escalation rollback failed: %w", rbErr)
-		}
-		return e.Batch(fn)
-	}
-	if err != nil {
-		finished = true
-		if rbErr := h.Rollback(); rbErr != nil {
-			return fmt.Errorf("%w (rollback failed: %v)", err, rbErr)
-		}
+	if err := h.Run(fn); !errors.Is(err, errEscalate) {
 		return err
 	}
-	finished = true
-	return h.Commit()
+	return e.Batch(fn)
 }
 
 // BeginBatchTables is BeginBatch with a declared footprint: only the

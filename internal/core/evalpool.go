@@ -20,7 +20,7 @@ type evalState struct {
 	pool   *evalPool
 	deltas map[string]*xqgm.Transition
 	trs    []xqgm.Transition // what deltas points at
-	invs   []Invocation      // a firing's activations, until it delivers them
+	invs   []Invocation      // a firing's activations, until it stages them
 	// A firing's rows in activation order, with the keys and order they
 	// were sorted by (see sortRows); and the slab its activations'
 	// arguments are cut from, while it cuts them.
@@ -33,6 +33,8 @@ type evalState struct {
 	// arguments evaluate in, while they do.
 	consts []xdm.Value
 	env    xqgm.Env
+	// The wave a statement-level firing stages on (see stage).
+	wave wave
 }
 
 // maxIdleEvals is how many returned contexts an engine keeps for the next

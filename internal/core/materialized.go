@@ -59,14 +59,17 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		if err != nil {
 			return err
 		}
-		if ctx.Stage != nil {
-			// Prepare-phase staging: the snapshot publishes only when the
-			// transaction commits. A rolled-back prepare must leave the
-			// diff baseline untouched, or the next firing would diff
-			// against state that never existed.
-			ctx.Stage(func() error { state.rows = after; return nil })
-		} else {
+		if ctx.Stage == nil {
 			defer func() { state.rows = after }()
+		} else {
+			// Prepare-phase staging: the snapshot publishes only when the
+			// transaction commits, and before any of the commit's
+			// deliveries can fail. A rolled-back prepare must leave the
+			// diff baseline untouched, or the next firing would diff
+			// against state that never existed; a failed delivery of
+			// another group must not keep it stale.
+			w := e.commitWave(ctx)
+			w.baselines = append(w.baselines, func() { state.rows = after })
 		}
 		if ctx.Batch != nil && ctx.Batch.Silent {
 			// Silent data movement (shard rebalancing): the snapshot must
@@ -107,7 +110,7 @@ func (e *Engine) compileMaterialized(g *group) (*groupBuild, error) {
 		if err != nil {
 			return err
 		}
-		return e.deliverAll(ctx, g, invs)
+		return e.stage(ctx, g, invs)
 	}
 
 	// Fire on every event of every table the view reads.

@@ -26,10 +26,10 @@ func (e *Engine) EnableObs(reg *obs.Registry) {
 	if reg == nil {
 		e.obsp.Store(nil)
 		e.db.AttachObs(nil)
-		if d := e.dispatcher.Load(); d != nil {
+		if d := e.dl.dispatcher.Load(); d != nil {
 			d.AttachObs(nil)
 		}
-		if ob := e.ob.Load(); ob != nil {
+		if ob := e.dl.ob.Load(); ob != nil {
 			ob.log.AttachObs(nil)
 		}
 		return
@@ -43,10 +43,10 @@ func (e *Engine) EnableObs(reg *obs.Registry) {
 	e.db.AttachObs(reg)
 	// Layers enabled before observability attach now; layers enabled
 	// after pick the registry up in their Enable* call.
-	if d := e.dispatcher.Load(); d != nil {
+	if d := e.dl.dispatcher.Load(); d != nil {
 		d.AttachObs(reg)
 	}
-	if ob := e.ob.Load(); ob != nil {
+	if ob := e.dl.ob.Load(); ob != nil {
 		ob.log.AttachObs(reg)
 	}
 	reg.Func("quark_core_fires_total", func() int64 { return e.fires.Load() })

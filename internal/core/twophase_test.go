@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"quark/internal/dispatch"
 	"quark/internal/outbox"
 	"quark/internal/reldb"
 	"quark/internal/xdm"
@@ -15,14 +17,58 @@ const watchCRTTrigger = `
 	WHERE NEW_NODE/@name = 'CRT 15' DO notifySmith(NEW_NODE)`
 
 // TestPrepareCheckAbortsBatch: a failing prepare check rolls the whole
-// batch back — no notifications, no state — and the check observes the
-// staged invocation set.
+// batch back — no notifications, no log records, no state — and the check
+// observes the staged invocation set, in every delivery configuration.
 func TestPrepareCheckAbortsBatch(t *testing.T) {
-	for _, mode := range []Mode{ModeGrouped, ModeMaterialized} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e, log := newCatalogEngine(t, mode)
+	for _, c := range []struct {
+		mode           Mode
+		durable, async bool
+	}{
+		{mode: ModeGrouped},
+		{mode: ModeMaterialized},
+		{mode: ModeGrouped, durable: true},
+		{mode: ModeMaterialized, durable: true},
+		{mode: ModeGrouped, async: true},
+		{mode: ModeMaterialized, async: true},
+		{mode: ModeGrouped, durable: true, async: true},
+	} {
+		name := c.mode.String()
+		if c.durable {
+			name += "+durable"
+		}
+		if c.async {
+			name += "+async"
+		}
+		t.Run(name, func(t *testing.T) {
+			e, log := newCatalogEngine(t, c.mode)
 			if err := e.CreateTrigger(watchCRTTrigger); err != nil {
 				t.Fatal(err)
+			}
+			var lg *outbox.Log
+			if c.durable {
+				var err error
+				if lg, err = outbox.Open(t.TempDir(), outbox.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				defer lg.Close()
+				if err := e.EnableOutbox(lg, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.async {
+				if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 2, QueueCap: 64, Policy: dispatch.Block}); err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+			}
+			records := func(appended int64, acked uint64) {
+				t.Helper()
+				if lg == nil {
+					return
+				}
+				if st := lg.Stats(); st.Appended != appended || st.Acked != acked {
+					t.Errorf("log appended %d and acked %d records, want %d and %d", st.Appended, st.Acked, appended, acked)
+				}
 			}
 			boom := fmt.Errorf("vetoed")
 			var staged int
@@ -40,9 +86,11 @@ func TestPrepareCheckAbortsBatch(t *testing.T) {
 			if staged == 0 {
 				t.Error("prepare check saw no staged invocations; the update should activate WatchCRT")
 			}
+			e.Drain()
 			if len(*log) != 0 {
 				t.Errorf("aborted batch delivered: %+v", *log)
 			}
+			records(0, 0)
 			r, ok, _ := e.DB().GetByPK("vendor", xdm.Str("Amazon"), xdm.Str("P1"))
 			if !ok || r[2].AsFloat() != 100 {
 				t.Errorf("aborted batch left state behind: %v", r)
@@ -55,9 +103,11 @@ func TestPrepareCheckAbortsBatch(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			e.Drain()
 			if len(*log) != 1 {
 				t.Errorf("disarmed batch delivered %d notifications, want 1", len(*log))
 			}
+			records(1, 1)
 		})
 	}
 }
@@ -210,5 +260,55 @@ func TestCommitDeliveryErrorKeepsBatchState(t *testing.T) {
 	}
 	if st.Acked != 0 {
 		t.Errorf("failed delivery was acknowledged (acked=%d); it must stay due for replay", st.Acked)
+	}
+}
+
+// TestCommitDeliveryErrorRefreshesEveryBaseline: a commit whose delivery
+// to one group fails still moves every group's view of the data forward,
+// so a later statement activates each group for what it changed and for
+// nothing the failed commit changed. Two groups watch one update; the
+// first group's action fails once, which aborts the commit's wave before
+// the second group's delivery. MATERIALIZED diffs against a baseline the
+// commit publishes: it must publish every group's before any delivery can
+// fail, or the second group diffs the next statement against stale data.
+func TestCommitDeliveryErrorRefreshesEveryBaseline(t *testing.T) {
+	for _, mode := range Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			e, log := newCatalogEngine(t, mode)
+			failed := false
+			e.RegisterAction("boom", func(Invocation) error {
+				if failed {
+					return nil
+				}
+				failed = true
+				return fmt.Errorf("boom")
+			})
+			for _, src := range []string{
+				`CREATE TRIGGER A AFTER UPDATE ON view('catalog')/product DO boom(NEW_NODE)`,
+				`CREATE TRIGGER B AFTER UPDATE ON view('catalog')/product DO notifySmith(NEW_NODE)`,
+			} {
+				if err := e.CreateTrigger(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := e.Batch(func(tx *reldb.Tx) error {
+				_, err := tx.UpdateByPK("vendor", []xdm.Value{xdm.Str("Amazon"), xdm.Str("P1")}, setPrice(90))
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("batch error = %v, want A's delivery failure", err)
+			}
+			*log = nil
+			if _, err := e.UpdateByPK("vendor", []xdm.Value{xdm.Str("Buy.com"), xdm.Str("P2")}, setPrice(50)); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, n := range *log {
+				got = append(got, n.Trigger+" "+n.NewKey)
+			}
+			if want := []string{"B LCD 19"}; !slices.Equal(got, want) {
+				t.Errorf("the later update delivered %q, want %q", got, want)
+			}
+		})
 	}
 }

@@ -19,9 +19,8 @@ import (
 // static call graph inside the package and flags any path that reaches
 // a delivery primitive:
 //
-//   - core.(*Engine).deliver (sink or dispatcher)
-//   - core.(*deliveryWave).run (durable delivery: group append, then
-//     sink or dispatcher)
+//   - core.(*wave).run (every delivery: group append with an outbox,
+//     then dispatcher or inline action)
 //   - outbox.(*Log).Append / AppendBatch
 //   - dispatch.(*Dispatcher).Enqueue
 //   - outbox.Sink.Deliver
@@ -32,7 +31,7 @@ import (
 //     (staged thunks: `ctx.Stage(func() error { ... deliver ... })`)
 //   - calls dominated by a branch that checked `ctx.Stage == nil` or
 //     `ctx == nil` (the statement-level immediate-delivery path, as in
-//     deliverAll)
+//     Engine.stage)
 var StageLint = &Analyzer{
 	Name:    "stagelint",
 	Doc:     "prepare-phase code must stage deliveries via FireContext.Stage, never deliver or append directly",
@@ -48,8 +47,7 @@ type stageBanned struct {
 }
 
 var stageBannedSet = []stageBanned{
-	{"internal/core", "Engine", "deliver", "sink/dispatcher delivery"},
-	{"internal/core", "deliveryWave", "run", "durable delivery wave"},
+	{"internal/core", "wave", "run", "delivery wave"},
 	{"internal/outbox", "Log", "Append", "outbox append"},
 	{"internal/outbox", "Log", "AppendBatch", "outbox append"},
 	{"internal/dispatch", "Dispatcher", "Enqueue", "dispatcher enqueue"},

@@ -9,7 +9,7 @@ func (e *Engine) staged(ctx *reldb.FireContext, payload []byte) error {
 }
 
 // immediate takes the statement-level path only after checking that no
-// staging is in progress — the deliverAll shape.
+// staging is in progress — the Engine.stage shape.
 func (e *Engine) immediate(ctx *reldb.FireContext, payload []byte) error {
 	if ctx == nil || ctx.Stage == nil {
 		return e.ob.Append(payload)

@@ -40,9 +40,10 @@ type Config struct {
 // committed in shard order, so merged per-shard deltas activate in
 // deterministic (shard, storage-key) order.
 //
-// Action delivery is shared: EnableAsyncDispatch attaches ONE dispatcher
-// to every shard, so per-trigger FIFO lanes span shards; EnableOutbox
-// attaches one log, sink, and append+enqueue stripe set to every shard,
+// Action delivery is shared: every shard delivers through the first
+// shard's delivery (core.Engine.ShareDelivery), so EnableAsyncDispatch
+// gives the fleet ONE dispatcher, whose per-trigger FIFO lanes span
+// shards, and EnableOutbox one log, sink, and append+enqueue stripe set,
 // so log order is a global per-trigger order and a replay reproduces the
 // fleet's deliveries exactly.
 type Engine struct {
@@ -56,11 +57,6 @@ type Engine struct {
 	topo    sync.RWMutex
 	engines []*core.Engine
 	dbs     []*reldb.DB
-
-	d         *dispatch.Dispatcher
-	ob        *outbox.Log
-	obSink    outbox.Sink
-	obStripes *core.DeliveryStripes
 
 	// Registered actions, views, and triggers are retained (in
 	// registration order) so Grow can replay them onto appended shards.
@@ -153,8 +149,12 @@ func New(s *schema.Schema, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
+		ce := core.NewEngine(db, cfg.Mode)
+		if i > 0 {
+			ce.ShareDelivery(e.engines[0])
+		}
 		e.dbs = append(e.dbs, db)
-		e.engines = append(e.engines, core.NewEngine(db, cfg.Mode))
+		e.engines = append(e.engines, ce)
 	}
 	return e, nil
 }
@@ -279,90 +279,29 @@ func (e *Engine) SetPrepareCheck(fn func([]core.Invocation) error) {
 	}
 }
 
-// EnableAsyncDispatch switches every shard's action delivery to one
-// shared bounded-queue worker pool: per-trigger FIFO lanes span shards,
-// so a trigger's deliveries never reorder or run concurrently even when
-// it fires on several shards.
+// EnableAsyncDispatch switches the fleet's shared delivery to one
+// bounded-queue worker pool: per-trigger FIFO lanes span shards, so a
+// trigger's deliveries never reorder or run concurrently even when it
+// fires on several shards.
 func (e *Engine) EnableAsyncDispatch(cfg dispatch.Config) error {
-	if e.d != nil {
-		return fmt.Errorf("shard: async dispatch already enabled")
-	}
-	// Precheck the whole fleet before attaching anything: failing on
-	// shard i>0 after attaching shards < i would leave a half-async
-	// fleet, and closing the shared pool under the attached shards would
-	// turn their next delivery into an ErrClosed statement error.
-	engines, _ := e.fleet()
-	for i, ce := range engines {
-		if ce.AsyncDispatch() {
-			return fmt.Errorf("shard: shard %d already has async dispatch enabled", i)
-		}
-	}
-	d := dispatch.New(cfg)
-	for _, ce := range engines {
-		if err := ce.AttachSharedDispatcher(d); err != nil {
-			_ = d.Close()
-			return err
-		}
-	}
-	e.d = d
-	return nil
+	return e.Shard(0).EnableAsyncDispatch(cfg)
 }
 
-// EnableOutbox makes every shard's delivery durable through ONE shared
-// log, sink, and append+enqueue stripe set, so the log's per-trigger
-// order is the fleet's delivery order and a replay reproduces it.
+// EnableOutbox makes the fleet's shared delivery durable through ONE log,
+// sink, and append+enqueue stripe set, so the log's per-trigger order is
+// the fleet's delivery order and a replay reproduces it.
 func (e *Engine) EnableOutbox(lg *outbox.Log, sink outbox.Sink) error {
-	if e.ob != nil {
-		return fmt.Errorf("shard: outbox already enabled")
-	}
-	if lg == nil {
-		return fmt.Errorf("shard: EnableOutbox requires a log")
-	}
-	// Precheck before enabling anything (see EnableAsyncDispatch): a
-	// mid-fleet failure would leave a half-durable fleet with no way to
-	// retry.
-	engines, _ := e.fleet()
-	for i, ce := range engines {
-		if ce.OutboxEnabled() {
-			return fmt.Errorf("shard: shard %d already has an outbox enabled", i)
-		}
-	}
-	stripes := core.NewDeliveryStripes()
-	for _, ce := range engines {
-		if err := ce.EnableOutboxShared(lg, sink, stripes); err != nil {
-			return err
-		}
-	}
-	e.ob = lg
-	e.obSink = sink
-	e.obStripes = stripes
-	return nil
+	return e.Shard(0).EnableOutbox(lg, sink)
 }
 
 // Drain blocks until every queued async delivery across the fleet has
 // completed; a no-op in synchronous mode.
-func (e *Engine) Drain() {
-	if e.d != nil {
-		e.d.Drain()
-	}
-}
+func (e *Engine) Drain() { e.Shard(0).Drain() }
 
-// Close drains and detaches every shard from the shared dispatcher, then
-// stops it. Idempotent; safe on a synchronous engine.
+// Close drains and stops the fleet's shared dispatcher, and closes the
+// directory store. Idempotent; safe on a synchronous engine.
 func (e *Engine) Close() error {
-	var first error
-	engines, _ := e.fleet()
-	for _, ce := range engines {
-		if err := ce.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if e.d != nil {
-		if err := e.d.Close(); err != nil && first == nil {
-			first = err
-		}
-		e.d = nil
-	}
+	first := e.Shard(0).Close()
 	if e.store != nil {
 		if err := e.store.Close(); err != nil && first == nil {
 			first = err
@@ -383,15 +322,10 @@ func (e *Engine) Stats() Stats {
 		st.Actions += s.Actions
 	}
 	if len(st.PerShard) > 0 {
-		st.XMLTriggers = st.PerShard[0].XMLTriggers
-	}
-	if e.d != nil {
-		st.Async = true
-		st.Dispatch = e.d.Stats()
-	}
-	if e.ob != nil {
-		st.Outbox = true
-		st.OutboxLog = e.ob.Stats()
+		// Every shard reports the delivery they share.
+		s0 := st.PerShard[0]
+		st.XMLTriggers = s0.XMLTriggers
+		st.Async, st.Dispatch, st.Outbox, st.OutboxLog = s0.Async, s0.Dispatch, s0.Outbox, s0.OutboxLog
 	}
 	return st
 }

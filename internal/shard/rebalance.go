@@ -227,16 +227,7 @@ func (e *Engine) Grow(n int) error {
 				return err
 			}
 		}
-		if e.d != nil {
-			if err := ce.AttachSharedDispatcher(e.d); err != nil {
-				return err
-			}
-		}
-		if e.ob != nil {
-			if err := ce.EnableOutboxShared(e.ob, e.obSink, e.obStripes); err != nil {
-				return err
-			}
-		}
+		ce.ShareDelivery(e.Shard(0))
 		newEngines = append(newEngines, ce)
 		newDBs = append(newDBs, db)
 	}
@@ -255,8 +246,8 @@ func (e *Engine) Grow(n int) error {
 // FIRST (new groups immediately avoid the retiring shards), then every
 // group placed on a retiring shard streams to its hash slot under the
 // new modulus, chunk by chunk with writers interleaving. Once the
-// retiring stores are verified empty they close and drop from the
-// topology, and the directory checkpoints.
+// retiring stores are verified empty and the fleet's queued deliveries
+// drained, they drop from the topology, and the directory checkpoints.
 func (e *Engine) Shrink(n int) error {
 	cur := e.NumShards()
 	if n >= cur || n < 1 {
@@ -280,7 +271,7 @@ func (e *Engine) Shrink(n int) error {
 			return err
 		}
 	}
-	engines, dbs := e.fleet()
+	_, dbs := e.fleet()
 	for k, s := range e.router.DirSnapshot() { //quark:sorted validation only: any order rejects the same bad entry set
 		if s >= n {
 			return fmt.Errorf("shard: Shrink(%d) left directory entry %q on retiring shard %d", n, k, s)
@@ -300,20 +291,14 @@ func (e *Engine) Shrink(n int) error {
 			}
 		}
 	}
-	var first error
-	for si := n; si < cur; si++ {
-		if err := engines[si].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	// The retiring shards share the fleet's delivery: what they queued
+	// drains with it, which is left running for the shards that stay.
+	e.Drain()
 	e.topo.Lock()
 	e.engines = append([]*core.Engine(nil), e.engines[:n]...)
 	e.dbs = append([]*reldb.DB(nil), e.dbs[:n]...)
 	e.topo.Unlock()
-	if err := e.CheckpointDirectory(); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return e.CheckpointDirectory()
 }
 
 // rebalanceChunk bounds how many groups one streaming transaction moves,
