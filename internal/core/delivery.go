@@ -38,7 +38,7 @@ type delivery struct {
 	// activating the same trigger could enqueue in the opposite order of
 	// their appends, and a replay would then reorder that trigger's
 	// deliveries. Striping (rather than one global mutex) keeps a writer
-	// parked in Block-policy backpressure from stalling unrelated triggers'
+	// parked on a full dispatch queue from stalling unrelated triggers'
 	// durable deliveries — cross-trigger order carries no guarantee anyway.
 	stripes [64]sync.Mutex // at most 64: a wave tracks the stripes it holds in one uint64
 }
@@ -61,8 +61,8 @@ func (e *Engine) ShareDelivery(with *Engine) { e.dl = with.dl }
 // pool: trigger detection keeps running inline under the firing
 // statement's locks, but each activation is enqueued as a delivery
 // (per-trigger FIFO; distinct triggers fan out across workers) instead of
-// invoked inline. cfg selects the queue capacity, worker count, and the
-// backpressure policy applied to writers when the queue is full. Call
+// invoked inline. cfg selects the queue capacity and worker count; a
+// writer whose wave finds the queue full waits for space. Call
 // Drain to wait for all queued deliveries (a barrier, e.g. before
 // asserting on side effects) and Close to shut the pool down. Returns an
 // error if async dispatch is already enabled.
@@ -105,16 +105,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// TriggerDispatchStats returns the per-trigger delivery counters of the
-// async dispatcher (zero values and false in synchronous mode or for
-// triggers that never had a delivery).
-func (e *Engine) TriggerDispatchStats(name string) (dispatch.LaneStats, bool) {
-	if d := e.dl.dispatcher.Load(); d != nil {
-		return d.TriggerStats(name)
-	}
-	return dispatch.LaneStats{}, false
-}
-
 // EnableOutbox makes action delivery durable (transactional-outbox
 // pattern): every activation is serialized through the wire codec and
 // appended to lg *before* it is delivered, and acknowledged only after
@@ -127,9 +117,7 @@ func (e *Engine) TriggerDispatchStats(name string) (dispatch.LaneStats, bool) {
 // sink is the consumer: an outbox.SinkFunc, FileSink, PartitionedSink, or
 // any external transport. A nil sink delivers to the registered action
 // functions, making the outbox a durability layer under the existing
-// in-process actions. With a drop policy (DropNewest/DropOldest) the
-// dispatcher sheds live-queue load, but the shed records stay in the log
-// unacknowledged — durable completeness behind a freshness-first queue.
+// in-process actions.
 //
 // The engine does not own lg: the caller opens it (recovering any
 // previous run's records), replays, enables, and closes it after
@@ -245,8 +233,8 @@ func (w *wave) invocations() []Invocation {
 // queues them; without one it runs them inline, where an action's error
 // fails the statement or commit, AFTER-trigger style. Async action errors
 // cannot reach the writer (its statement already returned): the dispatcher
-// counts them and reports them to its OnError hook. Enqueue errors
-// (Error-policy backpressure, closed dispatcher) do surface to the writer.
+// counts them and reports them to its OnError hook. An enqueue error (a
+// closed dispatcher) does surface to the writer.
 // A delivery error aborts the rest of the wave; with an outbox its records
 // are already durable and unacknowledged, so a replay finishes what the
 // aborted wave did not.
@@ -363,11 +351,9 @@ type task struct {
 
 // Run implements dispatch.Task: it delivers the activation to the action,
 // or with an outbox through the sink (the registered action when the sink
-// is nil), then acknowledges its record. A failed durable delivery leaves
-// the record unacknowledged — due for replay — and counts against its
-// dead-letter retry budget (outbox Options.RetryLimit), so a permanently
-// failing record eventually moves to the dead-letter file instead of
-// pinning the watermark forever.
+// is nil), then acknowledges its record. A failed durable delivery returns
+// the sink's or action's error and leaves the record unacknowledged, due
+// for replay.
 func (t *task) Run() error {
 	e, ob, rec := t.e, t.ob, &t.rec
 	e.actsRun.Add(1)
@@ -389,12 +375,6 @@ func (t *task) Run() error {
 		m.sink.Since(start)
 	}
 	if err != nil {
-		if _, dlErr := ob.log.NoteFailure(rec); dlErr != nil {
-			// A failing dead-letter file must not silently disable the
-			// policy: surface it alongside the delivery error so the
-			// operator learns the record cannot be quarantined.
-			return fmt.Errorf("%w (dead-letter quarantine failed: %v)", err, dlErr)
-		}
 		return err
 	}
 	return ob.log.Ack(rec.Seq)

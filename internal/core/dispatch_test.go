@@ -301,8 +301,8 @@ func TestAsyncDeliveryOrderMatchesCommitOrder(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if !st.Async || st.Dispatch.Completed != int64(n) || st.Dispatch.Dropped != 0 {
-		t.Errorf("dispatch stats = %+v, want Completed=%d Dropped=0", st.Dispatch, n)
+	if !st.Async || st.Dispatch.Completed != int64(n) {
+		t.Errorf("dispatch stats = %+v, want Completed=%d", st.Dispatch, n)
 	}
 }
 
@@ -328,8 +328,8 @@ func TestDropTriggerDrainsAsyncLane(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ls, ok := e.TriggerDispatchStats("ord0"); !ok || ls.Enqueued != 3 {
-		t.Fatalf("lane stats before drop = %+v ok=%v, want Enqueued=3", ls, ok)
+	if st := e.Stats().Dispatch; st.Enqueued != 3 || st.Lanes != 1 {
+		t.Fatalf("dispatch stats before drop = %+v, want Enqueued=3 Lanes=1", st)
 	}
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -341,8 +341,8 @@ func TestDropTriggerDrainsAsyncLane(t *testing.T) {
 	if got := snapshot()[0]; len(got) != 3 {
 		t.Errorf("DropTrigger returned with %d/3 deliveries run", len(got))
 	}
-	if _, ok := e.TriggerDispatchStats("ord0"); ok {
-		t.Error("lane still present after DropTrigger (leak)")
+	if st := e.Stats().Dispatch; st.Lanes != 0 {
+		t.Errorf("%d lanes present after DropTrigger (leak)", st.Lanes)
 	}
 	// The engine stays functional: the other trigger still fires.
 	if _, err := e.UpdateByPK("item", []xdm.Value{xdm.Int(1)}, func(r reldb.Row) reldb.Row {
@@ -396,52 +396,8 @@ func TestDropTriggerWaitsForAStagedInvocation(t *testing.T) {
 	if got := snapshot()[0]; len(got) != 1 || got[0] != 7 {
 		t.Errorf("ord0 delivered %v by the time DropTrigger returned, want [7]", got)
 	}
-	if _, ok := e.TriggerDispatchStats("ord0"); ok {
+	if st := e.Stats().Dispatch; st.Lanes != 0 {
 		t.Error("the staged delivery enqueued to ord0's lane after DropTrigger drained it")
-	}
-}
-
-// TestAsyncErrorPolicySurfacesToWriter: with Policy Error, a full queue
-// rejects the delivery and the writer's statement reports it.
-func TestAsyncErrorPolicySurfacesToWriter(t *testing.T) {
-	e, _ := newOrderedEngine(t, 1)
-	if err := e.EnableAsyncDispatch(dispatch.Config{Workers: 1, QueueCap: 1, Policy: dispatch.Error}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	gate := make(chan struct{})
-	defer close(gate)
-	held := e.action("rec")
-	e.RegisterAction("rec", func(inv Invocation) error {
-		<-gate
-		return held(inv)
-	})
-	update := func(v int) error {
-		_, err := e.UpdateByPK("item", []xdm.Value{xdm.Int(0)}, func(r reldb.Row) reldb.Row {
-			r[2] = xdm.Int(int64(v))
-			return r
-		})
-		return err
-	}
-	if err := update(1); err != nil { // occupies the worker
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Stats().Dispatch.Running < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the first delivery")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := update(2); err != nil { // fills the queue
-		t.Fatal(err)
-	}
-	err := update(3)
-	if !errors.Is(err, dispatch.ErrQueueFull) {
-		t.Fatalf("statement on full queue = %v, want ErrQueueFull", err)
-	}
-	if st := e.Stats(); st.Dispatch.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", st.Dispatch.Dropped)
 	}
 }
 
@@ -529,7 +485,7 @@ func TestAsyncStress(t *testing.T) {
 		t.Fatalf("stress fired A=%d B=%d notifications; writers did not exercise dispatch", firedA.Load(), firedB.Load())
 	}
 	st := e.Stats()
-	if st.Dispatch.Completed != st.Dispatch.Enqueued || st.Dispatch.Dropped != 0 {
-		t.Errorf("dispatch stats after drain = %+v, want Completed=Enqueued and no drops", st.Dispatch)
+	if st.Dispatch.Completed != st.Dispatch.Enqueued {
+		t.Errorf("dispatch stats after drain = %+v, want Completed=Enqueued", st.Dispatch)
 	}
 }

@@ -86,7 +86,7 @@ type ActionFunc func(inv Invocation) error
 // Stats reports engine state and activity. Actions counts the deliveries
 // run, inline or by a dispatcher worker. Async and Dispatch are only
 // meaningful after EnableAsyncDispatch: Dispatch carries the dispatcher's
-// queue counters (enqueued, completed, dropped, max depth, action errors).
+// queue counters (enqueued, completed, max depth, action errors).
 // Outbox and OutboxLog are only meaningful after EnableOutbox: OutboxLog
 // carries the durable log's append/ack counters. Engines sharing one
 // delivery (ShareDelivery) report the same Dispatch and OutboxLog. DB

@@ -11,7 +11,7 @@ import (
 type engineObs struct {
 	reg  *obs.Registry
 	fire *obs.Histogram // quark_core_fire_ns: one trigger-plan evaluation + activation wave
-	sink *obs.Histogram // quark_outbox_sink_ns: one durable delivery (sink or action) incl. ack
+	sink *obs.Histogram // quark_outbox_sink_ns: one durable delivery, sink or action only (not the ack)
 }
 
 // EnableObs attaches a metrics registry to the engine: trigger firing

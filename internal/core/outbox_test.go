@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -431,6 +433,50 @@ func TestStatementWaveAppendErrorDeliversNone(t *testing.T) {
 	}
 	if st := lg.Stats(); sink.Total() != triggers || st.Appended != triggers {
 		t.Fatalf("after the failed append: delivered %d, appended %d; want both still %d", sink.Total(), st.Appended, triggers)
+	}
+}
+
+// TestOutboxKeepsWhatAClosedDispatcherRejects: Engine.Close closes the
+// dispatcher before it reverts the engine to inline delivery, so a wave can
+// meet a closed dispatcher. The wave's statement fails with ErrClosed, and
+// its records, appended before the enqueue, stay unacknowledged: a replay
+// delivers each of them exactly once.
+func TestOutboxKeepsWhatAClosedDispatcherRejects(t *testing.T) {
+	const triggers = 3
+	lg, err := outbox.Open(t.TempDir(), outbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	e := newWatchedEngine(t, triggers)
+	live := outbox.NewPartitionedSink(1)
+	if err := e.EnableOutbox(lg, live); err != nil {
+		t.Fatal(err)
+	}
+	d := dispatch.New(dispatch.Config{Workers: 1, Policy: dispatch.Block})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.dl.dispatcher.Store(d) // the window between d.Close and Engine.Close's swap
+	if err := bumpPrice(e, "QRK", 1); !errors.Is(err, dispatch.ErrClosed) {
+		t.Fatalf("statement on a closed dispatcher = %v, want ErrClosed", err)
+	}
+	if st := lg.Stats(); st.Appended != triggers || st.Acked != 0 || live.Total() != 0 {
+		t.Fatalf("after the rejected wave: appended %d, acked %d, delivered %d; want %d, 0, 0",
+			st.Appended, st.Acked, live.Total(), triggers)
+	}
+	replay := outbox.NewPartitionedSink(1)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := lg.Replay(replay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seqs []uint64
+	for _, r := range replay.Partition(0) {
+		seqs = append(seqs, r.Seq)
+	}
+	if !slices.Equal(seqs, []uint64{1, 2, 3}) || lg.Acked() != triggers {
+		t.Fatalf("two replays delivered seqs %v and acked %d, want [1 2 3] once and 3", seqs, lg.Acked())
 	}
 }
 

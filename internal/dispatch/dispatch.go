@@ -18,14 +18,8 @@
 // high-water queue depth and never past QueueCap, however many lanes there
 // are. Each lane is a FIFO threaded through that array, and a slot freed by
 // a worker is reused by the next enqueue, so a warmed queue enqueues
-// without allocating. LaneQuota (optional) bounds each
-// trigger's lane so one flooding trigger cannot consume the shared
-// capacity and starve every other trigger. When either bound is hit,
-// Enqueue applies the configured Policy: Block (wait for space — writers
-// throttle to the sink rate), DropNewest (count and discard the new
-// delivery), DropOldest (discard the flooding lane's oldest queued
-// delivery to admit the new one — freshness over completeness), or Error
-// (surface ErrQueueFull to the writer).
+// without allocating. On a full queue Enqueue blocks until a worker frees
+// a slot, so writers throttle to the sink rate and no delivery is dropped.
 package dispatch
 
 import (
@@ -39,46 +33,15 @@ import (
 	"quark/internal/obs"
 )
 
-// Policy selects the backpressure behavior of Enqueue on a full queue.
+// Policy names the backpressure behavior of Enqueue on a full queue.
 type Policy uint8
 
-// Backpressure policies.
-const (
-	// Block waits until queue space frees up (or the dispatcher closes).
-	Block Policy = iota
-	// DropNewest discards the delivery being enqueued and counts it.
-	DropNewest
-	// Error rejects the delivery with ErrQueueFull, surfaced to the writer.
-	Error
-	// DropOldest discards the oldest *queued* delivery of the enqueueing
-	// trigger's lane and admits the new one, keeping the freshest
-	// notifications when a sink cannot keep up. When the lane has nothing
-	// queued (the shared queue is full of other triggers' work), it
-	// degrades to DropNewest — a delivery of another trigger is never
-	// sacrificed.
-	DropOldest
-)
+// Block waits until queue space frees up (or the dispatcher closes). It is
+// the only policy.
+const Block Policy = 0
 
-func (p Policy) String() string {
-	switch p {
-	case Block:
-		return "BLOCK"
-	case DropNewest:
-		return "DROP-NEWEST"
-	case Error:
-		return "ERROR"
-	case DropOldest:
-		return "DROP-OLDEST"
-	default:
-		return fmt.Sprintf("Policy(%d)", uint8(p))
-	}
-}
-
-// Sentinel errors surfaced to enqueuers.
-var (
-	ErrQueueFull = errors.New("dispatch: queue full")
-	ErrClosed    = errors.New("dispatch: dispatcher closed")
-)
+// ErrClosed is returned by Enqueue once the dispatcher is closed.
+var ErrClosed = errors.New("dispatch: dispatcher closed")
 
 // Task is the body of a delivery: Run invokes the action. A pointer into a
 // caller's slab of tasks satisfies it without allocating per delivery.
@@ -118,15 +81,8 @@ type Config struct {
 	// QueueCap bounds the queued (not yet running) deliveries across all
 	// lanes; defaults to 1024.
 	QueueCap int
-	// LaneQuota, when positive, bounds the queued deliveries of any single
-	// trigger's lane. It is the anti-starvation knob: without it, one
-	// trigger flooding faster than its sink drains eventually owns the
-	// whole shared queue and every other trigger's writers hit the
-	// backpressure policy for work that is not theirs. Zero means no
-	// per-lane bound (the pre-quota behavior).
-	LaneQuota int
-	// Policy is applied by Enqueue when the shared queue or the trigger's
-	// lane quota is full.
+	// Policy is applied by Enqueue when the queue is full; Block is the
+	// only one.
 	Policy Policy
 	// OnError, when set, observes action errors (and recovered panics).
 	// It is called outside the dispatcher's locks and must not call back
@@ -138,7 +94,6 @@ type Config struct {
 type Stats struct {
 	Enqueued     int64 // deliveries accepted into the queue
 	Completed    int64 // deliveries whose action finished (ok or error)
-	Dropped      int64 // deliveries discarded (DropNewest) or rejected (Error)
 	ActionErrors int64 // actions that returned an error or panicked
 	Panics       int64 // actions that panicked (a subset of ActionErrors)
 	Queued       int64 // current queue depth (waiting, not running)
@@ -147,28 +102,15 @@ type Stats struct {
 	Lanes        int   // live per-trigger lanes
 }
 
-// LaneStats is the per-trigger slice of the counters.
-type LaneStats struct {
-	Enqueued     int64
-	Completed    int64
-	Dropped      int64
-	ActionErrors int64
-	Panics       int64 // recovered action panics (a subset of ActionErrors)
-	Queued       int64
-	MaxDepth     int64
-}
-
 // lane is one trigger's FIFO delivery queue: a list of slots from head to
 // tail, linked through slot.next. Invariants (under d.mu): inRunq implies
 // n > 0; at most one worker has active set, so a lane's deliveries never
 // run concurrently.
 type lane struct {
-	name       string
 	head, tail int32 // slot indexes, meaningful while n > 0
 	n          int   // queued deliveries
 	active     bool
 	inRunq     bool
-	stats      LaneStats
 }
 
 // slot holds one queued delivery. next links the slot to the next one in
@@ -189,7 +131,7 @@ type Dispatcher struct {
 
 	mu    sync.Mutex
 	work  *sync.Cond // a lane became runnable, or the dispatcher is closing
-	space *sync.Cond // queue space freed (Block-policy enqueuers wait here)
+	space *sync.Cond // a queue slot freed (enqueuers of a full queue wait here)
 	idle  *sync.Cond // a delivery completed (Drain/DrainTrigger wait here)
 
 	lanes map[string]*lane
@@ -235,7 +177,6 @@ func (d *Dispatcher) AttachObs(reg *obs.Registry) {
 	})
 	reg.Func("quark_dispatch_enqueued_total", func() int64 { return d.Stats().Enqueued })
 	reg.Func("quark_dispatch_completed_total", func() int64 { return d.Stats().Completed })
-	reg.Func("quark_dispatch_dropped_total", func() int64 { return d.Stats().Dropped })
 	reg.Func("quark_dispatch_action_errors_total", func() int64 { return d.Stats().ActionErrors })
 	reg.Func("quark_dispatch_panics_total", func() int64 { return d.Stats().Panics })
 	reg.GaugeFunc("quark_dispatch_queued", func() int64 { return d.Stats().Queued })
@@ -266,7 +207,7 @@ func New(cfg Config) *Dispatcher {
 func (d *Dispatcher) laneOf(name string) *lane {
 	ln, ok := d.lanes[name]
 	if !ok {
-		ln = &lane{name: name}
+		ln = &lane{}
 		d.lanes[name] = ln
 	}
 	return ln
@@ -327,14 +268,13 @@ func (d *Dispatcher) makeRunnable(ln *lane) {
 	d.work.Signal()
 }
 
-// Enqueue appends a delivery to its trigger's lane. When the shared queue
-// is full, or the lane is at its LaneQuota, it applies the configured
-// policy; the returned error is nil unless the policy is Error
-// (ErrQueueFull) or the dispatcher is closed (ErrClosed).
+// Enqueue appends a delivery to its trigger's lane, first waiting for a
+// free slot while the queue is full. It fails only with ErrClosed, when
+// the dispatcher is closed before or while it waits.
 func (d *Dispatcher) Enqueue(dl Delivery) error {
 	if m := d.om.Load(); m != nil {
-		// Stamp before any Block-policy wait: time spent throttled on a
-		// full queue is queue pressure and belongs in the wait histogram.
+		// Stamp before any wait: time spent throttled on a full queue is
+		// queue pressure and belongs in the wait histogram.
 		dl.at = time.Now()
 	}
 	if dl.Task == nil && dl.Run != nil {
@@ -342,54 +282,14 @@ func (d *Dispatcher) Enqueue(dl Delivery) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for {
-		if d.closed {
-			return ErrClosed
-		}
-		ln := d.laneOf(dl.Trigger)
-		overShared := d.queued >= d.cfg.QueueCap
-		overQuota := d.cfg.LaneQuota > 0 && ln.n >= d.cfg.LaneQuota
-		if !overShared && !overQuota {
-			break
-		}
-		switch d.cfg.Policy {
-		case DropNewest:
-			d.stats.Dropped++
-			ln.stats.Dropped++
-			return nil
-		case Error:
-			d.stats.Dropped++
-			ln.stats.Dropped++
-			return ErrQueueFull
-		case DropOldest:
-			if ln.n == 0 {
-				// Shared queue full of other triggers' work: nothing of
-				// ours to displace, and another lane's delivery is not
-				// ours to drop.
-				d.stats.Dropped++
-				ln.stats.Dropped++
-				return nil
-			}
-			// Displace our oldest queued delivery; the swap keeps both
-			// the shared depth and the lane depth constant, so the lane's
-			// inRunq/active invariants are untouched.
-			d.pop(ln)
-			d.push(ln, dl)
-			d.stats.Dropped++
-			d.stats.Enqueued++
-			ln.stats.Dropped++
-			ln.stats.Enqueued++
-			return nil
-		default: // Block
-			d.space.Wait()
-		}
+	for d.queued >= d.cfg.QueueCap && !d.closed {
+		d.space.Wait()
+	}
+	if d.closed {
+		return ErrClosed
 	}
 	ln := d.laneOf(dl.Trigger)
 	d.push(ln, dl)
-	ln.stats.Enqueued++
-	if q := int64(ln.n); q > ln.stats.MaxDepth {
-		ln.stats.MaxDepth = q
-	}
 	d.queued++
 	d.stats.Enqueued++
 	if int64(d.queued) > d.stats.MaxDepth {
@@ -425,11 +325,7 @@ func (d *Dispatcher) worker() {
 		ln.active = true
 		d.queued--
 		d.running++
-		// Broadcast, not Signal: Block-policy waiters may be waiting on
-		// different conditions (shared-queue space vs a specific lane's
-		// quota), and waking only one can strand a waiter whose condition
-		// just became true.
-		d.space.Broadcast()
+		d.space.Signal() // one slot freed: one waiter can take it
 		d.mu.Unlock()
 
 		m := d.om.Load()
@@ -454,14 +350,11 @@ func (d *Dispatcher) worker() {
 		d.mu.Lock()
 		d.running--
 		d.stats.Completed++
-		ln.stats.Completed++
 		if err != nil {
 			d.stats.ActionErrors++
-			ln.stats.ActionErrors++
 		}
 		if panicked {
 			d.stats.Panics++
-			ln.stats.Panics++
 		}
 		ln.active = false
 		if ln.n > 0 {
@@ -475,8 +368,8 @@ func (d *Dispatcher) worker() {
 // runDelivery shields the pool from a panicking action: inline invocation
 // would propagate the panic to the writer, but on a worker it would crash
 // the whole process, so it is converted to an error, counted, and
-// reported as panicked so the lane's recovered-panic counter can tell
-// crashes apart from ordinary action errors.
+// reported as panicked so the Panics counter can tell crashes apart from
+// ordinary action errors.
 func runDelivery(dl Delivery) (panicked bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -500,29 +393,28 @@ func (d *Dispatcher) Drain() {
 }
 
 // DrainTrigger blocks until the named trigger's lane is empty and idle,
-// then removes the lane (freeing its bookkeeping) and returns its final
-// counters. The engine calls this from DropTrigger so in-flight deliveries
-// of a dropped trigger complete before the drop returns, and nothing
-// leaks.
-func (d *Dispatcher) DrainTrigger(name string) LaneStats {
+// then removes the lane, freeing its bookkeeping. The engine calls this
+// from DropTrigger so in-flight deliveries of a dropped trigger complete
+// before the drop returns, and nothing leaks.
+func (d *Dispatcher) DrainTrigger(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		ln, ok := d.lanes[name]
 		if !ok {
-			return LaneStats{}
+			return
 		}
 		if ln.n == 0 && !ln.active {
 			delete(d.lanes, name)
-			return ln.stats
+			return
 		}
 		d.idle.Wait()
 	}
 }
 
 // Close drains the queue gracefully — workers finish every already-queued
-// delivery — rejects new enqueues with ErrClosed (including Block-policy
-// enqueuers already waiting for space), and stops the pool. Idempotent.
+// delivery — rejects new enqueues with ErrClosed (including enqueuers
+// already waiting for space), and stops the pool. Idempotent.
 func (d *Dispatcher) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -547,18 +439,4 @@ func (d *Dispatcher) Stats() Stats {
 	st.Running = int64(d.running)
 	st.Lanes = len(d.lanes)
 	return st
-}
-
-// TriggerStats returns the named trigger's lane counters, reporting false
-// if the lane does not exist (never enqueued to, or drained away).
-func (d *Dispatcher) TriggerStats(name string) (LaneStats, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ln, ok := d.lanes[name]
-	if !ok {
-		return LaneStats{}, false
-	}
-	st := ln.stats
-	st.Queued = int64(ln.n)
-	return st, true
 }

@@ -77,64 +77,9 @@ func TestLaneExclusive(t *testing.T) {
 	}
 }
 
-// TestPolicyError: a full queue rejects with ErrQueueFull and counts the
-// rejection.
-func TestPolicyError(t *testing.T) {
-	d := New(Config{Workers: 1, QueueCap: 2, Policy: Error})
-	defer d.Close()
-	gate := make(chan struct{})
-	// Occupy the single worker so subsequent enqueues stay queued.
-	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, d, 1)
-	for i := 0; i < 2; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := d.Enqueue(Delivery{Trigger: "b", Task: Func(func() error { return nil })})
-	if err != ErrQueueFull {
-		t.Fatalf("enqueue on full queue = %v, want ErrQueueFull", err)
-	}
-	close(gate)
-	d.Drain()
-	st := d.Stats()
-	if st.Dropped != 1 || st.Completed != 3 {
-		t.Errorf("stats = %+v, want Dropped=1 Completed=3", st)
-	}
-	if ls, ok := d.TriggerStats("b"); !ok || ls.Dropped != 1 {
-		t.Errorf("lane b stats = %+v ok=%v, want Dropped=1", ls, ok)
-	}
-}
-
-// TestPolicyDropNewest: a full queue silently discards and counts.
-func TestPolicyDropNewest(t *testing.T) {
-	d := New(Config{Workers: 1, QueueCap: 1, Policy: DropNewest})
-	defer d.Close()
-	gate := make(chan struct{})
-	var ran atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, d, 1)
-	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { ran.Add(1); return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { ran.Add(1); return nil })}); err != nil {
-		t.Fatal(err) // dropped, not an error
-	}
-	close(gate)
-	d.Drain()
-	if got := ran.Load(); got != 1 {
-		t.Errorf("ran %d queued deliveries, want 1 (second dropped)", got)
-	}
-	if st := d.Stats(); st.Dropped != 1 || st.Enqueued != 2 {
-		t.Errorf("stats = %+v, want Dropped=1 Enqueued=2", st)
-	}
-}
-
-// TestPolicyBlock: a blocked enqueuer proceeds when space frees.
+// TestPolicyBlock: enqueuers blocked on a full queue proceed as space
+// frees. Each slot a worker frees wakes one of them, so several waiting
+// enqueuers all get in as the queue drains, one slot at a time.
 func TestPolicyBlock(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 1, Policy: Block})
 	defer d.Close()
@@ -146,28 +91,37 @@ func TestPolicyBlock(t *testing.T) {
 	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })}); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		done <- d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { return nil })})
-	}()
+	const waiters = 4
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		lane := fmt.Sprintf("w%d", i)
+		go func() { done <- d.Enqueue(Delivery{Trigger: lane, Task: Func(func() error { return nil })}) }()
+	}
 	select {
-	case <-done:
-		t.Fatal("enqueue on a full queue returned without blocking")
+	case err := <-done:
+		t.Fatalf("enqueue on a full queue returned %v without blocking", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(gate) // worker drains; space frees; blocked enqueue proceeds
-	if err := <-done; err != nil {
-		t.Fatalf("blocked enqueue = %v, want nil", err)
+	close(gate)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d blocked enqueuers never woke", waiters-i, waiters)
+		}
 	}
 	d.Drain()
-	if st := d.Stats(); st.Completed != 3 || st.Dropped != 0 {
-		t.Errorf("stats = %+v, want Completed=3 Dropped=0", st)
+	if st := d.Stats(); st.Completed != 2+waiters || st.MaxDepth != 1 {
+		t.Errorf("stats = %+v, want Completed=%d MaxDepth=1", st, 2+waiters)
 	}
 }
 
 // TestCloseDrainsAndRejects: Close finishes queued work, then enqueues
-// fail with ErrClosed; a Block-policy enqueuer stuck on a full queue is
-// released with ErrClosed too.
+// fail with ErrClosed; an enqueuer stuck on a full queue is released with
+// ErrClosed too.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	d := New(Config{Workers: 1, QueueCap: 1, Policy: Block})
 	gate := make(chan struct{})
@@ -224,18 +178,12 @@ func TestDrainTrigger(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		close(gate)
 	}()
-	st := d.DrainTrigger("t")
+	d.DrainTrigger("t")
 	if got := ran.Load(); got != 3 {
 		t.Errorf("DrainTrigger returned with %d/3 deliveries run", got)
 	}
-	if st.Completed != 3 {
-		t.Errorf("final lane stats = %+v, want Completed=3", st)
-	}
-	if _, ok := d.TriggerStats("t"); ok {
-		t.Error("lane still present after DrainTrigger")
-	}
-	if d.Stats().Lanes != 0 {
-		t.Errorf("lanes = %d after drain, want 0", d.Stats().Lanes)
+	if st := d.Stats(); st.Completed != 3 || st.Lanes != 0 {
+		t.Errorf("stats after DrainTrigger = %+v, want Completed=3 Lanes=0", st)
 	}
 }
 
@@ -260,15 +208,11 @@ func TestActionErrorsAndPanics(t *testing.T) {
 	}
 	d.Drain()
 	st := d.Stats()
-	if st.ActionErrors != 2 || st.Completed != 3 {
-		t.Errorf("stats = %+v, want ActionErrors=2 Completed=3", st)
+	if st.ActionErrors != 2 || st.Panics != 1 || st.Completed != 3 {
+		t.Errorf("stats = %+v, want ActionErrors=2 Panics=1 Completed=3", st)
 	}
 	if got := reported.Load(); got != 2 {
-		t.Errorf("OnError reported %d errors, want 2", got)
-	}
-	ls, ok := d.TriggerStats("bad")
-	if !ok || ls.ActionErrors != 2 {
-		t.Errorf("lane stats = %+v ok=%v, want ActionErrors=2", ls, ok)
+		t.Errorf("OnError reported %d errors of trigger bad, want 2", got)
 	}
 }
 
@@ -303,143 +247,5 @@ func waitRunning(t *testing.T, d *Dispatcher, n int64) {
 			t.Fatalf("dispatcher never reached %d running deliveries", n)
 		}
 		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// TestLaneQuotaPreventsStarvation: a flooding trigger is capped at its
-// quota, leaving shared-queue space for other triggers even though the
-// flooder alone would fill it.
-func TestLaneQuotaPreventsStarvation(t *testing.T) {
-	d := New(Config{Workers: 1, QueueCap: 8, LaneQuota: 2, Policy: DropNewest})
-	defer d.Close()
-	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "hold", Task: Func(func() error { <-gate; return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, d, 1)
-	// The flooder tries to queue 20; only LaneQuota=2 may sit queued.
-	var flooded atomic.Int32
-	for i := 0; i < 20; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "flood", Task: Func(func() error { flooded.Add(1); return nil })}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ls, _ := d.TriggerStats("flood"); ls.Queued != 2 || ls.Dropped != 18 {
-		t.Fatalf("flood lane = %+v, want Queued=2 Dropped=18", ls)
-	}
-	// A well-behaved trigger still gets in: the flooder did not own the
-	// shared queue.
-	var quiet atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "quiet", Task: Func(func() error { quiet.Add(1); return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	d.Drain()
-	if flooded.Load() != 2 || quiet.Load() != 1 {
-		t.Errorf("flooded=%d quiet=%d, want 2 and 1", flooded.Load(), quiet.Load())
-	}
-}
-
-// TestPolicyDropOldest: at quota, the lane keeps the freshest deliveries
-// in FIFO order and drops from the head.
-func TestPolicyDropOldest(t *testing.T) {
-	d := New(Config{Workers: 1, QueueCap: 64, LaneQuota: 3, Policy: DropOldest})
-	defer d.Close()
-	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { <-gate; return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, d, 1)
-	var mu sync.Mutex
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error {
-			mu.Lock()
-			got = append(got, i)
-			mu.Unlock()
-			return nil
-		})}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(gate)
-	d.Drain()
-	// Quota 3: the lane kept the newest three (7, 8, 9), in order.
-	if len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
-		t.Fatalf("ran %v, want [7 8 9] (oldest dropped, order kept)", got)
-	}
-	if st := d.Stats(); st.Dropped != 7 {
-		t.Errorf("Dropped = %d, want 7", st.Dropped)
-	}
-}
-
-// TestDropOldestNeverDisplacesOtherLanes: when the shared queue is full of
-// other triggers' work, DropOldest with an empty own lane degrades to
-// dropping the incoming delivery.
-func TestDropOldestNeverDisplacesOtherLanes(t *testing.T) {
-	d := New(Config{Workers: 1, QueueCap: 2, Policy: DropOldest})
-	defer d.Close()
-	gate := make(chan struct{})
-	var aRan atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { <-gate; return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, d, 1)
-	for i := 0; i < 2; i++ {
-		if err := d.Enqueue(Delivery{Trigger: "a", Task: Func(func() error { aRan.Add(1); return nil })}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Queue full with a's work; b has nothing queued to displace.
-	var bRan atomic.Int32
-	if err := d.Enqueue(Delivery{Trigger: "b", Task: Func(func() error { bRan.Add(1); return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	d.Drain()
-	if aRan.Load() != 2 || bRan.Load() != 0 {
-		t.Errorf("a ran %d (want 2), b ran %d (want 0: dropped, not displacing)", aRan.Load(), bRan.Load())
-	}
-	if ls, ok := d.TriggerStats("b"); !ok || ls.Dropped != 1 {
-		t.Errorf("lane b = %+v, want Dropped=1", ls)
-	}
-}
-
-// TestBlockWakesLaneQuotaWaiters: with Block policy and a lane quota, an
-// enqueuer blocked on its lane's quota (not the shared queue) must wake
-// when that lane drains.
-func TestBlockWakesLaneQuotaWaiters(t *testing.T) {
-	d := New(Config{Workers: 2, QueueCap: 1024, LaneQuota: 1, Policy: Block})
-	defer d.Close()
-	gate := make(chan struct{})
-	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { <-gate; return nil })}); err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, d, 1)
-	if err := d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { return nil })}); err != nil {
-		t.Fatal(err) // fills the quota-1 lane
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- d.Enqueue(Delivery{Trigger: "t", Task: Func(func() error { return nil })})
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("enqueue returned %v before the lane drained", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(gate)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked enqueuer never woke after the lane drained")
-	}
-	d.Drain()
-	if st := d.Stats(); st.Completed != 3 || st.Dropped != 0 {
-		t.Errorf("stats = %+v, want Completed=3 Dropped=0", st)
 	}
 }

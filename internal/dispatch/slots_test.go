@@ -49,82 +49,86 @@ func TestEnqueueAllocatesNothing(t *testing.T) {
 	}
 }
 
-// laneLog records, per lane, the labels of the deliveries that ran.
-type laneLog struct {
-	mu  sync.Mutex
-	ran map[string][]string
-}
-
-func (l *laneLog) task(lane, label string) Task {
-	return Func(func() error {
-		l.mu.Lock()
-		l.ran[lane] = append(l.ran[lane], label)
-		l.mu.Unlock()
-		return nil
-	})
-}
-
-// TestInterleavedLanesRecycleSlots: three lanes under a lane quota with
-// DropOldest, enqueued interleaved while the only worker is held. The
-// worker frees their slots round-robin across the lanes, so the second
-// round reuses slots in an order unrelated to the lanes that now hold
-// them. Every lane must still run exactly its newest deliveries in
-// enqueue order, count its drops, and the slot array must not grow past
-// the first round's high water.
+// TestInterleavedLanesRecycleSlots: three lanes, enqueued interleaved
+// while every worker is held, and each lane's action gated on its own
+// channel. The test then lets one delivery through at a time in an order
+// unrelated to the enqueue order, so the workers free slots in that order
+// and the second round's enqueues take them back in an order unrelated to
+// the lanes that now hold them. Every lane must still run exactly its
+// deliveries in enqueue order, and the slot array must not grow past the
+// first round's high water.
 func TestInterleavedLanesRecycleSlots(t *testing.T) {
-	d := New(Config{Workers: 1, QueueCap: 16, LaneQuota: 3, Policy: DropOldest})
+	const workers = 3
+	d := New(Config{Workers: workers, QueueCap: 16, Policy: Block})
 	defer d.Close()
-	ran := &laneLog{ran: map[string][]string{}}
-	// round holds the worker, enqueues lanes[i] for each i, checks the
-	// queued depths and releases the worker.
-	round := func(lanes string, queued map[string]int64) {
+	gates := map[string]chan struct{}{"a": make(chan struct{}), "b": make(chan struct{}), "c": make(chan struct{})}
+	var mu sync.Mutex
+	ran := map[string][]string{}
+	enqueued := map[string]int{}
+	// round holds every worker, enqueues lanes[i] for each i, checks the
+	// queued depths, releases the workers, then lets the lanes' deliveries
+	// finish one at a time in release order.
+	round := func(lanes, release string, queued map[string]int) {
 		t.Helper()
-		gate := make(chan struct{})
-		if err := d.Enqueue(Delivery{Trigger: "hold", Task: Func(func() error { <-gate; return nil })}); err != nil {
-			t.Fatal(err)
+		hold := make(chan struct{})
+		for i := int64(0); i < workers; i++ {
+			if err := d.Enqueue(Delivery{Trigger: fmt.Sprintf("hold%d", i), Task: Func(func() error { <-hold; return nil })}); err != nil {
+				t.Fatal(err)
+			}
+			waitRunning(t, d, i+1)
 		}
-		waitRunning(t, d, 1)
 		for _, c := range lanes {
 			lane := string(c)
-			ls, _ := d.TriggerStats(lane)
-			label := fmt.Sprintf("%s%d", lane, ls.Enqueued)
-			if err := d.Enqueue(Delivery{Trigger: lane, Task: ran.task(lane, label)}); err != nil {
+			label := fmt.Sprintf("%s%d", lane, enqueued[lane])
+			enqueued[lane]++
+			gate := gates[lane]
+			if err := d.Enqueue(Delivery{Trigger: lane, Task: Func(func() error {
+				<-gate
+				mu.Lock()
+				ran[lane] = append(ran[lane], label)
+				mu.Unlock()
+				return nil
+			})}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		d.mu.Lock()
 		for lane, want := range queued {
-			if ls, _ := d.TriggerStats(lane); ls.Queued != want {
-				t.Fatalf("lane %s queues %d deliveries, want %d", lane, ls.Queued, want)
+			if got := d.lanes[lane].n; got != want {
+				d.mu.Unlock()
+				t.Fatalf("lane %s queues %d deliveries, want %d", lane, got, want)
 			}
 		}
-		close(gate)
+		d.mu.Unlock()
+		close(hold)
+		for _, c := range release {
+			gates[string(c)] <- struct{}{}
+		}
 		d.Drain()
 	}
-	// Round 1: a gets 5 (drops 2), b 4 (drops 1), c 2.
-	round("abcabcababa", map[string]int64{"a": 3, "b": 3, "c": 2})
+	// Round 1: a gets 5, b 4, c 2; c finishes first and a last.
+	round("abcabcababa", "ccbabbabaaa", map[string]int{"a": 5, "b": 4, "c": 2})
 	d.mu.Lock()
 	highWater := len(d.slots)
 	d.mu.Unlock()
-	if highWater != 8 { // 3 + 3 + 2 queued; the hold delivery's slot was freed first
-		t.Fatalf("slot array holds %d slots after round 1, want 8", highWater)
+	if highWater != 11 { // the holds' slot was freed before the lanes took it
+		t.Fatalf("slot array holds %d slots after round 1, want 11", highWater)
 	}
-	// Round 2: c gets 5 (drops 2), b 4 (drops 1), a 1.
-	round("cbcbcbcbac", map[string]int64{"a": 1, "b": 3, "c": 3})
+	// Round 2: c gets 5, b 4, a 1; a finishes first, b and c alternate.
+	round("cbcbcbcbac", "acbbccbcbc", map[string]int{"a": 1, "b": 4, "c": 5})
 
 	want := map[string][]string{
-		"a": {"a2", "a3", "a4", "a5"},
-		"b": {"b1", "b2", "b3", "b5", "b6", "b7"},
-		"c": {"c0", "c1", "c4", "c5", "c6"},
+		"a": {"a0", "a1", "a2", "a3", "a4", "a5"},
+		"b": {"b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"},
+		"c": {"c0", "c1", "c2", "c3", "c4", "c5", "c6"},
 	}
-	dropped := map[string]int64{"a": 2, "b": 2, "c": 2}
 	for lane, seq := range want {
-		if got := ran.ran[lane]; !slices.Equal(got, seq) {
+		if got := ran[lane]; !slices.Equal(got, seq) {
 			t.Errorf("lane %s ran %v, want %v", lane, got, seq)
 		}
-		ls, _ := d.TriggerStats(lane)
-		if ls.Dropped != dropped[lane] || ls.Queued != 0 || ls.Completed != int64(len(seq)) {
-			t.Errorf("lane %s = %+v, want Dropped=%d Queued=0 Completed=%d", lane, ls, dropped[lane], len(seq))
-		}
+	}
+	if st := d.Stats(); st.Queued != 0 || st.Completed != 2*workers+21 {
+		t.Errorf("stats = %+v, want Queued=0 Completed=%d", st, 2*workers+21)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

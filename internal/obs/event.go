@@ -6,8 +6,8 @@ import (
 )
 
 // Event is one structured state transition: a kind plus flat string
-// fields. Transitions that used to be silent — rebalance start/finish,
-// dead-letter quarantine, redrive, torn-tail truncation — emit these.
+// fields. A transition that used to be silent, the torn-tail truncation of
+// an outbox's recovery, emits one.
 type Event struct {
 	Time   time.Time         `json:"time"`
 	Kind   string            `json:"kind"`

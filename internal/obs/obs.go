@@ -3,10 +3,9 @@
 // recording, a span API for tracing one transaction through the commit
 // pipeline (route → prepare-per-shard → trigger eval → stage →
 // group-commit outbox append → ack → sink delivery), a structured event
-// ring for state transitions that used to be silent (rebalance
-// start/finish, dead-letter quarantine, redrive, torn-tail truncation),
-// and an HTTP debug server exposing all of it as Prometheus text, JSON,
-// and net/http/pprof.
+// ring for state transitions that used to be silent (an outbox's
+// torn-tail truncation at recovery), and an HTTP debug server exposing
+// all of it as Prometheus text, JSON, and net/http/pprof.
 //
 // Every method on Counter, Gauge, Histogram, Span, and Registry is safe
 // on a nil receiver and does nothing — that nil check IS the disabled

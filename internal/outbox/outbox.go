@@ -14,8 +14,6 @@
 //
 //	seg-<first-seq>.log   length+CRC framed wire records, rotated by size
 //	ack                   8-byte little-endian acknowledged watermark
-//	dead.log              dead-lettered records (same framing), see Options.RetryLimit
-//	failures              per-record delivery-failure budgets (one CRC frame)
 //
 // Crash tolerance: Open scans segments, validates every frame's CRC, and
 // truncates a torn tail (a record half-written when the process died), so
@@ -50,17 +48,6 @@ type Options struct {
 	// guarantees hold either way (the OS flushes the page cache); Sync
 	// extends them to power loss at a large throughput cost.
 	Sync bool
-	// RetryLimit bounds a record's delivery failures (live attempts and
-	// replay attempts both count; counts persist across restarts in the
-	// failures file, so the budget is exact even for a crash-looping
-	// consumer): once a
-	// record has failed RetryLimit times, NoteFailure moves it to the
-	// dead-letter file and acknowledges it, so one poison record can no
-	// longer pin the watermark — later acks stop accumulating in memory,
-	// Compact reclaims its segment, and a restart no longer redelivers
-	// the suffix above it. 0 (the default) disables dead-lettering: a
-	// failing record stays due forever, the pre-dead-letter contract.
-	RetryLimit int
 	// AutoCompactLag, when positive, runs Compact automatically whenever
 	// an append observes the acknowledged watermark at least this many
 	// records past the start of the oldest on-disk segment — bounding the
@@ -75,21 +62,18 @@ type Options struct {
 
 // Stats is a snapshot of the log's counters.
 type Stats struct {
-	Appended    int64  // records appended over this Log's lifetime
-	Acked       uint64 // acknowledged watermark (every seq <= Acked is done)
-	NextSeq     uint64 // sequence the next append will receive
-	Segments    int    // segment files on disk
-	DeadLetters int64  // records currently quarantined in the dead-letter file
-	DiskBytes   int64  // on-disk footprint: every segment file plus dead.log
+	Appended  int64  // records appended over this Log's lifetime
+	Acked     uint64 // acknowledged watermark (every seq <= Acked is done)
+	NextSeq   uint64 // sequence the next append will receive
+	Segments  int    // segment files on disk
+	DiskBytes int64  // on-disk footprint: every segment file
 }
 
 const (
-	segPrefix    = "seg-"
-	segSuffix    = ".log"
-	ackFileName  = "ack"
-	deadFileName = "dead.log"
-	failFileName = "failures"
-	frameHeader  = 8 // u32 payload length + u32 CRC32 (little-endian)
+	segPrefix   = "seg-"
+	segSuffix   = ".log"
+	ackFileName = "ack"
+	frameHeader = 8 // u32 payload length + u32 CRC32 (little-endian)
 
 	// maxScratchBytes bounds the frame buffer a Log keeps between appends,
 	// so one outsized batch does not pin its buffer for the log's lifetime.
@@ -102,23 +86,19 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex
-	seg       *os.File // active segment (append mode)
-	segSize   int64
-	segs      []uint64         // first seq of every segment, ascending
-	segBytes  map[uint64]int64 // per-segment on-disk size (first seq -> bytes)
-	deadBytes int64            // dead.log on-disk size
-	nextSeq   uint64
-	acked     uint64          // contiguous watermark: all seq <= acked are done
-	pending   map[uint64]bool // acked out of order, still above the watermark
-	failures  map[uint64]int  // per-record delivery failures (dead-letter budget)
-	deadF     *os.File        // dead-letter file (append mode), opened lazily
-	dead      int64           // records in the dead-letter file
-	ackF      *os.File
-	appended  int64
-	closed    bool
-	scratch   []byte    // AppendBatch's frame buffer, reused across appends
-	memo      wire.Memo // binary encodings of the nodes AppendBatch framed last
+	mu       sync.Mutex
+	seg      *os.File // active segment (append mode)
+	segSize  int64
+	segs     []uint64         // first seq of every segment, ascending
+	segBytes map[uint64]int64 // per-segment on-disk size (first seq -> bytes)
+	nextSeq  uint64
+	acked    uint64          // contiguous watermark: all seq <= acked are done
+	pending  map[uint64]bool // acked out of order, still above the watermark
+	ackF     *os.File
+	appended int64
+	closed   bool
+	scratch  []byte    // AppendBatch's frame buffer, reused across appends
+	memo     wire.Memo // binary encodings of the nodes AppendBatch framed last
 
 	// om, when non-nil, holds resolved metric handles plus the registry
 	// for event emission (see AttachObs). Nil is the disabled fast path.
@@ -135,9 +115,8 @@ type logObs struct {
 
 // AttachObs resolves the log's latency histograms, registers snapshot
 // collectors for its counters, and starts emitting structured events
-// (dead-letter quarantine, redrive, torn-tail truncation at Open when
-// attached via Options.Obs). AttachObs(nil) detaches the hot-path
-// handles and silences events.
+// (torn-tail truncation at Open, when attached via Options.Obs).
+// AttachObs(nil) detaches the hot-path handles and silences events.
 func (l *Log) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		l.om.Store(nil)
@@ -153,7 +132,6 @@ func (l *Log) AttachObs(reg *obs.Registry) {
 	reg.GaugeFunc("quark_outbox_acked", func() int64 { return int64(l.Stats().Acked) })
 	reg.GaugeFunc("quark_outbox_next_seq", func() int64 { return int64(l.Stats().NextSeq) })
 	reg.GaugeFunc("quark_outbox_segments", func() int64 { return int64(l.Stats().Segments) })
-	reg.GaugeFunc("quark_outbox_dead_letters", func() int64 { return l.Stats().DeadLetters })
 	reg.GaugeFunc("quark_outbox_disk_bytes", func() int64 { return l.Stats().DiskBytes })
 }
 
@@ -167,36 +145,14 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, nextSeq: 1, pending: map[uint64]bool{}, failures: map[uint64]int{}, segBytes: map[uint64]int64{}}
+	l := &Log{dir: dir, opts: opts, nextSeq: 1, pending: map[uint64]bool{}, segBytes: map[uint64]int64{}}
 	if opts.Obs != nil {
 		l.AttachObs(opts.Obs)
 	}
 	if err := l.loadAck(); err != nil {
 		return nil, err
 	}
-	if err := l.loadFailures(); err != nil {
-		return nil, err
-	}
 	if err := l.scanSegments(); err != nil {
-		return nil, err
-	}
-	// Count existing dead-letter records (the file survives restarts; a
-	// torn tail there truncates exactly like a segment's).
-	if dn, validBytes, err := scanSegmentFile(filepath.Join(dir, deadFileName)); err == nil {
-		dropped, err := truncateTo(filepath.Join(dir, deadFileName), validBytes)
-		if err != nil {
-			return nil, err
-		}
-		if dropped > 0 {
-			if m := l.om.Load(); m != nil {
-				m.reg.Emit("outbox.torn_tail_truncate", map[string]string{
-					"file": deadFileName, "dropped_bytes": strconv.FormatInt(dropped, 10),
-				})
-			}
-		}
-		l.dead = int64(dn)
-		l.deadBytes = validBytes
-	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
 	// The watermark can be ahead of an empty log only through corruption;
@@ -521,13 +477,10 @@ func (l *Log) rotateLocked() error {
 // held acks — their records are redelivered, which at-least-once allows.
 //
 // Consequence of the contiguous watermark: a record that is never
-// acknowledged (a permanently failing sink, or a delivery shed by a drop
-// policy and not yet replayed) pins the watermark below it — later acks
-// accumulate in memory, Compact cannot reclaim the pinned segment, and a
-// crash redelivers everything above the watermark. That is the price of
-// never losing a delivery. Options.RetryLimit bounds that price: a record
-// whose delivery keeps failing is moved to the dead-letter file by
-// NoteFailure and acknowledged, unpinning the watermark (see DeadLetters).
+// acknowledged (its sink keeps failing) pins the watermark below it —
+// later acks accumulate in memory, Compact cannot reclaim the pinned
+// segment, and a crash redelivers everything above the watermark. That is
+// the price of never losing a delivery.
 func (l *Log) Ack(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -542,7 +495,6 @@ func (l *Log) ackLocked(seq uint64) error {
 	advanced := false
 	for l.pending[l.acked+1] {
 		delete(l.pending, l.acked+1)
-		delete(l.failures, l.acked+1)
 		l.acked++
 		advanced = true
 	}
@@ -550,239 +502,6 @@ func (l *Log) ackLocked(seq uint64) error {
 		return nil
 	}
 	return l.writeAckLocked()
-}
-
-// NoteFailure counts one failed delivery attempt of the record against
-// its dead-letter budget (Options.RetryLimit). When the budget is
-// exhausted the record is appended to the dead-letter file and
-// acknowledged — the watermark advances past it, Compact can reclaim its
-// segment, and a restart's Replay no longer redelivers the suffix that
-// was pinned above it. DeadLetters reads the quarantined records back for
-// operator inspection; Redrive re-delivers them. With RetryLimit 0 this
-// is a no-op: the record stays due forever. Failure counts are persisted
-// beside the ack file on every update, so RetryLimit is exact across
-// crashes — a poison record's budget resumes where it left off instead of
-// resetting on restart.
-func (l *Log) NoteFailure(rec *wire.Record) (deadLettered bool, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.opts.RetryLimit <= 0 {
-		return false, nil
-	}
-	if rec.Seq <= l.acked || l.pending[rec.Seq] {
-		return false, nil // already delivered (or already dead-lettered)
-	}
-	n := l.failures[rec.Seq] + 1
-	if n < l.opts.RetryLimit {
-		l.failures[rec.Seq] = n
-		return false, l.persistFailuresLocked()
-	}
-	// Quarantine before acknowledging: a crash between the two at worst
-	// leaves the record both dead-lettered and due, and the next failing
-	// replay attempt re-quarantines it — never a silent loss.
-	if err := l.appendDeadLocked(rec); err != nil {
-		return false, err
-	}
-	delete(l.failures, rec.Seq)
-	l.dead++
-	if m := l.om.Load(); m != nil {
-		m.reg.Emit("outbox.dead_letter", map[string]string{
-			"seq":     strconv.FormatUint(rec.Seq, 10),
-			"trigger": rec.Trigger,
-		})
-	}
-	if err := l.persistFailuresLocked(); err != nil {
-		return true, err
-	}
-	return true, l.ackLocked(rec.Seq)
-}
-
-// persistFailuresLocked rewrites the failure-count file atomically
-// (write-tmp-then-rename): one CRC frame holding (seq, count) pairs. An
-// empty map removes the file. A torn or corrupt file is treated as absent
-// at Open — budgets reset, which at-least-once allows; the common crash
-// (between a failure and the next) preserves counts exactly.
-func (l *Log) persistFailuresLocked() error {
-	path := filepath.Join(l.dir, failFileName)
-	if len(l.failures) == 0 {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		return nil
-	}
-	seqs := make([]uint64, 0, len(l.failures))
-	for s := range l.failures {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	payload := binary.AppendUvarint(nil, uint64(len(seqs)))
-	for _, s := range seqs {
-		payload = binary.AppendUvarint(payload, s)
-		payload = binary.AppendUvarint(payload, uint64(l.failures[s]))
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, Frame(payload), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadFailures restores the persisted per-record failure budgets, dropping
-// entries at or below the ack watermark (their records are done).
-func (l *Log) loadFailures() error {
-	b, err := os.ReadFile(filepath.Join(l.dir, failFileName))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	_, _ = ScanFrames(b, func(payload []byte) error {
-		n, off := binary.Uvarint(payload)
-		for i := uint64(0); i < n; i++ {
-			seq, m := binary.Uvarint(payload[off:])
-			if m <= 0 {
-				break
-			}
-			off += m
-			cnt, m2 := binary.Uvarint(payload[off:])
-			if m2 <= 0 {
-				break
-			}
-			off += m2
-			if seq > l.acked {
-				l.failures[seq] = int(cnt)
-			}
-		}
-		return nil
-	})
-	return nil
-}
-
-func (l *Log) appendDeadLocked(rec *wire.Record) error {
-	if l.deadF == nil {
-		f, err := os.OpenFile(filepath.Join(l.dir, deadFileName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		l.deadF = f
-	}
-	frame := encodeFrame(nil, rec, nil)
-	if _, err := l.deadF.Write(frame); err != nil {
-		return err
-	}
-	l.deadBytes += int64(len(frame))
-	if l.opts.Sync {
-		return l.deadF.Sync()
-	}
-	return nil
-}
-
-// DeadLetters reads back every quarantined record in dead-letter order.
-func (l *Log) DeadLetters() ([]*wire.Record, error) {
-	b, err := os.ReadFile(filepath.Join(l.dir, deadFileName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []*wire.Record
-	_, err = forEachFrame(b, func(payload []byte) error {
-		rec, err := wire.Decode(payload)
-		if err != nil {
-			return fmt.Errorf("outbox: dead-letter file: %w", err)
-		}
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
-}
-
-// Redrive re-delivers the quarantined records through sink in dead-letter
-// order, completing the operator loop that DeadLetters starts. Each
-// accepted record is removed from dead.log and its failure budget reset;
-// a sink error stops the redrive at the failing record, which stays
-// quarantined (with the suffix behind it) for the next attempt. On full
-// success dead.log is truncated away. The rewrite is atomic
-// (write-tmp-then-rename), so a kill during Redrive leaves either the old
-// quarantine set or the pruned one — re-delivering a record twice at
-// worst, the at-least-once contract.
-func (l *Log) Redrive(sink Sink) (redelivered int, err error) {
-	if sink == nil {
-		return 0, fmt.Errorf("outbox: Redrive requires a sink")
-	}
-	recs, err := l.DeadLetters()
-	if err != nil {
-		return 0, err
-	}
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	var sinkErr error
-	for _, rec := range recs {
-		if derr := sink.Deliver(rec); derr != nil {
-			sinkErr = fmt.Errorf("outbox: redrive of record %d (trigger %s): %w", rec.Seq, rec.Trigger, derr)
-			break
-		}
-		redelivered++
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Keep the undelivered suffix plus anything quarantined since the
-	// snapshot was read (NoteFailure appends under the lock we now hold).
-	keep := append([]*wire.Record(nil), recs[redelivered:]...)
-	if all, rerr := l.DeadLetters(); rerr == nil && len(all) > len(recs) {
-		keep = append(keep, all[len(recs):]...)
-	}
-	for _, rec := range recs[:redelivered] {
-		delete(l.failures, rec.Seq)
-	}
-	if perr := l.persistFailuresLocked(); perr != nil && sinkErr == nil {
-		sinkErr = perr
-	}
-	if werr := l.rewriteDeadLocked(keep); werr != nil && sinkErr == nil {
-		sinkErr = werr
-	}
-	if m := l.om.Load(); m != nil {
-		m.reg.Emit("outbox.redrive", map[string]string{
-			"redelivered": strconv.Itoa(redelivered),
-			"remaining":   strconv.Itoa(len(keep)),
-		})
-	}
-	return redelivered, sinkErr
-}
-
-// rewriteDeadLocked replaces dead.log's contents with the given records
-// (removing the file when none remain) via an atomic rename.
-func (l *Log) rewriteDeadLocked(keep []*wire.Record) error {
-	if l.deadF != nil {
-		_ = l.deadF.Close()
-		l.deadF = nil
-	}
-	path := filepath.Join(l.dir, deadFileName)
-	if len(keep) == 0 {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		l.dead = 0
-		l.deadBytes = 0
-		return nil
-	}
-	var buf []byte
-	for _, rec := range keep {
-		buf = encodeFrame(buf, rec, nil)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	l.dead = int64(len(keep))
-	l.deadBytes = int64(len(buf))
-	return nil
 }
 
 func (l *Log) writeAckLocked() error {
@@ -823,11 +542,11 @@ func (l *Log) NextSeq() uint64 {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	disk := l.deadBytes
+	var disk int64
 	for _, b := range l.segBytes {
 		disk += b
 	}
-	return Stats{Appended: l.appended, Acked: l.acked, NextSeq: l.nextSeq, Segments: len(l.segs), DeadLetters: l.dead, DiskBytes: disk}
+	return Stats{Appended: l.appended, Acked: l.acked, NextSeq: l.nextSeq, Segments: len(l.segs), DiskBytes: disk}
 }
 
 // Records reads back every record with seq >= from, in sequence order,
@@ -879,13 +598,9 @@ func (l *Log) visit(fn func(*wire.Record) error) error {
 // sequence order, acknowledging each one the sink accepts, and returns the
 // number delivered. Log order preserves per-trigger append order, so a
 // partition-keyed sink observes per-trigger FIFO exactly as live delivery
-// would. A sink error counts against the record's dead-letter budget
-// (Options.RetryLimit): a record whose budget is exhausted moves to the
-// dead-letter file, the watermark advances past it, and the replay
-// CONTINUES with the suffix it was pinning. A record still within budget
-// stops the replay as before (everything before it stays acknowledged; it
-// and everything after remain due), so a restarted consumer resumes where
-// it failed — and a poison record stops it at most RetryLimit times, ever.
+// would. A sink error stops the replay: everything before the failing
+// record stays acknowledged, and it and everything after remain due, so a
+// restarted consumer resumes where it failed.
 func (l *Log) Replay(sink Sink) (int, error) {
 	l.mu.Lock()
 	acked := l.acked
@@ -900,17 +615,6 @@ func (l *Log) Replay(sink Sink) (int, error) {
 			return nil
 		}
 		if err := sink.Deliver(rec); err != nil {
-			dl, dlErr := l.NoteFailure(rec)
-			if dlErr != nil {
-				// The quarantine itself failed (e.g. dead.log unwritable):
-				// surface THAT, or the operator would never learn why the
-				// watermark stays pinned despite the retry budget.
-				return fmt.Errorf("outbox: replay of record %d (trigger %s): %v (dead-letter quarantine failed: %w)",
-					rec.Seq, rec.Trigger, err, dlErr)
-			}
-			if dl {
-				return nil // quarantined; the suffix above it is unpinned
-			}
 			return fmt.Errorf("outbox: replay of record %d (trigger %s): %w", rec.Seq, rec.Trigger, err)
 		}
 		delivered++
@@ -975,15 +679,6 @@ func (l *Log) Close() error {
 			first = err
 		}
 		l.ackF = nil
-	}
-	if l.deadF != nil {
-		if err := l.deadF.Sync(); err != nil && first == nil {
-			first = err
-		}
-		if err := l.deadF.Close(); err != nil && first == nil {
-			first = err
-		}
-		l.deadF = nil
 	}
 	return first
 }

@@ -293,6 +293,17 @@ func TestSegmentRotationAndCompact(t *testing.T) {
 	if got := l2.Stats().Segments; got != 1 {
 		t.Fatalf("segments after compact = %d, want 1 (active)", got)
 	}
+	// The log's whole on-disk state is its segments and the ack watermark.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if name != "ack" && !(strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log")) {
+			t.Errorf("log directory holds %q, want only seg-*.log and ack", name)
+		}
+	}
 	// Appends continue after compaction, and reads skip the removed range.
 	seq, err := l2.Append(rec("rotate", n+1))
 	if err != nil {
@@ -400,5 +411,112 @@ func TestPartitionedSinkKeyStability(t *testing.T) {
 	}
 	if seen != 50 {
 		t.Fatalf("accounted for %d records, want 50", seen)
+	}
+}
+
+// TestAutoCompactOnAppend: with AutoCompactLag set, appends reclaim
+// fully-acknowledged segments without any manual Compact call, keeping
+// the on-disk segment count bounded where a manual-only log grows without
+// limit.
+func TestAutoCompactOnAppend(t *testing.T) {
+	const n = 12
+	// Control: manual-only compaction accumulates one tiny segment per
+	// append (SegmentBytes 1 rotates every record).
+	ctl, err := Open(t.TempDir(), Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	// Under test: a lag-3 policy.
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 1, AutoCompactLag: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 1; i <= n; i++ {
+		for _, lg := range []*Log{ctl, l} {
+			if _, err := lg.Append(rec("t", i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Ack(uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := ctl.Stats(); st.Segments != n {
+		t.Fatalf("control grew %d segments, want %d (manual-only must not compact)", st.Segments, n)
+	}
+	st := l.Stats()
+	if st.Segments > 4 {
+		t.Fatalf("auto-compacting log holds %d segments after %d acked appends, want a bounded handful", st.Segments, n)
+	}
+	// The unacked tail is still fully readable after compaction.
+	if _, err := l.Append(rec("t", n+1)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l.Records(uint64(n + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Seq != uint64(n+1) {
+		t.Fatalf("post-compact read-back = %+v", recs)
+	}
+}
+
+// TestAppendBatchGroupCommit: one AppendBatch call assigns contiguous
+// sequences in slice order, survives a reopen (scan compatibility), and
+// interleaves correctly with single appends.
+func TestAppendBatchGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(rec("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	batch := []*wire.Record{rec("a", 2), rec("b", 3), rec("a", 4)}
+	first, err := l.AppendBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 2 {
+		t.Fatalf("batch first seq = %d, want 2", first)
+	}
+	for i, r := range batch {
+		if r.Seq != uint64(2+i) {
+			t.Errorf("batch record %d assigned seq %d", i, r.Seq)
+		}
+	}
+	if _, err := l.Append(rec("b", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.NextSeq(); got != 6 {
+		t.Fatalf("reopened NextSeq = %d, want 6", got)
+	}
+	recs, err := l.Records(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range recs {
+		got = append(got, fmt.Sprintf("%d:%s:%d", r.Seq, r.Trigger, r.Args[0].AsInt()))
+	}
+	want := "1:a:1 2:a:2 3:b:3 4:a:4 5:b:5"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("read-back = %q, want %q", strings.Join(got, " "), want)
+	}
+
+	if _, err := l.AppendBatch(nil); err == nil {
+		t.Error("empty AppendBatch must error")
 	}
 }
