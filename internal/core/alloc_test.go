@@ -39,20 +39,21 @@ import (
 // allocating operator outputs on the heap again, or building per statement
 // what the engine, reldb or the evaluation context keeps for the next.
 //
-// firingBytesBudget is the other half, about 5 % above the measured 25,984
-// bytes, 17 KB of it the delivered <e0> and <e1> nodes, and above the 27,136
-// a firing takes when payloads are not integral, whose digits are reserved
-// at their longest (30,450 while a node was 88 bytes and a pass's first
+// firingBytesBudget is the other half, about 5 % above the 17,920 bytes a
+// firing takes when payloads are not integral, whose digits are reserved at
+// their longest, and 12 % above the measured 16,768, 8.4 KB of it the 264
+// delivered <e0> and <e1> nodes (25,984 and 27,136 while a node was 64
+// bytes, 30,450 while it was 88 bytes and a pass's first
 // tuple built object by object, 32,800 while the statement's bookkeeping
 // was built per statement, 73,870 while every
 // statement allocated its operators' outputs, 78,640 while the evaluation
 // context kept its memo and trails in maps, 97,072 while a tuple cell was
 // 48 bytes, not 24). A chunk allocator that rounds passes up, or pays for
 // itself per pass, lowers the count and raises this; so does anything that
-// widens xdm.Value.
+// widens xdm.Value or xdm.Node.
 const (
 	firingAllocBudget = 15
-	firingBytesBudget = 27_300
+	firingBytesBudget = 18_800
 )
 
 // raceEnabled is set by race_test.go: the race detector's instrumentation
@@ -166,11 +167,12 @@ func TestPointWriteAfterAHugeCommit(t *testing.T) {
 
 // ungroupedAllocBudget and ungroupedBytesBudget cap one leaf update under
 // 100 UNGROUPED members of which one is satisfied, about 10 % and 5 % above
-// the measured 13 objects and 25,912 bytes: what the satisfied member's
+// the measured 13 objects and 16,696 bytes: what the satisfied member's
 // firing delivers, as in firingAllocBudget. Each member's condition filters
 // the affected keys before anything is built, so the 99 others cost their
 // key filter, whose outputs take memory the statement's evaluation context
 // reuses from the statement before (see rejectedMemberAllocBudget). It read
+// 25,912 bytes while a node was 64 bytes;
 // 33 objects and 30,376 bytes while a node was 88 bytes and a pass's first
 // tuple built object by object; 59 objects and 32,664 bytes while the
 // statement's bookkeeping was built per statement; 4,338 objects and
@@ -181,7 +183,7 @@ func TestPointWriteAfterAHugeCommit(t *testing.T) {
 // element and dropped it.
 const (
 	ungroupedAllocBudget = 15
-	ungroupedBytesBudget = 27_250
+	ungroupedBytesBudget = 17_550
 )
 
 func TestUngroupedFiringAllocationBudget(t *testing.T) {
@@ -382,15 +384,16 @@ func TestEventGraphsShareTheCommitsWork(t *testing.T) {
 // batched commit under the UPDATE group: 1.1 times its bytes. The two
 // deliver nothing here, and the operators their graphs share with the UPDATE
 // graph — affected keys, both view sides — they take from it. Evaluating
-// them afresh cost about 1.6 times. The ratio measured 1.01 (248,578 bytes
-// per commit against 245,888; 286,317 against 283,632 while a node was 88
+// them afresh cost about 1.6 times. The ratio measured 1.02 (171,694 bytes
+// per commit against 169,006; 250,354 against 247,664 while a node was 64
+// bytes; 286,317 against 283,632 while a node was 88
 // bytes and a pass's first tuple built object by object; 321,479 against
 // 318,790 before that), and 1.02 (650,948 against 638,833) while every
 // commit allocated its operators' outputs. eventGraphsBytesBudget caps the
-// commit with all three groups, about 5 % above the measured 248,578.
+// commit with all three groups, about 5 % above the measured 171,694.
 const (
 	eventGraphsBytesRatio  = 1.1
-	eventGraphsBytesBudget = 261_000
+	eventGraphsBytesBudget = 180_300
 )
 
 func TestEventGraphsAllocationBudget(t *testing.T) {
@@ -421,16 +424,17 @@ func TestEventGraphsAllocationBudget(t *testing.T) {
 // like the batch-mixed benchmark's — 32 leaf writes under 8 top elements
 // (mixedCommit) under the UPDATE group of 512 grouped triggers, of which 16
 // notify, and the INSERT and DELETE groups beside it — about 10 % above the
-// measured 116. What is left is what the commit delivers and what its
+// measured 107. What is left is what the commit delivers and what its
 // writes are: the 16 notified elements' nodes, lists, lexical strings and
 // aggregate item sequences; one argument slab per firing; the transaction's
 // touched-key maps and net-delta array; the activation dedup set; and the
-// test's own writes (a row, a key and an update closure each). It was 250
+// test's own writes (a row, a key and an update closure each). It was 116
+// while a node was 64 bytes and a block held half as many, 250
 // while a pass's first tuple built its nodes object by object, and 671
 // while every row's sort key was a string, Definition 8 pruning keyed each
 // row by a packed string, ∇ was bucketed into a slice per key and every
 // staged activation and its arguments were allocated one by one.
-const commitAllocBudget = 128
+const commitAllocBudget = 118
 
 func TestCommitAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -617,9 +621,9 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 
 // durableFiringAllocBudget caps the heap allocations of one leaf update
 // whose firing notifies 20 triggers durably — one group append, 20
-// enqueues, 20 JSON lines into a file sink, 20 acks — about 10 % above the
-// measured 17, most of them the chunks the delivered nodes are cut from
-// (34 while a pass's first tuple built object by object). The delivery
+// enqueues, 20 JSON lines into a file sink, 20 acks — over the measured 15,
+// most of them the chunks the delivered nodes are cut from (17 when the
+// budget was set, 34 while a pass's first tuple built object by object). The delivery
 // path costs a few objects per wave: the staged items, one slab of tasks holding the
 // records, and the pointers the group append reads (100 while every
 // activation had its own record, delivery closure and lane array, 146
@@ -630,14 +634,15 @@ func TestRetainedChildPinsOneChunk(t *testing.T) {
 // is allocating per activation again, or encoding, framing or writing per
 // record. Its passes construct for eight tuples at most and most of them
 // for one, so durableFiringBytesBudget — about 5 % above the measured
-// 8,254 bytes (9,278 while a node was 88 bytes, 11,424 while every
+// 5,262 bytes (6,671 while a node was 64 bytes, 8,254 when that budget was
+// set, 9,278 while a node was 88 bytes, 11,424 while every
 // activation had its own record and closure, 13,937 to 13,945 while the bookkeeping was built per statement,
 // 27,330 to 27,460 while every statement allocated its operators' outputs,
 // 32,100 while the evaluation context kept its memo and trails in maps) —
 // is where a chunk allocator that costs a short pass anything shows.
 const (
 	durableFiringAllocBudget = 19
-	durableFiringBytesBudget = 8_700
+	durableFiringBytesBudget = 5_550
 )
 
 func TestDurableFiringAllocBudget(t *testing.T) {

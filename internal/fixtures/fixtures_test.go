@@ -85,7 +85,7 @@ func TestCatalogViewCompiles(t *testing.T) {
 		if p.Name != "product" || len(p.Attrs()) != 1 {
 			t.Fatalf("catalog child %s, want <product name=...>", p.Serialize(false))
 		}
-		names[p.Attrs()[0].Text] = len(p.Children())
+		names[p.Attrs()[0].Text()] = len(p.Children())
 	}
 	// CRT 15 has P1's three vendors and P3's two; LCD 19 has P2's two.
 	if len(names) != 2 || names["CRT 15"] != 5 || names["LCD 19"] != 2 {

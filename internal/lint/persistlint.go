@@ -5,13 +5,20 @@ import (
 	"strings"
 )
 
-// PersistLint enforces the crash-safety discipline for small durable
-// state files — directory checkpoints (*.ckpt), the dead-letter
-// quarantine (dead.log), persisted failure budgets, and the routing
-// store. The repo-wide contract is tmp-then-rename with CRC
-// framing: a torn write must be detectable (CRC frame) and must never
-// clobber the previous good state (rename is atomic; the tmp file takes
-// the torn bytes).
+// PersistLint enforces the crash-safety discipline for the small durable
+// state files beside the outbox's segments: the shard router's directory
+// checkpoint (*.ckpt) and its delta log (dir.delta), and the outbox's ack
+// watermark (ack). A whole-file write such as a checkpoint goes
+// tmp-then-rename with CRC framing: a torn write must be detectable (CRC
+// frame) and must never clobber the previous good state (rename is atomic;
+// the tmp file takes the torn bytes). The delta log and the ack are opened
+// with os.OpenFile and written in place (rule 3): a torn delta frame is
+// truncated at open, and a short ack (a torn first write) reads as zero,
+// which redelivers.
+//
+// No code writes dead.log any more (the outbox quarantines nothing), but it
+// stays a protected name, so that nothing writes a file by that name
+// outside a durable store unguarded.
 //
 // Rules, inside the durable packages (internal/outbox, internal/shard):
 //
@@ -27,7 +34,7 @@ import (
 // os.Create is flagged: only the blessed stores may touch those files.
 var PersistLint = &Analyzer{
 	Name:    "persistlint",
-	Doc:     "checkpoint/ack/budget files are written tmp-then-rename with CRC framing by their owning stores",
+	Doc:     "checkpoints are written tmp-then-rename with CRC framing, and the delta log and ack through os.OpenFile, by their owning stores",
 	Applies: pathIn("internal"),
 	Run:     runPersistLint,
 }

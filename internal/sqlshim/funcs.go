@@ -108,7 +108,7 @@ func evalPathStep(en *env, x *CallE) (xdm.Value, error) {
 		case "attribute":
 			if name == "*" {
 				for _, a := range n.Attrs() {
-					out = append(out, xdm.ParseTyped(a.Text))
+					out = append(out, xdm.ParseTyped(a.Text()))
 				}
 			} else if av, ok := n.Attribute(name); ok {
 				out = append(out, xdm.ParseTyped(av))

@@ -171,14 +171,14 @@ func appendMaybeNode(dst []byte, n *xdm.Node, m *Memo) []byte {
 // children) rather than as serialized XML: XML parsing normalizes
 // whitespace-only text nodes away, which would break round-trip equality.
 func appendNode(dst []byte, n *xdm.Node) []byte {
-	switch n.Kind {
+	switch n.Kind() {
 	case xdm.ElementNode:
 		dst = append(dst, tagElem)
 		dst = appendString(dst, n.Name)
 		dst = binary.AppendUvarint(dst, uint64(len(n.Attrs())))
 		for _, a := range n.Attrs() {
 			dst = appendString(dst, a.Name)
-			dst = appendString(dst, a.Text)
+			dst = appendString(dst, a.Text())
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(n.Children())))
 		for _, c := range n.Children() {
@@ -188,10 +188,10 @@ func appendNode(dst []byte, n *xdm.Node) []byte {
 	case xdm.AttributeNode:
 		dst = append(dst, tagAttr)
 		dst = appendString(dst, n.Name)
-		return appendString(dst, n.Text)
+		return appendString(dst, n.Text())
 	default: // TextNode
 		dst = append(dst, tagText)
-		return appendString(dst, n.Text)
+		return appendString(dst, n.Text())
 	}
 }
 
@@ -408,20 +408,21 @@ func (d *decoder) node() (*xdm.Node, error) {
 		}
 		return xdm.NewNode(xdm.ElementNode, name, "", int(na), content), nil
 	case tagAttr:
-		n := &xdm.Node{Kind: xdm.AttributeNode}
-		if n.Name, err = d.string(); err != nil {
+		name, err := d.string()
+		if err != nil {
 			return nil, err
 		}
-		if n.Text, err = d.string(); err != nil {
+		text, err := d.string()
+		if err != nil {
 			return nil, err
 		}
-		return n, nil
+		return xdm.Attr(name, text), nil
 	case tagText:
-		n := &xdm.Node{Kind: xdm.TextNode}
-		if n.Text, err = d.string(); err != nil {
+		text, err := d.string()
+		if err != nil {
 			return nil, err
 		}
-		return n, nil
+		return xdm.TextNd(text), nil
 	default:
 		return nil, fmt.Errorf("wire: unknown node tag %d at offset %d", tag, d.pos-1)
 	}
@@ -459,11 +460,11 @@ func nodeEqual(a, b *xdm.Node) bool {
 		return a == b
 	}
 	aa, ba, ac, bc := a.Attrs(), b.Attrs(), a.Children(), b.Children()
-	if a.Kind != b.Kind || a.Name != b.Name || a.Text != b.Text || len(aa) != len(ba) || len(ac) != len(bc) {
+	if a.Kind() != b.Kind() || a.Name != b.Name || a.Text() != b.Text() || len(aa) != len(ba) || len(ac) != len(bc) {
 		return false
 	}
 	for i := range aa {
-		if aa[i].Name != ba[i].Name || aa[i].Text != ba[i].Text {
+		if aa[i].Name != ba[i].Name || aa[i].Text() != ba[i].Text() {
 			return false
 		}
 	}
@@ -583,7 +584,7 @@ func appendJSONNode(dst []byte, n *xdm.Node) []byte {
 	if n == nil {
 		return append(dst, "null"...)
 	}
-	switch n.Kind {
+	switch n.Kind() {
 	case xdm.ElementNode:
 		dst = append(dst, `{"kind":"elem"`...)
 	case xdm.AttributeNode:
@@ -595,9 +596,9 @@ func appendJSONNode(dst []byte, n *xdm.Node) []byte {
 		dst = append(dst, `,"name":`...)
 		dst = appendJSONString(dst, n.Name)
 	}
-	if n.Text != "" {
+	if t := n.Text(); t != "" {
 		dst = append(dst, `,"text":`...)
-		dst = appendJSONString(dst, n.Text)
+		dst = appendJSONString(dst, t)
 	}
 	if len(n.Attrs()) > 0 {
 		dst = append(dst, `,"attrs":[`...)
@@ -608,7 +609,7 @@ func appendJSONNode(dst []byte, n *xdm.Node) []byte {
 			dst = append(dst, '[')
 			dst = appendJSONString(dst, a.Name)
 			dst = append(dst, ',')
-			dst = appendJSONString(dst, a.Text)
+			dst = appendJSONString(dst, a.Text())
 			dst = append(dst, ']')
 		}
 		dst = append(dst, ']')
@@ -767,20 +768,43 @@ func parseEvent(s string) (reldb.Event, error) {
 	return 0, fmt.Errorf("wire: unknown event %q", s)
 }
 
+// ShapeError is the JSON decoder's error for a node its kind cannot hold:
+// an element with text, or an attribute or text node with attributes or
+// children. AppendJSON never writes one, and the binary form cannot express
+// one.
+type ShapeError struct {
+	Kind  string // the node's "kind": "elem", "attr" or "text"
+	Name  string // the node's name
+	Field string // what its kind cannot hold: "text", "attrs" or "children"
+}
+
+func (e *ShapeError) Error() string {
+	return fmt.Sprintf("wire: %s node %q has %s, which its kind cannot hold", e.Kind, e.Name, e.Field)
+}
+
 // fromJSONNode needs no explicit depth cap: encoding/json itself rejects
 // documents nested deeper than 10000, which bounds this recursion.
 func fromJSONNode(jn *jsonNode) (*xdm.Node, error) {
 	if jn == nil {
 		return nil, nil
 	}
-	var k xdm.NodeKind
 	switch jn.Kind {
 	case "elem":
-		k = xdm.ElementNode
-	case "attr":
-		k = xdm.AttributeNode
-	case "text":
-		k = xdm.TextNode
+		if jn.Text != "" {
+			return nil, &ShapeError{Kind: jn.Kind, Name: jn.Name, Field: "text"}
+		}
+	case "attr", "text":
+		switch {
+		case len(jn.Attrs) > 0:
+			return nil, &ShapeError{Kind: jn.Kind, Name: jn.Name, Field: "attrs"}
+		case len(jn.Children) > 0:
+			return nil, &ShapeError{Kind: jn.Kind, Name: jn.Name, Field: "children"}
+		}
+		k := xdm.AttributeNode
+		if jn.Kind == "text" {
+			k = xdm.TextNode
+		}
+		return xdm.NewNode(k, jn.Name, jn.Text, 0, nil), nil
 	default:
 		return nil, fmt.Errorf("wire: unknown node kind %q", jn.Kind)
 	}
@@ -795,7 +819,7 @@ func fromJSONNode(jn *jsonNode) (*xdm.Node, error) {
 		}
 		content = append(content, c)
 	}
-	return xdm.NewNode(k, jn.Name, jn.Text, len(jn.Attrs), content), nil
+	return xdm.NewNode(xdm.ElementNode, jn.Name, "", len(jn.Attrs), content), nil
 }
 
 func fromJSONValues(js []jsonValue) ([]xdm.Value, error) {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -164,6 +165,9 @@ func FuzzJSON(f *testing.F) {
 	for _, src := range malformedJSONNodes {
 		f.Add([]byte(src))
 	}
+	for _, c := range shapeJSONNodes {
+		f.Add([]byte(shapeJSONRecords(c.src)[0]))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var r Record
 		if err := json.Unmarshal(b, &r); err != nil {
@@ -233,8 +237,8 @@ func toJSONNode(n *xdm.Node) *jsonNode {
 	if n == nil {
 		return nil
 	}
-	jn := &jsonNode{Name: n.Name, Text: n.Text}
-	switch n.Kind {
+	jn := &jsonNode{Name: n.Name, Text: n.Text()}
+	switch n.Kind() {
 	case xdm.ElementNode:
 		jn.Kind = "elem"
 	case xdm.AttributeNode:
@@ -243,7 +247,7 @@ func toJSONNode(n *xdm.Node) *jsonNode {
 		jn.Kind = "text"
 	}
 	for _, a := range n.Attrs() {
-		jn.Attrs = append(jn.Attrs, [2]string{a.Name, a.Text})
+		jn.Attrs = append(jn.Attrs, [2]string{a.Name, a.Text()})
 	}
 	for _, c := range n.Children() {
 		jn.Children = append(jn.Children, toJSONNode(c))
@@ -364,14 +368,54 @@ func TestAppendJSONMatchesReference(t *testing.T) {
 	for _, v := range values {
 		checkAppendJSON(t, &Record{Args: []xdm.Value{v}})
 	}
-	// Shapes only hand-built trees have: an element carrying text, an
-	// attribute carrying children, a nil child, an event outside the enum.
-	odd := xdm.NewNode(xdm.AttributeNode, "a", "t", 1,
-		[]*xdm.Node{xdm.Attr("k", "v"), xdm.NewNode(xdm.ElementNode, "e", "elem text", 0, nil), nil})
+	// What only hand-built records have: an attribute among an element's
+	// children, a nil child, an event outside the enum.
+	odd := xdm.NewNode(xdm.ElementNode, "e", "", 1,
+		[]*xdm.Node{xdm.Attr("k", "v"), xdm.Attr("late", "x"), nil, xdm.TextNd("t")})
 	if want, err := referenceJSON(&Record{Event: 9, Old: odd}); err != nil {
 		t.Fatal(err)
 	} else if got := AppendJSON(nil, &Record{Event: 9, Old: odd}); !bytes.Equal(got, want) {
 		t.Fatalf("hand-built tree\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// shapeJSONNodes are JSON nodes no xdm.Node can hold, each with the kind and
+// the field the decoder's ShapeError names.
+var shapeJSONNodes = []struct{ src, kind, field string }{
+	{`{"kind":"elem","name":"e","text":"elem text"}`, "elem", "text"},
+	{`{"kind":"attr","name":"a","text":"t","attrs":[["k","v"]]}`, "attr", "attrs"},
+	{`{"kind":"attr","name":"a","text":"t","children":[{"kind":"elem","name":"e"}]}`, "attr", "children"},
+	{`{"kind":"text","text":"t","attrs":[["k","v"]]}`, "text", "attrs"},
+	{`{"kind":"text","text":"t","children":[null]}`, "text", "children"},
+}
+
+// shapeJSONRecords puts each of shapeJSONNodes where a record holds a node:
+// OLD, deep in NEW, and an argument.
+func shapeJSONRecords(node string) []string {
+	return []string{
+		`{"trigger":"t","event":"UPDATE","old":` + node + `}`,
+		`{"trigger":"t","event":"UPDATE","new":{"kind":"elem","name":"r","children":[{"kind":"elem","name":"c","children":[` + node + `]}]}}`,
+		`{"trigger":"t","event":"UPDATE","args":[{"kind":"node","node":` + node + `}]}`,
+	}
+}
+
+// The JSON decoder refuses what AppendJSON never writes and a node cannot
+// hold: an element with text, an attribute or text node with attributes or
+// children.
+func TestJSONRejectsShapesNodesCannotHold(t *testing.T) {
+	for _, c := range shapeJSONNodes {
+		for _, src := range shapeJSONRecords(c.src) {
+			var r Record
+			err := json.Unmarshal([]byte(src), &r)
+			var se *ShapeError
+			if !errors.As(err, &se) {
+				t.Errorf("%s: got error %v, want a *ShapeError", src, err)
+				continue
+			}
+			if se.Kind != c.kind || se.Field != c.field {
+				t.Errorf("%s: ShapeError names %s's %s, want %s's %s", src, se.Kind, se.Field, c.kind, c.field)
+			}
+		}
 	}
 }
 

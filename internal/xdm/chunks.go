@@ -35,7 +35,8 @@ import (
 //   - Every list handed out has cap == len, so an AppendChild on a delivered
 //     node reallocates that node's list instead of writing into its
 //     neighbour's. (Delivered nodes are immutable by contract; this keeps a
-//     breach local.)
+//     breach local. A Node keeps its list's start and length, not its
+//     capacity, so the rule holds for any list it is given.)
 //   - A block is bounded — maxChunkNodes, maxChunkSlots, maxChunkText, under
 //     32 KB between them — and its three chunks are replaced together, between
 //     tuples, never one at a time: a pointer into a chunk keeps all of it
@@ -141,12 +142,12 @@ var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 // longest float appendNumber writes, "-1.2345678901234567e-308".
 const MaxNumberBytes = 24
 
-// Chunk bounds. A Node is 64 bytes: 340 of them fill Go's 21,760-byte size
+// Chunk bounds. A Node is 32 bytes: 680 of them fill Go's 21,760-byte size
 // class exactly. A float's digits may be reserved at MaxNumberBytes, so the
 // text chunk has room for 170 of them; the three chunks come to 29,952
 // bytes.
 const (
-	maxChunkNodes = 340
+	maxChunkNodes = 680
 	maxChunkSlots = 512 // 4 KB of list
 	maxChunkText  = 4096
 )
@@ -210,7 +211,7 @@ func (c *Chunks) lexical(v Value) string {
 // assembles it.
 func (c *Chunks) Elem(name string, vs ...Value) *Node {
 	n := c.node()
-	n.Kind, n.Name = ElementNode, name
+	n.Name = name
 	n.AppendContent(c, vs...)
 	return n
 }
@@ -218,13 +219,14 @@ func (c *Chunks) Elem(name string, vs ...Value) *Node {
 // Attr constructs an attribute node whose value is v's lexical form.
 func (c *Chunks) Attr(name string, v Value) *Node {
 	n := c.node()
-	n.Kind, n.Name, n.Text = AttributeNode, name, c.lexical(v)
+	n.Name = name
+	n.setText(AttributeNode, c.lexical(v))
 	return n
 }
 
 // text constructs a text node holding v's lexical form.
 func (c *Chunks) text(v Value) *Node {
 	n := c.node()
-	n.Kind, n.Text = TextNode, c.lexical(v)
+	n.setText(TextNode, c.lexical(v))
 	return n
 }

@@ -82,8 +82,8 @@ func TestChunksListsHaveNoSpareCapacity(t *testing.T) {
 	nodes := buildPass(&c, is, fs)
 	for i, n := range nodes {
 		for _, x := range []*Node{n, n.Children()[0]} {
-			if cap(x.content) != len(x.content) {
-				t.Fatalf("tuple %d: a list of %d has capacity %d", i, len(x.content), cap(x.content))
+			if cap(x.content()) != len(x.content()) {
+				t.Fatalf("tuple %d: a list of %d has capacity %d", i, len(x.content()), cap(x.content()))
 			}
 		}
 	}
@@ -162,12 +162,12 @@ func TestChunksRetainedTuplePinsOneBlock(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
-// The bounds are what the godoc says: a node is 64 bytes, a chunk of nodes
+// The bounds are what the godoc says: a node is 32 bytes, a chunk of nodes
 // fills the 21,760-byte size class exactly, and the three chunks a node can
 // pin fit in 32 KB.
 func TestChunkBounds(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 64 {
-		t.Errorf("a Node is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(Node{}); got != 32 {
+		t.Errorf("a Node is %d bytes, want 32", got)
 	}
 	if got := maxChunkNodes * int(unsafe.Sizeof(Node{})); got != 21760 {
 		t.Errorf("a chunk of %d nodes is %d bytes, want the 21,760-byte size class filled", maxChunkNodes, got)

@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -20,10 +21,19 @@ const (
 
 // Node is an XML node. Elements have a Name and content: attribute nodes
 // (Attrs) and child element and text nodes (Children), kept in one list
-// with the attributes first, their count stored next to Kind. Attribute and
-// text nodes carry their string content in Text. Nodes form trees; the
-// model is ordered (document order = list order). The layout keeps a node
-// at 64 bytes, so a block of Chunks holds 340 of them.
+// with the attributes first. Attribute and text nodes have a Name (empty for
+// text) and a string, Text, and no content; an element has no text. Nodes
+// form trees; the model is ordered (document order = list order). The zero
+// Node is an element with no name and no content.
+//
+// The layout keeps a node at 32 bytes, so a block of Chunks holds 680 of
+// them: the name, one pointer, a length and a word holding the kind and the
+// attribute count. Which of text and content a node has follows from its
+// kind, so the two share the pointer and the length, the way Value's one
+// pointer is a string's bytes, a node or a sequence; the casts live in
+// value.go with Value's (nodeRef). An empty text or list keeps nil. A
+// node holds at most math.MaxUint32 bytes of text or entries of content, and
+// an element at most maxAttrs attributes.
 //
 // A node is immutable once the code that constructed it hands it out:
 // AppendChild/AppendContent are for the constructor that still owns the
@@ -32,83 +42,163 @@ const (
 // operators' outputs, may point into the same subtrees), and nodes cross
 // goroutines through the dispatcher without synchronisation.
 type Node struct {
-	Kind    NodeKind
-	nattrs  uint32 // content[:nattrs] are the attributes
-	Name    string // element/attribute name; empty for text nodes
-	Text    string // attribute value or text content
-	content []*Node
+	Name string  // element/attribute name; empty for text nodes
+	ref  nodeRef // the text's bytes, or an element's content list
+	n    uint32  // bytes of text or entries of content
+	meta uint32  // the kind in the low kindBits bits, the attribute count above
 }
 
-// NewNode returns a node of kind k whose first attrs content nodes are its
-// attributes and the rest its children, whatever their kinds: the
-// constructor of decoders, which rebuild a node as it was encoded. The node
-// keeps content as its list.
+// kindBits is the width of the kind in Node.meta; maxAttrs is the most
+// attributes the rest of the word counts.
+const (
+	kindBits = 2
+	maxAttrs = math.MaxUint32 >> kindBits
+)
+
+// Kind reports the node's kind.
+func (n *Node) Kind() NodeKind { return NodeKind(n.meta & (1<<kindBits - 1)) }
+
+// Text returns an attribute's value or a text node's content; "" for an
+// element.
+func (n *Node) Text() string {
+	if n.Kind() == ElementNode {
+		return ""
+	}
+	return n.ref.text(n.n)
+}
+
+// nattrs is the number of attributes, the first entries of content().
+func (n *Node) nattrs() int { return int(n.meta >> kindBits) }
+
+// content is an element's list, attributes first; nil for other kinds.
+func (n *Node) content() []*Node {
+	if n.Kind() != ElementNode {
+		return nil
+	}
+	return n.ref.list(n.n)
+}
+
+// setText makes n a node of kind k holding s.
+func (n *Node) setText(k NodeKind, s string) {
+	n.ref, n.n, n.meta = textRef(s), length(len(s)), uint32(k)
+}
+
+// setContent makes n an element whose list is l, its first attrs entries
+// the attributes.
+func (n *Node) setContent(l []*Node, attrs int) {
+	if attrs < 0 || attrs > len(l) || attrs > maxAttrs {
+		panic(fmt.Sprintf("xdm: %d attributes in a list of %d", attrs, len(l)))
+	}
+	n.ref, n.n, n.meta = listRef(l), length(len(l)), uint32(ElementNode)|uint32(attrs)<<kindBits
+}
+
+// length checks that a node can hold k bytes or entries.
+func length(k int) uint32 {
+	if uint64(k) > math.MaxUint32 {
+		panic(fmt.Sprintf("xdm: %d bytes or entries do not fit a node", k))
+	}
+	return uint32(k)
+}
+
+// NewNode returns a node of kind k: for an element, one whose first attrs
+// content nodes are its attributes and the rest its children, whatever
+// their kinds (nil included); for an attribute or a text node, one holding
+// text. It is the constructor of decoders, which rebuild a node as it was
+// encoded. The node holds exactly the XML data model's shapes: an element
+// has no text, and an attribute or text node has no attributes or children.
+// A decoder rejects any other shape before calling NewNode, which panics on
+// one, as it does on an unknown kind. An element keeps content as its list
+// (without its spare capacity).
 func NewNode(k NodeKind, name, text string, attrs int, content []*Node) *Node {
-	return &Node{Kind: k, nattrs: uint32(attrs), Name: name, Text: text, content: content}
+	n := &Node{Name: name}
+	switch {
+	case k == ElementNode && text == "":
+		n.setContent(content, attrs)
+	case (k == AttributeNode || k == TextNode) && attrs == 0 && len(content) == 0:
+		n.setText(k, text)
+	default:
+		panic(fmt.Sprintf("xdm: no node of kind %d has text %q, %d attributes and %d content nodes", k, text, attrs, len(content)))
+	}
+	return n
 }
 
 // Attrs returns the attribute nodes of an element. The slice has no spare
 // capacity, so appending to it never writes over the children.
-func (n *Node) Attrs() []*Node { return n.content[:n.nattrs:n.nattrs] }
+func (n *Node) Attrs() []*Node {
+	na := n.nattrs()
+	return n.content()[:na:na]
+}
 
 // Children returns the child element and text nodes of an element.
-func (n *Node) Children() []*Node { return n.content[n.nattrs:] }
+func (n *Node) Children() []*Node { return n.content()[n.nattrs():] }
 
 // Elem constructs an element node with the given children. Attribute nodes
 // in children become its attributes, in order; everything else becomes
 // child content. Nil children are skipped.
 func Elem(name string, children ...*Node) *Node {
-	e := &Node{Kind: ElementNode, Name: name}
-	k := 0
+	e := &Node{Name: name}
+	k, na := 0, 0
 	for _, c := range children {
 		if c != nil {
 			k++
-			if c.Kind == AttributeNode {
-				e.nattrs++
+			if c.Kind() == AttributeNode {
+				na++
 			}
 		}
 	}
 	if k == 0 {
 		return e
 	}
-	e.content = make([]*Node, k)
-	a, i := 0, int(e.nattrs)
+	l := make([]*Node, k)
+	a, i := 0, na
 	for _, c := range children {
 		switch {
 		case c == nil:
-		case c.Kind == AttributeNode:
-			e.content[a] = c
+		case c.Kind() == AttributeNode:
+			l[a] = c
 			a++
 		default:
-			e.content[i] = c
+			l[i] = c
 			i++
 		}
 	}
+	e.setContent(l, na)
 	return e
 }
 
 // Attr constructs an attribute node.
 func Attr(name, value string) *Node {
-	return &Node{Kind: AttributeNode, Name: name, Text: value}
+	n := &Node{Name: name}
+	n.setText(AttributeNode, value)
+	return n
 }
 
-// Text constructs a text node.
+// TextNd constructs a text node.
 func TextNd(s string) *Node {
-	return &Node{Kind: TextNode, Text: s}
+	n := new(Node)
+	n.setText(TextNode, s)
+	return n
 }
 
 // AppendChild appends c to the element's content (or attributes when c is
-// an attribute node) and returns n for chaining.
+// an attribute node) and returns n for chaining. Each call replaces the
+// element's list with a longer one: a constructor that appends many
+// children collects them first.
 func (n *Node) AppendChild(c *Node) *Node {
 	if c == nil {
 		return n
 	}
-	if c.Kind == AttributeNode {
-		n.content = slices.Insert(n.content, int(n.nattrs), c)
-		n.nattrs++
-	} else {
-		n.content = append(n.content, c)
+	if n.Kind() != ElementNode {
+		panic("xdm: AppendChild to an attribute or text node")
 	}
+	l, na := n.content(), n.nattrs()
+	if c.Kind() == AttributeNode {
+		l = slices.Insert(l, na, c)
+		na++
+	} else {
+		l = append(l, c)
+	}
+	n.setContent(l, na)
 	return n
 }
 
@@ -125,24 +215,24 @@ func (n *Node) AppendContent(c *Chunks, vs ...Value) {
 	if attrs+children == 0 {
 		return
 	}
-	na := int(n.nattrs)
-	l := c.list(len(n.content) + attrs + children)
-	copy(l, n.content[:na])
-	copy(l[na+attrs:], n.content[na:])
-	a, k := na, len(n.content)+attrs // where the new attributes and children go
-	n.content, n.nattrs = l, uint32(na+attrs)
-	n.fill(c, vs, &a, &k)
+	old, na := n.content(), n.nattrs()
+	l := c.list(len(old) + attrs + children)
+	copy(l, old[:na])
+	copy(l[na+attrs:], old[na:])
+	a, k := na, len(old)+attrs // where the new attributes and children go
+	fill(c, l, vs, &a, &k)
+	n.setContent(l, na+attrs)
 }
 
-// fill stores the content vs makes in n's list at *a (attributes) and *k
-// (the rest), advancing them.
-func (n *Node) fill(c *Chunks, vs []Value, a, k *int) {
+// fill stores the content vs makes in l at *a (attributes) and *k (the
+// rest), advancing them.
+func fill(c *Chunks, l []*Node, vs []Value, a, k *int) {
 	for _, v := range vs {
 		var x *Node
 		switch v.kind {
 		case KindNull:
 		case KindSeq:
-			n.fill(c, v.seq(), a, k)
+			fill(c, l, v.seq(), a, k)
 		case KindNode:
 			x = v.node()
 		default:
@@ -150,11 +240,11 @@ func (n *Node) fill(c *Chunks, vs []Value, a, k *int) {
 		}
 		switch {
 		case x == nil:
-		case x.Kind == AttributeNode:
-			n.content[*a] = x
+		case x.Kind() == AttributeNode:
+			l[*a] = x
 			*a++
 		default:
-			n.content[*k] = x
+			l[*k] = x
 			*k++
 		}
 	}
@@ -168,7 +258,7 @@ func contentLen(vs []Value) (attrs, children int) {
 		case v.kind == KindSeq:
 			a, c := contentLen(v.seq())
 			attrs, children = attrs+a, children+c
-		case v.kind == KindNode && v.node().Kind == AttributeNode:
+		case v.kind == KindNode && v.node().Kind() == AttributeNode:
 			attrs++
 		default:
 			children++
@@ -181,7 +271,7 @@ func contentLen(vs []Value) (attrs, children int) {
 func (n *Node) Attribute(name string) (string, bool) {
 	for _, a := range n.Attrs() {
 		if a.Name == name {
-			return a.Text, true
+			return a.Text(), true
 		}
 	}
 	return "", false
@@ -192,7 +282,7 @@ func (n *Node) Attribute(name string) (string, bool) {
 func (n *Node) ChildElements(name string) []*Node {
 	var out []*Node
 	for _, c := range n.Children() {
-		if c.Kind == ElementNode && (name == "*" || c.Name == name) {
+		if c.Kind() == ElementNode && (name == "*" || c.Name == name) {
 			out = append(out, c)
 		}
 	}
@@ -203,7 +293,7 @@ func (n *Node) ChildElements(name string) []*Node {
 // matching name ("*" for any), in document order.
 func (n *Node) Descendants(name string, out []*Node) []*Node {
 	for _, c := range n.Children() {
-		if c.Kind != ElementNode {
+		if c.Kind() != ElementNode {
 			continue
 		}
 		if name == "*" || c.Name == name {
@@ -220,9 +310,8 @@ func (n *Node) TextContent() string {
 	if n == nil {
 		return ""
 	}
-	switch n.Kind {
-	case TextNode, AttributeNode:
-		return n.Text
+	if n.Kind() != ElementNode {
+		return n.Text()
 	}
 	var sb strings.Builder
 	n.writeText(&sb)
@@ -231,9 +320,9 @@ func (n *Node) TextContent() string {
 
 func (n *Node) writeText(sb *strings.Builder) {
 	for _, c := range n.Children() {
-		switch c.Kind {
+		switch c.Kind() {
 		case TextNode:
-			sb.WriteString(c.Text)
+			sb.WriteString(c.Text())
 		case ElementNode:
 			c.writeText(sb)
 		}
@@ -248,16 +337,18 @@ func (n *Node) DeepEqual(m *Node) bool {
 	if n == m || n == nil || m == nil {
 		return n == m
 	}
-	if n.Kind != m.Kind || n.Name != m.Name || n.Text != m.Text {
+	// meta is the kind and the attribute count, n the text's or the list's
+	// length.
+	if n.meta != m.meta || n.n != m.n || n.Name != m.Name {
 		return false
 	}
-	if n.nattrs != m.nattrs || len(n.content) != len(m.content) {
-		return false
+	if n.Kind() != ElementNode {
+		return n.Text() == m.Text()
 	}
 	// Attribute lists are short: a nested loop, no map.
 	attrs := n.Attrs()
 	for _, b := range m.Attrs() {
-		if i := slices.IndexFunc(attrs, func(a *Node) bool { return a.Name == b.Name }); i < 0 || attrs[i].Text != b.Text {
+		if i := slices.IndexFunc(attrs, func(a *Node) bool { return a.Name == b.Name }); i < 0 || attrs[i].Text() != b.Text() {
 			return false
 		}
 	}
@@ -286,10 +377,10 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 	if indent {
 		pad = strings.Repeat("  ", depth)
 	}
-	switch n.Kind {
+	switch n.Kind() {
 	case TextNode:
 		sb.WriteString(pad)
-		escapeText(sb, n.Text)
+		escapeText(sb, n.Text())
 		if indent {
 			sb.WriteByte('\n')
 		}
@@ -298,7 +389,7 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 		sb.WriteString(pad)
 		sb.WriteString(n.Name)
 		sb.WriteString(`="`)
-		escapeAttr(sb, n.Text)
+		escapeAttr(sb, n.Text())
 		sb.WriteString(`"`)
 		if indent {
 			sb.WriteByte('\n')
@@ -317,7 +408,7 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 			sb.WriteByte(' ')
 			sb.WriteString(a.Name)
 			sb.WriteString(`="`)
-			escapeAttr(sb, a.Text)
+			escapeAttr(sb, a.Text())
 			sb.WriteString(`"`)
 		}
 		kids := n.Children()
@@ -331,7 +422,7 @@ func (n *Node) serialize(sb *strings.Builder, indent bool, depth int) {
 		sb.WriteByte('>')
 		onlyText := true
 		for _, c := range kids {
-			if c.Kind != TextNode {
+			if c.Kind() != TextNode {
 				onlyText = false
 				break
 			}
@@ -439,7 +530,10 @@ func (p *xmlParser) parseElement() (*Node, error) {
 	if p.depth++; p.depth > maxParseDepth {
 		return nil, fmt.Errorf("xdm: elements nest deeper than %d levels at offset %d", maxParseDepth, p.pos)
 	}
-	e := &Node{Kind: ElementNode, Name: name}
+	// The content is collected here and stored once: each store replaces
+	// the element's list, so storing child by child would copy it each time.
+	var content []*Node
+	na := 0
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.src) {
@@ -448,7 +542,7 @@ func (p *xmlParser) parseElement() (*Node, error) {
 		if strings.HasPrefix(p.src[p.pos:], "/>") {
 			p.pos += 2
 			p.depth--
-			return e, nil
+			return NewNode(ElementNode, name, "", na, content), nil
 		}
 		if p.src[p.pos] == '>' {
 			p.pos++
@@ -476,8 +570,8 @@ func (p *xmlParser) parseElement() (*Node, error) {
 		if p.pos >= len(p.src) {
 			return nil, fmt.Errorf("xdm: unterminated attribute value for %q", an)
 		}
-		e.content = append(e.content, Attr(an, unescape(p.src[start:p.pos])))
-		e.nattrs++
+		content = append(content, Attr(an, unescape(p.src[start:p.pos])))
+		na++
 		p.pos++
 	}
 	// Content.
@@ -497,14 +591,14 @@ func (p *xmlParser) parseElement() (*Node, error) {
 			}
 			p.pos++
 			p.depth--
-			return e, nil
+			return NewNode(ElementNode, name, "", na, content), nil
 		}
 		if p.src[p.pos] == '<' {
 			c, err := p.parseElement()
 			if err != nil {
 				return nil, err
 			}
-			e.content = append(e.content, c)
+			content = append(content, c)
 			continue
 		}
 		start := p.pos
@@ -513,7 +607,7 @@ func (p *xmlParser) parseElement() (*Node, error) {
 		}
 		txt := unescape(p.src[start:p.pos])
 		if strings.TrimSpace(txt) != "" {
-			e.content = append(e.content, TextNd(txt))
+			content = append(content, TextNd(txt))
 		}
 	}
 }

@@ -21,7 +21,7 @@ func catalogFixture() *Node {
 
 func TestElemConstruction(t *testing.T) {
 	n := catalogFixture()
-	if n.Name != "catalog" || n.Kind != ElementNode {
+	if n.Name != "catalog" || n.Kind() != ElementNode {
 		t.Fatal("root element wrong")
 	}
 	prods := n.ChildElements("product")
@@ -119,8 +119,8 @@ func TestAppendContentSizesListsExactly(t *testing.T) {
 		if len(e.Attrs()) != attrs+2 || len(e.Children()) != children+4 {
 			t.Errorf("%s: %d attributes and %d children, want %d and %d", name, len(e.Attrs()), len(e.Children()), attrs+2, children+4)
 		}
-		if cap(e.content) != len(e.content) {
-			t.Errorf("%s: list len %d cap %d, want no spare capacity", name, len(e.content), cap(e.content))
+		if cap(e.content()) != len(e.content()) {
+			t.Errorf("%s: list len %d cap %d, want no spare capacity", name, len(e.content()), cap(e.content()))
 		}
 	}
 }

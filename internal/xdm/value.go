@@ -65,11 +65,11 @@ func (k Kind) String() string {
 // kind and for the empty string and the nil sequence, which therefore pin
 // nothing.
 //
-// The casts that recover the typed pointer are the only unsafe code in the
-// module: the constructors Str, NodeVal and Seq store ptr, the accessors
-// str, node and seq read it back, and nothing else touches it. The one other
-// cast, in PointerFreeValues, views pointer-free memory as Values for the
-// values whose ptr is nil.
+// The casts that recover the typed pointer are, with Node's (nodeRef,
+// below), the only unsafe code in the module: the constructors Str, NodeVal
+// and Seq store ptr, the accessors str, node and seq read it back, and
+// nothing else touches it. The one other cast, in PointerFreeValues, views
+// pointer-free memory as Values for the values whose ptr is nil.
 //
 // Never compare Values with == or use one as a map key: with a pointer to
 // string data that would compare addresses, not contents. The first field
@@ -143,6 +143,37 @@ func (v Value) node() *Node { return (*Node)(v.ptr) }
 // and num as the data pointer and length of one slice (nil and 0 for a nil
 // one, which comes back nil).
 func (v Value) seq() []Value { return unsafe.Slice((*Value)(v.ptr), int(v.num)) }
+
+// nodeRef is a Node's one pointer: an attribute's or text node's bytes, or
+// an element's content list (its first entry), with the length kept beside
+// it in the Node. It is nil for an empty text or list, so it never points
+// past the end of anything. Like Value's ptr it is only ever set from a
+// string's or slice's data pointer, which the collector follows, and only
+// textRef, listRef, text and list touch it.
+type nodeRef struct{ p unsafe.Pointer }
+
+// textRef refers to the bytes of s.
+func textRef(s string) nodeRef {
+	if s == "" {
+		return nodeRef{}
+	}
+	return nodeRef{unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// listRef refers to the entries of l.
+func listRef(l []*Node) nodeRef {
+	if len(l) == 0 {
+		return nodeRef{}
+	}
+	return nodeRef{unsafe.Pointer(unsafe.SliceData(l))}
+}
+
+// text returns the n bytes textRef referred to as a string.
+func (r nodeRef) text(n uint32) string { return unsafe.String((*byte)(r.p), int(n)) }
+
+// list returns the n entries listRef referred to; the slice has no spare
+// capacity.
+func (r nodeRef) list(n uint32) []*Node { return unsafe.Slice((**Node)(r.p), int(n)) }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }

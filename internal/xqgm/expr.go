@@ -505,7 +505,7 @@ func (e *PathStep) Eval(env *Env) (xdm.Value, error) {
 			// so comparisons against numbers behave numerically.
 			if e.Name == "*" {
 				for _, a := range n.Attrs() {
-					out = append(out, xdm.ParseTyped(a.Text))
+					out = append(out, xdm.ParseTyped(a.Text()))
 				}
 			} else if av, ok := n.Attribute(e.Name); ok {
 				out = append(out, xdm.ParseTyped(av))
