@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -355,7 +356,8 @@ func main() {
 	}
 
 	stopProfiles := startProfiles()
-	start, failures := time.Now(), 0
+	start := time.Now()
+	var all []finding
 	for _, f := range picked {
 		cur, err := runFigure(f, *scaleFlag, repeats)
 		check(err)
@@ -372,14 +374,35 @@ func main() {
 		}
 		for _, fd := range findings {
 			fmt.Printf("  %-10s %s\n", fd.verdict, fd.msg)
-			if fd.verdict == fail {
-				failures++
-			}
 		}
+		all = append(all, findings...)
 	}
 	stopProfiles()
-	fmt.Printf("\n%s: %d figure(s) in %s, %d failure(s)\n", verb, len(picked), time.Since(start).Round(time.Second), failures)
-	if failures > 0 {
+	if summarize(os.Stdout, fmt.Sprintf("%s: %d figure(s) in %s", verb, len(picked), time.Since(start).Round(time.Second)), all) > 0 {
 		os.Exit(1)
 	}
+}
+
+// summarize writes every finding that is not ok again, in the order they
+// were reported, and then the summary line with the number of failures,
+// which it returns: a log cut to its last lines still names the figure and
+// the check that failed.
+func summarize(w io.Writer, summary string, findings []finding) (failures int) {
+	var notOK []finding
+	for _, fd := range findings {
+		if fd.verdict != pass {
+			notOK = append(notOK, fd)
+		}
+		if fd.verdict == fail {
+			failures++
+		}
+	}
+	if len(notOK) > 0 {
+		fmt.Fprintf(w, "\nnot ok (%d):\n", len(notOK))
+		for _, fd := range notOK {
+			fmt.Fprintf(w, "  %-10s %s\n", fd.verdict, fd.msg)
+		}
+	}
+	fmt.Fprintf(w, "\n%s, %d failure(s)\n", summary, failures)
+	return failures
 }

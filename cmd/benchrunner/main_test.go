@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -113,6 +115,39 @@ func TestCompileJoinShapeFailsWhereJoiningRecompiled(t *testing.T) {
 	}
 	if !failed {
 		t.Error("the join shape passes points where joining a group recompiles it")
+	}
+}
+
+// The findings that are not ok are printed again just before the summary
+// line, in the order they were reported, so the last lines of a long run's
+// log name every figure and check that failed or could not tell.
+func TestSummaryRepeatsWhatIsNotOK(t *testing.T) {
+	findings := []finding{
+		{pass, "fig17 UNGROUPED triggers=1: 800.0 allocs per update"},
+		{fail, "fig18 GROUPED triggers=10: 900.0 allocs per update, recorded 800.0 (bound +2%)"},
+	}
+	for i := 0; i < 40; i++ {
+		findings = append(findings, finding{pass, fmt.Sprintf("fig22 GROUPED depth=%d: ok", i)})
+	}
+	findings = append(findings, finding{unresolved, "fig23 shape: flat: GROUPED at 10 / GROUPED at 1 = 1.30 (1.10 within the spread), want <= 1.25"})
+	var out bytes.Buffer
+	if n := summarize(&out, "test: 3 figure(s) in 9s", findings); n != 1 {
+		t.Errorf("summarize counted %d failures, want 1", n)
+	}
+	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+	want := []string{
+		"not ok (2):",
+		"  FAIL       fig18 GROUPED triggers=10: 900.0 allocs per update, recorded 800.0 (bound +2%)",
+		"  unresolved fig23 shape: flat: GROUPED at 10 / GROUPED at 1 = 1.30 (1.10 within the spread), want <= 1.25",
+		"",
+		"test: 3 figure(s) in 9s, 1 failure(s)",
+	}
+	if len(lines) < len(want) || !slices.Equal(lines[len(lines)-len(want):], want) {
+		t.Errorf("summary ends\n%s\nwant it to end\n%s", out.String(), strings.Join(want, "\n"))
+	}
+	out.Reset()
+	if n := summarize(&out, "run: 1 figure(s) in 1s", findings[:1]); n != 0 || out.String() != "\nrun: 1 figure(s) in 1s, 0 failure(s)\n" {
+		t.Errorf("an all-ok summary = %q, %d failures; want the summary line alone", out.String(), n)
 	}
 }
 

@@ -3,6 +3,7 @@ package affected
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -120,7 +121,8 @@ func checkCommitAgainstOracle(t *testing.T, db *reldb.DB, label string, fn func(
 	}
 	deltas := map[string]*xqgm.Transition{}
 	for table, nd := range tx.Staged().Deltas {
-		deltas[table] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
+		// The commit's deltas are cleared when it finishes: copied, they outlive it.
+		deltas[table] = &xqgm.Transition{Inserted: slices.Clone(nd.Inserted), Deleted: slices.Clone(nd.Deleted)}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package affected
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,7 +107,8 @@ func TestRestrictAgreesWithSelect(t *testing.T) {
 		}
 		deltas := map[string]*xqgm.Transition{}
 		for table, nd := range tx.Staged().Deltas {
-			deltas[table] = &xqgm.Transition{Inserted: nd.Inserted, Deleted: nd.Deleted}
+			// The commit's deltas are cleared when it finishes: copied, they outlive it.
+			deltas[table] = &xqgm.Transition{Inserted: slices.Clone(nd.Inserted), Deleted: slices.Clone(nd.Deleted)}
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)

@@ -162,10 +162,10 @@ func (e *Engine) stage(ctx *reldb.FireContext, g *group, invs []Invocation) erro
 // commitWave returns the wave of the commit ctx prepares, staging its run
 // with the transaction on first use: a commit stages nothing else.
 func (e *Engine) commitWave(ctx *reldb.FireContext) *wave {
-	st := batchStateOf(ctx.Batch)
+	st := e.batchStateOf(ctx.Batch)
 	if st.wave.e == nil {
 		st.wave.e = e
-		ctx.Stage(st.wave.run)
+		ctx.Stage(st.run)
 	}
 	return &st.wave
 }

@@ -517,16 +517,18 @@ func (e *Engine) action(name string) ActionFunc {
 }
 
 // batchState is the engine's per-commit scratch riding on
-// BatchInfo.EngineState: activation dedup across the commit's plans, the
-// commit's wave (whose invocations the prepare check inspects), and the
-// one evaluation context over the commit's net deltas that every plan it
-// fires evaluates in, borrowed until the prepare phase ends. All firing
-// waves of one commit run on the committing goroutine, so no locking is
-// needed.
+// BatchInfo.EngineState: the commit's wave (whose invocations the prepare
+// check inspects), and the one evaluation context over the commit's net
+// deltas that every plan it fires evaluates in, borrowed until the prepare
+// phase ends — which also holds the commit's activation dedup set. All
+// firing waves of one commit run on the committing goroutine, so no locking
+// is needed. The engine keeps batch states for the next commits (see
+// evalPool.batch): one goes back when its wave has run.
 type batchState struct {
-	seen map[activation]struct{}
 	wave wave
 	eval *evalState
+	pool *evalPool
+	run  func() error // deliver, as the transaction stages it: built once
 }
 
 // stagedState returns a prepared transaction's batch state, or nil when
@@ -556,12 +558,13 @@ type activation struct {
 	new, old xdm.CompKey
 }
 
-// batchStateOf returns the commit's engine state, creating it on first use.
-func batchStateOf(b *reldb.BatchInfo) *batchState {
+// batchStateOf returns the commit's engine state, borrowing one on first
+// use.
+func (e *Engine) batchStateOf(b *reldb.BatchInfo) *batchState {
 	if st, ok := b.EngineState.(*batchState); ok {
 		return st
 	}
-	st := &batchState{seen: map[activation]struct{}{}}
+	st := e.evals.batch()
 	b.EngineState = st
 	return st
 }
@@ -1024,7 +1027,7 @@ func (e *Engine) fireBatch(g *group, plan *installedPlan, ctx *reldb.FireContext
 			defer sp.End()
 		}
 	}
-	st := batchStateOf(ctx.Batch)
+	st := e.batchStateOf(ctx.Batch)
 	if st.eval == nil {
 		st.eval = e.evals.commit(ctx.Batch.Deltas)
 	}
@@ -1055,7 +1058,10 @@ func (e *Engine) activations(g *group, plan *installedPlan, es *evalState, ctx *
 	}
 	var seen map[activation]struct{}
 	if ctx.Batch != nil {
-		seen = batchStateOf(ctx.Batch).seen
+		if es.seen == nil {
+			es.seen = map[activation]struct{}{}
+		}
+		seen = es.seen
 	}
 	// The plan takes what another group's plan computed in this context
 	// (an UNGROUPED group's members are one owner: each evaluates its own
@@ -1195,13 +1201,32 @@ func (es *evalState) invoke(g *group, plan *installedPlan, seen map[activation]s
 			if err != nil {
 				return err
 			}
-			args[i] = v
+			args[i] = onHeap(v)
 		}
 		es.env.In = [2][]xdm.Value{}
 	}
 	es.invs = append(es.invs, Invocation{Trigger: name, Event: g.event,
 		Old: row[plan.an.OldCol(g.nav.NodeCol)].AsNode(), New: row[plan.an.NewCol(g.nav.NodeCol)].AsNode(), Args: args})
 	return nil
+}
+
+// onHeap returns v with the items of its sequence, at any depth, copied to
+// the heap: an aggregate's item sequence is cut from the evaluation
+// context's memory, which the context's next Rebind clears, and an argument
+// is delivered.
+func onHeap(v xdm.Value) xdm.Value {
+	if v.Kind() != xdm.KindSeq {
+		return v
+	}
+	items := v.AsSeq()
+	if len(items) == 0 {
+		return xdm.Seq(nil)
+	}
+	items = slices.Clone(items)
+	for i, it := range items {
+		items[i] = onHeap(it)
+	}
+	return xdm.Seq(items)
 }
 
 // labelled returns a grouped plan's rows with each TrigIDs cell holding

@@ -35,7 +35,15 @@ type evalState struct {
 	env    xqgm.Env
 	// The wave a statement-level firing stages on (see stage).
 	wave wave
+	// seen is a commit's activation dedup set across its plans (see
+	// invoke), nil until the first commit this context served.
+	seen map[activation]struct{}
 }
+
+// maxKeptSeen is the most activations a context's dedup set may have held
+// to be cleared for the next commit rather than dropped: clearing a map
+// costs its size, and a map never shrinks.
+const maxKeptSeen = 1024
 
 // maxIdleEvals is how many returned contexts an engine keeps for the next
 // borrowers; a borrower that finds none builds one.
@@ -47,9 +55,11 @@ const maxIdleEvals = 4
 // statement on another goroutine, never finds it here: each borrows another.
 type evalPool struct {
 	db   *reldb.DB
-	idle int // how many returned contexts it keeps: maxIdleEvals
+	idle int // how many returned contexts, and batch states, it keeps: maxIdleEvals
 	mu   sync.Mutex
 	free []*evalState
+	// batches are the batch states of finished commits.
+	batches []*batchState
 }
 
 // borrow takes a context off the free list, or builds one.
@@ -105,6 +115,11 @@ func (es *evalState) Release() {
 	clear(es.trs)
 	clear(es.sorted)
 	es.args = nil
+	if len(es.seen) > maxKeptSeen {
+		es.seen = nil
+	} else {
+		clear(es.seen)
+	}
 	es.Rebind(nil)
 	p := es.pool
 	p.mu.Lock()
@@ -112,4 +127,37 @@ func (es *evalState) Release() {
 		p.free = append(p.free, es)
 	}
 	p.mu.Unlock()
+}
+
+// batch takes a batch state off the free list, or builds one.
+func (p *evalPool) batch() *batchState {
+	p.mu.Lock()
+	var st *batchState
+	if n := len(p.batches); n > 0 {
+		st, p.batches[n-1] = p.batches[n-1], nil
+		p.batches = p.batches[:n-1]
+	}
+	p.mu.Unlock()
+	if st == nil {
+		st = &batchState{pool: p}
+		st.run = st.deliver
+	}
+	return st
+}
+
+// deliver runs the commit's wave, then returns the batch state to the free
+// list: the wave handed what it delivered on, or keeps only its emptied
+// slab, and the commit's context went back when its prepare phase ended.
+// A commit rolled back after its prepare phase never runs its wave, and its
+// batch state is left to the collector.
+func (st *batchState) deliver() error {
+	err := st.wave.run()
+	st.wave.e = nil
+	p := st.pool
+	p.mu.Lock()
+	if len(p.batches) < p.idle {
+		p.batches = append(p.batches, st)
+	}
+	p.mu.Unlock()
+	return err
 }

@@ -239,5 +239,35 @@ func TestKeptMemoryIsCapped(t *testing.T) {
 		if kept := es.KeptBytes(); kept > maxKept {
 			t.Errorf("a context keeps %d bytes, cap %d", kept, maxKept)
 		}
+		if es.seen != nil {
+			t.Errorf("a context keeps the dedup set of a 10,002-activation commit, cap %d", maxKeptSeen)
+		}
+	}
+	if n := len(e.evals.batches); n == 0 || n > e.evals.idle {
+		t.Errorf("the engine keeps %d batch states, want 1 to %d", n, e.evals.idle)
+	}
+}
+
+// An argument that is an item sequence is delivered in memory of its own,
+// at every depth: an aggregate's items are cut from the evaluation context,
+// whose next Rebind clears them.
+func TestSequenceArgumentsAreCopiedOut(t *testing.T) {
+	inner := []xdm.Value{xdm.Str("a"), xdm.Int(1)}
+	outer := []xdm.Value{xdm.Seq(inner), xdm.Str("b")}
+	arg := onHeap(xdm.Seq(outer))
+	clear(inner)
+	clear(outer)
+	got := arg.AsSeq()
+	if len(got) != 2 || got[1].Lexical() != "b" {
+		t.Fatalf("copied sequence = %v, want ((a, 1), b)", got)
+	}
+	if in := got[0].AsSeq(); len(in) != 2 || in[0].Lexical() != "a" || in[1].Lexical() != "1" {
+		t.Fatalf("copied inner sequence = %v, want (a, 1)", in)
+	}
+	if v := onHeap(xdm.Str("x")); v.Lexical() != "x" {
+		t.Errorf("a scalar argument comes back as %v", v)
+	}
+	if v := onHeap(xdm.Seq([]xdm.Value{})); v.Kind() != xdm.KindSeq || v.AsSeq() != nil {
+		t.Errorf("an empty sequence comes back as %v, want the nil one", v)
 	}
 }

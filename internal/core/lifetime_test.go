@@ -50,10 +50,14 @@ func invText(old, new *xdm.Node, args []xdm.Value) string {
 // firings is kept — delivered inline, by the dispatcher's workers while
 // later statements evaluate, or durably through the outbox — and serialized
 // again at the end, byte for byte what it was at delivery. One argument is a
-// sequence, the updated element's <e1> children.
+// sequence, the updated element's <e1> children, navigated from NEW_NODE.
+// Each write is a statement, or (+batched) a one-statement commit through
+// Engine.Batch, which evaluates in the commit's context and delivers when
+// the commit's batch state, kept for the next commit, runs its wave.
 func TestInvocationsOutliveTheirStatements(t *testing.T) {
-	for _, mode := range []string{"sync", "async", "outbox-replayed"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, name := range []string{"sync", "async", "outbox-replayed", "sync+batched", "async+batched", "outbox-replayed+batched"} {
+		mode, batched := strings.CutSuffix(name, "+batched")
+		t.Run(name, func(t *testing.T) {
 			w, err := workload.Build(workload.Params{
 				Depth: 2, LeafTuples: 32 * 16, Fanout: 16, NumTriggers: 64, NumSatisfied: 4,
 			}, core.ModeGrouped, 1)
@@ -96,10 +100,20 @@ func TestInvocationsOutliveTheirStatements(t *testing.T) {
 			fanout := int64(w.Params.Fanout)
 			for i := int64(0); i < firings; i++ {
 				leaf := (i%32)*fanout + i%fanout // every element in turn, a different leaf each round
-				if _, err := e.UpdateByPK(w.LeafTable(), []xdm.Value{xdm.Int(leaf)}, func(r reldb.Row) reldb.Row {
+				key, set := []xdm.Value{xdm.Int(leaf)}, func(r reldb.Row) reldb.Row {
 					r[len(r)-1] = xdm.Float(float64(1000 + i))
 					return r
-				}); err != nil {
+				}
+				var err error
+				if batched {
+					err = e.Batch(func(tx *reldb.Tx) error {
+						_, err := tx.UpdateByPK(w.LeafTable(), key, set)
+						return err
+					})
+				} else {
+					_, err = e.UpdateByPK(w.LeafTable(), key, set)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -176,7 +176,9 @@ type NetDelta struct {
 
 // BatchInfo identifies one Tx.Commit firing wave. Seq is unique per
 // commit; Deltas maps every table the transaction touched to its net
-// change.
+// change. The BatchInfo, Deltas and its transition tables are the
+// transaction's bookkeeping, valid until Commit or Rollback finishes it (see
+// Tx): a body that needs them later copies them; the rows it may keep.
 type BatchInfo struct {
 	Seq    int64
 	Deltas map[string]*NetDelta
@@ -316,6 +318,8 @@ type DB struct {
 	// AttachObs). Nil means disabled: statement paths pay one atomic load
 	// and a branch, never a clock read.
 	obs atomic.Pointer[dbObs]
+	// txs keeps finished transactions' bookkeeping for the next ones.
+	txs txPool
 }
 
 // Open creates an empty database for the schema. Every primary-key column
@@ -703,11 +707,14 @@ const maxScratchBytes = 64 << 10
 // keepScratch returns s emptied for the next statement, or nil when it grew
 // past maxScratchBytes.
 func keepScratch[T any](s []T) []T {
-	if cap(s)*int(reflect.TypeFor[T]().Size()) > maxScratchBytes {
+	if scratchBytes(s) > maxScratchBytes {
 		return nil
 	}
 	return s[:0]
 }
+
+// scratchBytes reports the memory s's array takes.
+func scratchBytes[T any](s []T) int { return cap(s) * int(reflect.TypeFor[T]().Size()) }
 
 // match returns the rows satisfying pred, in sortKeyed order.
 func (td *tableData) match(pred func(Row) bool) []keyedRow {

@@ -3,7 +3,8 @@ package reldb
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"quark/internal/xdm"
@@ -27,43 +28,31 @@ import (
 //
 // A Tx is not safe for concurrent use; the engine layer serializes whole
 // transactions against other writers.
+//
+// What a transaction needs only while it runs — its touched-key and moved-key
+// maps, the net deltas and their BatchInfo, the staged deliveries — it
+// borrows from memory the database keeps for the next transaction (txMem),
+// and gives back, cleared, when Commit or Rollback finishes it. So the
+// BatchInfo that Staged and FireContext.Batch return, its Deltas map and the
+// transition tables in it are valid until then; a body or caller that needs
+// them later copies them (the rows themselves it may keep). A finished Tx
+// holds none of that memory.
 type Tx struct {
-	db *DB
-	// touched records, per table, the pre-transaction row stored under
-	// each storage key the transaction has touched (nil = key was vacant).
-	// The net transition is the diff between this snapshot and the current
-	// table contents, so coalescing across any sequence of operations and
-	// primary-key moves falls out of the bookkeeping.
-	touched map[string]map[xdm.CompKey]preImage
-	// moved tracks row identity across primary-key changes: per table,
-	// the storage key a row currently occupies -> the key it occupied at
-	// transaction start (entries exist only for rows that moved). It lets
-	// the net diff pair a moved row's pre- and post-images as an UPDATE —
-	// matching the single-statement path, which fires AFTER UPDATE for
-	// PK-changing updates — instead of reporting DELETE+INSERT.
-	moved map[string]map[xdm.CompKey]xdm.CompKey
-	order []string // tables in first-touch order
+	db  *DB
+	mem *txMem // nil once the transaction is finished
 	// allowed, when non-nil, restricts mutations to the listed tables
 	// (declared-footprint batches, Engine.BatchTables); a mutation of any
 	// other table fails before applying.
 	allowed map[string]bool
-	// autoIDs snapshots a table's synthetic-rowid counter before the
-	// transaction's first insert into it, so Rollback can restore it: a
-	// rolled-back transaction must leave no trace, and a drifted counter
-	// would give re-run inserts different storage keys than the original
-	// attempt.
-	autoIDs map[string]int64
 	done    bool
 
 	// Two-phase state: Prepare runs the firing waves in staging mode,
-	// collecting the delivery thunks (in activation order) that Commit
-	// later runs; batch is the staged wave's BatchInfo. prepErr is sticky —
-	// a transaction whose prepare failed can only be rolled back or
-	// re-report the same error.
+	// collecting the delivery thunks (in activation order, mem.staged) that
+	// Commit later runs, and the staged wave's BatchInfo (mem.batch).
+	// prepErr is sticky — a transaction whose prepare failed can only be
+	// rolled back or re-report the same error.
 	prepared bool
 	prepErr  error
-	staged   []func() error
-	batch    *BatchInfo
 	silent   bool
 	obsTok   any
 
@@ -72,6 +61,120 @@ type Tx struct {
 	// layer reads it through NeedsEscalation to retry the batch under the
 	// all-table lock instead of surfacing the error.
 	escalate bool
+}
+
+// txMem is a transaction's bookkeeping, kept on the database's free list
+// (txPool) from one transaction to the next.
+type txMem struct {
+	tabs []txTable // the touched tables
+	// autoIDs snapshots a table's synthetic-rowid counter before the
+	// transaction's first insert into it, so Rollback can restore it: a
+	// rolled-back transaction must leave no trace, and a drifted counter
+	// would give re-run inserts different storage keys than the original
+	// attempt.
+	autoIDs []tableID
+	// What Prepare computes: the touched tables' net changes (tabs is in
+	// name order by then), the one array all their Δ and ∇ rows are cut
+	// from, and the BatchInfo whose Deltas point at them.
+	nets   []netChange
+	rows   []Row
+	nds    []NetDelta
+	batch  BatchInfo
+	deltas map[string]*NetDelta
+	staged []func() error
+	stage  func(deliver func() error) // appends to staged; built once
+}
+
+// txTable is what a transaction records for one table it touched.
+type txTable struct {
+	name string
+	// touched records the pre-transaction row stored under each storage key
+	// the transaction has touched. The net transition is the diff between
+	// this snapshot and the current table contents, so coalescing across any
+	// sequence of operations and primary-key moves falls out of the
+	// bookkeeping.
+	touched map[xdm.CompKey]preImage
+	// moved tracks row identity across primary-key changes: the storage key
+	// a row currently occupies -> the key it occupied at transaction start
+	// (entries exist only for rows that moved). It lets the net diff pair a
+	// moved row's pre- and post-images as an UPDATE — matching the
+	// single-statement path, which fires AFTER UPDATE for PK-changing
+	// updates — instead of reporting DELETE+INSERT. Every key in it is a
+	// key of touched.
+	moved map[xdm.CompKey]xdm.CompKey
+	// grown is the most keys touched has held since the maps were made:
+	// clearing a map does not shrink it.
+	grown int
+}
+
+// tableID is a table's synthetic-rowid counter.
+type tableID struct {
+	table string
+	id    int64
+}
+
+// touchedEntryBytes is what one key of touched and of moved costs together:
+// a key and a pre-image, a key and a key.
+const touchedEntryBytes = 4 * 32
+
+// maxIdleTxs is how many finished transactions' bookkeeping a database keeps
+// for the next ones; a transaction that finds none builds its own.
+const maxIdleTxs = 4
+
+// txPool is the database's free list of transaction bookkeeping. Concurrent
+// transactions on disjoint tables each borrow their own.
+type txPool struct {
+	mu   sync.Mutex
+	free []*txMem
+}
+
+// borrow takes bookkeeping off the free list, or builds it.
+func (p *txPool) borrow() *txMem {
+	p.mu.Lock()
+	var m *txMem
+	if n := len(p.free); n > 0 {
+		m, p.free[n-1] = p.free[n-1], nil
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if m == nil {
+		m = &txMem{deltas: map[string]*NetDelta{}}
+		m.stage = func(deliver func() error) { m.staged = append(m.staged, deliver) }
+	}
+	return m
+}
+
+// put clears m and returns it to the free list, if there is room. A map or
+// slice that grew past maxScratchBytes is dropped, not kept: clearing it
+// would cost every later transaction its size.
+func (p *txPool) put(m *txMem) {
+	for i := range m.tabs {
+		tt := &m.tabs[i]
+		tt.name = ""
+		if tt.grown = max(tt.grown, len(tt.touched)); tt.grown*touchedEntryBytes > maxScratchBytes {
+			tt.touched, tt.moved, tt.grown = nil, nil, 0
+		} else {
+			clear(tt.touched)
+			clear(tt.moved)
+		}
+	}
+	m.tabs = m.tabs[:0]
+	m.autoIDs = keepScratch(m.autoIDs)
+	clear(m.nets)
+	m.nets = keepScratch(m.nets)
+	clear(m.rows)
+	m.rows = keepScratch(m.rows)
+	clear(m.nds)
+	m.nds = keepScratch(m.nds)
+	clear(m.deltas)
+	m.batch = BatchInfo{}
+	clear(m.staged)
+	m.staged = keepScratch(m.staged)
+	p.mu.Lock()
+	if len(p.free) < maxIdleTxs {
+		p.free = append(p.free, m)
+	}
+	p.mu.Unlock()
 }
 
 // preImage is what a storage key held when the transaction first touched
@@ -116,34 +219,61 @@ func (tx *Tx) SetSilent() error {
 
 // Begin starts a batched transaction.
 func (db *DB) Begin() *Tx {
-	return &Tx{
-		db:      db,
-		touched: map[string]map[xdm.CompKey]preImage{},
-		moved:   map[string]map[xdm.CompKey]xdm.CompKey{},
-		autoIDs: map[string]int64{},
+	return &Tx{db: db, mem: db.txs.borrow()}
+}
+
+// finish marks the transaction finished and gives its bookkeeping back.
+func (tx *Tx) finish() {
+	tx.done = true
+	if m := tx.mem; m != nil {
+		tx.mem = nil
+		tx.db.txs.put(m)
 	}
 }
 
 // snapAutoID records the table's pre-transaction rowid counter the first
 // time the transaction is about to insert into it.
 func (tx *Tx) snapAutoID(table string) {
-	if _, ok := tx.autoIDs[table]; ok {
-		return
+	m := tx.mem
+	for _, a := range m.autoIDs {
+		if a.table == table {
+			return
+		}
 	}
 	if td, ok := tx.db.tables[table]; ok {
-		tx.autoIDs[table] = td.autoID
+		m.autoIDs = append(m.autoIDs, tableID{table, td.autoID})
 	}
 }
 
-func (tx *Tx) tableTouched(table string) map[xdm.CompKey]preImage {
-	m, ok := tx.touched[table]
-	if !ok {
-		m = map[xdm.CompKey]preImage{}
-		tx.touched[table] = m
-		tx.moved[table] = map[xdm.CompKey]xdm.CompKey{}
-		tx.order = append(tx.order, table)
+// table returns what the transaction records for table, nil until it
+// touched it.
+func (m *txMem) table(table string) *txTable {
+	for i := len(m.tabs) - 1; i >= 0; i-- { // the last table touched is the likeliest
+		if m.tabs[i].name == table {
+			return &m.tabs[i]
+		}
 	}
-	return m
+	return nil
+}
+
+// tableTouched returns what the transaction records for table, starting it
+// on first touch in the maps an earlier transaction left in its slot.
+func (tx *Tx) tableTouched(table string) *txTable {
+	m := tx.mem
+	if tt := m.table(table); tt != nil {
+		return tt
+	}
+	if n := len(m.tabs); n < cap(m.tabs) {
+		m.tabs = m.tabs[:n+1]
+	} else {
+		m.tabs = append(m.tabs, txTable{})
+	}
+	tt := &m.tabs[len(m.tabs)-1]
+	tt.name = table
+	if tt.touched == nil {
+		tt.touched, tt.moved = map[xdm.CompKey]preImage{}, map[xdm.CompKey]xdm.CompKey{}
+	}
+	return tt
 }
 
 // noteMoves updates the identity chains for one statement's key-changing
@@ -151,8 +281,8 @@ func (tx *Tx) tableTouched(table string) map[xdm.CompKey]preImage {
 // the pre-statement occupant, so origins are resolved for all changes
 // before any chain entry is rewritten (a PK swap inside one statement
 // must not read the other change's freshly installed entry).
-func (tx *Tx) noteMoves(table string, changes []updateChange) {
-	mv := tx.moved[table]
+func (tt *txTable) noteMoves(changes []updateChange) {
+	mv := tt.moved
 	type entry struct{ newKey, origin xdm.CompKey }
 	var adds []entry
 	for _, c := range changes {
@@ -173,7 +303,7 @@ func (tx *Tx) noteMoves(table string, changes []updateChange) {
 	for _, a := range adds {
 		// Rows created inside the transaction (origin has no pre-image)
 		// need no entry: their final key diffs as vacant→row on its own.
-		if a.origin != a.newKey && tx.touched[table][a.origin].row != nil {
+		if a.origin != a.newKey && tt.touched[a.origin].row != nil {
 			mv[a.newKey] = a.origin
 		}
 	}
@@ -236,10 +366,10 @@ func (tx *Tx) Insert(table string, rows ...Row) error {
 	if err != nil {
 		return err
 	}
-	m := tx.tableTouched(table)
+	tt := tx.tableTouched(table)
 	for _, kr := range inserted {
-		noteFirstTouch(m, kr.key, nil, 0)
-		delete(tx.moved[table], kr.key) // fresh row: no identity chain
+		noteFirstTouch(tt.touched, kr.key, nil, 0)
+		delete(tt.moved, kr.key) // fresh row: no identity chain
 	}
 	return nil
 }
@@ -253,7 +383,8 @@ func (tx *Tx) Update(table string, pred func(Row) bool, set func(Row) Row) (int,
 	if err != nil {
 		return 0, err
 	}
-	m := tx.tableTouched(table)
+	tt := tx.tableTouched(table)
+	m := tt.touched
 	// Record every change's old key BEFORE any new-key vacancy: in a
 	// statement that chains or swaps primary keys, another change's
 	// newKey may be this change's oldKey, and the pre-image of that key
@@ -269,7 +400,7 @@ func (tx *Tx) Update(table string, pred func(Row) bool, set func(Row) Row) (int,
 			noteFirstTouch(m, c.newKey, nil, 0)
 		}
 	}
-	tx.noteMoves(table, changes)
+	tt.noteMoves(changes)
 	return len(changes), nil
 }
 
@@ -282,11 +413,11 @@ func (tx *Tx) UpdateByPK(table string, key []xdm.Value, set func(Row) Row) (bool
 	if err != nil || !found {
 		return false, err
 	}
-	m := tx.tableTouched(table)
-	noteFirstTouch(m, c.oldKey, c.old, c.slot)
+	tt := tx.tableTouched(table)
+	noteFirstTouch(tt.touched, c.oldKey, c.old, c.slot)
 	if c.newKey != c.oldKey {
-		noteFirstTouch(m, c.newKey, nil, 0)
-		tx.noteMoves(table, []updateChange{c})
+		noteFirstTouch(tt.touched, c.newKey, nil, 0)
+		tt.noteMoves([]updateChange{c})
 	}
 	return true, nil
 }
@@ -300,10 +431,10 @@ func (tx *Tx) Delete(table string, pred func(Row) bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := tx.tableTouched(table)
+	tt := tx.tableTouched(table)
 	for _, kr := range removed {
-		noteFirstTouch(m, kr.key, kr.row, kr.slot)
-		delete(tx.moved[table], kr.key) // the occupant is gone
+		noteFirstTouch(tt.touched, kr.key, kr.row, kr.slot)
+		delete(tt.moved, kr.key) // the occupant is gone
 	}
 	return len(removed), nil
 }
@@ -317,8 +448,9 @@ func (tx *Tx) DeleteByPK(table string, key ...xdm.Value) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	noteFirstTouch(tx.tableTouched(table), kr.key, kr.row, kr.slot)
-	delete(tx.moved[table], kr.key) // the occupant is gone
+	tt := tx.tableTouched(table)
+	noteFirstTouch(tt.touched, kr.key, kr.row, kr.slot)
+	delete(tt.moved, kr.key) // the occupant is gone
 	return true, nil
 }
 
@@ -346,11 +478,13 @@ type netChange struct {
 // first-touch snapshot against the table's current contents, in storage-key
 // order (sortKeyed) for deterministic firing. The moved-identity chains
 // pair a PK-changed row's pre- and post-images as one UPDATE, so batched
-// commits fire the same event kinds as the single-statement path.
-func (tx *Tx) net(table string) netChange {
-	td := tx.db.tables[table]
-	m := tx.touched[table]
-	mv := tx.moved[table]
+// commits fire the same event kinds as the single-statement path. Its Δ and
+// ∇ are cut from rows, which has room for twice the touched keys; it returns
+// what is left of rows.
+func (tx *Tx) net(tt *txTable, rows []Row) (netChange, []Row) {
+	td := tx.db.tables[tt.name]
+	m := tt.touched
+	mv := tt.moved
 	// Each touched key is ordered by the key columns of a row filed under
 	// it: its pre-image, else its current occupant. A key vacant at both
 	// ends nets to nothing and is dropped here.
@@ -368,7 +502,7 @@ func (tx *Tx) net(table string) netChange {
 	}
 	defer func() { clear(keys); td.keyed = keepScratch(keys) }()
 	if len(keys) == 0 {
-		return netChange{}
+		return netChange{}, rows
 	}
 	td.sortKeyed(keys)
 	// A key adds at most one row to Δ and a pre-image at most one to ∇, so
@@ -376,8 +510,7 @@ func (tx *Tx) net(table string) netChange {
 	// half from the front, update pairs from the back; the pairs move down
 	// behind them at the end.
 	n := len(keys)
-	rows := make([]Row, 2*n)
-	ins, del := rows[:n:n], rows[n:]
+	ins, del, rows := rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
 	ni, nd, nu := 0, 0, 0
 	// Keys claimed as a moved row's origin: their pre-image belongs to
 	// that row (paired at its current key), not to whatever occupies the
@@ -444,7 +577,7 @@ func (tx *Tx) net(table string) netChange {
 	slices.Reverse(del[n-nu:])
 	copy(ins[ni:], ins[n-nu:])
 	copy(del[nd:], del[n-nu:])
-	return netChange{inserted: ins[: ni+nu : ni+nu], deleted: del[: nd+nu : nd+nu], ins: ni, del: nd}
+	return netChange{inserted: ins[: ni+nu : ni+nu], deleted: del[: nd+nu : nd+nu], ins: ni, del: nd}, rows
 }
 
 // Prepare runs the prepare phase of a two-phase commit: it computes the
@@ -479,23 +612,33 @@ func (tx *Tx) Prepare() error {
 }
 
 func (tx *Tx) prepare() error {
-	tables := append([]string(nil), tx.order...)
-	sort.Strings(tables)
-	batch := &BatchInfo{Seq: tx.db.batchSeq.Add(1), Deltas: map[string]*NetDelta{}, Silent: tx.silent, Obs: tx.obsTok}
-	nets := make([]netChange, len(tables))
-	for i, t := range tables {
-		nets[i] = tx.net(t)
+	m := tx.mem
+	// The tables fire in name order. Rollback restores each table on its
+	// own, so their first-touch order is not needed any more.
+	slices.SortFunc(m.tabs, func(a, b txTable) int { return strings.Compare(a.name, b.name) })
+	keys := 0
+	for i := range m.tabs {
+		keys += len(m.tabs[i].touched)
+	}
+	// Grown first, so nothing below moves what the deltas point at.
+	rows := slices.Grow(m.rows[:0], 2*keys)[:2*keys]
+	nets := slices.Grow(m.nets[:0], len(m.tabs))[:len(m.tabs)]
+	nds := slices.Grow(m.nds[:0], len(m.tabs))
+	m.rows, m.nets = rows, nets
+	m.batch = BatchInfo{Seq: tx.db.batchSeq.Add(1), Deltas: m.deltas, Silent: tx.silent, Obs: tx.obsTok}
+	batch := &m.batch
+	for i := range m.tabs {
+		nets[i], rows = tx.net(&m.tabs[i], rows)
 		if len(nets[i].inserted)+len(nets[i].deleted) > 0 {
-			batch.Deltas[t] = &NetDelta{Inserted: nets[i].inserted, Deleted: nets[i].deleted}
+			nds = append(nds, NetDelta{Inserted: nets[i].inserted, Deleted: nets[i].deleted})
+			batch.Deltas[m.tabs[i].name] = &nds[len(nds)-1]
 		}
 	}
-	tx.batch = batch
+	m.nds = nds
 	defer func() { release(batch.EngineState) }()
-	stage := func(deliver func() error) {
-		tx.staged = append(tx.staged, deliver)
-	}
-	for i, t := range tables {
-		nc := nets[i]
+	stage := m.stage
+	for i := range m.tabs {
+		t, nc := m.tabs[i].name, nets[i]
 		updNew, updOld := nc.inserted[nc.ins:], nc.deleted[nc.del:]
 		if nc.ins > 0 {
 			if err := tx.db.fire(t, EvInsert, nc.inserted[:nc.ins:nc.ins], nil, batch, stage); err != nil {
@@ -518,13 +661,14 @@ func (tx *Tx) prepare() error {
 }
 
 // Staged returns the BatchInfo of the staged firing wave (nil until a
-// successful Prepare). Coordinators use it to inspect what a prepared
-// transaction is about to deliver before deciding to commit.
+// successful Prepare, and again once the transaction is finished).
+// Coordinators use it to inspect what a prepared transaction is about to
+// deliver before deciding to commit.
 func (tx *Tx) Staged() *BatchInfo {
-	if !tx.prepared {
+	if !tx.prepared || tx.done {
 		return nil
 	}
-	return tx.batch
+	return &tx.mem.batch
 }
 
 // Commit finishes the transaction. On an unprepared transaction it is the
@@ -545,16 +689,17 @@ func (tx *Tx) Commit() error {
 		if err := tx.Prepare(); err != nil {
 			// One-shot contract: a firing error finishes the transaction
 			// with its mutations applied (no implicit rollback).
-			tx.done = true
+			tx.finish()
 			return err
 		}
 	}
 	tx.done = true
+	defer tx.finish()
 	tx.db.writes.Add(1)
 	if m := tx.db.obs.Load(); m != nil {
 		defer m.txCommit.Since(time.Now())
 	}
-	for _, deliver := range tx.staged {
+	for _, deliver := range tx.mem.staged {
 		if err := deliver(); err != nil {
 			return err
 		}
@@ -572,10 +717,10 @@ func (tx *Tx) Rollback() error {
 	if err := tx.check(); err != nil {
 		return err
 	}
-	tx.done = true
-	for _, t := range tx.order {
-		td := tx.db.tables[t]
-		m := tx.touched[t]
+	defer tx.finish()
+	for i := range tx.mem.tabs {
+		td := tx.db.tables[tx.mem.tabs[i].name]
+		m := tx.mem.tabs[i].touched
 		// Vacate every touched key before restoring any pre-image: the slot
 		// a pre-image goes back to may hold another touched key's row by now.
 		for k := range m { //quark:sorted keys are disjoint; the free list these pushes build is sorted below
@@ -596,8 +741,8 @@ func (tx *Tx) Rollback() error {
 	}
 	// Restore synthetic rowid counters for no-PK tables: the rows the
 	// transaction inserted are gone, so their allocated ids must be too.
-	for t, id := range tx.autoIDs { //quark:sorted per-table counter restore; entries are independent
-		tx.db.tables[t].autoID = id
+	for _, a := range tx.mem.autoIDs {
+		tx.db.tables[a.table].autoID = a.id
 	}
 	tx.db.writes.Add(1)
 	return nil

@@ -73,21 +73,23 @@ type EvalStats struct {
 // memo and what is kept when the database may have changed in between.
 //
 // A context may serve one statement after another: Rebind starts the next.
-// A rebound context cuts its operators' outputs — tuple cells, output arrays,
-// GroupBy's row permutation, the trails' positions — from blocks it keeps,
-// and the next Rebind clears them and cuts the next statement's outputs from
-// them again. What it builds from the transition tables is reused the same
-// way: the Δ-key and ∇ indexes and the index a pruned table or a keyless
-// B_old is computed with are open-addressed tables of row positions
-// (keyIndex), whose slices the next statement builds its own in; the memo,
-// the trails, the caches' maps and the join scratch are cleared, not
-// remade. Across a Rebind the context keeps no row, tuple or node of the
-// last statement, and at most maxKeptBytes of outputs and indexes together
-// (KeptBytes). So the tuples EvalFor returns are valid until the next
-// Rebind, and whatever outlives the statement — a node, an aggregate's item
-// sequence, a value copied out of a tuple — must not be a tuple. A context
-// that is never rebound allocates every output on its own and keeps
-// nothing: its tuples live as long as they are referenced.
+// A rebound context cuts its operators' outputs — tuple cells, an
+// aggregate's item sequence, output arrays, GroupBy's row permutation, the
+// trails' positions — from blocks it keeps, and the next Rebind clears them
+// and cuts the next statement's outputs from them again. What it builds from
+// the transition tables is reused the same way: the Δ-key and ∇ indexes and
+// the index a pruned table or a keyless B_old is computed with are
+// open-addressed tables of row positions (keyIndex), whose slices the next
+// statement builds its own in, and so is a hash join's index of its build
+// side (joinIndex), from join to join; the memo, the trails, the caches'
+// maps and the join scratch are cleared, not remade. Across a Rebind the
+// context keeps no row, tuple or node of the last statement, and at most
+// maxKeptBytes of outputs and indexes together (KeptBytes). So the tuples
+// EvalFor returns, and the item sequences in them, are valid until the next
+// Rebind, and whatever outlives the statement — a node, a value copied out
+// of a tuple, a sequence's items copied out of it — must not point into
+// them. A context that is never rebound allocates every output on its own
+// and keeps nothing: its tuples live as long as they are referenced.
 type EvalContext struct {
 	DB     *reldb.DB
 	Deltas map[string]*Transition
@@ -120,6 +122,8 @@ type EvalContext struct {
 	spare []*keyIndex
 	prune keyIndex
 	used  []bool
+	// join indexes a hash join's build side, one join after another.
+	join joinIndex
 	// trans caches the transition tables read as tuples — Δ, ∇ and their
 	// pruned forms — by table and source.
 	trans map[tableCol][]Tuple
@@ -292,8 +296,10 @@ func (ctx *EvalContext) Reset() {
 // and what it built from the last statement's transition tables, then clears
 // the memory the outputs were cut from and cuts the next statement's from it
 // (see EvalContext): the tuples EvalFor returned before are invalid from
-// here on. The indexes it built keep their slices for the next statement's;
-// memory past maxKeptBytes, indexes first, is dropped.
+// here on. The indexes it built keep their slices for the next statement's.
+// Of maxKeptBytes, the transition tables' indexes are charged first, then the
+// output memory, then the hash joins' index: what does not fit is dropped,
+// so one huge join's index does not cost the next statements their arenas.
 func (ctx *EvalContext) Rebind(deltas map[string]*Transition) {
 	ctx.Reset()
 	ctx.Deltas = deltas
@@ -303,6 +309,9 @@ func (ctx *EvalContext) Rebind(deltas map[string]*Transition) {
 	ctx.recycle(&budget)
 	ctx.mem.reset(&budget)
 	ctx.hits, ctx.matches = scratch(ctx.hits), scratch(ctx.matches)
+	if ctx.join.bytes() > budget { // what the arenas left
+		ctx.join = joinIndex{}
+	}
 }
 
 // recycle empties the last statement's indexes into spare and keeps, of them
@@ -338,7 +347,7 @@ func (ctx *EvalContext) recycle(budget *int) {
 // outputs and its transition tables' indexes: at most maxKeptBytes right
 // after one.
 func (ctx *EvalContext) KeptBytes() int {
-	n := ctx.mem.bytes() + ctx.prune.bytes() + cap(ctx.used)
+	n := ctx.mem.bytes() + ctx.prune.bytes() + cap(ctx.used) + ctx.join.bytes()
 	for _, ix := range ctx.spare {
 		n += ix.bytes()
 	}
@@ -980,7 +989,9 @@ func (ctx *EvalContext) oldExclFor(table string, pk []int) *keyIndex {
 
 // has reports whether a row of ix has the key of t's columns cols; a nil ix
 // has none.
-func (ix *keyIndex) has(t []xdm.Value, cols []int) bool { return ix != nil && ix.first(t, cols) != 0 }
+func (ix *keyTable[R]) has(t []xdm.Value, cols []int) bool {
+	return ix != nil && ix.first(t, cols) != 0
+}
 
 // deletedByCol returns (building once per context) the table's ∇ rows
 // indexed by the given column.
@@ -1050,8 +1061,9 @@ func (ctx *EvalContext) lookupDeleted(bp *basePath, col int, v xdm.Value, fn fun
 // hashJoin joins on the equi-pairs by hashing one side; with no equi-pairs
 // the one-bucket index makes it the nested loop. Right-anti joins build on
 // the left and probe with the right; every other kind builds on the right.
-// ix, when not nil, is the build side's index, kept by its table.
-func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple, ix *hashIndex) ([]Tuple, error) {
+// cix, when not nil, is the build side's index, kept by its table; else the
+// build side is indexed in the context's join index.
+func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple, cix *hashIndex) ([]Tuple, error) {
 	o := n.op
 	if len(o.On) > 0 {
 		ctx.Stats.HashJoins++
@@ -1064,10 +1076,12 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple, ix *hashIndex) ([]Tupl
 	if anti {
 		probe, build, pcols, bcols = rt, lt, j.rcols, j.lcols
 	}
-	var local hashIndex
-	if ix == nil {
-		local.index(build, bcols)
-		ix = &local
+	if cix == nil {
+		if bcols == nil { // no equi-pairs: every tuple under one key
+			pcols, bcols = noCols, noCols
+		}
+		ctx.join.buildJoin(build, bcols)
+		defer ctx.join.release()
 	}
 	emits := o.JoinKind == JoinInner || o.JoinKind == JoinLeftOuter // else a match only disqualifies
 	// First collect the output's (probe, build) pairs — about one per probe
@@ -1077,8 +1091,13 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple, ix *hashIndex) ([]Tupl
 	for pi, p := range probe {
 		matched := false
 		if !hasNull(p, pcols) {
-			k := xdm.ColsKey(p, pcols)
-			for i := ix.first(k); i != 0 && (emits || !matched); i = ix.after(i, k) {
+			var i int32
+			if cix != nil {
+				i = cix.head[xdm.ColsKey(p, pcols)]
+			} else {
+				i = ctx.join.first(p, pcols)
+			}
+			for ; i != 0 && (emits || !matched); i = ctx.nextMatch(cix, p, pcols, i) {
 				if o.JoinPred != nil {
 					l, r := p, build[i-1]
 					if anti {
@@ -1122,6 +1141,15 @@ func (ctx *EvalContext) hashJoin(n *node, lt, rt []Tuple, ix *hashIndex) ([]Tupl
 		out[i] = jt
 	}
 	return out, nil
+}
+
+// nextMatch continues the lookup of probe tuple p past build position i-1:
+// in the constants table's index cix, else in the join index.
+func (ctx *EvalContext) nextMatch(cix *hashIndex, p []xdm.Value, pcols []int, i int32) int32 {
+	if cix != nil {
+		return cix.next[i-1]
+	}
+	return ctx.join.after(p, pcols, i)
 }
 
 // --- group by ---
@@ -1242,7 +1270,7 @@ func (ctx *EvalContext) evalGroupBy(n *node, in []Tuple) ([]Tuple, error) {
 			if !n.live[len(o.GroupCols)+i] {
 				continue // nobody reads it: stays NULL
 			}
-			v, err := evalAgg(a, grp, env)
+			v, err := evalAgg(a, grp, env, &ctx.mem.cells)
 			if err != nil {
 				return nil, err
 			}
@@ -1288,8 +1316,10 @@ func sortTuples(rows []Tuple, key []int) {
 }
 
 // evalAgg computes one aggregate over a group's rows; env is the caller's
-// reusable environment.
-func evalAgg(a Agg, rows []Tuple, env *Env) (xdm.Value, error) {
+// reusable environment. An AggXMLFrag's item sequence is cut from cells,
+// like the tuple it is a cell of: it is valid until the context's next
+// Rebind.
+func evalAgg(a Agg, rows []Tuple, env *Env, cells *arena[xdm.Value]) (xdm.Value, error) {
 	if a.Func == AggCount && a.Arg == nil {
 		return xdm.Int(int64(len(rows))), nil
 	}
@@ -1331,7 +1361,9 @@ func evalAgg(a Agg, rows []Tuple, env *Env) (xdm.Value, error) {
 			}
 		case AggXMLFrag:
 			if items == nil {
-				items = make([]xdm.Value, 0, len(rows))
+				if items = cells.room(len(rows)); items == nil { // the arena is off
+					items = make([]xdm.Value, 0, len(rows))
+				}
 			}
 			if v.Kind() == xdm.KindSeq {
 				items = append(items, v.AsSeq()...)
@@ -1356,7 +1388,7 @@ func evalAgg(a Agg, rows []Tuple, env *Env) (xdm.Value, error) {
 	case AggMin, AggMax:
 		return best, nil // Null when no row had a value
 	case AggXMLFrag:
-		return xdm.Seq(items), nil
+		return xdm.Seq(cells.cut(items)), nil
 	default:
 		return xdm.Null, fmt.Errorf("xqgm: unknown aggregate %v", a.Func)
 	}

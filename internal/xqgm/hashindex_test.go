@@ -40,14 +40,26 @@ func joinRows(r *rand.Rand, n, base int) []Tuple {
 	return out
 }
 
-// A build side of at most tinyBuild tuples is searched linearly, a larger
-// one hashed; every join kind emits the same rows in the same order either
-// way, with one key column or two, with and without a residual predicate.
-func TestTinyBuildMatchesHashedBuild(t *testing.T) {
+// mapIndex indexes rows by cols in a map keyed by ColsKey, chaining each
+// key's rows in input order: the reference a join index is held to.
+func mapIndex(rows []Tuple, cols []int) *hashIndex {
+	h := &hashIndex{head: map[xdm.CompKey]int32{}, next: make([]int32, len(rows))}
+	for i := len(rows) - 1; i >= 0; i-- {
+		h.link(rows[i], cols, i)
+	}
+	return h
+}
+
+// A hash join that indexes its build side in the context's join index, kept
+// from join to join, emits the same rows in the same order as one probing a
+// map keyed by ColsKey, for every join kind and build size, with no key
+// column, one or two, with and without a residual predicate.
+func TestJoinIndexMatchesMapIndex(t *testing.T) {
 	pred := &Cmp{Op: "<", L: Col(2), R: Col2(2)}
 	r := rand.New(rand.NewSource(1))
+	var ctx EvalContext // one context: its join index serves every join below
 	for _, kind := range []JoinKind{JoinInner, JoinLeftOuter, JoinLeftAnti, JoinRightAnti} {
-		for _, on := range [][]JoinEq{{{L: 0, R: 0}}, {{L: 0, R: 1}, {L: 1, R: 0}}} {
+		for _, on := range [][]JoinEq{nil, {{L: 0, R: 0}}, {{L: 0, R: 1}, {L: 1, R: 0}}} {
 			for _, residual := range []Expr{nil, pred} {
 				for _, size := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
 					probe := joinRows(r, 12, 0)
@@ -66,21 +78,16 @@ func TestTinyBuildMatchesHashedBuild(t *testing.T) {
 					if kind == JoinRightAnti {
 						bcols = n.join.lcols
 					}
-					var sized, hashedIx hashIndex
-					if sized.index(build, bcols); (sized.head == nil) != (size <= tinyBuild) {
-						t.Fatalf("build of %d: searched linearly = %t", size, sized.head == nil)
-					}
-					hashedIx.hash(build, bcols)
-					tiny, err := (&EvalContext{}).hashJoin(n, lt, rt, &sized)
+					got, err := ctx.hashJoin(n, lt, rt, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					hashed, err := (&EvalContext{}).hashJoin(n, lt, rt, &hashedIx)
+					want, err := (&EvalContext{}).hashJoin(n, lt, rt, mapIndex(build, bcols))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if g, w := fmt.Sprint(tiny), fmt.Sprint(hashed); g != w {
-						t.Errorf("%v on %v, residual %v, build of %d:\nsized build %s\nhashed      %s", kind, on, residual, size, g, w)
+					if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
+						t.Errorf("%v on %v, residual %v, build of %d:\njoin index %s\nmap index  %s", kind, on, residual, size, g, w)
 					}
 				}
 			}
@@ -119,8 +126,6 @@ func TestConstTableIndexFollowsItsRows(t *testing.T) {
 					at := slices.IndexFunc(tab.Rows(), func(row Tuple) bool { return row[2].AsInt() == int64(200+i) })
 					tab.Remove(at)
 				}
-				var fresh hashIndex
-				fresh.hash(kept, bcols)
 				lt, rt, lf, rf := probe, tab.Rows(), probe, kept
 				if kind == JoinRightAnti {
 					lt, rt, lf, rf = tab.Rows(), probe, kept, probe
@@ -129,7 +134,7 @@ func TestConstTableIndexFollowsItsRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := (&EvalContext{}).hashJoin(n, lf, rf, &fresh)
+				want, err := (&EvalContext{}).hashJoin(n, lf, rf, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -488,85 +488,18 @@ func matchBasePath(o *Operator) *basePath {
 	}
 }
 
-// tinyBuild is the most tuples a hash join's build side may have to be
-// searched linearly instead of hashed: a key filter leaves most of an
-// affected-node graph's joins one affected key to build on, and a map for it
-// costs more than the search.
-const tinyBuild = 8
-
-// hashIndex buckets tuples by key columns without a slice per bucket: head
-// maps a key to 1 + the index of its first tuple and next chains on from
-// there, in input order. Tuples with a NULL key column are left out (NULL
-// never equi-joins). With no key columns every tuple is in the one bucket,
-// which makes a join without equi-pairs the same loop as a hash join.
-//
-// A build of at most tinyBuild tuples has no map (head is nil): keys holds
-// the n tuples' keys and a lookup compares them in input order — the same
-// equality, the same tuples, the same order. A tuple with a NULL key column
-// keeps the zero key, a NULL's: no key looked up equals it, since a probe
-// with a NULL key column looks nothing up.
+// hashIndex buckets a constants table's rows by key columns without a slice
+// per bucket, as rows come and go (see ConstTable): head maps a key to 1 + the
+// index of its first row and next chains on from there. Rows with a NULL key
+// column are left out (NULL never equi-joins).
 type hashIndex struct {
 	head map[xdm.CompKey]int32
 	next []int32
-
-	keys [tinyBuild]xdm.CompKey
-	n    int32
 }
 
-// index builds h over rows: searched linearly when they are few enough,
-// else hashed.
-func (h *hashIndex) index(rows []Tuple, cols []int) {
-	if len(rows) > tinyBuild {
-		h.hash(rows, cols)
-		return
-	}
-	h.n = int32(len(rows))
-	for i, r := range rows {
-		if !hasNull(r, cols) {
-			h.keys[i] = xdm.ColsKey(r, cols)
-		}
-	}
-}
-
-func (h *hashIndex) hash(rows []Tuple, cols []int) {
-	h.head, h.next = make(map[xdm.CompKey]int32, len(rows)), make([]int32, len(rows))
-	for i := len(rows) - 1; i >= 0; i-- {
-		if hasNull(rows[i], cols) {
-			continue
-		}
-		k := xdm.ColsKey(rows[i], cols)
-		h.next[i] = h.head[k]
-		h.head[k] = int32(i + 1)
-	}
-}
-
-// first returns 1 + the index of the first tuple whose key is k, or 0.
-func (h *hashIndex) first(k xdm.CompKey) int32 {
-	if h.head == nil {
-		return h.search(k, 0)
-	}
-	return h.head[k]
-}
-
-// after continues a lookup of k past i, the last value first or after
-// returned for it: 1 + the index of the next tuple whose key is k, or 0.
-func (h *hashIndex) after(i int32, k xdm.CompKey) int32 {
-	if h.head == nil {
-		return h.search(k, i)
-	}
-	return h.next[i-1]
-}
-
-// search is a tiny build's lookup: 1 + the index of the first tuple from
-// index i on whose key is k, or 0.
-func (h *hashIndex) search(k xdm.CompKey, i int32) int32 {
-	for ; i < h.n; i++ {
-		if h.keys[i] == k {
-			return i + 1
-		}
-	}
-	return 0
-}
+// noCols is the key columns of a join without equi-pairs: every tuple has
+// the one empty key.
+var noCols = []int{}
 
 func hasNull(t Tuple, cols []int) bool {
 	for _, c := range cols {

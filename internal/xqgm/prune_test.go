@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"quark/internal/reldb"
@@ -138,7 +139,10 @@ func TestPrunedNetChangeOfACommit(t *testing.T) {
 	for _, table := range []string{"keyed", "bag"} {
 		for _, ev := range []reldb.Event{reldb.EvInsert, reldb.EvUpdate, reldb.EvDelete} {
 			if err := db.CreateTrigger(&reldb.SQLTrigger{Name: table + ev.String(), Table: table, Event: ev, Body: func(ctx *reldb.FireContext) error {
-				got = ctx.Batch.Deltas
+				got = map[string]*reldb.NetDelta{} // the commit's own is cleared when it finishes
+				for t, nd := range ctx.Batch.Deltas {
+					got[t] = &reldb.NetDelta{Inserted: slices.Clone(nd.Inserted), Deleted: slices.Clone(nd.Deleted)}
+				}
 				return nil
 			}}); err != nil {
 				t.Fatal(err)

@@ -47,7 +47,8 @@ func TestRebindAnswersAsFreshContexts(t *testing.T) {
 	}
 }
 
-// Rebind clears the cells of the outputs it forgets: a tuple EvalFor
+// Rebind clears the cells of the outputs it forgets, and the items of their
+// aggregates' sequences, which are cut from the same memory: a tuple EvalFor
 // returned holds nothing once the next statement starts, so the nodes it
 // held are garbage unless their consumer keeps them.
 func TestRebindClearsOutputs(t *testing.T) {
@@ -62,11 +63,19 @@ func TestRebindClearsOutputs(t *testing.T) {
 	if len(out) == 0 || out[0][2].IsNull() {
 		t.Fatalf("output %v, want vendor sequences", out)
 	}
-	first := out[0]
+	first, items := out[0], out[0][2].AsSeq()
+	if len(items) == 0 {
+		t.Fatalf("output %v, want a vendor sequence with items", out)
+	}
 	ctx.Rebind(nil)
 	for i, v := range first {
 		if !v.IsNull() {
 			t.Errorf("cell %d of a forgotten output still holds %s", i, v)
+		}
+	}
+	for i, v := range items {
+		if !v.IsNull() {
+			t.Errorf("item %d of a forgotten aggregate's sequence still holds %s", i, v)
 		}
 	}
 }
